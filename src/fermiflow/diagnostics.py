@@ -44,7 +44,6 @@ class DistanceSeries:
     times: np.ndarray
     hs: np.ndarray
     tr: np.ndarray
-    observable_tests: list = None  # [(q, p, per-time values)]
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -147,25 +146,8 @@ def fit_double_exponential(series, times):
     return (float(np.exp(coef[0])), c1, float(coef[1]), rms)
 
 
-def _observable_exponential(q, p, params: ModelParams, lattice: Lattice) -> np.ndarray:
-    """exp(i x.q + hbar p.grad) from a single matrix exponential of the summed
-    generator (diagonal phase part plus momentum part)."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    gen = np.diag(1j * (lattice.sites() @ q)).astype(complex)
-    for ax in range(lattice.ds):
-        gen = gen + p[ax] * momentum_operator(lattice, params.hbar, ax)
-    # gen is anti-Hermitian; exponentiate through the Hermitian part
-    herm = gen / 1j
-    eig, vec = np.linalg.eigh(0.5 * (herm + herm.conj().T))
-    return (vec * np.exp(1j * eig)) @ vec.conj().T
-
-
-def distance_series(gamma_series, omega_series, observables=None,
-                    params: ModelParams = None, lattice: Lattice = None,
-                    times=None) -> DistanceSeries:
-    """HS and trace distances per time between two matched state series;
-    optionally also |tr e^{i x.q + hbar p.grad} (gamma - omega)| per (q, p)."""
+def distance_series(gamma_series, omega_series, times=None) -> DistanceSeries:
+    """HS and trace distances per time between two matched state series."""
     if len(gamma_series) != len(omega_series):
         raise ValueError("mismatched series lengths")
     mats = []
@@ -177,14 +159,6 @@ def distance_series(gamma_series, omega_series, observables=None,
         mats.append(gm - wm)
     hs = np.array([hs_norm(m) for m in mats])
     tr = np.array([trace_norm(m) for m in mats])
-    obs_tests = None
-    if observables:
-        obs_tests = []
-        for q, p in observables:
-            u = _observable_exponential(q, p, params, lattice)
-            vals = np.array([abs(np.trace(u @ m)) for m in mats])
-            obs_tests.append((np.atleast_1d(q), np.atleast_1d(p), vals))
     if times is None:
         times = np.arange(len(mats), dtype=float)
-    return DistanceSeries(times=np.asarray(times, dtype=float), hs=hs, tr=tr,
-                          observable_tests=obs_tests)
+    return DistanceSeries(times=np.asarray(times, dtype=float), hs=hs, tr=tr)

@@ -2,12 +2,16 @@
 
 Occupation bitmasks index the 2^L Fock basis (integer order); Jordan-Wigner
 strings follow the site order, so a_x picks up (-1)^(number of occupied
-modes below x).  Everything downstream (Bogoliubov implementors, Wick
-reduced densities, fluctuation dynamics) is validated against the
-anticommutation relations fixed by that single choice.
+modes below x).  That convention is fixed in one place: the kernel `_word`,
+which builds any word of creation and annihilation operators from the
+per-space table of occupation bits and signs.  Every operator here (ladder,
+field, dGamma, pair, Hamiltonian) is one call to it, and everything
+downstream (Bogoliubov implementors, Wick reduced densities, fluctuation
+dynamics) is validated against the anticommutation relations it fixes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,13 +50,6 @@ _MAX_SITES = 14
 _DENSE_SECTOR_CAP = 4096
 
 
-def _popcount(states: np.ndarray, bits: int) -> np.ndarray:
-    out = np.zeros_like(states)
-    for b in range(bits):
-        out += (states >> b) & 1
-    return out
-
-
 @dataclass(frozen=True)
 class FockSpace:
     """Fermionic Fock space over L lattice sites; basis = occupation bitmasks
@@ -71,8 +68,15 @@ class FockSpace:
     def states(self) -> np.ndarray:
         return np.arange(self.dim)
 
+    @cached_property
+    def _table(self) -> tuple:
+        """(dim x L) occupation bits n_x(b), and the Jordan-Wigner signs
+        (-1)^(modes occupied below x) as +-1 integers."""
+        bits = (self.states()[:, None] >> np.arange(self.l_sites)) & 1
+        return bits, 1 - 2 * ((np.cumsum(bits, axis=1) - bits) & 1)
+
     def occupations(self) -> np.ndarray:
-        return _popcount(self.states(), self.l_sites)
+        return self._table[0].sum(axis=1)
 
     def vacuum(self) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=complex)
@@ -80,22 +84,34 @@ class FockSpace:
         return psi
 
 
-def _jw_signs(states: np.ndarray, site: int, bits: int) -> np.ndarray:
-    below = states & ((1 << site) - 1)
-    return 1.0 - 2.0 * (_popcount(below, bits) & 1)
+def _word(space: FockSpace, creates, coef) -> sp.csr_matrix:
+    """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), with c_i = a* where
+    creates[i] and a otherwise; the rightmost operator acts first.
+
+    Built at once over every index tuple with a nonzero coefficient and every
+    basis state; duplicate matrix entries are summed by the CSR build."""
+    coef = np.asarray(coef, dtype=complex)
+    shape = (space.l_sites,) * len(creates)
+    if coef.shape != shape:
+        raise ValueError(f"coefficients must have shape {shape}, got {coef.shape}")
+    bits, jw = space._table
+    sites = np.nonzero(coef)
+    cols = np.broadcast_to(space.states(), (len(sites[0]), space.dim))
+    rows = cols
+    vals = np.broadcast_to(coef[sites][:, None], cols.shape)
+    alive = np.ones(cols.shape, dtype=bool)
+    for create, x in zip(reversed(creates), reversed(sites)):
+        x = x[:, None]
+        alive &= bits[rows, x] != create  # a* needs mode x empty, a needs it filled
+        vals = vals * jw[rows, x]
+        rows = rows ^ (1 << x)
+    return sp.csr_matrix((vals[alive], (rows[alive], cols[alive])),
+                         shape=(space.dim, space.dim))
 
 
 def apply_ladder(space: FockSpace, psi: np.ndarray, site: int, create: bool) -> np.ndarray:
     """Apply a single a_x or a*_x to a state vector."""
-    if not 0 <= site < space.l_sites:
-        raise ValueError(f"site {site} out of range")
-    states = space.states()
-    bit = (states >> site) & 1
-    src = states[bit == (0 if create else 1)]
-    out = np.zeros_like(psi)
-    signs = _jw_signs(src, site, space.l_sites)
-    out[src ^ (1 << site)] = signs * psi[src]
-    return out
+    return ladder(space, site, "create" if create else "annihilate") @ psi
 
 
 def ladder(space: FockSpace, site: int, kind: str) -> sp.csr_matrix:
@@ -104,81 +120,26 @@ def ladder(space: FockSpace, site: int, kind: str) -> sp.csr_matrix:
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
     if not 0 <= site < space.l_sites:
         raise ValueError(f"site {site} out of range")
-    create = kind == "create"
-    states = space.states()
-    bit = (states >> site) & 1
-    src = states[bit == (0 if create else 1)]
-    dst = src ^ (1 << site)
-    signs = _jw_signs(src, site, space.l_sites)
-    return sp.csr_matrix((signs.astype(complex), (dst, src)),
-                         shape=(space.dim, space.dim))
+    return _word(space, (kind == "create",), np.eye(space.l_sites)[site])
 
 
 def apply_field(space: FockSpace, psi: np.ndarray, f: np.ndarray, create: bool) -> np.ndarray:
     """Apply a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x."""
-    f = np.asarray(f, dtype=complex)
-    out = np.zeros_like(psi)
-    for x in range(space.l_sites):
-        coef = f[x] if create else np.conj(f[x])
-        if coef != 0:
-            out += coef * apply_ladder(space, psi, x, create)
-    return out
+    return _word(space, (create,), f if create else np.conj(f)) @ psi
 
 
 def field_operator(space: FockSpace, f: np.ndarray, create: bool) -> sp.csr_matrix:
-    f = np.asarray(f, dtype=complex)
-    op = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for x in range(space.l_sites):
-        coef = f[x] if create else np.conj(f[x])
-        if coef != 0:
-            op = op + coef * ladder(space, x, "create" if create else "annihilate")
-    return op
+    return _word(space, (create,), f if create else np.conj(f))
 
 
 def d_gamma(space: FockSpace, o: np.ndarray) -> sp.csr_matrix:
     """Second quantization sum_{xy} O(x;y) a*_x a_y; particle-number preserving."""
-    o = np.asarray(o, dtype=complex)
-    if o.shape != (space.l_sites, space.l_sites):
-        raise ValueError(f"one-particle matrix must be {space.l_sites}x{space.l_sites}")
-    states = space.states()
-    rows, cols, vals = [], [], []
-    occ = _popcount(states, space.l_sites)  # noqa: F841  (kept for clarity)
-    # diagonal part: number-weighted occupations
-    diag = np.zeros(space.dim, dtype=complex)
-    for x in range(space.l_sites):
-        diag += o[x, x] * ((states >> x) & 1)
-    rows.append(states)
-    cols.append(states)
-    vals.append(diag)
-    # hopping part x != y: need bit y set and bit x clear
-    for x in range(space.l_sites):
-        for y in range(space.l_sites):
-            if x == y or o[x, y] == 0:
-                continue
-            sel = states[(((states >> y) & 1) == 1) & (((states >> x) & 1) == 0)]
-            s1 = _jw_signs(sel, y, space.l_sites)
-            mid = sel ^ (1 << y)
-            s2 = _jw_signs(mid, x, space.l_sites)
-            rows.append(mid ^ (1 << x))
-            cols.append(sel)
-            vals.append(o[x, y] * s1 * s2)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    )
+    return _word(space, (True, False), o)
 
 
 def pair_operator(space: FockSpace, o: np.ndarray, create: bool) -> sp.csr_matrix:
     """sum_{xy} O(x;y) a_x a_y (annihilating pair) or a*_x a*_y (creating)."""
-    o = np.asarray(o, dtype=complex)
-    op = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    kind = "create" if create else "annihilate"
-    for x in range(space.l_sites):
-        ax = ladder(space, x, kind)
-        for y in range(space.l_sites):
-            if o[x, y] != 0:
-                op = op + o[x, y] * (ax @ ladder(space, y, kind))
-    return op
+    return _word(space, (create, create), o)
 
 
 def number_operator(space: FockSpace) -> sp.csr_matrix:
@@ -199,10 +160,7 @@ def hamiltonian(space: FockSpace, v: Potential, params: ModelParams,
     h = d_gamma(space, kinetic_operator(lattice, params.hbar))
     w = _v_pair_matrix(v, lattice).copy()
     np.fill_diagonal(w, 0.0)
-    states = space.states()
-    occ = np.zeros((space.dim, space.l_sites))
-    for x in range(space.l_sites):
-        occ[:, x] = (states >> x) & 1
+    occ = space._table[0].astype(float)
     diag = 0.5 / params.n_particles * np.einsum("bx,xy,by->b", occ, w, occ)
     return (h + sp.diags(diag.astype(complex))).tocsr()
 
@@ -474,10 +432,6 @@ class FluctuationDynamics:
         if drift > 1e-9 * max(1.0, np.linalg.norm(xi)):
             raise RuntimeError(f"fluctuation dynamics lost norm ({drift:.2e})")
         return out
-
-
-def fluctuation_evolve(xi: np.ndarray, t: float, dynamics: FluctuationDynamics) -> np.ndarray:
-    return dynamics.evolve(xi, t)
 
 
 def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Lattice, fourier_matrix, kinetic_operator, momentum_operator, phase_operator
+from .model import Lattice, ModelParams, kinetic_operator
 
 __all__ = [
     "DensityMatrix",
@@ -75,6 +75,7 @@ class SemiclassicalReport:
     c_phase: float
     c_momentum: float
     p_set: np.ndarray = field(repr=False)
+    phase_norms: np.ndarray = field(repr=False)  # tr |[e^{i p.x}, omega]| per probe
 
 
 def fermi_ball_indices(lattice: Lattice, n: int) -> np.ndarray:
@@ -240,7 +241,7 @@ def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
 def semiclassical_constant(omega: DensityMatrix, lattice: Lattice, hbar: float,
                            p_set: np.ndarray = None) -> SemiclassicalReport:
     """Exact (SVD) commutator trace norms, normalized by N*hbar."""
-    from .diagnostics import trace_norm
+    from .diagnostics import commutator_momentum, commutator_phase
 
     if p_set is None:
         p_set = default_probe_momenta(lattice)
@@ -248,14 +249,10 @@ def semiclassical_constant(omega: DensityMatrix, lattice: Lattice, hbar: float,
     if p_set.shape[0] == 0:
         raise ValueError("p_set must be nonempty")
     norm = omega.n_particles * hbar
-    c_phase = 0.0
-    for p in p_set:
-        e = phase_operator(lattice, p)
-        val = trace_norm(e @ omega.matrix - omega.matrix @ e)
-        c_phase = max(c_phase, val / ((1.0 + np.linalg.norm(p)) * norm))
-    c_momentum = 0.0
-    for ax in range(lattice.ds):
-        g = momentum_operator(lattice, hbar, ax)
-        c_momentum += trace_norm(g @ omega.matrix - omega.matrix @ g) / norm
+    phase_norms = np.array([commutator_phase(omega, p, lattice) for p in p_set])
+    c_phase = max(val / ((1.0 + np.linalg.norm(p)) * norm)
+                  for val, p in zip(phase_norms, p_set))
+    params = ModelParams(n_particles=omega.n_particles, ds=lattice.ds, hbar=hbar)
+    c_momentum = commutator_momentum(omega, params, lattice) / norm
     return SemiclassicalReport(c_phase=float(c_phase), c_momentum=float(c_momentum),
-                               p_set=p_set)
+                               p_set=p_set, phase_norms=phase_norms)

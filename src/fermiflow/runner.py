@@ -358,12 +358,9 @@ def _scenario_diagnostics_only(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
     report = semiclassical_constant(omega0, cfg.lattice, cfg.params.hbar, p_set)
-    from .diagnostics import commutator_phase
-
-    per_p = [commutator_phase(omega0, p, cfg.lattice) for p in p_set]
     write_csv(os.path.join(out, "series.csv"), {
         "p_norm": [float(np.linalg.norm(p)) for p in p_set],
-        "commutator_trace_norm": per_p,
+        "commutator_trace_norm": report.phase_norms,
     })
     return {"c_phase": report.c_phase, "c_momentum": report.c_momentum,
             "idempotency_defect": omega0.idempotency_defect()}

@@ -41,6 +41,54 @@ def test_car_anticommutators():
         assert np.max(np.abs(ax @ ax)) == 0.0
 
 
+def kron_annihilators(l_sites):
+    """a_x = Z on sites below x, sigma^- on x, identity above; site 0 is the
+    least significant bit of the basis index."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    ops = []
+    for x in range(l_sites):
+        a = np.eye(1)
+        for s in range(l_sites - 1, -1, -1):
+            a = np.kron(a, np.eye(2) if s > x else lower if s == x else z)
+        ops.append(a)
+    return ops
+
+
+def test_operators_match_kronecker_oracle():
+    space = FockSpace(4)
+    a = kron_annihilators(4)
+    for x in range(4):
+        assert np.max(np.abs(ladder(space, x, "annihilate").toarray() - a[x])) == 0.0
+        assert np.max(np.abs(ladder(space, x, "create").toarray() - a[x].T)) == 0.0
+    rng = np.random.default_rng(3)
+    o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    words = {
+        "dgamma": (d_gamma(space, o), lambda x, y: a[x].T @ a[y]),
+        "pair annihilation": (pair_operator(space, o, create=False),
+                              lambda x, y: a[x] @ a[y]),
+        "pair creation": (pair_operator(space, o, create=True),
+                          lambda x, y: a[x].T @ a[y].T),
+    }
+    for name, (op, word) in words.items():
+        oracle = sum(o[x, y] * word(x, y) for x in range(4) for y in range(4))
+        assert np.max(np.abs(op.toarray() - oracle)) < 1e-12, name
+
+
+@pytest.mark.parametrize("build, k", [
+    (lambda space, c: field_operator(space, c, create=True), 1),
+    (lambda space, c: pair_operator(space, c, create=False), 2),
+    (d_gamma, 2),
+], ids=["field_operator", "pair_operator", "d_gamma"])
+def test_coefficient_shape_is_checked(build, k):
+    space = FockSpace(3)
+    assert build(space, np.ones((3,) * k)).shape == (space.dim, space.dim)
+    for shape in [(5,), (2,), (3, 3), (5, 5), (2, 2), (3, 3, 3)]:
+        if shape != (3,) * k:
+            with pytest.raises(ValueError, match="shape"):
+                build(space, np.ones(shape))
+
+
 def test_field_operator_bounded():
     space = FockSpace(5)
     rng = np.random.default_rng(0)

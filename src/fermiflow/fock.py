@@ -155,10 +155,8 @@ def hamiltonian(space: FockSpace, v: Potential, params: ModelParams,
     terms, so the exact dynamics is tangent to the Hartree-Fock flow."""
     if lattice.ds != 1 or lattice.site_count != space.l_sites:
         raise ValueError("hamiltonian needs a ds=1 lattice matching the Fock sites")
-    from .meanfield import _v_pair_matrix
-
     h = d_gamma(space, kinetic_operator(lattice, params.hbar))
-    w = _v_pair_matrix(v, lattice).copy()
+    w = v.pair_matrix.copy()
     np.fill_diagonal(w, 0.0)
     occ = space._table[0].astype(float)
     diag = 0.5 / params.n_particles * np.einsum("bx,xy,by->b", occ, w, occ)

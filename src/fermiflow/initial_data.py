@@ -38,8 +38,10 @@ class DensityMatrix:
     matrix: np.ndarray
     n_particles: int
 
-    def validate(self, projection_tol: float = None):
+    def validate(self):
         m = self.matrix
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("density matrix is not Hermitian")
         eig = np.linalg.eigvalsh(m)
@@ -51,9 +53,6 @@ class DensityMatrix:
             raise ValueError(
                 f"trace {np.trace(m).real!r} does not match N={self.n_particles}"
             )
-        if projection_tol is not None:
-            if self.idempotency_defect() > projection_tol:
-                raise ValueError("density matrix is not an orthogonal projection")
 
     def idempotency_defect(self) -> float:
         m = self.matrix

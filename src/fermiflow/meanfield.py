@@ -1,9 +1,15 @@
 """Hartree-Fock and Hartree flows for one-particle density matrices.
 
-The evolution i*hbar d/dt omega = [h(omega), omega] is integrated by
-conjugation with matrix exponentials of the (Hermitian) effective
-generator, so the spectrum of omega is preserved structurally: a
-projection stays a projection at every step.
+The generator h(omega) = -hbar^2 Lap + (V * rho) - X is assembled in one
+place, `generator`: the direct term is a site vector added onto the
+diagonal of a copy of the kinetic operator, and for Hartree-Fock the
+exchange term X_{xy} = V(x-y) omega_{xy} / N, read from the pair table
+`Potential.pair_matrix`, is subtracted.  The flow
+i*hbar d/dt omega = [h(omega), omega] is integrated by one rule, the
+exponential midpoint rule: each step conjugates omega with
+exp(-i dt h / hbar), with h evaluated at the average of omega and an
+exponential-Euler predictor.  Conjugation preserves the spectrum of omega
+structurally, so a projection stays a projection at every step.
 """
 
 import enum
@@ -12,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initial_data import DensityMatrix
-from .model import Lattice, ModelParams, Potential, kinetic_operator
+from .model import (Lattice, ModelParams, Potential, _shifted_fft, _shifted_ifft,
+                    kinetic_operator)
 
 __all__ = [
     "MeanFieldKind",
@@ -37,20 +44,29 @@ class MeanFieldKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """Time step dt and horizon t_final, a whole number of steps; snapshots
+    are kept every `snapshot_stride` steps and at t_final."""
+
     dt: float
     t_final: float
-    scheme: str = "midpoint_exponential"
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not np.isfinite(self.t_final):
+            raise ValueError("t_final must be finite")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
-        if self.scheme not in ("midpoint_exponential", "euler_exponential"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
+            raise ValueError(f"t_final={self.t_final!r} is not a whole number "
+                             f"of dt={self.dt!r} steps")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass
@@ -63,7 +79,6 @@ class Trajectory:
     trace: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     idempotency_defect: list = field(default_factory=list)
-    hook_values: dict = field(default_factory=dict)     # name -> per-snapshot list
 
 
 def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
@@ -76,52 +91,30 @@ def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
 
 
 def direct_term(rho: np.ndarray, v: Potential, lattice: Lattice) -> np.ndarray:
-    """Diagonal mean-field potential (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y),
-    computed by Fourier multiplication."""
-    from .model import _shifted_fft, _shifted_ifft
-
+    """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y), computed by
+    multiplying with the stored Fourier coefficients of V."""
     cell = lattice.spacing ** lattice.ds
-    vhat = _shifted_fft(v.real_space, lattice)
     rhat = _shifted_fft(rho, lattice)
-    conv = _shifted_ifft(vhat * rhat * lattice.site_count, lattice).real
-    return np.diag(cell * conv)
-
-
-def _v_pair_matrix(v: Potential, lattice: Lattice) -> np.ndarray:
-    """V(x_j - x_{j'}) as a site-pair matrix (periodic index difference);
-    memoized on the potential instance since it is hit every time step."""
-    cached = getattr(v, "_pair_matrix", None)
-    if cached is not None:
-        return cached
-    idx = lattice.site_indices()
-    grid = v.real_space.reshape((lattice.d,) * lattice.ds)
-    diff = (idx[:, None, :] - idx[None, :, :]) % lattice.d
-    flat = np.zeros(diff.shape[:2], dtype=int)
-    for ax in range(lattice.ds):
-        flat = flat * lattice.d + diff[..., ax]
-    result = grid.ravel()[flat]
-    object.__setattr__(v, "_pair_matrix", result)
-    return result
+    conv = _shifted_ifft(v.fourier * rhat * lattice.site_count, lattice).real
+    return cell * conv
 
 
 def exchange_term(omega: DensityMatrix, v: Potential, lattice: Lattice) -> np.ndarray:
     """Exchange operator X_{xy} = (1/N) V(x-y) omega_{xy} (entrywise)."""
-    return _v_pair_matrix(v, lattice) * omega.matrix / omega.n_particles
+    return v.pair_matrix * omega.matrix / omega.n_particles
 
 
 def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
-              params: ModelParams, lattice: Lattice,
-              v_ext: np.ndarray = None) -> np.ndarray:
+              params: ModelParams, lattice: Lattice) -> np.ndarray:
     """Effective one-particle Hamiltonian h(omega) for the requested flow."""
-    h = kinetic_operator(lattice, params.hbar)
-    if v_ext is not None:
-        h = h + np.diag(np.asarray(v_ext, dtype=float))
+    kinetic = kinetic_operator(lattice, params.hbar)
     if kind is MeanFieldKind.FREE:
-        return h
-    rho = density_profile(omega, lattice)
-    h = h + direct_term(rho, v, lattice)
+        return kinetic
+    h = kinetic.copy()  # kinetic_operator is cached: never write into it
+    h[np.diag_indices_from(h)] += direct_term(density_profile(omega, lattice),
+                                              v, lattice)
     if kind is MeanFieldKind.HARTREE_FOCK:
-        h = h - exchange_term(omega, v, lattice)
+        h -= exchange_term(omega, v, lattice)
     return 0.5 * (h + h.conj().T)
 
 
@@ -133,34 +126,29 @@ def _conjugate(omega_mat: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> 
 
 
 def step(omega: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
-         v: Potential, params: ModelParams, lattice: Lattice,
-         v_ext: np.ndarray = None) -> DensityMatrix:
-    """One time step by unitary conjugation; midpoint scheme re-evaluates the
-    generator at the averaged predictor state."""
-    h0 = generator(omega, kind, v, params, lattice, v_ext)
-    if cfg.scheme == "euler_exponential" or kind is MeanFieldKind.FREE:
-        h = h0
-    else:
-        pred = _conjugate(omega.matrix, h0, cfg.dt, params.hbar)
+         v: Potential, params: ModelParams, lattice: Lattice) -> DensityMatrix:
+    """One exponential midpoint step: the generator is re-evaluated at the
+    average of omega and an exponential-Euler predictor.  The free generator
+    does not depend on omega and needs no predictor."""
+    h = generator(omega, kind, v, params, lattice)
+    if kind is not MeanFieldKind.FREE:
+        pred = _conjugate(omega.matrix, h, cfg.dt, params.hbar)
         mid = DensityMatrix(matrix=0.5 * (omega.matrix + pred),
                             n_particles=omega.n_particles)
-        h = generator(mid, kind, v, params, lattice, v_ext)
+        h = generator(mid, kind, v, params, lattice)
     new = _conjugate(omega.matrix, h, cfg.dt, params.hbar)
     return DensityMatrix(matrix=new, n_particles=omega.n_particles)
 
 
 def hf_energy(omega: DensityMatrix, v: Potential, params: ModelParams,
-              lattice: Lattice, v_ext: np.ndarray = None,
-              include_exchange: bool = True) -> float:
+              lattice: Lattice, include_exchange: bool = True) -> float:
     """Mean-field energy; the 1/2 symmetry factor on both interaction terms
     makes this the conserved quantity of the flow."""
     m = omega.matrix
-    h0 = kinetic_operator(lattice, params.hbar)
-    if v_ext is not None:
-        h0 = h0 + np.diag(np.asarray(v_ext, dtype=float))
-    e = np.trace(h0 @ m).real
+    # tr(K m) = sum_xy conj(m_xy) K_xy for Hermitian m, without a matmul
+    e = np.vdot(m, kinetic_operator(lattice, params.hbar)).real
     occ = np.real(np.diag(m))
-    w = _v_pair_matrix(v, lattice)
+    w = v.pair_matrix
     e += 0.5 / params.n_particles * float(occ @ w @ occ)
     if include_exchange:
         e -= 0.5 / params.n_particles * float(np.sum(w * np.abs(m) ** 2))
@@ -168,57 +156,49 @@ def hf_energy(omega: DensityMatrix, v: Potential, params: ModelParams,
 
 
 def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
-           v: Potential, params: ModelParams, lattice: Lattice,
-           diagnostics_hooks: dict = None, v_ext: np.ndarray = None) -> Trajectory:
-    """Integrate the flow; scalars recorded per step, snapshots and hook
-    evaluations at the snapshot stride.  Aborts on integrator blow-up."""
+           v: Potential, params: ModelParams, lattice: Lattice) -> Trajectory:
+    """Integrate the flow; scalars recorded per step, snapshots at the
+    snapshot stride.  Aborts on integrator blow-up or a non-finite state."""
     omega0.validate()
-    hooks = diagnostics_hooks or {}
     include_x = kind is MeanFieldKind.HARTREE_FOCK
-    traj = Trajectory(hook_values={name: [] for name in hooks})
-
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    traj = Trajectory()
 
     def record_snapshot(t, state):
         traj.times.append(t)
         traj.states.append(DensityMatrix(matrix=state.matrix.copy(),
                                          n_particles=state.n_particles))
-        for name, fn in hooks.items():
-            traj.hook_values[name].append(fn(state, t))
 
-    def record_scalars(t, state):
+    def record_scalars(t, state, defect):
         traj.step_times.append(t)
         traj.trace.append(float(np.trace(state.matrix).real))
-        traj.energy.append(hf_energy(state, v, params, lattice, v_ext,
+        traj.energy.append(hf_energy(state, v, params, lattice,
                                      include_exchange=include_x))
-        traj.idempotency_defect.append(state.idempotency_defect())
+        traj.idempotency_defect.append(defect)
 
     state = omega0
-    record_scalars(0.0, state)
+    record_scalars(0.0, state, state.idempotency_defect())
     record_snapshot(0.0, state)
+    n_steps = cfg.n_steps
     for i in range(1, n_steps + 1):
-        state = step(state, cfg, kind, v, params, lattice, v_ext)
+        state = step(state, cfg, kind, v, params, lattice)
         t = i * cfg.dt
         defect = state.idempotency_defect()
-        if defect > 1e-4:
+        if not defect <= 1e-4:  # also true for NaN
             raise RuntimeError(
                 f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}"
             )
-        record_scalars(t, state)
+        record_scalars(t, state, defect)
         if i % cfg.snapshot_stride == 0 or i == n_steps:
             record_snapshot(t, state)
     return traj
 
 
 def compare_hf_hartree(omega0: DensityMatrix, cfg: EvolutionConfig, v: Potential,
-                       params: ModelParams, lattice: Lattice,
-                       v_ext: np.ndarray = None):
+                       params: ModelParams, lattice: Lattice):
     """Trace-norm gap tr|omega_HF(t) - omega_H(t)| from shared initial data."""
     from .diagnostics import trace_norm
 
-    hf = evolve(omega0, cfg, MeanFieldKind.HARTREE_FOCK, v, params, lattice,
-                v_ext=v_ext)
-    hh = evolve(omega0, cfg, MeanFieldKind.HARTREE, v, params, lattice,
-                v_ext=v_ext)
+    hf = evolve(omega0, cfg, MeanFieldKind.HARTREE_FOCK, v, params, lattice)
+    hh = evolve(omega0, cfg, MeanFieldKind.HARTREE, v, params, lattice)
     gaps = [trace_norm(a.matrix - b.matrix) for a, b in zip(hf.states, hh.states)]
     return np.array(hf.times), np.array(gaps)

@@ -111,6 +111,18 @@ class Potential:
             w = np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(self.fourier))
             object.__setattr__(self, "assumption_weight", float(w))
 
+    @functools.cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """V(x_i - x_j) for every site pair, shape (M, M): `real_space` at the
+        periodic index difference (idx_i - idx_j) mod d, flattened row-major.
+        Built once per potential; the exchange term, the mean-field energy and
+        the exact Hamiltonian read it and must not write into it."""
+        lat = self.lattice
+        idx = lat.site_indices()
+        diff = (idx[:, None, :] - idx[None, :, :]) % lat.d
+        return self.real_space[np.ravel_multi_index(np.moveaxis(diff, -1, 0),
+                                                    (lat.d,) * lat.ds)]
+
 
 def make_lattice(ds: int, d: int, length: float) -> Lattice:
     if ds not in (1, 2, 3):

@@ -120,12 +120,11 @@ def parse_config(text: str) -> RunConfig:
     if "evolution" in doc:
         e = doc["evolution"]
         _require(e, ["dt", "t_final"],
-                 {"dt", "t_final", "scheme", "snapshot_stride"}, "evolution")
+                 {"dt", "t_final", "snapshot_stride"}, "evolution")
         if e["dt"] <= 0:
             raise ConfigError("evolution.dt must be positive")
         try:
             evo = EvolutionConfig(dt=float(e["dt"]), t_final=float(e["t_final"]),
-                                  scheme=e.get("scheme", "midpoint_exponential"),
                                   snapshot_stride=int(e.get("snapshot_stride", 1)))
         except ValueError as exc:
             raise ConfigError(f"evolution: {exc}") from exc
@@ -317,10 +316,9 @@ def _scenario_fluctuation(cfg: RunConfig, out):
     dyn = FluctuationDynamics(space, omega0, pot, cfg.params, cfg.lattice,
                               dt=cfg.evolution.dt)
     order = int(cfg.fock.get("moment_order", 2))
-    n_steps = int(round(cfg.evolution.t_final / cfg.evolution.dt))
     stride = cfg.evolution.snapshot_stride
     times, m1, mk = [], [], []
-    for i in range(0, n_steps + 1, stride):
+    for i in range(0, cfg.evolution.n_steps + 1, stride):
         t = i * cfg.evolution.dt
         xi_t = dyn.evolve(space.vacuum(), t)
         times.append(t)

@@ -88,7 +88,7 @@ def _force(w: PhaseSpaceDensity, v: Potential, lattice: Lattice,
     """-d/dx (V * rho) with rho the normalized position marginal."""
     cell = lattice.spacing
     rho = np.sum(w.values, axis=1) * w.weight / (n_particles * cell)
-    u = np.real(np.diag(direct_term(rho, v, lattice)))
+    u = direct_term(rho, v, lattice)
     uhat = _shifted_fft(u, lattice)
     p = lattice.momenta()[:, 0]
     du = _shifted_ifft(1j * p * uhat, lattice).real

@@ -54,7 +54,7 @@ def test_density_profile_trapped_peaked():
 def test_direct_term_constant_density(setup16):
     lat, pot, _, _ = setup16
     rho = np.full(16, 1.0 / lat.length)
-    u = np.diag(direct_term(rho, pot, lat))
+    u = direct_term(rho, pot, lat)
     # constant density picks out the zero Fourier mode of V
     expected = pot.fourier.real[np.all(lat.momentum_indices() == 0, axis=1)][0]
     assert np.allclose(u.real, expected, atol=1e-12)
@@ -70,7 +70,7 @@ def test_direct_term_point_mass_oracle(setup16):
     lat, pot, _, _ = setup16
     rho = np.zeros(16)
     rho[3] = 1.0
-    u = np.real(np.diag(direct_term(rho, pot, lat)))
+    u = direct_term(rho, pot, lat)
     x = lat.sites()[:, 0]
     oracle = lat.spacing * np.array(
         [pot.real_space[(j - 3) % 16] for j in range(16)])
@@ -91,7 +91,7 @@ def test_exchange_cancels_direct_for_single_particle():
     om = trapped_slater(lat, 1.0, harmonic(lat, 50.0), 1)
     f = np.linalg.eigh(om.matrix)[1][:, -1]
     rho = density_profile(om, lat)
-    mismatch = (direct_term(rho, pot, lat) - exchange_term(om, pot, lat)) @ f
+    mismatch = (np.diag(direct_term(rho, pot, lat)) - exchange_term(om, pot, lat)) @ f
     assert np.max(np.abs(mismatch)) < 1e-10
 
 
@@ -201,3 +201,71 @@ def test_compare_hf_hartree_degenerate_cases():
     times, gaps = compare_hf_hartree(om, cfg, v0, params, lat)
     assert gaps[0] == 0.0
     assert np.max(gaps) < 1e-10  # V = 0: the two flows coincide
+
+
+def test_evolution_config_rejects_partial_last_step():
+    # 0.1 is not a whole number of 0.03 steps: the run would stop at 0.09
+    with pytest.raises(ValueError, match="whole number"):
+        EvolutionConfig(dt=0.03, t_final=0.1)
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionConfig(dt=0.1, t_final=float("inf"))
+    with pytest.raises(ValueError, match="positive"):
+        EvolutionConfig(dt=float("nan"), t_final=0.3)
+    assert EvolutionConfig(dt=1e-3, t_final=0.5).n_steps == 500
+    assert EvolutionConfig(dt=0.1, t_final=0.3).n_steps == 3
+
+
+def test_non_finite_states_are_never_carried_forward(monkeypatch):
+    import fermiflow.meanfield as mf
+
+    lat = make_lattice(1, 4, 1.0)
+    v0 = build_potential({"shape": "zero"}, lat)
+    params = ModelParams(n_particles=4, ds=1)
+    cfg = EvolutionConfig(dt=0.1, t_final=0.3)
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = m[1, 0] = np.nan
+    bad = DensityMatrix(matrix=m, n_particles=4)
+    with pytest.raises(ValueError, match="non-finite"):
+        bad.validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(bad, cfg, MeanFieldKind.FREE, v0, params, lat)
+    # a step that produces NaN trips the blow-up guard
+    nan_state = DensityMatrix(matrix=np.full((4, 4), np.nan, dtype=complex),
+                              n_particles=4)
+    monkeypatch.setattr(mf, "step", lambda *args: nan_state)
+    good = DensityMatrix(matrix=np.eye(4, dtype=complex), n_particles=4)
+    with pytest.raises(RuntimeError, match="blow-up"):
+        evolve(good, cfg, MeanFieldKind.FREE, v0, params, lat)
+
+
+@pytest.mark.parametrize("ds,d", [(2, 5), (3, 3)])
+def test_interaction_tables_match_site_sum_oracles(ds, d):
+    lat = make_lattice(ds, d, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    params = ModelParams(n_particles=3, ds=ds)
+    m_sites = lat.site_count
+    idx = lat.site_indices()
+    place = d ** np.arange(ds - 1, -1, -1)  # row-major flat index weights
+    v = np.empty((m_sites, m_sites))
+    for i in range(m_sites):
+        for j in range(m_sites):
+            v[i, j] = pot.real_space[int(((idx[i] - idx[j]) % d) @ place)]
+    assert np.array_equal(pot.pair_matrix, v)
+
+    rng = np.random.default_rng(ds)
+    rho = rng.random(m_sites)
+    cell = lat.spacing ** ds
+    assert np.max(np.abs(direct_term(rho, pot, lat) - cell * v @ rho)) < 1e-12
+
+    # a rank-3 projection that is not translation invariant
+    q = np.linalg.qr(rng.normal(size=(m_sites, 3))
+                     + 1j * rng.normal(size=(m_sites, 3)))[0]
+    om = q @ q.conj().T
+    k = kinetic_operator(lat, params.hbar)
+    e = 0.0
+    for x in range(m_sites):
+        for y in range(m_sites):
+            e += (k[x, y] * om[y, x]).real
+            e += 0.5 / 3 * v[x, y] * (om[x, x] * om[y, y] - abs(om[x, y]) ** 2).real
+    got = hf_energy(DensityMatrix(matrix=om, n_particles=3), pot, params, lat)
+    assert got == pytest.approx(e, rel=1e-12)

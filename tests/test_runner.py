@@ -139,6 +139,19 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert main(["evolve", "--config", bad, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_partial_last_step_and_scheme_key_exit_two(tmp_path, capsys):
+    partial = write_config(tmp_path, dict(MINIMAL, evolution={"dt": 0.03, "t_final": 0.1}))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", partial, "--out", str(out)]) == 2
+    assert "whole number" in capsys.readouterr().err
+    assert not os.path.exists(out / "summary.json")
+    # the exponential midpoint rule is the only scheme; the key is gone
+    evo = dict(MINIMAL["evolution"], scheme="midpoint_exponential")
+    scheme = write_config(tmp_path, dict(MINIMAL, evolution=evo), "scheme.json")
+    assert main(["evolve", "--config", scheme, "--out", str(out)]) == 2
+    assert "scheme" in capsys.readouterr().err
+
+
 def test_cli_numeric_failure_exit_three(tmp_path, monkeypatch, capsys):
     import fermiflow.runner as runner_mod
 

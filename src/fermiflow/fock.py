@@ -12,18 +12,21 @@ dynamics) is validated against the anticommutation relations it fixes.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .initial_data import DensityMatrix
-from .meanfield import EvolutionConfig, MeanFieldKind
+from .meanfield import EvolutionConfig, MeanFieldKind, step
 from .model import Lattice, ModelParams, Potential, kinetic_operator
 
 __all__ = [
     "FockSpace",
     "BogoliubovSpec",
     "ladder",
+    "car_defect",
     "field_operator",
     "apply_ladder",
     "apply_field",
@@ -36,7 +39,6 @@ __all__ = [
     "quasi_free_state",
     "slater_vector",
     "SectorPropagator",
-    "exact_evolve",
     "rdm1",
     "rdmk",
     "wick_rdmk",
@@ -123,6 +125,21 @@ def ladder(space: FockSpace, site: int, kind: str) -> sp.csr_matrix:
     return _word(space, (kind == "create",), np.eye(space.l_sites)[site])
 
 
+def car_defect(space: FockSpace) -> float:
+    """Largest entry of {a_x, a*_y} - delta_xy, {a_x, a_y} and {a*_x, a*_y}
+    over all site pairs, computed on the sparse ladders."""
+    ident = sp.identity(space.dim, format="csr")
+    a = [ladder(space, x, "annihilate") for x in range(space.l_sites)]
+    c = [ladder(space, x, "create") for x in range(space.l_sites)]
+    worst = 0.0
+    for x in range(space.l_sites):
+        for y in range(space.l_sites):
+            for anti in (a[x] @ c[y] + c[y] @ a[x] - (x == y) * ident,
+                         a[x] @ a[y] + a[y] @ a[x], c[x] @ c[y] + c[y] @ c[x]):
+                worst = max(worst, abs(anti).max())
+    return float(worst)
+
+
 def apply_field(space: FockSpace, psi: np.ndarray, f: np.ndarray, create: bool) -> np.ndarray:
     """Apply a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x."""
     return _word(space, (create,), f if create else np.conj(f)) @ psi
@@ -172,12 +189,18 @@ class BogoliubovSpec:
     orbitals: np.ndarray  # columns f_j, occupied eigenbasis of omega
 
     def check(self, tol: float = 1e-12):
+        """Block conditions of the Bogoliubov map, and orthonormal orbitals:
+        then every b_j = a*(f_j) + a(f_j) is a self-adjoint unitary."""
         ident = np.eye(self.u.shape[0])
         c1 = np.max(np.abs(self.u.conj().T @ self.u + self.v.conj().T @ self.v - ident))
         c2 = np.max(np.abs(self.u.conj().T @ np.conj(self.v)
                            + self.v.conj().T @ np.conj(self.u)))
         if c1 > tol or c2 > tol:
             raise ValueError(f"Bogoliubov block conditions violated: {c1:.2e}, {c2:.2e}")
+        f = self.orbitals
+        gram = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])), initial=0.0)
+        if not gram <= tol:
+            raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
 
 
 def bogoliubov_from_projection(omega) -> BogoliubovSpec:
@@ -189,12 +212,9 @@ def bogoliubov_from_projection(omega) -> BogoliubovSpec:
     n = int(round(np.sum(eig).real))
     # descending eigenvalue order; fix each orbital's phase by making its
     # first non-negligible component real positive
-    occ = vec[:, ::-1][:, :n].copy()
-    for j in range(n):
-        col = occ[:, j]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        phase = col[idx] / abs(col[idx])
-        occ[:, j] = col / phase
+    occ = vec[:, ::-1][:, :n]
+    lead = occ[np.argmax(np.abs(occ) > 1e-8, axis=0), np.arange(n)]
+    occ = occ / (lead / np.abs(lead))
     u = np.eye(m.shape[0], dtype=complex) - m
     v = np.conj(occ) @ np.conj(occ).T
     spec = BogoliubovSpec(u=u, v=v, orbitals=occ)
@@ -210,40 +230,28 @@ def slater_vector(space: FockSpace, orbitals: np.ndarray) -> np.ndarray:
     return psi
 
 
-def implement_bogoliubov(space: FockSpace, spec: BogoliubovSpec) -> sp.csr_matrix:
-    """Unitary implementor R = prod_j (a*(f_j) + a(f_j)), j ascending left to
-    right; global phase fixed so <a*(f_1)...a*(f_N) vacuum, R vacuum> > 0."""
-    n = spec.orbitals.shape[1]
-    r = sp.identity(space.dim, dtype=complex, format="csr")
-    for j in range(n):
-        f = spec.orbitals[:, j]
-        b = field_operator(space, f, create=True) + field_operator(space, f, create=False)
-        r = r @ b
-    target = slater_vector(space, spec.orbitals)
-    overlap = np.vdot(target, r @ space.vacuum())
-    if abs(overlap) > 1e-12:
-        r = r * (abs(overlap) / overlap)
-    # unitarity check
-    if space.dim <= _DENSE_SECTOR_CAP:
-        defect = np.max(np.abs((r.conj().T @ r - sp.identity(space.dim)).toarray()))
-    else:
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
-        defect = np.max(np.abs(r.conj().T @ (r @ z) - z)) / np.max(np.abs(z))
-    if defect > 1e-8:
-        raise RuntimeError(f"Bogoliubov implementor not unitary (defect {defect:.2e})")
-    return r
+def implement_bogoliubov(space: FockSpace, spec: BogoliubovSpec) -> LinearOperator:
+    """Implementor R = b_1 ... b_N with b_j = a*(f_j) + a(f_j), applied factor
+    by factor (b_N acts first).  For orthonormal f_j (BogoliubovSpec.check)
+    the CAR give b_j* = b_j and b_j^2 = 1: R is unitary, R* = b_N ... b_1
+    (`.H` applies the factors in reverse), and R vacuum = slater_vector."""
+    factors = [field_operator(space, f, True) + field_operator(space, f, False)
+               for f in spec.orbitals.T]
+
+    def apply(order):
+        def act(psi):
+            for b in order:
+                psi = b @ psi
+            return psi
+        return act
+
+    return LinearOperator((space.dim, space.dim), dtype=complex,
+                          matvec=apply(factors[::-1]), rmatvec=apply(factors))
 
 
 def quasi_free_state(space: FockSpace, omega) -> np.ndarray:
     """The pairing-free quasi-free state R_nu vacuum with rdm1 = omega."""
-    spec = bogoliubov_from_projection(omega)
-    psi = space.vacuum()
-    for j in range(spec.orbitals.shape[1] - 1, -1, -1):
-        f = spec.orbitals[:, j]
-        psi = (apply_field(space, psi, f, create=True)
-               + apply_field(space, psi, f, create=False))
-    return psi
+    return implement_bogoliubov(space, bogoliubov_from_projection(omega)) @ space.vacuum()
 
 
 class SectorPropagator:
@@ -292,15 +300,6 @@ class SectorPropagator:
         return out
 
 
-def exact_evolve(psi: np.ndarray, h, t: float, hbar: float) -> np.ndarray:
-    """exp(-i h t / hbar) psi for a Hermitian, number-conserving h."""
-    dim = psi.shape[0]
-    l_sites = int(round(np.log2(dim)))
-    if 1 << l_sites != dim:
-        raise ValueError("state dimension is not a power of two")
-    return SectorPropagator(FockSpace(l_sites), h, hbar)(psi, t)
-
-
 def _annihilated_stack(space: FockSpace, psi: np.ndarray) -> np.ndarray:
     return np.stack([apply_ladder(space, psi, x, create=False)
                      for x in range(space.l_sites)])
@@ -325,8 +324,6 @@ def rdmk(psi: np.ndarray, k: int, space: FockSpace = None) -> np.ndarray:
     if k > mean_n + 1e-9:
         raise ValueError(f"k={k} exceeds the mean particle number {mean_n:.3f}")
     l = space.l_sites
-    from itertools import product
-
     tuples = list(product(range(l), repeat=k))
     phi = np.zeros((len(tuples), space.dim), dtype=complex)
     for i, tup in enumerate(tuples):
@@ -345,8 +342,6 @@ def wick_rdmk(omega: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     l = omega.shape[0]
-    from itertools import product
-
     tuples = np.array(list(product(range(l), repeat=k)))
     blocks = omega[tuples[:, None, :, None], tuples[None, :, None, :]]
     return np.linalg.det(blocks).reshape((l,) * (2 * k))
@@ -397,6 +392,7 @@ class FluctuationDynamics:
         self.params = params
         self.lattice = lattice
         self.dt = dt
+        self._step_cfg = EvolutionConfig(dt=dt, t_final=dt)
         self.propagator = SectorPropagator(
             space, hamiltonian(space, v, params, lattice), params.hbar)
         self._r0 = implement_bogoliubov(space, bogoliubov_from_projection(omega0))
@@ -406,12 +402,9 @@ class FluctuationDynamics:
         if n_steps not in self._omega_cache:
             known = max(k for k in self._omega_cache if k <= n_steps)
             state = self._omega_cache[known]
-            from .meanfield import step as mf_step
-
-            cfg = EvolutionConfig(dt=self.dt, t_final=max(self.dt, n_steps * self.dt))
             for i in range(known + 1, n_steps + 1):
-                state = mf_step(state, cfg, MeanFieldKind.HARTREE_FOCK,
-                                self.v, self.params, self.lattice)
+                state = step(state, self._step_cfg, MeanFieldKind.HARTREE_FOCK,
+                             self.v, self.params, self.lattice)
                 self._omega_cache[i] = state
         return self._omega_cache[n_steps]
 
@@ -420,14 +413,11 @@ class FluctuationDynamics:
         if abs(n_steps * self.dt - t) > 1e-9:
             raise ValueError(f"t={t} is not a multiple of the mean-field dt={self.dt}")
         psi = self.propagator(self._r0 @ xi, t)
-        if n_steps == 0:
-            r_t = self._r0
-        else:
-            r_t = implement_bogoliubov(
-                self.space, bogoliubov_from_projection(self._omega_at(n_steps)))
-        out = r_t.conj().T @ psi
+        r_t = self._r0 if n_steps == 0 else implement_bogoliubov(
+            self.space, bogoliubov_from_projection(self._omega_at(n_steps)))
+        out = r_t.H @ psi
         drift = abs(np.linalg.norm(out) - np.linalg.norm(xi))
-        if drift > 1e-9 * max(1.0, np.linalg.norm(xi)):
+        if not drift <= 1e-9 * max(1.0, np.linalg.norm(xi)):  # also true for NaN
             raise RuntimeError(f"fluctuation dynamics lost norm ({drift:.2e})")
         return out
 

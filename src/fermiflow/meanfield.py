@@ -99,7 +99,7 @@ def direct_term(rho: np.ndarray, v: Potential, lattice: Lattice) -> np.ndarray:
     return cell * conv
 
 
-def exchange_term(omega: DensityMatrix, v: Potential, lattice: Lattice) -> np.ndarray:
+def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
     """Exchange operator X_{xy} = (1/N) V(x-y) omega_{xy} (entrywise)."""
     return v.pair_matrix * omega.matrix / omega.n_particles
 
@@ -114,7 +114,7 @@ def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
     h[np.diag_indices_from(h)] += direct_term(density_profile(omega, lattice),
                                               v, lattice)
     if kind is MeanFieldKind.HARTREE_FOCK:
-        h -= exchange_term(omega, v, lattice)
+        h -= exchange_term(omega, v)
     return 0.5 * (h + h.conj().T)
 
 

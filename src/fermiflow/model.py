@@ -164,6 +164,8 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice,
             f"potential table must have {lattice.site_count} samples, "
             f"got shape {samples.shape}"
         )
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("potential samples must be finite")
     grid = samples.reshape((lattice.d,) * lattice.ds)
     # x -> -x on the torus is index j -> (-j) mod d along every axis
     reflected = grid

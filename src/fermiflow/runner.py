@@ -51,6 +51,7 @@ class RunConfig:
     lattice: Lattice
     params: ModelParams
     potential_spec: dict
+    potential: Potential  # built from potential_spec by parse_config
     initial: dict
     evolution: EvolutionConfig = None
     kind: MeanFieldKind = MeanFieldKind.HARTREE_FOCK
@@ -108,6 +109,12 @@ def parse_config(text: str) -> RunConfig:
     pot = doc.get("potential", {"shape": "zero"})
     _require(pot, ["shape"],
              {"shape", "strength", "sigma", "mode", "samples"}, "potential")
+    try:
+        potential = build_potential(pot, lattice)
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc} in potential") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"potential: {exc}") from exc
 
     initial = doc.get("initial", {"kind": "ball"})
     _require(initial, ["kind"],
@@ -145,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         scenario=scenario, lattice=lattice, params=params, potential_spec=pot,
-        initial=initial, evolution=evo, kind=kind,
+        potential=potential, initial=initial, evolution=evo, kind=kind,
         p_max_index=int(p_set.get("max_index", 4)), fock=fock,
         vlasov_dt=float(vlasov.get("dt", 1e-3)), seed=int(doc.get("seed", 0)),
         raw=doc,
@@ -204,15 +211,14 @@ def _maybe_fit(values, times):
 
 
 def _scenario_evolve(cfg: RunConfig, out):
-    pot = build_potential(cfg.potential_spec, cfg.lattice)
     omega0 = build_initial_state(cfg)
     if cfg.evolution is None:
         raise ConfigError("missing key(s) ['evolution'] in config")
-    traj = evolve(omega0, cfg.evolution, cfg.kind, pot, cfg.params, cfg.lattice)
+    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.params, cfg.lattice)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
     series = semiclassical_series(traj, p_set, cfg.params, cfg.lattice)
 
-    snap_idx = [traj.step_times.index(t) for t in traj.times]
+    snap_idx = [round(t / cfg.evolution.dt) for t in traj.times]
     write_csv(os.path.join(out, "series.csv"), {
         "t": traj.times,
         "trace": [traj.trace[i] for i in snap_idx],
@@ -239,9 +245,8 @@ def _scenario_evolve(cfg: RunConfig, out):
 
 
 def _scenario_compare(cfg: RunConfig, out):
-    pot = build_potential(cfg.potential_spec, cfg.lattice)
     omega0 = build_initial_state(cfg)
-    times, gaps = compare_hf_hartree(omega0, cfg.evolution, pot, cfg.params,
+    times, gaps = compare_hf_hartree(omega0, cfg.evolution, cfg.potential, cfg.params,
                                      cfg.lattice)
     write_csv(os.path.join(out, "series.csv"), {"t": times, "trace_norm_gap": gaps})
     return {"final_gap": float(gaps[-1])}
@@ -250,22 +255,24 @@ def _scenario_compare(cfg: RunConfig, out):
 def _fock_lattice(cfg: RunConfig):
     from .fock import FockSpace
 
-    l_sites = int(cfg.fock.get("l_sites", cfg.lattice.d))
-    if l_sites != cfg.lattice.d or cfg.lattice.ds != 1:
+    try:
+        space = FockSpace(int(cfg.fock.get("l_sites", cfg.lattice.d)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fock.l_sites: {exc}") from exc
+    if space.l_sites != cfg.lattice.d or cfg.lattice.ds != 1:
         raise ConfigError("fock.l_sites must equal lattice.d with ds=1")
-    return FockSpace(l_sites)
+    return space
 
 
 def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
     from .fock import SectorPropagator, hamiltonian, quasi_free_state, rdm1
 
     space = _fock_lattice(cfg)
-    pot = build_potential(cfg.potential_spec, cfg.lattice)
     omega0 = build_initial_state(cfg)
     psi0 = quasi_free_state(space, omega0)
-    prop = SectorPropagator(space, hamiltonian(space, pot, cfg.params, cfg.lattice),
-                            cfg.params.hbar)
-    traj = evolve(omega0, cfg.evolution, cfg.kind, pot, cfg.params, cfg.lattice)
+    h = hamiltonian(space, cfg.potential, cfg.params, cfg.lattice)
+    prop = SectorPropagator(space, h, cfg.params.hbar)
+    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.params, cfg.lattice)
     gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
     dist = distance_series(gammas, traj.states, times=traj.times)
     write_csv(os.path.join(out, "series.csv"),
@@ -275,23 +282,13 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
 
 
 def _scenario_fock_verify(cfg: RunConfig, out):
-    from .fock import FockSpace, ladder, verify_operator_bounds
+    from .fock import car_defect, verify_operator_bounds
 
-    space = FockSpace(int(cfg.fock.get("l_sites", 6)))
+    space = _fock_lattice(cfg)
     trials = int(cfg.fock.get("trials", 200))
-    # CAR suite
-    ident = np.eye(space.dim)
-    worst = 0.0
-    ops = {(x, k): ladder(space, x, k).toarray()
-           for x in range(space.l_sites) for k in ("create", "annihilate")}
-    for x in range(space.l_sites):
-        for y in range(space.l_sites):
-            ax, ay = ops[(x, "annihilate")], ops[(y, "annihilate")]
-            cx, cy = ops[(x, "create")], ops[(y, "create")]
-            worst = max(worst, np.max(np.abs(ax @ cy + cy @ ax
-                                             - (ident if x == y else 0.0))))
-            worst = max(worst, np.max(np.abs(ax @ ay + ay @ ax)))
-            worst = max(worst, np.max(np.abs(cx @ cy + cy @ cx)))
+    if trials < 1:
+        raise ConfigError("fock.trials must be at least 1")
+    worst = car_defect(space)
     report = verify_operator_bounds(space, trials, cfg.seed)
     names = [n for n in report if isinstance(report[n], dict)]
     write_csv(os.path.join(out, "series.csv"), {
@@ -311,9 +308,8 @@ def _scenario_fluctuation(cfg: RunConfig, out):
     from .fock import FluctuationDynamics, number_moment
 
     space = _fock_lattice(cfg)
-    pot = build_potential(cfg.potential_spec, cfg.lattice)
     omega0 = build_initial_state(cfg)
-    dyn = FluctuationDynamics(space, omega0, pot, cfg.params, cfg.lattice,
+    dyn = FluctuationDynamics(space, omega0, cfg.potential, cfg.params, cfg.lattice,
                               dt=cfg.evolution.dt)
     order = int(cfg.fock.get("moment_order", 2))
     stride = cfg.evolution.snapshot_stride
@@ -334,10 +330,9 @@ def _scenario_fluctuation(cfg: RunConfig, out):
 def _scenario_semiclassics(cfg: RunConfig, out):
     from .semiclassics import compare_wigner_vlasov, wigner
 
-    pot = build_potential(cfg.potential_spec, cfg.lattice)
     omega0 = build_initial_state(cfg)
-    traj = evolve(omega0, cfg.evolution, cfg.kind, pot, cfg.params, cfg.lattice)
-    times, gap, gap_norm = compare_wigner_vlasov(traj, pot, cfg.params,
+    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.params, cfg.lattice)
+    times, gap, gap_norm = compare_wigner_vlasov(traj, cfg.potential, cfg.params,
                                                  cfg.lattice, cfg.vlasov_dt)
     write_csv(os.path.join(out, "series.csv"),
               {"t": times, "l1_gap": gap, "gap_over_hbar_n": gap_norm})

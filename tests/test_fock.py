@@ -5,11 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from fermiflow import fock
 from fermiflow.fock import (BogoliubovSpec, FluctuationDynamics, FockSpace,
                             SectorPropagator, apply_field, apply_ladder,
-                            bogoliubov_from_projection, d_gamma, exact_evolve,
+                            bogoliubov_from_projection, car_defect, d_gamma,
                             field_operator, generalized_density, hamiltonian,
                             implement_bogoliubov, ladder, number_moment,
                             number_operator, pair_operator, quasi_free_state,
@@ -39,6 +39,15 @@ def test_car_anticommutators():
     for x in range(4):
         ax = ladder(space, x, "annihilate").toarray()
         assert np.max(np.abs(ax @ ax)) == 0.0
+
+
+def test_car_defect_zero_and_detects_missing_signs(monkeypatch):
+    assert car_defect(FockSpace(4)) < 1e-14
+    signed = fock.ladder
+    # without Jordan-Wigner strings, a_x and a_y commute instead of anticommuting
+    monkeypatch.setattr(fock, "ladder", lambda space, site, kind:
+                        abs(signed(space, site, kind)))
+    assert car_defect(FockSpace(4)) > 0.5
 
 
 def kron_annihilators(l_sites):
@@ -179,19 +188,44 @@ def test_bogoliubov_rejects_non_projection():
         bogoliubov_from_projection(DensityMatrix(matrix=m, n_particles=1))
 
 
+def test_bogoliubov_check_rejects_non_orthonormal_orbitals():
+    spec = bogoliubov_from_projection(random_projection(4, 2, seed=2))
+    spec.orbitals = spec.orbitals * 1.1
+    with pytest.raises(ValueError, match="orthonormal"):
+        spec.check()
+
+
 def test_implement_bogoliubov_identity_and_single_mode():
     space = FockSpace(3)
     spec = BogoliubovSpec(u=np.eye(3, dtype=complex),
                           v=np.zeros((3, 3), dtype=complex),
                           orbitals=np.zeros((3, 0), dtype=complex))
     r = implement_bogoliubov(space, spec)
-    assert abs(r - sp.identity(space.dim)).max() < 1e-14
+    assert np.max(np.abs(r @ np.eye(space.dim) - np.eye(space.dim))) < 1e-14
 
     space1 = FockSpace(1)
     m = np.ones((1, 1), dtype=complex)
     r = implement_bogoliubov(space1, bogoliubov_from_projection(
-        DensityMatrix(matrix=m, n_particles=1))).toarray()
+        DensityMatrix(matrix=m, n_particles=1))) @ np.eye(2)
     assert np.max(np.abs(np.abs(r) - np.array([[0, 1], [1, 0]]))) < 1e-12
+
+
+def test_factored_implementor_matches_dense_product():
+    space = FockSpace(6)
+    spec = bogoliubov_from_projection(random_projection(6, 3, seed=17))
+    r = implement_bogoliubov(space, spec)
+    dense = np.eye(space.dim)
+    for f in spec.orbitals.T:
+        dense = dense @ (field_operator(space, f, True)
+                         + field_operator(space, f, False)).toarray()
+    got = r @ np.eye(space.dim)
+    assert np.max(np.abs(got - dense)) < 1e-12
+    assert np.max(np.abs(got.conj().T @ got - np.eye(space.dim))) < 1e-12
+    rng = np.random.default_rng(18)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    assert np.max(np.abs(r.H @ (r @ psi) - psi)) < 1e-12
+    assert np.max(np.abs(r @ space.vacuum()
+                         - slater_vector(space, spec.orbitals))) < 1e-12
 
 
 def test_implementor_vacuum_is_slater_state():
@@ -250,14 +284,14 @@ def test_exact_evolve_matches_fine_stepping():
     params = ModelParams(n_particles=2, ds=1)
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
-    h = hamiltonian(space, pot, params, lat)
+    prop = SectorPropagator(space, hamiltonian(space, pot, params, lat), params.hbar)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
-    direct = exact_evolve(psi, h, 0.2, params.hbar)
+    direct = prop(psi, 0.2)
     stepped = psi
     for _ in range(200):
-        stepped = exact_evolve(stepped, h, 1e-3, params.hbar)
+        stepped = prop(stepped, 1e-3)
     assert np.max(np.abs(direct - stepped)) < 1e-8
 
 

@@ -80,8 +80,8 @@ def test_direct_term_point_mass_oracle(setup16):
 def test_exchange_zero_potential_and_hermiticity(setup16):
     lat, pot, _, om = setup16
     v0 = build_potential({"shape": "zero"}, lat)
-    assert np.all(exchange_term(om, v0, lat) == 0)
-    x = exchange_term(om, pot, lat)
+    assert np.all(exchange_term(om, v0) == 0)
+    x = exchange_term(om, pot)
     assert np.max(np.abs(x - x.conj().T)) < 1e-12
 
 
@@ -91,7 +91,7 @@ def test_exchange_cancels_direct_for_single_particle():
     om = trapped_slater(lat, 1.0, harmonic(lat, 50.0), 1)
     f = np.linalg.eigh(om.matrix)[1][:, -1]
     rho = density_profile(om, lat)
-    mismatch = (np.diag(direct_term(rho, pot, lat)) - exchange_term(om, pot, lat)) @ f
+    mismatch = (np.diag(direct_term(rho, pot, lat)) - exchange_term(om, pot)) @ f
     assert np.max(np.abs(mismatch)) < 1e-10
 
 
@@ -101,7 +101,7 @@ def test_generator_free_and_term_difference(setup16):
                           kinetic_operator(lat, params.hbar))
     h_hf = generator(om, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
     h_h = generator(om, MeanFieldKind.HARTREE, pot, params, lat)
-    assert np.max(np.abs((h_h - h_hf) - exchange_term(om, pot, lat))) < 1e-12
+    assert np.max(np.abs((h_h - h_hf) - exchange_term(om, pot))) < 1e-12
 
 
 def test_step_preserves_spectrum(setup16):

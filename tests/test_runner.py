@@ -137,6 +137,21 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                  "--seed", str(2 ** 64)]) == 2
     bad = write_config(tmp_path, dict(MINIMAL, mystery=1), "bad.json")
     assert main(["evolve", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+    # Fock-space sizes and trial counts out of range, malformed potentials
+    fock_verify = {"scenario": "fock-verify", "lattice": {"ds": 1, "d": 4},
+                   "model": {"n_particles": 2}}
+    nan_table = [0.0] + [float("nan")] * 7
+    for doc in [dict(fock_verify, fock={"l_sites": 20}),
+                dict(MINIMAL, scenario="fluctuation", lattice={"ds": 1, "d": 16}),
+                dict(fock_verify, fock={"l_sites": 4, "trials": 0}),
+                dict(MINIMAL, potential={"shape": "gaussian", "sigma": 0.2}),
+                dict(MINIMAL, potential={"shape": "blob"}),
+                dict(MINIMAL, potential={"shape": "table", "samples": nan_table})]:
+        case = write_config(tmp_path, doc, "case.json")
+        out = tmp_path / "case"
+        assert main([doc["scenario"], "--config", case, "--out", str(out)]) == 2, doc
+        assert capsys.readouterr().err.startswith("config error"), doc
+        assert not os.path.exists(out / "summary.json")
 
 
 def test_cli_partial_last_step_and_scheme_key_exit_two(tmp_path, capsys):
@@ -188,6 +203,20 @@ def test_run_fock_verify_and_diagnostics_only(tmp_path):
     del doc["evolution"]
     summary = run(parse_config(json.dumps(doc)), str(tmp_path / "diag"))
     assert summary["result"]["idempotency_defect"] < 1e-12
+
+
+def test_run_fluctuation_beyond_dense_unitarity_check(tmp_path):
+    # L=12: a dense R*R = 1 check would need a 4096 x 4096 complex array
+    doc = dict(MINIMAL, scenario="fluctuation", lattice={"ds": 1, "d": 12},
+               model={"n_particles": 3},
+               potential={"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+               initial={"kind": "trapped", "strength": 50.0},
+               evolution={"dt": 1e-2, "t_final": 0.02, "snapshot_stride": 1})
+    summary = run(parse_config(json.dumps(doc)), str(tmp_path / "fl"))
+    result = summary["result"]
+    assert np.isfinite(result["final_mean_particle_number"])
+    assert result["final_mean_particle_number"] >= -1e-12
+    assert np.isfinite(result["final_moment"]) and result["final_moment"] >= 1.0
 
 
 def test_run_requires_evolution_for_dynamic_scenarios():

@@ -1,12 +1,22 @@
 """Trace-norm machinery, commutator diagnostics along trajectories,
-mean-field-vs-exact distances, and exponential growth fits."""
+mean-field-vs-exact distances, and exponential growth fits.
+
+Both commutators are trace norms of Hermitian matrices, so each is one
+`eigvalsh` on an elementwise product, with no dense operator products:
+
+* A = diag(e^{i r.x}) is unitary and [A, omega] = A (omega - A* omega A),
+  so tr|[A, omega]| = tr|omega - A* omega A|;
+* hbar d/dx = F* diag(i hbar p) F, so tr|[hbar d/dx, omega]| is the trace
+  norm of the matrix i hbar (p_j - p_k) omega_hat_jk, omega_hat = F omega F*.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .model import Lattice, ModelParams, momentum_operator, phase_operator
+from .initial_data import semiclassical_constant
+from .model import Lattice, ModelParams, fourier_matrix
 
 __all__ = [
     "CommutatorSeries",
@@ -47,7 +57,7 @@ class DistanceSeries:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
+    """Sum of singular values of a general matrix."""
     a = np.asarray(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("trace norm of a matrix with non-finite entries")
@@ -57,45 +67,56 @@ def trace_norm(a: np.ndarray) -> float:
         raise RuntimeError("SVD failed to converge in trace_norm") from exc
 
 
+def _hermitian_trace_norm(h: np.ndarray) -> float:
+    """tr|h| of a Hermitian matrix: the sum of |eigenvalues|."""
+    if not np.all(np.isfinite(h)):
+        raise ValueError("trace norm of a matrix with non-finite entries")
+    try:
+        return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise RuntimeError("eigvalsh failed to converge in a trace norm") from exc
+
+
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius (Hilbert-Schmidt) norm."""
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
 def commutator_phase(omega, r, lattice: Lattice) -> float:
-    """tr |[e^{i r.x}, omega]|."""
-    e = phase_operator(lattice, r)
+    """tr |[e^{i r.x}, omega]| = tr |omega - e^{-i r.x} omega e^{i r.x}|."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if r.shape != (lattice.ds,):
+        raise ValueError(f"r must have {lattice.ds} components")
+    a = np.exp(1j * (lattice.sites() @ r))
     m = omega.matrix if hasattr(omega, "matrix") else omega
-    return trace_norm(e @ m - m @ e)
+    return _hermitian_trace_norm(m - a.conj()[:, None] * m * a[None, :])
 
 
 def commutator_momentum(omega, params: ModelParams, lattice: Lattice) -> float:
-    """sum over axes of tr |[hbar d/dx_axis, omega]|."""
+    """sum over axes of tr |[hbar d/dx_axis, omega]|, taken in the momentum
+    basis where hbar d/dx_axis is diag(i hbar p_axis)."""
     m = omega.matrix if hasattr(omega, "matrix") else omega
+    f = fourier_matrix(lattice)
+    m_hat = f @ m @ f.conj().T
     total = 0.0
-    for ax in range(lattice.ds):
-        g = momentum_operator(lattice, params.hbar, ax)
-        total += trace_norm(g @ m - m @ g)
+    for p in lattice.momenta().T:
+        dp = p[:, None] - p[None, :]
+        total += _hermitian_trace_norm((1j * params.hbar) * dp * m_hat)
     return total
 
 
 def semiclassical_series(trajectory, p_set, params: ModelParams,
                          lattice: Lattice) -> CommutatorSeries:
-    """Per-snapshot normalized commutator sizes along a trajectory."""
+    """Per-snapshot normalized commutator sizes along a trajectory: one
+    `semiclassical_constant` per snapshot."""
     p_set = np.atleast_2d(np.asarray(p_set, dtype=float))
-    norm = params.n_particles * params.hbar
-    c_phase, c_mom = [], []
-    for state in trajectory.states:
-        best = 0.0
-        for p in p_set:
-            val = commutator_phase(state, p, lattice) / (1.0 + np.linalg.norm(p))
-            best = max(best, val)
-        c_phase.append(best / norm)
-        c_mom.append(commutator_momentum(state, params, lattice) / norm)
+    reports = [semiclassical_constant(state, lattice, params.hbar, p_set)
+               for state in trajectory.states]
     return CommutatorSeries(times=np.array(trajectory.times),
-                            c_phase=np.array(c_phase),
-                            c_momentum=np.array(c_mom),
-                            normalization=norm, p_set=p_set)
+                            c_phase=np.array([rep.c_phase for rep in reports]),
+                            c_momentum=np.array([rep.c_momentum for rep in reports]),
+                            normalization=params.n_particles * params.hbar,
+                            p_set=p_set)
 
 
 def fit_exponential(series, times) -> GrowthFit:

@@ -239,7 +239,9 @@ def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
 
 def semiclassical_constant(omega: DensityMatrix, lattice: Lattice, hbar: float,
                            p_set: np.ndarray = None) -> SemiclassicalReport:
-    """Exact (SVD) commutator trace norms, normalized by N*hbar."""
+    """Exact commutator trace norms (one Hermitian `eigvalsh` each), normalized
+    by N*hbar.  tr|[e^{-i p.x}, omega]| = tr|[e^{i p.x}, omega]|, so a probe
+    whose negative was already measured reuses that norm."""
     from .diagnostics import commutator_momentum, commutator_phase
 
     if p_set is None:
@@ -248,7 +250,11 @@ def semiclassical_constant(omega: DensityMatrix, lattice: Lattice, hbar: float,
     if p_set.shape[0] == 0:
         raise ValueError("p_set must be nonempty")
     norm = omega.n_particles * hbar
-    phase_norms = np.array([commutator_phase(omega, p, lattice) for p in p_set])
+    norms = {}
+    for p in p_set:
+        if tuple(p) not in norms:
+            norms[tuple(p)] = norms[tuple(-p)] = commutator_phase(omega, p, lattice)
+    phase_norms = np.array([norms[tuple(p)] for p in p_set])
     c_phase = max(val / ((1.0 + np.linalg.norm(p)) * norm)
                   for val, p in zip(phase_norms, p_set))
     params = ModelParams(n_particles=omega.n_particles, ds=lattice.ds, hbar=hbar)

@@ -196,9 +196,10 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
 def compare_hf_hartree(omega0: DensityMatrix, cfg: EvolutionConfig, v: Potential,
                        params: ModelParams, lattice: Lattice):
     """Trace-norm gap tr|omega_HF(t) - omega_H(t)| from shared initial data."""
-    from .diagnostics import trace_norm
+    from .diagnostics import _hermitian_trace_norm
 
     hf = evolve(omega0, cfg, MeanFieldKind.HARTREE_FOCK, v, params, lattice)
     hh = evolve(omega0, cfg, MeanFieldKind.HARTREE, v, params, lattice)
-    gaps = [trace_norm(a.matrix - b.matrix) for a, b in zip(hf.states, hh.states)]
+    gaps = [_hermitian_trace_norm(a.matrix - b.matrix)
+            for a, b in zip(hf.states, hh.states)]
     return np.array(hf.times), np.array(gaps)

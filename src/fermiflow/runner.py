@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .diagnostics import (fit_exponential, semiclassical_series, distance_series,
-                          trace_norm)
+from .diagnostics import fit_exponential, semiclassical_series, distance_series
 from .initial_data import (DensityMatrix, default_probe_momenta, fermi_ball_indices,
                            kernel_ansatz, plane_wave_projection, semiclassical_constant,
                            trapped_slater)
@@ -75,6 +74,15 @@ def _require(mapping, key, allowed, where):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _integer(value, key, lo, hi=None):
+    """A config integer in [lo, hi]; hi=None sets no upper bound."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{key} must be an integer {bound}, got {value!r}")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     try:
         doc = json.loads(text)
@@ -105,6 +113,11 @@ def parse_config(text: str) -> RunConfig:
                              ds=lattice.ds, hbar=hbar)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
+    if params.n_particles > lattice.site_count:
+        raise ConfigError(f"model.n_particles must not exceed the "
+                          f"{lattice.site_count} lattice sites")
+    if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
+        raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
 
     pot = doc.get("potential", {"shape": "zero"})
     _require(pot, ["shape"],
@@ -128,6 +141,9 @@ def parse_config(text: str) -> RunConfig:
         e = doc["evolution"]
         _require(e, ["dt", "t_final"],
                  {"dt", "t_final", "snapshot_stride"}, "evolution")
+        for key in ("dt", "t_final"):
+            if isinstance(e[key], bool) or not isinstance(e[key], (int, float)):
+                raise ConfigError(f"evolution.{key} must be a number, got {e[key]!r}")
         if e["dt"] <= 0:
             raise ConfigError("evolution.dt must be positive")
         try:
@@ -147,13 +163,18 @@ def parse_config(text: str) -> RunConfig:
     _require(p_set, [], {"max_index"}, "p_set")
     fock = doc.get("fock", {})
     _require(fock, [], {"l_sites", "trials", "moment_order", "times"}, "fock")
+    for key, lo, hi in (("l_sites", 1, None), ("trials", 1, None),
+                        ("moment_order", 0, 6)):
+        if key in fock:
+            _integer(fock[key], f"fock.{key}", lo, hi)
     vlasov = doc.get("vlasov", {})
     _require(vlasov, [], {"dt"}, "vlasov")
 
     return RunConfig(
         scenario=scenario, lattice=lattice, params=params, potential_spec=pot,
         potential=potential, initial=initial, evolution=evo, kind=kind,
-        p_max_index=int(p_set.get("max_index", 4)), fock=fock,
+        p_max_index=_integer(p_set.get("max_index", 4), "p_set.max_index", 1),
+        fock=fock,
         vlasov_dt=float(vlasov.get("dt", 1e-3)), seed=int(doc.get("seed", 0)),
         raw=doc,
     )
@@ -256,8 +277,8 @@ def _fock_lattice(cfg: RunConfig):
     from .fock import FockSpace
 
     try:
-        space = FockSpace(int(cfg.fock.get("l_sites", cfg.lattice.d)))
-    except (TypeError, ValueError) as exc:
+        space = FockSpace(cfg.fock.get("l_sites", cfg.lattice.d))
+    except ValueError as exc:
         raise ConfigError(f"fock.l_sites: {exc}") from exc
     if space.l_sites != cfg.lattice.d or cfg.lattice.ds != 1:
         raise ConfigError("fock.l_sites must equal lattice.d with ds=1")
@@ -285,9 +306,7 @@ def _scenario_fock_verify(cfg: RunConfig, out):
     from .fock import car_defect, verify_operator_bounds
 
     space = _fock_lattice(cfg)
-    trials = int(cfg.fock.get("trials", 200))
-    if trials < 1:
-        raise ConfigError("fock.trials must be at least 1")
+    trials = cfg.fock.get("trials", 200)
     worst = car_defect(space)
     report = verify_operator_bounds(space, trials, cfg.seed)
     names = [n for n in report if isinstance(report[n], dict)]
@@ -311,7 +330,7 @@ def _scenario_fluctuation(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
     dyn = FluctuationDynamics(space, omega0, cfg.potential, cfg.params, cfg.lattice,
                               dt=cfg.evolution.dt)
-    order = int(cfg.fock.get("moment_order", 2))
+    order = cfg.fock.get("moment_order", 2)
     stride = cfg.evolution.snapshot_stride
     times, m1, mk = [], [], []
     for i in range(0, cfg.evolution.n_steps + 1, stride):

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from fermiflow.diagnostics import (distance_series, fit_double_exponential,
-                                   fit_exponential, hs_norm, semiclassical_series,
-                                   trace_norm)
-from fermiflow.initial_data import (fermi_ball_indices, plane_wave_projection,
-                                    semiclassical_constant)
+from fermiflow.diagnostics import (_hermitian_trace_norm, commutator_momentum,
+                                   commutator_phase, distance_series,
+                                   fit_double_exponential, fit_exponential, hs_norm,
+                                   semiclassical_series, trace_norm)
+from fermiflow.initial_data import (default_probe_momenta, fermi_ball_indices,
+                                    kernel_ansatz, plane_wave_projection,
+                                    semiclassical_constant, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import ModelParams, build_potential, make_lattice
+from fermiflow.model import (ModelParams, build_potential, make_lattice,
+                             momentum_operator, phase_operator)
 
 
 def test_trace_norm_examples():
@@ -53,6 +56,73 @@ def test_semiclassical_series_free_ball():
     rep = semiclassical_constant(om, lat, params.hbar, p_set)
     assert series.c_phase[0] == pytest.approx(rep.c_phase, abs=1e-12)
     assert series.c_momentum[0] == pytest.approx(rep.c_momentum, abs=1e-12)
+
+
+def _dense_phase(m, r, lat):
+    e = phase_operator(lat, r)
+    return trace_norm(e @ m - m @ e)
+
+
+def _dense_momentum(m, hbar, lat):
+    gs = [momentum_operator(lat, hbar, ax) for ax in range(lat.ds)]
+    return sum(trace_norm(g @ m - m @ g) for g in gs)
+
+
+@pytest.mark.parametrize("ds,d", [(1, 16), (2, 6), (3, 4)])
+def test_commutators_match_dense_oracles(ds, d):
+    # the eigvalsh kernels against the dense products [A, omega] and their SVD
+    lat = make_lattice(ds, d, 1.0)
+    rng = np.random.default_rng(ds)
+    hbar = 0.3
+    params = ModelParams(n_particles=3, ds=ds, hbar=hbar)
+    slater = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
+    chi = 0.5 + rng.random(lat.site_count)
+    kernel, defect = kernel_ansatz(chi, 2.0, lat, hbar)
+    assert defect > 1e-3  # not a projection
+    shape = (lat.site_count,) * 2
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    probes = [lat.momenta()[1], 7.3 * rng.normal(size=ds)]  # on and off the grid
+    for m in (slater.matrix, kernel.matrix, x + x.conj().T):
+        for r in probes:
+            val = commutator_phase(m, r, lat)
+            assert val == pytest.approx(_dense_phase(m, r, lat), rel=1e-10)
+            assert commutator_phase(m, -r, lat) == pytest.approx(val, rel=1e-10)
+        assert commutator_momentum(m, params, lat) == pytest.approx(
+            _dense_momentum(m, hbar, lat), rel=1e-10)
+
+
+def test_semiclassical_constant_pairs_probes_and_series_reuses_it():
+    lat = make_lattice(2, 6, 1.0)
+    params = ModelParams(n_particles=3, ds=2)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    rng = np.random.default_rng(7)
+    om = trapped_slater(lat, params.hbar, 100.0 * rng.random(lat.site_count), 3)
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.04, snapshot_stride=2)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+    symmetric = default_probe_momenta(lat, 1)
+    # one +-p pair, two unpaired grid probes and an unpaired off-grid probe
+    asymmetric = np.vstack([symmetric[[0, -1, 1, 4]], [[0.7, -2.9]]])
+    for p_set in (symmetric, asymmetric):
+        rep = semiclassical_constant(om, lat, params.hbar, p_set)
+        oracle = [_dense_phase(om.matrix, p, lat) for p in p_set]
+        np.testing.assert_allclose(rep.phase_norms, oracle, rtol=1e-10)
+        series = semiclassical_series(traj, p_set, params, lat)
+        reps = [semiclassical_constant(s, lat, params.hbar, p_set) for s in traj.states]
+        np.testing.assert_allclose(series.c_phase, [r.c_phase for r in reps], rtol=1e-10)
+        np.testing.assert_allclose(series.c_momentum, [r.c_momentum for r in reps],
+                                   rtol=1e-10)
+    with pytest.raises(ValueError, match="nonempty"):
+        semiclassical_series(traj, np.zeros((0, 2)), params, lat)
+
+
+def test_hermitian_trace_norm_matches_svd_and_rejects_non_finite():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    assert _hermitian_trace_norm(x + x.conj().T) == pytest.approx(
+        trace_norm(x + x.conj().T), rel=1e-12)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _hermitian_trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_fit_exponential_exact_and_constant():

@@ -141,12 +141,30 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     fock_verify = {"scenario": "fock-verify", "lattice": {"ds": 1, "d": 4},
                    "model": {"n_particles": 2}}
     nan_table = [0.0] + [float("nan")] * 7
+    fluctuation = dict(MINIMAL, scenario="fluctuation")
+    diagnostics = dict(MINIMAL, scenario="diagnostics-only")
     for doc in [dict(fock_verify, fock={"l_sites": 20}),
                 dict(MINIMAL, scenario="fluctuation", lattice={"ds": 1, "d": 16}),
                 dict(fock_verify, fock={"l_sites": 4, "trials": 0}),
                 dict(MINIMAL, potential={"shape": "gaussian", "sigma": 0.2}),
                 dict(MINIMAL, potential={"shape": "blob"}),
-                dict(MINIMAL, potential={"shape": "table", "samples": nan_table})]:
+                dict(MINIMAL, potential={"shape": "table", "samples": nan_table}),
+                # probe sets, Fock integers, evolution types and sizes
+                dict(MINIMAL, p_set={"max_index": 0}),
+                dict(MINIMAL, p_set={"max_index": -1}),
+                dict(MINIMAL, p_set={"max_index": "abc"}),
+                dict(MINIMAL, p_set={"max_index": 1.5}),
+                dict(diagnostics, p_set={"max_index": 0}),
+                dict(fluctuation, fock={"moment_order": 9}),
+                dict(fluctuation, fock={"moment_order": -1}),
+                dict(fluctuation, fock={"moment_order": "2"}),
+                dict(fock_verify, fock={"trials": "abc"}),
+                dict(fock_verify, fock={"l_sites": "4"}),
+                dict(MINIMAL, evolution={"dt": "0.01", "t_final": 0.1}),
+                dict(MINIMAL, evolution={"dt": 0.01, "t_final": True}),
+                dict(MINIMAL, model={"n_particles": 9}),
+                dict(MINIMAL, scenario="semiclassics", lattice={"ds": 2, "d": 8}),
+                dict(MINIMAL, scenario="semiclassics", lattice={"ds": 1, "d": 7})]:
         case = write_config(tmp_path, doc, "case.json")
         out = tmp_path / "case"
         assert main([doc["scenario"], "--config", case, "--out", str(out)]) == 2, doc

@@ -1,11 +1,14 @@
 """Command line entry point: `fermiflow <scenario> --config <path>`.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures (integrator blow-up, violated invariants).
+failures (integrator blow-up, violated invariants, a failed linear-algebra
+routine).
 """
 
 import argparse
 import sys
+
+import numpy as np
 
 from .runner import ConfigError, NumericFailure, SCENARIOS, parse_config, run
 
@@ -46,7 +49,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailure, RuntimeError, FloatingPointError) as exc:
+    except (NumericFailure, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"{args.scenario}: wrote {len(summary['manifest']) + 1} files to {args.out} "

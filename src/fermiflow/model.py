@@ -91,10 +91,6 @@ class ModelParams:
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
 
-    @property
-    def coupling(self) -> float:
-        return 1.0 / self.n_particles
-
 
 @dataclass(frozen=True)
 class Potential:

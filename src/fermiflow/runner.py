@@ -1,39 +1,36 @@
 """Run configuration parsing and scenario dispatch for the CLI.
 
-Configs are JSON documents; every key is validated and unknown keys are
-rejected.  A run writes `series.csv`, FMF1 snapshots under `snapshots/`,
-and finally (atomically) `summary.json` with a manifest of everything
-else, so a crash can never leave a summary claiming success.
+Configs are JSON documents.  The tables below list every key once, with
+its type, default and bound, and one reader, `_read`, applies them: unknown
+and missing keys are named, and every value is checked before it is used.
+A run writes `series.csv`, FMF1 snapshots under `snapshots/`, and finally
+(atomically) `summary.json` with a manifest of everything else, so a crash
+can never leave a summary claiming success.
 """
 
 import hashlib
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import fit_exponential, semiclassical_series, distance_series
-from .initial_data import (DensityMatrix, default_probe_momenta, fermi_ball_indices,
-                           kernel_ansatz, plane_wave_projection, semiclassical_constant,
-                           trapped_slater)
+from .initial_data import (DegenerateFermiLevel, DensityMatrix, default_probe_momenta,
+                           fermi_ball_indices, kernel_ansatz, plane_wave_projection,
+                           semiclassical_constant, trapped_slater)
 from .meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree, evolve)
 from .model import Lattice, ModelParams, Potential, build_potential, make_lattice
 from .snapshots import write_csv, write_fmf1
 
 __all__ = ["ConfigError", "NumericFailure", "RunConfig", "parse_config", "run"]
 
-SCENARIOS = (
-    "evolve",
-    "compare-hf-hartree",
-    "exact-vs-meanfield",
-    "fock-verify",
-    "fluctuation",
-    "semiclassics",
-    "diagnostics-only",
-)
+SCENARIOS = ("evolve", "compare-hf-hartree", "exact-vs-meanfield", "fock-verify",
+             "fluctuation", "semiclassics", "diagnostics-only")
 
 
 class ConfigError(ValueError):
@@ -46,41 +43,103 @@ class NumericFailure(RuntimeError):
 
 @dataclass
 class RunConfig:
+    """A parsed config: typed values with every default filled in."""
+
     scenario: str
     lattice: Lattice
     params: ModelParams
     potential_spec: dict
     potential: Potential  # built from potential_spec by parse_config
     initial: dict
-    evolution: EvolutionConfig = None
-    kind: MeanFieldKind = MeanFieldKind.HARTREE_FOCK
-    p_max_index: int = 4
-    fock: dict = field(default_factory=dict)
-    vlasov_dt: float = 1e-3
-    seed: int = 0
-    raw: dict = field(default_factory=dict)
+    evolution: EvolutionConfig  # None when the config has no evolution section
+    kind: MeanFieldKind
+    p_max_index: int
+    fock: dict
+    vlasov_dt: float
+    seed: int
+    raw: dict
 
 
-_TOP_KEYS = {"scenario", "lattice", "model", "potential", "initial",
-             "evolution", "kind", "p_set", "fock", "vlasov", "seed"}
+# The rule for one key.  `type` is int, float, list (of numbers), a tuple of
+# choices, a dict of rules (a section) or a `_Tagged` section.  The default
+# `...` marks a required key and None an optional key with no value.  An int
+# lies in [lo, hi] and a float above lo; None is no bound.
+_Key = namedtuple("_Key", "type default lo hi", defaults=(..., None, None))
+# A section whose keys besides `tag` are chosen by the value of `tag`.
+_Tagged = namedtuple("_Tagged", "tag variants")
+
+_CONFIG = {
+    "scenario": _Key(SCENARIOS),
+    "lattice": _Key({"ds": _Key(int, 1, 1, 3), "d": _Key(int, ..., 2),
+                     "length": _Key(float, 1.0, 0)}),
+    "model": _Key({"n_particles": _Key(int, ..., 1), "hbar": _Key(float, None, 0)}),
+    "potential": _Key(_Tagged("shape", {
+        "zero": {},
+        "gaussian": {"strength": _Key(float), "sigma": _Key(float, ..., 0)},
+        "cosine": {"strength": _Key(float), "mode": _Key(int)},
+        "table": {"samples": _Key(list)},
+    }), {"shape": "zero"}),
+    "initial": _Key(_Tagged("kind", {
+        "ball": {},
+        "trapped": {"strength": _Key(float, 50.0, 0)},
+        "kernel": {"width": _Key(float, 0.2, 0), "fermi_radius": _Key(float, None, 0)},
+    }), {"kind": "ball"}),
+    "evolution": _Key({"dt": _Key(float, ..., 0), "t_final": _Key(float, ..., 0),
+                       "snapshot_stride": _Key(int, 1, 1)}, None),
+    "kind": _Key(tuple(k.value for k in MeanFieldKind), "hartree_fock"),
+    "p_set": _Key({"max_index": _Key(int, 4, 1)}, {}),
+    "fock": _Key({"l_sites": _Key(int, None, 1), "trials": _Key(int, 200, 1),
+                  "moment_order": _Key(int, 2, 0, 6)}, {}),
+    "vlasov": _Key({"dt": _Key(float, 1e-3, 0)}, {}),
+    "seed": _Key(int, 0, 0, 2 ** 64 - 1),
+}
 
 
-def _require(mapping, key, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = set(key) - set(mapping)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+def _read(section, rules: dict, where: str) -> dict:
+    """The typed values of a JSON object under `rules`, defaults filled in."""
+    prefix, where = (where + "." if where else ""), where or "config"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    missing = sorted(k for k, rule in rules.items() if rule.default is ... and k not in section)
+    unknown = sorted(set(section) - set(rules))
+    for problem, keys in (("missing", missing), ("unknown", unknown)):
+        if keys:
+            raise ConfigError(f"{problem} key(s) {keys} in {where}")
+    return {k: None if k not in section and rule.default is None
+            else _value(section.get(k, rule.default), rule, prefix + k)
+            for k, rule in rules.items()}
 
 
-def _integer(value, key, lo, hi=None):
-    """A config integer in [lo, hi]; hi=None sets no upper bound."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
-            or (hi is not None and value > hi)):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{key} must be an integer {bound}, got {value!r}")
-    return value
+def _value(value, rule: _Key, name: str):
+    """One config value checked against its rule; a section is read whole."""
+    rtype, _, lo, hi = rule
+    if isinstance(rtype, _Tagged):  # the tag's rule plus the keys its value chooses
+        tag = _Key(tuple(rtype.variants))
+        chosen = (rtype.variants[_value(value[rtype.tag], tag, f"{name}.{rtype.tag}")]
+                  if isinstance(value, dict) and rtype.tag in value else {})
+        rtype = {rtype.tag: tag, **chosen}
+    if isinstance(rtype, dict):
+        return _read(value, rtype, name)
+    if isinstance(rtype, tuple):  # choices are strings, so `in` never hashes value
+        if value not in rtype:
+            raise ConfigError(f"{name} must be one of {list(rtype)}, got {value!r}")
+        return value
+    if rtype is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        return [_value(v, _Key(float), f"{name}[{i}]") for i, v in enumerate(value)]
+    number = not isinstance(value, bool) and isinstance(value, (int, float))
+    if rtype is int:
+        if not (number and isinstance(value, int) and (lo is None or lo <= value)
+                and (hi is None or value <= hi)):
+            bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+            raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+        return value
+    # finite: no NaN, no infinity and no integer beyond the float range
+    if not (number and abs(value) <= sys.float_info.max and (lo is None or lo < value)):
+        bound = "" if lo is None else f" > {lo}"
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -88,95 +147,39 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _require(doc, ["scenario", "lattice", "model"], _TOP_KEYS, "config")
-
-    scenario = doc["scenario"]
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-
-    lat = doc["lattice"]
-    _require(lat, ["d"], {"ds", "d", "length"}, "lattice")
-    try:
-        lattice = make_lattice(lat.get("ds", 1), lat["d"], lat.get("length", 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"lattice: {exc}") from exc
-
-    mod = doc["model"]
-    _require(mod, ["n_particles"], {"n_particles", "hbar"}, "model")
-    hbar = mod.get("hbar")
-    if hbar is not None and hbar <= 0:
-        raise ConfigError("model.hbar must be positive")
-    try:
-        params = ModelParams(n_particles=int(mod["n_particles"]),
-                             ds=lattice.ds, hbar=hbar)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    c = _read(doc, _CONFIG, "")
+    scenario, lat, initial = c["scenario"], c["lattice"], c["initial"]
+    lattice = make_lattice(lat["ds"], lat["d"], lat["length"])
+    params = ModelParams(c["model"]["n_particles"], lattice.ds, c["model"]["hbar"])
     if params.n_particles > lattice.site_count:
         raise ConfigError(f"model.n_particles must not exceed the "
                           f"{lattice.site_count} lattice sites")
     if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
         raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
-
-    pot = doc.get("potential", {"shape": "zero"})
-    _require(pot, ["shape"],
-             {"shape", "strength", "sigma", "mode", "samples"}, "potential")
+    if initial["kind"] == "kernel" and scenario != "diagnostics-only":
+        raise ConfigError("initial.kind 'kernel' is not a projection; it runs only "
+                          "in diagnostics-only")
     try:
-        potential = build_potential(pot, lattice)
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc} in potential") from exc
-    except (TypeError, ValueError) as exc:
+        potential = build_potential(c["potential"], lattice)
+    except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from exc
 
-    initial = doc.get("initial", {"kind": "ball"})
-    _require(initial, ["kind"],
-             {"kind", "strength", "fermi_radius", "width"}, "initial")
-    if initial["kind"] not in ("ball", "trapped", "kernel"):
-        raise ConfigError(f"initial.kind must be ball/trapped/kernel, "
-                          f"got {initial['kind']!r}")
-
-    evo = None
-    if "evolution" in doc:
-        e = doc["evolution"]
-        _require(e, ["dt", "t_final"],
-                 {"dt", "t_final", "snapshot_stride"}, "evolution")
-        for key in ("dt", "t_final"):
-            if isinstance(e[key], bool) or not isinstance(e[key], (int, float)):
-                raise ConfigError(f"evolution.{key} must be a number, got {e[key]!r}")
-        if e["dt"] <= 0:
-            raise ConfigError("evolution.dt must be positive")
+    evo = c["evolution"]
+    if evo is not None:
         try:
-            evo = EvolutionConfig(dt=float(e["dt"]), t_final=float(e["t_final"]),
-                                  snapshot_stride=int(e.get("snapshot_stride", 1)))
+            evo = EvolutionConfig(evo["dt"], evo["t_final"], evo["snapshot_stride"])
         except ValueError as exc:
             raise ConfigError(f"evolution: {exc}") from exc
-
-    kind_name = doc.get("kind", "hartree_fock")
-    try:
-        kind = MeanFieldKind(kind_name)
-    except ValueError as exc:
-        raise ConfigError(f"kind must be one of "
-                          f"{[k.value for k in MeanFieldKind]}") from exc
-
-    p_set = doc.get("p_set", {})
-    _require(p_set, [], {"max_index"}, "p_set")
-    fock = doc.get("fock", {})
-    _require(fock, [], {"l_sites", "trials", "moment_order", "times"}, "fock")
-    for key, lo, hi in (("l_sites", 1, None), ("trials", 1, None),
-                        ("moment_order", 0, 6)):
-        if key in fock:
-            _integer(fock[key], f"fock.{key}", lo, hi)
-    vlasov = doc.get("vlasov", {})
-    _require(vlasov, [], {"dt"}, "vlasov")
+        steps = evo.dt / c["vlasov"]["dt"]  # Vlasov sub-steps per step
+        if scenario == "semiclassics" and not abs(np.rint(steps) - steps) <= 1e-9 * steps:
+            raise ConfigError(f"evolution.dt={evo.dt!r} is not a whole multiple of "
+                              f"vlasov.dt={c['vlasov']['dt']!r}")
 
     return RunConfig(
-        scenario=scenario, lattice=lattice, params=params, potential_spec=pot,
-        potential=potential, initial=initial, evolution=evo, kind=kind,
-        p_max_index=_integer(p_set.get("max_index", 4), "p_set.max_index", 1),
-        fock=fock,
-        vlasov_dt=float(vlasov.get("dt", 1e-3)), seed=int(doc.get("seed", 0)),
-        raw=doc,
+        scenario=scenario, lattice=lattice, params=params, potential_spec=c["potential"],
+        potential=potential, initial=initial, evolution=evo,
+        kind=MeanFieldKind(c["kind"]), p_max_index=c["p_set"]["max_index"],
+        fock=c["fock"], vlasov_dt=c["vlasov"]["dt"], seed=c["seed"], raw=doc,
     )
 
 
@@ -187,28 +190,25 @@ def harmonic_trap(lattice: Lattice, strength: float) -> np.ndarray:
     return strength * np.sum(x ** 2, axis=1)
 
 
-def build_initial_state(cfg: RunConfig, lattice: Lattice = None,
-                        params: ModelParams = None) -> DensityMatrix:
-    lattice = lattice or cfg.lattice
-    params = params or cfg.params
+def build_initial_state(cfg: RunConfig) -> DensityMatrix:
+    lattice, hbar, n = cfg.lattice, cfg.params.hbar, cfg.params.n_particles
     kind = cfg.initial["kind"]
-    n = params.n_particles
     if kind == "ball":
         return plane_wave_projection(lattice, fermi_ball_indices(lattice, n))
     if kind == "trapped":
-        trap = harmonic_trap(lattice, float(cfg.initial.get("strength", 50.0)))
-        return trapped_slater(lattice, params.hbar, trap, n)
-    # kernel ansatz with a gaussian occupation bump
-    width = float(cfg.initial.get("width", 0.2)) * lattice.length
-    x = lattice.sites() - 0.5 * lattice.length
-    x -= lattice.length * np.round(x / lattice.length)
-    chi = np.exp(-np.sum(x ** 2, axis=1) / (2.0 * width ** 2))
-    radius = float(cfg.initial.get("fermi_radius",
-                                   np.pi * n / lattice.length * params.hbar))
-    dm, _ = kernel_ansatz(chi, radius, lattice, params.hbar)
+        try:
+            return trapped_slater(lattice, hbar,
+                                  harmonic_trap(lattice, cfg.initial["strength"]), n)
+        except DegenerateFermiLevel as exc:
+            raise ConfigError(f"initial: {exc}") from exc
+    # kernel ansatz with a gaussian occupation bump (diagnostics-only)
+    width = cfg.initial["width"] * lattice.length
+    chi = np.exp(-harmonic_trap(lattice, 1.0) / (2.0 * width ** 2))
+    radius = cfg.initial["fermi_radius"] or np.pi * n / lattice.length * hbar
+    dm, _ = kernel_ansatz(chi, radius, lattice, hbar)
     # rescale chi so the trace matches N
     scale = n / np.trace(dm.matrix).real
-    dm, _ = kernel_ansatz(chi * scale, radius, lattice, params.hbar)
+    dm, _ = kernel_ansatz(chi * scale, radius, lattice, hbar)
     dm.n_particles = n
     return dm
 
@@ -233,8 +233,6 @@ def _maybe_fit(values, times):
 
 def _scenario_evolve(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
-    if cfg.evolution is None:
-        raise ConfigError("missing key(s) ['evolution'] in config")
     traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.params, cfg.lattice)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
     series = semiclassical_series(traj, p_set, cfg.params, cfg.lattice)
@@ -277,7 +275,7 @@ def _fock_lattice(cfg: RunConfig):
     from .fock import FockSpace
 
     try:
-        space = FockSpace(cfg.fock.get("l_sites", cfg.lattice.d))
+        space = FockSpace(cfg.fock["l_sites"] or cfg.lattice.d)
     except ValueError as exc:
         raise ConfigError(f"fock.l_sites: {exc}") from exc
     if space.l_sites != cfg.lattice.d or cfg.lattice.ds != 1:
@@ -306,7 +304,7 @@ def _scenario_fock_verify(cfg: RunConfig, out):
     from .fock import car_defect, verify_operator_bounds
 
     space = _fock_lattice(cfg)
-    trials = cfg.fock.get("trials", 200)
+    trials = cfg.fock["trials"]
     worst = car_defect(space)
     report = verify_operator_bounds(space, trials, cfg.seed)
     names = [n for n in report if isinstance(report[n], dict)]
@@ -330,7 +328,7 @@ def _scenario_fluctuation(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
     dyn = FluctuationDynamics(space, omega0, cfg.potential, cfg.params, cfg.lattice,
                               dt=cfg.evolution.dt)
-    order = cfg.fock.get("moment_order", 2)
+    order = cfg.fock["moment_order"]
     stride = cfg.evolution.snapshot_stride
     times, m1, mk = [], [], []
     for i in range(0, cfg.evolution.n_steps + 1, stride):

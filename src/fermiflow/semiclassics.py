@@ -117,7 +117,8 @@ def vlasov_step(w: PhaseSpaceDensity, dt: float, v: Potential, lattice: Lattice,
 def compare_wigner_vlasov(mf_traj, v: Potential, params, lattice: Lattice,
                           dt: float):
     """Weighted L1 distance between the Wigner transform of a mean-field
-    trajectory and the Vlasov flow started from the same phase-space data."""
+    trajectory and the Vlasov flow started from the same phase-space data.
+    Each snapshot interval must be a whole number of Vlasov steps `dt`."""
     if not mf_traj.states:
         raise ValueError("empty trajectory")
     w0 = wigner(mf_traj.states[0], lattice, params.hbar)
@@ -126,7 +127,11 @@ def compare_wigner_vlasov(mf_traj, v: Potential, params, lattice: Lattice,
     dists = []
     t_now = 0.0
     for t, state in zip(times, mf_traj.states):
-        n_sub = int(round((t - t_now) / dt))
+        interval = t - t_now
+        n_sub = int(round(interval / dt))
+        if abs(n_sub * dt - interval) > 1e-9 * interval:
+            raise ValueError(f"snapshot interval {interval!r} is not a whole "
+                             f"number of dt={dt!r} steps")
         for _ in range(n_sub):
             cur = vlasov_step(cur, dt, v, lattice, params.n_particles)
         t_now += n_sub * dt

@@ -5,9 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermiflow.cli import main
-from fermiflow.runner import (ConfigError, NumericFailure, parse_config, run)
+from fermiflow.runner import (ConfigError, NumericFailure, RunConfig, parse_config, run)
 from fermiflow.snapshots import read_fmf1
 
 
@@ -140,9 +141,11 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     # Fock-space sizes and trial counts out of range, malformed potentials
     fock_verify = {"scenario": "fock-verify", "lattice": {"ds": 1, "d": 4},
                    "model": {"n_particles": 2}}
-    nan_table = [0.0] + [float("nan")] * 7
+    nan = float("nan")
+    nan_table = [0.0] + [nan] * 7
     fluctuation = dict(MINIMAL, scenario="fluctuation")
     diagnostics = dict(MINIMAL, scenario="diagnostics-only")
+    semiclassics = dict(MINIMAL, scenario="semiclassics")
     for doc in [dict(fock_verify, fock={"l_sites": 20}),
                 dict(MINIMAL, scenario="fluctuation", lattice={"ds": 1, "d": 16}),
                 dict(fock_verify, fock={"l_sites": 4, "trials": 0}),
@@ -164,12 +167,72 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 dict(MINIMAL, evolution={"dt": 0.01, "t_final": True}),
                 dict(MINIMAL, model={"n_particles": 9}),
                 dict(MINIMAL, scenario="semiclassics", lattice={"ds": 2, "d": 8}),
-                dict(MINIMAL, scenario="semiclassics", lattice={"ds": 1, "d": 7})]:
+                dict(MINIMAL, scenario="semiclassics", lattice={"ds": 1, "d": 7}),
+                # every key has one typed reader: no coercion, no NaN or infinity
+                dict(MINIMAL, seed="abc"),
+                dict(MINIMAL, seed=1.5),
+                dict(MINIMAL, seed=-1),
+                dict(semiclassics, vlasov={"dt": "abc"}),
+                dict(semiclassics, vlasov={"dt": -1}),
+                dict(semiclassics, vlasov={"dt": nan}),
+                dict(semiclassics, vlasov={"dt": 3e-3}),
+                dict(MINIMAL, initial={"kind": "trapped", "strength": "abc"}),
+                dict(MINIMAL, initial={"kind": "trapped", "strength": 0}),
+                dict(MINIMAL, initial={"kind": "trapped", "strength": nan}),
+                dict(MINIMAL, initial={"kind": "trapped", "strength": float("inf")}),
+                dict(MINIMAL, initial={"kind": "ball", "strength": 50.0}),
+                dict(MINIMAL, initial={"kind": "kernel"}),
+                dict(MINIMAL, scenario="exact-vs-meanfield", initial={"kind": "kernel"}),
+                dict(MINIMAL, model={"n_particles": 2, "hbar": "x"}),
+                dict(MINIMAL, model={"n_particles": 2, "hbar": True}),
+                dict(MINIMAL, model={"n_particles": 2, "hbar": float("inf")}),
+                dict(MINIMAL, model={"n_particles": 2.5}),
+                dict(MINIMAL, model={"n_particles": "2"}),
+                dict(MINIMAL, lattice={"d": 8, "length": "x"}),
+                dict(MINIMAL, lattice={"d": 8.5}),
+                dict(MINIMAL, lattice={"d": "8"}),
+                dict(MINIMAL, lattice={"ds": 1.0, "d": 8}),
+                dict(MINIMAL, lattice=5),
+                dict(MINIMAL, evolution=dict(MINIMAL["evolution"], snapshot_stride=2.5)),
+                dict(MINIMAL, evolution=dict(MINIMAL["evolution"], snapshot_stride="5")),
+                dict(MINIMAL, fock={"times": [1, 2]}),
+                dict(MINIMAL, potential={"shape": "zero", "strength": 1.0}),
+                dict(MINIMAL, potential={"shape": "gaussian", "strength": "1", "sigma": 0.2}),
+                dict(MINIMAL, potential={"shape": "cosine", "strength": 1.0, "mode": 1.5})]:
         case = write_config(tmp_path, doc, "case.json")
         out = tmp_path / "case"
         assert main([doc["scenario"], "--config", case, "--out", str(out)]) == 2, doc
         assert capsys.readouterr().err.startswith("config error"), doc
         assert not os.path.exists(out / "summary.json")
+
+
+_PATHS = [("scenario",), ("kind",), ("seed",), ("lattice",), ("lattice", "ds"),
+          ("lattice", "d"), ("lattice", "length"), ("model",), ("model", "n_particles"),
+          ("model", "hbar"), ("potential",), ("potential", "shape"), ("initial",),
+          ("initial", "kind"), ("evolution",), ("evolution", "dt"),
+          ("evolution", "t_final"), ("evolution", "snapshot_stride"), ("p_set",),
+          ("fock",), ("vlasov",)]
+_JSON_SCALARS = (st.text(max_size=6) | st.booleans()
+                 | st.floats(allow_nan=True, allow_infinity=True))
+_JSON_VALUES = (_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+                | st.dictionaries(st.text(max_size=6), _JSON_SCALARS, max_size=3))
+
+
+@settings(derandomize=True, deadline=None)
+@given(path=st.sampled_from(_PATHS), value=_JSON_VALUES)
+def test_parse_config_returns_config_or_raises_config_error(path, value):
+    # one key of MINIMAL set to a string, bool, float (NaN and +-inf too),
+    # list or dict: parsing gives a typed config or a ConfigError, nothing else
+    doc = json.loads(json.dumps(MINIMAL))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_cli_partial_last_step_and_scheme_key_exit_two(tmp_path, capsys):

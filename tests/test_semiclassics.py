@@ -135,6 +135,20 @@ def test_compare_wigner_vlasov_stationary_cases():
     assert np.max(gap) < 1e-8  # both sides stationary
 
 
+def test_compare_wigner_vlasov_rejects_partial_substeps():
+    # snapshots every 0.05; a Vlasov dt of 3e-3 would need 16.67 sub-steps
+    lat = make_lattice(1, 16, 1.0)
+    params = ModelParams(n_particles=3, ds=1)
+    v0 = build_potential({"shape": "zero"}, lat)
+    om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=5)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE, v0, params, lat)
+    with pytest.raises(ValueError, match="whole number"):
+        compare_wigner_vlasov(traj, v0, params, lat, 3e-3)
+    times, gap, _ = compare_wigner_vlasov(traj, v0, params, lat, 2.5e-3)
+    assert list(times) == traj.times and np.max(gap) < 1e-8
+
+
 def test_compare_wigner_vlasov_normalized_gap_stays_order_one():
     # interacting run: the gap normalized by hbar*N should stay within an
     # order of magnitude of its early-time value (loose consistency check)

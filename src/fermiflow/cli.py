@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures (integrator blow-up, violated invariants, a failed linear-algebra
-routine).
+routine, a float overflow).
 """
 
 import argparse
@@ -49,7 +49,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailure, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericFailure, RuntimeError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"{args.scenario}: wrote {len(summary['manifest']) + 1} files to {args.out} "

@@ -7,7 +7,7 @@ which builds any word of creation and annihilation operators from the
 per-space table of occupation bits and signs.  Every operator here (ladder,
 field, dGamma, pair, Hamiltonian) is one call to it, and everything
 downstream (Bogoliubov implementors, Wick reduced densities, fluctuation
-dynamics) is validated against the anticommutation relations it fixes.
+vectors) is validated against the anticommutation relations it fixes.
 """
 
 from dataclasses import dataclass
@@ -18,8 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from .initial_data import DensityMatrix
-from .meanfield import EvolutionConfig, MeanFieldKind, step
 from .model import Lattice, ModelParams, Potential, kinetic_operator
 
 __all__ = [
@@ -43,7 +41,7 @@ __all__ = [
     "rdmk",
     "wick_rdmk",
     "generalized_density",
-    "FluctuationDynamics",
+    "fluctuation_vector",
     "number_moment",
     "verify_operator_bounds",
 ]
@@ -362,52 +360,16 @@ def number_moment(xi: np.ndarray, k: int, space: FockSpace = None) -> float:
     return float(np.sum(weights * np.abs(xi) ** 2) / nrm2)
 
 
-class FluctuationDynamics:
-    """U(t;0) = R*_{nu_t} exp(-i H t / hbar) R_{nu_0}: evolution of the
-    particles outside the evolving Slater sea.
-
-    The time-dependent rotation is rebuilt from the mean-field flow
-    re-integrated to each requested time, keeping omega_t an exact
-    projection rather than interpolating matrices."""
-
-    def __init__(self, space: FockSpace, omega0: DensityMatrix, v: Potential,
-                 params: ModelParams, lattice: Lattice, dt: float = 1e-3):
-        if lattice.ds != 1 or lattice.site_count != space.l_sites:
-            raise ValueError("fluctuation dynamics needs a matching ds=1 lattice")
-        self.space = space
-        self.omega0 = omega0
-        self.v = v
-        self.params = params
-        self.lattice = lattice
-        self.dt = dt
-        self._step_cfg = EvolutionConfig(dt=dt, t_final=dt)
-        self.propagator = SectorPropagator(
-            space, hamiltonian(space, v, params, lattice), params.hbar)
-        self._r0 = implement_bogoliubov(space, bogoliubov_from_projection(omega0))
-        self._omega_cache = {0: omega0}
-
-    def _omega_at(self, n_steps: int) -> DensityMatrix:
-        if n_steps not in self._omega_cache:
-            known = max(k for k in self._omega_cache if k <= n_steps)
-            state = self._omega_cache[known]
-            for i in range(known + 1, n_steps + 1):
-                state = step(state, self._step_cfg, MeanFieldKind.HARTREE_FOCK,
-                             self.v, self.params, self.lattice)
-                self._omega_cache[i] = state
-        return self._omega_cache[n_steps]
-
-    def evolve(self, xi: np.ndarray, t: float) -> np.ndarray:
-        n_steps = int(round(t / self.dt)) if t > 0 else 0
-        if abs(n_steps * self.dt - t) > 1e-9:
-            raise ValueError(f"t={t} is not a multiple of the mean-field dt={self.dt}")
-        psi = self.propagator(self._r0 @ xi, t)
-        r_t = self._r0 if n_steps == 0 else implement_bogoliubov(
-            self.space, bogoliubov_from_projection(self._omega_at(n_steps)))
-        out = r_t.H @ psi
-        drift = abs(np.linalg.norm(out) - np.linalg.norm(xi))
-        if not drift <= 1e-9 * max(1.0, np.linalg.norm(xi)):  # also true for NaN
-            raise RuntimeError(f"fluctuation dynamics lost norm ({drift:.2e})")
-        return out
+def fluctuation_vector(space: FockSpace, omega, psi: np.ndarray) -> np.ndarray:
+    """xi = R*_omega psi: the particles of psi outside the Slater sea of the
+    projection omega.  With psi_t = exp(-i H t / hbar) R_{omega_0} xi_0 and
+    omega_t on the Hartree-Fock flow, this is the fluctuation dynamics
+    U(t;0) xi_0 = R*_{omega_t} exp(-i H t / hbar) R_{omega_0} xi_0."""
+    xi = implement_bogoliubov(space, bogoliubov_from_projection(omega)).H @ psi
+    drift = abs(np.linalg.norm(xi) - np.linalg.norm(psi))
+    if not drift <= 1e-9 * max(1.0, np.linalg.norm(psi)):  # also true for NaN
+        raise RuntimeError(f"fluctuation vector lost norm ({drift:.2e})")
+    return xi
 
 
 def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
@@ -416,7 +378,6 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    n_op = number_operator(space)
     occ = space.occupations().astype(float)
     names = [
         "dgamma_operator_norm_bound",

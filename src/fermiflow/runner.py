@@ -31,6 +31,7 @@ __all__ = ["ConfigError", "NumericFailure", "RunConfig", "parse_config", "run"]
 
 SCENARIOS = ("evolve", "compare-hf-hartree", "exact-vs-meanfield", "fock-verify",
              "fluctuation", "semiclassics", "diagnostics-only")
+_MAX_STEPS = 10 ** 7  # integrator steps one run may ask for, Vlasov sub-steps included
 
 
 class ConfigError(ValueError):
@@ -147,6 +148,8 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ConfigError(f"config parse error: {exc}") from exc
     c = _read(doc, _CONFIG, "")
     scenario, lat, initial = c["scenario"], c["lattice"], c["initial"]
     lattice = make_lattice(lat["ds"], lat["d"], lat["length"])
@@ -164,22 +167,27 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from exc
 
-    evo = c["evolution"]
+    evo, vlasov_dt = c["evolution"], c["vlasov"]["dt"]
     if evo is not None:
+        sub = evo["dt"] / vlasov_dt if scenario == "semiclassics" else 0.0
+        total = evo["t_final"] / evo["dt"] * (1.0 + sub)
+        if not total <= _MAX_STEPS:  # also true for NaN
+            keys = "evolution.dt, evolution.t_final" + (" and vlasov.dt" if sub else "")
+            raise ConfigError(f"{keys} ask for {total:.3g} integrator steps, "
+                              f"more than {_MAX_STEPS:.0e}")
         try:
             evo = EvolutionConfig(evo["dt"], evo["t_final"], evo["snapshot_stride"])
         except ValueError as exc:
             raise ConfigError(f"evolution: {exc}") from exc
-        steps = evo.dt / c["vlasov"]["dt"]  # Vlasov sub-steps per step
-        if scenario == "semiclassics" and not abs(np.rint(steps) - steps) <= 1e-9 * steps:
+        if sub and not abs(np.rint(sub) - sub) <= 1e-9 * sub:
             raise ConfigError(f"evolution.dt={evo.dt!r} is not a whole multiple of "
-                              f"vlasov.dt={c['vlasov']['dt']!r}")
+                              f"vlasov.dt={vlasov_dt!r}")
 
     return RunConfig(
         scenario=scenario, lattice=lattice, params=params, potential_spec=c["potential"],
         potential=potential, initial=initial, evolution=evo,
         kind=MeanFieldKind(c["kind"]), p_max_index=c["p_set"]["max_index"],
-        fock=c["fock"], vlasov_dt=c["vlasov"]["dt"], seed=c["seed"], raw=doc,
+        fock=c["fock"], vlasov_dt=vlasov_dt, seed=c["seed"], raw=doc,
     )
 
 
@@ -283,16 +291,25 @@ def _fock_lattice(cfg: RunConfig):
     return space
 
 
-def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
-    from .fock import SectorPropagator, hamiltonian, quasi_free_state, rdm1
+def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
+    """The Fock space, the mean-field trajectory from omega_0, and the exact
+    psi_t = exp(-i H t / hbar) R_{omega_0} vacuum at its snapshot times."""
+    from .fock import SectorPropagator, hamiltonian, quasi_free_state
 
     space = _fock_lattice(cfg)
     omega0 = build_initial_state(cfg)
     psi0 = quasi_free_state(space, omega0)
     h = hamiltonian(space, cfg.potential, cfg.params, cfg.lattice)
     prop = SectorPropagator(space, h, cfg.params.hbar)
-    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.params, cfg.lattice)
-    gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
+    traj = evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.params, cfg.lattice)
+    return space, traj, (prop(psi0, t) for t in traj.times)
+
+
+def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
+    from .fock import rdm1
+
+    space, traj, psis = _exact_states(cfg, cfg.kind)
+    gammas = [rdm1(psi, space) for psi in psis]
     dist = distance_series(gammas, traj.states, times=traj.times)
     write_csv(os.path.join(out, "series.csv"),
               {"t": dist.times, "hs_distance": dist.hs, "trace_distance": dist.tr})
@@ -322,23 +339,14 @@ def _scenario_fock_verify(cfg: RunConfig, out):
 
 
 def _scenario_fluctuation(cfg: RunConfig, out):
-    from .fock import FluctuationDynamics, number_moment
+    from .fock import fluctuation_vector, number_moment
 
-    space = _fock_lattice(cfg)
-    omega0 = build_initial_state(cfg)
-    dyn = FluctuationDynamics(space, omega0, cfg.potential, cfg.params, cfg.lattice,
-                              dt=cfg.evolution.dt)
+    space, traj, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
     order = cfg.fock["moment_order"]
-    stride = cfg.evolution.snapshot_stride
-    times, m1, mk = [], [], []
-    for i in range(0, cfg.evolution.n_steps + 1, stride):
-        t = i * cfg.evolution.dt
-        xi_t = dyn.evolve(space.vacuum(), t)
-        times.append(t)
-        m1.append(number_moment(xi_t, 1) - 1.0)
-        mk.append(number_moment(xi_t, order))
+    xis = (fluctuation_vector(space, omega, psi) for omega, psi in zip(traj.states, psis))
+    m1, mk = zip(*[(number_moment(xi, 1) - 1.0, number_moment(xi, order)) for xi in xis])
     write_csv(os.path.join(out, "series.csv"),
-              {"t": times, "mean_particle_number": m1,
+              {"t": traj.times, "mean_particle_number": m1,
                f"moment_order_{order}": mk})
     return {"final_mean_particle_number": float(m1[-1]),
             "moment_order": order, "final_moment": float(mk[-1])}

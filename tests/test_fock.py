@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from fermiflow import fock
-from fermiflow.fock import (BogoliubovSpec, FluctuationDynamics, FockSpace,
-                            SectorPropagator, apply_field, apply_ladder,
-                            bogoliubov_from_projection, car_defect, d_gamma,
-                            field_operator, generalized_density, hamiltonian,
+from fermiflow.fock import (BogoliubovSpec, FockSpace, SectorPropagator,
+                            apply_field, apply_ladder, bogoliubov_from_projection,
+                            car_defect, d_gamma, field_operator,
+                            fluctuation_vector, generalized_density, hamiltonian,
                             implement_bogoliubov, ladder, number_moment,
                             number_operator, pair_operator, quasi_free_state,
                             rdm1, rdmk, slater_vector, verify_operator_bounds,
@@ -369,12 +369,15 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     pot = build_potential({"shape": "cosine", "strength": 0.5, "mode": 1}, lat)
     om = trapped_slater(lat, params.hbar,
                         5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
-    dyn = FluctuationDynamics(space, om, pot, params, lat, dt=1e-3)
     rng = np.random.default_rng(9)
     xi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     xi /= np.linalg.norm(xi)
-    assert np.max(np.abs(dyn.evolve(xi, 0.0) - xi)) < 1e-10
-    out = dyn.evolve(xi, 0.01)
+    r0 = implement_bogoliubov(space, bogoliubov_from_projection(om))
+    assert np.max(np.abs(fluctuation_vector(space, om, r0 @ xi) - xi)) < 1e-10
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+    prop = SectorPropagator(space, hamiltonian(space, pot, params, lat), params.hbar)
+    out = fluctuation_vector(space, traj.states[-1], prop(r0 @ xi, traj.times[-1]))
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -385,9 +388,12 @@ def test_fluctuation_vacuum_stable_without_interaction():
     v0 = build_potential({"shape": "zero"}, lat)
     om = trapped_slater(lat, params.hbar,
                         5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
-    dyn = FluctuationDynamics(space, om, v0, params, lat, dt=1e-2)
-    for t in (0.1, 0.5):
-        xi = dyn.evolve(space.vacuum(), t)
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
+    prop = SectorPropagator(space, hamiltonian(space, v0, params, lat), params.hbar)
+    psi0 = quasi_free_state(space, om)
+    for t, om_t in zip(traj.times[1:], traj.states[1:]):
+        xi = fluctuation_vector(space, om_t, prop(psi0, t))
         assert number_moment(xi, 1) - 1.0 < 1e-9
 
 

@@ -51,6 +51,13 @@ def test_parse_rejects_bad_dt_naming_key():
     doc = dict(MINIMAL, evolution={"dt": -1e-2, "t_final": 0.1})
     with pytest.raises(ConfigError, match="dt"):
         parse_config(json.dumps(doc))
+    # more integrator steps than one run may take (parsed only, never run)
+    doc = dict(MINIMAL, evolution={"dt": 1e-300, "t_final": 1.0})
+    with pytest.raises(ConfigError, match="evolution.dt"):
+        parse_config(json.dumps(doc))
+    doc = dict(MINIMAL, scenario="semiclassics", vlasov={"dt": 1e-12})
+    with pytest.raises(ConfigError, match="vlasov.dt"):
+        parse_config(json.dumps(doc))
 
 
 def test_parse_rejects_unknown_keys():
@@ -198,10 +205,19 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 dict(MINIMAL, fock={"times": [1, 2]}),
                 dict(MINIMAL, potential={"shape": "zero", "strength": 1.0}),
                 dict(MINIMAL, potential={"shape": "gaussian", "strength": "1", "sigma": 0.2}),
-                dict(MINIMAL, potential={"shape": "cosine", "strength": 1.0, "mode": 1.5})]:
-        case = write_config(tmp_path, doc, "case.json")
+                dict(MINIMAL, potential={"shape": "cosine", "strength": 1.0, "mode": 1.5}),
+                # step counts that would never finish
+                dict(MINIMAL, evolution={"dt": 1e-300, "t_final": 1.0}),
+                dict(MINIMAL, evolution={"dt": 1e-320, "t_final": 1.0}),
+                dict(semiclassics, vlasov={"dt": 1e-12}),
+                # an integer literal beyond Python's 4300-digit parsing limit
+                json.dumps(MINIMAL).replace('"n_particles": 2',
+                                            '"n_particles": ' + "1" * 5000)]:
+        case = tmp_path / "case.json"
+        case.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        scenario = doc["scenario"] if isinstance(doc, dict) else "evolve"
         out = tmp_path / "case"
-        assert main([doc["scenario"], "--config", case, "--out", str(out)]) == 2, doc
+        assert main([scenario, "--config", str(case), "--out", str(out)]) == 2, doc
         assert capsys.readouterr().err.startswith("config error"), doc
         assert not os.path.exists(out / "summary.json")
 
@@ -260,6 +276,15 @@ def test_cli_numeric_failure_exit_three(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_float_overflow_exit_three(tmp_path, capsys):
+    # hbar^2 in the kinetic operator overflows a float
+    path = write_config(tmp_path, dict(MINIMAL, model={"n_particles": 2, "hbar": 1e200}))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not os.path.exists(out / "summary.json")
+
+
 def test_cli_seed_override_recorded(tmp_path):
     path = write_config(tmp_path, dict(MINIMAL, seed=1))
     out = str(tmp_path / "out")
@@ -298,6 +323,21 @@ def test_run_fluctuation_beyond_dense_unitarity_check(tmp_path):
     assert np.isfinite(result["final_mean_particle_number"])
     assert result["final_mean_particle_number"] >= -1e-12
     assert np.isfinite(result["final_moment"]) and result["final_moment"] >= 1.0
+
+
+def test_run_fluctuation_rows_end_at_t_final(tmp_path):
+    # a stride of 2 does not divide the 5 steps: t_final is still a row
+    doc = dict(MINIMAL, scenario="fluctuation",
+               potential={"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+               initial={"kind": "trapped", "strength": 50.0},
+               evolution={"dt": 1e-2, "t_final": 0.05, "snapshot_stride": 2})
+    out = tmp_path / "fl"
+    result = run(parse_config(json.dumps(doc)), str(out))["result"]
+    rows = (out / "series.csv").read_text().splitlines()[1:]
+    t, m1, m2 = (np.array([float(r.split(",")[i]) for r in rows]) for i in range(3))
+    np.testing.assert_allclose(t, [0.0, 0.02, 0.04, 0.05], atol=1e-12)
+    assert result["final_mean_particle_number"] == m1[-1]
+    assert result["final_moment"] == m2[-1]
 
 
 def test_run_requires_evolution_for_dynamic_scenarios():

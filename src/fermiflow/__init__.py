@@ -13,20 +13,19 @@ from .model import (Lattice, ModelParams, Potential, build_potential,
                     fourier_matrix, kinetic_operator, make_lattice,
                     momentum_operator, phase_operator)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, PhaseSpaceSymbol,
-                           SemiclassicalReport, default_probe_momenta,
                            fermi_ball_indices, kernel_ansatz,
-                           plane_wave_projection, semiclassical_constant,
-                           trapped_slater, weyl_quantize)
+                           plane_wave_projection, trapped_slater, weyl_quantize)
+from .diagnostics import (CommutatorSeries, DistanceSeries, GrowthFit,
+                          SemiclassicalReport, commutator_momentum,
+                          commutator_phase, default_probe_momenta,
+                          distance_series, fit_double_exponential,
+                          fit_exponential, hs_norm, semiclassical_constant,
+                          semiclassical_series, trace_norm)
 from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory,
                         compare_hf_hartree, density_profile, direct_term,
                         evolve, exchange_term, generator, hf_energy, step)
-from .diagnostics import (CommutatorSeries, DistanceSeries, GrowthFit,
-                          commutator_momentum, commutator_phase, distance_series,
-                          fit_double_exponential, fit_exponential, hs_norm,
-                          semiclassical_series, trace_norm)
-from .semiclassics import (PhaseSpaceDensity, WignerFunction,
-                           compare_wigner_vlasov, momentum_grid, vlasov_step,
-                           wigner)
+from .semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
+                           momentum_grid, vlasov_step, wigner)
 from .snapshots import read_fmf1, write_csv, write_fmf1
 
 __all__ = [name for name in dir() if not name.startswith("_")]

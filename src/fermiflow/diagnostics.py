@@ -1,31 +1,39 @@
-"""Trace-norm machinery, commutator diagnostics along trajectories,
-mean-field-vs-exact distances, and exponential growth fits.
+"""Every diagnostic the flows are measured by: the trace norm of a Hermitian
+matrix, the semiclassical commutator norms of a state and their series
+along a trajectory, mean-field-vs-exact distances, and exponential growth
+fits.
 
-Both commutators are trace norms of Hermitian matrices, so each is one
-`eigvalsh` on an elementwise product, with no dense operator products:
+Each trace norm is tr|h| = sum |eigvalsh(h)| of a Hermitian h, computed by
+one function, `trace_norm`.  The kernels take matrices; the functions of a
+state take `DensityMatrix` states.  Both commutators are trace norms of
+elementwise products, with no dense operator products:
 
 * A = diag(e^{i r.x}) is unitary and [A, omega] = A (omega - A* omega A),
   so tr|[A, omega]| = tr|omega - A* omega A|;
 * hbar d/dx = F* diag(i hbar p) F, so tr|[hbar d/dx, omega]| is the trace
   norm of the matrix i hbar (p_j - p_k) omega_hat_jk, omega_hat = F omega F*.
+
+A difference gamma - omega of Hermitian matrices is Hermitian too, so the
+trace distance is the same kind of norm.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .initial_data import semiclassical_constant
-from .model import Lattice, ModelParams, fourier_matrix
+from .model import Lattice, ModelParams, fourier_matrix, is_hermitian
 
 __all__ = [
     "CommutatorSeries",
+    "SemiclassicalReport",
     "GrowthFit",
     "DistanceSeries",
     "trace_norm",
     "hs_norm",
     "commutator_phase",
     "commutator_momentum",
+    "default_probe_momenta",
+    "semiclassical_constant",
     "semiclassical_series",
     "fit_exponential",
     "fit_double_exponential",
@@ -38,8 +46,16 @@ class CommutatorSeries:
     times: np.ndarray
     c_phase: np.ndarray
     c_momentum: np.ndarray
-    normalization: float  # N * hbar
-    p_set: np.ndarray = field(repr=False)
+
+
+@dataclass
+class SemiclassicalReport:
+    """Normalized commutator sizes of a state; small values mean the state
+    carries the diagonal-concentration structure at scale hbar."""
+
+    c_phase: float
+    c_momentum: float
+    phase_norms: np.ndarray = field(repr=False)  # tr |[e^{i p.x}, omega]| per probe
 
 
 @dataclass
@@ -56,21 +72,13 @@ class DistanceSeries:
     tr: np.ndarray
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values of a general matrix."""
-    a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("trace norm of a matrix with non-finite entries")
-    try:
-        return float(np.sum(scipy.linalg.svdvals(a)))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError("SVD failed to converge in trace_norm") from exc
-
-
-def _hermitian_trace_norm(h: np.ndarray) -> float:
-    """tr|h| of a Hermitian matrix: the sum of |eigenvalues|."""
+def trace_norm(h: np.ndarray) -> float:
+    """tr|h| of a Hermitian matrix: the sum of |eigenvalues|.  Non-finite or
+    non-Hermitian input (beyond round-off) is rejected."""
     if not np.all(np.isfinite(h)):
         raise ValueError("trace norm of a matrix with non-finite entries")
+    if not is_hermitian(h):
+        raise ValueError("trace norm of a non-Hermitian matrix")
     try:
         return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -82,41 +90,68 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
-def commutator_phase(omega, r, lattice: Lattice) -> float:
-    """tr |[e^{i r.x}, omega]| = tr |omega - e^{-i r.x} omega e^{i r.x}|."""
+def commutator_phase(m: np.ndarray, r, lattice: Lattice) -> float:
+    """tr |[e^{i r.x}, m]| = tr |m - e^{-i r.x} m e^{i r.x}|."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (lattice.ds,):
         raise ValueError(f"r must have {lattice.ds} components")
     a = np.exp(1j * (lattice.sites() @ r))
-    m = omega.matrix if hasattr(omega, "matrix") else omega
-    return _hermitian_trace_norm(m - a.conj()[:, None] * m * a[None, :])
+    return trace_norm(m - a.conj()[:, None] * m * a[None, :])
 
 
-def commutator_momentum(omega, params: ModelParams, lattice: Lattice) -> float:
-    """sum over axes of tr |[hbar d/dx_axis, omega]|, taken in the momentum
+def commutator_momentum(m: np.ndarray, hbar: float, lattice: Lattice) -> float:
+    """sum over axes of tr |[hbar d/dx_axis, m]|, taken in the momentum
     basis where hbar d/dx_axis is diag(i hbar p_axis)."""
-    m = omega.matrix if hasattr(omega, "matrix") else omega
     f = fourier_matrix(lattice)
     m_hat = f @ m @ f.conj().T
     total = 0.0
     for p in lattice.momenta().T:
         dp = p[:, None] - p[None, :]
-        total += _hermitian_trace_norm((1j * params.hbar) * dp * m_hat)
+        total += trace_norm((1j * hbar) * dp * m_hat)
     return total
+
+
+def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
+    """All nonzero lattice momenta with |k_i| <= max_index per axis."""
+    axis = np.arange(-max_index, max_index + 1)
+    grids = np.meshgrid(*([axis] * lattice.ds), indexing="ij")
+    k = np.stack([g.ravel() for g in grids], axis=-1)
+    k = k[np.any(k != 0, axis=1)]
+    return k * (2.0 * np.pi / lattice.length)
+
+
+def semiclassical_constant(omega, lattice: Lattice, hbar: float,
+                           p_set: np.ndarray = None) -> SemiclassicalReport:
+    """The commutator norms of a `DensityMatrix` omega, normalized by N*hbar.
+    tr|[e^{-i p.x}, omega]| = tr|[e^{i p.x}, omega]|, so a probe whose
+    negative was already measured reuses that norm."""
+    if p_set is None:
+        p_set = default_probe_momenta(lattice)
+    p_set = np.atleast_2d(np.asarray(p_set, dtype=float))
+    if p_set.shape[0] == 0:
+        raise ValueError("p_set must be nonempty")
+    m, norm = omega.matrix, omega.n_particles * hbar
+    norms = {}
+    for p in p_set:
+        if tuple(p) not in norms:
+            norms[tuple(p)] = norms[tuple(-p)] = commutator_phase(m, p, lattice)
+    phase_norms = np.array([norms[tuple(p)] for p in p_set])
+    c_phase = max(val / ((1.0 + np.linalg.norm(p)) * norm)
+                  for val, p in zip(phase_norms, p_set))
+    c_momentum = commutator_momentum(m, hbar, lattice) / norm
+    return SemiclassicalReport(c_phase=float(c_phase), c_momentum=float(c_momentum),
+                               phase_norms=phase_norms)
 
 
 def semiclassical_series(trajectory, p_set, params: ModelParams,
                          lattice: Lattice) -> CommutatorSeries:
     """Per-snapshot normalized commutator sizes along a trajectory: one
     `semiclassical_constant` per snapshot."""
-    p_set = np.atleast_2d(np.asarray(p_set, dtype=float))
     reports = [semiclassical_constant(state, lattice, params.hbar, p_set)
                for state in trajectory.states]
     return CommutatorSeries(times=np.array(trajectory.times),
                             c_phase=np.array([rep.c_phase for rep in reports]),
-                            c_momentum=np.array([rep.c_momentum for rep in reports]),
-                            normalization=params.n_particles * params.hbar,
-                            p_set=p_set)
+                            c_momentum=np.array([rep.c_momentum for rep in reports]))
 
 
 def fit_exponential(series, times) -> GrowthFit:
@@ -168,16 +203,16 @@ def fit_double_exponential(series, times):
 
 
 def distance_series(gamma_series, omega_series, times=None) -> DistanceSeries:
-    """HS and trace distances per time between two matched state series."""
+    """HS and trace distances per time between two matched series of
+    Hermitian matrices."""
     if len(gamma_series) != len(omega_series):
         raise ValueError("mismatched series lengths")
     mats = []
     for g, w in zip(gamma_series, omega_series):
-        gm = g.matrix if hasattr(g, "matrix") else np.asarray(g)
-        wm = w.matrix if hasattr(w, "matrix") else np.asarray(w)
-        if gm.shape != wm.shape:
+        g, w = np.asarray(g), np.asarray(w)
+        if g.shape != w.shape:
             raise ValueError("mismatched state dimensions")
-        mats.append(gm - wm)
+        mats.append(g - w)
     hs = np.array([hs_norm(m) for m in mats])
     tr = np.array([trace_norm(m) for m in mats])
     if times is None:

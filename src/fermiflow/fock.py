@@ -201,8 +201,9 @@ class BogoliubovSpec:
 
 
 def bogoliubov_from_projection(omega) -> BogoliubovSpec:
-    """Particle-hole Bogoliubov data for an orthogonal projection omega."""
-    m = omega.matrix if hasattr(omega, "matrix") else np.asarray(omega, dtype=complex)
+    """Particle-hole Bogoliubov data for a `DensityMatrix` omega that is an
+    orthogonal projection."""
+    m = omega.matrix
     if np.linalg.norm(m @ m - m, "fro") > 1e-10:
         raise ValueError("input is not an orthogonal projection")
     eig, vec = np.linalg.eigh(m)
@@ -350,14 +351,15 @@ def generalized_density(psi: np.ndarray, space: FockSpace = None) -> np.ndarray:
 
 
 def number_moment(xi: np.ndarray, k: int, space: FockSpace = None) -> float:
-    """<xi, (N_op + 1)^k xi> / ||xi||^2."""
+    """<xi, (N_op + 1)^k xi> / ||xi||^2.  Numerator and norm sum over one
+    array of |xi|^2, so the moment is >= 1 exactly, not only to round-off."""
     if not 0 <= k <= 6:
         raise ValueError("k must be between 0 and 6")
     if space is None:
         space = FockSpace(int(round(np.log2(xi.shape[0]))))
     weights = (space.occupations() + 1.0) ** k
-    nrm2 = float(np.vdot(xi, xi).real)
-    return float(np.sum(weights * np.abs(xi) ** 2) / nrm2)
+    prob = np.abs(xi) ** 2
+    return float(np.sum(weights * prob) / np.sum(prob))
 
 
 def fluctuation_vector(space: FockSpace, omega, psi: np.ndarray) -> np.ndarray:

@@ -1,28 +1,26 @@
 """Semiclassically structured initial density matrices.
 
-Plane-wave Fermi balls, trapped Slater projections, Weyl quantizations of
-phase-space symbols, and the diagonal-concentrated kernel ansatz; plus the
-commutator diagnostics quantifying how semiclassical a given state is.
+The state type, `DensityMatrix`, and the states the flows start from:
+plane-wave Fermi balls, trapped Slater projections, Weyl quantizations of
+phase-space symbols, and the diagonal-concentrated kernel ansatz.  How
+semiclassical a state is, is measured in `diagnostics`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Lattice, ModelParams, kinetic_operator
+from .model import Lattice, is_hermitian, kinetic_operator
 
 __all__ = [
     "DensityMatrix",
     "PhaseSpaceSymbol",
-    "SemiclassicalReport",
     "DegenerateFermiLevel",
     "fermi_ball_indices",
     "plane_wave_projection",
     "trapped_slater",
     "weyl_quantize",
     "kernel_ansatz",
-    "semiclassical_constant",
-    "default_probe_momenta",
 ]
 
 
@@ -42,7 +40,7 @@ class DensityMatrix:
         m = self.matrix
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        if not is_hermitian(m):
             raise ValueError("density matrix is not Hermitian")
         eig = np.linalg.eigvalsh(m)
         if eig.min() < -1e-10 or eig.max() > 1.0 + 1e-10:
@@ -64,17 +62,6 @@ class PhaseSpaceSymbol:
     """Real function M(p, x) sampled on momentum grid x site grid."""
 
     values: np.ndarray  # shape (momentum count, site count)
-
-
-@dataclass
-class SemiclassicalReport:
-    """Normalized commutator sizes of a state; small values mean the state
-    carries the diagonal-concentration structure at scale hbar."""
-
-    c_phase: float
-    c_momentum: float
-    p_set: np.ndarray = field(repr=False)
-    phase_norms: np.ndarray = field(repr=False)  # tr |[e^{i p.x}, omega]| per probe
 
 
 def fermi_ball_indices(lattice: Lattice, n: int) -> np.ndarray:
@@ -226,38 +213,3 @@ def kernel_ansatz(chi: np.ndarray, fermi_radius: float, lattice: Lattice,
     n = int(round(np.trace(omega).real))
     dm = DensityMatrix(matrix=omega, n_particles=max(n, 1))
     return dm, dm.idempotency_defect()
-
-
-def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
-    """All nonzero lattice momenta with |k_i| <= max_index per axis."""
-    axis = np.arange(-max_index, max_index + 1)
-    grids = np.meshgrid(*([axis] * lattice.ds), indexing="ij")
-    k = np.stack([g.ravel() for g in grids], axis=-1)
-    k = k[np.any(k != 0, axis=1)]
-    return k * (2.0 * np.pi / lattice.length)
-
-
-def semiclassical_constant(omega: DensityMatrix, lattice: Lattice, hbar: float,
-                           p_set: np.ndarray = None) -> SemiclassicalReport:
-    """Exact commutator trace norms (one Hermitian `eigvalsh` each), normalized
-    by N*hbar.  tr|[e^{-i p.x}, omega]| = tr|[e^{i p.x}, omega]|, so a probe
-    whose negative was already measured reuses that norm."""
-    from .diagnostics import commutator_momentum, commutator_phase
-
-    if p_set is None:
-        p_set = default_probe_momenta(lattice)
-    p_set = np.atleast_2d(np.asarray(p_set, dtype=float))
-    if p_set.shape[0] == 0:
-        raise ValueError("p_set must be nonempty")
-    norm = omega.n_particles * hbar
-    norms = {}
-    for p in p_set:
-        if tuple(p) not in norms:
-            norms[tuple(p)] = norms[tuple(-p)] = commutator_phase(omega, p, lattice)
-    phase_norms = np.array([norms[tuple(p)] for p in p_set])
-    c_phase = max(val / ((1.0 + np.linalg.norm(p)) * norm)
-                  for val, p in zip(phase_norms, p_set))
-    params = ModelParams(n_particles=omega.n_particles, ds=lattice.ds, hbar=hbar)
-    c_momentum = commutator_momentum(omega, params, lattice) / norm
-    return SemiclassicalReport(c_phase=float(c_phase), c_momentum=float(c_momentum),
-                               p_set=p_set, phase_norms=phase_norms)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import distance_series
 from .initial_data import DensityMatrix
 from .model import (Lattice, ModelParams, Potential, _shifted_fft, _shifted_ifft,
                     kinetic_operator)
@@ -39,7 +40,6 @@ __all__ = [
 class MeanFieldKind(enum.Enum):
     HARTREE_FOCK = "hartree_fock"
     HARTREE = "hartree"
-    FREE = "free"
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,7 @@ def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
 def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
               params: ModelParams, lattice: Lattice) -> np.ndarray:
     """Effective one-particle Hamiltonian h(omega) for the requested flow."""
-    kinetic = kinetic_operator(lattice, params.hbar)
-    if kind is MeanFieldKind.FREE:
-        return kinetic
-    h = kinetic.copy()  # kinetic_operator is cached: never write into it
+    h = kinetic_operator(lattice, params.hbar).copy()  # cached: never write into it
     h[np.diag_indices_from(h)] += direct_term(density_profile(omega, lattice),
                                               v, lattice)
     if kind is MeanFieldKind.HARTREE_FOCK:
@@ -128,14 +125,11 @@ def _conjugate(omega_mat: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> 
 def step(omega: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
          v: Potential, params: ModelParams, lattice: Lattice) -> DensityMatrix:
     """One exponential midpoint step: the generator is re-evaluated at the
-    average of omega and an exponential-Euler predictor.  The free generator
-    does not depend on omega and needs no predictor."""
+    average of omega and an exponential-Euler predictor."""
     h = generator(omega, kind, v, params, lattice)
-    if kind is not MeanFieldKind.FREE:
-        pred = _conjugate(omega.matrix, h, cfg.dt, params.hbar)
-        mid = DensityMatrix(matrix=0.5 * (omega.matrix + pred),
-                            n_particles=omega.n_particles)
-        h = generator(mid, kind, v, params, lattice)
+    pred = _conjugate(omega.matrix, h, cfg.dt, params.hbar)
+    mid = DensityMatrix(matrix=0.5 * (omega.matrix + pred), n_particles=omega.n_particles)
+    h = generator(mid, kind, v, params, lattice)
     new = _conjugate(omega.matrix, h, cfg.dt, params.hbar)
     return DensityMatrix(matrix=new, n_particles=omega.n_particles)
 
@@ -196,10 +190,7 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
 def compare_hf_hartree(omega0: DensityMatrix, cfg: EvolutionConfig, v: Potential,
                        params: ModelParams, lattice: Lattice):
     """Trace-norm gap tr|omega_HF(t) - omega_H(t)| from shared initial data."""
-    from .diagnostics import _hermitian_trace_norm
-
     hf = evolve(omega0, cfg, MeanFieldKind.HARTREE_FOCK, v, params, lattice)
     hh = evolve(omega0, cfg, MeanFieldKind.HARTREE, v, params, lattice)
-    gaps = [_hermitian_trace_norm(a.matrix - b.matrix)
-            for a, b in zip(hf.states, hh.states)]
-    return np.array(hf.times), np.array(gaps)
+    gaps = distance_series([s.matrix for s in hf.states], [s.matrix for s in hh.states]).tr
+    return np.array(hf.times), gaps

@@ -25,6 +25,7 @@ __all__ = [
     "make_lattice",
     "build_potential",
     "fourier_matrix",
+    "is_hermitian",
     "kinetic_operator",
     "momentum_operator",
     "phase_operator",
@@ -135,6 +136,11 @@ def fourier_matrix(lattice: Lattice) -> np.ndarray:
     """Unitary lattice Fourier transform F[k, j] = exp(-i p_k.x_j)/sqrt(M)."""
     phase = lattice.momenta() @ lattice.sites().T
     return np.exp(-1j * phase) / np.sqrt(lattice.site_count)
+
+
+def is_hermitian(m: np.ndarray) -> bool:
+    """m = m* to round-off: no entry of m - m* above 1e-12 max(1, max |m|)."""
+    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(m))))
 
 
 def _shifted_fft(values: np.ndarray, lattice: Lattice) -> np.ndarray:

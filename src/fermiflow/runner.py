@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .diagnostics import fit_exponential, semiclassical_series, distance_series
-from .initial_data import (DegenerateFermiLevel, DensityMatrix, default_probe_momenta,
-                           fermi_ball_indices, kernel_ansatz, plane_wave_projection,
-                           semiclassical_constant, trapped_slater)
+from .diagnostics import (default_probe_momenta, distance_series, fit_exponential,
+                          semiclassical_constant, semiclassical_series)
+from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
+                           kernel_ansatz, plane_wave_projection, trapped_slater)
 from .meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree, evolve)
 from .model import Lattice, ModelParams, Potential, build_potential, make_lattice
 from .snapshots import write_csv, write_fmf1
@@ -157,6 +157,12 @@ def parse_config(text: str) -> RunConfig:
     if params.n_particles > lattice.site_count:
         raise ConfigError(f"model.n_particles must not exceed the "
                           f"{lattice.site_count} lattice sites")
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy, where float ** raises
+        top = np.float64(params.hbar) ** 2 * np.max(np.sum(lattice.momenta() ** 2, axis=1))
+    if not np.isfinite(top):
+        raise ConfigError(f"model.hbar={params.hbar!r} and lattice.length="
+                          f"{lattice.length!r} make the largest kinetic energy "
+                          f"hbar^2 |p|^2 overflow")
     if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
         raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
     if initial["kind"] == "kernel" and scenario != "diagnostics-only":
@@ -280,7 +286,7 @@ def _scenario_compare(cfg: RunConfig, out):
 
 
 def _fock_lattice(cfg: RunConfig):
-    from .fock import FockSpace
+    from .fock import FockSpace  # fock loads scipy.sparse, which no other scenario needs
 
     try:
         space = FockSpace(cfg.fock["l_sites"] or cfg.lattice.d)
@@ -310,7 +316,7 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
 
     space, traj, psis = _exact_states(cfg, cfg.kind)
     gammas = [rdm1(psi, space) for psi in psis]
-    dist = distance_series(gammas, traj.states, times=traj.times)
+    dist = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
     write_csv(os.path.join(out, "series.csv"),
               {"t": dist.times, "hs_distance": dist.hs, "trace_distance": dist.tr})
     return {"final_hs_distance": float(dist.hs[-1]),

@@ -19,7 +19,6 @@ from .meanfield import direct_term
 from .model import Lattice, Potential, _shifted_fft, _shifted_ifft
 
 __all__ = [
-    "WignerFunction",
     "PhaseSpaceDensity",
     "wigner",
     "momentum_grid",
@@ -29,18 +28,13 @@ __all__ = [
 
 
 @dataclass
-class WignerFunction:
-    values: np.ndarray   # shape (d sites, d momenta)
-    hbar: float
-    weight: float        # constant quadrature weight, sum(values)*weight = tr omega
-    momenta: np.ndarray  # q_k labels
-
-
-@dataclass
 class PhaseSpaceDensity:
+    """A signed density on the site x momentum grid: a Wigner transform or a
+    Vlasov state."""
+
     values: np.ndarray   # shape (d sites, d momenta), signed
-    momenta: np.ndarray
-    weight: float
+    momenta: np.ndarray  # q_k labels
+    weight: float        # constant quadrature weight: mass = sum(values) * weight
 
     @property
     def mass(self) -> float:
@@ -52,14 +46,14 @@ def momentum_grid(lattice: Lattice, hbar: float) -> np.ndarray:
     return np.pi * hbar / lattice.length * np.arange(-half, lattice.d - half)
 
 
-def wigner(omega: DensityMatrix, lattice: Lattice, hbar: float) -> WignerFunction:
+def wigner(omega: DensityMatrix, lattice: Lattice, hbar: float) -> PhaseSpaceDensity:
     """Symmetrized discrete Wigner transform; real for Hermitian input."""
     if lattice.ds != 1:
         raise ValueError("Wigner transform implemented for ds = 1 only")
     if lattice.d % 2 != 0:
         raise ValueError("Wigner transform needs an even site count")
     d = lattice.d
-    m = omega.matrix if hasattr(omega, "matrix") else np.asarray(omega)
+    m = omega.matrix
     j = np.arange(d)
     off = np.arange(d)
     slices = m[(j[:, None] + off[None, :]) % d, (j[:, None] - off[None, :]) % d]
@@ -67,8 +61,8 @@ def wigner(omega: DensityMatrix, lattice: Lattice, hbar: float) -> WignerFunctio
     w = np.fft.fftshift(w, axes=1)
     if np.max(np.abs(w.imag)) > 1e-10 * max(1.0, np.max(np.abs(w))):
         raise ValueError("Wigner transform of a non-Hermitian matrix")
-    return WignerFunction(values=w.real, hbar=hbar, weight=1.0 / d,
-                          momenta=momentum_grid(lattice, hbar))
+    return PhaseSpaceDensity(values=w.real, momenta=momentum_grid(lattice, hbar),
+                             weight=1.0 / d)
 
 
 def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -121,8 +115,7 @@ def compare_wigner_vlasov(mf_traj, v: Potential, params, lattice: Lattice,
     Each snapshot interval must be a whole number of Vlasov steps `dt`."""
     if not mf_traj.states:
         raise ValueError("empty trajectory")
-    w0 = wigner(mf_traj.states[0], lattice, params.hbar)
-    cur = PhaseSpaceDensity(values=w0.values, momenta=w0.momenta, weight=w0.weight)
+    cur = wigner(mf_traj.states[0], lattice, params.hbar)
     times = list(mf_traj.times)
     dists = []
     t_now = 0.0
@@ -136,6 +129,6 @@ def compare_wigner_vlasov(mf_traj, v: Potential, params, lattice: Lattice,
             cur = vlasov_step(cur, dt, v, lattice, params.n_particles)
         t_now += n_sub * dt
         wq = wigner(state, lattice, params.hbar)
-        dists.append(float(np.sum(np.abs(wq.values - cur.values)) * w0.weight))
+        dists.append(float(np.sum(np.abs(wq.values - cur.values)) * cur.weight))
     gap = np.array(dists)
     return np.array(times), gap, gap / (params.hbar * params.n_particles)

@@ -8,11 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from fermiflow.diagnostics import (distance_series, fit_double_exponential,
-                                   fit_exponential, semiclassical_series,
-                                   trace_norm)
-from fermiflow.initial_data import (DensityMatrix, default_probe_momenta,
-                                    semiclassical_constant, trapped_slater)
+from fermiflow.diagnostics import (default_probe_momenta, distance_series,
+                                   fit_double_exponential, fit_exponential,
+                                   semiclassical_constant, semiclassical_series)
+from fermiflow.initial_data import DensityMatrix, trapped_slater
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind,
                                  compare_hf_hartree, evolve)
 from fermiflow.model import (ModelParams, build_potential, kinetic_operator,
@@ -77,8 +76,10 @@ def test_criterion_03_single_particle_exchange_cancellation(capsys):
     params = ModelParams(n_particles=1, ds=1)
     pot = build_potential(gaussian(1.0, 0.2), lat)
     om0 = trapped_slater(lat, params.hbar, harmonic_trap(lat, 10.0), 1)
+    # the free flow: either mean-field kind with the zero potential
     free = evolve(om0, EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100),
-                  MeanFieldKind.FREE, pot, params, lat)
+                  MeanFieldKind.HARTREE_FOCK, build_potential({"shape": "zero"}, lat),
+                  params, lat)
     hf = evolve(om0, EvolutionConfig(dt=2e-5, t_final=1.0, snapshot_stride=50000),
                 MeanFieldKind.HARTREE_FOCK, pot, params, lat)
     hh = evolve(om0, EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000),
@@ -162,7 +163,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     cfg = EvolutionConfig(dt=1e-4, t_final=0.1, snapshot_stride=100)
     traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
     gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
-    dist = distance_series(gammas, traj.states, times=traj.times)
+    dist = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
     mask = dist.times >= 0.01 - 1e-12
     slope = np.polyfit(np.log(dist.times[mask]), np.log(dist.hs[mask]), 1)[0]
 
@@ -172,7 +173,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     prop0 = SectorPropagator(space, hamiltonian(space, v0, params, lat),
                              params.hbar)
     gam0 = [rdm1(prop0(psi0, t), space) for t in traj0.times]
-    free_dist = np.max(distance_series(gam0, traj0.states).hs)
+    free_dist = np.max(distance_series(gam0, [s.matrix for s in traj0.states]).hs)
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
     report(capsys, 7, "mean-field accuracy order", ok,
            f"slope={slope:.3f} free-case distance={free_dist:.2e}")
@@ -269,9 +270,8 @@ def test_criterion_11_wigner_vlasov_checks(capsys):
     sum_err = abs(float(np.sum(w0.values)) * w0.weight - 4.0)
 
     pot = build_potential(gaussian(1.0, 0.2), lat32)
-    w32 = PhaseSpaceDensity(values=w0.values, momenta=w0.momenta, weight=w0.weight)
-    out32 = vlasov_step(w32, 1e-3, pot, lat32, 4)
-    mass_err = abs(out32.mass - w32.mass)
+    out32 = vlasov_step(w0, 1e-3, pot, lat32, 4)
+    mass_err = abs(out32.mass - w0.mass)
 
     ok = transport_err <= 1e-12 and sum_err <= 1e-8 and mass_err <= 1e-10
     report(capsys, 11, "Wigner/Vlasov invariants", ok,

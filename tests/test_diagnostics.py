@@ -3,16 +3,26 @@
 import numpy as np
 import pytest
 
-from fermiflow.diagnostics import (_hermitian_trace_norm, commutator_momentum,
-                                   commutator_phase, distance_series,
+from fermiflow.diagnostics import (commutator_momentum, commutator_phase,
+                                   default_probe_momenta, distance_series,
                                    fit_double_exponential, fit_exponential, hs_norm,
-                                   semiclassical_series, trace_norm)
-from fermiflow.initial_data import (default_probe_momenta, fermi_ball_indices,
-                                    kernel_ansatz, plane_wave_projection,
-                                    semiclassical_constant, trapped_slater)
+                                   semiclassical_constant, semiclassical_series,
+                                   trace_norm)
+from fermiflow.initial_data import (fermi_ball_indices, kernel_ansatz,
+                                    plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import (ModelParams, build_potential, make_lattice,
                              momentum_operator, phase_operator)
+
+
+def svd_trace_norm(a):
+    """The oracle for every trace norm: the sum of singular values."""
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def random_hermitian(rng, n):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return x + x.conj().T
 
 
 def test_trace_norm_examples():
@@ -20,11 +30,16 @@ def test_trace_norm_examples():
     rng = np.random.default_rng(0)
     u = rng.normal(size=5) + 1j * rng.normal(size=5)
     v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    assert trace_norm(np.outer(u, v.conj())) == pytest.approx(
-        np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    oracle = np.sum(np.sqrt(np.linalg.eigvalsh(a.conj().T @ a).clip(min=0)))
-    assert trace_norm(a) == pytest.approx(oracle, rel=1e-10)
+    assert trace_norm(np.outer(u, u.conj())) == pytest.approx(np.vdot(u, u).real,
+                                                             rel=1e-12)
+    # u v* + v u* has the eigenvalues Re c +- sqrt(|u|^2 |v|^2 - (Im c)^2),
+    # c = <u, v>, of opposite signs, and 0
+    c = np.vdot(u, v)
+    oracle = 2.0 * np.sqrt(np.vdot(u, u).real * np.vdot(v, v).real - c.imag ** 2)
+    assert trace_norm(np.outer(u, v.conj()) + np.outer(v, u.conj())) == pytest.approx(
+        oracle, rel=1e-12)
+    a = random_hermitian(rng, 6)
+    assert trace_norm(a) == pytest.approx(svd_trace_norm(a), rel=1e-12)
 
 
 def test_trace_norm_rejects_non_finite():
@@ -32,12 +47,22 @@ def test_trace_norm_rejects_non_finite():
         trace_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_trace_norm_rejects_non_hermitian_beyond_round_off():
+    rng = np.random.default_rng(5)
+    a = random_hermitian(rng, 6)
+    skew = 1e-15 * (1j * rng.normal(size=(6, 6)))
+    assert trace_norm(a + skew) == pytest.approx(svd_trace_norm(a), rel=1e-12)
+    for bad in (a + 1e-9 * rng.normal(size=(6, 6)), np.array([[0.0, 1.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            trace_norm(bad)
+
+
 def test_hs_norm_examples():
     assert hs_norm(np.eye(4)) == pytest.approx(2.0)
     rng = np.random.default_rng(1)
     for _ in range(100):
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        assert hs_norm(a) <= trace_norm(a) + 1e-12
+        assert hs_norm(a) <= svd_trace_norm(a) + 1e-12
     lat = make_lattice(1, 16, 1.0)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 5))
     assert hs_norm(om.matrix) ** 2 == pytest.approx(5.0, abs=1e-10)
@@ -49,7 +74,7 @@ def test_semiclassical_series_free_ball():
     v0 = build_potential({"shape": "zero"}, lat)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=2)
-    traj = evolve(om, cfg, MeanFieldKind.FREE, v0, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
     p_set = lat.momenta()[np.any(lat.momentum_indices() != 0, axis=1)][:6]
     series = semiclassical_series(traj, p_set, params, lat)
     assert np.max(series.c_momentum) < 1e-10
@@ -60,12 +85,12 @@ def test_semiclassical_series_free_ball():
 
 def _dense_phase(m, r, lat):
     e = phase_operator(lat, r)
-    return trace_norm(e @ m - m @ e)
+    return svd_trace_norm(e @ m - m @ e)
 
 
 def _dense_momentum(m, hbar, lat):
     gs = [momentum_operator(lat, hbar, ax) for ax in range(lat.ds)]
-    return sum(trace_norm(g @ m - m @ g) for g in gs)
+    return sum(svd_trace_norm(g @ m - m @ g) for g in gs)
 
 
 @pytest.mark.parametrize("ds,d", [(1, 16), (2, 6), (3, 4)])
@@ -74,7 +99,6 @@ def test_commutators_match_dense_oracles(ds, d):
     lat = make_lattice(ds, d, 1.0)
     rng = np.random.default_rng(ds)
     hbar = 0.3
-    params = ModelParams(n_particles=3, ds=ds, hbar=hbar)
     slater = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
     chi = 0.5 + rng.random(lat.site_count)
     kernel, defect = kernel_ansatz(chi, 2.0, lat, hbar)
@@ -87,7 +111,7 @@ def test_commutators_match_dense_oracles(ds, d):
             val = commutator_phase(m, r, lat)
             assert val == pytest.approx(_dense_phase(m, r, lat), rel=1e-10)
             assert commutator_phase(m, -r, lat) == pytest.approx(val, rel=1e-10)
-        assert commutator_momentum(m, params, lat) == pytest.approx(
+        assert commutator_momentum(m, hbar, lat) == pytest.approx(
             _dense_momentum(m, hbar, lat), rel=1e-10)
 
 
@@ -117,12 +141,12 @@ def test_semiclassical_constant_pairs_probes_and_series_reuses_it():
 
 def test_hermitian_trace_norm_matches_svd_and_rejects_non_finite():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    assert _hermitian_trace_norm(x + x.conj().T) == pytest.approx(
-        trace_norm(x + x.conj().T), rel=1e-12)
+    for n in (1, 6, 40):
+        a = random_hermitian(rng, n)
+        assert trace_norm(a) == pytest.approx(svd_trace_norm(a), rel=1e-12)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            _hermitian_trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
+            trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_fit_exponential_exact_and_constant():
@@ -158,13 +182,17 @@ def test_fit_double_exponential_recovers_synthetic():
 
 def test_distance_series_basics():
     rng = np.random.default_rng(3)
-    mats = [rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            for _ in range(4)]
+    mats = [random_hermitian(rng, 5) for _ in range(4)]
     same = distance_series(mats, mats)
     assert np.all(same.hs == 0.0) and np.all(same.tr == 0.0)
-    other = [m + rng.normal(size=(5, 5)) for m in mats]
+    other = [m + random_hermitian(rng, 5) for m in mats]
     ds = distance_series(mats, other)
+    diffs = [m - o for m, o in zip(mats, other)]
+    np.testing.assert_allclose(ds.tr, [svd_trace_norm(d) for d in diffs], rtol=1e-12)
+    np.testing.assert_allclose(ds.hs, [np.linalg.norm(d) for d in diffs], rtol=1e-12)
     assert np.all(ds.hs <= ds.tr + 1e-12)
+    with pytest.raises(ValueError, match="mismatched"):
+        distance_series(mats, other[:3])
 
 
 def test_distance_series_free_slater_dynamics():
@@ -183,5 +211,5 @@ def test_distance_series_free_slater_dynamics():
     cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
     gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
-    ds = distance_series(gammas, traj.states, times=traj.times)
+    ds = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
     assert np.max(ds.tr) < 1e-8

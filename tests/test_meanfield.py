@@ -97,8 +97,11 @@ def test_exchange_cancels_direct_for_single_particle():
 
 def test_generator_free_and_term_difference(setup16):
     lat, pot, params, om = setup16
-    assert np.array_equal(generator(om, MeanFieldKind.FREE, pot, params, lat),
-                          kinetic_operator(lat, params.hbar))
+    # with the zero potential both kinds give the free generator, bit for bit
+    v0 = build_potential({"shape": "zero"}, lat)
+    for kind in MeanFieldKind:
+        assert np.array_equal(generator(om, kind, v0, params, lat),
+                              kinetic_operator(lat, params.hbar))
     h_hf = generator(om, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
     h_h = generator(om, MeanFieldKind.HARTREE, pot, params, lat)
     assert np.max(np.abs((h_h - h_hf) - exchange_term(om, pot))) < 1e-12
@@ -118,7 +121,7 @@ def test_step_free_is_exact_conjugation():
     params = ModelParams(n_particles=2, ds=1)
     om = trapped_slater(lat, params.hbar, harmonic(lat, 20.0), 2)
     cfg = EvolutionConfig(dt=0.3, t_final=0.3)
-    new = step(om, cfg, MeanFieldKind.FREE, pot, params, lat)
+    new = step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
     h = kinetic_operator(lat, params.hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * cfg.dt * eig / params.hbar)) @ vec.conj().T
@@ -153,7 +156,7 @@ def test_evolve_free_ball_is_stationary(setup16):
     lat, _, params, om = setup16
     v0 = build_potential({"shape": "zero"}, lat)
     cfg = EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100)
-    traj = evolve(om, cfg, MeanFieldKind.FREE, v0, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
     assert np.max(np.abs(traj.states[-1].matrix - om.matrix)) < 1e-10
 
 
@@ -228,14 +231,14 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
     with pytest.raises(ValueError, match="non-finite"):
         bad.validate()
     with pytest.raises(ValueError, match="non-finite"):
-        evolve(bad, cfg, MeanFieldKind.FREE, v0, params, lat)
+        evolve(bad, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
     # a step that produces NaN trips the blow-up guard
     nan_state = DensityMatrix(matrix=np.full((4, 4), np.nan, dtype=complex),
                               n_particles=4)
     monkeypatch.setattr(mf, "step", lambda *args: nan_state)
     good = DensityMatrix(matrix=np.eye(4, dtype=complex), n_particles=4)
     with pytest.raises(RuntimeError, match="blow-up"):
-        evolve(good, cfg, MeanFieldKind.FREE, v0, params, lat)
+        evolve(good, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
 
 
 @pytest.mark.parametrize("ds,d", [(2, 5), (3, 3)])

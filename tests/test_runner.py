@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ def test_parse_hbar_override():
     bad = dict(MINIMAL, model={"n_particles": 2, "hbar": -1.0})
     with pytest.raises(ConfigError, match="hbar"):
         parse_config(json.dumps(bad))
+    # hbar^2 |p|^2 beyond the float range, through hbar or through 1/length
+    for doc in (dict(MINIMAL, model={"n_particles": 2, "hbar": 1e200}),
+                dict(MINIMAL, lattice={"d": 8, "length": 1e-300}),
+                dict(MINIMAL, lattice={"d": 8, "length": 1e-320})):
+        with pytest.raises(ConfigError, match=r"model\.hbar.*lattice\.length"):
+            parse_config(json.dumps(doc))
 
 
 def test_parse_rejects_bad_dt_naming_key():
@@ -71,6 +79,10 @@ def test_parse_rejects_unknown_keys():
 def test_parse_rejects_bad_scenario_and_missing_sections():
     with pytest.raises(ConfigError, match="scenario"):
         parse_config(json.dumps(dict(MINIMAL, scenario="nope")))
+    # the free flow is either kind with the zero potential
+    with pytest.raises(ConfigError, match=r"kind must be one of \['hartree_fock', "
+                                          r"'hartree'\], got 'free'"):
+        parse_config(json.dumps(dict(MINIMAL, kind="free")))
     doc = {k: v for k, v in MINIMAL.items() if k != "model"}
     with pytest.raises(ConfigError, match="model"):
         parse_config(json.dumps(doc))
@@ -124,6 +136,18 @@ def test_run_crash_leaves_no_summary(tmp_path, monkeypatch):
     with pytest.raises(NumericFailure):
         run(cfg, out)
     assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_import_loads_no_scipy():
+    # every CLI start and every `import fermiflow` pays for what the package
+    # imports; only the scenarios that need scipy (the Fock oracle) load it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, fermiflow, fermiflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]", out
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):
@@ -193,6 +217,9 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 dict(MINIMAL, model={"n_particles": 2, "hbar": "x"}),
                 dict(MINIMAL, model={"n_particles": 2, "hbar": True}),
                 dict(MINIMAL, model={"n_particles": 2, "hbar": float("inf")}),
+                dict(MINIMAL, model={"n_particles": 2, "hbar": 1e200}),
+                dict(MINIMAL, lattice={"d": 8, "length": 1e-300}),
+                dict(MINIMAL, kind="free"),
                 dict(MINIMAL, model={"n_particles": 2.5}),
                 dict(MINIMAL, model={"n_particles": "2"}),
                 dict(MINIMAL, lattice={"d": 8, "length": "x"}),
@@ -277,8 +304,8 @@ def test_cli_numeric_failure_exit_three(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_float_overflow_exit_three(tmp_path, capsys):
-    # hbar^2 in the kinetic operator overflows a float
-    path = write_config(tmp_path, dict(MINIMAL, model={"n_particles": 2, "hbar": 1e200}))
+    # the cell volume (length / d)^ds of the direct term overflows a float
+    path = write_config(tmp_path, dict(MINIMAL, lattice={"ds": 3, "d": 2, "length": 1e300}))
     out = tmp_path / "o"
     assert main(["evolve", "--config", path, "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -338,6 +365,18 @@ def test_run_fluctuation_rows_end_at_t_final(tmp_path):
     np.testing.assert_allclose(t, [0.0, 0.02, 0.04, 0.05], atol=1e-12)
     assert result["final_mean_particle_number"] == m1[-1]
     assert result["final_moment"] == m2[-1]
+
+
+def test_run_fluctuation_moments_never_below_their_floor(tmp_path):
+    # <N> >= 0 and <(N+1)^k> >= 1 hold exactly, also where xi_t = vacuum
+    doc = dict(MINIMAL, scenario="fluctuation",
+               evolution={"dt": 0.01, "t_final": 0.05, "snapshot_stride": 2})
+    out = tmp_path / "fl"
+    run(parse_config(json.dumps(doc)), str(out))
+    rows = (out / "series.csv").read_text().splitlines()[1:]
+    m1, m2 = (np.array([float(r.split(",")[i]) for r in rows]) for i in (1, 2))
+    assert len(rows) == 4
+    assert np.all(m1 >= 0.0) and np.all(m2 >= 1.0), rows
 
 
 def test_run_requires_evolution_for_dynamic_scenarios():

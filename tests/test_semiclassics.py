@@ -88,8 +88,7 @@ def test_vlasov_mass_conservation_per_slice():
     lat = make_lattice(1, 32, 1.0)
     params = ModelParams(n_particles=4, ds=1)
     om = trapped_slater(lat, params.hbar, harmonic(lat, 50.0), 4)
-    w0 = wigner(om, lat, params.hbar)
-    w = PhaseSpaceDensity(values=w0.values, momenta=w0.momenta, weight=w0.weight)
+    w = wigner(om, lat, params.hbar)
     v0 = build_potential({"shape": "zero"}, lat)
     out = vlasov_step(w, 1e-3, v0, lat, params.n_particles)
     # with V = 0 each momentum slice is transported, preserving its own mass

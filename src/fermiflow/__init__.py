@@ -9,7 +9,7 @@ classical-limit comparison.
 
 __version__ = "0.1.0"
 
-from .model import (Lattice, ModelParams, Potential, build_potential,
+from .model import (Lattice, Potential, build_potential, default_hbar,
                     fourier_matrix, kinetic_operator, make_lattice,
                     momentum_operator, phase_operator)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, PhaseSpaceSymbol,

@@ -27,7 +27,12 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cfg = parse_config(text)
         if cfg.scenario != args.scenario:
             raise ConfigError(
                 f"config declares scenario {cfg.scenario!r}, "
@@ -37,14 +42,6 @@ def main(argv=None) -> int:
                 raise ConfigError("seed must fit in an unsigned 64-bit integer")
             cfg.seed = args.seed
             cfg.raw["seed"] = args.seed
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         summary = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

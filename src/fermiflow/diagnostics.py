@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Lattice, ModelParams, fourier_matrix, is_hermitian
+from .model import Lattice, fourier_matrix, is_hermitian
 
 __all__ = [
     "CommutatorSeries",
@@ -101,9 +101,13 @@ def commutator_phase(m: np.ndarray, r, lattice: Lattice) -> float:
 
 def commutator_momentum(m: np.ndarray, hbar: float, lattice: Lattice) -> float:
     """sum over axes of tr |[hbar d/dx_axis, m]|, taken in the momentum
-    basis where hbar d/dx_axis is diag(i hbar p_axis)."""
+    basis where hbar d/dx_axis is diag(i hbar p_axis).  m_hat is completed from
+    its lower triangle, all eigvalsh reads: each product is Hermitian exactly."""
+    if not is_hermitian(m):
+        raise ValueError("momentum commutator of a non-Hermitian matrix")
     f = fourier_matrix(lattice)
-    m_hat = f @ m @ f.conj().T
+    m_hat = np.tril(f @ m @ f.conj().T)
+    m_hat += np.tril(m_hat, -1).conj().T
     total = 0.0
     for p in lattice.momenta().T:
         dp = p[:, None] - p[None, :]
@@ -143,11 +147,11 @@ def semiclassical_constant(omega, lattice: Lattice, hbar: float,
                                phase_norms=phase_norms)
 
 
-def semiclassical_series(trajectory, p_set, params: ModelParams,
-                         lattice: Lattice) -> CommutatorSeries:
+def semiclassical_series(trajectory, p_set, lattice: Lattice,
+                         hbar: float) -> CommutatorSeries:
     """Per-snapshot normalized commutator sizes along a trajectory: one
     `semiclassical_constant` per snapshot."""
-    reports = [semiclassical_constant(state, lattice, params.hbar, p_set)
+    reports = [semiclassical_constant(state, lattice, hbar, p_set)
                for state in trajectory.states]
     return CommutatorSeries(times=np.array(trajectory.times),
                             c_phase=np.array([rep.c_phase for rep in reports]),

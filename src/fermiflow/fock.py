@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from .model import Lattice, ModelParams, Potential, kinetic_operator
+from .model import Potential, kinetic_operator
 
 __all__ = [
     "FockSpace",
@@ -160,20 +160,20 @@ def number_operator(space: FockSpace) -> sp.csr_matrix:
     return sp.diags(space.occupations().astype(complex)).tocsr()
 
 
-def hamiltonian(space: FockSpace, v: Potential, params: ModelParams,
-                lattice: Lattice) -> sp.csr_matrix:
+def hamiltonian(space: FockSpace, v: Potential, hbar: float,
+                n_particles: int) -> sp.csr_matrix:
     """dGamma(-hbar^2 Lap) + (1/2N) sum_{x,y} V(x-y) a*_x a*_y a_y a_x.
 
     The interaction is diagonal in the occupation basis; its site-pair
     coupling uses the same V samples as the mean-field direct/exchange
     terms, so the exact dynamics is tangent to the Hartree-Fock flow."""
-    if lattice.ds != 1 or lattice.site_count != space.l_sites:
+    if v.lattice.ds != 1 or v.lattice.site_count != space.l_sites:
         raise ValueError("hamiltonian needs a ds=1 lattice matching the Fock sites")
-    h = d_gamma(space, kinetic_operator(lattice, params.hbar))
+    h = d_gamma(space, kinetic_operator(v.lattice, hbar))
     w = v.pair_matrix.copy()
     np.fill_diagonal(w, 0.0)
     occ = space._table[0].astype(float)
-    diag = 0.5 / params.n_particles * np.einsum("bx,xy,by->b", occ, w, occ)
+    diag = 0.5 / n_particles * np.einsum("bx,xy,by->b", occ, w, occ)
     return (h + sp.diags(diag.astype(complex))).tocsr()
 
 

@@ -158,7 +158,7 @@ def weyl_quantize(symbol: PhaseSpaceSymbol, lattice: Lattice, hbar: float) -> De
     x = lattice.sites()
     p = lattice.momenta()
     dp = 2.0 * np.pi / lattice.length
-    pref = lattice.spacing ** lattice.ds * (dp / (2.0 * np.pi * hbar)) ** lattice.ds
+    pref = lattice.cell * (dp / (2.0 * np.pi * hbar)) ** lattice.ds
     diff = (x[:, None, :] - x[None, :, :]) / hbar  # (M, M, ds)
     mid = _pair_midpoints(lattice)
     m_at_mid = values[:, mid]  # (K, M, M)

@@ -10,6 +10,8 @@ exponential midpoint rule: each step conjugates omega with
 exp(-i dt h / hbar), with h evaluated at the average of omega and an
 exponential-Euler predictor.  Conjugation preserves the spectrum of omega
 structurally, so a projection stays a projection at every step.
+
+The flows take hbar as a number, N from the state and the lattice from `v`.
 """
 
 import enum
@@ -19,8 +21,7 @@ import numpy as np
 
 from .diagnostics import distance_series
 from .initial_data import DensityMatrix
-from .model import (Lattice, ModelParams, Potential, _shifted_fft, _shifted_ifft,
-                    kinetic_operator)
+from .model import Lattice, Potential, _shifted_fft, _shifted_ifft, kinetic_operator
 
 __all__ = [
     "MeanFieldKind",
@@ -75,8 +76,7 @@ class Trajectory:
 
     times: list = field(default_factory=list)           # snapshot times
     states: list = field(default_factory=list)          # DensityMatrix snapshots
-    step_times: list = field(default_factory=list)      # every integrator step
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)           # one entry per step, t=0 first
     energy: list = field(default_factory=list)
     idempotency_defect: list = field(default_factory=list)
 
@@ -86,17 +86,16 @@ def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
     tr = np.trace(omega.matrix).real
     if tr <= 0:
         raise ValueError("density matrix must have positive trace")
-    cell = lattice.spacing ** lattice.ds
-    return np.real(np.diag(omega.matrix)) / (omega.n_particles * cell)
+    return np.real(np.diag(omega.matrix)) / (omega.n_particles * lattice.cell)
 
 
-def direct_term(rho: np.ndarray, v: Potential, lattice: Lattice) -> np.ndarray:
+def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
     """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y), computed by
-    multiplying with the stored Fourier coefficients of V."""
-    cell = lattice.spacing ** lattice.ds
+    multiplying with the Fourier coefficients of V."""
+    lattice = v.lattice
     rhat = _shifted_fft(rho, lattice)
     conv = _shifted_ifft(v.fourier * rhat * lattice.site_count, lattice).real
-    return cell * conv
+    return lattice.cell * conv
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
@@ -105,11 +104,10 @@ def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
 
 
 def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
-              params: ModelParams, lattice: Lattice) -> np.ndarray:
+              hbar: float) -> np.ndarray:
     """Effective one-particle Hamiltonian h(omega) for the requested flow."""
-    h = kinetic_operator(lattice, params.hbar).copy()  # cached: never write into it
-    h[np.diag_indices_from(h)] += direct_term(density_profile(omega, lattice),
-                                              v, lattice)
+    h = kinetic_operator(v.lattice, hbar).copy()  # cached: never write into it
+    h[np.diag_indices_from(h)] += direct_term(density_profile(omega, v.lattice), v)
     if kind is MeanFieldKind.HARTREE_FOCK:
         h -= exchange_term(omega, v)
     return 0.5 * (h + h.conj().T)
@@ -123,38 +121,37 @@ def _conjugate(omega_mat: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> 
 
 
 def step(omega: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
-         v: Potential, params: ModelParams, lattice: Lattice) -> DensityMatrix:
+         v: Potential, hbar: float) -> DensityMatrix:
     """One exponential midpoint step: the generator is re-evaluated at the
     average of omega and an exponential-Euler predictor."""
-    h = generator(omega, kind, v, params, lattice)
-    pred = _conjugate(omega.matrix, h, cfg.dt, params.hbar)
+    h = generator(omega, kind, v, hbar)
+    pred = _conjugate(omega.matrix, h, cfg.dt, hbar)
     mid = DensityMatrix(matrix=0.5 * (omega.matrix + pred), n_particles=omega.n_particles)
-    h = generator(mid, kind, v, params, lattice)
-    new = _conjugate(omega.matrix, h, cfg.dt, params.hbar)
+    h = generator(mid, kind, v, hbar)
+    new = _conjugate(omega.matrix, h, cfg.dt, hbar)
     return DensityMatrix(matrix=new, n_particles=omega.n_particles)
 
 
-def hf_energy(omega: DensityMatrix, v: Potential, params: ModelParams,
-              lattice: Lattice, include_exchange: bool = True) -> float:
-    """Mean-field energy; the 1/2 symmetry factor on both interaction terms
-    makes this the conserved quantity of the flow."""
+def hf_energy(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
+              hbar: float) -> float:
+    """Mean-field energy of the requested flow; the 1/2 symmetry factor on
+    both interaction terms makes this the conserved quantity of the flow."""
     m = omega.matrix
     # tr(K m) = sum_xy conj(m_xy) K_xy for Hermitian m, without a matmul
-    e = np.vdot(m, kinetic_operator(lattice, params.hbar)).real
+    e = np.vdot(m, kinetic_operator(v.lattice, hbar)).real
     occ = np.real(np.diag(m))
     w = v.pair_matrix
-    e += 0.5 / params.n_particles * float(occ @ w @ occ)
-    if include_exchange:
-        e -= 0.5 / params.n_particles * float(np.sum(w * np.abs(m) ** 2))
+    e += 0.5 / omega.n_particles * float(occ @ w @ occ)
+    if kind is MeanFieldKind.HARTREE_FOCK:
+        e -= 0.5 / omega.n_particles * float(np.sum(w * np.abs(m) ** 2))
     return float(e)
 
 
 def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
-           v: Potential, params: ModelParams, lattice: Lattice) -> Trajectory:
+           v: Potential, hbar: float) -> Trajectory:
     """Integrate the flow; scalars recorded per step, snapshots at the
     snapshot stride.  Aborts on integrator blow-up or a non-finite state."""
     omega0.validate()
-    include_x = kind is MeanFieldKind.HARTREE_FOCK
     traj = Trajectory()
 
     def record_snapshot(t, state):
@@ -162,35 +159,32 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
         traj.states.append(DensityMatrix(matrix=state.matrix.copy(),
                                          n_particles=state.n_particles))
 
-    def record_scalars(t, state, defect):
-        traj.step_times.append(t)
+    def record_scalars(state, defect):
         traj.trace.append(float(np.trace(state.matrix).real))
-        traj.energy.append(hf_energy(state, v, params, lattice,
-                                     include_exchange=include_x))
+        traj.energy.append(hf_energy(state, kind, v, hbar))
         traj.idempotency_defect.append(defect)
 
     state = omega0
-    record_scalars(0.0, state, state.idempotency_defect())
+    record_scalars(state, state.idempotency_defect())
     record_snapshot(0.0, state)
-    n_steps = cfg.n_steps
-    for i in range(1, n_steps + 1):
-        state = step(state, cfg, kind, v, params, lattice)
+    for i in range(1, cfg.n_steps + 1):
+        state = step(state, cfg, kind, v, hbar)
         t = i * cfg.dt
         defect = state.idempotency_defect()
         if not defect <= 1e-4:  # also true for NaN
             raise RuntimeError(
                 f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}"
             )
-        record_scalars(t, state, defect)
-        if i % cfg.snapshot_stride == 0 or i == n_steps:
+        record_scalars(state, defect)
+        if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:
             record_snapshot(t, state)
     return traj
 
 
 def compare_hf_hartree(omega0: DensityMatrix, cfg: EvolutionConfig, v: Potential,
-                       params: ModelParams, lattice: Lattice):
+                       hbar: float):
     """Trace-norm gap tr|omega_HF(t) - omega_H(t)| from shared initial data."""
-    hf = evolve(omega0, cfg, MeanFieldKind.HARTREE_FOCK, v, params, lattice)
-    hh = evolve(omega0, cfg, MeanFieldKind.HARTREE, v, params, lattice)
+    hf = evolve(omega0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar)
+    hh = evolve(omega0, cfg, MeanFieldKind.HARTREE, v, hbar)
     gaps = distance_series([s.matrix for s in hf.states], [s.matrix for s in hh.states]).tr
     return np.array(hf.times), gaps

@@ -11,17 +11,20 @@ Conventions used throughout the package:
   so that matrix products discretize operator composition;
 * the interaction is expanded as V(x) = sum_k Vhat(p_k) exp(i p_k . x),
   i.e. Vhat carries no extra volume factor.
+
+Each model fact has one source: the lattice is `Potential.lattice`, N is
+`DensityMatrix.n_particles`, and hbar a number (`default_hbar` is N^(-1/ds)).
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Lattice",
-    "ModelParams",
     "Potential",
+    "default_hbar",
     "make_lattice",
     "build_potential",
     "fourier_matrix",
@@ -43,6 +46,11 @@ class Lattice:
     @property
     def spacing(self) -> float:
         return self.length / self.d
+
+    @property
+    def cell(self) -> float:
+        """Cell volume a^ds, the weight of one site in a lattice sum."""
+        return self.spacing ** self.ds
 
     @property
     def site_count(self) -> int:
@@ -70,43 +78,28 @@ class Lattice:
         return self.momentum_indices() * (2.0 * np.pi / self.length)
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Particle number N and the coupled semiclassical parameter hbar.
-
-    When hbar is not given it defaults to N**(-1/ds); the 1/N mean-field
-    coupling is derived, never independent.
-    """
-
-    n_particles: int
-    ds: int = 1
-    hbar: float = None  # resolved in __post_init__
-
-    def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be a positive integer")
-        if self.hbar is None:
-            object.__setattr__(
-                self, "hbar", float(self.n_particles) ** (-1.0 / self.ds)
-            )
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+def default_hbar(n_particles: int, ds: int) -> float:
+    """The coupled semiclassical scale hbar = N^(-1/ds)."""
+    return float(n_particles) ** (-1.0 / ds)
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Even interaction V given in real space and in Fourier space."""
+    """Even interaction V given by its site samples; its other forms derive from them."""
 
     lattice: Lattice
     real_space: np.ndarray
-    fourier: np.ndarray
-    assumption_weight: float = field(default=None)
 
-    def __post_init__(self):
-        if self.assumption_weight is None:
-            p = self.lattice.momenta()
-            w = np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(self.fourier))
-            object.__setattr__(self, "assumption_weight", float(w))
+    @functools.cached_property
+    def fourier(self) -> np.ndarray:
+        """Vhat(p_k) in ascending-k order (real up to round-off for an even V)."""
+        return _shifted_fft(self.real_space, self.lattice)
+
+    @functools.cached_property
+    def assumption_weight(self) -> float:
+        """sum_k (1 + |p_k|)^2 |Vhat(p_k)|, the paper's regularity weight of V."""
+        p = self.lattice.momenta()
+        return float(np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(self.fourier)))
 
     @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
@@ -176,10 +169,10 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice,
     defect = np.max(np.abs(grid - reflected))
     if defect > evenness_tol:
         raise ValueError(f"potential violates evenness by {defect:.3e}")
-    fourier = _shifted_fft(samples, lattice)
-    if np.max(np.abs(fourier.imag)) > 1e-12 * max(1.0, np.max(np.abs(fourier))):
+    v = Potential(lattice=lattice, real_space=samples)
+    if np.max(np.abs(v.fourier.imag)) > 1e-12 * max(1.0, np.max(np.abs(v.fourier))):
         raise ValueError("Fourier coefficients of an even real potential must be real")
-    return Potential(lattice=lattice, real_space=samples, fourier=fourier)
+    return v
 
 
 def build_potential(spec: dict, lattice: Lattice) -> Potential:
@@ -205,7 +198,8 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
         for ax in range(lattice.ds):
             axis_sum = np.zeros(lattice.site_count)
             for m in range(-_GAUSSIAN_IMAGES, _GAUSSIAN_IMAGES + 1):
-                axis_sum += np.exp(-((xc[:, ax] + m * l) ** 2) / (2.0 * sigma ** 2))
+                with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+                    axis_sum += np.exp(-((xc[:, ax] + m * l) ** 2) / (2.0 * sigma ** 2))
             samples *= axis_sum
         samples *= lam
     elif shape == "cosine":

@@ -24,7 +24,7 @@ from .diagnostics import (default_probe_momenta, distance_series, fit_exponentia
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            kernel_ansatz, plane_wave_projection, trapped_slater)
 from .meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree, evolve)
-from .model import Lattice, ModelParams, Potential, build_potential, make_lattice
+from .model import Lattice, Potential, build_potential, default_hbar, make_lattice
 from .snapshots import write_csv, write_fmf1
 
 __all__ = ["ConfigError", "NumericFailure", "RunConfig", "parse_config", "run"]
@@ -48,7 +48,8 @@ class RunConfig:
 
     scenario: str
     lattice: Lattice
-    params: ModelParams
+    n_particles: int
+    hbar: float  # model.hbar, or default_hbar(n_particles, lattice.ds)
     potential_spec: dict
     potential: Potential  # built from potential_spec by parse_config
     initial: dict
@@ -153,16 +154,25 @@ def parse_config(text: str) -> RunConfig:
     c = _read(doc, _CONFIG, "")
     scenario, lat, initial = c["scenario"], c["lattice"], c["initial"]
     lattice = make_lattice(lat["ds"], lat["d"], lat["length"])
-    params = ModelParams(c["model"]["n_particles"], lattice.ds, c["model"]["hbar"])
-    if params.n_particles > lattice.site_count:
+    n, hbar = c["model"]["n_particles"], c["model"]["hbar"]
+    if hbar is None:
+        hbar = default_hbar(n, lattice.ds)
+    if n > lattice.site_count:
         raise ConfigError(f"model.n_particles must not exceed the "
                           f"{lattice.site_count} lattice sites")
     with np.errstate(over="ignore", invalid="ignore"):  # numpy, where float ** raises
-        top = np.float64(params.hbar) ** 2 * np.max(np.sum(lattice.momenta() ** 2, axis=1))
+        cell = np.float64(lattice.spacing) ** lattice.ds
+        top = np.float64(hbar) ** 2 * np.max(np.sum(lattice.momenta() ** 2, axis=1))
+        trap = np.max(harmonic_trap(lattice, initial.get("strength", 1.0)))
     if not np.isfinite(top):
-        raise ConfigError(f"model.hbar={params.hbar!r} and lattice.length="
-                          f"{lattice.length!r} make the largest kinetic energy "
-                          f"hbar^2 |p|^2 overflow")
+        raise ConfigError(f"model.hbar={hbar!r} and lattice.length={lattice.length!r} make "
+                          f"the largest kinetic energy hbar^2 |p|^2 overflow")
+    if not sys.float_info.min <= cell <= sys.float_info.max:
+        raise ConfigError(f"lattice.length={lattice.length!r}, lattice.d={lattice.d} and lattice."
+                          f"ds={lattice.ds} put the cell volume (length/d)^ds outside the floats")
+    if initial["kind"] != "ball" and not np.isfinite(trap):
+        raise ConfigError(f"lattice.length={lattice.length!r} and initial.strength make the "
+                          f"trap energy strength |x - center|^2 overflow")
     if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
         raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
     if initial["kind"] == "kernel" and scenario != "diagnostics-only":
@@ -190,8 +200,8 @@ def parse_config(text: str) -> RunConfig:
                               f"vlasov.dt={vlasov_dt!r}")
 
     return RunConfig(
-        scenario=scenario, lattice=lattice, params=params, potential_spec=c["potential"],
-        potential=potential, initial=initial, evolution=evo,
+        scenario=scenario, lattice=lattice, n_particles=n, hbar=hbar,
+        potential_spec=c["potential"], potential=potential, initial=initial, evolution=evo,
         kind=MeanFieldKind(c["kind"]), p_max_index=c["p_set"]["max_index"],
         fock=c["fock"], vlasov_dt=vlasov_dt, seed=c["seed"], raw=doc,
     )
@@ -205,7 +215,7 @@ def harmonic_trap(lattice: Lattice, strength: float) -> np.ndarray:
 
 
 def build_initial_state(cfg: RunConfig) -> DensityMatrix:
-    lattice, hbar, n = cfg.lattice, cfg.params.hbar, cfg.params.n_particles
+    lattice, hbar, n = cfg.lattice, cfg.hbar, cfg.n_particles
     kind = cfg.initial["kind"]
     if kind == "ball":
         return plane_wave_projection(lattice, fermi_ball_indices(lattice, n))
@@ -215,14 +225,15 @@ def build_initial_state(cfg: RunConfig) -> DensityMatrix:
                                   harmonic_trap(lattice, cfg.initial["strength"]), n)
         except DegenerateFermiLevel as exc:
             raise ConfigError(f"initial: {exc}") from exc
-    # kernel ansatz with a gaussian occupation bump (diagnostics-only)
-    width = cfg.initial["width"] * lattice.length
-    chi = np.exp(-harmonic_trap(lattice, 1.0) / (2.0 * width ** 2))
-    radius = cfg.initial["fermi_radius"] or np.pi * n / lattice.length * hbar
-    dm, _ = kernel_ansatz(chi, radius, lattice, hbar)
-    # rescale chi so the trace matches N
-    scale = n / np.trace(dm.matrix).real
-    dm, _ = kernel_ansatz(chi * scale, radius, lattice, hbar)
+    # kernel ansatz with a gaussian bump (diagnostics-only); float overflow exits 3
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        width = cfg.initial["width"] * lattice.length
+        chi = np.exp(-harmonic_trap(lattice, 1.0) / (2.0 * width ** 2))
+        radius = cfg.initial["fermi_radius"] or np.pi * n / lattice.length * hbar
+        dm, _ = kernel_ansatz(chi, radius, lattice, hbar)
+        # rescale chi so the trace matches N
+        scale = n / np.trace(dm.matrix).real
+        dm, _ = kernel_ansatz(chi * scale, radius, lattice, hbar)
     dm.n_particles = n
     return dm
 
@@ -247,9 +258,9 @@ def _maybe_fit(values, times):
 
 def _scenario_evolve(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
-    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.params, cfg.lattice)
+    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
-    series = semiclassical_series(traj, p_set, cfg.params, cfg.lattice)
+    series = semiclassical_series(traj, p_set, cfg.lattice, cfg.hbar)
 
     snap_idx = [round(t / cfg.evolution.dt) for t in traj.times]
     write_csv(os.path.join(out, "series.csv"), {
@@ -266,11 +277,12 @@ def _scenario_evolve(cfg: RunConfig, out):
         write_fmf1(os.path.join(snap_dir, f"omega_t{t:012.6f}.fmf1"),
                    state.matrix, cfg.lattice.ds, cfg.lattice.d)
     e0 = traj.energy[0]
+    drift = max(abs(e - e0) for e in traj.energy)
     return {
         "max_idempotency_defect": float(max(traj.idempotency_defect)),
         "max_trace_drift": float(max(abs(tr - traj.trace[0]) for tr in traj.trace)),
-        "max_relative_energy_drift": float(
-            max(abs(e - e0) for e in traj.energy) / max(abs(e0), 1e-300)),
+        # relative to |E(0)|, or to the drift itself where that is larger (E(0) = 0)
+        "max_relative_energy_drift": float(drift / max(abs(e0), drift, 1e-300)),
         "growth_fit_c_phase": _maybe_fit(series.c_phase, series.times),
         "growth_fit_c_momentum": _maybe_fit(series.c_momentum, series.times),
         "p_set_max_index": cfg.p_max_index,
@@ -279,8 +291,7 @@ def _scenario_evolve(cfg: RunConfig, out):
 
 def _scenario_compare(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
-    times, gaps = compare_hf_hartree(omega0, cfg.evolution, cfg.potential, cfg.params,
-                                     cfg.lattice)
+    times, gaps = compare_hf_hartree(omega0, cfg.evolution, cfg.potential, cfg.hbar)
     write_csv(os.path.join(out, "series.csv"), {"t": times, "trace_norm_gap": gaps})
     return {"final_gap": float(gaps[-1])}
 
@@ -305,9 +316,9 @@ def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
     space = _fock_lattice(cfg)
     omega0 = build_initial_state(cfg)
     psi0 = quasi_free_state(space, omega0)
-    h = hamiltonian(space, cfg.potential, cfg.params, cfg.lattice)
-    prop = SectorPropagator(space, h, cfg.params.hbar)
-    traj = evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.params, cfg.lattice)
+    prop = SectorPropagator(space, hamiltonian(space, cfg.potential, cfg.hbar,
+                                               cfg.n_particles), cfg.hbar)
+    traj = evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar)
     return space, traj, (prop(psi0, t) for t in traj.times)
 
 
@@ -362,12 +373,12 @@ def _scenario_semiclassics(cfg: RunConfig, out):
     from .semiclassics import compare_wigner_vlasov, wigner
 
     omega0 = build_initial_state(cfg)
-    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.params, cfg.lattice)
-    times, gap, gap_norm = compare_wigner_vlasov(traj, cfg.potential, cfg.params,
-                                                 cfg.lattice, cfg.vlasov_dt)
+    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
+    times, gap, gap_norm = compare_wigner_vlasov(traj, cfg.potential, cfg.hbar,
+                                                 cfg.vlasov_dt)
     write_csv(os.path.join(out, "series.csv"),
               {"t": times, "l1_gap": gap, "gap_over_hbar_n": gap_norm})
-    w0 = wigner(omega0, cfg.lattice, cfg.params.hbar)
+    w0 = wigner(omega0, cfg.lattice, cfg.hbar)
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     write_fmf1(os.path.join(snap_dir, "wigner_t0.fmf1"), w0.values,
@@ -381,7 +392,7 @@ def _scenario_semiclassics(cfg: RunConfig, out):
 def _scenario_diagnostics_only(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
-    report = semiclassical_constant(omega0, cfg.lattice, cfg.params.hbar, p_set)
+    report = semiclassical_constant(omega0, cfg.lattice, cfg.hbar, p_set)
     write_csv(os.path.join(out, "series.csv"), {
         "p_norm": [float(np.linalg.norm(p)) for p in p_set],
         "commutator_trace_norm": report.phase_norms,

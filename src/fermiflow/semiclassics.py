@@ -77,45 +77,44 @@ def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values, axis=1) * phase, axis=1).real
 
 
-def _force(w: PhaseSpaceDensity, v: Potential, lattice: Lattice,
-           n_particles: int) -> np.ndarray:
+def _force(w: PhaseSpaceDensity, v: Potential, n_particles: int) -> np.ndarray:
     """-d/dx (V * rho) with rho the normalized position marginal."""
-    cell = lattice.spacing
-    rho = np.sum(w.values, axis=1) * w.weight / (n_particles * cell)
-    u = direct_term(rho, v, lattice)
+    lattice = v.lattice
+    rho = np.sum(w.values, axis=1) * w.weight / (n_particles * lattice.cell)
+    u = direct_term(rho, v)
     uhat = _shifted_fft(u, lattice)
     p = lattice.momenta()[:, 0]
     du = _shifted_ifft(1j * p * uhat, lattice).real
     return -du
 
 
-def vlasov_step(w: PhaseSpaceDensity, dt: float, v: Potential, lattice: Lattice,
-                n_particles: int = 1) -> PhaseSpaceDensity:
+def vlasov_step(w: PhaseSpaceDensity, dt: float, v: Potential,
+                n_particles: int) -> PhaseSpaceDensity:
     """One Strang-split step of the Vlasov flow matching the quantum
     generator -hbar^2 Lap + direct term (transport velocity 2q)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     q = w.momenta
     dq = q[1] - q[0]
-    a = lattice.spacing
+    a = v.lattice.spacing
     vals = w.values.T  # rows = momentum slices for the x-transport
 
     vals = _shift_rows_spectral(vals, 2.0 * q * (0.5 * dt) / a)
     half = PhaseSpaceDensity(values=vals.T, momenta=q, weight=w.weight)
-    force = _force(half, v, lattice, n_particles)
+    force = _force(half, v, n_particles)
     vals = _shift_rows_spectral(half.values, force * dt / dq)
     vals = _shift_rows_spectral(vals.T, 2.0 * q * (0.5 * dt) / a).T
     return PhaseSpaceDensity(values=vals, momenta=q, weight=w.weight)
 
 
-def compare_wigner_vlasov(mf_traj, v: Potential, params, lattice: Lattice,
-                          dt: float):
+def compare_wigner_vlasov(mf_traj, v: Potential, hbar: float, dt: float):
     """Weighted L1 distance between the Wigner transform of a mean-field
     trajectory and the Vlasov flow started from the same phase-space data.
     Each snapshot interval must be a whole number of Vlasov steps `dt`."""
     if not mf_traj.states:
         raise ValueError("empty trajectory")
-    cur = wigner(mf_traj.states[0], lattice, params.hbar)
+    lattice, n = v.lattice, mf_traj.states[0].n_particles
+    cur = wigner(mf_traj.states[0], lattice, hbar)
     times = list(mf_traj.times)
     dists = []
     t_now = 0.0
@@ -126,9 +125,9 @@ def compare_wigner_vlasov(mf_traj, v: Potential, params, lattice: Lattice,
             raise ValueError(f"snapshot interval {interval!r} is not a whole "
                              f"number of dt={dt!r} steps")
         for _ in range(n_sub):
-            cur = vlasov_step(cur, dt, v, lattice, params.n_particles)
+            cur = vlasov_step(cur, dt, v, n)
         t_now += n_sub * dt
-        wq = wigner(state, lattice, params.hbar)
+        wq = wigner(state, lattice, hbar)
         dists.append(float(np.sum(np.abs(wq.values - cur.values)) * cur.weight))
     gap = np.array(dists)
-    return np.array(times), gap, gap / (params.hbar * params.n_particles)
+    return np.array(times), gap, gap / (hbar * n)

@@ -14,7 +14,7 @@ from fermiflow.diagnostics import (default_probe_momenta, distance_series,
 from fermiflow.initial_data import DensityMatrix, trapped_slater
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind,
                                  compare_hf_hartree, evolve)
-from fermiflow.model import (ModelParams, build_potential, kinetic_operator,
+from fermiflow.model import (build_potential, default_hbar, kinetic_operator,
                              make_lattice)
 from fermiflow.runner import harmonic_trap, parse_config, run
 
@@ -34,14 +34,14 @@ def gaussian(strength, sigma):
 def big_run():
     """Shared d=64, N=8 interacting run used by several criteria."""
     lat = make_lattice(1, 64, 1.0)
-    params = ModelParams(n_particles=8, ds=1)
+    hbar = default_hbar(8, 1)
     pot = build_potential(gaussian(1.0, 0.2), lat)
-    om0 = trapped_slater(lat, params.hbar, harmonic_trap(lat, 50.0), 8)
+    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 50.0), 8)
     cfg = EvolutionConfig(dt=1e-3, t_final=2.0, snapshot_stride=50)
     t0 = time.monotonic()
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     wall = time.monotonic() - t0
-    return lat, params, pot, om0, traj, wall
+    return lat, hbar, pot, om0, traj, wall
 
 
 def test_criterion_01_structure_preservation(big_run, capsys):
@@ -58,14 +58,14 @@ def test_criterion_01_structure_preservation(big_run, capsys):
 
 def test_criterion_02_free_flow_exactness(capsys):
     lat = make_lattice(1, 64, 1.0)
-    params = ModelParams(n_particles=8, ds=1)
+    hbar = default_hbar(8, 1)
     v0 = build_potential({"shape": "zero"}, lat)
-    om0 = trapped_slater(lat, params.hbar, harmonic_trap(lat, 50.0), 8)
+    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 50.0), 8)
     cfg = EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100)
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
-    h = kinetic_operator(lat, params.hbar)
+    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
+    h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
-    u = (vec * np.exp(-1j * eig / params.hbar)) @ vec.conj().T
+    u = (vec * np.exp(-1j * eig / hbar)) @ vec.conj().T
     exact = u @ om0.matrix @ u.conj().T
     err = np.linalg.norm(traj.states[-1].matrix - exact, "fro")
     report(capsys, 2, "free flow exactness", err <= 1e-10, f"error={err:.2e}")
@@ -73,17 +73,16 @@ def test_criterion_02_free_flow_exactness(capsys):
 
 def test_criterion_03_single_particle_exchange_cancellation(capsys):
     lat = make_lattice(1, 16, 1.0)
-    params = ModelParams(n_particles=1, ds=1)
+    hbar = default_hbar(1, 1)
     pot = build_potential(gaussian(1.0, 0.2), lat)
-    om0 = trapped_slater(lat, params.hbar, harmonic_trap(lat, 10.0), 1)
+    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 10.0), 1)
     # the free flow: either mean-field kind with the zero potential
     free = evolve(om0, EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100),
-                  MeanFieldKind.HARTREE_FOCK, build_potential({"shape": "zero"}, lat),
-                  params, lat)
+                  MeanFieldKind.HARTREE_FOCK, build_potential({"shape": "zero"}, lat), hbar)
     hf = evolve(om0, EvolutionConfig(dt=2e-5, t_final=1.0, snapshot_stride=50000),
-                MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+                MeanFieldKind.HARTREE_FOCK, pot, hbar)
     hh = evolve(om0, EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000),
-                MeanFieldKind.HARTREE, pot, params, lat)
+                MeanFieldKind.HARTREE, pot, hbar)
     hf_err = np.linalg.norm(hf.states[-1].matrix - free.states[-1].matrix, "fro")
     hh_gap = np.linalg.norm(hh.states[-1].matrix - free.states[-1].matrix, "fro")
     ok = hf_err <= 1e-8 and hh_gap >= 1e-4
@@ -153,15 +152,14 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
                                 quasi_free_state, rdm1)
 
     lat = make_lattice(1, 8, 4.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     pot = build_potential(gaussian(1.0, 0.8), lat)
-    om0 = trapped_slater(lat, params.hbar, harmonic_trap(lat, 2.0), 2)
+    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 2.0), 2)
     space = FockSpace(8)
     psi0 = quasi_free_state(space, om0)
-    prop = SectorPropagator(space, hamiltonian(space, pot, params, lat),
-                            params.hbar)
+    prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
     cfg = EvolutionConfig(dt=1e-4, t_final=0.1, snapshot_stride=100)
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
     dist = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
     mask = dist.times >= 0.01 - 1e-12
@@ -169,9 +167,8 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
 
     v0 = build_potential({"shape": "zero"}, lat)
     cfg0 = EvolutionConfig(dt=1e-2, t_final=2.0, snapshot_stride=20)
-    traj0 = evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
-    prop0 = SectorPropagator(space, hamiltonian(space, v0, params, lat),
-                             params.hbar)
+    traj0 = evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar)
+    prop0 = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
     gam0 = [rdm1(prop0(psi0, t), space) for t in traj0.times]
     free_dist = np.max(distance_series(gam0, [s.matrix for s in traj0.states]).hs)
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
@@ -184,17 +181,16 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
                                 hamiltonian, number_moment, quasi_free_state)
 
     lat = make_lattice(1, 8, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     space = FockSpace(8)
-    om0 = trapped_slater(lat, params.hbar, harmonic_trap(lat, 10.0), 2)
+    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 10.0), 2)
     psi0 = quasi_free_state(space, om0)
     cfg = EvolutionConfig(dt=0.01, t_final=1.0, snapshot_stride=10)
 
     def moments(v, k):
         """<(N+1)^k> of xi_t = R*_{omega_t} exp(-iHt/hbar) R_{omega_0} vacuum."""
-        traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, params, lat)
-        prop = SectorPropagator(space, hamiltonian(space, v, params, lat),
-                                params.hbar)
+        traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar)
+        prop = SectorPropagator(space, hamiltonian(space, v, hbar, 2), hbar)
         return np.array(traj.times), np.array([
             number_moment(fluctuation_vector(space, om, prop(psi0, t)), k)
             for t, om in zip(traj.times, traj.states)])
@@ -211,10 +207,10 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
 
 
 def test_criterion_09_commutator_bound_propagation(big_run, capsys):
-    lat, params, _, om0, traj, _ = big_run
+    lat, hbar, _, om0, traj, _ = big_run
     p_set = default_probe_momenta(lat, 4)
-    series = semiclassical_series(traj, p_set, params, lat)
-    rep0 = semiclassical_constant(om0, lat, params.hbar, p_set)
+    series = semiclassical_series(traj, p_set, lat, hbar)
+    rep0 = semiclassical_constant(om0, lat, hbar, p_set)
     init_err = max(abs(series.c_phase[0] - rep0.c_phase),
                    abs(series.c_momentum[0] - rep0.c_momentum))
     details, ok = [], init_err <= 1e-10
@@ -235,11 +231,11 @@ def test_criterion_10_hartree_vs_hf_gap(capsys):
     gaps = {}
     for n in (4, 8, 16):
         lat = make_lattice(1, 64, 1.0)
-        params = ModelParams(n_particles=n, ds=1, hbar=float(n) ** (-1.0 / 3.0))
+        hbar = default_hbar(n, 3)
         pot = build_potential(gaussian(1.0, 0.2), lat)
-        om0 = trapped_slater(lat, params.hbar, harmonic_trap(lat, 50.0), n)
+        om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 50.0), n)
         cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000)
-        _, gap = compare_hf_hartree(om0, cfg, pot, params, lat)
+        _, gap = compare_hf_hartree(om0, cfg, pot, hbar)
         gaps[n] = float(gap[-1])
     ratio = gaps[16] / gaps[4]
     report(capsys, 10, "Hartree-vs-HF gap stays bounded in N", ratio <= 2.0,
@@ -258,19 +254,19 @@ def test_criterion_11_wigner_vlasov_checks(capsys):
     vals[:, 12] = rng.random(16)
     w = PhaseSpaceDensity(values=vals, momenta=q, weight=1.0 / 16)
     v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(w, lat.spacing / q[12], v0, lat, 1)
+    out = vlasov_step(w, lat.spacing / q[12], v0, 1)
     expected = np.zeros_like(vals)
     expected[:, 12] = np.roll(vals[:, 12], 2)
     transport_err = float(np.max(np.abs(out.values - expected)))
 
     lat32 = make_lattice(1, 32, 1.0)
-    params = ModelParams(n_particles=4, ds=1)
-    om = trapped_slater(lat32, params.hbar, harmonic_trap(lat32, 50.0), 4)
-    w0 = wigner(om, lat32, params.hbar)
+    hbar = default_hbar(4, 1)
+    om = trapped_slater(lat32, hbar, harmonic_trap(lat32, 50.0), 4)
+    w0 = wigner(om, lat32, hbar)
     sum_err = abs(float(np.sum(w0.values)) * w0.weight - 4.0)
 
     pot = build_potential(gaussian(1.0, 0.2), lat32)
-    out32 = vlasov_step(w0, 1e-3, pot, lat32, 4)
+    out32 = vlasov_step(w0, 1e-3, pot, 4)
     mass_err = abs(out32.mass - w0.mass)
 
     ok = transport_err <= 1e-12 and sum_err <= 1e-8 and mass_err <= 1e-10

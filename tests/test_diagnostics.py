@@ -11,7 +11,7 @@ from fermiflow.diagnostics import (commutator_momentum, commutator_phase,
 from fermiflow.initial_data import (fermi_ball_indices, kernel_ansatz,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import (ModelParams, build_potential, make_lattice,
+from fermiflow.model import (build_potential, default_hbar, make_lattice,
                              momentum_operator, phase_operator)
 
 
@@ -70,15 +70,15 @@ def test_hs_norm_examples():
 
 def test_semiclassical_series_free_ball():
     lat = make_lattice(1, 16, 1.0)
-    params = ModelParams(n_particles=3, ds=1)
+    hbar = default_hbar(3, 1)
     v0 = build_potential({"shape": "zero"}, lat)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=2)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     p_set = lat.momenta()[np.any(lat.momentum_indices() != 0, axis=1)][:6]
-    series = semiclassical_series(traj, p_set, params, lat)
+    series = semiclassical_series(traj, p_set, lat, hbar)
     assert np.max(series.c_momentum) < 1e-10
-    rep = semiclassical_constant(om, lat, params.hbar, p_set)
+    rep = semiclassical_constant(om, lat, hbar, p_set)
     assert series.c_phase[0] == pytest.approx(rep.c_phase, abs=1e-12)
     assert series.c_momentum[0] == pytest.approx(rep.c_momentum, abs=1e-12)
 
@@ -115,28 +115,40 @@ def test_commutators_match_dense_oracles(ds, d):
             _dense_momentum(m, hbar, lat), rel=1e-10)
 
 
+def test_commutator_momentum_at_large_hbar_p():
+    # hbar |p| ~ 3e8: F m F* is Hermitian only to round-off of its O(1) entries,
+    # which the products (i hbar dp) * m_hat must not carry into trace_norm
+    lat = make_lattice(1, 3, 2e-10)
+    om = plane_wave_projection(lat, fermi_ball_indices(lat, 2))
+    hbar = 0.01
+    scale = hbar * np.max(np.abs(lat.momenta()))
+    assert commutator_momentum(om.matrix, hbar, lat) <= 1e-12 * scale  # [d/dx, ball] = 0
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        commutator_momentum(np.triu(np.ones((3, 3))), hbar, lat)
+
+
 def test_semiclassical_constant_pairs_probes_and_series_reuses_it():
     lat = make_lattice(2, 6, 1.0)
-    params = ModelParams(n_particles=3, ds=2)
+    hbar = default_hbar(3, 2)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     rng = np.random.default_rng(7)
-    om = trapped_slater(lat, params.hbar, 100.0 * rng.random(lat.site_count), 3)
+    om = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.04, snapshot_stride=2)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     symmetric = default_probe_momenta(lat, 1)
     # one +-p pair, two unpaired grid probes and an unpaired off-grid probe
     asymmetric = np.vstack([symmetric[[0, -1, 1, 4]], [[0.7, -2.9]]])
     for p_set in (symmetric, asymmetric):
-        rep = semiclassical_constant(om, lat, params.hbar, p_set)
+        rep = semiclassical_constant(om, lat, hbar, p_set)
         oracle = [_dense_phase(om.matrix, p, lat) for p in p_set]
         np.testing.assert_allclose(rep.phase_norms, oracle, rtol=1e-10)
-        series = semiclassical_series(traj, p_set, params, lat)
-        reps = [semiclassical_constant(s, lat, params.hbar, p_set) for s in traj.states]
+        series = semiclassical_series(traj, p_set, lat, hbar)
+        reps = [semiclassical_constant(s, lat, hbar, p_set) for s in traj.states]
         np.testing.assert_allclose(series.c_phase, [r.c_phase for r in reps], rtol=1e-10)
         np.testing.assert_allclose(series.c_momentum, [r.c_momentum for r in reps],
                                    rtol=1e-10)
     with pytest.raises(ValueError, match="nonempty"):
-        semiclassical_series(traj, np.zeros((0, 2)), params, lat)
+        semiclassical_series(traj, np.zeros((0, 2)), lat, hbar)
 
 
 def test_hermitian_trace_norm_matches_svd_and_rejects_non_finite():
@@ -202,14 +214,14 @@ def test_distance_series_free_slater_dynamics():
         quasi_free_state, rdm1
 
     lat = make_lattice(1, 6, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     v0 = build_potential({"shape": "zero"}, lat)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 2))
     space = FockSpace(6)
     psi0 = quasi_free_state(space, om)
-    prop = SectorPropagator(space, hamiltonian(space, v0, params, lat), params.hbar)
+    prop = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
     ds = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
     assert np.max(ds.tr) < 1e-8

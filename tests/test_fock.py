@@ -18,7 +18,7 @@ from fermiflow.fock import (BogoliubovSpec, FockSpace, SectorPropagator,
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import ModelParams, build_potential, kinetic_operator, \
+from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
     make_lattice
 
 
@@ -141,28 +141,29 @@ def test_dgamma_matches_first_quantized_two_particle_oracle():
 
 def test_hamiltonian_free_and_number_conservation():
     lat = make_lattice(1, 5, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     space = FockSpace(5)
     v0 = build_potential({"shape": "zero"}, lat)
-    h = hamiltonian(space, v0, params, lat)
-    hk = d_gamma(space, kinetic_operator(lat, params.hbar))
+    h = hamiltonian(space, v0, hbar, 2)
+    hk = d_gamma(space, kinetic_operator(lat, hbar))
     assert abs(h - hk).max() < 1e-12
     pot = build_potential({"shape": "cosine", "strength": 1.0, "mode": 1}, lat)
-    h = hamiltonian(space, pot, params, lat)
+    h = hamiltonian(space, pot, hbar, 2)
     n_op = number_operator(space)
     assert abs(h @ n_op - n_op @ h).max() < 1e-12
 
 
 def test_hamiltonian_two_site_pair_energy():
     lat = make_lattice(1, 2, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    n = 2
+    hbar = default_hbar(n, 1)
     space = FockSpace(2)
     pot = build_potential({"shape": "cosine", "strength": 0.7, "mode": 1}, lat)
-    h = hamiltonian(space, pot, params, lat).toarray()
+    h = hamiltonian(space, pot, hbar, n).toarray()
     v01 = pot.real_space[1]  # V(x_0 - x_1) by evenness
-    kinetic = np.trace(kinetic_operator(lat, params.hbar)).real
+    kinetic = np.trace(kinetic_operator(lat, hbar)).real
     # |11> is an eigenstate: full kinetic trace plus the pair interaction
-    expected = kinetic + 0.5 / params.n_particles * 2.0 * v01
+    expected = kinetic + 0.5 / n * 2.0 * v01
     assert h[3, 3].real == pytest.approx(expected, rel=1e-12)
 
 
@@ -261,11 +262,11 @@ def test_quasi_free_state_reduced_density_and_projection():
 
 def test_sector_propagator_basics():
     lat = make_lattice(1, 4, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
-    h = hamiltonian(space, pot, params, lat)
-    prop = SectorPropagator(space, h, params.hbar)
+    h = hamiltonian(space, pot, hbar, 2)
+    prop = SectorPropagator(space, h, hbar)
     rng = np.random.default_rng(4)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
@@ -275,16 +276,16 @@ def test_sector_propagator_basics():
     eig, vec = np.linalg.eigh(hd)
     ev = vec[:, 3].astype(complex)
     out = prop(ev, 0.3)
-    expected = np.exp(-1j * 0.3 * eig[3] / params.hbar) * ev
+    expected = np.exp(-1j * 0.3 * eig[3] / hbar) * ev
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
 def test_exact_evolve_matches_fine_stepping():
     lat = make_lattice(1, 4, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
-    prop = SectorPropagator(space, hamiltonian(space, pot, params, lat), params.hbar)
+    prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
@@ -364,10 +365,10 @@ def test_number_moment_examples():
 
 def test_fluctuation_dynamics_identity_at_t0_and_norm():
     lat = make_lattice(1, 5, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     space = FockSpace(5)
     pot = build_potential({"shape": "cosine", "strength": 0.5, "mode": 1}, lat)
-    om = trapped_slater(lat, params.hbar,
+    om = trapped_slater(lat, hbar,
                         5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
     rng = np.random.default_rng(9)
     xi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
@@ -375,22 +376,22 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     r0 = implement_bogoliubov(space, bogoliubov_from_projection(om))
     assert np.max(np.abs(fluctuation_vector(space, om, r0 @ xi) - xi)) < 1e-10
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
-    prop = SectorPropagator(space, hamiltonian(space, pot, params, lat), params.hbar)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+    prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
     out = fluctuation_vector(space, traj.states[-1], prop(r0 @ xi, traj.times[-1]))
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fluctuation_vacuum_stable_without_interaction():
     lat = make_lattice(1, 5, 1.0)
-    params = ModelParams(n_particles=2, ds=1)
+    hbar = default_hbar(2, 1)
     space = FockSpace(5)
     v0 = build_potential({"shape": "zero"}, lat)
-    om = trapped_slater(lat, params.hbar,
+    om = trapped_slater(lat, hbar,
                         5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
-    prop = SectorPropagator(space, hamiltonian(space, v0, params, lat), params.hbar)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
+    prop = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
     psi0 = quasi_free_state(space, om)
     for t, om_t in zip(traj.times[1:], traj.states[1:]):
         xi = fluctuation_vector(space, om_t, prop(psi0, t))

@@ -8,7 +8,7 @@ from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree,
                                  density_profile, direct_term, evolve,
                                  exchange_term, generator, hf_energy, step)
-from fermiflow.model import ModelParams, build_potential, kinetic_operator, make_lattice
+from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
 
 
 def harmonic(lat, strength):
@@ -21,9 +21,9 @@ def harmonic(lat, strength):
 def setup16():
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    params = ModelParams(n_particles=3, ds=1)
+    hbar = default_hbar(3, 1)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
-    return lat, pot, params, om
+    return lat, pot, hbar, om
 
 
 def test_density_profile_ball_is_flat(setup16):
@@ -54,7 +54,7 @@ def test_density_profile_trapped_peaked():
 def test_direct_term_constant_density(setup16):
     lat, pot, _, _ = setup16
     rho = np.full(16, 1.0 / lat.length)
-    u = direct_term(rho, pot, lat)
+    u = direct_term(rho, pot)
     # constant density picks out the zero Fourier mode of V
     expected = pot.fourier.real[np.all(lat.momentum_indices() == 0, axis=1)][0]
     assert np.allclose(u.real, expected, atol=1e-12)
@@ -63,14 +63,14 @@ def test_direct_term_constant_density(setup16):
 def test_direct_term_zero_potential(setup16):
     lat, _, _, _ = setup16
     v0 = build_potential({"shape": "zero"}, lat)
-    assert np.all(direct_term(np.random.default_rng(0).random(16), v0, lat) == 0)
+    assert np.all(direct_term(np.random.default_rng(0).random(16), v0) == 0)
 
 
 def test_direct_term_point_mass_oracle(setup16):
     lat, pot, _, _ = setup16
     rho = np.zeros(16)
     rho[3] = 1.0
-    u = direct_term(rho, pot, lat)
+    u = direct_term(rho, pot)
     x = lat.sites()[:, 0]
     oracle = lat.spacing * np.array(
         [pot.real_space[(j - 3) % 16] for j in range(16)])
@@ -91,26 +91,26 @@ def test_exchange_cancels_direct_for_single_particle():
     om = trapped_slater(lat, 1.0, harmonic(lat, 50.0), 1)
     f = np.linalg.eigh(om.matrix)[1][:, -1]
     rho = density_profile(om, lat)
-    mismatch = (np.diag(direct_term(rho, pot, lat)) - exchange_term(om, pot)) @ f
+    mismatch = (np.diag(direct_term(rho, pot)) - exchange_term(om, pot)) @ f
     assert np.max(np.abs(mismatch)) < 1e-10
 
 
 def test_generator_free_and_term_difference(setup16):
-    lat, pot, params, om = setup16
+    lat, pot, hbar, om = setup16
     # with the zero potential both kinds give the free generator, bit for bit
     v0 = build_potential({"shape": "zero"}, lat)
     for kind in MeanFieldKind:
-        assert np.array_equal(generator(om, kind, v0, params, lat),
-                              kinetic_operator(lat, params.hbar))
-    h_hf = generator(om, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
-    h_h = generator(om, MeanFieldKind.HARTREE, pot, params, lat)
+        assert np.array_equal(generator(om, kind, v0, hbar),
+                              kinetic_operator(lat, hbar))
+    h_hf = generator(om, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+    h_h = generator(om, MeanFieldKind.HARTREE, pot, hbar)
     assert np.max(np.abs((h_h - h_hf) - exchange_term(om, pot))) < 1e-12
 
 
 def test_step_preserves_spectrum(setup16):
-    lat, pot, params, om = setup16
+    lat, pot, hbar, om = setup16
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
-    new = step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+    new = step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     assert np.allclose(np.linalg.eigvalsh(new.matrix),
                        np.linalg.eigvalsh(om.matrix), atol=1e-10)
 
@@ -118,13 +118,13 @@ def test_step_preserves_spectrum(setup16):
 def test_step_free_is_exact_conjugation():
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "zero"}, lat)
-    params = ModelParams(n_particles=2, ds=1)
-    om = trapped_slater(lat, params.hbar, harmonic(lat, 20.0), 2)
+    hbar = default_hbar(2, 1)
+    om = trapped_slater(lat, hbar, harmonic(lat, 20.0), 2)
     cfg = EvolutionConfig(dt=0.3, t_final=0.3)
-    new = step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
-    h = kinetic_operator(lat, params.hbar)
+    new = step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+    h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
-    u = (vec * np.exp(-1j * cfg.dt * eig / params.hbar)) @ vec.conj().T
+    u = (vec * np.exp(-1j * cfg.dt * eig / hbar)) @ vec.conj().T
     ref = u @ om.matrix @ u.conj().T
     assert np.max(np.abs(new.matrix - ref)) < 1e-12
 
@@ -134,14 +134,14 @@ def test_step_local_error_is_third_order():
     # a second-order scheme has local error O(dt^3), ratio ~ 8
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    params = ModelParams(n_particles=2, ds=1)
-    om = trapped_slater(lat, params.hbar, harmonic(lat, 50.0), 2)
+    hbar = default_hbar(2, 1)
+    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 2)
     dt = 2e-2
 
     def advance(state, h_step, n):
         cfg = EvolutionConfig(dt=h_step, t_final=h_step)
         for _ in range(n):
-            state = step(state, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+            state = step(state, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
         return state
 
     def one_step_error(h_step):
@@ -153,41 +153,41 @@ def test_step_local_error_is_third_order():
 
 
 def test_evolve_free_ball_is_stationary(setup16):
-    lat, _, params, om = setup16
+    lat, _, hbar, om = setup16
     v0 = build_potential({"shape": "zero"}, lat)
     cfg = EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     assert np.max(np.abs(traj.states[-1].matrix - om.matrix)) < 1e-10
 
 
 def test_evolve_trace_stability(setup16):
-    lat, pot, params, om = setup16
+    lat, pot, hbar, om = setup16
     cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     assert max(abs(tr - 3.0) for tr in traj.trace) < 1e-9
-    assert len(traj.step_times) == 1001
+    assert len(traj.trace) == 1001
 
 
 def test_hf_energy_examples():
     lat = make_lattice(1, 8, 1.0)
     v0 = build_potential({"shape": "zero"}, lat)
-    params = ModelParams(n_particles=3, ds=1, hbar=0.4)
+    hbar = 0.4
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
-    e = hf_energy(om, v0, params, lat)
-    assert e == pytest.approx(2 * params.hbar ** 2 * (2 * np.pi) ** 2, rel=1e-12)
+    e = hf_energy(om, MeanFieldKind.HARTREE_FOCK, v0, hbar)
+    assert e == pytest.approx(2 * hbar ** 2 * (2 * np.pi) ** 2, rel=1e-12)
     zero = DensityMatrix(matrix=np.zeros((8, 8), dtype=complex), n_particles=3)
-    assert hf_energy(zero, v0, params, lat) == 0.0
+    assert hf_energy(zero, MeanFieldKind.HARTREE_FOCK, v0, hbar) == 0.0
 
 
 def test_hf_energy_conserved_along_flow():
     lat = make_lattice(1, 32, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    params = ModelParams(n_particles=4, ds=1)
-    om = trapped_slater(lat, params.hbar, harmonic(lat, 50.0), 4)
+    hbar = default_hbar(4, 1)
+    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 4)
     drifts = []
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dt=dt, t_final=0.2, snapshot_stride=1000)
-        traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, params, lat)
+        traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
         e0 = traj.energy[0]
         drifts.append(max(abs(e - e0) for e in traj.energy) / abs(e0))
     assert drifts[1] < 1e-6
@@ -197,11 +197,11 @@ def test_hf_energy_conserved_along_flow():
 
 def test_compare_hf_hartree_degenerate_cases():
     lat = make_lattice(1, 16, 1.0)
-    params = ModelParams(n_particles=3, ds=1)
+    hbar = default_hbar(3, 1)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     v0 = build_potential({"shape": "zero"}, lat)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=5)
-    times, gaps = compare_hf_hartree(om, cfg, v0, params, lat)
+    times, gaps = compare_hf_hartree(om, cfg, v0, hbar)
     assert gaps[0] == 0.0
     assert np.max(gaps) < 1e-10  # V = 0: the two flows coincide
 
@@ -223,7 +223,7 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
 
     lat = make_lattice(1, 4, 1.0)
     v0 = build_potential({"shape": "zero"}, lat)
-    params = ModelParams(n_particles=4, ds=1)
+    hbar = default_hbar(4, 1)
     cfg = EvolutionConfig(dt=0.1, t_final=0.3)
     m = np.eye(4, dtype=complex)
     m[0, 1] = m[1, 0] = np.nan
@@ -231,21 +231,21 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
     with pytest.raises(ValueError, match="non-finite"):
         bad.validate()
     with pytest.raises(ValueError, match="non-finite"):
-        evolve(bad, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
+        evolve(bad, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     # a step that produces NaN trips the blow-up guard
     nan_state = DensityMatrix(matrix=np.full((4, 4), np.nan, dtype=complex),
                               n_particles=4)
     monkeypatch.setattr(mf, "step", lambda *args: nan_state)
     good = DensityMatrix(matrix=np.eye(4, dtype=complex), n_particles=4)
     with pytest.raises(RuntimeError, match="blow-up"):
-        evolve(good, cfg, MeanFieldKind.HARTREE_FOCK, v0, params, lat)
+        evolve(good, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
 
 
 @pytest.mark.parametrize("ds,d", [(2, 5), (3, 3)])
 def test_interaction_tables_match_site_sum_oracles(ds, d):
     lat = make_lattice(ds, d, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    params = ModelParams(n_particles=3, ds=ds)
+    hbar = default_hbar(3, ds)
     m_sites = lat.site_count
     idx = lat.site_indices()
     place = d ** np.arange(ds - 1, -1, -1)  # row-major flat index weights
@@ -258,17 +258,18 @@ def test_interaction_tables_match_site_sum_oracles(ds, d):
     rng = np.random.default_rng(ds)
     rho = rng.random(m_sites)
     cell = lat.spacing ** ds
-    assert np.max(np.abs(direct_term(rho, pot, lat) - cell * v @ rho)) < 1e-12
+    assert np.max(np.abs(direct_term(rho, pot) - cell * v @ rho)) < 1e-12
 
     # a rank-3 projection that is not translation invariant
     q = np.linalg.qr(rng.normal(size=(m_sites, 3))
                      + 1j * rng.normal(size=(m_sites, 3)))[0]
     om = q @ q.conj().T
-    k = kinetic_operator(lat, params.hbar)
+    k = kinetic_operator(lat, hbar)
     e = 0.0
     for x in range(m_sites):
         for y in range(m_sites):
             e += (k[x, y] * om[y, x]).real
             e += 0.5 / 3 * v[x, y] * (om[x, x] * om[y, y] - abs(om[x, y]) ** 2).real
-    got = hf_energy(DensityMatrix(matrix=om, n_particles=3), pot, params, lat)
+    got = hf_energy(DensityMatrix(matrix=om, n_particles=3), MeanFieldKind.HARTREE_FOCK,
+                   pot, hbar)
     assert got == pytest.approx(e, rel=1e-12)

@@ -1,11 +1,13 @@
 """Lattice conventions, potentials, and the elementary operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fermiflow.model import (Lattice, ModelParams, build_potential, fourier_matrix,
-                             kinetic_operator, make_lattice, momentum_operator,
-                             phase_operator)
+from fermiflow.model import (Lattice, Potential, build_potential, default_hbar,
+                             fourier_matrix, kinetic_operator, make_lattice,
+                             momentum_operator, phase_operator)
 
 
 def test_lattice_sites_and_momenta_1d():
@@ -25,6 +27,11 @@ def test_lattice_3d_site_count():
     assert make_lattice(3, 4, 1.0).site_count == 64
 
 
+def test_lattice_cell_volume():
+    assert make_lattice(3, 4, 1.0).cell == 0.25 ** 3
+    assert make_lattice(1, 8, 2.0).cell == 0.25
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError):
         make_lattice(4, 8, 1.0)
@@ -34,12 +41,14 @@ def test_lattice_validation():
         make_lattice(1, 8, -1.0)
 
 
-def test_model_params_default_hbar():
-    assert ModelParams(n_particles=8, ds=1).hbar == pytest.approx(1 / 8)
-    assert ModelParams(n_particles=8, ds=3).hbar == pytest.approx(8 ** (-1 / 3))
-    assert ModelParams(n_particles=8, ds=1, hbar=0.05).hbar == 0.05
-    with pytest.raises(ValueError):
-        ModelParams(n_particles=0)
+def test_default_hbar():
+    assert default_hbar(8, 1) == pytest.approx(1 / 8)
+    assert default_hbar(8, 3) == pytest.approx(8 ** (-1 / 3))
+    assert isinstance(default_hbar(8, 2), float)
+
+
+def test_potential_stores_only_its_lattice_and_samples():
+    assert [f.name for f in dataclasses.fields(Potential)] == ["lattice", "real_space"]
 
 
 def test_zero_potential():

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from fermiflow.cli import main
-from fermiflow.runner import (ConfigError, NumericFailure, RunConfig, parse_config, run)
+from fermiflow.runner import (SCENARIOS, ConfigError, NumericFailure, RunConfig,
+                              parse_config, run)
 from fermiflow.snapshots import read_fmf1
 
 
@@ -34,8 +36,8 @@ def test_parse_minimal_defaults():
     cfg = parse_config(json.dumps(MINIMAL))
     assert cfg.scenario == "evolve"
     assert cfg.lattice.d == 8 and cfg.lattice.ds == 1
-    assert cfg.params.n_particles == 2
-    assert cfg.params.hbar == pytest.approx(0.5)  # N^{-1/ds} default
+    assert cfg.n_particles == 2
+    assert cfg.hbar == pytest.approx(0.5)  # N^{-1/ds} default
     assert cfg.kind.value == "hartree_fock"
     assert cfg.seed == 0
 
@@ -43,7 +45,7 @@ def test_parse_minimal_defaults():
 def test_parse_hbar_override():
     doc = dict(MINIMAL, model={"n_particles": 2, "hbar": 0.05})
     cfg = parse_config(json.dumps(doc))
-    assert cfg.params.hbar == pytest.approx(0.05)
+    assert cfg.hbar == pytest.approx(0.05)
     bad = dict(MINIMAL, model={"n_particles": 2, "hbar": -1.0})
     with pytest.raises(ConfigError, match="hbar"):
         parse_config(json.dumps(bad))
@@ -52,6 +54,11 @@ def test_parse_hbar_override():
                 dict(MINIMAL, lattice={"d": 8, "length": 1e-300}),
                 dict(MINIMAL, lattice={"d": 8, "length": 1e-320})):
         with pytest.raises(ConfigError, match=r"model\.hbar.*lattice\.length"):
+            parse_config(json.dumps(doc))
+    # the cell volume (length/d)^ds overflows, or falls below the normal floats
+    for length in (1e300, 1e-110):
+        doc = dict(MINIMAL, lattice={"ds": 3, "d": 2, "length": length})
+        with pytest.raises(ConfigError, match=r"lattice\.length.*lattice\.d.*lattice\.ds"):
             parse_config(json.dumps(doc))
 
 
@@ -110,6 +117,18 @@ def test_run_evolve_outputs(tmp_path):
     assert on_disk["result"] == summary["result"]
 
 
+def test_run_evolve_energy_drift_finite_from_zero_energy(tmp_path):
+    # E(0) = 0 exactly (one particle at p = 0, a potential averaging to zero);
+    # round-off of the 1e115 kinetic scale then moves E, and the drift is
+    # reported relative to itself instead of dividing by zero
+    doc = dict(MINIMAL, lattice={"ds": 2, "d": 2, "length": 1e-60},
+               model={"n_particles": 1, "hbar": 1e-3}, kind="hartree",
+               potential={"shape": "cosine", "strength": -100.0, "mode": -3},
+               evolution={"dt": 1.0, "t_final": 4.0, "snapshot_stride": 3})
+    result = run(parse_config(json.dumps(doc)), str(tmp_path / "e0"))["result"]
+    assert 0.0 < result["max_relative_energy_drift"] <= 1.0
+
+
 def test_run_deterministic_reruns_byte_identical(tmp_path):
     doc = dict(MINIMAL,
                potential={"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
@@ -161,8 +180,11 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL)
     # scenario mismatch between CLI and config
     assert main(["semiclassics", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    # unreadable config
+    # unreadable config: missing, or not UTF-8
     assert main(["evolve", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+    assert main(["evolve", "--config", str(tmp_path / "binary.json"),
                  "--out", str(tmp_path / "o")]) == 2
     # invalid seed override
     assert main(["evolve", "--config", path, "--out", str(tmp_path / "o"),
@@ -236,6 +258,12 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 # step counts that would never finish
                 dict(MINIMAL, evolution={"dt": 1e-300, "t_final": 1.0}),
                 dict(MINIMAL, evolution={"dt": 1e-320, "t_final": 1.0}),
+                # a cell volume (length/d)^ds that overflows or underflows
+                dict(MINIMAL, lattice={"ds": 3, "d": 2, "length": 1e300}),
+                dict(MINIMAL, lattice={"ds": 3, "d": 2, "length": 1e-110}),
+                # a trap energy strength |x - center|^2 beyond the float range
+                dict(MINIMAL, lattice={"d": 8, "length": 1e200}, initial={"kind": "trapped"}),
+                dict(diagnostics, lattice={"d": 8, "length": 1e200}, initial={"kind": "kernel"}),
                 dict(semiclassics, vlasov={"dt": 1e-12}),
                 # an integer literal beyond Python's 4300-digit parsing limit
                 json.dumps(MINIMAL).replace('"n_particles": 2',
@@ -278,6 +306,78 @@ def test_parse_config_returns_config_or_raises_config_error(path, value):
     assert isinstance(cfg, RunConfig)
 
 
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: float(10.0 ** e))
+
+
+@st.composite
+def _run_configs(draw):
+    """A small config of any scenario: ds=1 with d <= 8 or ds <= 3 with
+    d <= 3, N <= 3, at most 5 steps, any potential shape, length in
+    [1e-120, 1e300] and hbar in [1e-3, 1e3]."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    ds, d = draw(st.tuples(st.just(1), st.integers(2, 8))
+                 | st.tuples(st.integers(1, 3), st.integers(2, 3)))
+    lattice = {"ds": ds, "d": d, "length": draw(_log_uniform(1e-120, 1e300))}
+    strength = draw(st.floats(-100.0, 100.0))
+    shape = draw(st.sampled_from(["zero", "gaussian", "cosine", "table"]))
+    potential = {"shape": shape}
+    if shape == "gaussian":
+        potential.update(strength=strength, sigma=draw(_log_uniform(1e-3, 1e3)))
+    elif shape == "cosine":
+        potential.update(strength=strength, mode=draw(st.integers(-3, 3)))
+    elif shape == "table":  # V(x) + V(-x): even, as the model requires
+        grid = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=d ** ds,
+                                      max_size=d ** ds))).reshape((d,) * ds)
+        potential["samples"] = (grid + np.roll(np.flip(grid), 1, range(ds))).ravel().tolist()
+    kinds = ["ball", "trapped"] + (["kernel"] if scenario == "diagnostics-only" else [])
+    initial = {"kind": draw(st.sampled_from(kinds))}
+    if initial["kind"] == "trapped":
+        initial["strength"] = draw(_log_uniform(1e-3, 1e3))
+    dt = draw(_log_uniform(1e-4, 1.0))
+    return {
+        "scenario": scenario, "lattice": lattice, "potential": potential,
+        "model": {"n_particles": draw(st.integers(1, min(3, d ** ds))),
+                  "hbar": draw(_log_uniform(1e-3, 1e3))},
+        "initial": initial, "kind": draw(st.sampled_from(["hartree_fock", "hartree"])),
+        "evolution": {"dt": dt, "t_final": draw(st.integers(1, 5)) * dt,
+                      "snapshot_stride": draw(st.integers(1, 5))},
+        "p_set": {"max_index": draw(st.integers(1, 3))},
+        "fock": {"trials": draw(st.integers(1, 10)), "moment_order": draw(st.integers(0, 3))},
+        "vlasov": {"dt": dt / draw(st.integers(1, 4))},
+        "seed": draw(st.integers(0, 2 ** 64 - 1)),
+    }
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(doc=_run_configs())
+def test_cli_runs_generated_configs(doc):
+    # exit 0, 2 or 3 without raising; a success has finite results throughout
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main([doc["scenario"], "--config", path, "--out", out])
+        event(f"{doc['scenario']} exits {code}")
+        assert code in (0, 2, 3), doc
+        if code == 0:
+            with open(os.path.join(out, "summary.json")) as fh:
+                summary = json.load(fh)
+            assert summary["status"] == "success"
+            assert all(np.isfinite(_numbers(summary["result"]))), summary["result"]
+            with open(os.path.join(out, "series.csv")) as fh:
+                rows = fh.read().splitlines()[1:]
+            assert all(np.isfinite(float(x)) for r in rows for x in r.split(",")), doc
+
+
 def test_cli_partial_last_step_and_scheme_key_exit_two(tmp_path, capsys):
     partial = write_config(tmp_path, dict(MINIMAL, evolution={"dt": 0.03, "t_final": 0.1}))
     out = tmp_path / "o"
@@ -303,9 +403,14 @@ def test_cli_numeric_failure_exit_three(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_float_overflow_exit_three(tmp_path, capsys):
-    # the cell volume (length / d)^ds of the direct term overflows a float
-    path = write_config(tmp_path, dict(MINIMAL, lattice={"ds": 3, "d": 2, "length": 1e300}))
+def test_cli_float_overflow_exit_three(tmp_path, monkeypatch, capsys):
+    import fermiflow.runner as runner_mod
+
+    def overflow(cfg, out):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", overflow)
+    path = write_config(tmp_path, MINIMAL)
     out = tmp_path / "o"
     assert main(["evolve", "--config", path, "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import ModelParams, build_potential, make_lattice
+from fermiflow.model import build_potential, default_hbar, make_lattice
 from fermiflow.semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
                                     momentum_grid, vlasov_step, wigner)
 
@@ -78,7 +78,7 @@ def test_vlasov_free_transport_on_grid_characteristics():
     v0 = build_potential({"shape": "zero"}, lat)
     # shift per half step = 2 q dt / (2 a) = q dt / a cells; make it exactly 1
     dt = lat.spacing / q[slice_k]
-    out = vlasov_step(w, dt, v0, lat, n_particles=1)
+    out = vlasov_step(w, dt, v0, n_particles=1)
     expected = np.zeros_like(vals)
     expected[:, slice_k] = np.roll(vals[:, slice_k], 2)
     assert np.max(np.abs(out.values - expected)) < 1e-12
@@ -86,15 +86,15 @@ def test_vlasov_free_transport_on_grid_characteristics():
 
 def test_vlasov_mass_conservation_per_slice():
     lat = make_lattice(1, 32, 1.0)
-    params = ModelParams(n_particles=4, ds=1)
-    om = trapped_slater(lat, params.hbar, harmonic(lat, 50.0), 4)
-    w = wigner(om, lat, params.hbar)
+    hbar = default_hbar(4, 1)
+    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 4)
+    w = wigner(om, lat, hbar)
     v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(w, 1e-3, v0, lat, params.n_particles)
+    out = vlasov_step(w, 1e-3, v0, 4)
     # with V = 0 each momentum slice is transported, preserving its own mass
     assert np.max(np.abs(out.values.sum(axis=0) - w.values.sum(axis=0))) < 1e-10
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    out = vlasov_step(w, 1e-3, pot, lat, params.n_particles)
+    out = vlasov_step(w, 1e-3, pot, 4)
     assert abs(out.mass - w.mass) < 1e-10
 
 
@@ -112,7 +112,7 @@ def test_vlasov_step_second_order():
     def run(dt, t_final):
         w = PhaseSpaceDensity(values=vals0.copy(), momenta=q, weight=1.0 / 64)
         for _ in range(int(round(t_final / dt))):
-            w = vlasov_step(w, dt, pot, lat, n_particles=1)
+            w = vlasov_step(w, dt, pot, n_particles=1)
         return w.values
 
     t_final = 0.01
@@ -124,12 +124,12 @@ def test_vlasov_step_second_order():
 
 def test_compare_wigner_vlasov_stationary_cases():
     lat = make_lattice(1, 16, 1.0)
-    params = ModelParams(n_particles=3, ds=1)
+    hbar = default_hbar(3, 1)
     v0 = build_potential({"shape": "zero"}, lat)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     cfg = EvolutionConfig(dt=1e-2, t_final=0.2, snapshot_stride=5)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE, v0, params, lat)
-    times, gap, gap_norm = compare_wigner_vlasov(traj, v0, params, lat, 1e-2)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE, v0, hbar)
+    times, gap, gap_norm = compare_wigner_vlasov(traj, v0, hbar, 1e-2)
     assert gap[0] == 0.0
     assert np.max(gap) < 1e-8  # both sides stationary
 
@@ -137,14 +137,14 @@ def test_compare_wigner_vlasov_stationary_cases():
 def test_compare_wigner_vlasov_rejects_partial_substeps():
     # snapshots every 0.05; a Vlasov dt of 3e-3 would need 16.67 sub-steps
     lat = make_lattice(1, 16, 1.0)
-    params = ModelParams(n_particles=3, ds=1)
+    hbar = default_hbar(3, 1)
     v0 = build_potential({"shape": "zero"}, lat)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=5)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE, v0, params, lat)
+    traj = evolve(om, cfg, MeanFieldKind.HARTREE, v0, hbar)
     with pytest.raises(ValueError, match="whole number"):
-        compare_wigner_vlasov(traj, v0, params, lat, 3e-3)
-    times, gap, _ = compare_wigner_vlasov(traj, v0, params, lat, 2.5e-3)
+        compare_wigner_vlasov(traj, v0, hbar, 3e-3)
+    times, gap, _ = compare_wigner_vlasov(traj, v0, hbar, 2.5e-3)
     assert list(times) == traj.times and np.max(gap) < 1e-8
 
 
@@ -152,13 +152,13 @@ def test_compare_wigner_vlasov_normalized_gap_stays_order_one():
     # interacting run: the gap normalized by hbar*N should stay within an
     # order of magnitude of its early-time value (loose consistency check)
     lat = make_lattice(1, 64, 1.0)
-    params = ModelParams(n_particles=8, ds=1)
+    hbar = default_hbar(8, 1)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
                           lat)
-    om0 = trapped_slater(lat, params.hbar, harmonic(lat, 50.0), 8)
+    om0 = trapped_slater(lat, hbar, harmonic(lat, 50.0), 8)
     cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=100)
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE, pot, params, lat)
-    times, gap, gap_norm = compare_wigner_vlasov(traj, pot, params, lat, 1e-3)
+    traj = evolve(om0, cfg, MeanFieldKind.HARTREE, pot, hbar)
+    times, gap, gap_norm = compare_wigner_vlasov(traj, pot, hbar, 1e-3)
     ref = gap_norm[np.argmin(np.abs(times - 0.1))]
     late = gap_norm[times >= 0.1]
     assert ref > 0

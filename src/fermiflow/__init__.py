@@ -20,7 +20,7 @@ from .diagnostics import (CommutatorSeries, DistanceSeries, GrowthFit,
                           commutator_phase, default_probe_momenta,
                           distance_series, fit_double_exponential,
                           fit_exponential, hs_norm, semiclassical_constant,
-                          semiclassical_series, trace_norm)
+                          semiclassical_series, spectral_form, trace_norm)
 from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory,
                         compare_hf_hartree, density_profile, direct_term,
                         evolve, exchange_term, generator, hf_energy, step)

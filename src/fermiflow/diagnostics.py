@@ -4,14 +4,22 @@ along a trajectory, mean-field-vs-exact distances, and exponential growth
 fits.
 
 Each trace norm is tr|h| = sum |eigvalsh(h)| of a Hermitian h, computed by
-one function, `trace_norm`.  The kernels take matrices; the functions of a
-state take `DensityMatrix` states.  Both commutators are trace norms of
-elementwise products, with no dense operator products:
+one function, `trace_norm`.  The commutator norms read the spectral form
+omega = Phi diag(lam) Phi* of a state (`spectral_form`), Phi an M x r matrix
+with orthonormal columns.  Each commutator is B S B* with B of 2r columns
+and S Hermitian:
 
 * A = diag(e^{i r.x}) is unitary and [A, omega] = A (omega - A* omega A),
-  so tr|[A, omega]| = tr|omega - A* omega A|;
-* hbar d/dx = F* diag(i hbar p) F, so tr|[hbar d/dx, omega]| is the trace
-  norm of the matrix i hbar (p_j - p_k) omega_hat_jk, omega_hat = F omega F*.
+  so tr|[A, omega]| = tr|B S B*| with B = [Phi, A* Phi], S = diag(lam, -lam);
+* hbar d/dx is anti-Hermitian, so [hbar d/dx, omega] = B S B* with
+  B = [hbar dPhi, Phi], S = [[0, lam], [lam, 0]]; hbar dPhi is
+  F* diag(i hbar p) F Phi, taken by FFT.
+
+With B = QR, B S B* = Q (R S R*) Q*, so each norm is that of the k x k
+matrix R S R*, k = min(M, 2r).  `spectral_form` drops the eigenvalues with
+|lam| <= M eps max(1, max |lam|); that changes a phase norm by at most
+2 sum |lam_dropped| and the norm of axis j by at most
+2 hbar max |p_j| sum |lam_dropped|, since ||hbar d/dx_j|| = hbar max |p_j|.
 
 A difference gamma - omega of Hermitian matrices is Hermitian too, so the
 trace distance is the same kind of norm.
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Lattice, fourier_matrix, is_hermitian
+from .model import Lattice, is_hermitian
 
 __all__ = [
     "CommutatorSeries",
@@ -30,6 +38,7 @@ __all__ = [
     "DistanceSeries",
     "trace_norm",
     "hs_norm",
+    "spectral_form",
     "commutator_phase",
     "commutator_momentum",
     "default_probe_momenta",
@@ -72,13 +81,17 @@ class DistanceSeries:
     tr: np.ndarray
 
 
+def _check_hermitian(h: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"{what} of a matrix with non-finite entries")
+    if not is_hermitian(h):
+        raise ValueError(f"{what} of a non-Hermitian matrix")
+
+
 def trace_norm(h: np.ndarray) -> float:
     """tr|h| of a Hermitian matrix: the sum of |eigenvalues|.  Non-finite or
     non-Hermitian input (beyond round-off) is rejected."""
-    if not np.all(np.isfinite(h)):
-        raise ValueError("trace norm of a matrix with non-finite entries")
-    if not is_hermitian(h):
-        raise ValueError("trace norm of a non-Hermitian matrix")
+    _check_hermitian(h, "trace norm")
     try:
         return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -90,29 +103,48 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
-def commutator_phase(m: np.ndarray, r, lattice: Lattice) -> float:
-    """tr |[e^{i r.x}, m]| = tr |m - e^{-i r.x} m e^{i r.x}|."""
+def spectral_form(m: np.ndarray):
+    """(phi, lam, dropped) with m = phi diag(lam) phi* up to the dropped
+    eigenvalues, |lam| <= M eps max(1, max |lam|), from one eigh; phi has
+    orthonormal columns and dropped = sum |lam_dropped|."""
+    _check_hermitian(m, "spectral form")
+    lam, phi = np.linalg.eigh(m)
+    cut = m.shape[0] * np.finfo(float).eps * max(1.0, np.max(np.abs(lam), initial=0.0))
+    keep = np.abs(lam) > cut
+    return phi[:, keep], lam[keep], float(np.sum(np.abs(lam[~keep])))
+
+
+def _low_rank_norm(b: np.ndarray, s: np.ndarray) -> float:
+    """tr|b s b*| for a Hermitian s, from the k x k matrix r s r*, b = q r."""
+    r = np.linalg.qr(b, mode="r")
+    h = r @ s @ r.conj().T
+    return trace_norm(0.5 * (h + h.conj().T))
+
+
+def commutator_phase(phi: np.ndarray, lam: np.ndarray, r, lattice: Lattice) -> float:
+    """tr |[e^{i r.x}, omega]| of omega = phi diag(lam) phi*."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (lattice.ds,):
         raise ValueError(f"r must have {lattice.ds} components")
-    a = np.exp(1j * (lattice.sites() @ r))
-    return trace_norm(m - a.conj()[:, None] * m * a[None, :])
+    a_star = np.exp(-1j * (lattice.sites() @ r))
+    b = np.hstack([phi, a_star[:, None] * phi])
+    return _low_rank_norm(b, np.diag(np.concatenate([lam, -lam])))
 
 
-def commutator_momentum(m: np.ndarray, hbar: float, lattice: Lattice) -> float:
-    """sum over axes of tr |[hbar d/dx_axis, m]|, taken in the momentum
-    basis where hbar d/dx_axis is diag(i hbar p_axis).  m_hat is completed from
-    its lower triangle, all eigvalsh reads: each product is Hermitian exactly."""
-    if not is_hermitian(m):
-        raise ValueError("momentum commutator of a non-Hermitian matrix")
-    f = fourier_matrix(lattice)
-    m_hat = np.tril(f @ m @ f.conj().T)
-    m_hat += np.tril(m_hat, -1).conj().T
-    total = 0.0
-    for p in lattice.momenta().T:
-        dp = p[:, None] - p[None, :]
-        total += trace_norm((1j * hbar) * dp * m_hat)
-    return total
+def commutator_momentum(phi: np.ndarray, lam: np.ndarray, hbar: float,
+                        lattice: Lattice) -> float:
+    """sum over axes of tr |[hbar d/dx_axis, omega]| of omega = phi diag(lam) phi*;
+    hbar d phi for every axis comes from one fftn and one ifftn over the sites."""
+    grid, rank = (lattice.d,) * lattice.ds, len(lam)
+    site_axes = tuple(range(1, lattice.ds + 1))
+    # p_axis per site, in numpy's FFT order: (ds,) + grid
+    p = np.fft.ifftshift(lattice.momenta().T.reshape((lattice.ds,) + grid), axes=site_axes)
+    phi_hat = np.fft.fftn(phi.reshape(grid + (rank,)), axes=tuple(range(lattice.ds)))
+    dphi = np.fft.ifftn((1j * hbar) * p[..., None] * phi_hat, axes=site_axes)
+    dphi = dphi.reshape(lattice.ds, lattice.site_count, rank)
+    zero, diag = np.zeros((rank, rank)), np.diag(lam)
+    s = np.block([[zero, diag], [diag, zero]])
+    return sum(_low_rank_norm(np.hstack([d, phi]), s) for d in dphi)
 
 
 def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
@@ -126,23 +158,24 @@ def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
 
 def semiclassical_constant(omega, lattice: Lattice, hbar: float,
                            p_set: np.ndarray = None) -> SemiclassicalReport:
-    """The commutator norms of a `DensityMatrix` omega, normalized by N*hbar.
-    tr|[e^{-i p.x}, omega]| = tr|[e^{i p.x}, omega]|, so a probe whose
-    negative was already measured reuses that norm."""
+    """The commutator norms of a `DensityMatrix` omega, normalized by N*hbar,
+    from one `spectral_form`.  tr|[e^{-i p.x}, omega]| = tr|[e^{i p.x}, omega]|,
+    so a probe whose negative was already measured reuses that norm."""
     if p_set is None:
         p_set = default_probe_momenta(lattice)
     p_set = np.atleast_2d(np.asarray(p_set, dtype=float))
     if p_set.shape[0] == 0:
         raise ValueError("p_set must be nonempty")
-    m, norm = omega.matrix, omega.n_particles * hbar
+    phi, lam, _ = spectral_form(omega.matrix)
+    norm = omega.n_particles * hbar
     norms = {}
     for p in p_set:
         if tuple(p) not in norms:
-            norms[tuple(p)] = norms[tuple(-p)] = commutator_phase(m, p, lattice)
+            norms[tuple(p)] = norms[tuple(-p)] = commutator_phase(phi, lam, p, lattice)
     phase_norms = np.array([norms[tuple(p)] for p in p_set])
     c_phase = max(val / ((1.0 + np.linalg.norm(p)) * norm)
                   for val, p in zip(phase_norms, p_set))
-    c_momentum = commutator_momentum(m, hbar, lattice) / norm
+    c_momentum = commutator_momentum(phi, lam, hbar, lattice) / norm
     return SemiclassicalReport(c_phase=float(c_phase), c_momentum=float(c_momentum),
                                phase_norms=phase_norms)
 

@@ -133,7 +133,8 @@ def fourier_matrix(lattice: Lattice) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray) -> bool:
     """m = m* to round-off: no entry of m - m* above 1e-12 max(1, max |m|)."""
-    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(m))))
+    scale = max(1.0, np.max(np.abs(m), initial=0.0))
+    return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= 1e-12 * scale)
 
 
 def _shifted_fft(values: np.ndarray, lattice: Lattice) -> np.ndarray:

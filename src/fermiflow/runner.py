@@ -225,15 +225,19 @@ def build_initial_state(cfg: RunConfig) -> DensityMatrix:
                                   harmonic_trap(lattice, cfg.initial["strength"]), n)
         except DegenerateFermiLevel as exc:
             raise ConfigError(f"initial: {exc}") from exc
-    # kernel ansatz with a gaussian bump (diagnostics-only); float overflow exits 3
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        width = cfg.initial["width"] * lattice.length
-        chi = np.exp(-harmonic_trap(lattice, 1.0) / (2.0 * width ** 2))
-        radius = cfg.initial["fermi_radius"] or np.pi * n / lattice.length * hbar
-        dm, _ = kernel_ansatz(chi, radius, lattice, hbar)
-        # rescale chi so the trace matches N
-        scale = n / np.trace(dm.matrix).real
-        dm, _ = kernel_ansatz(chi * scale, radius, lattice, hbar)
+    # kernel ansatz with a gaussian bump (diagnostics-only)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            width = cfg.initial["width"] * lattice.length
+            chi = np.exp(-harmonic_trap(lattice, 1.0) / (2.0 * width ** 2))
+            radius = cfg.initial["fermi_radius"] or np.pi * n / lattice.length * hbar
+            dm, _ = kernel_ansatz(chi, radius, lattice, hbar)
+            # rescale chi so the trace matches N
+            scale = n / np.trace(dm.matrix).real
+            dm, _ = kernel_ansatz(chi * scale, radius, lattice, hbar)
+    except FloatingPointError as exc:
+        raise ConfigError(f"initial.width, initial.fermi_radius and lattice.length "
+                          f"give a kernel state outside the float range: {exc}") from exc
     dm.n_particles = n
     return dm
 

@@ -7,12 +7,12 @@ from fermiflow.diagnostics import (commutator_momentum, commutator_phase,
                                    default_probe_momenta, distance_series,
                                    fit_double_exponential, fit_exponential, hs_norm,
                                    semiclassical_constant, semiclassical_series,
-                                   trace_norm)
+                                   spectral_form, trace_norm)
 from fermiflow.initial_data import (fermi_ball_indices, kernel_ansatz,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import (build_potential, default_hbar, make_lattice,
-                             momentum_operator, phase_operator)
+from fermiflow.model import (build_potential, default_hbar, fourier_matrix,
+                             make_lattice, momentum_operator, phase_operator)
 
 
 def svd_trace_norm(a):
@@ -93,9 +93,23 @@ def _dense_momentum(m, hbar, lat):
     return sum(svd_trace_norm(g @ m - m @ g) for g in gs)
 
 
+def _elementwise_phase(m, r, lat):
+    """tr|m - a* m a| with a = e^{i r.x}, as an M x M elementwise product."""
+    a = np.exp(1j * (lat.sites() @ np.atleast_1d(r)))
+    return svd_trace_norm(m - a.conj()[:, None] * m * a[None, :])
+
+
+def _elementwise_momentum(m, hbar, lat):
+    """sum over axes of tr|i hbar (p_j - p_k) m_hat_jk|, m_hat = F m F*."""
+    f = fourier_matrix(lat)
+    m_hat = f @ m @ f.conj().T
+    return sum(svd_trace_norm((1j * hbar) * (p[:, None] - p[None, :]) * m_hat)
+               for p in lat.momenta().T)
+
+
 @pytest.mark.parametrize("ds,d", [(1, 16), (2, 6), (3, 4)])
 def test_commutators_match_dense_oracles(ds, d):
-    # the eigvalsh kernels against the dense products [A, omega] and their SVD
+    # the low-rank kernels against the dense products [A, omega] and their SVD
     lat = make_lattice(ds, d, 1.0)
     rng = np.random.default_rng(ds)
     hbar = 0.3
@@ -106,25 +120,71 @@ def test_commutators_match_dense_oracles(ds, d):
     shape = (lat.site_count,) * 2
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     probes = [lat.momenta()[1], 7.3 * rng.normal(size=ds)]  # on and off the grid
-    for m in (slater.matrix, kernel.matrix, x + x.conj().T):
+    for m in (slater.matrix, kernel.matrix, x + x.conj().T, np.zeros(shape)):  # r = 0
+        phi, lam, _ = spectral_form(m)
         for r in probes:
-            val = commutator_phase(m, r, lat)
+            val = commutator_phase(phi, lam, r, lat)
             assert val == pytest.approx(_dense_phase(m, r, lat), rel=1e-10)
-            assert commutator_phase(m, -r, lat) == pytest.approx(val, rel=1e-10)
-        assert commutator_momentum(m, hbar, lat) == pytest.approx(
+            assert commutator_phase(phi, lam, -r, lat) == pytest.approx(val, rel=1e-10)
+        assert commutator_momentum(phi, lam, hbar, lat) == pytest.approx(
             _dense_momentum(m, hbar, lat), rel=1e-10)
 
 
 def test_commutator_momentum_at_large_hbar_p():
-    # hbar |p| ~ 3e8: F m F* is Hermitian only to round-off of its O(1) entries,
-    # which the products (i hbar dp) * m_hat must not carry into trace_norm
+    # hbar |p| ~ 3e8: hbar d phi carries the round-off of O(hbar |p|) entries,
+    # which the small matrix r s r* must not carry into trace_norm
     lat = make_lattice(1, 3, 2e-10)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 2))
     hbar = 0.01
     scale = hbar * np.max(np.abs(lat.momenta()))
-    assert commutator_momentum(om.matrix, hbar, lat) <= 1e-12 * scale  # [d/dx, ball] = 0
+    phi, lam, _ = spectral_form(om.matrix)
+    assert commutator_momentum(phi, lam, hbar, lat) <= 1e-12 * scale  # [d/dx, ball] = 0
     with pytest.raises(ValueError, match="non-Hermitian"):
-        commutator_momentum(np.triu(np.ones((3, 3))), hbar, lat)
+        spectral_form(np.triu(np.ones((3, 3))))
+
+
+@pytest.mark.parametrize("ds,d", [(1, 64), (3, 4)])
+def test_truncated_tail_moves_each_norm_within_its_bound(ds, d):
+    # a projection plus a PSD tail below the cut M eps: dropping the tail moves
+    # a phase norm by at most 2 sum|lam_dropped| and the momentum norm of
+    # axis j by at most 2 hbar max|p_j| sum|lam_dropped|
+    lat = make_lattice(ds, d, 1.0)
+    rng = np.random.default_rng(11)
+    hbar, n = 0.3, 4
+    proj = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), n).matrix
+    x = rng.normal(size=proj.shape) + 1j * rng.normal(size=proj.shape)
+    tail = x @ x.conj().T
+    tail *= 1e-14 / np.linalg.eigvalsh(tail)[-1]
+    assert 1e-14 < lat.site_count * np.finfo(float).eps
+    m = proj + tail
+    phi, lam, dropped = spectral_form(m)
+    assert len(lam) == n
+    outside = np.trace(tail - proj @ tail @ proj).real  # ~tr (1 - P) tail (1 - P)
+    assert dropped == pytest.approx(outside, rel=0.1)
+    probes = [lat.momenta()[1], lat.momenta()[-1], 7.3 * rng.normal(size=ds)]
+    for r in probes:
+        assert abs(commutator_phase(phi, lam, r, lat) - _dense_phase(m, r, lat)) \
+            <= 2.0 * dropped
+    bound = sum(2.0 * hbar * np.max(np.abs(p)) * dropped for p in lat.momenta().T)
+    assert abs(commutator_momentum(phi, lam, hbar, lat)
+               - _dense_momentum(m, hbar, lat)) <= bound
+
+
+def test_semiclassical_constant_matches_elementwise_forms_at_ds3():
+    # the paper's dimension: a trapped state after a few HF steps at M=216
+    lat = make_lattice(3, 6, 1.0)
+    hbar = default_hbar(5, 3)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    rng = np.random.default_rng(9)
+    om = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 5)
+    cfg = EvolutionConfig(dt=2e-3, t_final=6e-3, snapshot_stride=3)
+    state = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).states[-1]
+    m, p_set = state.matrix, default_probe_momenta(lat, 1)
+    rep = semiclassical_constant(state, lat, hbar, p_set)
+    np.testing.assert_allclose(rep.phase_norms,
+                               [_elementwise_phase(m, p, lat) for p in p_set], rtol=1e-12)
+    assert rep.c_momentum * 5 * hbar == pytest.approx(
+        _elementwise_momentum(m, hbar, lat), rel=1e-12)
 
 
 def test_semiclassical_constant_pairs_probes_and_series_reuses_it():

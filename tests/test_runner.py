@@ -264,6 +264,11 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 # a trap energy strength |x - center|^2 beyond the float range
                 dict(MINIMAL, lattice={"d": 8, "length": 1e200}, initial={"kind": "trapped"}),
                 dict(diagnostics, lattice={"d": 8, "length": 1e200}, initial={"kind": "kernel"}),
+                # a kernel state whose products overflow, or whose bump underflows to 0
+                dict(diagnostics, lattice={"d": 5, "length": 1e150},
+                     initial={"kind": "kernel", "width": 1e3, "fermi_radius": 1e-3}),
+                dict(diagnostics, lattice={"d": 5, "length": 1e150},
+                     initial={"kind": "kernel", "width": 1e-3}),
                 dict(semiclassics, vlasov={"dt": 1e-12}),
                 # an integer literal beyond Python's 4300-digit parsing limit
                 json.dumps(MINIMAL).replace('"n_particles": 2',

@@ -4,10 +4,10 @@ along a trajectory, mean-field-vs-exact distances, and exponential growth
 fits.
 
 Each trace norm is tr|h| = sum |eigvalsh(h)| of a Hermitian h, computed by
-one function, `trace_norm`.  The commutator norms read the spectral form
-omega = Phi diag(lam) Phi* of a state (`spectral_form`), Phi an M x r matrix
-with orthonormal columns.  Each commutator is B S B* with B of 2r columns
-and S Hermitian:
+one function, `trace_norm`.  The commutator norms read the orbitals of a
+`DensityMatrix`, omega = Phi diag(lam) Phi* with Phi M x r (`spectral_form`
+factors a dense matrix this way).  Each commutator is B S B* with B of 2r
+columns and S Hermitian:
 
 * A = diag(e^{i r.x}) is unitary and [A, omega] = A (omega - A* omega A),
   so tr|[A, omega]| = tr|B S B*| with B = [Phi, A* Phi], S = diag(lam, -lam);
@@ -159,14 +159,14 @@ def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
 def semiclassical_constant(omega, lattice: Lattice, hbar: float,
                            p_set: np.ndarray = None) -> SemiclassicalReport:
     """The commutator norms of a `DensityMatrix` omega, normalized by N*hbar,
-    from one `spectral_form`.  tr|[e^{-i p.x}, omega]| = tr|[e^{i p.x}, omega]|,
+    from its orbitals.  tr|[e^{-i p.x}, omega]| = tr|[e^{i p.x}, omega]|,
     so a probe whose negative was already measured reuses that norm."""
     if p_set is None:
         p_set = default_probe_momenta(lattice)
     p_set = np.atleast_2d(np.asarray(p_set, dtype=float))
     if p_set.shape[0] == 0:
         raise ValueError("p_set must be nonempty")
-    phi, lam, _ = spectral_form(omega.matrix)
+    phi, lam = omega.orbitals, omega.occupations
     norm = omega.n_particles * hbar
     norms = {}
     for p in p_set:

@@ -183,7 +183,7 @@ class BogoliubovSpec:
 
     u: np.ndarray
     v: np.ndarray
-    orbitals: np.ndarray  # columns f_j, occupied eigenbasis of omega
+    orbitals: np.ndarray  # columns f_j, the orbitals of omega
 
     def check(self, tol: float = 1e-12):
         """Block conditions of the Bogoliubov map, and orthonormal orbitals:
@@ -202,19 +202,13 @@ class BogoliubovSpec:
 
 def bogoliubov_from_projection(omega) -> BogoliubovSpec:
     """Particle-hole Bogoliubov data for a `DensityMatrix` omega that is an
-    orthogonal projection."""
-    m = omega.matrix
-    if np.linalg.norm(m @ m - m, "fro") > 1e-10:
+    orthogonal projection, from its orbitals: Phi -> Phi W changes R only by
+    a phase and a number-conserving unitary, so any orthonormal basis serves."""
+    if not np.all(np.abs(omega.occupations - 1.0) <= 1e-10):
         raise ValueError("input is not an orthogonal projection")
-    eig, vec = np.linalg.eigh(m)
-    n = int(round(np.sum(eig).real))
-    # descending eigenvalue order; fix each orbital's phase by making its
-    # first non-negligible component real positive
-    occ = vec[:, ::-1][:, :n]
-    lead = occ[np.argmax(np.abs(occ) > 1e-8, axis=0), np.arange(n)]
-    occ = occ / (lead / np.abs(lead))
-    u = np.eye(m.shape[0], dtype=complex) - m
-    v = np.conj(occ) @ np.conj(occ).T
+    occ = omega.orbitals
+    u = np.eye(occ.shape[0], dtype=complex) - omega.matrix
+    v = np.conj(occ) @ occ.conj().T
     spec = BogoliubovSpec(u=u, v=v, orbitals=occ)
     spec.check()
     return spec

@@ -1,16 +1,21 @@
 """Semiclassically structured initial density matrices.
 
-The state type, `DensityMatrix`, and the states the flows start from:
-plane-wave Fermi balls, trapped Slater projections, Weyl quantizations of
-phase-space symbols, and the diagonal-concentrated kernel ansatz.  How
-semiclassical a state is, is measured in `diagnostics`.
+The state type, `DensityMatrix`: orbitals and occupations (Phi, lam), of
+which omega = Phi diag(lam) Phi* and N = sum lam are derived views.  The
+states the flows start from: plane-wave Fermi balls and trapped Slater
+projections, built from their orbitals with lam = 1, and Weyl quantizations
+of phase-space symbols and the diagonal-concentrated kernel ansatz, dense
+matrices factored by `diagnostics.spectral_form`.  How semiclassical a
+state is, is measured in `diagnostics`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import Lattice, is_hermitian, kinetic_operator
+from .diagnostics import spectral_form
+from .model import Lattice, kinetic_operator
 
 __all__ = [
     "DensityMatrix",
@@ -29,32 +34,45 @@ class DegenerateFermiLevel(Exception):
     basis inside a degenerate Fermi shell."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityMatrix:
-    """One-particle reduced density: Hermitian matrix with intended trace N."""
+    """omega = Phi diag(lam) Phi*: orbitals Phi (M x r), occupations lam (r,).
+    `matrix`, `n_particles` = sum lam and `idempotency_defect` are exact for
+    any Phi (a step's midpoint has columns that are not orthonormal);
+    `validate` requires orthonormal orbitals."""
 
-    matrix: np.ndarray
-    n_particles: int
+    orbitals: np.ndarray
+    occupations: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = (self.orbitals * self.occupations) @ self.orbitals.conj().T
+        return 0.5 * (m + m.conj().T)
+
+    @cached_property
+    def n_particles(self) -> int:
+        return int(round(np.sum(self.occupations)))
 
     def validate(self):
-        m = self.matrix
-        if not np.all(np.isfinite(m)):
+        phi, lam = self.orbitals, self.occupations
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(lam))):
             raise ValueError("density matrix has non-finite entries")
-        if not is_hermitian(m):
-            raise ValueError("density matrix is not Hermitian")
-        eig = np.linalg.eigvalsh(m)
-        if eig.min() < -1e-10 or eig.max() > 1.0 + 1e-10:
-            raise ValueError(
-                f"eigenvalues outside [0, 1]: min={eig.min():.3e} max={eig.max():.3e}"
-            )
-        if abs(np.trace(m).real - self.n_particles) > 1e-9:
-            raise ValueError(
-                f"trace {np.trace(m).real!r} does not match N={self.n_particles}"
-            )
+        gram = np.max(np.abs(phi.conj().T @ phi - np.eye(len(lam))), initial=0.0)
+        if not gram <= 1e-10:
+            raise ValueError(f"orbitals are not orthonormal (defect {gram:.3e})")
+        lo, hi = np.min(lam, initial=0.0), np.max(lam, initial=0.0)
+        if lo < -1e-10 or hi > 1.0 + 1e-10:
+            raise ValueError(f"eigenvalues outside [0, 1]: min={lo:.3e} max={hi:.3e}")
+        total = float(np.sum(lam))
+        if abs(total - round(total)) > 1e-9:
+            raise ValueError(f"trace {total!r} is not a whole number of particles")
 
     def idempotency_defect(self) -> float:
-        m = self.matrix
-        return float(np.linalg.norm(m @ m - m, "fro"))
+        """||omega^2 - omega||_F = sqrt|tr C^2|, C = B^2 - B with
+        B = (Phi* Phi) diag(lam): an r x r computation, valid for any Phi."""
+        b = (self.orbitals.conj().T @ self.orbitals) * self.occupations
+        c = b @ b - b
+        return float(np.sqrt(abs(np.sum(c * c.T))))
 
 
 @dataclass
@@ -92,9 +110,7 @@ def plane_wave_projection(lattice: Lattice, occupied) -> DensityMatrix:
         raise ValueError(f"momentum index components must lie in [{lo}, {hi}]")
     p = occupied * (2.0 * np.pi / lattice.length)
     orbitals = np.exp(1j * (lattice.sites() @ p.T)) / np.sqrt(lattice.site_count)
-    omega = orbitals @ orbitals.conj().T
-    return DensityMatrix(matrix=0.5 * (omega + omega.conj().T),
-                         n_particles=len(occupied))
+    return DensityMatrix(orbitals, np.ones(len(occupied)))
 
 
 def trapped_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
@@ -118,9 +134,7 @@ def trapped_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
             f"levels {n - 1} and {n} coincide within {gap_tol:g} "
             f"(gap {eig[n] - eig[n - 1]:.3e})"
         )
-    occ = vec[:, :n]
-    omega = occ @ occ.conj().T
-    return DensityMatrix(matrix=0.5 * (omega + omega.conj().T), n_particles=n)
+    return DensityMatrix(vec[:, :n], np.ones(n))
 
 
 def _midpoint_indices(d: int) -> np.ndarray:
@@ -164,8 +178,7 @@ def weyl_quantize(symbol: PhaseSpaceSymbol, lattice: Lattice, hbar: float) -> De
     m_at_mid = values[:, mid]  # (K, M, M)
     phases = np.exp(1j * np.einsum("kd,xyd->kxy", p, diff))
     omega = pref * np.einsum("kxy,kxy->xy", m_at_mid, phases)
-    omega = 0.5 * (omega + omega.conj().T)
-    return DensityMatrix(matrix=omega, n_particles=int(round(np.trace(omega).real)))
+    return DensityMatrix(*spectral_form(0.5 * (omega + omega.conj().T))[:2])
 
 
 def ball_fourier_profile(xi: np.ndarray, fermi_radius: float, ds: int) -> np.ndarray:
@@ -209,7 +222,5 @@ def kernel_ansatz(chi: np.ndarray, fermi_radius: float, lattice: Lattice,
     phi = ball_fourier_profile(xi, fermi_radius, lattice.ds)
     mid = _pair_midpoints(lattice)
     omega = (lattice.spacing / hbar) ** lattice.ds * phi * chi[mid]
-    omega = 0.5 * (omega + omega.conj().T).astype(complex)
-    n = int(round(np.trace(omega).real))
-    dm = DensityMatrix(matrix=omega, n_particles=max(n, 1))
+    dm = DensityMatrix(*spectral_form(0.5 * (omega + omega.conj().T).astype(complex))[:2])
     return dm, dm.idempotency_defect()

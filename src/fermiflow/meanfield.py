@@ -1,15 +1,17 @@
 """Hartree-Fock and Hartree flows for one-particle density matrices.
 
-The generator h(omega) = -hbar^2 Lap + (V * rho) - X is assembled in one
-place, `generator`: the direct term is a site vector added onto the
-diagonal of a copy of the kinetic operator, and for Hartree-Fock the
-exchange term X_{xy} = V(x-y) omega_{xy} / N, read from the pair table
+The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi* and
+N = sum lam.  The generator h(omega) = -hbar^2 Lap + (V * rho) - X is
+assembled in one place, `generator`: the direct term is the site vector
+V * rho, rho read from the orbitals, on the diagonal of the kinetic
+operator, and for Hartree-Fock the exchange term
+X_{xy} = V(x-y) omega_{xy} / N, read from the pair table
 `Potential.pair_matrix`, is subtracted.  The flow
-i*hbar d/dt omega = [h(omega), omega] is integrated by one rule, the
-exponential midpoint rule: each step conjugates omega with
-exp(-i dt h / hbar), with h evaluated at the average of omega and an
-exponential-Euler predictor.  Conjugation preserves the spectrum of omega
-structurally, so a projection stays a projection at every step.
+i*hbar d/dt omega = [h(omega), omega] is a unitary conjugation, so lam is
+fixed and only the orbitals move.  It is integrated by one rule, the
+exponential midpoint rule: each step maps Phi to exp(-i dt h / hbar) Phi,
+with h evaluated at the average of omega and an exponential-Euler
+predictor, so a projection stays a projection at every step.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from .diagnostics import distance_series
 from .initial_data import DensityMatrix
-from .model import Lattice, Potential, _shifted_fft, _shifted_ifft, kinetic_operator
+from .model import Lattice, Potential, kinetic_operator
 
 __all__ = [
     "MeanFieldKind",
@@ -82,20 +84,20 @@ class Trajectory:
 
 
 def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
-    """Normalized density rho(x_j) = omega_jj / (N a^ds); a^ds sum rho = 1."""
-    tr = np.trace(omega.matrix).real
-    if tr <= 0:
-        raise ValueError("density matrix must have positive trace")
-    return np.real(np.diag(omega.matrix)) / (omega.n_particles * lattice.cell)
+    """Normalized density rho(x_j) = omega_jj / (N a^ds) from the orbitals,
+    omega_jj = sum_k lam_k |Phi_jk|^2; a^ds sum rho = 1."""
+    if omega.n_particles <= 0:
+        raise ValueError("density matrix must hold at least one particle")
+    diag = (np.abs(omega.orbitals) ** 2) @ omega.occupations
+    return diag / (omega.n_particles * lattice.cell)
 
 
 def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
-    """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y), computed by
-    multiplying with the Fourier coefficients of V."""
-    lattice = v.lattice
-    rhat = _shifted_fft(rho, lattice)
-    conv = _shifted_ifft(v.fourier * rhat * lattice.site_count, lattice).real
-    return lattice.cell * conv
+    """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y): one circular
+    convolution of the site grids by FFT."""
+    grid = (v.lattice.d,) * v.lattice.ds
+    vhat, rhat = (np.fft.fftn(np.reshape(f, grid)) for f in (v.real_space, rho))
+    return v.lattice.cell * np.fft.ifftn(vhat * rhat).real.ravel()
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
@@ -106,30 +108,27 @@ def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
 def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
               hbar: float) -> np.ndarray:
     """Effective one-particle Hamiltonian h(omega) for the requested flow."""
-    h = kinetic_operator(v.lattice, hbar).copy()  # cached: never write into it
-    h[np.diag_indices_from(h)] += direct_term(density_profile(omega, v.lattice), v)
+    h = kinetic_operator(v.lattice, hbar) + np.diag(
+        direct_term(density_profile(omega, v.lattice), v))
     if kind is MeanFieldKind.HARTREE_FOCK:
         h -= exchange_term(omega, v)
     return 0.5 * (h + h.conj().T)
 
 
-def _conjugate(omega_mat: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
+def _conjugate(phi: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     eig, vec = np.linalg.eigh(h)
-    u = (vec * np.exp(-1j * dt * eig / hbar)) @ vec.conj().T
-    out = u @ omega_mat @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    return (vec * np.exp(-1j * dt * eig / hbar)) @ (vec.conj().T @ phi)
 
 
 def step(omega: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
          v: Potential, hbar: float) -> DensityMatrix:
-    """One exponential midpoint step: the generator is re-evaluated at the
-    average of omega and an exponential-Euler predictor."""
-    h = generator(omega, kind, v, hbar)
-    pred = _conjugate(omega.matrix, h, cfg.dt, hbar)
-    mid = DensityMatrix(matrix=0.5 * (omega.matrix + pred), n_particles=omega.n_particles)
-    h = generator(mid, kind, v, hbar)
-    new = _conjugate(omega.matrix, h, cfg.dt, hbar)
-    return DensityMatrix(matrix=new, n_particles=omega.n_particles)
+    """One exponential midpoint step on the orbitals: the generator is
+    re-evaluated at the average of omega and an exponential-Euler predictor,
+    the factored state [Phi, Phi_pred] diag(lam/2, lam/2) [Phi, Phi_pred]*."""
+    phi, lam = omega.orbitals, omega.occupations
+    pred = _conjugate(phi, generator(omega, kind, v, hbar), cfg.dt, hbar)
+    mid = DensityMatrix(np.hstack([phi, pred]), np.concatenate([lam, lam]) / 2)
+    return DensityMatrix(_conjugate(phi, generator(mid, kind, v, hbar), cfg.dt, hbar), lam)
 
 
 def hf_energy(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
@@ -153,31 +152,21 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
     snapshot stride.  Aborts on integrator blow-up or a non-finite state."""
     omega0.validate()
     traj = Trajectory()
-
-    def record_snapshot(t, state):
-        traj.times.append(t)
-        traj.states.append(DensityMatrix(matrix=state.matrix.copy(),
-                                         n_particles=state.n_particles))
-
-    def record_scalars(state, defect):
+    state, defect = omega0, omega0.idempotency_defect()
+    for i in range(cfg.n_steps + 1):
+        t = i * cfg.dt
+        if i > 0:
+            state = step(state, cfg, kind, v, hbar)
+            defect = state.idempotency_defect()
+            if not defect <= 1e-4:  # also true for NaN
+                raise RuntimeError(
+                    f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}")
         traj.trace.append(float(np.trace(state.matrix).real))
         traj.energy.append(hf_energy(state, kind, v, hbar))
         traj.idempotency_defect.append(defect)
-
-    state = omega0
-    record_scalars(state, state.idempotency_defect())
-    record_snapshot(0.0, state)
-    for i in range(1, cfg.n_steps + 1):
-        state = step(state, cfg, kind, v, hbar)
-        t = i * cfg.dt
-        defect = state.idempotency_defect()
-        if not defect <= 1e-4:  # also true for NaN
-            raise RuntimeError(
-                f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}"
-            )
-        record_scalars(state, defect)
-        if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:
-            record_snapshot(t, state)
+        if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:  # states are immutable
+            traj.times.append(t)
+            traj.states.append(state)
     return traj
 
 

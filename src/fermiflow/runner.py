@@ -3,11 +3,12 @@
 Configs are JSON documents.  The tables below list every key once, with
 its type, default and bound, and one reader, `_read`, applies them: unknown
 and missing keys are named, and every value is checked before it is used.
-A run writes `series.csv`, FMF1 snapshots under `snapshots/`, and finally
-(atomically) `summary.json` with a manifest of everything else, so a crash
-can never leave a summary claiming success.
+A run removes an earlier run's outputs, writes `series.csv`, FMF1 snapshots
+under `snapshots/`, and finally (atomically) `summary.json` with a manifest
+of everything else, so a crash can never leave a summary claiming success.
 """
 
+import glob
 import hashlib
 import json
 import os
@@ -238,7 +239,6 @@ def build_initial_state(cfg: RunConfig) -> DensityMatrix:
     except FloatingPointError as exc:
         raise ConfigError(f"initial.width, initial.fermi_radius and lattice.length "
                           f"give a kernel state outside the float range: {exc}") from exc
-    dm.n_particles = n
     return dm
 
 
@@ -420,11 +420,14 @@ _NEEDS_EVOLUTION = {"evolve", "compare-hf-hartree", "exact-vs-meanfield",
 
 
 def run(cfg: RunConfig, out_dir: str) -> dict:
-    """Execute a scenario; deterministic given (config, seed).  The summary
-    is written last, atomically."""
+    """Execute a scenario; deterministic given (config, seed).  An earlier
+    run's outputs are removed first; the summary is written last, atomically."""
     if cfg.scenario in _NEEDS_EVOLUTION and cfg.evolution is None:
         raise ConfigError("missing key(s) ['evolution'] in config")
     os.makedirs(out_dir, exist_ok=True)
+    for name in ["summary.json", "series.csv"] + glob.glob("snapshots/*.fmf1", root_dir=out_dir):
+        if os.path.isfile(path := os.path.join(out_dir, name)):
+            os.remove(path)
     t0 = time.monotonic()
     result = _SCENARIO_FN[cfg.scenario](cfg, out_dir)
     wall = time.monotonic() - t0

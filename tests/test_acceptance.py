@@ -10,7 +10,8 @@ import pytest
 
 from fermiflow.diagnostics import (default_probe_momenta, distance_series,
                                    fit_double_exponential, fit_exponential,
-                                   semiclassical_constant, semiclassical_series)
+                                   semiclassical_constant, semiclassical_series,
+                                   spectral_form)
 from fermiflow.initial_data import DensityMatrix, trapped_slater
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind,
                                  compare_hf_hartree, evolve)
@@ -120,7 +121,7 @@ def test_criterion_05_bogoliubov_wick_consistency(capsys):
     for n in (2, 3):
         a = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
         q, _ = np.linalg.qr(a)
-        om = DensityMatrix(matrix=q @ q.conj().T, n_particles=n)
+        om = DensityMatrix(*spectral_form(q @ q.conj().T)[:2])
         psi = quasi_free_state(space, om)
         worst["rdm1"] = max(worst["rdm1"],
                             np.max(np.abs(rdm1(psi, space) - om.matrix)))

@@ -141,6 +141,8 @@ def test_commutator_momentum_at_large_hbar_p():
     assert commutator_momentum(phi, lam, hbar, lat) <= 1e-12 * scale  # [d/dx, ball] = 0
     with pytest.raises(ValueError, match="non-Hermitian"):
         spectral_form(np.triu(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_form(np.full((3, 3), np.nan))
 
 
 @pytest.mark.parametrize("ds,d", [(1, 64), (3, 4)])

@@ -15,6 +15,7 @@ from fermiflow.fock import (BogoliubovSpec, FockSpace, SectorPropagator,
                             number_operator, pair_operator, quasi_free_state,
                             rdm1, rdmk, slater_vector, verify_operator_bounds,
                             wick_rdmk)
+from fermiflow.diagnostics import spectral_form
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
@@ -27,7 +28,7 @@ def random_projection(l_sites, n, seed):
     a = rng.normal(size=(l_sites, n)) + 1j * rng.normal(size=(l_sites, n))
     q, _ = np.linalg.qr(a)
     m = q @ q.conj().T
-    return DensityMatrix(matrix=m, n_particles=n)
+    return DensityMatrix(*spectral_form(m)[:2])
 
 
 def test_car_anticommutators():
@@ -174,7 +175,7 @@ def test_bogoliubov_spec_examples():
     spec.check()
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[1, 1] = 1.0
-    spec = bogoliubov_from_projection(DensityMatrix(matrix=m, n_particles=2))
+    spec = bogoliubov_from_projection(DensityMatrix(*spectral_form(m)[:2]))
     assert np.max(np.abs(spec.v.conj().T @ spec.v - m)) < 1e-12
     for seed in (0, 1):
         dm = random_projection(4, 2, seed)
@@ -183,10 +184,29 @@ def test_bogoliubov_spec_examples():
                              - np.eye(4))) < 1e-12
 
 
+def test_fluctuation_moments_do_not_depend_on_the_orbital_basis():
+    # Phi -> Phi W changes R only by a phase and a number-conserving unitary
+    space = FockSpace(8)
+    rng = np.random.default_rng(23)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    phi = np.linalg.qr(gaussian(8, 3))[0]
+    w = np.linalg.qr(gaussian(3, 3))[0]
+    psi = gaussian(space.dim)
+    psi /= np.linalg.norm(psi)
+    xi = fluctuation_vector(space, DensityMatrix(phi, np.ones(3)), psi)
+    xi_w = fluctuation_vector(space, DensityMatrix(phi @ w, np.ones(3)), psi)
+    for k in (1, 2, 3):
+        assert number_moment(xi_w, k, space) == pytest.approx(
+            number_moment(xi, k, space), rel=1e-12)
+
+
 def test_bogoliubov_rejects_non_projection():
     m = 0.5 * np.eye(3, dtype=complex)
     with pytest.raises(ValueError, match="projection"):
-        bogoliubov_from_projection(DensityMatrix(matrix=m, n_particles=1))
+        bogoliubov_from_projection(DensityMatrix(*spectral_form(m)[:2]))
 
 
 def test_bogoliubov_check_rejects_non_orthonormal_orbitals():
@@ -207,7 +227,7 @@ def test_implement_bogoliubov_identity_and_single_mode():
     space1 = FockSpace(1)
     m = np.ones((1, 1), dtype=complex)
     r = implement_bogoliubov(space1, bogoliubov_from_projection(
-        DensityMatrix(matrix=m, n_particles=1))) @ np.eye(2)
+        DensityMatrix(*spectral_form(m)[:2]))) @ np.eye(2)
     assert np.max(np.abs(np.abs(r) - np.array([[0, 1], [1, 0]]))) < 1e-12
 
 
@@ -245,7 +265,7 @@ def test_quasi_free_state_site_projection():
     space = FockSpace(4)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[1, 1] = 1.0
-    psi = quasi_free_state(space, DensityMatrix(matrix=m, n_particles=2))
+    psi = quasi_free_state(space, DensityMatrix(*spectral_form(m)[:2]))
     amp = np.abs(psi)
     assert amp[0b0011] == pytest.approx(1.0, abs=1e-12)
     assert np.sum(amp > 1e-12) == 1

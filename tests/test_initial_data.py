@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fermiflow.diagnostics import default_probe_momenta, semiclassical_constant
+from fermiflow.diagnostics import (default_probe_momenta, semiclassical_constant,
+                                   spectral_form)
 from fermiflow.initial_data import (DegenerateFermiLevel, PhaseSpaceSymbol,
                                     ball_fourier_profile, fermi_ball_indices,
                                     kernel_ansatz, plane_wave_projection,
@@ -158,7 +159,7 @@ def test_semiclassical_constant_flags_localized_state():
     local[np.arange(n), np.arange(n)] = 1.0
     from fermiflow.initial_data import DensityMatrix
 
-    localized = DensityMatrix(matrix=local, n_particles=n)
+    localized = DensityMatrix(*spectral_form(local)[:2])
     rep_ball = semiclassical_constant(ball, lat, hbar)
     rep_local = semiclassical_constant(localized, lat, hbar)
     # a position-localized projection commutes with every phase operator, so

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fermiflow.diagnostics import spectral_form
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree,
@@ -36,7 +37,7 @@ def test_density_profile_point_mass():
     lat = make_lattice(1, 8, 1.0)
     m = np.zeros((8, 8), dtype=complex)
     m[0, 0] = 2.0
-    rho = density_profile(DensityMatrix(matrix=m, n_particles=2), lat)
+    rho = density_profile(DensityMatrix(*spectral_form(m)[:2]), lat)
     assert rho[0] == pytest.approx(1.0 / lat.spacing)
     assert np.all(rho[1:] == 0.0)
     assert np.sum(rho) * lat.spacing == pytest.approx(1.0)
@@ -129,6 +130,68 @@ def test_step_free_is_exact_conjugation():
     assert np.max(np.abs(new.matrix - ref)) < 1e-12
 
 
+def _dense_generator(m, n, kind, pot, hbar):
+    """h(omega) assembled from the dense omega: diagonal density, entrywise
+    exchange."""
+    lat = pot.lattice
+    h = kinetic_operator(lat, hbar) + np.diag(
+        direct_term(np.diag(m).real / (n * lat.cell), pot))
+    if kind is MeanFieldKind.HARTREE_FOCK:
+        h = h - pot.pair_matrix * m / n
+    return 0.5 * (h + h.conj().T)
+
+
+def _dense_conjugate(m, h, dt, hbar):
+    """u m u*, u = exp(-i dt h / hbar) built as an M x M matrix, Hermitized."""
+    eig, vec = np.linalg.eigh(h)
+    u = (vec * np.exp(-1j * dt * eig / hbar)) @ vec.conj().T
+    out = u @ m @ u.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def _dense_step(m, n, dt, kind, pot, hbar):
+    """The exponential midpoint step on the dense omega."""
+    pred = _dense_conjugate(m, _dense_generator(m, n, kind, pot, hbar), dt, hbar)
+    h_mid = _dense_generator(0.5 * (m + pred), n, kind, pot, hbar)
+    return _dense_conjugate(m, h_mid, dt, hbar)
+
+
+@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4)])
+def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
+    lat = make_lattice(ds, d, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    hbar = default_hbar(n, ds)
+    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), n)
+    m = om.matrix
+    cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
+    for _ in range(5):
+        om = step(om, cfg, kind, pot, hbar)
+        m = _dense_step(m, n, cfg.dt, kind, pot, hbar)
+    assert np.linalg.norm(om.matrix - m, "fro") <= 1e-13
+
+
+def test_idempotency_defect_matches_dense_oracle():
+    rng = np.random.default_rng(5)
+    m_sites, r = 12, 3
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    q = np.linalg.qr(gaussian(m_sites, r))[0]
+    lam = rng.uniform(0.0, 1.0, r)
+    states = [DensityMatrix(q, np.ones(r)),  # a projection: both are round-off
+              # the midpoint form: columns that are not orthonormal
+              DensityMatrix(np.hstack([q, gaussian(m_sites, r)]),
+                            np.concatenate([lam, lam]) / 2),
+              DensityMatrix(q, rng.uniform(-0.5, 1.5, r))]
+    for state in states:
+        m = state.matrix
+        oracle = np.linalg.norm(m @ m - m, "fro")
+        assert state.idempotency_defect() == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+    assert states[0].idempotency_defect() < 1e-14
+
+
 def test_step_local_error_is_third_order():
     # Richardson: one step of size dt vs dt/2 against a dt/100 reference;
     # a second-order scheme has local error O(dt^3), ratio ~ 8
@@ -175,8 +238,6 @@ def test_hf_energy_examples():
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
     e = hf_energy(om, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     assert e == pytest.approx(2 * hbar ** 2 * (2 * np.pi) ** 2, rel=1e-12)
-    zero = DensityMatrix(matrix=np.zeros((8, 8), dtype=complex), n_particles=3)
-    assert hf_energy(zero, MeanFieldKind.HARTREE_FOCK, v0, hbar) == 0.0
 
 
 def test_hf_energy_conserved_along_flow():
@@ -225,18 +286,17 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
     v0 = build_potential({"shape": "zero"}, lat)
     hbar = default_hbar(4, 1)
     cfg = EvolutionConfig(dt=0.1, t_final=0.3)
-    m = np.eye(4, dtype=complex)
-    m[0, 1] = m[1, 0] = np.nan
-    bad = DensityMatrix(matrix=m, n_particles=4)
+    phi = np.eye(4, dtype=complex)
+    phi[0, 1] = phi[1, 0] = np.nan
+    bad = DensityMatrix(phi, np.ones(4))
     with pytest.raises(ValueError, match="non-finite"):
         bad.validate()
     with pytest.raises(ValueError, match="non-finite"):
         evolve(bad, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     # a step that produces NaN trips the blow-up guard
-    nan_state = DensityMatrix(matrix=np.full((4, 4), np.nan, dtype=complex),
-                              n_particles=4)
+    nan_state = DensityMatrix(np.full((4, 4), np.nan, dtype=complex), np.ones(4))
     monkeypatch.setattr(mf, "step", lambda *args: nan_state)
-    good = DensityMatrix(matrix=np.eye(4, dtype=complex), n_particles=4)
+    good = DensityMatrix(*spectral_form(np.eye(4, dtype=complex))[:2])
     with pytest.raises(RuntimeError, match="blow-up"):
         evolve(good, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
 
@@ -270,6 +330,6 @@ def test_interaction_tables_match_site_sum_oracles(ds, d):
         for y in range(m_sites):
             e += (k[x, y] * om[y, x]).real
             e += 0.5 / 3 * v[x, y] * (om[x, x] * om[y, y] - abs(om[x, y]) ** 2).real
-    got = hf_energy(DensityMatrix(matrix=om, n_particles=3), MeanFieldKind.HARTREE_FOCK,
+    got = hf_energy(DensityMatrix(*spectral_form(om)[:2]), MeanFieldKind.HARTREE_FOCK,
                    pot, hbar)
     assert got == pytest.approx(e, rel=1e-12)

@@ -157,6 +157,33 @@ def test_run_crash_leaves_no_summary(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
+def test_failed_rerun_removes_the_earlier_summary(tmp_path, monkeypatch):
+    import fermiflow.runner as runner_mod
+
+    out = str(tmp_path / "out")
+    run(parse_config(json.dumps(MINIMAL)), out)
+    assert os.path.exists(os.path.join(out, "summary.json"))
+
+    def boom(cfg, out):
+        raise NumericFailure("synthetic blow-up")
+
+    monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", boom)
+    with pytest.raises(NumericFailure):
+        run(parse_config(json.dumps(MINIMAL)), out)
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_shorter_rerun_manifest_lists_exactly_the_files_on_disk(tmp_path):
+    out = str(tmp_path / "out")
+    run(parse_config(json.dumps(MINIMAL)), out)  # snapshots at t = 0, 0.05, 0.1
+    shorter = dict(MINIMAL, evolution=dict(MINIMAL["evolution"], t_final=0.05))
+    summary = run(parse_config(json.dumps(shorter)), out)
+    on_disk = {os.path.relpath(os.path.join(root, name), out)
+               for root, _, files in os.walk(out) for name in files}
+    assert {m["path"] for m in summary["manifest"]} == on_disk - {"summary.json"}
+    assert len([p for p in on_disk if p.startswith("snapshots")]) == 2
+
+
 def test_import_loads_no_scipy():
     # every CLI start and every `import fermiflow` pays for what the package
     # imports; only the scenarios that need scipy (the Fock oracle) load it

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fermiflow.diagnostics import spectral_form
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
@@ -30,7 +31,7 @@ def test_wigner_identity_state_momentum_profile():
     # momentum profile alternates 2, 0 (the m = 0 and m = d/2 kernel slices
     # both hit the diagonal), so adjacent momentum bins sum to the flat value 2
     lat = make_lattice(1, 8, 1.0)
-    om = DensityMatrix(matrix=np.eye(8, dtype=complex), n_particles=8)
+    om = DensityMatrix(*spectral_form(np.eye(8, dtype=complex))[:2])
     w = wigner(om, lat, 0.5)
     assert np.max(np.abs(w.values - w.values[:1, :])) < 1e-12  # x-independent
     pair_sums = w.values[:, ::2] + w.values[:, 1::2]
@@ -53,10 +54,10 @@ def test_wigner_linearity():
 
     def rand_dm():
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        return DensityMatrix(matrix=a + a.conj().T, n_particles=1)
+        return DensityMatrix(*spectral_form(a + a.conj().T)[:2])
 
     a, b = rand_dm(), rand_dm()
-    combo = DensityMatrix(matrix=0.3 * a.matrix + 0.7 * b.matrix, n_particles=1)
+    combo = DensityMatrix(*spectral_form(0.3 * a.matrix + 0.7 * b.matrix)[:2])
     wa = wigner(a, lat, 0.5).values
     wb = wigner(b, lat, 0.5).values
     wc = wigner(combo, lat, 0.5).values
@@ -167,5 +168,5 @@ def test_compare_wigner_vlasov_normalized_gap_stays_order_one():
 
 def test_wigner_rejects_odd_or_multidimensional():
     with pytest.raises(ValueError):
-        wigner(DensityMatrix(matrix=np.eye(5, dtype=complex), n_particles=1),
+        wigner(DensityMatrix(*spectral_form(np.eye(5, dtype=complex))[:2]),
                make_lattice(1, 5, 1.0), 0.5)

@@ -301,7 +301,7 @@ def rdmk(psi: np.ndarray, k: int, space: FockSpace = None) -> np.ndarray:
         space = FockSpace(int(round(np.log2(psi.shape[0]))))
     if not 1 <= k <= 3:
         raise ValueError("k must be 1, 2 or 3")
-    mean_n = number_moment(psi, 1) - 1.0
+    mean_n = number_moment(psi, 1, space, shift=0.0)
     if k > mean_n + 1e-9:
         raise ValueError(f"k={k} exceeds the mean particle number {mean_n:.3f}")
     l = space.l_sites
@@ -344,14 +344,16 @@ def generalized_density(psi: np.ndarray, space: FockSpace = None) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def number_moment(xi: np.ndarray, k: int, space: FockSpace = None) -> float:
-    """<xi, (N_op + 1)^k xi> / ||xi||^2.  Numerator and norm sum over one
-    array of |xi|^2, so the moment is >= 1 exactly, not only to round-off."""
+def number_moment(xi: np.ndarray, k: int, space: FockSpace = None,
+                  shift: float = 1.0) -> float:
+    """<xi, (N_op + shift)^k xi> / ||xi||^2, >= shift^k exactly: numerator and
+    norm sum over one array of |xi|^2.  shift=0, k=1 is <N> without the
+    round-off of <N + 1> - 1, which loses the leading digits of a small <N>."""
     if not 0 <= k <= 6:
         raise ValueError("k must be between 0 and 6")
     if space is None:
         space = FockSpace(int(round(np.log2(xi.shape[0]))))
-    weights = (space.occupations() + 1.0) ** k
+    weights = (space.occupations() + shift) ** k
     prob = np.abs(xi) ** 2
     return float(np.sum(weights * prob) / np.sum(prob))
 

@@ -11,12 +11,15 @@ i*hbar d/dt omega = [h(omega), omega] is a unitary conjugation, so lam is
 fixed and only the orbitals move.  It is integrated by one rule, the
 exponential midpoint rule: each step maps Phi to exp(-i dt h / hbar) Phi,
 with h evaluated at the average of omega and an exponential-Euler
-predictor, so a projection stays a projection at every step.
+predictor, so a projection stays a projection at every step.  The exponential
+is a Chebyshev series in h on Phi, or an `eigh` of h where it needs dim h terms.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.
 """
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,10 +97,10 @@ def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
 
 def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
     """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y): one circular
-    convolution of the site grids by FFT."""
-    grid = (v.lattice.d,) * v.lattice.ds
-    vhat, rhat = (np.fft.fftn(np.reshape(f, grid)) for f in (v.real_space, rho))
-    return v.lattice.cell * np.fft.ifftn(vhat * rhat).real.ravel()
+    convolution of the site grids by real FFT, with V's transform cached."""
+    grid, axes = (v.lattice.d,) * v.lattice.ds, tuple(range(v.lattice.ds))
+    rhat = np.fft.rfftn(np.reshape(rho, grid), axes=axes)
+    return v.lattice.cell * np.fft.irfftn(v.site_rfft * rhat, grid, axes=axes).ravel()
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
@@ -115,9 +118,47 @@ def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
     return 0.5 * (h + h.conj().T)
 
 
+def _gershgorin_interval(h: np.ndarray) -> tuple:
+    """[lo, hi] ⊇ spec(h) for Hermitian h: the union of the Gershgorin discs."""
+    centre, radius = h.diagonal().real, np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    return (centre - radius).min(), (centre + radius).max()
+
+
+@functools.lru_cache(maxsize=256)
+def _chebyshev_coefficients(a: float, n: int = 1024) -> np.ndarray:
+    """c_k = (2 - delta_k0) (-i)^k J_k(a): exp(-i a x) = sum c_k T_k(x) on [-1, 1].
+    J_k(a) is the FFT of exp(-i a cos theta) along the exact (-i)^k, cut at the
+    first k > a with |c_k| < 1e-15; n doubles until it holds the cut, from 1024
+    as steps reuse the c_k: their rounding is a norm drift that adds up."""
+    k = np.arange(n // 2)
+    f = np.fft.fft(np.exp(-1j * a * np.cos(2 * np.pi * np.arange(n) / n)))[k] / n
+    phase = np.array([1, -1j, -1, 1j])[k % 4]  # (-i)^k, exact
+    c = np.where(k == 0, 1, 2) * phase * (f * phase.conj()).real
+    cut = np.flatnonzero((k > a) & (np.abs(c) < 1e-15))
+    return c[: cut[0]] if cut.size else _chebyshev_coefficients(a, 2 * n)
+
+
 def _conjugate(phi: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    eig, vec = np.linalg.eigh(h)
-    return (vec * np.exp(-1j * dt * eig / hbar)) @ (vec.conj().T @ phi)
+    """exp(-i tau h) Phi, tau = dt / hbar: a Chebyshev series in h2 = (tau/a)(h - mid),
+    a = tau (hi - lo) / 2 rounded up to a multiple of 1/64.  No degree >= dim h is
+    needed (Cayley-Hamilton): then, or for a non-finite h, h is diagonalized."""
+    m, tau = len(h), dt / hbar
+    lo, hi = _gershgorin_interval(h)
+    a = tau * (hi - lo) / 2
+    a = max(math.ceil(64 * a), 1) / 64 if a < m else a  # a < m is False for NaN
+    if not (a < m and len(c := _chebyshev_coefficients(a)) < m):
+        eig, vec = np.linalg.eigh(h)
+        return (vec * np.exp(-1j * dt * eig / hbar)) @ (vec.conj().T @ phi)
+    mid = (lo + hi) / 2
+    c = np.exp(-1j * tau * mid) * c  # exp(-i tau h) = exp(-i tau mid) exp(-i a h2)
+    two_h2 = (2 * tau / a) * h
+    two_h2.flat[:: m + 1] -= 2 * tau / a * mid
+    prev, cur = phi, 0.5 * (two_h2 @ phi)
+    out = c[0] * prev + c[1] * cur
+    for ck in c[2:]:  # T_{k+1} = 2 h2 T_k - T_{k-1}
+        prev, cur = cur, two_h2 @ cur - prev
+        out += ck * cur
+    return out
 
 
 def step(omega: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
@@ -161,7 +202,7 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
             if not defect <= 1e-4:  # also true for NaN
                 raise RuntimeError(
                     f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}")
-        traj.trace.append(float(np.trace(state.matrix).real))
+        traj.trace.append(float(np.vdot(state.orbitals, state.orbitals * state.occupations).real))
         traj.energy.append(hf_energy(state, kind, v, hbar))
         traj.idempotency_defect.append(defect)
         if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:  # states are immutable

@@ -96,6 +96,12 @@ class Potential:
         return _shifted_fft(self.real_space, self.lattice)
 
     @functools.cached_property
+    def site_rfft(self) -> np.ndarray:
+        """rfftn of the samples on the (d,)*ds site grid, for the direct term."""
+        grid = (self.lattice.d,) * self.lattice.ds
+        return np.fft.rfftn(self.real_space.reshape(grid), axes=tuple(range(len(grid))))
+
+    @functools.cached_property
     def assumption_weight(self) -> float:
         """sum_k (1 + |p_k|)^2 |Vhat(p_k)|, the paper's regularity weight of V."""
         p = self.lattice.momenta()

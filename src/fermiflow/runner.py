@@ -365,7 +365,7 @@ def _scenario_fluctuation(cfg: RunConfig, out):
     space, traj, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
     order = cfg.fock["moment_order"]
     xis = (fluctuation_vector(space, omega, psi) for omega, psi in zip(traj.states, psis))
-    m1, mk = zip(*[(number_moment(xi, 1) - 1.0, number_moment(xi, order)) for xi in xis])
+    m1, mk = zip(*[(number_moment(xi, 1, shift=0.0), number_moment(xi, order)) for xi in xis])
     write_csv(os.path.join(out, "series.csv"),
               {"t": traj.times, "mean_particle_number": m1,
                f"moment_order_{order}": mk})

@@ -2,6 +2,7 @@
 densities, fluctuation dynamics, and the quadratic-operator bounds."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -381,6 +382,20 @@ def test_number_moment_examples():
     psi = 0.6 * space.vacuum() + 0.8 * one
     oracle = 0.36 * 1.0 + 0.64 * 4.0  # sector-sum of (n+1)^2
     assert number_moment(psi, 2) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_number_moment_keeps_a_small_mean_exact():
+    # <N> ~ 1e-10 in closed form; <N + 1> - 1 keeps only ~6 of its digits
+    space = FockSpace(3)
+    one = apply_ladder(space, space.vacuum(), 0, create=True)
+    two = apply_ladder(space, one, 1, create=True)
+    beta, gamma = 1e-5, 3e-6
+    xi = space.vacuum() + beta * one + gamma * two
+    b2, g2 = Fraction(beta) ** 2, Fraction(gamma) ** 2
+    exact = float((b2 + 2 * g2) / (1 + b2 + g2))
+    assert abs(number_moment(xi, 1, shift=0.0) - exact) <= 1e-14 * exact
+    assert abs(number_moment(xi, 1) - 1.0 - exact) > 1e-14 * exact
+    assert number_moment(space.vacuum(), 1, shift=0.0) == 0.0
 
 
 def test_fluctuation_dynamics_identity_at_t0_and_norm():

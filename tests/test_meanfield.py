@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fermiflow.meanfield as mf
 from fermiflow.diagnostics import spectral_form
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
@@ -157,7 +158,7 @@ def _dense_step(m, n, dt, kind, pot, hbar):
 
 
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
-@pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4)])
+@pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4), (1, 64, 8)])
 def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
     lat = make_lattice(ds, d, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
@@ -169,6 +170,70 @@ def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
         om = step(om, cfg, kind, pot, hbar)
         m = _dense_step(m, n, cfg.dt, kind, pot, hbar)
     assert np.linalg.norm(om.matrix - m, "fro") <= 1e-13
+
+
+def _trapped_generator(ds, d, n, kind):
+    lat = make_lattice(ds, d, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    hbar = default_hbar(n, ds)
+    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), n)
+    return om, generator(om, kind, pot, hbar), pot, hbar
+
+
+def _eigh_exponential(phi, h, dt, hbar):
+    """The oracle of the Chebyshev series: exp(-i dt h / hbar) Phi from eigh."""
+    eig, vec = np.linalg.eigh(h)
+    return (vec * np.exp(-1j * dt * eig / hbar)) @ (vec.conj().T @ phi)
+
+
+@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("ds,d", [(1, 64), (3, 8)])
+def test_gershgorin_interval_contains_spectrum(ds, d, kind):
+    _, h, _, _ = _trapped_generator(ds, d, 4, kind)
+    lo, hi = mf._gershgorin_interval(h)
+    eig = np.linalg.eigvalsh(h)
+    assert lo <= eig[0] and eig[-1] <= hi
+
+
+# M = 64 needs >= 64 terms from a ~ 30 on: both sides of that boundary
+@pytest.mark.parametrize("a", [0.3, 3.0, 20.0, 29.0, 31.0, 63.9, 64.0, 1e3])
+def test_conjugate_matches_eigh_oracle(a):
+    om, h, _, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE_FOCK)
+    lo, hi = mf._gershgorin_interval(h)
+    dt = 2 * a * hbar / (hi - lo)
+    got = mf._conjugate(om.orbitals, h, dt, hbar)
+    assert np.max(np.abs(got - _eigh_exponential(om.orbitals, h, dt, hbar))) <= 1e-13
+
+
+def test_conjugate_of_a_multiple_of_the_identity():
+    # h = c I: zero Gershgorin width, a is raised to 1/64 and h2 = 0
+    phi = np.linalg.qr(np.random.default_rng(2).normal(size=(64, 4)) + 0j)[0]
+    h = 2.5 * np.eye(64, dtype=complex)
+    got = mf._conjugate(phi, h, 1e-2, 0.5)
+    assert np.max(np.abs(got - np.exp(-0.05j) * phi)) <= 1e-15
+    assert np.max(np.abs(got - _eigh_exponential(phi, h, 1e-2, 0.5))) <= 1e-13
+
+
+def test_orbitals_stay_orthonormal_over_many_steps():
+    om, _, pot, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE_FOCK)
+    cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000)
+    phi = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).states[-1].orbitals
+    assert np.max(np.abs(phi.conj().T @ phi - np.eye(8))) <= 1e-11
+
+
+@pytest.mark.parametrize("ds,d,n,dt", [(1, 64, 8, 1e-3), (3, 8, 10, 2e-3)])
+def test_steps_take_the_series_and_large_a_takes_eigh(ds, d, n, dt, monkeypatch):
+    om, h, pot, hbar = _trapped_generator(ds, d, n, MeanFieldKind.HARTREE_FOCK)
+
+    def no_eigh(*args):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    cfg = EvolutionConfig(dt=dt, t_final=dt)
+    step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).validate()
+    lo, hi = mf._gershgorin_interval(h)
+    with pytest.raises(AssertionError, match="eigh called"):  # a = dim h
+        mf._conjugate(om.orbitals, h, 2 * len(h) * hbar / (hi - lo), hbar)
 
 
 def test_idempotency_defect_matches_dense_oracle():

@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .model import (Lattice, Potential, build_potential, default_hbar,
                     fourier_matrix, kinetic_operator, make_lattice,
                     momentum_operator, phase_operator)
-from .initial_data import (DegenerateFermiLevel, DensityMatrix, PhaseSpaceSymbol,
-                           fermi_ball_indices, kernel_ansatz,
-                           plane_wave_projection, trapped_slater, weyl_quantize)
+from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
+                           kernel_ansatz, plane_wave_projection, trapped_slater,
+                           weyl_quantize)
 from .diagnostics import (CommutatorSeries, DistanceSeries, GrowthFit,
                           SemiclassicalReport, commutator_momentum,
                           commutator_phase, default_probe_momenta,

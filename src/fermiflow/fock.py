@@ -4,8 +4,8 @@ Occupation bitmasks index the 2^L Fock basis (integer order); Jordan-Wigner
 strings follow the site order, so a_x picks up (-1)^(number of occupied
 modes below x).  That convention is fixed in one place: the kernel `_word`,
 which builds any word of creation and annihilation operators from the
-per-space table of occupation bits and signs.  Every operator here (ladder,
-field, dGamma, pair, Hamiltonian) is one call to it, and everything
+per-space table of occupation bits and signs.  Every operator here (field
+a*(f) and a(f), dGamma, pair, Hamiltonian) is one call to it, and everything
 downstream (Bogoliubov implementors, Wick reduced densities, fluctuation
 vectors) is validated against the anticommutation relations it fixes.
 """
@@ -22,17 +22,12 @@ from .model import Potential, kinetic_operator
 
 __all__ = [
     "FockSpace",
-    "BogoliubovSpec",
-    "ladder",
     "car_defect",
     "field_operator",
-    "apply_ladder",
-    "apply_field",
     "d_gamma",
     "number_operator",
     "hamiltonian",
     "pair_operator",
-    "bogoliubov_from_projection",
     "implement_bogoliubov",
     "quasi_free_state",
     "slater_vector",
@@ -47,6 +42,9 @@ __all__ = [
 ]
 
 _MAX_SITES = 14  # largest sector C(14, 7) = 3432 states, diagonalized densely
+# verify_operator_bounds takes SVDs of whole 2^L x 2^L operators: at L = 12 the
+# dense operator and the SVD's copy of it are 256 MiB each (4 GiB at L = 14)
+DENSE_MAX_SITES = 12
 
 
 @dataclass(frozen=True)
@@ -108,26 +106,18 @@ def _word(space: FockSpace, creates, coef) -> sp.csr_matrix:
                          shape=(space.dim, space.dim))
 
 
-def apply_ladder(space: FockSpace, psi: np.ndarray, site: int, create: bool) -> np.ndarray:
-    """Apply a single a_x or a*_x to a state vector."""
-    return ladder(space, site, "create" if create else "annihilate") @ psi
-
-
-def ladder(space: FockSpace, site: int, kind: str) -> sp.csr_matrix:
-    """Sparse a_x (kind='annihilate') or a*_x (kind='create')."""
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    if not 0 <= site < space.l_sites:
-        raise ValueError(f"site {site} out of range")
-    return _word(space, (kind == "create",), np.eye(space.l_sites)[site])
+def field_operator(space: FockSpace, f: np.ndarray, create: bool) -> sp.csr_matrix:
+    """Sparse a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x; the site
+    operators are a_x = a(e_x) and a*_x = a*(e_x)."""
+    return _word(space, (create,), f if create else np.conj(f))
 
 
 def car_defect(space: FockSpace) -> float:
     """Largest entry of {a_x, a*_y} - delta_xy, {a_x, a_y} and {a*_x, a*_y}
-    over all site pairs, computed on the sparse ladders."""
+    over all site pairs, computed on the sparse site operators."""
     ident = sp.identity(space.dim, format="csr")
-    a = [ladder(space, x, "annihilate") for x in range(space.l_sites)]
-    c = [ladder(space, x, "create") for x in range(space.l_sites)]
+    a = [field_operator(space, e, False) for e in np.eye(space.l_sites)]
+    c = [field_operator(space, e, True) for e in np.eye(space.l_sites)]
     worst = 0.0
     for x in range(space.l_sites):
         for y in range(space.l_sites):
@@ -135,15 +125,6 @@ def car_defect(space: FockSpace) -> float:
                          a[x] @ a[y] + a[y] @ a[x], c[x] @ c[y] + c[y] @ c[x]):
                 worst = max(worst, abs(anti).max())
     return float(worst)
-
-
-def apply_field(space: FockSpace, psi: np.ndarray, f: np.ndarray, create: bool) -> np.ndarray:
-    """Apply a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x."""
-    return _word(space, (create,), f if create else np.conj(f)) @ psi
-
-
-def field_operator(space: FockSpace, f: np.ndarray, create: bool) -> sp.csr_matrix:
-    return _word(space, (create,), f if create else np.conj(f))
 
 
 def d_gamma(space: FockSpace, o: np.ndarray) -> sp.csr_matrix:
@@ -177,58 +158,36 @@ def hamiltonian(space: FockSpace, v: Potential, hbar: float,
     return (h + sp.diags(diag.astype(complex))).tocsr()
 
 
-@dataclass
-class BogoliubovSpec:
-    """Pairing-free particle-hole data: u = 1 - omega, v = sum |conj f_j><f_j|."""
-
-    u: np.ndarray
-    v: np.ndarray
-    orbitals: np.ndarray  # columns f_j, the orbitals of omega
-
-    def check(self, tol: float = 1e-12):
-        """Block conditions of the Bogoliubov map, and orthonormal orbitals:
-        then every b_j = a*(f_j) + a(f_j) is a self-adjoint unitary."""
-        ident = np.eye(self.u.shape[0])
-        c1 = np.max(np.abs(self.u.conj().T @ self.u + self.v.conj().T @ self.v - ident))
-        c2 = np.max(np.abs(self.u.conj().T @ np.conj(self.v)
-                           + self.v.conj().T @ np.conj(self.u)))
-        if c1 > tol or c2 > tol:
-            raise ValueError(f"Bogoliubov block conditions violated: {c1:.2e}, {c2:.2e}")
-        f = self.orbitals
-        gram = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])), initial=0.0)
-        if not gram <= tol:
-            raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
-
-
-def bogoliubov_from_projection(omega) -> BogoliubovSpec:
-    """Particle-hole Bogoliubov data for a `DensityMatrix` omega that is an
-    orthogonal projection, from its orbitals: Phi -> Phi W changes R only by
-    a phase and a number-conserving unitary, so any orthonormal basis serves."""
-    if not np.all(np.abs(omega.occupations - 1.0) <= 1e-10):
-        raise ValueError("input is not an orthogonal projection")
-    occ = omega.orbitals
-    u = np.eye(occ.shape[0], dtype=complex) - omega.matrix
-    v = np.conj(occ) @ occ.conj().T
-    spec = BogoliubovSpec(u=u, v=v, orbitals=occ)
-    spec.check()
-    return spec
-
-
 def slater_vector(space: FockSpace, orbitals: np.ndarray) -> np.ndarray:
     """a*(f_1) ... a*(f_N) applied to the vacuum."""
     psi = space.vacuum()
     for j in range(orbitals.shape[1] - 1, -1, -1):
-        psi = apply_field(space, psi, orbitals[:, j], create=True)
+        psi = field_operator(space, orbitals[:, j], True) @ psi
     return psi
 
 
-def implement_bogoliubov(space: FockSpace, spec: BogoliubovSpec) -> LinearOperator:
-    """Implementor R = b_1 ... b_N with b_j = a*(f_j) + a(f_j), applied factor
-    by factor (b_N acts first).  For orthonormal f_j (BogoliubovSpec.check)
-    the CAR give b_j* = b_j and b_j^2 = 1: R is unitary, R* = b_N ... b_1
-    (`.H` applies the factors in reverse), and R vacuum = slater_vector."""
-    factors = [field_operator(space, f, True) + field_operator(space, f, False)
-               for f in spec.orbitals.T]
+def implement_bogoliubov(space: FockSpace, omega) -> LinearOperator:
+    """Particle-hole implementor R = b_1 ... b_N of a `DensityMatrix` omega
+    that is an orthogonal projection, with b_j = a*(f_j) + a(f_j) over its
+    orbitals f_j, applied factor by factor (b_N acts first).  Phi -> Phi W
+    changes R only by a phase and a number-conserving unitary, so any
+    orthonormal basis of omega serves.
+
+    Every lambda_j must be 1 and the f_j orthonormal.  Then the CAR give
+    b_j* = b_j and b_j^2 = 1: R is unitary, R* = b_N ... b_1 (`.H` applies
+    the factors in reverse), and R vacuum = slater_vector.  The block
+    conditions of the Bogoliubov map u = 1 - omega, v = conj(Phi) Phi* need
+    no check of their own: with E = Phi* Phi - I their defects
+    u*u + v*v - 1 = Phi (E + conj E) Phi* and
+    u* conj(v) + v* conj(u) = -Phi (E + conj E) Phi^T vanish with E."""
+    if not np.all(np.abs(omega.occupations - 1.0) <= 1e-10):
+        raise ValueError("input is not an orthogonal projection")
+    f = omega.orbitals
+    gram = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])), initial=0.0)
+    if not gram <= 1e-12:
+        raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
+    factors = [field_operator(space, fj, True) + field_operator(space, fj, False)
+               for fj in f.T]
 
     def apply(order):
         def act(psi):
@@ -243,7 +202,7 @@ def implement_bogoliubov(space: FockSpace, spec: BogoliubovSpec) -> LinearOperat
 
 def quasi_free_state(space: FockSpace, omega) -> np.ndarray:
     """The pairing-free quasi-free state R_nu vacuum with rdm1 = omega."""
-    return implement_bogoliubov(space, bogoliubov_from_projection(omega)) @ space.vacuum()
+    return implement_bogoliubov(space, omega) @ space.vacuum()
 
 
 class SectorPropagator:
@@ -252,7 +211,7 @@ class SectorPropagator:
 
     def __init__(self, space: FockSpace, h, hbar: float):
         self.space = space
-        self.h = sp.csr_matrix(h) if not sp.issparse(h) else h.tocsr()
+        self.h = sp.csr_matrix(h)
         herm_defect = abs(self.h - self.h.conj().T).max()
         if herm_defect > 1e-10:
             raise ValueError(f"generator not Hermitian (defect {herm_defect:.2e})")
@@ -281,36 +240,34 @@ class SectorPropagator:
         return out
 
 
-def _annihilated_stack(space: FockSpace, psi: np.ndarray) -> np.ndarray:
-    return np.stack([apply_ladder(space, psi, x, create=False)
-                     for x in range(space.l_sites)])
+def _site_stack(space: FockSpace, psi: np.ndarray, create: bool) -> np.ndarray:
+    """Rows a_x psi (or a*_x psi if create), x in site order."""
+    return np.stack([field_operator(space, e, create) @ psi
+                     for e in np.eye(space.l_sites)])
 
 
-def rdm1(psi: np.ndarray, space: FockSpace = None) -> np.ndarray:
+def rdm1(psi: np.ndarray, space: FockSpace) -> np.ndarray:
     """gamma(x;y) = <psi, a*_y a_x psi>; Hermitian PSD, trace = <N>."""
-    if space is None:
-        space = FockSpace(int(round(np.log2(psi.shape[0]))))
-    a_psi = _annihilated_stack(space, psi)
+    a_psi = _site_stack(space, psi, False)
     return a_psi @ a_psi.conj().T
 
 
-def rdmk(psi: np.ndarray, k: int, space: FockSpace = None) -> np.ndarray:
+def rdmk(psi: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
     """k-particle reduced density as a rank-2k tensor, normalized so the
     total trace is <N!/(N-k)!>."""
-    if space is None:
-        space = FockSpace(int(round(np.log2(psi.shape[0]))))
     if not 1 <= k <= 3:
         raise ValueError("k must be 1, 2 or 3")
     mean_n = number_moment(psi, 1, space, shift=0.0)
     if k > mean_n + 1e-9:
         raise ValueError(f"k={k} exceeds the mean particle number {mean_n:.3f}")
     l = space.l_sites
+    a = [field_operator(space, e, False) for e in np.eye(l)]
     tuples = list(product(range(l), repeat=k))
     phi = np.zeros((len(tuples), space.dim), dtype=complex)
     for i, tup in enumerate(tuples):
         vec = psi
         for y in tup:  # rightmost operator a_{y_1} acts first
-            vec = apply_ladder(space, vec, y, create=False)
+            vec = a[y] @ vec
         phi[i] = vec
     g = phi @ phi.conj().T  # g[x_tuple, x'_tuple] = <Phi_{x'}, Phi_x>
     return g.reshape((l,) * (2 * k))
@@ -328,13 +285,10 @@ def wick_rdmk(omega: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.det(blocks).reshape((l,) * (2 * k))
 
 
-def generalized_density(psi: np.ndarray, space: FockSpace = None) -> np.ndarray:
+def generalized_density(psi: np.ndarray, space: FockSpace) -> np.ndarray:
     """Block matrix [[gamma, alpha], [-conj(alpha), 1 - conj(gamma)]]."""
-    if space is None:
-        space = FockSpace(int(round(np.log2(psi.shape[0]))))
-    a_psi = _annihilated_stack(space, psi)
-    c_psi = np.stack([apply_ladder(space, psi, x, create=True)
-                      for x in range(space.l_sites)])
+    a_psi = _site_stack(space, psi, False)
+    c_psi = _site_stack(space, psi, True)
     gamma = a_psi @ a_psi.conj().T
     # alpha(x;y) = <psi, a_y a_x psi> = <a*_y psi, a_x psi>
     alpha = (np.conj(c_psi) @ a_psi.T).T
@@ -344,15 +298,13 @@ def generalized_density(psi: np.ndarray, space: FockSpace = None) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def number_moment(xi: np.ndarray, k: int, space: FockSpace = None,
+def number_moment(xi: np.ndarray, k: int, space: FockSpace,
                   shift: float = 1.0) -> float:
     """<xi, (N_op + shift)^k xi> / ||xi||^2, >= shift^k exactly: numerator and
     norm sum over one array of |xi|^2.  shift=0, k=1 is <N> without the
     round-off of <N + 1> - 1, which loses the leading digits of a small <N>."""
     if not 0 <= k <= 6:
         raise ValueError("k must be between 0 and 6")
-    if space is None:
-        space = FockSpace(int(round(np.log2(xi.shape[0]))))
     weights = (space.occupations() + shift) ** k
     prob = np.abs(xi) ** 2
     return float(np.sum(weights * prob) / np.sum(prob))
@@ -363,7 +315,7 @@ def fluctuation_vector(space: FockSpace, omega, psi: np.ndarray) -> np.ndarray:
     projection omega.  With psi_t = exp(-i H t / hbar) R_{omega_0} xi_0 and
     omega_t on the Hartree-Fock flow, this is the fluctuation dynamics
     U(t;0) xi_0 = R*_{omega_t} exp(-i H t / hbar) R_{omega_0} xi_0."""
-    xi = implement_bogoliubov(space, bogoliubov_from_projection(omega)).H @ psi
+    xi = implement_bogoliubov(space, omega).H @ psi
     drift = abs(np.linalg.norm(xi) - np.linalg.norm(psi))
     if not drift <= 1e-9 * max(1.0, np.linalg.norm(psi)):  # also true for NaN
         raise RuntimeError(f"fluctuation vector lost norm ({drift:.2e})")
@@ -372,7 +324,11 @@ def fluctuation_vector(space: FockSpace, omega, psi: np.ndarray) -> np.ndarray:
 
 def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
     """Numerically check the quadratic-operator norm inequalities on random
-    one-particle matrices and random Fock vectors; violations indicate bugs."""
+    one-particle matrices and random Fock vectors; violations indicate bugs.
+    Needs L <= DENSE_MAX_SITES."""
+    if space.l_sites > DENSE_MAX_SITES:
+        raise ValueError(f"need L <= {DENSE_MAX_SITES} for dense operators, "
+                         f"got {space.l_sites}")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)

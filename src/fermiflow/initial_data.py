@@ -19,7 +19,6 @@ from .model import Lattice, kinetic_operator
 
 __all__ = [
     "DensityMatrix",
-    "PhaseSpaceSymbol",
     "DegenerateFermiLevel",
     "fermi_ball_indices",
     "plane_wave_projection",
@@ -73,13 +72,6 @@ class DensityMatrix:
         b = (self.orbitals.conj().T @ self.orbitals) * self.occupations
         c = b @ b - b
         return float(np.sqrt(abs(np.sum(c * c.T))))
-
-
-@dataclass
-class PhaseSpaceSymbol:
-    """Real function M(p, x) sampled on momentum grid x site grid."""
-
-    values: np.ndarray  # shape (momentum count, site count)
 
 
 def fermi_ball_indices(lattice: Lattice, n: int) -> np.ndarray:
@@ -157,8 +149,9 @@ def _pair_midpoints(lattice: Lattice) -> np.ndarray:
     return flat
 
 
-def weyl_quantize(symbol: PhaseSpaceSymbol, lattice: Lattice, hbar: float) -> DensityMatrix:
-    """Discrete Weyl quantization of a phase-space symbol.
+def weyl_quantize(symbol: np.ndarray, lattice: Lattice, hbar: float) -> DensityMatrix:
+    """Discrete Weyl quantization of a real phase-space symbol M(p, x), given
+    as its samples on momentum grid x site grid.
 
     Matrix entries transcribe
         a^ds * (2 pi hbar)^(-ds) * sum_k dp^ds M(p_k, (x+y)/2) e^{i p_k.(x-y)/hbar},
@@ -166,7 +159,7 @@ def weyl_quantize(symbol: PhaseSpaceSymbol, lattice: Lattice, hbar: float) -> De
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    values = np.asarray(symbol.values, dtype=float)
+    values = np.asarray(symbol, dtype=float)
     if values.shape != (lattice.site_count, lattice.site_count):
         raise ValueError("symbol must be sampled on momentum grid x site grid")
     x = lattice.sites()

@@ -339,9 +339,13 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
 
 
 def _scenario_fock_verify(cfg: RunConfig, out):
-    from .fock import car_defect, verify_operator_bounds
+    from .fock import DENSE_MAX_SITES, car_defect, verify_operator_bounds
 
     space = _fock_lattice(cfg)
+    if space.l_sites > DENSE_MAX_SITES:
+        raise ConfigError(f"fock.l_sites: fock-verify builds dense 2^L x 2^L "
+                          f"operators, so needs L <= {DENSE_MAX_SITES}, "
+                          f"got {space.l_sites}")
     trials = cfg.fock["trials"]
     worst = car_defect(space)
     report = verify_operator_bounds(space, trials, cfg.seed)
@@ -365,7 +369,8 @@ def _scenario_fluctuation(cfg: RunConfig, out):
     space, traj, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
     order = cfg.fock["moment_order"]
     xis = (fluctuation_vector(space, omega, psi) for omega, psi in zip(traj.states, psis))
-    m1, mk = zip(*[(number_moment(xi, 1, shift=0.0), number_moment(xi, order)) for xi in xis])
+    m1, mk = zip(*[(number_moment(xi, 1, space, shift=0.0), number_moment(xi, order, space))
+                   for xi in xis])
     write_csv(os.path.join(out, "series.csv"),
               {"t": traj.times, "mean_particle_number": m1,
                f"moment_order_{order}": mk})

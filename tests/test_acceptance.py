@@ -92,11 +92,12 @@ def test_criterion_03_single_particle_exchange_cancellation(capsys):
 
 
 def test_criterion_04_car_suite(capsys):
-    from fermiflow.fock import FockSpace, ladder
+    from fermiflow.fock import FockSpace, field_operator
 
     space = FockSpace(6)
     ident = np.eye(space.dim)
-    ops = {(x, k): ladder(space, x, k).toarray()
+    e = np.eye(6)
+    ops = {(x, k): field_operator(space, e[x], k == "create").toarray()
            for x in range(6) for k in ("create", "annihilate")}
     worst = 0.0
     for x in range(6):
@@ -193,7 +194,7 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
         traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar)
         prop = SectorPropagator(space, hamiltonian(space, v, hbar, 2), hbar)
         return np.array(traj.times), np.array([
-            number_moment(fluctuation_vector(space, om, prop(psi0, t)), k)
+            number_moment(fluctuation_vector(space, om, prop(psi0, t)), k, space)
             for t, om in zip(traj.times, traj.states)])
 
     _, m1 = moments(build_potential({"shape": "zero"}, lat), 1)

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from fermiflow import fock
-from fermiflow.fock import (BogoliubovSpec, FockSpace, SectorPropagator,
-                            apply_field, apply_ladder, bogoliubov_from_projection,
-                            car_defect, d_gamma, field_operator,
-                            fluctuation_vector, generalized_density, hamiltonian,
-                            implement_bogoliubov, ladder, number_moment,
+from fermiflow.fock import (FockSpace, SectorPropagator, car_defect, d_gamma,
+                            field_operator, fluctuation_vector,
+                            generalized_density, hamiltonian,
+                            implement_bogoliubov, number_moment,
                             number_operator, pair_operator, quasi_free_state,
                             rdm1, rdmk, slater_vector, verify_operator_bounds,
                             wick_rdmk)
@@ -22,6 +21,11 @@ from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
     make_lattice
+
+
+def site(space, x, create):
+    """a*_x or a_x as the field operator of the unit vector e_x."""
+    return field_operator(space, np.eye(space.l_sites)[x], create)
 
 
 def random_projection(l_sites, n, seed):
@@ -35,20 +39,20 @@ def random_projection(l_sites, n, seed):
 def test_car_anticommutators():
     space = FockSpace(4)
     ident = np.eye(space.dim)
-    a0 = ladder(space, 0, "annihilate").toarray()
-    c0 = ladder(space, 0, "create").toarray()
+    a0 = site(space, 0, False).toarray()
+    c0 = site(space, 0, True).toarray()
     assert np.max(np.abs(a0 @ c0 + c0 @ a0 - ident)) < 1e-14
     for x in range(4):
-        ax = ladder(space, x, "annihilate").toarray()
+        ax = site(space, x, False).toarray()
         assert np.max(np.abs(ax @ ax)) == 0.0
 
 
 def test_car_defect_zero_and_detects_missing_signs(monkeypatch):
     assert car_defect(FockSpace(4)) < 1e-14
-    signed = fock.ladder
+    signed = fock.field_operator
     # without Jordan-Wigner strings, a_x and a_y commute instead of anticommuting
-    monkeypatch.setattr(fock, "ladder", lambda space, site, kind:
-                        abs(signed(space, site, kind)))
+    monkeypatch.setattr(fock, "field_operator", lambda space, f, create:
+                        abs(signed(space, f, create)))
     assert car_defect(FockSpace(4)) > 0.5
 
 
@@ -70,8 +74,8 @@ def test_operators_match_kronecker_oracle():
     space = FockSpace(4)
     a = kron_annihilators(4)
     for x in range(4):
-        assert np.max(np.abs(ladder(space, x, "annihilate").toarray() - a[x])) == 0.0
-        assert np.max(np.abs(ladder(space, x, "create").toarray() - a[x].T)) == 0.0
+        assert np.max(np.abs(site(space, x, False).toarray() - a[x])) == 0.0
+        assert np.max(np.abs(site(space, x, True).toarray() - a[x].T)) == 0.0
     rng = np.random.default_rng(3)
     o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     words = {
@@ -106,7 +110,7 @@ def test_field_operator_bounded():
     for _ in range(50):
         f = rng.normal(size=5) + 1j * rng.normal(size=5)
         psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        created = apply_field(space, psi, f, create=True)
+        created = field_operator(space, f, create=True) @ psi
         assert np.linalg.norm(created) <= np.linalg.norm(f) * np.linalg.norm(psi) + 1e-12
 
 
@@ -169,22 +173,6 @@ def test_hamiltonian_two_site_pair_energy():
     assert h[3, 3].real == pytest.approx(expected, rel=1e-12)
 
 
-def test_bogoliubov_spec_examples():
-    spec = BogoliubovSpec(u=np.eye(4, dtype=complex),
-                          v=np.zeros((4, 4), dtype=complex),
-                          orbitals=np.zeros((4, 0), dtype=complex))
-    spec.check()
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[1, 1] = 1.0
-    spec = bogoliubov_from_projection(DensityMatrix(*spectral_form(m)[:2]))
-    assert np.max(np.abs(spec.v.conj().T @ spec.v - m)) < 1e-12
-    for seed in (0, 1):
-        dm = random_projection(4, 2, seed)
-        s = bogoliubov_from_projection(dm)
-        assert np.max(np.abs(s.u.conj().T @ s.u + s.v.conj().T @ s.v
-                             - np.eye(4))) < 1e-12
-
-
 def test_fluctuation_moments_do_not_depend_on_the_orbital_basis():
     # Phi -> Phi W changes R only by a phase and a number-conserving unitary
     space = FockSpace(8)
@@ -207,37 +195,44 @@ def test_fluctuation_moments_do_not_depend_on_the_orbital_basis():
 def test_bogoliubov_rejects_non_projection():
     m = 0.5 * np.eye(3, dtype=complex)
     with pytest.raises(ValueError, match="projection"):
-        bogoliubov_from_projection(DensityMatrix(*spectral_form(m)[:2]))
+        implement_bogoliubov(FockSpace(3), DensityMatrix(*spectral_form(m)[:2]))
 
 
 def test_bogoliubov_check_rejects_non_orthonormal_orbitals():
-    spec = bogoliubov_from_projection(random_projection(4, 2, seed=2))
-    spec.orbitals = spec.orbitals * 1.1
+    dm = random_projection(4, 2, seed=2)
     with pytest.raises(ValueError, match="orthonormal"):
-        spec.check()
+        implement_bogoliubov(FockSpace(4), DensityMatrix(dm.orbitals * 1.1,
+                                                         dm.occupations))
+
+
+def test_implement_bogoliubov_keeps_the_orthonormality_gate():
+    # a Gram defect of ~1e-11 passes DensityMatrix.validate (1e-10) but not
+    # the 1e-12 that makes R unitary
+    phi = random_projection(4, 2, seed=2).orbitals
+    phi = phi @ np.array([[1.0 + 5e-12, 0.0], [0.0, 1.0]])
+    dm = DensityMatrix(phi, np.ones(2))
+    dm.validate()
+    with pytest.raises(ValueError, match="orthonormal"):
+        implement_bogoliubov(FockSpace(4), dm)
 
 
 def test_implement_bogoliubov_identity_and_single_mode():
     space = FockSpace(3)
-    spec = BogoliubovSpec(u=np.eye(3, dtype=complex),
-                          v=np.zeros((3, 3), dtype=complex),
-                          orbitals=np.zeros((3, 0), dtype=complex))
-    r = implement_bogoliubov(space, spec)
+    r = implement_bogoliubov(space, DensityMatrix(np.zeros((3, 0)), np.zeros(0)))
     assert np.max(np.abs(r @ np.eye(space.dim) - np.eye(space.dim))) < 1e-14
 
     space1 = FockSpace(1)
     m = np.ones((1, 1), dtype=complex)
-    r = implement_bogoliubov(space1, bogoliubov_from_projection(
-        DensityMatrix(*spectral_form(m)[:2]))) @ np.eye(2)
+    r = implement_bogoliubov(space1, DensityMatrix(*spectral_form(m)[:2])) @ np.eye(2)
     assert np.max(np.abs(np.abs(r) - np.array([[0, 1], [1, 0]]))) < 1e-12
 
 
 def test_factored_implementor_matches_dense_product():
     space = FockSpace(6)
-    spec = bogoliubov_from_projection(random_projection(6, 3, seed=17))
-    r = implement_bogoliubov(space, spec)
+    dm = random_projection(6, 3, seed=17)
+    r = implement_bogoliubov(space, dm)
     dense = np.eye(space.dim)
-    for f in spec.orbitals.T:
+    for f in dm.orbitals.T:
         dense = dense @ (field_operator(space, f, True)
                          + field_operator(space, f, False)).toarray()
     got = r @ np.eye(space.dim)
@@ -247,15 +242,14 @@ def test_factored_implementor_matches_dense_product():
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     assert np.max(np.abs(r.H @ (r @ psi) - psi)) < 1e-12
     assert np.max(np.abs(r @ space.vacuum()
-                         - slater_vector(space, spec.orbitals))) < 1e-12
+                         - slater_vector(space, dm.orbitals))) < 1e-12
 
 
 def test_implementor_vacuum_is_slater_state():
     space = FockSpace(5)
     dm = random_projection(5, 2, seed=7)
-    spec = bogoliubov_from_projection(dm)
-    r = implement_bogoliubov(space, spec)
-    target = slater_vector(space, spec.orbitals)
+    r = implement_bogoliubov(space, dm)
+    target = slater_vector(space, dm.orbitals)
     got = r @ space.vacuum()
     overlap = abs(np.vdot(target, got)) / (np.linalg.norm(target)
                                            * np.linalg.norm(got))
@@ -319,14 +313,14 @@ def test_exact_evolve_matches_fine_stepping():
 
 def test_rdm1_examples():
     space = FockSpace(3)
-    psi = apply_ladder(space, space.vacuum(), 0, create=True)
+    psi = site(space, 0, True) @ space.vacuum()
     g = rdm1(psi, space)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     assert np.max(np.abs(g - expected)) < 1e-14
 
-    psi = (apply_ladder(space, space.vacuum(), 0, create=True)
-           + apply_ladder(space, space.vacuum(), 1, create=True)) / np.sqrt(2)
+    psi = (site(space, 0, True) @ space.vacuum()
+           + site(space, 1, True) @ space.vacuum()) / np.sqrt(2)
     g = rdm1(psi, space)
     assert np.allclose(g[:2, :2], 0.5, atol=1e-12)
     assert np.trace(g).real == pytest.approx(1.0, abs=1e-12)
@@ -334,8 +328,8 @@ def test_rdm1_examples():
 
 def test_rdmk_examples():
     space = FockSpace(4)
-    psi = apply_ladder(space, space.vacuum(), 1, create=True)
-    psi = apply_ladder(space, psi, 0, create=True)  # a*_0 a*_1 vacuum
+    psi = site(space, 1, True) @ space.vacuum()
+    psi = site(space, 0, True) @ psi  # a*_0 a*_1 vacuum
     g2 = rdmk(psi, 2, space)
     assert g2[0, 1, 0, 1].real == pytest.approx(1.0, abs=1e-12)
     assert np.einsum("xyxy->", g2).real == pytest.approx(2.0, abs=1e-12)
@@ -363,7 +357,7 @@ def test_wick_matches_exact_quasi_free_contraction():
 
 def test_generalized_density_number_eigenstate_and_bounds():
     space = FockSpace(4)
-    psi = apply_ladder(space, space.vacuum(), 2, create=True)
+    psi = site(space, 2, True) @ space.vacuum()
     gamma = generalized_density(psi, space)
     alpha = gamma[:4, 4:]
     assert np.max(np.abs(alpha)) < 1e-14
@@ -376,26 +370,26 @@ def test_generalized_density_number_eigenstate_and_bounds():
 
 def test_number_moment_examples():
     space = FockSpace(3)
-    assert number_moment(space.vacuum(), 2) == pytest.approx(1.0)
-    one = apply_ladder(space, space.vacuum(), 0, create=True)
-    assert number_moment(one, 1) == pytest.approx(2.0)
+    assert number_moment(space.vacuum(), 2, space) == pytest.approx(1.0)
+    one = site(space, 0, True) @ space.vacuum()
+    assert number_moment(one, 1, space) == pytest.approx(2.0)
     psi = 0.6 * space.vacuum() + 0.8 * one
     oracle = 0.36 * 1.0 + 0.64 * 4.0  # sector-sum of (n+1)^2
-    assert number_moment(psi, 2) == pytest.approx(oracle, abs=1e-12)
+    assert number_moment(psi, 2, space) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_number_moment_keeps_a_small_mean_exact():
     # <N> ~ 1e-10 in closed form; <N + 1> - 1 keeps only ~6 of its digits
     space = FockSpace(3)
-    one = apply_ladder(space, space.vacuum(), 0, create=True)
-    two = apply_ladder(space, one, 1, create=True)
+    one = site(space, 0, True) @ space.vacuum()
+    two = site(space, 1, True) @ one
     beta, gamma = 1e-5, 3e-6
     xi = space.vacuum() + beta * one + gamma * two
     b2, g2 = Fraction(beta) ** 2, Fraction(gamma) ** 2
     exact = float((b2 + 2 * g2) / (1 + b2 + g2))
-    assert abs(number_moment(xi, 1, shift=0.0) - exact) <= 1e-14 * exact
-    assert abs(number_moment(xi, 1) - 1.0 - exact) > 1e-14 * exact
-    assert number_moment(space.vacuum(), 1, shift=0.0) == 0.0
+    assert abs(number_moment(xi, 1, space, shift=0.0) - exact) <= 1e-14 * exact
+    assert abs(number_moment(xi, 1, space) - 1.0 - exact) > 1e-14 * exact
+    assert number_moment(space.vacuum(), 1, space, shift=0.0) == 0.0
 
 
 def test_fluctuation_dynamics_identity_at_t0_and_norm():
@@ -408,7 +402,7 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     rng = np.random.default_rng(9)
     xi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     xi /= np.linalg.norm(xi)
-    r0 = implement_bogoliubov(space, bogoliubov_from_projection(om))
+    r0 = implement_bogoliubov(space, om)
     assert np.max(np.abs(fluctuation_vector(space, om, r0 @ xi) - xi)) < 1e-10
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
@@ -430,13 +424,13 @@ def test_fluctuation_vacuum_stable_without_interaction():
     psi0 = quasi_free_state(space, om)
     for t, om_t in zip(traj.times[1:], traj.states[1:]):
         xi = fluctuation_vector(space, om_t, prop(psi0, t))
-        assert number_moment(xi, 1) - 1.0 < 1e-9
+        assert number_moment(xi, 1, space) - 1.0 < 1e-9
 
 
 def test_operator_bound_saturation_and_zero():
     space = FockSpace(4)
-    psi = apply_ladder(space, space.vacuum(), 1, create=True)
-    psi = apply_ladder(space, psi, 0, create=True)
+    psi = site(space, 1, True) @ space.vacuum()
+    psi = site(space, 0, True) @ psi
     dg = d_gamma(space, np.eye(4))
     assert np.linalg.norm(dg @ psi) == pytest.approx(2.0, abs=1e-12)
     zero = d_gamma(space, np.zeros((4, 4)))
@@ -454,3 +448,5 @@ def test_operator_bounds_random_trials():
 def test_fock_space_size_guard():
     with pytest.raises(ValueError):
         FockSpace(15)
+    with pytest.raises(ValueError, match="dense"):
+        verify_operator_bounds(FockSpace(13), trials=1, seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 from fermiflow.diagnostics import (default_probe_momenta, semiclassical_constant,
                                    spectral_form)
-from fermiflow.initial_data import (DegenerateFermiLevel, PhaseSpaceSymbol,
+from fermiflow.initial_data import (DegenerateFermiLevel,
                                     ball_fourier_profile, fermi_ball_indices,
                                     kernel_ansatz, plane_wave_projection,
                                     trapped_slater, weyl_quantize)
@@ -83,8 +83,7 @@ def test_weyl_quantize_constant_symbol():
     # hbar = 1/3 makes the phase sum over the momentum grid cancel at every
     # nonzero site separation (3 is coprime to d=16)
     lat = make_lattice(1, 16, 1.0)
-    sym = PhaseSpaceSymbol(values=np.ones((16, 16)))
-    om = weyl_quantize(sym, lat, 1.0 / 3.0)
+    om = weyl_quantize(np.ones((16, 16)), lat, 1.0 / 3.0)
     off = om.matrix - np.diag(np.diag(om.matrix))
     assert np.max(np.abs(off)) < 1e-10
     diag = np.diag(om.matrix).real
@@ -94,8 +93,7 @@ def test_weyl_quantize_constant_symbol():
 def test_weyl_quantize_hermitian_for_real_symbol():
     rng = np.random.default_rng(1)
     lat = make_lattice(1, 8, 1.0)
-    sym = PhaseSpaceSymbol(values=rng.normal(size=(8, 8)))
-    om = weyl_quantize(sym, lat, 0.5)
+    om = weyl_quantize(rng.normal(size=(8, 8)), lat, 0.5)
     assert np.max(np.abs(om.matrix - om.matrix.conj().T)) < 1e-12
 
 
@@ -104,8 +102,7 @@ def test_weyl_quantize_momentum_ball_matches_projection():
     hbar = 1.0
     c = 9.0 * np.pi  # strictly between the 4th and 5th momentum shells
     p = lat.momenta()[:, 0]
-    sym = PhaseSpaceSymbol(
-        values=np.repeat((np.abs(p) <= c / hbar)[:, None] * 1.0, 128, axis=1))
+    sym = np.repeat((np.abs(p) <= c / hbar)[:, None] * 1.0, 128, axis=1)
     om = weyl_quantize(sym, lat, hbar)
     k_ball = lat.momentum_indices()[np.abs(p) <= c, :]
     ball = plane_wave_projection(lat, k_ball)

@@ -410,6 +410,27 @@ def test_cli_runs_generated_configs(doc):
             assert all(np.isfinite(float(x)) for r in rows for x in r.split(",")), doc
 
 
+def test_cli_fock_verify_past_dense_budget_exits_two(tmp_path, monkeypatch, capsys):
+    # L = 14 would densify 4 GiB operators: rejected before any operator is built
+    from fermiflow import fock
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(fock, "car_defect", reached)
+    monkeypatch.setattr(fock, "verify_operator_bounds", reached)
+    doc = {"scenario": "fock-verify", "model": {"n_particles": 2}}
+    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": 14}))
+    assert main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "fock.l_sites" in capsys.readouterr().err
+    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": fock.DENSE_MAX_SITES}))
+    with pytest.raises(Reached):
+        main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")])
+
+
 def test_cli_partial_last_step_and_scheme_key_exit_two(tmp_path, capsys):
     partial = write_config(tmp_path, dict(MINIMAL, evolution={"dt": 0.03, "t_final": 0.1}))
     out = tmp_path / "o"

@@ -2,17 +2,18 @@
 
 The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi* and
 N = sum lam.  The generator h(omega) = -hbar^2 Lap + (V * rho) - X is
-assembled in one place, `generator`: the direct term is the site vector
-V * rho, rho read from the orbitals, on the diagonal of the kinetic
-operator, and for Hartree-Fock the exchange term
-X_{xy} = V(x-y) omega_{xy} / N, read from the pair table
-`Potential.pair_matrix`, is subtracted.  The flow
+assembled in one place, `generator`, in one M x M buffer from the orbitals:
+for Hartree-Fock, X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times
+the pair table `Potential.pair_matrix`, negated; the real kinetic operator is
+added to it and V * rho, rho read from the orbitals, to its diagonal.  Both
+tables are exactly symmetric, so h is not Hermitized.  The flow
 i*hbar d/dt omega = [h(omega), omega] is a unitary conjugation, so lam is
 fixed and only the orbitals move.  It is integrated by one rule, the
 exponential midpoint rule: each step maps Phi to exp(-i dt h / hbar) Phi,
 with h evaluated at the average of omega and an exponential-Euler
 predictor, so a projection stays a projection at every step.  The exponential
 is a Chebyshev series in h on Phi, or an `eigh` of h where it needs dim h terms.
+`evolve` builds h once per state, also for the energy E = tr((K + h) omega) / 2.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.
 """
@@ -104,18 +105,26 @@ def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
-    """Exchange operator X_{xy} = (1/N) V(x-y) omega_{xy} (entrywise)."""
-    return v.pair_matrix * omega.matrix / omega.n_particles
+    """Exchange operator X_{xy} = (1/N) V(x-y) omega_{xy} (entrywise): one
+    product (Phi lam / N) Phi*, scaled by V in place."""
+    phi = omega.orbitals
+    x = (phi * (omega.occupations / omega.n_particles)) @ phi.conj().T
+    return np.multiply(x, v.pair_matrix, out=x)
 
 
 def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
               hbar: float) -> np.ndarray:
-    """Effective one-particle Hamiltonian h(omega) for the requested flow."""
-    h = kinetic_operator(v.lattice, hbar) + np.diag(
-        direct_term(density_profile(omega, v.lattice), v))
+    """Effective one-particle Hamiltonian h(omega) for the requested flow, in
+    one buffer: X negated in place, K added to its real part, V * rho to its
+    diagonal.  Real where omega's orbitals are, or for Hartree."""
     if kind is MeanFieldKind.HARTREE_FOCK:
-        h -= exchange_term(omega, v)
-    return 0.5 * (h + h.conj().T)
+        h = exchange_term(omega, v)
+        np.negative(h, out=h)
+        h.real += kinetic_operator(v.lattice, hbar)
+    else:
+        h = kinetic_operator(v.lattice, hbar).copy()
+    h.flat[:: len(h) + 1] += direct_term(density_profile(omega, v.lattice), v)
+    return h
 
 
 def _gershgorin_interval(h: np.ndarray) -> tuple:
@@ -161,30 +170,25 @@ def _conjugate(phi: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> np.nda
     return out
 
 
-def step(omega: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
-         v: Potential, hbar: float) -> DensityMatrix:
-    """One exponential midpoint step on the orbitals: the generator is
-    re-evaluated at the average of omega and an exponential-Euler predictor,
-    the factored state [Phi, Phi_pred] diag(lam/2, lam/2) [Phi, Phi_pred]*."""
+def step(omega: DensityMatrix, h: np.ndarray, cfg: EvolutionConfig,
+         kind: MeanFieldKind, v: Potential, hbar: float) -> DensityMatrix:
+    """One exponential midpoint step on the orbitals from h = h(omega): the
+    generator is re-evaluated at the average of omega and an exponential-Euler
+    predictor, the factored state [Phi, Phi_pred] diag(lam/2, lam/2) [Phi, Phi_pred]*."""
     phi, lam = omega.orbitals, omega.occupations
-    pred = _conjugate(phi, generator(omega, kind, v, hbar), cfg.dt, hbar)
+    pred = _conjugate(phi, h, cfg.dt, hbar)
     mid = DensityMatrix(np.hstack([phi, pred]), np.concatenate([lam, lam]) / 2)
     return DensityMatrix(_conjugate(phi, generator(mid, kind, v, hbar), cfg.dt, hbar), lam)
 
 
-def hf_energy(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
+def hf_energy(omega: DensityMatrix, h: np.ndarray, lattice: Lattice,
               hbar: float) -> float:
-    """Mean-field energy of the requested flow; the 1/2 symmetry factor on
-    both interaction terms makes this the conserved quantity of the flow."""
-    m = omega.matrix
-    # tr(K m) = sum_xy conj(m_xy) K_xy for Hermitian m, without a matmul
-    e = np.vdot(m, kinetic_operator(v.lattice, hbar)).real
-    occ = np.real(np.diag(m))
-    w = v.pair_matrix
-    e += 0.5 / omega.n_particles * float(occ @ w @ occ)
-    if kind is MeanFieldKind.HARTREE_FOCK:
-        e -= 0.5 / omega.n_particles * float(np.sum(w * np.abs(m) ** 2))
-    return float(e)
+    """E = (1/2) Re sum_j lam_j <phi_j, (K + h) phi_j> for h = h(omega): the 1/2
+    symmetry factor on both interaction terms makes this the conserved
+    quantity of the flow."""
+    phi = omega.orbitals
+    k_h_phi = kinetic_operator(lattice, hbar) @ phi + h @ phi
+    return 0.5 * float(np.vdot(phi * omega.occupations, k_h_phi).real)
 
 
 def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
@@ -197,13 +201,14 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
     for i in range(cfg.n_steps + 1):
         t = i * cfg.dt
         if i > 0:
-            state = step(state, cfg, kind, v, hbar)
+            state = step(state, h, cfg, kind, v, hbar)
             defect = state.idempotency_defect()
             if not defect <= 1e-4:  # also true for NaN
                 raise RuntimeError(
                     f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}")
+        h = generator(state, kind, v, hbar)  # for the energy and the next predictor
         traj.trace.append(float(np.vdot(state.orbitals, state.orbitals * state.occupations).real))
-        traj.energy.append(hf_energy(state, kind, v, hbar))
+        traj.energy.append(hf_energy(state, h, v.lattice, hbar))
         traj.idempotency_defect.append(defect)
         if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:  # states are immutable
             traj.times.append(t)

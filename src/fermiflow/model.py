@@ -111,8 +111,8 @@ class Potential:
     def pair_matrix(self) -> np.ndarray:
         """V(x_i - x_j) for every site pair, shape (M, M): `real_space` at the
         periodic index difference (idx_i - idx_j) mod d, flattened row-major.
-        Built once per potential; the exchange term, the mean-field energy and
-        the exact Hamiltonian read it and must not write into it."""
+        Built once per potential, exactly symmetric (the samples are even); the
+        exchange term and the exact Hamiltonian read it and must not write it."""
         lat = self.lattice
         idx = lat.site_indices()
         diff = (idx[:, None, :] - idx[None, :, :]) % lat.d
@@ -176,7 +176,8 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice,
     defect = np.max(np.abs(grid - reflected))
     if defect > evenness_tol:
         raise ValueError(f"potential violates evenness by {defect:.3e}")
-    v = Potential(lattice=lattice, real_space=samples)
+    # evenized, so that V(x) and V(-x) are one float and `pair_matrix` is symmetric
+    v = Potential(lattice=lattice, real_space=(0.5 * (grid + reflected)).ravel())
     if np.max(np.abs(v.fourier.imag)) > 1e-12 * max(1.0, np.max(np.abs(v.fourier))):
         raise ValueError("Fourier coefficients of an even real potential must be real")
     return v
@@ -225,13 +226,13 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
 
 @functools.lru_cache(maxsize=32)
 def kinetic_operator(lattice: Lattice, hbar: float) -> np.ndarray:
-    """-hbar^2 Laplacian: F* diag(hbar^2 |p_k|^2) F, Hermitian PSD."""
+    """-hbar^2 Laplacian F* diag(hbar^2 |p_k|^2) F: real (|p|^2 is even), symmetric, PSD."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     f = fourier_matrix(lattice)
     eig = hbar ** 2 * np.sum(lattice.momenta() ** 2, axis=1)
-    op = f.conj().T @ (eig[:, None] * f)
-    return 0.5 * (op + op.conj().T)
+    op = (f.conj().T @ (eig[:, None] * f)).real
+    return 0.5 * (op + op.T)
 
 
 @functools.lru_cache(maxsize=32)

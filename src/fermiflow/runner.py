@@ -8,6 +8,7 @@ under `snapshots/`, and finally (atomically) `summary.json` with a manifest
 of everything else, so a crash can never leave a summary claiming success.
 """
 
+import functools
 import glob
 import hashlib
 import json
@@ -424,6 +425,13 @@ _NEEDS_EVOLUTION = {"evolve", "compare-hf-hartree", "exact-vs-meanfield",
                     "fluctuation", "semiclassics"}
 
 
+@functools.lru_cache(maxsize=1)
+def _scipy_version() -> str:
+    """From scipy's metadata, without importing scipy (~20 ms, on first use)."""
+    from importlib import metadata
+    return metadata.version("scipy")
+
+
 def run(cfg: RunConfig, out_dir: str) -> dict:
     """Execute a scenario; deterministic given (config, seed).  An earlier
     run's outputs are removed first; the summary is written last, atomically."""
@@ -448,9 +456,15 @@ def run(cfg: RunConfig, out_dir: str) -> dict:
                 "bytes": os.path.getsize(path),
                 "sha256": _sha256(path),
             })
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     summary = {
         "config": cfg.raw,
-        "versions": {"fermiflow": __version__, "numpy": np.__version__},
+        "environment": {  # what produced the run
+            "fermiflow": __version__, "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__, "scipy": _scipy_version(),
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "threads": {var: os.environ.get(var) for var in
+                        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}},
         "wall_clock_seconds": wall,
         "seed": cfg.seed,
         "result": result,

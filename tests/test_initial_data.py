@@ -79,6 +79,15 @@ def test_trapped_slater_harmonic_concentration():
     assert density[0] < 1e-3 * density.max()  # torus edge vs trap center
 
 
+@pytest.mark.parametrize("ds,d,n", [(1, 64, 8), (3, 4, 4)])
+def test_trapped_slater_real_trap_gives_real_orbitals(ds, d, n):
+    # -hbar^2 Lap + V_ext is a real symmetric matrix: a real eigh, real orbitals
+    lat = make_lattice(ds, d, 1.0)
+    om = trapped_slater(lat, 0.5, harmonic(lat, 50.0), n)
+    assert om.orbitals.dtype == np.float64
+    om.validate()
+
+
 def test_weyl_quantize_constant_symbol():
     # hbar = 1/3 makes the phase sum over the momentum grid cancel at every
     # nonzero site separation (3 is coprime to d=16)

@@ -112,7 +112,8 @@ def test_generator_free_and_term_difference(setup16):
 def test_step_preserves_spectrum(setup16):
     lat, pot, hbar, om = setup16
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
-    new = step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+    hf = MeanFieldKind.HARTREE_FOCK
+    new = step(om, generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
     assert np.allclose(np.linalg.eigvalsh(new.matrix),
                        np.linalg.eigvalsh(om.matrix), atol=1e-10)
 
@@ -123,7 +124,8 @@ def test_step_free_is_exact_conjugation():
     hbar = default_hbar(2, 1)
     om = trapped_slater(lat, hbar, harmonic(lat, 20.0), 2)
     cfg = EvolutionConfig(dt=0.3, t_final=0.3)
-    new = step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+    hf = MeanFieldKind.HARTREE_FOCK
+    new = step(om, generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
     h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * cfg.dt * eig / hbar)) @ vec.conj().T
@@ -167,7 +169,7 @@ def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
     m = om.matrix
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
     for _ in range(5):
-        om = step(om, cfg, kind, pot, hbar)
+        om = step(om, generator(om, kind, pot, hbar), cfg, kind, pot, hbar)
         m = _dense_step(m, n, cfg.dt, kind, pot, hbar)
     assert np.linalg.norm(om.matrix - m, "fro") <= 1e-13
 
@@ -178,6 +180,49 @@ def _trapped_generator(ds, d, n, kind):
     hbar = default_hbar(n, ds)
     om = trapped_slater(lat, hbar, harmonic(lat, 50.0), n)
     return om, generator(om, kind, pot, hbar), pot, hbar
+
+
+def _no_dense_omega(self):
+    raise AssertionError("the flow built the dense omega")
+
+
+@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
+def test_flow_builds_no_dense_omega(ds, d, n, kind, monkeypatch):
+    om, _, pot, hbar = _trapped_generator(ds, d, n, kind)
+    monkeypatch.setattr(DensityMatrix, "matrix", property(_no_dense_omega))
+    cfg = EvolutionConfig(dt=1e-2, t_final=3e-2)
+    state = evolve(om, cfg, kind, pot, hbar).states[-1]
+    assert np.iscomplexobj(state.orbitals)
+    h = generator(state, kind, pot, hbar)
+    # no Hermitization: only the round-off of the exchange product is left
+    assert np.max(np.abs(h - h.conj().T)) <= 1e-14 * np.max(np.abs(h))
+    m = (state.orbitals * state.occupations) @ state.orbitals.conj().T
+    assert np.max(np.abs(h - _dense_generator(m, n, kind, pot, hbar))) <= 1e-13
+
+
+def _site_sum_energy(m, n, kind, pair, k):
+    """The mean-field energy as a double sum over sites: tr(K m) plus the
+    direct pair sum and, for Hartree-Fock, the exchange pair sum, each / 2N."""
+    exchange = kind is MeanFieldKind.HARTREE_FOCK
+    e = 0.0
+    for x in range(len(m)):
+        for y in range(len(m)):
+            e += (k[x, y] * m[y, x]).real
+            e += 0.5 / n * pair[x, y] * (m[x, x] * m[y, y] - exchange * abs(m[x, y]) ** 2).real
+    return e
+
+
+@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
+def test_trajectory_energy_matches_site_sum_oracle(ds, d, n, kind):
+    om, _, pot, hbar = _trapped_generator(ds, d, n, kind)
+    traj = evolve(om, EvolutionConfig(dt=1e-2, t_final=4e-2), kind, pot, hbar)
+    k = kinetic_operator(pot.lattice, hbar)
+    assert len(traj.states) == len(traj.energy) == 5
+    for state, e in zip(traj.states, traj.energy):
+        oracle = _site_sum_energy(state.matrix, n, kind, pot.pair_matrix, k)
+        assert e == pytest.approx(oracle, rel=1e-12)
 
 
 def _eigh_exponential(phi, h, dt, hbar):
@@ -230,7 +275,7 @@ def test_steps_take_the_series_and_large_a_takes_eigh(ds, d, n, dt, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     cfg = EvolutionConfig(dt=dt, t_final=dt)
-    step(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).validate()
+    step(om, h, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).validate()
     lo, hi = mf._gershgorin_interval(h)
     with pytest.raises(AssertionError, match="eigh called"):  # a = dim h
         mf._conjugate(om.orbitals, h, 2 * len(h) * hbar / (hi - lo), hbar)
@@ -264,12 +309,12 @@ def test_step_local_error_is_third_order():
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(2, 1)
     om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 2)
-    dt = 2e-2
+    dt, hf = 2e-2, MeanFieldKind.HARTREE_FOCK
 
     def advance(state, h_step, n):
         cfg = EvolutionConfig(dt=h_step, t_final=h_step)
         for _ in range(n):
-            state = step(state, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+            state = step(state, generator(state, hf, pot, hbar), cfg, hf, pot, hbar)
         return state
 
     def one_step_error(h_step):
@@ -301,7 +346,7 @@ def test_hf_energy_examples():
     v0 = build_potential({"shape": "zero"}, lat)
     hbar = 0.4
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
-    e = hf_energy(om, MeanFieldKind.HARTREE_FOCK, v0, hbar)
+    e = hf_energy(om, generator(om, MeanFieldKind.HARTREE_FOCK, v0, hbar), lat, hbar)
     assert e == pytest.approx(2 * hbar ** 2 * (2 * np.pi) ** 2, rel=1e-12)
 
 
@@ -389,12 +434,7 @@ def test_interaction_tables_match_site_sum_oracles(ds, d):
     q = np.linalg.qr(rng.normal(size=(m_sites, 3))
                      + 1j * rng.normal(size=(m_sites, 3)))[0]
     om = q @ q.conj().T
-    k = kinetic_operator(lat, hbar)
-    e = 0.0
-    for x in range(m_sites):
-        for y in range(m_sites):
-            e += (k[x, y] * om[y, x]).real
-            e += 0.5 / 3 * v[x, y] * (om[x, x] * om[y, y] - abs(om[x, y]) ** 2).real
-    got = hf_energy(DensityMatrix(*spectral_form(om)[:2]), MeanFieldKind.HARTREE_FOCK,
-                   pot, hbar)
+    e = _site_sum_energy(om, 3, MeanFieldKind.HARTREE_FOCK, v, kinetic_operator(lat, hbar))
+    dm = DensityMatrix(*spectral_form(om)[:2])
+    got = hf_energy(dm, generator(dm, MeanFieldKind.HARTREE_FOCK, pot, hbar), lat, hbar)
     assert got == pytest.approx(e, rel=1e-12)

@@ -89,6 +89,44 @@ def test_odd_potential_rejected():
         build_potential({"shape": "table", "samples": samples}, lat)
 
 
+def _reflected(samples, lat):
+    """Samples at -x: index j -> (-j) mod d along every axis."""
+    grid = samples.reshape((lat.d,) * lat.ds)
+    return grid[np.ix_(*[(-np.arange(lat.d)) % lat.d] * lat.ds)].ravel()
+
+
+@pytest.mark.parametrize("spec", [{"shape": "gaussian", "strength": 1.3, "sigma": 0.2},
+                                  {"shape": "cosine", "strength": 0.7, "mode": 3}])
+@pytest.mark.parametrize("ds,d", [(1, 9), (1, 64), (3, 4)])
+def test_pair_matrix_exactly_symmetric(spec, ds, d):
+    v = build_potential(spec, make_lattice(ds, d, 1.0))
+    assert np.array_equal(v.real_space, _reflected(v.real_space, v.lattice))
+    assert np.array_equal(v.pair_matrix, v.pair_matrix.T)
+
+
+def test_table_with_a_round_off_odd_part_is_evenized():
+    lat = make_lattice(1, 16, 1.0)
+    even = np.cos(2 * np.pi * lat.sites()[:, 0])
+    odd = 1e-11 * np.sin(2 * np.pi * lat.sites()[:, 0])
+    v = build_potential({"shape": "table", "samples": even + odd}, lat)
+    assert np.array_equal(v.real_space, _reflected(v.real_space, lat))
+    assert np.max(np.abs(v.real_space - even)) <= 1e-11
+    assert np.array_equal(v.pair_matrix, v.pair_matrix.T)
+    with pytest.raises(ValueError, match="evenness"):
+        build_potential({"shape": "table", "samples": even + 100 * odd}, lat)
+
+
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (3, 4)])
+def test_kinetic_operator_real_symmetric(ds, d):
+    lat = make_lattice(ds, d, 1.3)
+    k = kinetic_operator(lat, 0.7)
+    assert k.dtype == np.float64
+    assert np.array_equal(k, k.T)
+    f = fourier_matrix(lat)
+    oracle = f.conj().T @ np.diag(0.7 ** 2 * np.sum(lat.momenta() ** 2, axis=1)) @ f
+    assert np.max(np.abs(k - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def test_fourier_matrix_unitary():
     lat = make_lattice(1, 12, 2.0)
     f = fourier_matrix(lat)

@@ -8,6 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import event, given, settings, strategies as st
 
 from fermiflow.cli import main
@@ -194,6 +195,31 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]", out
+
+
+def test_summary_records_the_environment_without_loading_scipy(tmp_path):
+    # an evolve run through the CLI, in a fresh process: the environment is
+    # read without importing scipy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path, out = write_config(tmp_path, MINIMAL), str(tmp_path / "out")
+    code = ("import sys; from fermiflow.cli import main; "
+            f"code = main(['evolve', '--config', {path!r}, '--out', {out!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("MKL_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout
+    with open(os.path.join(out, "summary.json")) as fh:
+        environment = json.load(fh)["environment"]
+    assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert environment["numpy"] == np.__version__
+    assert environment["scipy"] == scipy.__version__
+    assert environment["blas"]["name"] and environment["blas"]["version"]
+    assert environment["threads"] == {"OMP_NUM_THREADS": env.get("OMP_NUM_THREADS"),
+                                      "OPENBLAS_NUM_THREADS": "1",
+                                      "MKL_NUM_THREADS": None}
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):

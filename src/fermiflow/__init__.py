@@ -10,8 +10,7 @@ classical-limit comparison.
 __version__ = "0.1.0"
 
 from .model import (Lattice, Potential, build_potential, default_hbar,
-                    fourier_matrix, kinetic_operator, make_lattice,
-                    momentum_operator, phase_operator)
+                    kinetic_operator, make_lattice)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            kernel_ansatz, plane_wave_projection, trapped_slater,
                            weyl_quantize)
@@ -21,7 +20,7 @@ from .diagnostics import (CommutatorSeries, DistanceSeries, GrowthFit,
                           distance_series, fit_double_exponential,
                           fit_exponential, hs_norm, semiclassical_constant,
                           semiclassical_series, spectral_form, trace_norm)
-from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory,
+from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory, apply_exponential,
                         compare_hf_hartree, density_profile, direct_term,
                         evolve, exchange_term, generator, hf_energy, step)
 from .semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,

@@ -12,8 +12,8 @@ columns and S Hermitian:
 * A = diag(e^{i r.x}) is unitary and [A, omega] = A (omega - A* omega A),
   so tr|[A, omega]| = tr|B S B*| with B = [Phi, A* Phi], S = diag(lam, -lam);
 * hbar d/dx is anti-Hermitian, so [hbar d/dx, omega] = B S B* with
-  B = [hbar dPhi, Phi], S = [[0, lam], [lam, 0]]; hbar dPhi is
-  F* diag(i hbar p) F Phi, taken by FFT.
+  B = [hbar dPhi, Phi], S = [[0, lam], [lam, 0]]; hbar dPhi is the symbol
+  i hbar p (`Lattice.fft_momenta`) on Phi, by one fftn and one ifftn.
 
 With B = QR, B S B* = Q (R S R*) Q*, so each norm is that of the k x k
 matrix R S R*, k = min(M, 2r).  `spectral_form` drops the eigenvalues with
@@ -136,11 +136,9 @@ def commutator_momentum(phi: np.ndarray, lam: np.ndarray, hbar: float,
     """sum over axes of tr |[hbar d/dx_axis, omega]| of omega = phi diag(lam) phi*;
     hbar d phi for every axis comes from one fftn and one ifftn over the sites."""
     grid, rank = (lattice.d,) * lattice.ds, len(lam)
-    site_axes = tuple(range(1, lattice.ds + 1))
-    # p_axis per site, in numpy's FFT order: (ds,) + grid
-    p = np.fft.ifftshift(lattice.momenta().T.reshape((lattice.ds,) + grid), axes=site_axes)
     phi_hat = np.fft.fftn(phi.reshape(grid + (rank,)), axes=tuple(range(lattice.ds)))
-    dphi = np.fft.ifftn((1j * hbar) * p[..., None] * phi_hat, axes=site_axes)
+    dphi = np.fft.ifftn((1j * hbar) * lattice.fft_momenta()[..., None] * phi_hat,
+                        axes=tuple(range(1, lattice.ds + 1)))
     dphi = dphi.reshape(lattice.ds, lattice.site_count, rank)
     zero, diag = np.zeros((rank, rank)), np.diag(lam)
     s = np.block([[zero, diag], [diag, zero]])
@@ -148,7 +146,9 @@ def commutator_momentum(phi: np.ndarray, lam: np.ndarray, hbar: float,
 
 
 def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:
-    """All nonzero lattice momenta with |k_i| <= max_index per axis."""
+    """All nonzero lattice momenta with |k_i| <= min(max_index, d // 2) per axis: a
+    probe outside that box equals one inside on the sites, with a larger |p|."""
+    max_index = min(max_index, lattice.d // 2)
     axis = np.arange(-max_index, max_index + 1)
     grids = np.meshgrid(*([axis] * lattice.ds), indexing="ij")
     k = np.stack([g.ravel() for g in grids], axis=-1)

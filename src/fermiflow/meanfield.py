@@ -37,6 +37,7 @@ __all__ = [
     "direct_term",
     "exchange_term",
     "generator",
+    "apply_exponential",
     "step",
     "evolve",
     "hf_energy",
@@ -147,7 +148,7 @@ def _chebyshev_coefficients(a: float, n: int = 1024) -> np.ndarray:
     return c[: cut[0]] if cut.size else _chebyshev_coefficients(a, 2 * n)
 
 
-def _conjugate(phi: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
+def apply_exponential(phi: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i tau h) Phi, tau = dt / hbar: a Chebyshev series in h2 = (tau/a)(h - mid),
     a = tau (hi - lo) / 2 rounded up to a multiple of 1/64.  No degree >= dim h is
     needed (Cayley-Hamilton): then, or for a non-finite h, h is diagonalized."""
@@ -176,9 +177,9 @@ def step(omega: DensityMatrix, h: np.ndarray, cfg: EvolutionConfig,
     generator is re-evaluated at the average of omega and an exponential-Euler
     predictor, the factored state [Phi, Phi_pred] diag(lam/2, lam/2) [Phi, Phi_pred]*."""
     phi, lam = omega.orbitals, omega.occupations
-    pred = _conjugate(phi, h, cfg.dt, hbar)
+    pred = apply_exponential(phi, h, cfg.dt, hbar)
     mid = DensityMatrix(np.hstack([phi, pred]), np.concatenate([lam, lam]) / 2)
-    return DensityMatrix(_conjugate(phi, generator(mid, kind, v, hbar), cfg.dt, hbar), lam)
+    return DensityMatrix(apply_exponential(phi, generator(mid, kind, v, hbar), cfg.dt, hbar), lam)
 
 
 def hf_energy(omega: DensityMatrix, h: np.ndarray, lattice: Lattice,

@@ -6,11 +6,15 @@ Conventions used throughout the package:
 * sites are x_j = j*a on the torus [0, l)^ds, enumerated row-major over
   the integer index j;
 * momenta are p_k = (2*pi/l)*k with integer components in
-  {-floor(d/2), ..., ceil(d/2)-1}, enumerated row-major over k;
+  {-floor(d/2), ..., ceil(d/2)-1}, enumerated row-major over k
+  (`Lattice.fft_momenta`: the same p in FFT order, read by every symbol);
 * a kernel A(x; y) is transcribed to the matrix A_{xy} = a^ds * A(x_j; y_j),
   so that matrix products discretize operator composition;
 * the interaction is expanded as V(x) = sum_k Vhat(p_k) exp(i p_k . x),
   i.e. Vhat carries no extra volume factor.
+
+The pair table V(x_i - x_j) and K = -hbar^2 Lap are circulants, one gather
+(`_circulant`) of V's samples and of the inverse FFT of K's symbol hbar^2 |p|^2.
 
 Each model fact has one source: the lattice is `Potential.lattice`, N is
 `DensityMatrix.n_particles`, and hbar a number (`default_hbar` is N^(-1/ds)).
@@ -27,11 +31,8 @@ __all__ = [
     "default_hbar",
     "make_lattice",
     "build_potential",
-    "fourier_matrix",
     "is_hermitian",
     "kinetic_operator",
-    "momentum_operator",
-    "phase_operator",
 ]
 
 
@@ -77,6 +78,12 @@ class Lattice:
         """Momentum vectors p_k, shape (site_count, ds)."""
         return self.momentum_indices() * (2.0 * np.pi / self.length)
 
+    def fft_momenta(self) -> np.ndarray:
+        """p_axis on the site grid in numpy's FFT order, shape (ds,) + (d,)*ds:
+        the symbol grid of `np.fft.fftn` over the site axes of a site array."""
+        grid = (self.ds,) + (self.d,) * self.ds
+        return np.fft.ifftshift(self.momenta().T.reshape(grid), axes=tuple(range(1, self.ds + 1)))
+
 
 def default_hbar(n_particles: int, ds: int) -> float:
     """The coupled semiclassical scale hbar = N^(-1/ds)."""
@@ -93,7 +100,9 @@ class Potential:
     @functools.cached_property
     def fourier(self) -> np.ndarray:
         """Vhat(p_k) in ascending-k order (real up to round-off for an even V)."""
-        return _shifted_fft(self.real_space, self.lattice)
+        lat = self.lattice
+        coef = np.fft.fftn(self.real_space.reshape((lat.d,) * lat.ds)) / lat.site_count
+        return np.fft.fftshift(coef).ravel()
 
     @functools.cached_property
     def site_rfft(self) -> np.ndarray:
@@ -109,15 +118,10 @@ class Potential:
 
     @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
-        """V(x_i - x_j) for every site pair, shape (M, M): `real_space` at the
-        periodic index difference (idx_i - idx_j) mod d, flattened row-major.
-        Built once per potential, exactly symmetric (the samples are even); the
-        exchange term and the exact Hamiltonian read it and must not write it."""
-        lat = self.lattice
-        idx = lat.site_indices()
-        diff = (idx[:, None, :] - idx[None, :, :]) % lat.d
-        return self.real_space[np.ravel_multi_index(np.moveaxis(diff, -1, 0),
-                                                    (lat.d,) * lat.ds)]
+        """V(x_i - x_j) for every site pair, the circulant of the samples: built once
+        per potential, exactly symmetric (the samples are even); the exchange term
+        and the exact Hamiltonian read it and must not write it."""
+        return _circulant(self.lattice, self.real_space)
 
 
 def make_lattice(ds: int, d: int, length: float) -> Lattice:
@@ -130,29 +134,25 @@ def make_lattice(ds: int, d: int, length: float) -> Lattice:
     return Lattice(ds=ds, d=int(d), length=float(length))
 
 
-@functools.lru_cache(maxsize=32)
-def fourier_matrix(lattice: Lattice) -> np.ndarray:
-    """Unitary lattice Fourier transform F[k, j] = exp(-i p_k.x_j)/sqrt(M)."""
-    phase = lattice.momenta() @ lattice.sites().T
-    return np.exp(-1j * phase) / np.sqrt(lattice.site_count)
-
-
 def is_hermitian(m: np.ndarray) -> bool:
     """m = m* to round-off: no entry of m - m* above 1e-12 max(1, max |m|)."""
     scale = max(1.0, np.max(np.abs(m), initial=0.0))
     return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= 1e-12 * scale)
 
 
-def _shifted_fft(values: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """DFT coefficients in our ascending-k order: Vhat_k = (1/M) sum_j V_j e^{-i p_k.x_j}."""
-    grid = values.reshape((lattice.d,) * lattice.ds)
-    coef = np.fft.fftn(grid) / lattice.site_count
-    return np.fft.fftshift(coef).ravel()
+def _circulant(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
+    """The translation-invariant matrix c(x_i - x_j), shape (M, M): `samples`
+    (c on the sites, row-major) at the periodic index difference (idx_i - idx_j) mod d."""
+    idx = lattice.site_indices()
+    diff = (idx[:, None, :] - idx[None, :, :]) % lattice.d
+    return samples[np.ravel_multi_index(np.moveaxis(diff, -1, 0), (lattice.d,) * lattice.ds)]
 
 
-def _shifted_ifft(coef: np.ndarray, lattice: Lattice) -> np.ndarray:
-    grid = np.fft.ifftshift(coef.reshape((lattice.d,) * lattice.ds))
-    return (np.fft.ifftn(grid) * lattice.site_count).ravel()
+def _reflected(grid: np.ndarray) -> np.ndarray:
+    """A site-grid array at -x: index j -> (-j) mod d along every axis."""
+    for ax in range(grid.ndim):
+        grid = np.flip(np.roll(grid, -1, axis=ax), axis=ax)
+    return grid
 
 
 _GAUSSIAN_IMAGES = 2  # wrap 5 torus images per axis: m in {-2, ..., 2}
@@ -169,10 +169,7 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice,
     if not np.all(np.isfinite(samples)):
         raise ValueError("potential samples must be finite")
     grid = samples.reshape((lattice.d,) * lattice.ds)
-    # x -> -x on the torus is index j -> (-j) mod d along every axis
-    reflected = grid
-    for ax in range(lattice.ds):
-        reflected = np.flip(np.roll(reflected, -1, axis=ax), axis=ax)
+    reflected = _reflected(grid)
     defect = np.max(np.abs(grid - reflected))
     if defect > evenness_tol:
         raise ValueError(f"potential violates evenness by {defect:.3e}")
@@ -226,29 +223,9 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
 
 @functools.lru_cache(maxsize=32)
 def kinetic_operator(lattice: Lattice, hbar: float) -> np.ndarray:
-    """-hbar^2 Laplacian F* diag(hbar^2 |p_k|^2) F: real (|p|^2 is even), symmetric, PSD."""
+    """-hbar^2 Laplacian, the circulant of ifftn(hbar^2 |p|^2): real (|p|^2 is even),
+    exactly symmetric (its kernel is evenized), PSD."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    f = fourier_matrix(lattice)
-    eig = hbar ** 2 * np.sum(lattice.momenta() ** 2, axis=1)
-    op = (f.conj().T @ (eig[:, None] * f)).real
-    return 0.5 * (op + op.T)
-
-
-@functools.lru_cache(maxsize=32)
-def momentum_operator(lattice: Lattice, hbar: float, axis: int = 0) -> np.ndarray:
-    """hbar * d/dx_axis: anti-Hermitian, momentum-basis eigenvalues i*hbar*p_k."""
-    if not 0 <= axis < lattice.ds:
-        raise ValueError(f"axis {axis} out of range for ds={lattice.ds}")
-    f = fourier_matrix(lattice)
-    eig = 1j * hbar * lattice.momenta()[:, axis]
-    op = f.conj().T @ (eig[:, None] * f)
-    return 0.5 * (op - op.conj().T)
-
-
-def phase_operator(lattice: Lattice, r) -> np.ndarray:
-    """Diagonal unitary with entries exp(i r.x_j); r need not be on the grid."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if r.shape != (lattice.ds,):
-        raise ValueError(f"r must have {lattice.ds} components")
-    return np.diag(np.exp(1j * (lattice.sites() @ r)))
+    kernel = np.fft.ifftn(hbar ** 2 * np.sum(lattice.fft_momenta() ** 2, axis=0)).real
+    return _circulant(lattice, (0.5 * (kernel + _reflected(kernel))).ravel())

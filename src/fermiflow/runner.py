@@ -34,6 +34,7 @@ __all__ = ["ConfigError", "NumericFailure", "RunConfig", "parse_config", "run"]
 SCENARIOS = ("evolve", "compare-hf-hartree", "exact-vs-meanfield", "fock-verify",
              "fluctuation", "semiclassics", "diagnostics-only")
 _MAX_STEPS = 10 ** 7  # integrator steps one run may ask for, Vlasov sub-steps included
+_MAX_SITES = 8192  # M: one dense complex M x M matrix is then at most 1 GiB
 
 
 class ConfigError(ValueError):
@@ -156,6 +157,9 @@ def parse_config(text: str) -> RunConfig:
     c = _read(doc, _CONFIG, "")
     scenario, lat, initial = c["scenario"], c["lattice"], c["initial"]
     lattice = make_lattice(lat["ds"], lat["d"], lat["length"])
+    if lattice.site_count > _MAX_SITES:  # checked before any site array is built
+        raise ConfigError(f"lattice.d={lattice.d} and lattice.ds={lattice.ds} give more than "
+                          f"{_MAX_SITES} sites (d^ds), past the 1 GiB dense-matrix budget")
     n, hbar = c["model"]["n_particles"], c["model"]["hbar"]
     if hbar is None:
         hbar = default_hbar(n, lattice.ds)

@@ -8,6 +8,9 @@ with momentum labels q_k = pi * hbar * k / l for k in {-d/2, ..., d/2 - 1}
 factor-2 momentum coarsening).  The quadrature weight is the constant 1/d,
 pinned by the sum rule sum_{j,k} W * weight = tr omega; with that weight the
 position marginal is exactly the diagonal of omega.
+
+The Vlasov kick's force -d/dx (V * rho) is the symbol -i p of
+`Lattice.fft_momenta` on V * rho: one fft and one ifft.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ import numpy as np
 
 from .initial_data import DensityMatrix
 from .meanfield import direct_term
-from .model import Lattice, Potential, _shifted_fft, _shifted_ifft
+from .model import Lattice, Potential
 
 __all__ = [
     "PhaseSpaceDensity",
@@ -78,14 +81,10 @@ def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 
 def _force(w: PhaseSpaceDensity, v: Potential, n_particles: int) -> np.ndarray:
-    """-d/dx (V * rho) with rho the normalized position marginal."""
-    lattice = v.lattice
-    rho = np.sum(w.values, axis=1) * w.weight / (n_particles * lattice.cell)
+    """-d/dx (V * rho), rho the normalized position marginal: -i p on V * rho."""
+    rho = np.sum(w.values, axis=1) * w.weight / (n_particles * v.lattice.cell)
     u = direct_term(rho, v)
-    uhat = _shifted_fft(u, lattice)
-    p = lattice.momenta()[:, 0]
-    du = _shifted_ifft(1j * p * uhat, lattice).real
-    return -du
+    return np.fft.ifft(-1j * v.lattice.fft_momenta()[0] * np.fft.fft(u)).real
 
 
 def vlasov_step(w: PhaseSpaceDensity, dt: float, v: Potential,

@@ -11,8 +11,9 @@ from fermiflow.diagnostics import (commutator_momentum, commutator_phase,
 from fermiflow.initial_data import (fermi_ball_indices, kernel_ansatz,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import (build_potential, default_hbar, fourier_matrix,
-                             make_lattice, momentum_operator, phase_operator)
+from fermiflow.model import build_potential, default_hbar, make_lattice
+
+from _oracles import fourier_matrix, momentum_operator, phase_operator
 
 
 def svd_trace_norm(a):
@@ -81,6 +82,23 @@ def test_semiclassical_series_free_ball():
     rep = semiclassical_constant(om, lat, hbar, p_set)
     assert series.c_phase[0] == pytest.approx(rep.c_phase, abs=1e-12)
     assert series.c_momentum[0] == pytest.approx(rep.c_momentum, abs=1e-12)
+
+
+@pytest.mark.parametrize("ds,d", [(1, 16), (1, 9), (2, 6)])
+def test_probe_box_past_the_grid_leaves_c_phase_unchanged(ds, d):
+    # a probe outside |k_i| <= d // 2 aliases one inside (e^{ip.x} is periodic
+    # in p on the sites) with a larger |p|, so it never sets the maximum
+    lat = make_lattice(ds, d, 1.0)
+    om = trapped_slater(lat, 0.3, 100.0 * np.random.default_rng(d).random(lat.site_count), 3)
+    wide = d // 2 + 5
+    assert np.array_equal(default_probe_momenta(lat, wide), default_probe_momenta(lat, d // 2))
+    axis = np.arange(-wide, wide + 1)
+    k = np.stack([g.ravel() for g in np.meshgrid(*[axis] * ds, indexing="ij")], axis=-1)
+    unclamped = k[np.any(k != 0, axis=1)] * (2.0 * np.pi / lat.length)
+    inside = semiclassical_constant(om, lat, 0.3, default_probe_momenta(lat, d // 2))
+    assert semiclassical_constant(om, lat, 0.3, unclamped).c_phase == inside.c_phase
+    assert semiclassical_constant(om, lat, 0.3, default_probe_momenta(lat, wide)).c_phase \
+        == inside.c_phase
 
 
 def _dense_phase(m, r, lat):

@@ -9,7 +9,9 @@ from fermiflow.initial_data import (DegenerateFermiLevel,
                                     ball_fourier_profile, fermi_ball_indices,
                                     kernel_ansatz, plane_wave_projection,
                                     trapped_slater, weyl_quantize)
-from fermiflow.model import make_lattice, momentum_operator, phase_operator
+from fermiflow.model import make_lattice
+
+from _oracles import momentum_operator, phase_operator
 
 
 def svd_trace_norm(a):

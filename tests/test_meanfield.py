@@ -246,7 +246,7 @@ def test_conjugate_matches_eigh_oracle(a):
     om, h, _, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE_FOCK)
     lo, hi = mf._gershgorin_interval(h)
     dt = 2 * a * hbar / (hi - lo)
-    got = mf._conjugate(om.orbitals, h, dt, hbar)
+    got = mf.apply_exponential(om.orbitals, h, dt, hbar)
     assert np.max(np.abs(got - _eigh_exponential(om.orbitals, h, dt, hbar))) <= 1e-13
 
 
@@ -254,7 +254,7 @@ def test_conjugate_of_a_multiple_of_the_identity():
     # h = c I: zero Gershgorin width, a is raised to 1/64 and h2 = 0
     phi = np.linalg.qr(np.random.default_rng(2).normal(size=(64, 4)) + 0j)[0]
     h = 2.5 * np.eye(64, dtype=complex)
-    got = mf._conjugate(phi, h, 1e-2, 0.5)
+    got = mf.apply_exponential(phi, h, 1e-2, 0.5)
     assert np.max(np.abs(got - np.exp(-0.05j) * phi)) <= 1e-15
     assert np.max(np.abs(got - _eigh_exponential(phi, h, 1e-2, 0.5))) <= 1e-13
 
@@ -278,7 +278,7 @@ def test_steps_take_the_series_and_large_a_takes_eigh(ds, d, n, dt, monkeypatch)
     step(om, h, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).validate()
     lo, hi = mf._gershgorin_interval(h)
     with pytest.raises(AssertionError, match="eigh called"):  # a = dim h
-        mf._conjugate(om.orbitals, h, 2 * len(h) * hbar / (hi - lo), hbar)
+        mf.apply_exponential(om.orbitals, h, 2 * len(h) * hbar / (hi - lo), hbar)
 
 
 def test_idempotency_defect_matches_dense_oracle():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fermiflow.model import (Lattice, Potential, build_potential, default_hbar,
-                             fourier_matrix, kinetic_operator, make_lattice,
-                             momentum_operator, phase_operator)
+                             kinetic_operator, make_lattice)
+
+from _oracles import fourier_matrix, momentum_operator, phase_operator
 
 
 def test_lattice_sites_and_momenta_1d():
@@ -116,7 +117,7 @@ def test_table_with_a_round_off_odd_part_is_evenized():
         build_potential({"shape": "table", "samples": even + 100 * odd}, lat)
 
 
-@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (3, 4)])
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 6), (3, 4), (3, 8)])
 def test_kinetic_operator_real_symmetric(ds, d):
     lat = make_lattice(ds, d, 1.3)
     k = kinetic_operator(lat, 0.7)
@@ -125,6 +126,33 @@ def test_kinetic_operator_real_symmetric(ds, d):
     f = fourier_matrix(lat)
     oracle = f.conj().T @ np.diag(0.7 ** 2 * np.sum(lat.momenta() ** 2, axis=1)) @ f
     assert np.max(np.abs(k - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 5), (3, 4)])
+def test_kinetic_plane_waves_are_eigenvectors(ds, d):
+    # e^{ip.x} is an eigenvector of -hbar^2 Lap with eigenvalue hbar^2 |p|^2
+    lat = make_lattice(ds, d, 1.3)
+    hbar = 0.7
+    k = kinetic_operator(lat, hbar)
+    waves = np.exp(1j * lat.sites() @ lat.momenta().T)  # one plane wave per column
+    eig = hbar ** 2 * np.sum(lat.momenta() ** 2, axis=1)
+    assert np.max(np.abs(k @ waves - waves * eig)) <= 1e-12 * np.max(eig)
+
+
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 5), (3, 4)])
+def test_fft_momenta_reorder_the_momenta(ds, d):
+    lat = make_lattice(ds, d, 1.3)
+    p = lat.fft_momenta()
+    assert p.shape == (ds,) + (d,) * ds
+    # grid point n carries the momentum of fftn's frequency n: fftfreq order
+    freq = np.fft.fftfreq(d, 1.0 / d)
+    for ax in range(ds):
+        along = [1] * ds
+        along[ax] = d
+        expected = np.broadcast_to((2.0 * np.pi / lat.length) * freq.reshape(along), (d,) * ds)
+        assert np.array_equal(p[ax], expected)
+    rows = p.reshape(ds, -1).T
+    assert sorted(map(tuple, rows)) == sorted(map(tuple, lat.momenta()))
 
 
 def test_fourier_matrix_unitary():

@@ -323,6 +323,9 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 dict(diagnostics, lattice={"d": 5, "length": 1e150},
                      initial={"kind": "kernel", "width": 1e-3}),
                 dict(semiclassics, vlasov={"dt": 1e-12}),
+                # more than 8192 sites: one dense complex matrix past 1 GiB
+                dict(diagnostics, lattice={"ds": 1, "d": 10 ** 12}),
+                dict(MINIMAL, lattice={"ds": 3, "d": 21}),
                 # an integer literal beyond Python's 4300-digit parsing limit
                 json.dumps(MINIMAL).replace('"n_particles": 2',
                                             '"n_particles": ' + "1" * 5000)]:
@@ -455,6 +458,26 @@ def test_cli_fock_verify_past_dense_budget_exits_two(tmp_path, monkeypatch, caps
     path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": fock.DENSE_MAX_SITES}))
     with pytest.raises(Reached):
         main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")])
+
+
+def test_cli_oversized_inputs(tmp_path):
+    # d^ds past 8192 sites is rejected before any site array is built (at
+    # d = 10^12 one momentum table alone would take 8 TB), naming both keys
+    huge = {"scenario": "diagnostics-only", "lattice": {"ds": 1, "d": 10 ** 12},
+            "model": {"n_particles": 2}}
+    with pytest.raises(ConfigError, match=r"lattice\.d=10+ and lattice\.ds=1 .* 8192"):
+        parse_config(json.dumps(huge))
+    assert parse_config(json.dumps(dict(huge, lattice={"ds": 3, "d": 20}))).lattice.site_count \
+        == 8000
+    # a probe box past the grid is clamped to |k_i| <= d // 2, not built
+    diagnostics = dict(MINIMAL, scenario="diagnostics-only")
+    results = []
+    for max_index in (10 ** 18, 4):
+        path = write_config(tmp_path, dict(diagnostics, p_set={"max_index": max_index}))
+        out = tmp_path / f"o{max_index}"
+        assert main(["diagnostics-only", "--config", path, "--out", str(out)]) == 0
+        results.append(json.loads((out / "summary.json").read_text())["result"])
+    assert results[0] == results[1]
 
 
 def test_cli_partial_last_step_and_scheme_key_exit_two(tmp_path, capsys):

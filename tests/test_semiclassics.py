@@ -8,6 +8,7 @@ from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, make_lattice
+from fermiflow import semiclassics
 from fermiflow.semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
                                     momentum_grid, vlasov_step, wigner)
 
@@ -62,6 +63,21 @@ def test_wigner_linearity():
     wb = wigner(b, lat, 0.5).values
     wc = wigner(combo, lat, 0.5).values
     assert np.max(np.abs(wc - 0.3 * wa - 0.7 * wb)) < 1e-10
+
+
+@pytest.mark.parametrize("d,mode", [(16, 1), (16, 3), (9, 2)])
+def test_force_of_a_cosine_potential(d, mode):
+    # V = s cos(kx) and rho = (1 + cos(kx)) / l: V * rho = (s/2) cos(kx), so
+    # the force -d/dx (V * rho) is (s k / 2) sin(kx)
+    lat = make_lattice(1, d, 1.7)
+    s, k = 0.8, 2.0 * np.pi * mode / lat.length
+    v = build_potential({"shape": "cosine", "strength": s, "mode": mode}, lat)
+    x = lat.sites()[:, 0]
+    values = np.zeros((d, d))
+    values[:, 0] = 1.0 + np.cos(k * x)  # marginal sum(values) * weight / (N a) = rho
+    w = PhaseSpaceDensity(values=values, momenta=np.zeros(d), weight=1.0 / d)
+    force = semiclassics._force(w, v, 1)
+    assert np.max(np.abs(force - 0.5 * s * k * np.sin(k * x))) <= 1e-12
 
 
 def test_vlasov_free_transport_on_grid_characteristics():

@@ -12,14 +12,12 @@ __version__ = "0.1.0"
 from .model import (Lattice, Potential, build_potential, default_hbar,
                     kinetic_operator, make_lattice)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
-                           kernel_ansatz, plane_wave_projection, trapped_slater,
-                           weyl_quantize)
+                           plane_wave_projection, trapped_slater)
 from .diagnostics import (CommutatorSeries, DistanceSeries, GrowthFit,
                           SemiclassicalReport, commutator_momentum,
                           commutator_phase, default_probe_momenta,
-                          distance_series, fit_double_exponential,
-                          fit_exponential, hs_norm, semiclassical_constant,
-                          semiclassical_series, spectral_form, trace_norm)
+                          distance_series, fit_exponential, hs_norm,
+                          semiclassical_constant, semiclassical_series, trace_norm)
 from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory, apply_exponential,
                         compare_hf_hartree, density_profile, direct_term,
                         evolve, exchange_term, generator, hf_energy, step)

@@ -1,16 +1,31 @@
 """Command line entry point: `fermiflow <scenario> --config <path>`.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
+Exit codes: 0 on success, 2 on configuration errors (an `--out` that cannot
+be created and written among them, found before any work), 3 on numerical
 failures (integrator blow-up, violated invariants, a failed linear-algebra
-routine, a float overflow).
+routine, a float overflow) and on an OSError while the outputs are written.
 """
 
 import argparse
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 from .runner import ConfigError, NumericFailure, SCENARIOS, parse_config, run
+
+
+def _check_out(out: str) -> None:
+    """Refuse an output directory the run could not write, before the run."""
+    try:
+        os.makedirs(out, exist_ok=True)
+        with tempfile.TemporaryFile(dir=out):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r} is not a writable directory: {exc}") from exc
+    if os.path.isdir(os.path.join(out, "summary.json")):
+        raise ConfigError(f"--out {out!r} holds a directory named summary.json")
 
 
 def main(argv=None) -> int:
@@ -42,6 +57,7 @@ def main(argv=None) -> int:
                 raise ConfigError("seed must fit in an unsigned 64-bit integer")
             cfg.seed = args.seed
             cfg.raw["seed"] = args.seed
+        _check_out(args.out)
         summary = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -49,6 +65,9 @@ def main(argv=None) -> int:
     except (NumericFailure, RuntimeError, FloatingPointError, OverflowError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"error: cannot write outputs to {args.out!r}: {exc}", file=sys.stderr)
         return 3
     print(f"{args.scenario}: wrote {len(summary['manifest']) + 1} files to {args.out} "
           f"in {summary['wall_clock_seconds']:.2f}s")

@@ -5,9 +5,8 @@ fits.
 
 Each trace norm is tr|h| = sum |eigvalsh(h)| of a Hermitian h, computed by
 one function, `trace_norm`.  The commutator norms read the orbitals of a
-`DensityMatrix`, omega = Phi diag(lam) Phi* with Phi M x r (`spectral_form`
-factors a dense matrix this way).  Each commutator is B S B* with B of 2r
-columns and S Hermitian:
+`DensityMatrix`, omega = Phi diag(lam) Phi* with Phi M x r.  Each commutator
+is B S B* with B of 2r columns and S Hermitian:
 
 * A = diag(e^{i r.x}) is unitary and [A, omega] = A (omega - A* omega A),
   so tr|[A, omega]| = tr|B S B*| with B = [Phi, A* Phi], S = diag(lam, -lam);
@@ -16,10 +15,10 @@ columns and S Hermitian:
   i hbar p (`Lattice.fft_momenta`) on Phi, by one fftn and one ifftn.
 
 With B = QR, B S B* = Q (R S R*) Q*, so each norm is that of the k x k
-matrix R S R*, k = min(M, 2r).  `spectral_form` drops the eigenvalues with
-|lam| <= M eps max(1, max |lam|); that changes a phase norm by at most
-2 sum |lam_dropped| and the norm of axis j by at most
-2 hbar max |p_j| sum |lam_dropped|, since ||hbar d/dx_j|| = hbar max |p_j|.
+matrix R S R*, k = min(M, 2r).  A factorization that drops eigenvalues of
+omega changes a phase norm by at most 2 sum |lam_dropped| and the norm of
+axis j by at most 2 hbar max |p_j| sum |lam_dropped|, since
+||hbar d/dx_j|| = hbar max |p_j|.
 
 A difference gamma - omega of Hermitian matrices is Hermitian too, so the
 trace distance is the same kind of norm.
@@ -38,14 +37,12 @@ __all__ = [
     "DistanceSeries",
     "trace_norm",
     "hs_norm",
-    "spectral_form",
     "commutator_phase",
     "commutator_momentum",
     "default_probe_momenta",
     "semiclassical_constant",
     "semiclassical_series",
     "fit_exponential",
-    "fit_double_exponential",
     "distance_series",
 ]
 
@@ -81,17 +78,13 @@ class DistanceSeries:
     tr: np.ndarray
 
 
-def _check_hermitian(h: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(h)):
-        raise ValueError(f"{what} of a matrix with non-finite entries")
-    if not is_hermitian(h):
-        raise ValueError(f"{what} of a non-Hermitian matrix")
-
-
 def trace_norm(h: np.ndarray) -> float:
     """tr|h| of a Hermitian matrix: the sum of |eigenvalues|.  Non-finite or
     non-Hermitian input (beyond round-off) is rejected."""
-    _check_hermitian(h, "trace norm")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("trace norm of a matrix with non-finite entries")
+    if not is_hermitian(h):
+        raise ValueError("trace norm of a non-Hermitian matrix")
     try:
         return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -101,17 +94,6 @@ def trace_norm(h: np.ndarray) -> float:
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius (Hilbert-Schmidt) norm."""
     return float(np.linalg.norm(np.asarray(a), "fro"))
-
-
-def spectral_form(m: np.ndarray):
-    """(phi, lam, dropped) with m = phi diag(lam) phi* up to the dropped
-    eigenvalues, |lam| <= M eps max(1, max |lam|), from one eigh; phi has
-    orthonormal columns and dropped = sum |lam_dropped|."""
-    _check_hermitian(m, "spectral form")
-    lam, phi = np.linalg.eigh(m)
-    cut = m.shape[0] * np.finfo(float).eps * max(1.0, np.max(np.abs(lam), initial=0.0))
-    keep = np.abs(lam) > cut
-    return phi[:, keep], lam[keep], float(np.sum(np.abs(lam[~keep])))
 
 
 def _low_rank_norm(b: np.ndarray, s: np.ndarray) -> float:
@@ -205,38 +187,6 @@ def fit_exponential(series, times) -> GrowthFit:
     resid = logv - design @ coef
     return GrowthFit(amplitude=float(np.exp(coef[0])), rate=float(coef[1]),
                      residual=float(np.sqrt(np.mean(resid ** 2))))
-
-
-def fit_double_exponential(series, times):
-    """Fit log v = log K + c2 * exp(c1 * t) by nested least squares over c1.
-
-    Returns (K, c1, c2, rms log residual).  Used for number-growth envelopes,
-    where the bound has the double-exponential shape.
-    """
-    v = np.asarray(series, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if np.any(v <= 0):
-        raise ValueError("double-exponential fit requires positive values")
-    logv = np.log(v)
-    span = max(t.max() - t.min(), 1e-12)
-
-    def inner(c1):
-        design = np.stack([np.ones_like(t), np.exp(c1 * t)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
-        resid = logv - design @ coef
-        return coef, float(np.sqrt(np.mean(resid ** 2)))
-
-    grid = np.linspace(1e-3, 10.0 / span, 400)
-    best_c1 = min(grid, key=lambda c1: inner(c1)[1])
-    from scipy.optimize import minimize_scalar
-
-    step = grid[1] - grid[0]
-    res = minimize_scalar(lambda c1: inner(c1)[1], bracket=None,
-                          bounds=(max(best_c1 - step, 1e-6), best_c1 + step),
-                          method="bounded")
-    c1 = float(res.x) if res.fun <= inner(best_c1)[1] else float(best_c1)
-    coef, rms = inner(c1)
-    return (float(np.exp(coef[0])), c1, float(coef[1]), rms)
 
 
 def distance_series(gamma_series, omega_series, times=None) -> DistanceSeries:

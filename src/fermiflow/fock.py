@@ -6,13 +6,16 @@ modes below x).  That convention is fixed in one place: the kernel `_word`,
 which builds any word of creation and annihilation operators from the
 per-space table of occupation bits and signs.  Every operator here (field
 a*(f) and a(f), dGamma, pair, Hamiltonian) is one call to it, and everything
-downstream (Bogoliubov implementors, Wick reduced densities, fluctuation
-vectors) is validated against the anticommutation relations it fixes.
+downstream (Bogoliubov implementors, quasi-free states, the one-particle
+reduced density, fluctuation vectors) is validated against the
+anticommutation relations it fixes.  The module holds what the Fock-space
+scenarios run; the k-particle densities and their Wick formula, the
+generalized density, the number operator and the Slater vector built
+factor by factor are test oracles (`tests/_oracles.py`).
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,17 +28,12 @@ __all__ = [
     "car_defect",
     "field_operator",
     "d_gamma",
-    "number_operator",
     "hamiltonian",
     "pair_operator",
     "implement_bogoliubov",
     "quasi_free_state",
-    "slater_vector",
     "SectorPropagator",
     "rdm1",
-    "rdmk",
-    "wick_rdmk",
-    "generalized_density",
     "fluctuation_vector",
     "number_moment",
     "verify_operator_bounds",
@@ -137,10 +135,6 @@ def pair_operator(space: FockSpace, o: np.ndarray, create: bool) -> sp.csr_matri
     return _word(space, (create, create), o)
 
 
-def number_operator(space: FockSpace) -> sp.csr_matrix:
-    return sp.diags(space.occupations().astype(complex)).tocsr()
-
-
 def hamiltonian(space: FockSpace, v: Potential, hbar: float,
                 n_particles: int) -> sp.csr_matrix:
     """dGamma(-hbar^2 Lap) + (1/2N) sum_{x,y} V(x-y) a*_x a*_y a_y a_x.
@@ -158,14 +152,6 @@ def hamiltonian(space: FockSpace, v: Potential, hbar: float,
     return (h + sp.diags(diag.astype(complex))).tocsr()
 
 
-def slater_vector(space: FockSpace, orbitals: np.ndarray) -> np.ndarray:
-    """a*(f_1) ... a*(f_N) applied to the vacuum."""
-    psi = space.vacuum()
-    for j in range(orbitals.shape[1] - 1, -1, -1):
-        psi = field_operator(space, orbitals[:, j], True) @ psi
-    return psi
-
-
 def implement_bogoliubov(space: FockSpace, omega) -> LinearOperator:
     """Particle-hole implementor R = b_1 ... b_N of a `DensityMatrix` omega
     that is an orthogonal projection, with b_j = a*(f_j) + a(f_j) over its
@@ -175,7 +161,7 @@ def implement_bogoliubov(space: FockSpace, omega) -> LinearOperator:
 
     Every lambda_j must be 1 and the f_j orthonormal.  Then the CAR give
     b_j* = b_j and b_j^2 = 1: R is unitary, R* = b_N ... b_1 (`.H` applies
-    the factors in reverse), and R vacuum = slater_vector.  The block
+    the factors in reverse), and R vacuum = a*(f_1) ... a*(f_N) vacuum.  The block
     conditions of the Bogoliubov map u = 1 - omega, v = conj(Phi) Phi* need
     no check of their own: with E = Phi* Phi - I their defects
     u*u + v*v - 1 = Phi (E + conj E) Phi* and
@@ -240,62 +226,10 @@ class SectorPropagator:
         return out
 
 
-def _site_stack(space: FockSpace, psi: np.ndarray, create: bool) -> np.ndarray:
-    """Rows a_x psi (or a*_x psi if create), x in site order."""
-    return np.stack([field_operator(space, e, create) @ psi
-                     for e in np.eye(space.l_sites)])
-
-
 def rdm1(psi: np.ndarray, space: FockSpace) -> np.ndarray:
     """gamma(x;y) = <psi, a*_y a_x psi>; Hermitian PSD, trace = <N>."""
-    a_psi = _site_stack(space, psi, False)
+    a_psi = np.stack([field_operator(space, e, False) @ psi for e in np.eye(space.l_sites)])
     return a_psi @ a_psi.conj().T
-
-
-def rdmk(psi: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
-    """k-particle reduced density as a rank-2k tensor, normalized so the
-    total trace is <N!/(N-k)!>."""
-    if not 1 <= k <= 3:
-        raise ValueError("k must be 1, 2 or 3")
-    mean_n = number_moment(psi, 1, space, shift=0.0)
-    if k > mean_n + 1e-9:
-        raise ValueError(f"k={k} exceeds the mean particle number {mean_n:.3f}")
-    l = space.l_sites
-    a = [field_operator(space, e, False) for e in np.eye(l)]
-    tuples = list(product(range(l), repeat=k))
-    phi = np.zeros((len(tuples), space.dim), dtype=complex)
-    for i, tup in enumerate(tuples):
-        vec = psi
-        for y in tup:  # rightmost operator a_{y_1} acts first
-            vec = a[y] @ vec
-        phi[i] = vec
-    g = phi @ phi.conj().T  # g[x_tuple, x'_tuple] = <Phi_{x'}, Phi_x>
-    return g.reshape((l,) * (2 * k))
-
-
-def wick_rdmk(omega: np.ndarray, k: int) -> np.ndarray:
-    """Quasi-free k-particle reduced density: the k x k determinant
-    det[ omega(x_i; x'_j) ] for every pair of index tuples."""
-    omega = np.asarray(omega, dtype=complex)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    l = omega.shape[0]
-    tuples = np.array(list(product(range(l), repeat=k)))
-    blocks = omega[tuples[:, None, :, None], tuples[None, :, None, :]]
-    return np.linalg.det(blocks).reshape((l,) * (2 * k))
-
-
-def generalized_density(psi: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Block matrix [[gamma, alpha], [-conj(alpha), 1 - conj(gamma)]]."""
-    a_psi = _site_stack(space, psi, False)
-    c_psi = _site_stack(space, psi, True)
-    gamma = a_psi @ a_psi.conj().T
-    # alpha(x;y) = <psi, a_y a_x psi> = <a*_y psi, a_x psi>
-    alpha = (np.conj(c_psi) @ a_psi.T).T
-    ident = np.eye(space.l_sites)
-    top = np.hstack([gamma, alpha])
-    bot = np.hstack([-np.conj(alpha), ident - np.conj(gamma)])
-    return np.vstack([top, bot])
 
 
 def number_moment(xi: np.ndarray, k: int, space: FockSpace,

@@ -3,10 +3,9 @@
 The state type, `DensityMatrix`: orbitals and occupations (Phi, lam), of
 which omega = Phi diag(lam) Phi* and N = sum lam are derived views.  The
 states the flows start from: plane-wave Fermi balls and trapped Slater
-projections, built from their orbitals with lam = 1, and Weyl quantizations
-of phase-space symbols and the diagonal-concentrated kernel ansatz, dense
-matrices factored by `diagnostics.spectral_form`.  How semiclassical a
-state is, is measured in `diagnostics`.
+projections, both built from their orbitals with lam = 1, so no dense
+matrix is factored.  How semiclassical a state is, is measured in
+`diagnostics`.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import spectral_form
 from .model import Lattice, kinetic_operator
 
 __all__ = [
@@ -23,8 +21,6 @@ __all__ = [
     "fermi_ball_indices",
     "plane_wave_projection",
     "trapped_slater",
-    "weyl_quantize",
-    "kernel_ansatz",
 ]
 
 
@@ -127,93 +123,3 @@ def trapped_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
             f"(gap {eig[n] - eig[n - 1]:.3e})"
         )
     return DensityMatrix(vec[:, :n], np.ones(n))
-
-
-def _midpoint_indices(d: int) -> np.ndarray:
-    """Nearest-site index of (x_j + x_{j'})/2 for every index pair, ties
-    broken toward the first (row) argument.  Shape (d, d)."""
-    j = np.arange(d)[:, None]
-    jp = np.arange(d)[None, :]
-    s = j + jp
-    # floor for even sums (exact); for odd sums move the half step toward j
-    return np.where(s % 2 == 0, s // 2, np.where(j > jp, (s + 1) // 2, s // 2))
-
-
-def _pair_midpoints(lattice: Lattice) -> np.ndarray:
-    """Flat site index of the midpoint sample for every (row, col) site pair."""
-    mid1 = _midpoint_indices(lattice.d)
-    idx = lattice.site_indices()
-    flat = np.zeros((lattice.site_count, lattice.site_count), dtype=int)
-    for ax in range(lattice.ds):
-        flat = flat * lattice.d + mid1[np.ix_(idx[:, ax], idx[:, ax])]
-    return flat
-
-
-def weyl_quantize(symbol: np.ndarray, lattice: Lattice, hbar: float) -> DensityMatrix:
-    """Discrete Weyl quantization of a real phase-space symbol M(p, x), given
-    as its samples on momentum grid x site grid.
-
-    Matrix entries transcribe
-        a^ds * (2 pi hbar)^(-ds) * sum_k dp^ds M(p_k, (x+y)/2) e^{i p_k.(x-y)/hbar},
-    with the midpoint evaluated at the nearest site sample (ties toward x).
-    """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    values = np.asarray(symbol, dtype=float)
-    if values.shape != (lattice.site_count, lattice.site_count):
-        raise ValueError("symbol must be sampled on momentum grid x site grid")
-    x = lattice.sites()
-    p = lattice.momenta()
-    dp = 2.0 * np.pi / lattice.length
-    pref = lattice.cell * (dp / (2.0 * np.pi * hbar)) ** lattice.ds
-    diff = (x[:, None, :] - x[None, :, :]) / hbar  # (M, M, ds)
-    mid = _pair_midpoints(lattice)
-    m_at_mid = values[:, mid]  # (K, M, M)
-    phases = np.exp(1j * np.einsum("kd,xyd->kxy", p, diff))
-    omega = pref * np.einsum("kxy,kxy->xy", m_at_mid, phases)
-    return DensityMatrix(*spectral_form(0.5 * (omega + omega.conj().T))[:2])
-
-
-def ball_fourier_profile(xi: np.ndarray, fermi_radius: float, ds: int) -> np.ndarray:
-    """Fourier transform of the indicator of the momentum ball |q| <= c,
-    evaluated at xi (radial).  Continuous at xi = 0."""
-    c = fermi_radius
-    r = np.abs(np.asarray(xi, dtype=float))
-    small = r < 1e-8
-    rs = np.where(small, 1.0, r)
-    if ds == 1:
-        out = 2.0 * np.sin(c * rs) / rs
-        return np.where(small, 2.0 * c, out)
-    if ds == 2:
-        from scipy.special import j1
-
-        out = 2.0 * np.pi * c * j1(c * rs) / rs
-        return np.where(small, np.pi * c ** 2, out)
-    if ds == 3:
-        out = 4.0 * np.pi / rs ** 2 * (np.sin(c * rs) / rs - c * np.cos(c * rs))
-        return np.where(small, 4.0 * np.pi * c ** 3 / 3.0, out)
-    raise ValueError(f"unsupported dimension {ds}")
-
-
-def kernel_ansatz(chi: np.ndarray, fermi_radius: float, lattice: Lattice,
-                  hbar: float):
-    """Diagonal-concentrated kernel hbar^(-ds) phi((x-y)/hbar) chi((x+y)/2).
-
-    phi is the Fourier transform of the momentum-ball indicator of radius
-    fermi_radius.  The result is Hermitized; it is generally NOT an exact
-    projection, so the idempotency defect is returned alongside it.
-    """
-    chi = np.asarray(chi, dtype=float)
-    if chi.shape != (lattice.site_count,):
-        raise ValueError("chi must be sampled on the site grid")
-    if np.any(chi < 0):
-        raise ValueError("chi must be nonnegative")
-    x = lattice.sites()
-    diff = x[:, None, :] - x[None, :, :]
-    diff -= lattice.length * np.round(diff / lattice.length)  # min-image
-    xi = np.linalg.norm(diff, axis=-1) / hbar
-    phi = ball_fourier_profile(xi, fermi_radius, lattice.ds)
-    mid = _pair_midpoints(lattice)
-    omega = (lattice.spacing / hbar) ** lattice.ds * phi * chi[mid]
-    dm = DensityMatrix(*spectral_form(0.5 * (omega + omega.conj().T).astype(complex))[:2])
-    return dm, dm.idempotency_defect()

@@ -111,12 +111,6 @@ class Potential:
         return np.fft.rfftn(self.real_space.reshape(grid), axes=tuple(range(len(grid))))
 
     @functools.cached_property
-    def assumption_weight(self) -> float:
-        """sum_k (1 + |p_k|)^2 |Vhat(p_k)|, the paper's regularity weight of V."""
-        p = self.lattice.momenta()
-        return float(np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(self.fourier)))
-
-    @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
         """V(x_i - x_j) for every site pair, the circulant of the samples: built once
         per potential, exactly symmetric (the samples are even); the exchange term

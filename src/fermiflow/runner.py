@@ -24,7 +24,7 @@ from . import __version__
 from .diagnostics import (default_probe_momenta, distance_series, fit_exponential,
                           semiclassical_constant, semiclassical_series)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
-                           kernel_ansatz, plane_wave_projection, trapped_slater)
+                           plane_wave_projection, trapped_slater)
 from .meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree, evolve)
 from .model import Lattice, Potential, build_potential, default_hbar, make_lattice
 from .snapshots import write_csv, write_fmf1
@@ -87,7 +87,6 @@ _CONFIG = {
     "initial": _Key(_Tagged("kind", {
         "ball": {},
         "trapped": {"strength": _Key(float, 50.0, 0)},
-        "kernel": {"width": _Key(float, 0.2, 0), "fermi_radius": _Key(float, None, 0)},
     }), {"kind": "ball"}),
     "evolution": _Key({"dt": _Key(float, ..., 0), "t_final": _Key(float, ..., 0),
                        "snapshot_stride": _Key(int, 1, 1)}, None),
@@ -169,21 +168,19 @@ def parse_config(text: str) -> RunConfig:
     with np.errstate(over="ignore", invalid="ignore"):  # numpy, where float ** raises
         cell = np.float64(lattice.spacing) ** lattice.ds
         top = np.float64(hbar) ** 2 * np.max(np.sum(lattice.momenta() ** 2, axis=1))
-        trap = np.max(harmonic_trap(lattice, initial.get("strength", 1.0)))
+        trap = (np.max(harmonic_trap(lattice, initial["strength"]))
+                if initial["kind"] == "trapped" else 0.0)
     if not np.isfinite(top):
         raise ConfigError(f"model.hbar={hbar!r} and lattice.length={lattice.length!r} make "
                           f"the largest kinetic energy hbar^2 |p|^2 overflow")
     if not sys.float_info.min <= cell <= sys.float_info.max:
         raise ConfigError(f"lattice.length={lattice.length!r}, lattice.d={lattice.d} and lattice."
                           f"ds={lattice.ds} put the cell volume (length/d)^ds outside the floats")
-    if initial["kind"] != "ball" and not np.isfinite(trap):
+    if not np.isfinite(trap):
         raise ConfigError(f"lattice.length={lattice.length!r} and initial.strength make the "
                           f"trap energy strength |x - center|^2 overflow")
     if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
         raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
-    if initial["kind"] == "kernel" and scenario != "diagnostics-only":
-        raise ConfigError("initial.kind 'kernel' is not a projection; it runs only "
-                          "in diagnostics-only")
     try:
         potential = build_potential(c["potential"], lattice)
     except ValueError as exc:
@@ -221,30 +218,14 @@ def harmonic_trap(lattice: Lattice, strength: float) -> np.ndarray:
 
 
 def build_initial_state(cfg: RunConfig) -> DensityMatrix:
-    lattice, hbar, n = cfg.lattice, cfg.hbar, cfg.n_particles
-    kind = cfg.initial["kind"]
-    if kind == "ball":
+    lattice, n = cfg.lattice, cfg.n_particles
+    if cfg.initial["kind"] == "ball":
         return plane_wave_projection(lattice, fermi_ball_indices(lattice, n))
-    if kind == "trapped":
-        try:
-            return trapped_slater(lattice, hbar,
-                                  harmonic_trap(lattice, cfg.initial["strength"]), n)
-        except DegenerateFermiLevel as exc:
-            raise ConfigError(f"initial: {exc}") from exc
-    # kernel ansatz with a gaussian bump (diagnostics-only)
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            width = cfg.initial["width"] * lattice.length
-            chi = np.exp(-harmonic_trap(lattice, 1.0) / (2.0 * width ** 2))
-            radius = cfg.initial["fermi_radius"] or np.pi * n / lattice.length * hbar
-            dm, _ = kernel_ansatz(chi, radius, lattice, hbar)
-            # rescale chi so the trace matches N
-            scale = n / np.trace(dm.matrix).real
-            dm, _ = kernel_ansatz(chi * scale, radius, lattice, hbar)
-    except FloatingPointError as exc:
-        raise ConfigError(f"initial.width, initial.fermi_radius and lattice.length "
-                          f"give a kernel state outside the float range: {exc}") from exc
-    return dm
+        return trapped_slater(lattice, cfg.hbar,
+                              harmonic_trap(lattice, cfg.initial["strength"]), n)
+    except DegenerateFermiLevel as exc:
+        raise ConfigError(f"initial: {exc}") from exc
 
 
 def _sha256(path) -> str:

@@ -1,12 +1,37 @@
-"""Dense one-particle operators on a lattice, kept as independent oracles for
-the FFT kernels of `fermiflow`: the unitary Fourier matrix, hbar d/dx and
-the phase operators e^{i r.x}, each an explicit M x M matrix."""
+"""Independent oracles the tests and criteria check `fermiflow` against; none
+is run by a scenario.
+
+- `fourier_matrix`, `momentum_operator`, `phase_operator`: dense M x M
+  operators that check the FFT kernels and the low-rank commutator norms.
+- `spectral_form`: one dense `eigh`, factoring a dense Hermitian matrix
+  into the (Phi, lam) a `DensityMatrix` holds, for states built as matrices.
+- `weyl_quantize`: Weyl quantization of a phase-space symbol, a
+  diagonal-concentrated state that is not a projection for the commutator
+  norms.
+- `assumption_weight`: the paper's regularity weight of V, which checks
+  `Potential.fourier` against a direct sum.
+- `number_operator`: the number operator as a sparse diagonal matrix, which
+  checks the occupation counts and dGamma(1).
+- `slater_vector`: a*(f_1) ... a*(f_N) vacuum, which checks the Bogoliubov
+  implementor's R vacuum.
+- `rdmk`, `wick_rdmk`: k-particle reduced densities of a Fock vector and
+  their Wick determinants, which check quasi-free states (criterion 05).
+- `generalized_density`: the block density [[gamma, alpha], ...], whose
+  projection property checks quasi-free states (criterion 05).
+- `fit_double_exponential`: the double-exponential envelope of the number
+  growth (criterion 08).
+"""
 
 import functools
+from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import minimize_scalar
 
-from fermiflow.model import Lattice
+from fermiflow.fock import FockSpace, field_operator, number_moment
+from fermiflow.initial_data import DensityMatrix
+from fermiflow.model import Lattice, Potential, is_hermitian
 
 
 @functools.lru_cache(maxsize=32)
@@ -33,3 +58,162 @@ def phase_operator(lattice: Lattice, r) -> np.ndarray:
     if r.shape != (lattice.ds,):
         raise ValueError(f"r must have {lattice.ds} components")
     return np.diag(np.exp(1j * (lattice.sites() @ r)))
+
+
+def spectral_form(m: np.ndarray):
+    """(phi, lam, dropped) with m = phi diag(lam) phi* up to the dropped
+    eigenvalues, |lam| <= M eps max(1, max |lam|), from one eigh; phi has
+    orthonormal columns and dropped = sum |lam_dropped|."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("spectral form of a matrix with non-finite entries")
+    if not is_hermitian(m):
+        raise ValueError("spectral form of a non-Hermitian matrix")
+    lam, phi = np.linalg.eigh(m)
+    cut = m.shape[0] * np.finfo(float).eps * max(1.0, np.max(np.abs(lam), initial=0.0))
+    keep = np.abs(lam) > cut
+    return phi[:, keep], lam[keep], float(np.sum(np.abs(lam[~keep])))
+
+
+def _midpoint_indices(d: int) -> np.ndarray:
+    """Nearest-site index of (x_j + x_{j'})/2 for every index pair, ties
+    broken toward the first (row) argument.  Shape (d, d)."""
+    j = np.arange(d)[:, None]
+    jp = np.arange(d)[None, :]
+    s = j + jp
+    # floor for even sums (exact); for odd sums move the half step toward j
+    return np.where(s % 2 == 0, s // 2, np.where(j > jp, (s + 1) // 2, s // 2))
+
+
+def _pair_midpoints(lattice: Lattice) -> np.ndarray:
+    """Flat site index of the midpoint sample for every (row, col) site pair."""
+    mid1 = _midpoint_indices(lattice.d)
+    idx = lattice.site_indices()
+    flat = np.zeros((lattice.site_count, lattice.site_count), dtype=int)
+    for ax in range(lattice.ds):
+        flat = flat * lattice.d + mid1[np.ix_(idx[:, ax], idx[:, ax])]
+    return flat
+
+
+def weyl_quantize(symbol: np.ndarray, lattice: Lattice, hbar: float) -> DensityMatrix:
+    """Discrete Weyl quantization of a real phase-space symbol M(p, x), given
+    as its samples on momentum grid x site grid.
+
+    Matrix entries transcribe
+        a^ds * (2 pi hbar)^(-ds) * sum_k dp^ds M(p_k, (x+y)/2) e^{i p_k.(x-y)/hbar},
+    with the midpoint evaluated at the nearest site sample (ties toward x).
+    """
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    values = np.asarray(symbol, dtype=float)
+    if values.shape != (lattice.site_count, lattice.site_count):
+        raise ValueError("symbol must be sampled on momentum grid x site grid")
+    x = lattice.sites()
+    p = lattice.momenta()
+    dp = 2.0 * np.pi / lattice.length
+    pref = lattice.cell * (dp / (2.0 * np.pi * hbar)) ** lattice.ds
+    diff = (x[:, None, :] - x[None, :, :]) / hbar  # (M, M, ds)
+    mid = _pair_midpoints(lattice)
+    m_at_mid = values[:, mid]  # (K, M, M)
+    phases = np.exp(1j * np.einsum("kd,xyd->kxy", p, diff))
+    omega = pref * np.einsum("kxy,kxy->xy", m_at_mid, phases)
+    return DensityMatrix(*spectral_form(0.5 * (omega + omega.conj().T))[:2])
+
+
+def assumption_weight(v: Potential) -> float:
+    """sum_k (1 + |p_k|)^2 |Vhat(p_k)|, the paper's regularity weight of V."""
+    p = v.lattice.momenta()
+    return float(np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(v.fourier)))
+
+
+def number_operator(space: FockSpace) -> sp.csr_matrix:
+    return sp.diags(space.occupations().astype(complex)).tocsr()
+
+
+def slater_vector(space: FockSpace, orbitals: np.ndarray) -> np.ndarray:
+    """a*(f_1) ... a*(f_N) applied to the vacuum."""
+    psi = space.vacuum()
+    for j in range(orbitals.shape[1] - 1, -1, -1):
+        psi = field_operator(space, orbitals[:, j], True) @ psi
+    return psi
+
+
+def _site_stack(space: FockSpace, psi: np.ndarray, create: bool) -> np.ndarray:
+    """Rows a_x psi (or a*_x psi if create), x in site order."""
+    return np.stack([field_operator(space, e, create) @ psi
+                     for e in np.eye(space.l_sites)])
+
+
+def rdmk(psi: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
+    """k-particle reduced density as a rank-2k tensor, normalized so the
+    total trace is <N!/(N-k)!>."""
+    if not 1 <= k <= 3:
+        raise ValueError("k must be 1, 2 or 3")
+    mean_n = number_moment(psi, 1, space, shift=0.0)
+    if k > mean_n + 1e-9:
+        raise ValueError(f"k={k} exceeds the mean particle number {mean_n:.3f}")
+    l = space.l_sites
+    a = [field_operator(space, e, False) for e in np.eye(l)]
+    tuples = list(product(range(l), repeat=k))
+    phi = np.zeros((len(tuples), space.dim), dtype=complex)
+    for i, tup in enumerate(tuples):
+        vec = psi
+        for y in tup:  # rightmost operator a_{y_1} acts first
+            vec = a[y] @ vec
+        phi[i] = vec
+    g = phi @ phi.conj().T  # g[x_tuple, x'_tuple] = <Phi_{x'}, Phi_x>
+    return g.reshape((l,) * (2 * k))
+
+
+def wick_rdmk(omega: np.ndarray, k: int) -> np.ndarray:
+    """Quasi-free k-particle reduced density: the k x k determinant
+    det[ omega(x_i; x'_j) ] for every pair of index tuples."""
+    omega = np.asarray(omega, dtype=complex)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    l = omega.shape[0]
+    tuples = np.array(list(product(range(l), repeat=k)))
+    blocks = omega[tuples[:, None, :, None], tuples[None, :, None, :]]
+    return np.linalg.det(blocks).reshape((l,) * (2 * k))
+
+
+def generalized_density(psi: np.ndarray, space: FockSpace) -> np.ndarray:
+    """Block matrix [[gamma, alpha], [-conj(alpha), 1 - conj(gamma)]]."""
+    a_psi = _site_stack(space, psi, False)
+    c_psi = _site_stack(space, psi, True)
+    gamma = a_psi @ a_psi.conj().T
+    # alpha(x;y) = <psi, a_y a_x psi> = <a*_y psi, a_x psi>
+    alpha = (np.conj(c_psi) @ a_psi.T).T
+    ident = np.eye(space.l_sites)
+    top = np.hstack([gamma, alpha])
+    bot = np.hstack([-np.conj(alpha), ident - np.conj(gamma)])
+    return np.vstack([top, bot])
+
+
+def fit_double_exponential(series, times):
+    """Fit log v = log K + c2 * exp(c1 * t) by nested least squares over c1.
+
+    Returns (K, c1, c2, rms log residual).  Used for number-growth envelopes,
+    where the bound has the double-exponential shape.
+    """
+    v = np.asarray(series, dtype=float)
+    t = np.asarray(times, dtype=float)
+    if np.any(v <= 0):
+        raise ValueError("double-exponential fit requires positive values")
+    logv = np.log(v)
+    span = max(t.max() - t.min(), 1e-12)
+
+    def inner(c1):
+        design = np.stack([np.ones_like(t), np.exp(c1 * t)], axis=1)
+        coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
+        resid = logv - design @ coef
+        return coef, float(np.sqrt(np.mean(resid ** 2)))
+
+    grid = np.linspace(1e-3, 10.0 / span, 400)
+    best_c1 = min(grid, key=lambda c1: inner(c1)[1])
+    step = grid[1] - grid[0]
+    res = minimize_scalar(lambda c1: inner(c1)[1], bracket=None,
+                          bounds=(max(best_c1 - step, 1e-6), best_c1 + step),
+                          method="bounded")
+    c1 = float(res.x) if res.fun <= inner(best_c1)[1] else float(best_c1)
+    coef, rms = inner(c1)
+    return (float(np.exp(coef[0])), c1, float(coef[1]), rms)

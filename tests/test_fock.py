@@ -9,18 +9,17 @@ import pytest
 
 from fermiflow import fock
 from fermiflow.fock import (FockSpace, SectorPropagator, car_defect, d_gamma,
-                            field_operator, fluctuation_vector,
-                            generalized_density, hamiltonian,
-                            implement_bogoliubov, number_moment,
-                            number_operator, pair_operator, quasi_free_state,
-                            rdm1, rdmk, slater_vector, verify_operator_bounds,
-                            wick_rdmk)
-from fermiflow.diagnostics import spectral_form
+                            field_operator, fluctuation_vector, hamiltonian,
+                            implement_bogoliubov, number_moment, pair_operator,
+                            quasi_free_state, rdm1, verify_operator_bounds)
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
     make_lattice
+
+from _oracles import (generalized_density, number_operator, rdmk, slater_vector,
+                      spectral_form, wick_rdmk)
 
 
 def site(space, x, create):

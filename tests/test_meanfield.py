@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import fermiflow.meanfield as mf
-from fermiflow.diagnostics import spectral_form
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree,
                                  density_profile, direct_term, evolve,
                                  exchange_term, generator, hf_energy, step)
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
+
+from _oracles import spectral_form
 
 
 def harmonic(lat, strength):

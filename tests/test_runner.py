@@ -1,5 +1,7 @@
 """Config parsing, scenario runner outputs, CLI exit codes, determinism."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -197,6 +199,30 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]", out
 
 
+def test_no_module_but_fock_imports_scipy():
+    # every import statement in the syntax tree, those inside functions too:
+    # outside the Fock oracle, the package runs on numpy alone
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
+    assert os.path.join(src, "fermiflow", "runner.py") in paths
+    found = []
+    for path in paths:
+        if os.path.basename(path) == "fock.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{os.path.basename(path)}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_summary_records_the_environment_without_loading_scipy(tmp_path):
     # an evolve run through the CLI, in a fresh process: the environment is
     # read without importing scipy
@@ -287,6 +313,7 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 dict(MINIMAL, initial={"kind": "trapped", "strength": nan}),
                 dict(MINIMAL, initial={"kind": "trapped", "strength": float("inf")}),
                 dict(MINIMAL, initial={"kind": "ball", "strength": 50.0}),
+                # not a projection, so no initial kind
                 dict(MINIMAL, initial={"kind": "kernel"}),
                 dict(MINIMAL, scenario="exact-vs-meanfield", initial={"kind": "kernel"}),
                 dict(MINIMAL, model={"n_particles": 2, "hbar": "x"}),
@@ -316,12 +343,6 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 dict(MINIMAL, lattice={"ds": 3, "d": 2, "length": 1e-110}),
                 # a trap energy strength |x - center|^2 beyond the float range
                 dict(MINIMAL, lattice={"d": 8, "length": 1e200}, initial={"kind": "trapped"}),
-                dict(diagnostics, lattice={"d": 8, "length": 1e200}, initial={"kind": "kernel"}),
-                # a kernel state whose products overflow, or whose bump underflows to 0
-                dict(diagnostics, lattice={"d": 5, "length": 1e150},
-                     initial={"kind": "kernel", "width": 1e3, "fermi_radius": 1e-3}),
-                dict(diagnostics, lattice={"d": 5, "length": 1e150},
-                     initial={"kind": "kernel", "width": 1e-3}),
                 dict(semiclassics, vlasov={"dt": 1e-12}),
                 # more than 8192 sites: one dense complex matrix past 1 GiB
                 dict(diagnostics, lattice={"ds": 1, "d": 10 ** 12}),
@@ -336,6 +357,18 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
         assert main([scenario, "--config", str(case), "--out", str(out)]) == 2, doc
         assert capsys.readouterr().err.startswith("config error"), doc
         assert not os.path.exists(out / "summary.json")
+    kernel = write_config(tmp_path, dict(MINIMAL, initial={"kind": "kernel"}), "kernel.json")
+    assert main(["evolve", "--config", kernel, "--out", str(tmp_path / "o")]) == 2
+    assert "initial.kind must be one of ['ball', 'trapped']" in capsys.readouterr().err
+    # an --out that cannot hold the outputs is refused before the run: a file,
+    # or a directory where summary.json would go
+    (tmp_path / "file").write_text("")
+    (tmp_path / "taken" / "summary.json").mkdir(parents=True)
+    for out in (tmp_path / "file", tmp_path / "file" / "sub", tmp_path / "taken"):
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path / "taken") == ["summary.json"]
 
 
 _PATHS = [("scenario",), ("kind",), ("seed",), ("lattice",), ("lattice", "ds"),
@@ -391,8 +424,7 @@ def _run_configs(draw):
         grid = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=d ** ds,
                                       max_size=d ** ds))).reshape((d,) * ds)
         potential["samples"] = (grid + np.roll(np.flip(grid), 1, range(ds))).ravel().tolist()
-    kinds = ["ball", "trapped"] + (["kernel"] if scenario == "diagnostics-only" else [])
-    initial = {"kind": draw(st.sampled_from(kinds))}
+    initial = {"kind": draw(st.sampled_from(["ball", "trapped"]))}
     if initial["kind"] == "trapped":
         initial["strength"] = draw(_log_uniform(1e-3, 1e3))
     dt = draw(_log_uniform(1e-4, 1.0))
@@ -499,8 +531,17 @@ def test_cli_numeric_failure_exit_three(tmp_path, monkeypatch, capsys):
     def boom(cfg, out):
         raise NumericFailure("synthetic blow-up")
 
-    monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", boom)
     path = write_config(tmp_path, MINIMAL)
+    # an OSError while the outputs are written: a file where snapshots/ goes
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "snapshots").write_text("")
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs") and err.count("\n") == 1, err
+    assert not os.path.exists(out / "summary.json")
+
+    monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", boom)
     assert main(["evolve", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fermiflow.diagnostics import spectral_form
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
@@ -11,6 +10,8 @@ from fermiflow.model import build_potential, default_hbar, make_lattice
 from fermiflow import semiclassics
 from fermiflow.semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
                                     momentum_grid, vlasov_step, wigner)
+
+from _oracles import spectral_form
 
 
 def harmonic(lat, strength):

@@ -13,14 +13,12 @@ from .model import (Lattice, Potential, build_potential, default_hbar,
                     kinetic_operator, make_lattice)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            plane_wave_projection, trapped_slater)
-from .diagnostics import (CommutatorSeries, DistanceSeries, GrowthFit,
-                          SemiclassicalReport, commutator_momentum,
-                          commutator_phase, default_probe_momenta,
-                          distance_series, fit_exponential, hs_norm,
-                          semiclassical_constant, semiclassical_series, trace_norm)
+from .diagnostics import (GrowthFit, SemiclassicalReport, commutator_momentum,
+                          commutator_phase, default_probe_momenta, fit_exponential,
+                          semiclassical_constant, trace_distance, trace_norm)
 from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory, apply_exponential,
-                        compare_hf_hartree, density_profile, direct_term,
-                        evolve, exchange_term, generator, hf_energy, step)
+                        density_profile, direct_term, evolve, exchange_term, generator,
+                        hf_energy, step)
 from .semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
                            momentum_grid, vlasov_step, wigner)
 from .snapshots import read_fmf1, write_csv, write_fmf1

@@ -1,15 +1,21 @@
 """Every diagnostic the flows are measured by: the trace norm of a Hermitian
-matrix, the semiclassical commutator norms of a state and their series
-along a trajectory, mean-field-vs-exact distances, and exponential growth
-fits.
+matrix, the trace distance of two states on one unitary orbit, the
+semiclassical commutator norms of a state, and exponential growth fits.  Each
+norm is a function of one state or of one pair of states; a scenario loops
+over its snapshots itself.
 
 Each trace norm is tr|h| = sum |eigvalsh(h)| of a Hermitian h, computed by
-one function, `trace_norm`.  The commutator norms read the orbitals of a
-`DensityMatrix`, omega = Phi diag(lam) Phi* with Phi M x r.  Each commutator
-is B S B* with B of 2r columns and S Hermitian:
+one function, `trace_norm`.  The other norms read the orbitals of states
+omega = Phi diag(lam) Phi*, Phi M x r, and write the operator as B S B* with
+B of 2r columns and S Hermitian:
 
+* two states with the same occupations lam, omega_a and omega_b, differ by
+  omega_b - omega_a = B S B* with B = [Phi_a, Phi_b - Phi_a],
+  S = [[0, lam], [lam, lam]]; `trace_distance` is its norm, exactly 0 for
+  Phi_a = Phi_b;
 * A = diag(e^{i r.x}) is unitary and [A, omega] = A (omega - A* omega A),
-  so tr|[A, omega]| = tr|B S B*| with B = [Phi, A* Phi], S = diag(lam, -lam);
+  so tr|[A, omega]| is the trace distance of omega and A* omega A, whose
+  orbitals are A* Phi;
 * hbar d/dx is anti-Hermitian, so [hbar d/dx, omega] = B S B* with
   B = [hbar dPhi, Phi], S = [[0, lam], [lam, 0]]; hbar dPhi is the symbol
   i hbar p (`Lattice.fft_momenta`) on Phi, by one fftn and one ifftn.
@@ -19,9 +25,6 @@ matrix R S R*, k = min(M, 2r).  A factorization that drops eigenvalues of
 omega changes a phase norm by at most 2 sum |lam_dropped| and the norm of
 axis j by at most 2 hbar max |p_j| sum |lam_dropped|, since
 ||hbar d/dx_j|| = hbar max |p_j|.
-
-A difference gamma - omega of Hermitian matrices is Hermitian too, so the
-trace distance is the same kind of norm.
 """
 
 from dataclasses import dataclass, field
@@ -31,27 +34,16 @@ import numpy as np
 from .model import Lattice, is_hermitian
 
 __all__ = [
-    "CommutatorSeries",
     "SemiclassicalReport",
     "GrowthFit",
-    "DistanceSeries",
     "trace_norm",
-    "hs_norm",
+    "trace_distance",
     "commutator_phase",
     "commutator_momentum",
     "default_probe_momenta",
     "semiclassical_constant",
-    "semiclassical_series",
     "fit_exponential",
-    "distance_series",
 ]
-
-
-@dataclass
-class CommutatorSeries:
-    times: np.ndarray
-    c_phase: np.ndarray
-    c_momentum: np.ndarray
 
 
 @dataclass
@@ -71,13 +63,6 @@ class GrowthFit:
     residual: float   # RMS of log-residuals
 
 
-@dataclass
-class DistanceSeries:
-    times: np.ndarray
-    hs: np.ndarray
-    tr: np.ndarray
-
-
 def trace_norm(h: np.ndarray) -> float:
     """tr|h| of a Hermitian matrix: the sum of |eigenvalues|.  Non-finite or
     non-Hermitian input (beyond round-off) is rejected."""
@@ -91,16 +76,19 @@ def trace_norm(h: np.ndarray) -> float:
         raise RuntimeError("eigvalsh failed to converge in a trace norm") from exc
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Frobenius (Hilbert-Schmidt) norm."""
-    return float(np.linalg.norm(np.asarray(a), "fro"))
-
-
 def _low_rank_norm(b: np.ndarray, s: np.ndarray) -> float:
     """tr|b s b*| for a Hermitian s, from the k x k matrix r s r*, b = q r."""
     r = np.linalg.qr(b, mode="r")
     h = r @ s @ r.conj().T
     return trace_norm(0.5 * (h + h.conj().T))
+
+
+def trace_distance(phi_a: np.ndarray, phi_b: np.ndarray, lam: np.ndarray) -> float:
+    """tr |omega_a - omega_b| of omega = phi diag(lam) phi* for two states with the
+    same occupations lam, from the orbitals; exactly 0 when phi_a = phi_b."""
+    zero, diag = np.zeros((len(lam),) * 2), np.diag(lam)
+    return _low_rank_norm(np.hstack([phi_a, phi_b - phi_a]),
+                          np.block([[zero, diag], [diag, diag]]))
 
 
 def commutator_phase(phi: np.ndarray, lam: np.ndarray, r, lattice: Lattice) -> float:
@@ -109,8 +97,7 @@ def commutator_phase(phi: np.ndarray, lam: np.ndarray, r, lattice: Lattice) -> f
     if r.shape != (lattice.ds,):
         raise ValueError(f"r must have {lattice.ds} components")
     a_star = np.exp(-1j * (lattice.sites() @ r))
-    b = np.hstack([phi, a_star[:, None] * phi])
-    return _low_rank_norm(b, np.diag(np.concatenate([lam, -lam])))
+    return trace_distance(phi, a_star[:, None] * phi, lam)
 
 
 def commutator_momentum(phi: np.ndarray, lam: np.ndarray, hbar: float,
@@ -162,17 +149,6 @@ def semiclassical_constant(omega, lattice: Lattice, hbar: float,
                                phase_norms=phase_norms)
 
 
-def semiclassical_series(trajectory, p_set, lattice: Lattice,
-                         hbar: float) -> CommutatorSeries:
-    """Per-snapshot normalized commutator sizes along a trajectory: one
-    `semiclassical_constant` per snapshot."""
-    reports = [semiclassical_constant(state, lattice, hbar, p_set)
-               for state in trajectory.states]
-    return CommutatorSeries(times=np.array(trajectory.times),
-                            c_phase=np.array([rep.c_phase for rep in reports]),
-                            c_momentum=np.array([rep.c_momentum for rep in reports]))
-
-
 def fit_exponential(series, times) -> GrowthFit:
     """Least squares for log v = log K + c t; rejects non-positive values."""
     v = np.asarray(series, dtype=float)
@@ -187,21 +163,3 @@ def fit_exponential(series, times) -> GrowthFit:
     resid = logv - design @ coef
     return GrowthFit(amplitude=float(np.exp(coef[0])), rate=float(coef[1]),
                      residual=float(np.sqrt(np.mean(resid ** 2))))
-
-
-def distance_series(gamma_series, omega_series, times=None) -> DistanceSeries:
-    """HS and trace distances per time between two matched series of
-    Hermitian matrices."""
-    if len(gamma_series) != len(omega_series):
-        raise ValueError("mismatched series lengths")
-    mats = []
-    for g, w in zip(gamma_series, omega_series):
-        g, w = np.asarray(g), np.asarray(w)
-        if g.shape != w.shape:
-            raise ValueError("mismatched state dimensions")
-        mats.append(g - w)
-    hs = np.array([hs_norm(m) for m in mats])
-    tr = np.array([trace_norm(m) for m in mats])
-    if times is None:
-        times = np.arange(len(mats), dtype=float)
-    return DistanceSeries(times=np.asarray(times, dtype=float), hs=hs, tr=tr)

@@ -16,6 +16,8 @@ is a Chebyshev series in h on Phi, or an `eigh` of h where it needs dim h terms.
 `evolve` builds h once per state, also for the energy E = tr((K + h) omega) / 2.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.
+This module measures nothing: a scenario reads the states of a `Trajectory`
+with the functions of `diagnostics`, one state or one pair at a time.
 """
 
 import enum
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import distance_series
 from .initial_data import DensityMatrix
 from .model import Lattice, Potential, kinetic_operator
 
@@ -41,7 +42,6 @@ __all__ = [
     "step",
     "evolve",
     "hf_energy",
-    "compare_hf_hartree",
 ]
 
 
@@ -215,12 +215,3 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
             traj.times.append(t)
             traj.states.append(state)
     return traj
-
-
-def compare_hf_hartree(omega0: DensityMatrix, cfg: EvolutionConfig, v: Potential,
-                       hbar: float):
-    """Trace-norm gap tr|omega_HF(t) - omega_H(t)| from shared initial data."""
-    hf = evolve(omega0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar)
-    hh = evolve(omega0, cfg, MeanFieldKind.HARTREE, v, hbar)
-    gaps = distance_series([s.matrix for s in hf.states], [s.matrix for s in hh.states]).tr
-    return np.array(hf.times), gaps

@@ -137,9 +137,13 @@ def is_hermitian(m: np.ndarray) -> bool:
 def _circulant(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
     """The translation-invariant matrix c(x_i - x_j), shape (M, M): `samples`
     (c on the sites, row-major) at the periodic index difference (idx_i - idx_j) mod d."""
-    idx = lattice.site_indices()
-    diff = (idx[:, None, :] - idx[None, :, :]) % lattice.d
-    return samples[np.ravel_multi_index(np.moveaxis(diff, -1, 0), (lattice.d,) * lattice.ds)]
+    flat = np.zeros((lattice.site_count,) * 2, dtype=np.int32)  # M <= 8192 sites
+    for col in lattice.site_indices().T.astype(np.int32):  # row-major, axis by axis
+        diff = np.subtract.outer(col, col)
+        diff %= lattice.d
+        flat *= lattice.d
+        flat += diff
+    return samples[flat]
 
 
 def _reflected(grid: np.ndarray) -> np.ndarray:

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .diagnostics import (default_probe_momenta, distance_series, fit_exponential,
-                          semiclassical_constant, semiclassical_series)
+from .diagnostics import (default_probe_momenta, fit_exponential, semiclassical_constant,
+                          trace_distance, trace_norm)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            plane_wave_projection, trapped_slater)
-from .meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree, evolve)
+from .meanfield import EvolutionConfig, MeanFieldKind, evolve
 from .model import Lattice, Potential, build_potential, default_hbar, make_lattice
 from .snapshots import write_csv, write_fmf1
 
@@ -187,6 +187,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"potential: {exc}") from exc
 
     evo, vlasov_dt = c["evolution"], c["vlasov"]["dt"]
+    if evo is None and scenario not in ("fock-verify", "diagnostics-only"):
+        raise ConfigError("missing key(s) ['evolution'] in config")
     if evo is not None:
         sub = evo["dt"] / vlasov_dt if scenario == "semiclassics" else 0.0
         total = evo["t_final"] / evo["dt"] * (1.0 + sub)
@@ -250,7 +252,10 @@ def _scenario_evolve(cfg: RunConfig, out):
     omega0 = build_initial_state(cfg)
     traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
-    series = semiclassical_series(traj, p_set, cfg.lattice, cfg.hbar)
+    reports = [semiclassical_constant(state, cfg.lattice, cfg.hbar, p_set)
+               for state in traj.states]
+    c_phase = [rep.c_phase for rep in reports]
+    c_momentum = [rep.c_momentum for rep in reports]
 
     snap_idx = [round(t / cfg.evolution.dt) for t in traj.times]
     write_csv(os.path.join(out, "series.csv"), {
@@ -258,8 +263,8 @@ def _scenario_evolve(cfg: RunConfig, out):
         "trace": [traj.trace[i] for i in snap_idx],
         "energy": [traj.energy[i] for i in snap_idx],
         "idempotency_defect": [traj.idempotency_defect[i] for i in snap_idx],
-        "c_phase": series.c_phase,
-        "c_momentum": series.c_momentum,
+        "c_phase": c_phase,
+        "c_momentum": c_momentum,
     })
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -273,16 +278,20 @@ def _scenario_evolve(cfg: RunConfig, out):
         "max_trace_drift": float(max(abs(tr - traj.trace[0]) for tr in traj.trace)),
         # relative to |E(0)|, or to the drift itself where that is larger (E(0) = 0)
         "max_relative_energy_drift": float(drift / max(abs(e0), drift, 1e-300)),
-        "growth_fit_c_phase": _maybe_fit(series.c_phase, series.times),
-        "growth_fit_c_momentum": _maybe_fit(series.c_momentum, series.times),
+        "growth_fit_c_phase": _maybe_fit(c_phase, traj.times),
+        "growth_fit_c_momentum": _maybe_fit(c_momentum, traj.times),
         "p_set_max_index": cfg.p_max_index,
     }
 
 
 def _scenario_compare(cfg: RunConfig, out):
+    """tr|omega_HF(t) - omega_H(t)| from shared initial data, read from the orbitals."""
     omega0 = build_initial_state(cfg)
-    times, gaps = compare_hf_hartree(omega0, cfg.evolution, cfg.potential, cfg.hbar)
-    write_csv(os.path.join(out, "series.csv"), {"t": times, "trace_norm_gap": gaps})
+    hf = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE_FOCK, cfg.potential, cfg.hbar)
+    hh = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE, cfg.potential, cfg.hbar)
+    gaps = [trace_distance(a.orbitals, b.orbitals, omega0.occupations)
+            for a, b in zip(hf.states, hh.states)]
+    write_csv(os.path.join(out, "series.csv"), {"t": hf.times, "trace_norm_gap": gaps})
     return {"final_gap": float(gaps[-1])}
 
 
@@ -316,12 +325,12 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
     from .fock import rdm1
 
     space, traj, psis = _exact_states(cfg, cfg.kind)
-    gammas = [rdm1(psi, space) for psi in psis]
-    dist = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
+    diffs = [rdm1(psi, space) - state.matrix for psi, state in zip(psis, traj.states)]
+    hs = [float(np.linalg.norm(x, "fro")) for x in diffs]
+    tr = [trace_norm(x) for x in diffs]
     write_csv(os.path.join(out, "series.csv"),
-              {"t": dist.times, "hs_distance": dist.hs, "trace_distance": dist.tr})
-    return {"final_hs_distance": float(dist.hs[-1]),
-            "final_trace_distance": float(dist.tr[-1])}
+              {"t": traj.times, "hs_distance": hs, "trace_distance": tr})
+    return {"final_hs_distance": hs[-1], "final_trace_distance": tr[-1]}
 
 
 def _scenario_fock_verify(cfg: RunConfig, out):
@@ -406,9 +415,6 @@ _SCENARIO_FN = {
     "diagnostics-only": _scenario_diagnostics_only,
 }
 
-_NEEDS_EVOLUTION = {"evolve", "compare-hf-hartree", "exact-vs-meanfield",
-                    "fluctuation", "semiclassics"}
-
 
 @functools.lru_cache(maxsize=1)
 def _scipy_version() -> str:
@@ -420,8 +426,6 @@ def _scipy_version() -> str:
 def run(cfg: RunConfig, out_dir: str) -> dict:
     """Execute a scenario; deterministic given (config, seed).  An earlier
     run's outputs are removed first; the summary is written last, atomically."""
-    if cfg.scenario in _NEEDS_EVOLUTION and cfg.evolution is None:
-        raise ConfigError("missing key(s) ['evolution'] in config")
     os.makedirs(out_dir, exist_ok=True)
     for name in ["summary.json", "series.csv"] + glob.glob("snapshots/*.fmf1", root_dir=out_dir):
         if os.path.isfile(path := os.path.join(out_dir, name)):

@@ -16,14 +16,12 @@ _HEADER = struct.Struct("<4sIIQQ")
 
 
 def write_fmf1(path, matrix: np.ndarray, ds: int, d: int):
-    m = np.ascontiguousarray(np.atleast_2d(matrix), dtype=complex)
-    rows, cols = m.shape
-    inter = np.empty((rows, cols, 2), dtype="<f8")
-    inter[..., 0] = m.real
-    inter[..., 1] = m.imag
+    """The payload is the little-endian complex128 array itself, which is
+    row-major interleaved (re, im) float64."""
+    m = np.ascontiguousarray(np.atleast_2d(matrix), dtype="<c16")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, ds, d, rows, cols))
-        fh.write(inter.tobytes())
+        fh.write(_HEADER.pack(_MAGIC, ds, d, *m.shape))
+        fh.write(m)
 
 
 def read_fmf1(path):
@@ -31,9 +29,8 @@ def read_fmf1(path):
         magic, ds, d, rows, cols = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not an FMF1 snapshot")
-        raw = np.frombuffer(fh.read(rows * cols * 16), dtype="<f8")
-    raw = raw.reshape(rows, cols, 2)
-    return raw[..., 0] + 1j * raw[..., 1], ds, d
+        m = np.fromfile(fh, dtype="<c16", count=rows * cols)
+    return m.reshape(rows, cols), ds, d
 
 
 def write_csv(path, columns: dict):

@@ -3,6 +3,9 @@ is run by a scenario.
 
 - `fourier_matrix`, `momentum_operator`, `phase_operator`: dense M x M
   operators that check the FFT kernels and the low-rank commutator norms.
+- `circulant_gather`: the translation-invariant matrix c(x_i - x_j) by one
+  (M, M, ds) gather of index differences, which checks `pair_matrix` and
+  `kinetic_operator` entry by entry.
 - `spectral_form`: one dense `eigh`, factoring a dense Hermitian matrix
   into the (Phi, lam) a `DensityMatrix` holds, for states built as matrices.
 - `weyl_quantize`: Weyl quantization of a phase-space symbol, a
@@ -58,6 +61,14 @@ def phase_operator(lattice: Lattice, r) -> np.ndarray:
     if r.shape != (lattice.ds,):
         raise ValueError(f"r must have {lattice.ds} components")
     return np.diag(np.exp(1j * (lattice.sites() @ r)))
+
+
+def circulant_gather(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
+    """c(x_i - x_j), shape (M, M): `samples` (c on the sites, row-major) at the
+    periodic index difference (idx_i - idx_j) mod d."""
+    idx = lattice.site_indices()
+    diff = (idx[:, None, :] - idx[None, :, :]) % lattice.d
+    return samples[np.ravel_multi_index(np.moveaxis(diff, -1, 0), (lattice.d,) * lattice.ds)]
 
 
 def spectral_form(m: np.ndarray):

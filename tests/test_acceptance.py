@@ -8,12 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from fermiflow.diagnostics import (default_probe_momenta, distance_series,
-                                   fit_exponential, semiclassical_constant,
-                                   semiclassical_series)
+from fermiflow.diagnostics import (default_probe_momenta, fit_exponential,
+                                   semiclassical_constant)
 from fermiflow.initial_data import DensityMatrix, trapped_slater
-from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind,
-                                 compare_hf_hartree, evolve)
+from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import (build_potential, default_hbar, kinetic_operator,
                              make_lattice)
 from fermiflow.runner import harmonic_trap, parse_config, run
@@ -163,17 +161,18 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
     cfg = EvolutionConfig(dt=1e-4, t_final=0.1, snapshot_stride=100)
     traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
-    dist = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
-    mask = dist.times >= 0.01 - 1e-12
-    slope = np.polyfit(np.log(dist.times[mask]), np.log(dist.hs[mask]), 1)[0]
+    times = np.array(traj.times)
+    hs = np.array([np.linalg.norm(rdm1(prop(psi0, t), space) - s.matrix)
+                   for t, s in zip(traj.times, traj.states)])
+    mask = times >= 0.01 - 1e-12
+    slope = np.polyfit(np.log(times[mask]), np.log(hs[mask]), 1)[0]
 
     v0 = build_potential({"shape": "zero"}, lat)
     cfg0 = EvolutionConfig(dt=1e-2, t_final=2.0, snapshot_stride=20)
     traj0 = evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     prop0 = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
-    gam0 = [rdm1(prop0(psi0, t), space) for t in traj0.times]
-    free_dist = np.max(distance_series(gam0, [s.matrix for s in traj0.states]).hs)
+    free_dist = max(np.linalg.norm(rdm1(prop0(psi0, t), space) - s.matrix)
+                    for t, s in zip(traj0.times, traj0.states))
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
     report(capsys, 7, "mean-field accuracy order", ok,
            f"slope={slope:.3f} free-case distance={free_dist:.2e}")
@@ -212,15 +211,16 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
 def test_criterion_09_commutator_bound_propagation(big_run, capsys):
     lat, hbar, _, om0, traj, _ = big_run
     p_set = default_probe_momenta(lat, 4)
-    series = semiclassical_series(traj, p_set, lat, hbar)
+    times = np.array(traj.times)
+    reports = [semiclassical_constant(state, lat, hbar, p_set) for state in traj.states]
     rep0 = semiclassical_constant(om0, lat, hbar, p_set)
-    init_err = max(abs(series.c_phase[0] - rep0.c_phase),
-                   abs(series.c_momentum[0] - rep0.c_momentum))
+    init_err = max(abs(reports[0].c_phase - rep0.c_phase),
+                   abs(reports[0].c_momentum - rep0.c_momentum))
     details, ok = [], init_err <= 1e-10
-    for name, values in (("c_phase", series.c_phase),
-                         ("c_momentum", series.c_momentum)):
-        fit = fit_exponential(values, series.times)
-        envelope = fit.amplitude * np.exp(fit.rate * series.times)
+    for name in ("c_phase", "c_momentum"):
+        values = np.array([getattr(rep, name) for rep in reports])
+        fit = fit_exponential(values, times)
+        envelope = fit.amplitude * np.exp(fit.rate * times)
         ratio = float(np.max(values / envelope))
         ok = ok and fit.residual < 0.2 and ratio <= 3.0
         details.append(f"{name}: resid={fit.residual:.3f} max/envelope={ratio:.2f}")
@@ -228,18 +228,18 @@ def test_criterion_09_commutator_bound_propagation(big_run, capsys):
            "; ".join(details) + f"; init err={init_err:.2e}")
 
 
-def test_criterion_10_hartree_vs_hf_gap(capsys):
+def test_criterion_10_hartree_vs_hf_gap(tmp_path, capsys):
     # probes the regime N * hbar -> infinity where exchange is subleading,
     # hence the hbar = N^{-1/3} scaling instead of the default N^{-1}
     gaps = {}
     for n in (4, 8, 16):
-        lat = make_lattice(1, 64, 1.0)
-        hbar = default_hbar(n, 3)
-        pot = build_potential(gaussian(1.0, 0.2), lat)
-        om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 50.0), n)
-        cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000)
-        _, gap = compare_hf_hartree(om0, cfg, pot, hbar)
-        gaps[n] = float(gap[-1])
+        doc = {"scenario": "compare-hf-hartree", "lattice": {"ds": 1, "d": 64},
+               "model": {"n_particles": n, "hbar": default_hbar(n, 3)},
+               "potential": gaussian(1.0, 0.2),
+               "initial": {"kind": "trapped", "strength": 50.0},
+               "evolution": {"dt": 1e-3, "t_final": 1.0, "snapshot_stride": 1000}}
+        gaps[n] = run(parse_config(json.dumps(doc)), str(tmp_path / f"n{n}"))["result"][
+            "final_gap"]
     ratio = gaps[16] / gaps[4]
     report(capsys, 10, "Hartree-vs-HF gap stays bounded in N", ratio <= 2.0,
            f"gap(4)={gaps[4]:.3e} gap(16)={gaps[16]:.3e} ratio={ratio:.3f}")

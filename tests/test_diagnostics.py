@@ -1,16 +1,18 @@
-"""Norms, commutator series, growth fits, distances."""
+"""Norms, trace distances, commutators, growth fits."""
+
+import json
 
 import numpy as np
 import pytest
 
 from fermiflow.diagnostics import (commutator_momentum, commutator_phase,
-                                   default_probe_momenta, distance_series,
-                                   fit_exponential, hs_norm, semiclassical_constant,
-                                   semiclassical_series, trace_norm)
+                                   default_probe_momenta, fit_exponential,
+                                   semiclassical_constant, trace_distance, trace_norm)
 from fermiflow.initial_data import (fermi_ball_indices, plane_wave_projection,
                                     trapped_slater)
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, make_lattice
+from fermiflow.runner import build_initial_state, parse_config, run
 
 from _oracles import (fit_double_exponential, fourier_matrix, momentum_operator,
                       phase_operator, spectral_form, weyl_quantize)
@@ -58,18 +60,50 @@ def test_trace_norm_rejects_non_hermitian_beyond_round_off():
             trace_norm(bad)
 
 
-def test_hs_norm_examples():
-    assert hs_norm(np.eye(4)) == pytest.approx(2.0)
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        assert hs_norm(a) <= svd_trace_norm(a) + 1e-12
-    lat = make_lattice(1, 16, 1.0)
-    om = plane_wave_projection(lat, fermi_ball_indices(lat, 5))
-    assert hs_norm(om.matrix) ** 2 == pytest.approx(5.0, abs=1e-10)
+def _orthonormal(rng, m, r):
+    q, _ = np.linalg.qr(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r)))
+    return q
 
 
-def test_semiclassical_series_free_ball():
+@pytest.mark.parametrize("m,r,fractional", [(12, 3, False), (12, 4, True), (8, 5, True)])
+def test_trace_distance_matches_svd_oracle(m, r, fractional):
+    # two states with shared occupations, projections or not, 2r <= M and 2r > M
+    rng = np.random.default_rng(m + r)
+    lam = rng.uniform(0.1, 1.0, r) if fractional else np.ones(r)
+    phi_a, phi_b = _orthonormal(rng, m, r), _orthonormal(rng, m, r)
+    dense = (phi_a * lam) @ phi_a.conj().T - (phi_b * lam) @ phi_b.conj().T
+    got = trace_distance(phi_a, phi_b, lam)
+    assert got == pytest.approx(svd_trace_norm(dense), rel=1e-12)
+    assert trace_distance(phi_b, phi_a, lam) == pytest.approx(got, rel=1e-12)
+    assert trace_distance(phi_a, phi_a, lam) == 0.0
+    # a nearby state: the difference of the orbitals, not of two dense matrices
+    near = phi_a + 1e-6 * _orthonormal(rng, m, r)
+    dense = (phi_a * lam) @ phi_a.conj().T - (near * lam) @ near.conj().T
+    assert trace_distance(phi_a, near, lam) == pytest.approx(svd_trace_norm(dense), rel=1e-8)
+
+
+def test_compare_hf_hartree_gap_matches_dense_oracle(tmp_path):
+    # ds=3, M=512: two steps long enough for an O(0.1) gap, so that the dense
+    # difference's own round-off (~1e-14 absolute) stays below 1e-12 relative
+    doc = {"scenario": "compare-hf-hartree", "lattice": {"ds": 3, "d": 8},
+           "model": {"n_particles": 10},
+           "potential": {"shape": "gaussian", "strength": 5.0, "sigma": 0.2},
+           "initial": {"kind": "trapped", "strength": 50.0},
+           "evolution": {"dt": 0.1, "t_final": 0.2}}
+    cfg = parse_config(json.dumps(doc))
+    run(cfg, str(tmp_path))
+    rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+    gaps = [float(row.split(",")[1]) for row in rows]
+    om = build_initial_state(cfg)
+    hf, hh = (evolve(om, cfg.evolution, kind, cfg.potential, cfg.hbar).states[-1]
+              for kind in (MeanFieldKind.HARTREE_FOCK, MeanFieldKind.HARTREE))
+    assert len(gaps) == 3 and gaps[0] == 0.0
+    assert gaps[-1] > 0.1
+    assert gaps[-1] == pytest.approx(svd_trace_norm(hf.matrix - hh.matrix), rel=1e-12)
+
+
+def test_commutator_momentum_vanishes_along_free_ball_flow():
+    # a Fermi ball under the free flow stays the ball: [hbar d/dx, omega_t] = 0
     lat = make_lattice(1, 16, 1.0)
     hbar = default_hbar(3, 1)
     v0 = build_potential({"shape": "zero"}, lat)
@@ -77,11 +111,9 @@ def test_semiclassical_series_free_ball():
     cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=2)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     p_set = lat.momenta()[np.any(lat.momentum_indices() != 0, axis=1)][:6]
-    series = semiclassical_series(traj, p_set, lat, hbar)
-    assert np.max(series.c_momentum) < 1e-10
-    rep = semiclassical_constant(om, lat, hbar, p_set)
-    assert series.c_phase[0] == pytest.approx(rep.c_phase, abs=1e-12)
-    assert series.c_momentum[0] == pytest.approx(rep.c_momentum, abs=1e-12)
+    reports = [semiclassical_constant(state, lat, hbar, p_set) for state in traj.states]
+    assert len(reports) == 6
+    assert max(rep.c_momentum for rep in reports) < 1e-10
 
 
 @pytest.mark.parametrize("ds,d", [(1, 16), (1, 9), (2, 6)])
@@ -210,14 +242,11 @@ def test_semiclassical_constant_matches_elementwise_forms_at_ds3():
         _elementwise_momentum(m, hbar, lat), rel=1e-12)
 
 
-def test_semiclassical_constant_pairs_probes_and_series_reuses_it():
+def test_semiclassical_constant_pairs_probes_and_series_reuses_it(tmp_path):
     lat = make_lattice(2, 6, 1.0)
     hbar = default_hbar(3, 2)
-    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     rng = np.random.default_rng(7)
     om = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
-    cfg = EvolutionConfig(dt=1e-2, t_final=0.04, snapshot_stride=2)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     symmetric = default_probe_momenta(lat, 1)
     # one +-p pair, two unpaired grid probes and an unpaired off-grid probe
     asymmetric = np.vstack([symmetric[[0, -1, 1, 4]], [[0.7, -2.9]]])
@@ -225,13 +254,22 @@ def test_semiclassical_constant_pairs_probes_and_series_reuses_it():
         rep = semiclassical_constant(om, lat, hbar, p_set)
         oracle = [_dense_phase(om.matrix, p, lat) for p in p_set]
         np.testing.assert_allclose(rep.phase_norms, oracle, rtol=1e-10)
-        series = semiclassical_series(traj, p_set, lat, hbar)
-        reps = [semiclassical_constant(s, lat, hbar, p_set) for s in traj.states]
-        np.testing.assert_allclose(series.c_phase, [r.c_phase for r in reps], rtol=1e-10)
-        np.testing.assert_allclose(series.c_momentum, [r.c_momentum for r in reps],
-                                   rtol=1e-10)
     with pytest.raises(ValueError, match="nonempty"):
-        semiclassical_series(traj, np.zeros((0, 2)), lat, hbar)
+        semiclassical_constant(om, lat, hbar, np.zeros((0, 2)))
+    # the evolve scenario's series is one semiclassical_constant per snapshot
+    doc = {"scenario": "evolve", "lattice": {"ds": 2, "d": 6}, "model": {"n_particles": 3},
+           "potential": {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+           "initial": {"kind": "trapped", "strength": 50.0}, "p_set": {"max_index": 1},
+           "evolution": {"dt": 1e-2, "t_final": 0.04, "snapshot_stride": 2}}
+    cfg = parse_config(json.dumps(doc))
+    run(cfg, str(tmp_path))
+    header, *rows = (tmp_path / "series.csv").read_text().splitlines()
+    columns = dict(zip(header.split(","), zip(*[map(float, r.split(",")) for r in rows])))
+    traj = evolve(build_initial_state(cfg), cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
+    reps = [semiclassical_constant(state, lat, cfg.hbar, symmetric) for state in traj.states]
+    assert len(reps) == 3
+    assert list(columns["c_phase"]) == [r.c_phase for r in reps]
+    assert list(columns["c_momentum"]) == [r.c_momentum for r in reps]
 
 
 def test_hermitian_trace_norm_matches_svd_and_rejects_non_finite():
@@ -275,36 +313,17 @@ def test_fit_double_exponential_recovers_synthetic():
     assert abs(c1 - 1.5) < 0.1
 
 
-def test_distance_series_basics():
-    rng = np.random.default_rng(3)
-    mats = [random_hermitian(rng, 5) for _ in range(4)]
-    same = distance_series(mats, mats)
-    assert np.all(same.hs == 0.0) and np.all(same.tr == 0.0)
-    other = [m + random_hermitian(rng, 5) for m in mats]
-    ds = distance_series(mats, other)
-    diffs = [m - o for m, o in zip(mats, other)]
-    np.testing.assert_allclose(ds.tr, [svd_trace_norm(d) for d in diffs], rtol=1e-12)
-    np.testing.assert_allclose(ds.hs, [np.linalg.norm(d) for d in diffs], rtol=1e-12)
-    assert np.all(ds.hs <= ds.tr + 1e-12)
-    with pytest.raises(ValueError, match="mismatched"):
-        distance_series(mats, other[:3])
-
-
-def test_distance_series_free_slater_dynamics():
+def test_free_slater_flow_matches_exact_dynamics(tmp_path):
     # a Slater state stays exactly quasi-free under the free dynamics, so the
     # exact 1-particle density and the mean-field flow agree
-    from fermiflow.fock import FockSpace, SectorPropagator, hamiltonian, \
-        quasi_free_state, rdm1
-
-    lat = make_lattice(1, 6, 1.0)
-    hbar = default_hbar(2, 1)
-    v0 = build_potential({"shape": "zero"}, lat)
-    om = plane_wave_projection(lat, fermi_ball_indices(lat, 2))
-    space = FockSpace(6)
-    psi0 = quasi_free_state(space, om)
-    prop = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
-    cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    gammas = [rdm1(prop(psi0, t), space) for t in traj.times]
-    ds = distance_series(gammas, [s.matrix for s in traj.states], times=traj.times)
-    assert np.max(ds.tr) < 1e-8
+    doc = {"scenario": "exact-vs-meanfield", "lattice": {"ds": 1, "d": 6},
+           "model": {"n_particles": 2}, "potential": {"shape": "zero"},
+           "initial": {"kind": "ball"},
+           "evolution": {"dt": 1e-2, "t_final": 0.5, "snapshot_stride": 10}}
+    result = run(parse_config(json.dumps(doc)), str(tmp_path))["result"]
+    rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+    hs, tr = (np.array([float(row.split(",")[i]) for row in rows]) for i in (1, 2))
+    assert len(rows) == 6
+    assert np.max(tr) < 1e-8 and np.all(hs <= tr + 1e-15)
+    assert result["final_trace_distance"] == tr[-1]
+    assert result["final_hs_distance"] == hs[-1]

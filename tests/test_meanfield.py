@@ -1,15 +1,18 @@
 """Mean-field flows: terms of the generator, the integrator, conservation."""
 
+import json
+
 import numpy as np
 import pytest
 
 import fermiflow.meanfield as mf
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
-from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, compare_hf_hartree,
-                                 density_profile, direct_term, evolve,
-                                 exchange_term, generator, hf_energy, step)
+from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile,
+                                 direct_term, evolve, exchange_term, generator, hf_energy,
+                                 step)
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
+from fermiflow.runner import parse_config, run
 
 from _oracles import spectral_form
 
@@ -367,13 +370,16 @@ def test_hf_energy_conserved_along_flow():
     assert drifts[0] / drifts[1] > 3.0
 
 
-def test_compare_hf_hartree_degenerate_cases():
-    lat = make_lattice(1, 16, 1.0)
-    hbar = default_hbar(3, 1)
-    om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
-    v0 = build_potential({"shape": "zero"}, lat)
-    cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=5)
-    times, gaps = compare_hf_hartree(om, cfg, v0, hbar)
+def test_compare_hf_hartree_degenerate_cases(tmp_path):
+    doc = {"scenario": "compare-hf-hartree", "lattice": {"ds": 1, "d": 16},
+           "model": {"n_particles": 3}, "potential": {"shape": "zero"},
+           "initial": {"kind": "ball"},
+           "evolution": {"dt": 1e-2, "t_final": 0.1, "snapshot_stride": 5}}
+    result = run(parse_config(json.dumps(doc)), str(tmp_path))["result"]
+    rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+    times, gaps = (np.array([float(row.split(",")[i]) for row in rows]) for i in (0, 1))
+    np.testing.assert_allclose(times, [0.0, 0.05, 0.1], atol=1e-15)
+    assert result["final_gap"] == gaps[-1]
     assert gaps[0] == 0.0
     assert np.max(gaps) < 1e-10  # V = 0: the two flows coincide
 

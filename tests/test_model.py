@@ -8,7 +8,8 @@ import pytest
 from fermiflow.model import (Lattice, Potential, build_potential, default_hbar,
                              kinetic_operator, make_lattice)
 
-from _oracles import assumption_weight, fourier_matrix, momentum_operator, phase_operator
+from _oracles import (assumption_weight, circulant_gather, fourier_matrix, momentum_operator,
+                      phase_operator)
 
 
 def test_lattice_sites_and_momenta_1d():
@@ -115,6 +116,20 @@ def test_table_with_a_round_off_odd_part_is_evenized():
     assert np.array_equal(v.pair_matrix, v.pair_matrix.T)
     with pytest.raises(ValueError, match="evenness"):
         build_potential({"shape": "table", "samples": even + 100 * odd}, lat)
+
+
+@pytest.mark.parametrize("ds,d", [(1, 9), (2, 6), (3, 4), (3, 8)])
+def test_circulants_equal_the_index_difference_gather(ds, d):
+    # the per-axis int32 flat index against the (M, M, ds) gather, entry by entry
+    lat = make_lattice(ds, d, 1.3)
+    v = build_potential({"shape": "gaussian", "strength": 1.3, "sigma": 0.2}, lat)
+    assert np.array_equal(v.pair_matrix, circulant_gather(lat, v.real_space))
+    k = kinetic_operator(lat, 0.7)
+    assert np.array_equal(k, circulant_gather(lat, np.ascontiguousarray(k[:, 0])))
+    # samples that are not even: the gather's index order, not only its symmetry
+    ramp = np.arange(lat.site_count, dtype=float)
+    assert np.array_equal(circulant_gather(lat, ramp)[:, 0], ramp)
+    assert np.array_equal(Potential(lat, ramp).pair_matrix, circulant_gather(lat, ramp))
 
 
 @pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 6), (3, 4), (3, 8)])

@@ -4,6 +4,7 @@ import ast
 import glob
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 from fermiflow.cli import main
 from fermiflow.runner import (SCENARIOS, ConfigError, NumericFailure, RunConfig,
                               parse_config, run)
-from fermiflow.snapshots import read_fmf1
+from fermiflow.snapshots import read_fmf1, write_fmf1
 
 
 MINIMAL = {
@@ -201,25 +202,28 @@ def test_import_loads_no_scipy():
 
 def test_no_module_but_fock_imports_scipy():
     # every import statement in the syntax tree, those inside functions too:
-    # outside the Fock oracle, the package runs on numpy alone
+    # outside the Fock oracle, the package runs on numpy alone, and the flows
+    # measure nothing, so `meanfield` imports neither the diagnostics nor the runner
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
     assert os.path.join(src, "fermiflow", "runner.py") in paths
     found = []
     for path in paths:
-        if os.path.basename(path) == "fock.py":
-            continue
+        module = os.path.basename(path)
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):  # from .x import y: fermiflow.x(.y)
+                base = ".".join(filter(None, ["fermiflow" * bool(node.level), node.module]))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
             else:
                 continue
-            found += [f"{os.path.basename(path)}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] == "scipy"]
+            found += [f"{module}:{node.lineno} {name}" for name in names
+                      if (name.split(".")[0] == "scipy" and module != "fock.py")
+                      or (name in ("fermiflow.diagnostics", "fermiflow.runner")
+                          and module == "meanfield.py")]
     assert found == []
 
 
@@ -628,7 +632,36 @@ def test_run_fluctuation_moments_never_below_their_floor(tmp_path):
 
 
 def test_run_requires_evolution_for_dynamic_scenarios():
+    # a parse-time error, so the CLI exits 2 before it creates --out
     doc = {k: v for k, v in MINIMAL.items() if k != "evolution"}
-    cfg = parse_config(json.dumps(doc))
-    with pytest.raises(ConfigError, match="evolution"):
-        run(cfg, "/tmp/never-created-fermiflow")
+    for scenario in SCENARIOS:
+        text = json.dumps(dict(doc, scenario=scenario, fock={"l_sites": 8}))
+        if scenario in ("fock-verify", "diagnostics-only"):
+            assert parse_config(text).evolution is None
+            continue
+        with pytest.raises(ConfigError, match=r"missing key\(s\) \['evolution'\]"):
+            parse_config(text)
+
+
+def test_cli_missing_evolution_exits_two_before_creating_out(tmp_path, capsys):
+    path = write_config(tmp_path, {k: v for k, v in MINIMAL.items() if k != "evolution"})
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+    assert "missing key(s) ['evolution']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fmf1_bytes_are_the_header_and_interleaved_float64(tmp_path):
+    # NaN, signed zeros and infinities included; a real matrix is written complex
+    m = np.array([[1.5 - 2j, complex(np.nan, -0.0), complex(-0.0, np.inf)],
+                  [complex(-np.inf, 3.0), 0.0, 1e-310j]])
+    inter = np.empty(m.shape + (2,), dtype="<f8")
+    inter[..., 0], inter[..., 1] = m.real, m.imag
+    for matrix, expected in ((m, inter), (m.real, np.stack([m.real, np.zeros(m.shape)], -1))):
+        path = tmp_path / "m.fmf1"
+        write_fmf1(path, matrix, 3, 7)
+        header = struct.pack("<4sIIQQ", b"FMF1", 3, 7, 2, 3)
+        assert path.read_bytes() == header + expected.astype("<f8").tobytes()
+        back, ds, d = read_fmf1(path)
+        assert (ds, d) == (3, 7) and back.shape == (2, 3)
+        assert back.tobytes() == expected.astype("<f8").tobytes()

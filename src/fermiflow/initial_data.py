@@ -1,8 +1,8 @@
 """Semiclassically structured initial density matrices.
 
-The state type, `DensityMatrix`: orbitals and occupations (Phi, lam), of
-which omega = Phi diag(lam) Phi* and N = sum lam are derived views.  The
-states the flows start from: plane-wave Fermi balls and trapped Slater
+The state type, `DensityMatrix`: orbitals and occupations (Phi, lam), all
+of omega = Phi diag(lam) Phi*, which is never formed as an M x M matrix.
+The states the flows start from: plane-wave Fermi balls and trapped Slater
 projections, both built from their orbitals with lam = 1, so no dense
 matrix is factored.  How semiclassical a state is, is measured in
 `diagnostics`.
@@ -31,18 +31,13 @@ class DegenerateFermiLevel(Exception):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """omega = Phi diag(lam) Phi*: orbitals Phi (M x r), occupations lam (r,).
-    `matrix`, `n_particles` = sum lam and `idempotency_defect` are exact for
-    any Phi (a step's midpoint has columns that are not orthonormal);
-    `validate` requires orthonormal orbitals."""
+    """omega = Phi diag(lam) Phi*, held as its orbitals Phi (M x r) and
+    occupations lam (r,) only.  `n_particles` = sum lam and
+    `idempotency_defect` are exact for any Phi (a step's midpoint has columns
+    that are not orthonormal); `validate` requires orthonormal orbitals."""
 
     orbitals: np.ndarray
     occupations: np.ndarray
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = (self.orbitals * self.occupations) @ self.orbitals.conj().T
-        return 0.5 * (m + m.conj().T)
 
     @cached_property
     def n_particles(self) -> int:

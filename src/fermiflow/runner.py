@@ -266,11 +266,11 @@ def _scenario_evolve(cfg: RunConfig, out):
         "c_phase": c_phase,
         "c_momentum": c_momentum,
     })
-    snap_dir = os.path.join(out, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-    for t, state in zip(traj.times, traj.states):
-        write_fmf1(os.path.join(snap_dir, f"omega_t{t:012.6f}.fmf1"),
-                   state.matrix, cfg.lattice.ds, cfg.lattice.d)
+    snap_dir, ds, d = os.path.join(out, "snapshots"), cfg.lattice.ds, cfg.lattice.d
+    os.makedirs(snap_dir, exist_ok=True)  # omega = Phi diag(lam) Phi*, lam fixed by the flow
+    write_fmf1(os.path.join(snap_dir, "occupations.fmf1"), omega0.occupations, ds, d)
+    for i, state in zip(snap_idx, traj.states):
+        write_fmf1(os.path.join(snap_dir, f"orbitals_step{i:08d}.fmf1"), state.orbitals, ds, d)
     e0 = traj.energy[0]
     drift = max(abs(e - e0) for e in traj.energy)
     return {
@@ -325,7 +325,8 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
     from .fock import rdm1
 
     space, traj, psis = _exact_states(cfg, cfg.kind)
-    diffs = [rdm1(psi, space) - state.matrix for psi, state in zip(psis, traj.states)]
+    diffs = [rdm1(psi, space) - (s.orbitals * s.occupations) @ s.orbitals.conj().T
+             for psi, s in zip(psis, traj.states)]  # the only dense omega, L <= 14 sites
     hs = [float(np.linalg.norm(x, "fro")) for x in diffs]
     tr = [trace_norm(x) for x in diffs]
     write_csv(os.path.join(out, "series.csv"),

@@ -50,16 +50,16 @@ def momentum_grid(lattice: Lattice, hbar: float) -> np.ndarray:
 
 
 def wigner(omega: DensityMatrix, lattice: Lattice, hbar: float) -> PhaseSpaceDensity:
-    """Symmetrized discrete Wigner transform; real for Hermitian input."""
+    """Symmetrized discrete Wigner transform, summed over the orbitals in O(d^2 r)."""
     if lattice.ds != 1:
         raise ValueError("Wigner transform implemented for ds = 1 only")
     if lattice.d % 2 != 0:
         raise ValueError("Wigner transform needs an even site count")
-    d = lattice.d
-    m = omega.matrix
-    j = np.arange(d)
-    off = np.arange(d)
-    slices = m[(j[:, None] + off[None, :]) % d, (j[:, None] - off[None, :]) % d]
+    d, phi, j = lattice.d, omega.orbitals, np.arange(lattice.d)[:, None]
+    plus, minus = (j + j.T) % d, (j - j.T) % d  # indexed [j, m]
+    slices = np.zeros((d, d), dtype=complex)  # omega[(j+m) mod d, (j-m) mod d]
+    for k, lam_k in enumerate(omega.occupations):  # d x d temporaries, never d x d x r
+        slices += lam_k * phi[plus, k] * phi[minus, k].conj()
     w = np.fft.fft(slices, axis=1)  # sum_m s_m e^{-2 pi i k m / d}, k in fft order
     w = np.fft.fftshift(w, axes=1)
     if np.max(np.abs(w.imag)) > 1e-10 * max(1.0, np.max(np.abs(w))):
@@ -114,10 +114,9 @@ def compare_wigner_vlasov(mf_traj, v: Potential, hbar: float, dt: float):
         raise ValueError("empty trajectory")
     lattice, n = v.lattice, mf_traj.states[0].n_particles
     cur = wigner(mf_traj.states[0], lattice, hbar)
-    times = list(mf_traj.times)
     dists = []
     t_now = 0.0
-    for t, state in zip(times, mf_traj.states):
+    for t, state in zip(mf_traj.times, mf_traj.states):
         interval = t - t_now
         n_sub = int(round(interval / dt))
         if abs(n_sub * dt - interval) > 1e-9 * interval:
@@ -129,4 +128,4 @@ def compare_wigner_vlasov(mf_traj, v: Potential, hbar: float, dt: float):
         wq = wigner(state, lattice, hbar)
         dists.append(float(np.sum(np.abs(wq.values - cur.values)) * cur.weight))
     gap = np.array(dists)
-    return np.array(times), gap, gap / (hbar * n)
+    return np.array(mf_traj.times), gap, gap / (hbar * n)

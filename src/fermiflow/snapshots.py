@@ -26,10 +26,15 @@ def write_fmf1(path, matrix: np.ndarray, ds: int, d: int):
 
 def read_fmf1(path):
     with open(path, "rb") as fh:
-        magic, ds, d, rows, cols = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated FMF1 header, {len(header)} bytes")
+        magic, ds, d, rows, cols = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not an FMF1 snapshot")
         m = np.fromfile(fh, dtype="<c16", count=rows * cols)
+    if m.size < rows * cols:
+        raise ValueError(f"{path}: truncated FMF1 payload, {m.size} of {rows * cols} entries")
     return m.reshape(rows, cols), ds, d
 
 

@@ -1,6 +1,10 @@
 """Independent oracles the tests and criteria check `fermiflow` against; none
 is run by a scenario.
 
+- `dense`: omega = Phi diag(lam) Phi* as an M x M matrix, which checks
+  every orbital computation against its dense form.
+- `dense_wigner`: the Wigner transform by one gather of kernel slices from
+  the dense omega, which checks the orbital `semiclassics.wigner`.
 - `fourier_matrix`, `momentum_operator`, `phase_operator`: dense M x M
   operators that check the FFT kernels and the low-rank commutator norms.
 - `circulant_gather`: the translation-invariant matrix c(x_i - x_j) by one
@@ -35,6 +39,20 @@ from scipy.optimize import minimize_scalar
 from fermiflow.fock import FockSpace, field_operator, number_moment
 from fermiflow.initial_data import DensityMatrix
 from fermiflow.model import Lattice, Potential, is_hermitian
+
+
+def dense(omega: DensityMatrix) -> np.ndarray:
+    """omega = Phi diag(lam) Phi*, Hermitized."""
+    m = (omega.orbitals * omega.occupations) @ omega.orbitals.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def dense_wigner(omega: DensityMatrix, d: int) -> np.ndarray:
+    """W(x_j, q_k), k in {-d/2, ..., d/2 - 1}, complex: the FFT over m of the
+    slices omega[(j+m) mod d, (j-m) mod d], gathered from the dense omega."""
+    j, off = np.arange(d)[:, None], np.arange(d)[None, :]
+    slices = dense(omega)[(j + off) % d, (j - off) % d]
+    return np.fft.fftshift(np.fft.fft(slices, axis=1), axes=1)
 
 
 @functools.lru_cache(maxsize=32)

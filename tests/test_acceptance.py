@@ -16,8 +16,8 @@ from fermiflow.model import (build_potential, default_hbar, kinetic_operator,
                              make_lattice)
 from fermiflow.runner import harmonic_trap, parse_config, run
 
-from _oracles import (fit_double_exponential, generalized_density, rdmk, spectral_form,
-                      wick_rdmk)
+from _oracles import (dense, fit_double_exponential, generalized_density, rdmk,
+                      spectral_form, wick_rdmk)
 
 
 def report(capsys, num, name, ok, detail):
@@ -67,8 +67,8 @@ def test_criterion_02_free_flow_exactness(capsys):
     h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * eig / hbar)) @ vec.conj().T
-    exact = u @ om0.matrix @ u.conj().T
-    err = np.linalg.norm(traj.states[-1].matrix - exact, "fro")
+    exact = u @ dense(om0) @ u.conj().T
+    err = np.linalg.norm(dense(traj.states[-1]) - exact, "fro")
     report(capsys, 2, "free flow exactness", err <= 1e-10, f"error={err:.2e}")
 
 
@@ -84,8 +84,8 @@ def test_criterion_03_single_particle_exchange_cancellation(capsys):
                 MeanFieldKind.HARTREE_FOCK, pot, hbar)
     hh = evolve(om0, EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000),
                 MeanFieldKind.HARTREE, pot, hbar)
-    hf_err = np.linalg.norm(hf.states[-1].matrix - free.states[-1].matrix, "fro")
-    hh_gap = np.linalg.norm(hh.states[-1].matrix - free.states[-1].matrix, "fro")
+    hf_err = np.linalg.norm(dense(hf.states[-1]) - dense(free.states[-1]), "fro")
+    hh_gap = np.linalg.norm(dense(hh.states[-1]) - dense(free.states[-1]), "fro")
     ok = hf_err <= 1e-8 and hh_gap >= 1e-4
     report(capsys, 3, "N=1 exchange cancellation",
            ok, f"|HF-free|={hf_err:.2e} |Hartree-free|={hh_gap:.2e}")
@@ -124,10 +124,10 @@ def test_criterion_05_bogoliubov_wick_consistency(capsys):
         om = DensityMatrix(*spectral_form(q @ q.conj().T)[:2])
         psi = quasi_free_state(space, om)
         worst["rdm1"] = max(worst["rdm1"],
-                            np.max(np.abs(rdm1(psi, space) - om.matrix)))
+                            np.max(np.abs(rdm1(psi, space) - dense(om))))
         worst["rdm2"] = max(worst["rdm2"],
                             np.max(np.abs(rdmk(psi, 2, space)
-                                          - wick_rdmk(om.matrix, 2))))
+                                          - wick_rdmk(dense(om), 2))))
         g = generalized_density(psi, space)
         worst["projection"] = max(worst["projection"],
                                   np.max(np.abs(g @ g - g)))
@@ -162,7 +162,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     cfg = EvolutionConfig(dt=1e-4, t_final=0.1, snapshot_stride=100)
     traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     times = np.array(traj.times)
-    hs = np.array([np.linalg.norm(rdm1(prop(psi0, t), space) - s.matrix)
+    hs = np.array([np.linalg.norm(rdm1(prop(psi0, t), space) - dense(s))
                    for t, s in zip(traj.times, traj.states)])
     mask = times >= 0.01 - 1e-12
     slope = np.polyfit(np.log(times[mask]), np.log(hs[mask]), 1)[0]
@@ -171,7 +171,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     cfg0 = EvolutionConfig(dt=1e-2, t_final=2.0, snapshot_stride=20)
     traj0 = evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     prop0 = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
-    free_dist = max(np.linalg.norm(rdm1(prop0(psi0, t), space) - s.matrix)
+    free_dist = max(np.linalg.norm(rdm1(prop0(psi0, t), space) - dense(s))
                     for t, s in zip(traj0.times, traj0.states))
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
     report(capsys, 7, "mean-field accuracy order", ok,

@@ -14,7 +14,7 @@ from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, make_lattice
 from fermiflow.runner import build_initial_state, parse_config, run
 
-from _oracles import (fit_double_exponential, fourier_matrix, momentum_operator,
+from _oracles import (dense, fit_double_exponential, fourier_matrix, momentum_operator,
                       phase_operator, spectral_form, weyl_quantize)
 
 
@@ -99,7 +99,7 @@ def test_compare_hf_hartree_gap_matches_dense_oracle(tmp_path):
               for kind in (MeanFieldKind.HARTREE_FOCK, MeanFieldKind.HARTREE))
     assert len(gaps) == 3 and gaps[0] == 0.0
     assert gaps[-1] > 0.1
-    assert gaps[-1] == pytest.approx(svd_trace_norm(hf.matrix - hh.matrix), rel=1e-12)
+    assert gaps[-1] == pytest.approx(svd_trace_norm(dense(hf) - dense(hh)), rel=1e-12)
 
 
 def test_commutator_momentum_vanishes_along_free_ball_flow():
@@ -173,7 +173,7 @@ def test_commutators_match_dense_oracles(ds, d):
     shape = (lat.site_count,) * 2
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     probes = [lat.momenta()[1], 7.3 * rng.normal(size=ds)]  # on and off the grid
-    for m in (slater.matrix, weyl.matrix, x + x.conj().T, np.zeros(shape)):  # r = 0
+    for m in (dense(slater), dense(weyl), x + x.conj().T, np.zeros(shape)):  # r = 0
         phi, lam, _ = spectral_form(m)
         for r in probes:
             val = commutator_phase(phi, lam, r, lat)
@@ -190,7 +190,7 @@ def test_commutator_momentum_at_large_hbar_p():
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 2))
     hbar = 0.01
     scale = hbar * np.max(np.abs(lat.momenta()))
-    phi, lam, _ = spectral_form(om.matrix)
+    phi, lam, _ = spectral_form(dense(om))
     assert commutator_momentum(phi, lam, hbar, lat) <= 1e-12 * scale  # [d/dx, ball] = 0
     with pytest.raises(ValueError, match="non-Hermitian"):
         spectral_form(np.triu(np.ones((3, 3))))
@@ -206,7 +206,7 @@ def test_truncated_tail_moves_each_norm_within_its_bound(ds, d):
     lat = make_lattice(ds, d, 1.0)
     rng = np.random.default_rng(11)
     hbar, n = 0.3, 4
-    proj = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), n).matrix
+    proj = dense(trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), n))
     x = rng.normal(size=proj.shape) + 1j * rng.normal(size=proj.shape)
     tail = x @ x.conj().T
     tail *= 1e-14 / np.linalg.eigvalsh(tail)[-1]
@@ -234,7 +234,7 @@ def test_semiclassical_constant_matches_elementwise_forms_at_ds3():
     om = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 5)
     cfg = EvolutionConfig(dt=2e-3, t_final=6e-3, snapshot_stride=3)
     state = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).states[-1]
-    m, p_set = state.matrix, default_probe_momenta(lat, 1)
+    m, p_set = dense(state), default_probe_momenta(lat, 1)
     rep = semiclassical_constant(state, lat, hbar, p_set)
     np.testing.assert_allclose(rep.phase_norms,
                                [_elementwise_phase(m, p, lat) for p in p_set], rtol=1e-12)
@@ -252,7 +252,7 @@ def test_semiclassical_constant_pairs_probes_and_series_reuses_it(tmp_path):
     asymmetric = np.vstack([symmetric[[0, -1, 1, 4]], [[0.7, -2.9]]])
     for p_set in (symmetric, asymmetric):
         rep = semiclassical_constant(om, lat, hbar, p_set)
-        oracle = [_dense_phase(om.matrix, p, lat) for p in p_set]
+        oracle = [_dense_phase(dense(om), p, lat) for p in p_set]
         np.testing.assert_allclose(rep.phase_norms, oracle, rtol=1e-10)
     with pytest.raises(ValueError, match="nonempty"):
         semiclassical_constant(om, lat, hbar, np.zeros((0, 2)))

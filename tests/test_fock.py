@@ -18,7 +18,7 @@ from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
     make_lattice
 
-from _oracles import (generalized_density, number_operator, rdmk, slater_vector,
+from _oracles import (dense, generalized_density, number_operator, rdmk, slater_vector,
                       spectral_form, wick_rdmk)
 
 
@@ -269,7 +269,7 @@ def test_quasi_free_state_reduced_density_and_projection():
     space = FockSpace(5)
     dm = random_projection(5, 3, seed=11)
     psi = quasi_free_state(space, dm)
-    assert np.max(np.abs(rdm1(psi, space) - dm.matrix)) < 1e-10
+    assert np.max(np.abs(rdm1(psi, space) - dense(dm))) < 1e-10
     gamma = generalized_density(psi, space)
     assert np.max(np.abs(gamma @ gamma - gamma)) < 1e-10
 
@@ -351,7 +351,7 @@ def test_wick_matches_exact_quasi_free_contraction():
     space = FockSpace(4)
     dm = random_projection(4, 2, seed=13)
     psi = quasi_free_state(space, dm)
-    assert np.max(np.abs(rdmk(psi, 2, space) - wick_rdmk(dm.matrix, 2))) < 1e-10
+    assert np.max(np.abs(rdmk(psi, 2, space) - wick_rdmk(dense(dm), 2))) < 1e-10
 
 
 def test_generalized_density_number_eigenstate_and_bounds():

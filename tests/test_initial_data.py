@@ -8,7 +8,7 @@ from fermiflow.initial_data import (DegenerateFermiLevel, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.model import make_lattice
 
-from _oracles import momentum_operator, phase_operator, spectral_form, weyl_quantize
+from _oracles import dense, momentum_operator, phase_operator, spectral_form, weyl_quantize
 
 
 def svd_trace_norm(a):
@@ -30,11 +30,11 @@ def test_fermi_ball_indices_order():
 def test_plane_wave_projection_basics():
     lat = make_lattice(1, 8, 1.0)
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
-    assert np.trace(om.matrix).real == pytest.approx(3.0, abs=1e-12)
+    assert np.trace(dense(om)).real == pytest.approx(3.0, abs=1e-12)
     assert om.idempotency_defect() < 1e-14
     # commutes with the momentum operator exactly (both diagonal in p)
     g = momentum_operator(lat, 0.5)
-    assert np.max(np.abs(g @ om.matrix - om.matrix @ g)) < 1e-13
+    assert np.max(np.abs(g @ dense(om) - dense(om) @ g)) < 1e-13
 
 
 def test_plane_wave_projection_rejects_duplicates():
@@ -50,14 +50,14 @@ def test_phase_commutator_counts_symmetric_difference():
     lat = make_lattice(1, 8, 1.0)
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
     e = phase_operator(lat, 2.0 * np.pi / lat.length)
-    assert svd_trace_norm(e @ om.matrix - om.matrix @ e) == pytest.approx(2.0, abs=1e-10)
+    assert svd_trace_norm(e @ dense(om) - dense(om) @ e) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_trapped_slater_free_case_matches_plane_waves():
     lat = make_lattice(1, 8, 1.0)
     om = trapped_slater(lat, 0.5, np.zeros(8), 3)
     ball = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
-    assert np.max(np.abs(om.matrix - ball.matrix)) < 1e-10
+    assert np.max(np.abs(dense(om) - dense(ball))) < 1e-10
 
 
 def test_trapped_slater_refuses_degenerate_fermi_level():
@@ -72,9 +72,9 @@ def test_trapped_slater_harmonic_concentration():
     # with a 50*dist^2 trap the Fermi level would sit at the rim and leak
     lat = make_lattice(1, 64, 1.0)
     om = trapped_slater(lat, 0.25, harmonic(lat, 200.0), 4)
-    assert np.trace(om.matrix).real == pytest.approx(4.0, abs=1e-10)
+    assert np.trace(dense(om)).real == pytest.approx(4.0, abs=1e-10)
     assert om.idempotency_defect() < 1e-10
-    density = np.real(np.diag(om.matrix))
+    density = np.real(np.diag(dense(om)))
     assert density[0] < 1e-3 * density.max()  # torus edge vs trap center
 
 
@@ -92,9 +92,9 @@ def test_weyl_quantize_constant_symbol():
     # nonzero site separation (3 is coprime to d=16)
     lat = make_lattice(1, 16, 1.0)
     om = weyl_quantize(np.ones((16, 16)), lat, 1.0 / 3.0)
-    off = om.matrix - np.diag(np.diag(om.matrix))
+    off = dense(om) - np.diag(np.diag(dense(om)))
     assert np.max(np.abs(off)) < 1e-10
-    diag = np.diag(om.matrix).real
+    diag = np.diag(dense(om)).real
     assert np.max(np.abs(diag - diag[0])) < 1e-10
 
 
@@ -102,7 +102,7 @@ def test_weyl_quantize_hermitian_for_real_symbol():
     rng = np.random.default_rng(1)
     lat = make_lattice(1, 8, 1.0)
     om = weyl_quantize(rng.normal(size=(8, 8)), lat, 0.5)
-    assert np.max(np.abs(om.matrix - om.matrix.conj().T)) < 1e-12
+    assert np.max(np.abs(dense(om) - dense(om).conj().T)) < 1e-12
 
 
 def test_weyl_quantize_momentum_ball_matches_projection():
@@ -114,7 +114,7 @@ def test_weyl_quantize_momentum_ball_matches_projection():
     om = weyl_quantize(sym, lat, hbar)
     k_ball = lat.momentum_indices()[np.abs(p) <= c, :]
     ball = plane_wave_projection(lat, k_ball)
-    assert np.linalg.norm(om.matrix - ball.matrix, 2) <= 0.05
+    assert np.linalg.norm(dense(om) - dense(ball), 2) <= 0.05
 
 
 def test_semiclassical_constant_plane_wave_ball():
@@ -146,6 +146,6 @@ def test_zero_momentum_probe_contributes_nothing():
     lat = make_lattice(1, 16, 1.0)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     e = phase_operator(lat, 0.0)
-    assert svd_trace_norm(e @ om.matrix - om.matrix @ e) == 0.0
+    assert svd_trace_norm(e @ dense(om) - dense(om) @ e) == 0.0
     probes = default_probe_momenta(lat, 4)
     assert not np.any(np.all(probes == 0.0, axis=1))

@@ -14,7 +14,7 @@ from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
 from fermiflow.runner import parse_config, run
 
-from _oracles import spectral_form
+from _oracles import dense, spectral_form
 
 
 def harmonic(lat, strength):
@@ -95,7 +95,7 @@ def test_exchange_cancels_direct_for_single_particle():
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     om = trapped_slater(lat, 1.0, harmonic(lat, 50.0), 1)
-    f = np.linalg.eigh(om.matrix)[1][:, -1]
+    f = np.linalg.eigh(dense(om))[1][:, -1]
     rho = density_profile(om, lat)
     mismatch = (np.diag(direct_term(rho, pot)) - exchange_term(om, pot)) @ f
     assert np.max(np.abs(mismatch)) < 1e-10
@@ -118,8 +118,8 @@ def test_step_preserves_spectrum(setup16):
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
     hf = MeanFieldKind.HARTREE_FOCK
     new = step(om, generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
-    assert np.allclose(np.linalg.eigvalsh(new.matrix),
-                       np.linalg.eigvalsh(om.matrix), atol=1e-10)
+    assert np.allclose(np.linalg.eigvalsh(dense(new)),
+                       np.linalg.eigvalsh(dense(om)), atol=1e-10)
 
 
 def test_step_free_is_exact_conjugation():
@@ -133,8 +133,8 @@ def test_step_free_is_exact_conjugation():
     h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * cfg.dt * eig / hbar)) @ vec.conj().T
-    ref = u @ om.matrix @ u.conj().T
-    assert np.max(np.abs(new.matrix - ref)) < 1e-12
+    ref = u @ dense(om) @ u.conj().T
+    assert np.max(np.abs(dense(new) - ref)) < 1e-12
 
 
 def _dense_generator(m, n, kind, pot, hbar):
@@ -170,12 +170,12 @@ def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(n, ds)
     om = trapped_slater(lat, hbar, harmonic(lat, 50.0), n)
-    m = om.matrix
+    m = dense(om)
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
     for _ in range(5):
         om = step(om, generator(om, kind, pot, hbar), cfg, kind, pot, hbar)
         m = _dense_step(m, n, cfg.dt, kind, pot, hbar)
-    assert np.linalg.norm(om.matrix - m, "fro") <= 1e-13
+    assert np.linalg.norm(dense(om) - m, "fro") <= 1e-13
 
 
 def _trapped_generator(ds, d, n, kind):
@@ -186,15 +186,11 @@ def _trapped_generator(ds, d, n, kind):
     return om, generator(om, kind, pot, hbar), pot, hbar
 
 
-def _no_dense_omega(self):
-    raise AssertionError("the flow built the dense omega")
-
-
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
 @pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
-def test_flow_builds_no_dense_omega(ds, d, n, kind, monkeypatch):
+def test_flow_builds_no_dense_omega(ds, d, n, kind):
     om, _, pot, hbar = _trapped_generator(ds, d, n, kind)
-    monkeypatch.setattr(DensityMatrix, "matrix", property(_no_dense_omega))
+    assert not hasattr(om, "matrix")  # the state is (Phi, lam): it has no dense view
     cfg = EvolutionConfig(dt=1e-2, t_final=3e-2)
     state = evolve(om, cfg, kind, pot, hbar).states[-1]
     assert np.iscomplexobj(state.orbitals)
@@ -225,7 +221,7 @@ def test_trajectory_energy_matches_site_sum_oracle(ds, d, n, kind):
     k = kinetic_operator(pot.lattice, hbar)
     assert len(traj.states) == len(traj.energy) == 5
     for state, e in zip(traj.states, traj.energy):
-        oracle = _site_sum_energy(state.matrix, n, kind, pot.pair_matrix, k)
+        oracle = _site_sum_energy(dense(state), n, kind, pot.pair_matrix, k)
         assert e == pytest.approx(oracle, rel=1e-12)
 
 
@@ -300,7 +296,7 @@ def test_idempotency_defect_matches_dense_oracle():
                             np.concatenate([lam, lam]) / 2),
               DensityMatrix(q, rng.uniform(-0.5, 1.5, r))]
     for state in states:
-        m = state.matrix
+        m = dense(state)
         oracle = np.linalg.norm(m @ m - m, "fro")
         assert state.idempotency_defect() == pytest.approx(oracle, rel=1e-12, abs=1e-14)
     assert states[0].idempotency_defect() < 1e-14
@@ -322,8 +318,8 @@ def test_step_local_error_is_third_order():
         return state
 
     def one_step_error(h_step):
-        ref = advance(om, h_step / 100, 100).matrix
-        return np.linalg.norm(advance(om, h_step, 1).matrix - ref, "fro")
+        ref = dense(advance(om, h_step / 100, 100))
+        return np.linalg.norm(dense(advance(om, h_step, 1)) - ref, "fro")
 
     ratio = one_step_error(dt) / one_step_error(dt / 2)
     assert 6.0 < ratio < 10.0
@@ -334,7 +330,7 @@ def test_evolve_free_ball_is_stationary(setup16):
     v0 = build_potential({"shape": "zero"}, lat)
     cfg = EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    assert np.max(np.abs(traj.states[-1].matrix - om.matrix)) < 1e-10
+    assert np.max(np.abs(dense(traj.states[-1]) - dense(om))) < 1e-10
 
 
 def test_evolve_trace_stability(setup16):

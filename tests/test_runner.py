@@ -15,8 +15,9 @@ import scipy
 from hypothesis import event, given, settings, strategies as st
 
 from fermiflow.cli import main
+from fermiflow.meanfield import evolve
 from fermiflow.runner import (SCENARIOS, ConfigError, NumericFailure, RunConfig,
-                              parse_config, run)
+                              build_initial_state, parse_config, run)
 from fermiflow.snapshots import read_fmf1, write_fmf1
 
 
@@ -108,14 +109,23 @@ def test_run_evolve_outputs(tmp_path):
     assert summary["status"] == "success"
     assert summary["result"]["max_idempotency_defect"] < 1e-10
     assert summary["result"]["max_trace_drift"] < 1e-10
-    # manifest covers series.csv and one snapshot per kept time
-    paths = {m["path"] for m in summary["manifest"]}
-    assert "series.csv" in paths
-    snaps = sorted(p for p in paths if p.startswith("snapshots/"))
-    assert len(snaps) == 3  # t = 0, 0.05, 0.1
-    mat, ds, d = read_fmf1(os.path.join(out, snaps[0]))
-    assert (ds, d) == (1, 8) and mat.shape == (8, 8)
-    assert np.trace(mat).real == pytest.approx(2.0, abs=1e-12)
+    # manifest covers series.csv, the occupations and the orbitals per kept time
+    sizes = {m["path"]: m["bytes"] for m in summary["manifest"]}
+    assert "series.csv" in sizes
+    snaps = sorted(p for p in sizes if p.startswith("snapshots/"))
+    assert len(snaps) == 4  # occupations; orbitals at t = 0, 0.05, 0.1
+    lam, ds, d = read_fmf1(os.path.join(out, "snapshots", "occupations.fmf1"))
+    assert (ds, d) == (1, 8) and np.array_equal(lam, [[1.0, 1.0]])
+    traj = evolve(build_initial_state(cfg), cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
+    names = [f"snapshots/orbitals_step{i:08d}.fmf1" for i in (0, 5, 10)]
+    assert snaps == sorted(names + ["snapshots/occupations.fmf1"])
+    for name, state in zip(names, traj.states):
+        phi, ds, d = read_fmf1(os.path.join(out, name))
+        assert (ds, d) == (1, 8) and phi.shape == (8, 2)
+        assert phi.tobytes() == state.orbitals.astype("<c16").tobytes()  # bit for bit
+        assert sizes[name] == 28 + 16 * 8 * 2  # the <4sIIQQ header, then M x r complex128
+    # tr omega = sum_k lam_k |Phi_k|^2
+    assert np.sum(np.abs(phi) ** 2 @ lam[0].real) == pytest.approx(2.0, abs=1e-12)
     with open(os.path.join(out, "summary.json")) as fh:
         on_disk = json.load(fh)
     assert on_disk["result"] == summary["result"]
@@ -185,7 +195,21 @@ def test_shorter_rerun_manifest_lists_exactly_the_files_on_disk(tmp_path):
     on_disk = {os.path.relpath(os.path.join(root, name), out)
                for root, _, files in os.walk(out) for name in files}
     assert {m["path"] for m in summary["manifest"]} == on_disk - {"summary.json"}
-    assert len([p for p in on_disk if p.startswith("snapshots")]) == 2
+    assert {p for p in on_disk if p.startswith("snapshots")} == {
+        "snapshots/occupations.fmf1", "snapshots/orbitals_step00000000.fmf1",
+        "snapshots/orbitals_step00000005.fmf1"}
+
+
+def test_snapshot_times_closer_than_a_microsecond_each_get_a_file(tmp_path):
+    # eleven snapshot times 1e-7 apart: each is named by its step index, so
+    # none overwrites another
+    doc = dict(MINIMAL, evolution={"dt": 1e-7, "t_final": 1e-6, "snapshot_stride": 1})
+    out = str(tmp_path / "out")
+    summary = run(parse_config(json.dumps(doc)), out)
+    orbitals = sorted(glob.glob("snapshots/orbitals_*.fmf1", root_dir=out))
+    assert orbitals == [f"snapshots/orbitals_step{i:08d}.fmf1" for i in range(11)]
+    assert orbitals == [m["path"] for m in summary["manifest"]
+                        if m["path"].startswith("snapshots/orbitals_")]
 
 
 def test_import_loads_no_scipy():
@@ -665,3 +689,14 @@ def test_fmf1_bytes_are_the_header_and_interleaved_float64(tmp_path):
         back, ds, d = read_fmf1(path)
         assert (ds, d) == (3, 7) and back.shape == (2, 3)
         assert back.tobytes() == expected.astype("<f8").tobytes()
+
+
+def test_read_fmf1_names_a_truncated_file(tmp_path):
+    path = tmp_path / "m.fmf1"
+    write_fmf1(path, np.ones((3, 4)), 1, 4)
+    whole = path.read_bytes()
+    for cut, part in ((20, "header"), (len(whole) - 5, "payload"), (28, "payload")):
+        short = tmp_path / f"short{cut}.fmf1"
+        short.write_bytes(whole[:cut])
+        with pytest.raises(ValueError, match=f"short{cut}.fmf1: truncated FMF1 {part}"):
+            read_fmf1(short)

@@ -11,7 +11,7 @@ from fermiflow import semiclassics
 from fermiflow.semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
                                     momentum_grid, vlasov_step, wigner)
 
-from _oracles import spectral_form
+from _oracles import dense, dense_wigner, spectral_form
 
 
 def harmonic(lat, strength):
@@ -47,7 +47,7 @@ def test_wigner_sum_rule_and_marginal():
     w = wigner(om, lat, 0.25)
     assert np.sum(w.values) * w.weight == pytest.approx(4.0, abs=1e-10)
     marginal = np.sum(w.values, axis=1) * w.weight
-    assert np.max(np.abs(marginal - np.diag(om.matrix).real)) < 1e-8
+    assert np.max(np.abs(marginal - np.diag(dense(om)).real)) < 1e-8
 
 
 def test_wigner_linearity():
@@ -59,11 +59,29 @@ def test_wigner_linearity():
         return DensityMatrix(*spectral_form(a + a.conj().T)[:2])
 
     a, b = rand_dm(), rand_dm()
-    combo = DensityMatrix(*spectral_form(0.3 * a.matrix + 0.7 * b.matrix)[:2])
+    combo = DensityMatrix(*spectral_form(0.3 * dense(a) + 0.7 * dense(b))[:2])
     wa = wigner(a, lat, 0.5).values
     wb = wigner(b, lat, 0.5).values
     wc = wigner(combo, lat, 0.5).values
     assert np.max(np.abs(wc - 0.3 * wa - 0.7 * wb)) < 1e-10
+
+
+def _signed_state(d):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return DensityMatrix(*spectral_form(a + a.conj().T)[:2])
+
+
+@pytest.mark.parametrize("name,d,make", [
+    ("trapped", 32, lambda lat: trapped_slater(lat, 0.25, harmonic(lat, 50.0), 4)),
+    ("signed", 8, lambda lat: _signed_state(lat.d)),
+    ("ball", 16, lambda lat: plane_wave_projection(lat, fermi_ball_indices(lat, 5))),
+])
+def test_wigner_from_orbitals_matches_dense_slices(name, d, make):
+    lat = make_lattice(1, d, 1.0)
+    om = make(lat)
+    w = wigner(om, lat, 0.25)
+    assert np.max(np.abs(w.values - dense_wigner(om, d))) <= 1e-12
 
 
 @pytest.mark.parametrize("d,mode", [(16, 1), (16, 3), (9, 2)])

@@ -19,8 +19,7 @@ from .diagnostics import (GrowthFit, SemiclassicalReport, commutator_momentum,
 from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory, apply_exponential,
                         density_profile, direct_term, evolve, exchange_term, generator,
                         hf_energy, step)
-from .semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
-                           momentum_grid, vlasov_step, wigner)
+from .semiclassics import momentum_grid, vlasov_step, wigner
 from .snapshots import read_fmf1, write_csv, write_fmf1
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,6 +23,8 @@ __all__ = [
     "trapped_slater",
 ]
 
+_GAP_TOL = 1e-10  # a smaller gap at the Fermi level counts as a degeneracy
+
 
 class DegenerateFermiLevel(Exception):
     """Raised when a Slater construction would have to pick an arbitrary
@@ -97,7 +99,7 @@ def plane_wave_projection(lattice: Lattice, occupied) -> DensityMatrix:
 
 
 def trapped_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
-                   n: int, gap_tol: float = 1e-10) -> DensityMatrix:
+                   n: int) -> DensityMatrix:
     """Projection onto the n lowest eigenvectors of -hbar^2 Lap + V_ext.
 
     Refuses a degenerate Fermi level rather than picking a basis arbitrarily.
@@ -112,9 +114,9 @@ def trapped_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
         raise ValueError(f"need 1 <= n <= {lattice.site_count}")
     h = kinetic_operator(lattice, hbar) + np.diag(v_ext)
     eig, vec = np.linalg.eigh(h)
-    if n < lattice.site_count and eig[n] - eig[n - 1] < gap_tol:
+    if n < lattice.site_count and eig[n] - eig[n - 1] < _GAP_TOL:
         raise DegenerateFermiLevel(
-            f"levels {n - 1} and {n} coincide within {gap_tol:g} "
+            f"levels {n - 1} and {n} coincide within {_GAP_TOL:g} "
             f"(gap {eig[n] - eig[n - 1]:.3e})"
         )
     return DensityMatrix(vec[:, :n], np.ones(n))

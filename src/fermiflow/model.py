@@ -154,10 +154,10 @@ def _reflected(grid: np.ndarray) -> np.ndarray:
 
 
 _GAUSSIAN_IMAGES = 2  # wrap 5 torus images per axis: m in {-2, ..., 2}
+_EVENNESS_TOL = 1e-10  # max |V(x) - V(-x)| a potential table may have
 
 
-def _potential_from_samples(samples: np.ndarray, lattice: Lattice,
-                            evenness_tol: float = 1e-10) -> Potential:
+def _potential_from_samples(samples: np.ndarray, lattice: Lattice) -> Potential:
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (lattice.site_count,):
         raise ValueError(
@@ -169,7 +169,7 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice,
     grid = samples.reshape((lattice.d,) * lattice.ds)
     reflected = _reflected(grid)
     defect = np.max(np.abs(grid - reflected))
-    if defect > evenness_tol:
+    if defect > _EVENNESS_TOL:
         raise ValueError(f"potential violates evenness by {defect:.3e}")
     # evenized, so that V(x) and V(-x) are one float and `pair_matrix` is symmetric
     v = Potential(lattice=lattice, real_space=(0.5 * (grid + reflected)).ravel())

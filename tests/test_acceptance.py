@@ -246,8 +246,7 @@ def test_criterion_10_hartree_vs_hf_gap(tmp_path, capsys):
 
 
 def test_criterion_11_wigner_vlasov_checks(capsys):
-    from fermiflow.semiclassics import (PhaseSpaceDensity, momentum_grid,
-                                        vlasov_step, wigner)
+    from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 
     # free transport along grid-aligned characteristics is entrywise exact
     lat = make_lattice(1, 16, 1.0)
@@ -255,22 +254,22 @@ def test_criterion_11_wigner_vlasov_checks(capsys):
     rng = np.random.default_rng(5)
     vals = np.zeros((16, 16))
     vals[:, 12] = rng.random(16)
-    w = PhaseSpaceDensity(values=vals, momenta=q, weight=1.0 / 16)
     v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(w, lat.spacing / q[12], v0, 1)
+    out = vlasov_step(vals, lat.spacing / q[12], v0, 1.0, 1)
     expected = np.zeros_like(vals)
     expected[:, 12] = np.roll(vals[:, 12], 2)
-    transport_err = float(np.max(np.abs(out.values - expected)))
+    transport_err = float(np.max(np.abs(out - expected)))
 
+    # masses sum(W) / d, with the Wigner quadrature weight 1/d
     lat32 = make_lattice(1, 32, 1.0)
     hbar = default_hbar(4, 1)
     om = trapped_slater(lat32, hbar, harmonic_trap(lat32, 50.0), 4)
-    w0 = wigner(om, lat32, hbar)
-    sum_err = abs(float(np.sum(w0.values)) * w0.weight - 4.0)
+    w0 = wigner(om, lat32)
+    sum_err = abs(float(np.sum(w0)) / 32 - 4.0)
 
     pot = build_potential(gaussian(1.0, 0.2), lat32)
-    out32 = vlasov_step(w0, 1e-3, pot, 4)
-    mass_err = abs(out32.mass - w0.mass)
+    out32 = vlasov_step(w0, 1e-3, pot, hbar, 4)
+    mass_err = abs(float(np.sum(out32)) / 32 - float(np.sum(w0)) / 32)
 
     ok = transport_err <= 1e-12 and sum_err <= 1e-8 and mass_err <= 1e-10
     report(capsys, 11, "Wigner/Vlasov invariants", ok,

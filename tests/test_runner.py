@@ -385,6 +385,14 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
         assert main([scenario, "--config", str(case), "--out", str(out)]) == 2, doc
         assert capsys.readouterr().err.startswith("config error"), doc
         assert not os.path.exists(out / "summary.json")
+    # integers too large for a float, named by their key
+    for doc, key in [(dict(diagnostics, model={"n_particles": 10 ** 400}), "model.n_particles"),
+                     (dict(MINIMAL, potential={"shape": "cosine", "strength": 1.0,
+                                               "mode": 10 ** 400}), "potential.mode")]:
+        case = write_config(tmp_path, doc, "case.json")
+        assert main([doc["scenario"], "--config", case, "--out", str(tmp_path / "case")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err, err
     kernel = write_config(tmp_path, dict(MINIMAL, initial={"kind": "kernel"}), "kernel.json")
     assert main(["evolve", "--config", kernel, "--out", str(tmp_path / "o")]) == 2
     assert "initial.kind must be one of ['ball', 'trapped']" in capsys.readouterr().err

@@ -1,15 +1,17 @@
-"""Discrete Wigner transform and the semi-Lagrangian Vlasov solver."""
+"""Discrete Wigner transform, the semi-Lagrangian Vlasov solver and the
+semiclassics scenario that compares them."""
+
+import json
 
 import numpy as np
 import pytest
 
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
-from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, make_lattice
+from fermiflow.runner import parse_config, run
 from fermiflow import semiclassics
-from fermiflow.semiclassics import (PhaseSpaceDensity, compare_wigner_vlasov,
-                                    momentum_grid, vlasov_step, wigner)
+from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 
 from _oracles import dense, dense_wigner, spectral_form
 
@@ -23,9 +25,9 @@ def harmonic(lat, strength):
 def test_wigner_translation_invariant_state():
     lat = make_lattice(1, 16, 1.0)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
-    w = wigner(om, lat, 1.0 / 3.0)
-    assert np.max(np.abs(w.values - w.values[0])) < 1e-10  # x-independent
-    assert np.sum(w.values) * w.weight == pytest.approx(3.0, abs=1e-10)
+    w = wigner(om, lat)
+    assert np.max(np.abs(w - w[0])) < 1e-10  # x-independent
+    assert np.sum(w) / 16 == pytest.approx(3.0, abs=1e-10)
 
 
 def test_wigner_identity_state_momentum_profile():
@@ -34,19 +36,19 @@ def test_wigner_identity_state_momentum_profile():
     # both hit the diagonal), so adjacent momentum bins sum to the flat value 2
     lat = make_lattice(1, 8, 1.0)
     om = DensityMatrix(*spectral_form(np.eye(8, dtype=complex))[:2])
-    w = wigner(om, lat, 0.5)
-    assert np.max(np.abs(w.values - w.values[:1, :])) < 1e-12  # x-independent
-    pair_sums = w.values[:, ::2] + w.values[:, 1::2]
+    w = wigner(om, lat)
+    assert np.max(np.abs(w - w[:1, :])) < 1e-12  # x-independent
+    pair_sums = w[:, ::2] + w[:, 1::2]
     assert np.max(np.abs(pair_sums - 2.0)) < 1e-12
-    assert np.sum(w.values) * w.weight == pytest.approx(8.0, abs=1e-10)
+    assert np.sum(w) / 8 == pytest.approx(8.0, abs=1e-10)
 
 
 def test_wigner_sum_rule_and_marginal():
     lat = make_lattice(1, 32, 1.0)
     om = trapped_slater(lat, 0.25, harmonic(lat, 50.0), 4)
-    w = wigner(om, lat, 0.25)
-    assert np.sum(w.values) * w.weight == pytest.approx(4.0, abs=1e-10)
-    marginal = np.sum(w.values, axis=1) * w.weight
+    w = wigner(om, lat)
+    assert np.sum(w) / 32 == pytest.approx(4.0, abs=1e-10)
+    marginal = np.sum(w, axis=1) / 32
     assert np.max(np.abs(marginal - np.diag(dense(om)).real)) < 1e-8
 
 
@@ -60,9 +62,9 @@ def test_wigner_linearity():
 
     a, b = rand_dm(), rand_dm()
     combo = DensityMatrix(*spectral_form(0.3 * dense(a) + 0.7 * dense(b))[:2])
-    wa = wigner(a, lat, 0.5).values
-    wb = wigner(b, lat, 0.5).values
-    wc = wigner(combo, lat, 0.5).values
+    wa = wigner(a, lat)
+    wb = wigner(b, lat)
+    wc = wigner(combo, lat)
     assert np.max(np.abs(wc - 0.3 * wa - 0.7 * wb)) < 1e-10
 
 
@@ -80,8 +82,8 @@ def _signed_state(d):
 def test_wigner_from_orbitals_matches_dense_slices(name, d, make):
     lat = make_lattice(1, d, 1.0)
     om = make(lat)
-    w = wigner(om, lat, 0.25)
-    assert np.max(np.abs(w.values - dense_wigner(om, d))) <= 1e-12
+    w = wigner(om, lat)
+    assert np.max(np.abs(w - dense_wigner(om, d))) <= 1e-12
 
 
 @pytest.mark.parametrize("d,mode", [(16, 1), (16, 3), (9, 2)])
@@ -93,9 +95,8 @@ def test_force_of_a_cosine_potential(d, mode):
     v = build_potential({"shape": "cosine", "strength": s, "mode": mode}, lat)
     x = lat.sites()[:, 0]
     values = np.zeros((d, d))
-    values[:, 0] = 1.0 + np.cos(k * x)  # marginal sum(values) * weight / (N a) = rho
-    w = PhaseSpaceDensity(values=values, momenta=np.zeros(d), weight=1.0 / d)
-    force = semiclassics._force(w, v, 1)
+    values[:, 0] = 1.0 + np.cos(k * x)  # marginal sum(values) / (d N a) = rho
+    force = semiclassics._force(values, v, 1)
     assert np.max(np.abs(force - 0.5 * s * k * np.sin(k * x))) <= 1e-12
 
 
@@ -110,28 +111,27 @@ def test_vlasov_free_transport_on_grid_characteristics():
     vals = np.zeros((16, 16))
     slice_k = 12  # q = pi * 4
     vals[:, slice_k] = rng.random(16)
-    w = PhaseSpaceDensity(values=vals, momenta=q, weight=1.0 / 16)
     v0 = build_potential({"shape": "zero"}, lat)
     # shift per half step = 2 q dt / (2 a) = q dt / a cells; make it exactly 1
     dt = lat.spacing / q[slice_k]
-    out = vlasov_step(w, dt, v0, n_particles=1)
+    out = vlasov_step(vals, dt, v0, hbar, n_particles=1)
     expected = np.zeros_like(vals)
     expected[:, slice_k] = np.roll(vals[:, slice_k], 2)
-    assert np.max(np.abs(out.values - expected)) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_vlasov_mass_conservation_per_slice():
     lat = make_lattice(1, 32, 1.0)
     hbar = default_hbar(4, 1)
     om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 4)
-    w = wigner(om, lat, hbar)
+    w = wigner(om, lat)
     v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(w, 1e-3, v0, 4)
+    out = vlasov_step(w, 1e-3, v0, hbar, 4)
     # with V = 0 each momentum slice is transported, preserving its own mass
-    assert np.max(np.abs(out.values.sum(axis=0) - w.values.sum(axis=0))) < 1e-10
+    assert np.max(np.abs(out.sum(axis=0) - w.sum(axis=0))) < 1e-10
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    out = vlasov_step(w, 1e-3, pot, 4)
-    assert abs(out.mass - w.mass) < 1e-10
+    out = vlasov_step(w, 1e-3, pot, hbar, 4)
+    assert abs(np.sum(out) / 32 - np.sum(w) / 32) < 1e-10
 
 
 def test_vlasov_step_second_order():
@@ -146,10 +146,10 @@ def test_vlasov_step_second_order():
                           lat)
 
     def run(dt, t_final):
-        w = PhaseSpaceDensity(values=vals0.copy(), momenta=q, weight=1.0 / 64)
+        w = vals0.copy()
         for _ in range(int(round(t_final / dt))):
-            w = vlasov_step(w, dt, pot, n_particles=1)
-        return w.values
+            w = vlasov_step(w, dt, pot, hbar, n_particles=1)
+        return w
 
     t_final = 0.01
     ref = run(t_final / 400, t_final)
@@ -158,50 +158,78 @@ def test_vlasov_step_second_order():
     assert 3.3 < err1 / err2 < 4.7
 
 
-def test_compare_wigner_vlasov_stationary_cases():
-    lat = make_lattice(1, 16, 1.0)
-    hbar = default_hbar(3, 1)
-    v0 = build_potential({"shape": "zero"}, lat)
-    om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
-    cfg = EvolutionConfig(dt=1e-2, t_final=0.2, snapshot_stride=5)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE, v0, hbar)
-    times, gap, gap_norm = compare_wigner_vlasov(traj, v0, hbar, 1e-2)
+def _semiclassics(tmp_path, lattice, n, potential, initial, evolution, vlasov_dt):
+    """Run the semiclassics scenario (Hartree); its times, gaps and result."""
+    doc = {"scenario": "semiclassics", "kind": "hartree", "lattice": lattice,
+           "model": {"n_particles": n}, "potential": potential, "initial": initial,
+           "evolution": evolution, "vlasov": {"dt": vlasov_dt}}
+    result = run(parse_config(json.dumps(doc)), str(tmp_path))["result"]
+    rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+    times, gap, gap_norm = (np.array([float(row.split(",")[i]) for row in rows])
+                            for i in range(3))
+    return times, gap, gap_norm, result
+
+
+def test_semiclassics_gap_of_stationary_cases(tmp_path):
+    times, gap, _, _ = _semiclassics(
+        tmp_path, {"ds": 1, "d": 16}, 3, {"shape": "zero"}, {"kind": "ball"},
+        {"dt": 1e-2, "t_final": 0.2, "snapshot_stride": 5}, 1e-2)
+    assert len(times) == 5
     assert gap[0] == 0.0
     assert np.max(gap) < 1e-8  # both sides stationary
 
 
-def test_compare_wigner_vlasov_rejects_partial_substeps():
-    # snapshots every 0.05; a Vlasov dt of 3e-3 would need 16.67 sub-steps
-    lat = make_lattice(1, 16, 1.0)
-    hbar = default_hbar(3, 1)
-    v0 = build_potential({"shape": "zero"}, lat)
-    om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
-    cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=5)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE, v0, hbar)
-    with pytest.raises(ValueError, match="whole number"):
-        compare_wigner_vlasov(traj, v0, hbar, 3e-3)
-    times, gap, _ = compare_wigner_vlasov(traj, v0, hbar, 2.5e-3)
-    assert list(times) == traj.times and np.max(gap) < 1e-8
+def test_semiclassics_takes_several_substeps_per_step(tmp_path):
+    # snapshots every 0.05, four Vlasov steps of 2.5e-3 per step of 1e-2; a
+    # Vlasov dt of 3e-3 is a config error (test_runner's exit-two cases)
+    times, gap, _, _ = _semiclassics(
+        tmp_path, {"ds": 1, "d": 16}, 3, {"shape": "zero"}, {"kind": "ball"},
+        {"dt": 1e-2, "t_final": 0.1, "snapshot_stride": 5}, 2.5e-3)
+    np.testing.assert_allclose(times, [0.0, 0.05, 0.1], atol=1e-15)
+    assert np.max(gap) < 1e-8
 
 
-def test_compare_wigner_vlasov_normalized_gap_stays_order_one():
+def test_semiclassics_normalized_gap_stays_order_one(tmp_path):
     # interacting run: the gap normalized by hbar*N should stay within an
     # order of magnitude of its early-time value (loose consistency check)
-    lat = make_lattice(1, 64, 1.0)
-    hbar = default_hbar(8, 1)
-    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
-                          lat)
-    om0 = trapped_slater(lat, hbar, harmonic(lat, 50.0), 8)
-    cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=100)
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE, pot, hbar)
-    times, gap, gap_norm = compare_wigner_vlasov(traj, pot, hbar, 1e-3)
+    times, gap, gap_norm, result = _semiclassics(
+        tmp_path, {"ds": 1, "d": 64}, 8, {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+        {"kind": "trapped", "strength": 50.0},
+        {"dt": 1e-3, "t_final": 1.0, "snapshot_stride": 100}, 1e-3)
+    np.testing.assert_array_equal(gap_norm, gap / (default_hbar(8, 1) * 8))
+    assert result["final_gap_over_hbar_n"] == gap_norm[-1]
     ref = gap_norm[np.argmin(np.abs(times - 0.1))]
     late = gap_norm[times >= 0.1]
     assert ref > 0
     assert np.max(late) <= 10.0 * ref and np.min(late) >= ref / 10.0
 
 
+def test_semiclassics_transforms_each_snapshot_once(tmp_path, monkeypatch):
+    calls = {"wigner": [], "vlasov_step": []}
+    for name, fn in [("wigner", wigner), ("vlasov_step", vlasov_step)]:
+        def counted(*args, fn=fn, name=name):
+            calls[name].append(args[0])
+            return fn(*args)
+        monkeypatch.setattr(semiclassics, name, counted)
+    times, _, _, _ = _semiclassics(
+        tmp_path, {"ds": 1, "d": 16}, 3, {"shape": "zero"}, {"kind": "ball"},
+        {"dt": 1e-2, "t_final": 0.2, "snapshot_stride": 5}, 5e-3)
+    assert len(times) == 5
+    assert len(calls["wigner"]) == 5  # omega0 once, then one per later snapshot
+    assert len({id(state) for state in calls["wigner"]}) == 5
+    assert len(calls["vlasov_step"]) == 40  # t_final / vlasov.dt
+
+
 def test_wigner_rejects_odd_or_multidimensional():
     with pytest.raises(ValueError):
         wigner(DensityMatrix(*spectral_form(np.eye(5, dtype=complex))[:2]),
-               make_lattice(1, 5, 1.0), 0.5)
+               make_lattice(1, 5, 1.0))
+
+
+def test_wigner_rejects_a_non_finite_state():
+    # NaN > tol is False: the imaginary-part check must be written to fail on NaN
+    lat = make_lattice(1, 8, 1.0)
+    orbitals = np.eye(8, 2, dtype=complex)
+    orbitals[3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        wigner(DensityMatrix(orbitals, np.ones(2)), lat)

@@ -1,5 +1,6 @@
 """Each model fact reaches a function once: the lattice through the
-`Potential` that holds it, N through the state, hbar as a number."""
+`Potential` that holds it, N through the state, hbar as a number.  Each
+module exports only what it defines."""
 
 import importlib
 import inspect
@@ -35,3 +36,14 @@ def test_no_public_function_takes_a_potential_and_a_lattice():
         names.append(name)
     assert "fermiflow.meanfield.evolve" in names and "fermiflow.fock.hamiltonian" in names
     assert "ModelParams" not in fermiflow.__all__
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # a deleted type or function cannot linger in a module's __all__
+    for info in pkgutil.iter_modules(fermiflow.__path__):
+        mod = importlib.import_module(f"fermiflow.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name}"
+            owner = getattr(getattr(mod, name), "__module__", mod.__name__)
+            assert owner == mod.__name__, f"{mod.__name__}.__all__ re-exports {owner}.{name}"
+    assert all(hasattr(fermiflow, name) for name in fermiflow.__all__)

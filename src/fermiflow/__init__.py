@@ -13,9 +13,9 @@ from .model import (Lattice, Potential, build_potential, default_hbar,
                     kinetic_operator, make_lattice)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            plane_wave_projection, trapped_slater)
-from .diagnostics import (GrowthFit, SemiclassicalReport, commutator_momentum,
-                          commutator_phase, default_probe_momenta, fit_exponential,
-                          semiclassical_constant, trace_distance, trace_norm)
+from .diagnostics import (SemiclassicalReport, commutator_momentum, commutator_phase,
+                          default_probe_momenta, fit_exponential, semiclassical_constant,
+                          trace_distance, trace_norm)
 from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory, apply_exponential,
                         density_profile, direct_term, evolve, exchange_term, generator,
                         hf_energy, step)

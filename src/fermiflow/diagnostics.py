@@ -35,7 +35,6 @@ from .model import Lattice, is_hermitian
 
 __all__ = [
     "SemiclassicalReport",
-    "GrowthFit",
     "trace_norm",
     "trace_distance",
     "commutator_phase",
@@ -54,13 +53,6 @@ class SemiclassicalReport:
     c_phase: float
     c_momentum: float
     phase_norms: np.ndarray = field(repr=False)  # tr |[e^{i p.x}, omega]| per probe
-
-
-@dataclass
-class GrowthFit:
-    amplitude: float  # K in K * exp(c t)
-    rate: float
-    residual: float   # RMS of log-residuals
 
 
 def trace_norm(h: np.ndarray) -> float:
@@ -149,8 +141,9 @@ def semiclassical_constant(omega, lattice: Lattice, hbar: float,
                                phase_norms=phase_norms)
 
 
-def fit_exponential(series, times) -> GrowthFit:
-    """Least squares for log v = log K + c t; rejects non-positive values."""
+def fit_exponential(series, times) -> dict:
+    """Least squares for log v = log K + c t: {"amplitude": K, "rate": c, "residual":
+    RMS of the log-residuals}; rejects non-positive values."""
     v = np.asarray(series, dtype=float)
     t = np.asarray(times, dtype=float)
     if v.shape != t.shape or v.ndim != 1 or len(v) < 2:
@@ -161,5 +154,5 @@ def fit_exponential(series, times) -> GrowthFit:
     design = np.stack([np.ones_like(t), t], axis=1)
     coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
     resid = logv - design @ coef
-    return GrowthFit(amplitude=float(np.exp(coef[0])), rate=float(coef[1]),
-                     residual=float(np.sqrt(np.mean(resid ** 2))))
+    return {"amplitude": float(np.exp(coef[0])), "rate": float(coef[1]),
+            "residual": float(np.sqrt(np.mean(resid ** 2)))}

@@ -23,7 +23,7 @@ __all__ = [
     "trapped_slater",
 ]
 
-_GAP_TOL = 1e-10  # a smaller gap at the Fermi level counts as a degeneracy
+_GAP_TOL = 1e-10  # a gap below this times max(1, max |eig|) counts as a degeneracy
 
 
 class DegenerateFermiLevel(Exception):
@@ -72,8 +72,8 @@ def fermi_ball_indices(lattice: Lattice, n: int) -> np.ndarray:
     on the integer index vector k."""
     if n < 1 or n > lattice.site_count:
         raise ValueError(f"need 1 <= n <= {lattice.site_count}, got {n}")
-    k = lattice.momentum_indices()
-    p2 = np.sum(lattice.momenta() ** 2, axis=1)
+    k = lattice.fft_indices().reshape(lattice.ds, -1).T
+    p2 = np.sum(lattice.fft_momenta() ** 2, axis=0).ravel()
     order = sorted(range(lattice.site_count), key=lambda i: (p2[i], tuple(k[i])))
     return k[order[:n]]
 
@@ -114,9 +114,10 @@ def trapped_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
         raise ValueError(f"need 1 <= n <= {lattice.site_count}")
     h = kinetic_operator(lattice, hbar) + np.diag(v_ext)
     eig, vec = np.linalg.eigh(h)
-    if n < lattice.site_count and eig[n] - eig[n - 1] < _GAP_TOL:
+    tol = _GAP_TOL * max(1.0, np.max(np.abs(eig)))  # eigh's round-off grows with ||h||
+    if n < lattice.site_count and eig[n] - eig[n - 1] < tol:
         raise DegenerateFermiLevel(
-            f"levels {n - 1} and {n} coincide within {_GAP_TOL:g} "
+            f"levels {n - 1} and {n} coincide within {tol:.3g} "
             f"(gap {eig[n] - eig[n - 1]:.3e})"
         )
     return DensityMatrix(vec[:, :n], np.ones(n))

@@ -6,8 +6,8 @@ Conventions used throughout the package:
 * sites are x_j = j*a on the torus [0, l)^ds, enumerated row-major over
   the integer index j;
 * momenta are p_k = (2*pi/l)*k with integer components in
-  {-floor(d/2), ..., ceil(d/2)-1}, enumerated row-major over k
-  (`Lattice.fft_momenta`: the same p in FFT order, read by every symbol);
+  {-floor(d/2), ..., ceil(d/2)-1}, in numpy's FFT order only (`Lattice.fft_momenta`,
+  read by every symbol; the Wigner output axis is the one ascending exception);
 * a kernel A(x; y) is transcribed to the matrix A_{xy} = a^ds * A(x_j; y_j),
   so that matrix products discretize operator composition;
 * the interaction is expanded as V(x) = sum_k Vhat(p_k) exp(i p_k . x),
@@ -18,6 +18,7 @@ The pair table V(x_i - x_j) and K = -hbar^2 Lap are circulants, one gather
 
 Each model fact has one source: the lattice is `Potential.lattice`, N is
 `DensityMatrix.n_particles`, and hbar a number (`default_hbar` is N^(-1/ds)).
+Cached tables (a lattice's grids, a potential's tables, K) are read-only.
 """
 
 import functools
@@ -34,6 +35,24 @@ __all__ = [
     "is_hermitian",
     "kinetic_operator",
 ]
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+def _built_once(build):
+    """A `Lattice` grid method: the array is built on the first call, kept on
+    the frozen instance and returned read-only by every call."""
+    key = "_" + build.__name__
+
+    @functools.wraps(build)
+    def grid(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = _read_only(build(self))
+        return self.__dict__[key]
+    return grid
 
 
 @dataclass(frozen=True)
@@ -62,27 +81,23 @@ class Lattice:
         grids = np.indices((self.d,) * self.ds)
         return grids.reshape(self.ds, -1).T
 
+    @_built_once
     def sites(self) -> np.ndarray:
         """Site coordinates x_j, shape (site_count, ds)."""
         return self.site_indices() * self.spacing
 
-    def momentum_indices(self) -> np.ndarray:
-        """Integer momentum indices k, shape (site_count, ds), row-major,
-        components in {-floor(d/2), ..., ceil(d/2)-1} ascending."""
-        half = self.d // 2
-        axis = np.arange(-half, self.d - half)
-        grids = np.meshgrid(*([axis] * self.ds), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+    @_built_once
+    def fft_indices(self) -> np.ndarray:
+        """Integer k_axis on the site grid, shape (ds,) + (d,)*ds, in FFT order:
+        0, 1, ..., ceil(d/2)-1, -floor(d/2), ..., -1 along its axis."""
+        axis = (np.arange(self.d) + self.d // 2) % self.d - self.d // 2
+        return np.stack(np.meshgrid(*([axis] * self.ds), indexing="ij"))
 
-    def momenta(self) -> np.ndarray:
-        """Momentum vectors p_k, shape (site_count, ds)."""
-        return self.momentum_indices() * (2.0 * np.pi / self.length)
-
+    @_built_once
     def fft_momenta(self) -> np.ndarray:
-        """p_axis on the site grid in numpy's FFT order, shape (ds,) + (d,)*ds:
-        the symbol grid of `np.fft.fftn` over the site axes of a site array."""
-        grid = (self.ds,) + (self.d,) * self.ds
-        return np.fft.ifftshift(self.momenta().T.reshape(grid), axes=tuple(range(1, self.ds + 1)))
+        """p_k = (2 pi / l) k on `fft_indices`, shape (ds,) + (d,)*ds: the symbol
+        grid of `np.fft.fftn` over the site axes of a site array."""
+        return self.fft_indices() * (2.0 * np.pi / self.length)
 
 
 def default_hbar(n_particles: int, ds: int) -> float:
@@ -98,23 +113,16 @@ class Potential:
     real_space: np.ndarray
 
     @functools.cached_property
-    def fourier(self) -> np.ndarray:
-        """Vhat(p_k) in ascending-k order (real up to round-off for an even V)."""
-        lat = self.lattice
-        coef = np.fft.fftn(self.real_space.reshape((lat.d,) * lat.ds)) / lat.site_count
-        return np.fft.fftshift(coef).ravel()
-
-    @functools.cached_property
     def site_rfft(self) -> np.ndarray:
-        """rfftn of the samples on the (d,)*ds site grid, for the direct term."""
+        """rfftn of the samples on the site grid, M Vhat on the half spectrum."""
         grid = (self.lattice.d,) * self.lattice.ds
-        return np.fft.rfftn(self.real_space.reshape(grid), axes=tuple(range(len(grid))))
+        return _read_only(np.fft.rfftn(self.real_space.reshape(grid)))
 
     @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
         """V(x_i - x_j) for every site pair, the circulant of the samples: built once
         per potential, exactly symmetric (the samples are even); the exchange term
-        and the exact Hamiltonian read it and must not write it."""
+        and the exact Hamiltonian read it."""
         return _circulant(self.lattice, self.real_space)
 
 
@@ -143,7 +151,7 @@ def _circulant(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
         diff %= lattice.d
         flat *= lattice.d
         flat += diff
-    return samples[flat]
+    return _read_only(samples[flat])
 
 
 def _reflected(grid: np.ndarray) -> np.ndarray:
@@ -172,8 +180,9 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice) -> Potential:
     if defect > _EVENNESS_TOL:
         raise ValueError(f"potential violates evenness by {defect:.3e}")
     # evenized, so that V(x) and V(-x) are one float and `pair_matrix` is symmetric
-    v = Potential(lattice=lattice, real_space=(0.5 * (grid + reflected)).ravel())
-    if np.max(np.abs(v.fourier.imag)) > 1e-12 * max(1.0, np.max(np.abs(v.fourier))):
+    v = Potential(lattice=lattice, real_space=_read_only((0.5 * (grid + reflected)).ravel()))
+    vhat = v.site_rfft / lattice.site_count  # real samples: the half spectrum has every |Vhat|
+    if np.max(np.abs(vhat.imag)) > 1e-12 * max(1.0, np.max(np.abs(vhat))):
         raise ValueError("Fourier coefficients of an even real potential must be real")
     return v
 
@@ -222,7 +231,7 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
 @functools.lru_cache(maxsize=32)
 def kinetic_operator(lattice: Lattice, hbar: float) -> np.ndarray:
     """-hbar^2 Laplacian, the circulant of ifftn(hbar^2 |p|^2): real (|p|^2 is even),
-    exactly symmetric (its kernel is evenized), PSD."""
+    exactly symmetric (its kernel is evenized), PSD; cached and read-only."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kernel = np.fft.ifftn(hbar ** 2 * np.sum(lattice.fft_momenta() ** 2, axis=0)).real

@@ -167,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
         hbar = default_hbar(n, lattice.ds)
     with np.errstate(over="ignore", invalid="ignore"):  # numpy, where float ** raises
         cell = np.float64(lattice.spacing) ** lattice.ds
-        top = np.float64(hbar) ** 2 * np.max(np.sum(lattice.momenta() ** 2, axis=1))
+        top = np.float64(hbar) ** 2 * np.max(np.sum(lattice.fft_momenta() ** 2, axis=0))
         trap = (np.max(harmonic_trap(lattice, initial["strength"]))
                 if initial["kind"] == "trapped" else 0.0)
     if not np.isfinite(top):
@@ -244,10 +244,7 @@ def _maybe_fit(values, times):
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
     mask = values > 0
-    if mask.sum() < 2:
-        return None
-    fit = fit_exponential(values[mask], times[mask])
-    return {"amplitude": fit.amplitude, "rate": fit.rate, "residual": fit.residual}
+    return fit_exponential(values[mask], times[mask]) if mask.sum() >= 2 else None
 
 
 def _scenario_evolve(cfg: RunConfig, out):

@@ -48,14 +48,13 @@ def wigner(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
     return w.real
 
 
-def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Shift each row of a periodic array by a (fractional) number of cells
-    using Fourier phase multiplication.  Exact for band-limited data, exact
-    at integer shifts, and conserves each row's sum (the zero mode is never
-    touched); this makes the transport sweeps free of time-step error, so
-    the splitting is the only dt-dependent approximation."""
+def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Shift each row of a periodic array by a (fractional) number of cells: a
+    phase on its FFT, k the integer frequencies.  Exact for band-limited data,
+    exact at integer shifts, and conserves each row's sum (the zero mode is
+    never touched); this makes the transport sweeps free of time-step error,
+    so the splitting is the only dt-dependent approximation."""
     n = values.shape[1]
-    k = np.fft.fftfreq(n, d=1.0 / n)
     phase = np.exp(-2j * np.pi * k[None, :] * np.asarray(shifts)[:, None] / n)
     return np.fft.ifft(np.fft.fft(values, axis=1) * phase, axis=1).real
 
@@ -74,8 +73,8 @@ def vlasov_step(w: np.ndarray, dt: float, v: Potential, hbar: float,
     generator -hbar^2 Lap + direct term (transport velocity 2q)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    q = momentum_grid(v.lattice, hbar)
+    q, k = momentum_grid(v.lattice, hbar), v.lattice.fft_indices()[0]
     drift = 2.0 * q * (0.5 * dt) / v.lattice.spacing  # cells per half step
-    w = _shift_rows_spectral(w.T, drift).T  # the rows of w.T are momentum slices
-    w = _shift_rows_spectral(w, _force(w, v, n_particles) * dt / (q[1] - q[0]))
-    return _shift_rows_spectral(w.T, drift).T
+    w = _shift_rows_spectral(w.T, drift, k).T  # the rows of w.T are momentum slices
+    w = _shift_rows_spectral(w, _force(w, v, n_particles) * dt / (q[1] - q[0]), k)
+    return _shift_rows_spectral(w.T, drift, k).T

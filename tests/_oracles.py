@@ -5,6 +5,11 @@ is run by a scenario.
   every orbital computation against its dense form.
 - `dense_wigner`: the Wigner transform by one gather of kernel slices from
   the dense omega, which checks the orbital `semiclassics.wigner`.
+- `momentum_indices`, `momenta`: the momentum grid enumerated row-major
+  with ascending components, independently of the FFT-order grid of
+  `Lattice.fft_indices` and `Lattice.fft_momenta`.
+- `fourier`: Vhat(p_k) in that ascending order, by one full `fftn` of V's
+  samples, which checks the potential shapes and `site_rfft`.
 - `fourier_matrix`, `momentum_operator`, `phase_operator`: dense M x M
   operators that check the FFT kernels and the low-rank commutator norms.
 - `circulant_gather`: the translation-invariant matrix c(x_i - x_j) by one
@@ -16,7 +21,7 @@ is run by a scenario.
   diagonal-concentrated state that is not a projection for the commutator
   norms.
 - `assumption_weight`: the paper's regularity weight of V, which checks
-  `Potential.fourier` against a direct sum.
+  `fourier` against a direct sum.
 - `number_operator`: the number operator as a sparse diagonal matrix, which
   checks the occupation counts and dGamma(1).
 - `slater_vector`: a*(f_1) ... a*(f_N) vacuum, which checks the Bogoliubov
@@ -55,10 +60,31 @@ def dense_wigner(omega: DensityMatrix, d: int) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(slices, axis=1), axes=1)
 
 
+def momentum_indices(lattice: Lattice) -> np.ndarray:
+    """Integer momentum indices k, shape (M, ds), row-major, components in
+    {-floor(d/2), ..., ceil(d/2)-1} ascending."""
+    half = lattice.d // 2
+    axis = np.arange(-half, lattice.d - half)
+    grids = np.meshgrid(*([axis] * lattice.ds), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def momenta(lattice: Lattice) -> np.ndarray:
+    """Momentum vectors p_k = (2 pi / l) k, shape (M, ds), in `momentum_indices` order."""
+    return momentum_indices(lattice) * (2.0 * np.pi / lattice.length)
+
+
+def fourier(v: Potential) -> np.ndarray:
+    """Vhat(p_k) = sum_j V(x_j) e^{-i p_k.x_j} / M in `momentum_indices` order."""
+    lat = v.lattice
+    coef = np.fft.fftn(v.real_space.reshape((lat.d,) * lat.ds)) / lat.site_count
+    return np.fft.fftshift(coef).ravel()
+
+
 @functools.lru_cache(maxsize=32)
 def fourier_matrix(lattice: Lattice) -> np.ndarray:
     """Unitary lattice Fourier transform F[k, j] = exp(-i p_k.x_j)/sqrt(M)."""
-    phase = lattice.momenta() @ lattice.sites().T
+    phase = momenta(lattice) @ lattice.sites().T
     return np.exp(-1j * phase) / np.sqrt(lattice.site_count)
 
 
@@ -68,7 +94,7 @@ def momentum_operator(lattice: Lattice, hbar: float, axis: int = 0) -> np.ndarra
     if not 0 <= axis < lattice.ds:
         raise ValueError(f"axis {axis} out of range for ds={lattice.ds}")
     f = fourier_matrix(lattice)
-    eig = 1j * hbar * lattice.momenta()[:, axis]
+    eig = 1j * hbar * momenta(lattice)[:, axis]
     op = f.conj().T @ (eig[:, None] * f)
     return 0.5 * (op - op.conj().T)
 
@@ -137,7 +163,7 @@ def weyl_quantize(symbol: np.ndarray, lattice: Lattice, hbar: float) -> DensityM
     if values.shape != (lattice.site_count, lattice.site_count):
         raise ValueError("symbol must be sampled on momentum grid x site grid")
     x = lattice.sites()
-    p = lattice.momenta()
+    p = momenta(lattice)
     dp = 2.0 * np.pi / lattice.length
     pref = lattice.cell * (dp / (2.0 * np.pi * hbar)) ** lattice.ds
     diff = (x[:, None, :] - x[None, :, :]) / hbar  # (M, M, ds)
@@ -150,8 +176,8 @@ def weyl_quantize(symbol: np.ndarray, lattice: Lattice, hbar: float) -> DensityM
 
 def assumption_weight(v: Potential) -> float:
     """sum_k (1 + |p_k|)^2 |Vhat(p_k)|, the paper's regularity weight of V."""
-    p = v.lattice.momenta()
-    return float(np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(v.fourier)))
+    p = momenta(v.lattice)
+    return float(np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(fourier(v))))
 
 
 def number_operator(space: FockSpace) -> sp.csr_matrix:

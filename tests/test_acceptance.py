@@ -220,10 +220,10 @@ def test_criterion_09_commutator_bound_propagation(big_run, capsys):
     for name in ("c_phase", "c_momentum"):
         values = np.array([getattr(rep, name) for rep in reports])
         fit = fit_exponential(values, times)
-        envelope = fit.amplitude * np.exp(fit.rate * times)
+        envelope = fit["amplitude"] * np.exp(fit["rate"] * times)
         ratio = float(np.max(values / envelope))
-        ok = ok and fit.residual < 0.2 and ratio <= 3.0
-        details.append(f"{name}: resid={fit.residual:.3f} max/envelope={ratio:.2f}")
+        ok = ok and fit["residual"] < 0.2 and ratio <= 3.0
+        details.append(f"{name}: resid={fit['residual']:.3f} max/envelope={ratio:.2f}")
     report(capsys, 9, "commutator bound propagation", ok,
            "; ".join(details) + f"; init err={init_err:.2e}")
 

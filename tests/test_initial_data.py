@@ -8,7 +8,8 @@ from fermiflow.initial_data import (DegenerateFermiLevel, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.model import make_lattice
 
-from _oracles import dense, momentum_operator, phase_operator, spectral_form, weyl_quantize
+from _oracles import (dense, momenta, momentum_indices, momentum_operator, phase_operator,
+                      spectral_form, weyl_quantize)
 
 
 def svd_trace_norm(a):
@@ -25,6 +26,18 @@ def test_fermi_ball_indices_order():
     lat = make_lattice(1, 8, 1.0)
     k = fermi_ball_indices(lat, 3)[:, 0]
     assert set(k) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 6), (3, 4), (3, 5)])
+def test_fermi_ball_sorts_the_ascending_enumeration_by_p2_then_k(ds, d):
+    # (|p|^2, k) is a total order: the ball read from the FFT-order grid is
+    # that of the ascending enumeration, its set and its order alike
+    lat = make_lattice(ds, d, 1.3)
+    k = momentum_indices(lat)
+    p2 = np.sum(momenta(lat) ** 2, axis=1)
+    order = sorted(range(lat.site_count), key=lambda i: (p2[i], tuple(k[i])))
+    for n in (1, lat.site_count // 2, lat.site_count):
+        assert np.array_equal(fermi_ball_indices(lat, n), k[order[:n]])
 
 
 def test_plane_wave_projection_basics():
@@ -65,6 +78,11 @@ def test_trapped_slater_refuses_degenerate_fermi_level():
     lat = make_lattice(1, 8, 1.0)
     with pytest.raises(DegenerateFermiLevel):
         trapped_slater(lat, 0.5, np.zeros(8), 2)
+    # the twofold first excited shell of a strong ds=2 trap: eigh's round-off
+    # splits it by ~4e-9, which the tolerance, relative to max |eig|, refuses
+    lat = make_lattice(2, 8, 1.0)
+    with pytest.raises(DegenerateFermiLevel):
+        trapped_slater(lat, 0.5, harmonic(lat, 1e8), 2)
 
 
 def test_trapped_slater_harmonic_concentration():
@@ -109,10 +127,10 @@ def test_weyl_quantize_momentum_ball_matches_projection():
     lat = make_lattice(1, 128, 1.0)
     hbar = 1.0
     c = 9.0 * np.pi  # strictly between the 4th and 5th momentum shells
-    p = lat.momenta()[:, 0]
+    p = momenta(lat)[:, 0]
     sym = np.repeat((np.abs(p) <= c / hbar)[:, None] * 1.0, 128, axis=1)
     om = weyl_quantize(sym, lat, hbar)
-    k_ball = lat.momentum_indices()[np.abs(p) <= c, :]
+    k_ball = momentum_indices(lat)[np.abs(p) <= c, :]
     ball = plane_wave_projection(lat, k_ball)
     assert np.linalg.norm(dense(om) - dense(ball), 2) <= 0.05
 

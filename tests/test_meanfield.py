@@ -14,7 +14,7 @@ from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
 from fermiflow.runner import parse_config, run
 
-from _oracles import dense, spectral_form
+from _oracles import dense, fourier, momentum_indices, spectral_form
 
 
 def harmonic(lat, strength):
@@ -62,7 +62,7 @@ def test_direct_term_constant_density(setup16):
     rho = np.full(16, 1.0 / lat.length)
     u = direct_term(rho, pot)
     # constant density picks out the zero Fourier mode of V
-    expected = pot.fourier.real[np.all(lat.momentum_indices() == 0, axis=1)][0]
+    expected = fourier(pot).real[np.all(momentum_indices(lat) == 0, axis=1)][0]
     assert np.allclose(u.real, expected, atol=1e-12)
 
 

@@ -8,21 +8,21 @@ import pytest
 from fermiflow.model import (Lattice, Potential, build_potential, default_hbar,
                              kinetic_operator, make_lattice)
 
-from _oracles import (assumption_weight, circulant_gather, fourier_matrix, momentum_operator,
-                      phase_operator)
+from _oracles import (assumption_weight, circulant_gather, fourier, fourier_matrix, momenta,
+                      momentum_indices, momentum_operator, phase_operator)
 
 
 def test_lattice_sites_and_momenta_1d():
     lat = make_lattice(1, 8, 1.0)
     assert np.allclose(lat.sites()[:, 0], np.arange(8) / 8.0)
-    assert np.allclose(lat.momentum_indices()[:, 0], np.arange(-4, 4))
-    assert np.allclose(lat.momenta()[:, 0], 2.0 * np.pi * np.arange(-4, 4))
+    assert np.allclose(momentum_indices(lat)[:, 0], np.arange(-4, 4))
+    assert np.allclose(momenta(lat)[:, 0], 2.0 * np.pi * np.arange(-4, 4))
 
 
 def test_lattice_two_site_torus():
     lat = make_lattice(1, 2, 2.0)
     assert lat.spacing == 1.0
-    assert np.allclose(sorted(lat.momenta()[:, 0]), [-np.pi, 0.0])
+    assert np.allclose(sorted(momenta(lat)[:, 0]), [-np.pi, 0.0])
 
 
 def test_lattice_3d_site_count():
@@ -56,17 +56,17 @@ def test_potential_stores_only_its_lattice_and_samples():
 def test_zero_potential():
     lat = make_lattice(1, 8, 1.0)
     v = build_potential({"shape": "zero"}, lat)
-    assert np.all(v.fourier == 0)
+    assert np.all(fourier(v) == 0)
     assert assumption_weight(v) == 0.0
 
 
 def test_cosine_potential_single_mode():
     lat = make_lattice(1, 8, 1.0)
     v = build_potential({"shape": "cosine", "strength": 1.0, "mode": 1}, lat)
-    k = lat.momentum_indices()[:, 0]
+    k = momentum_indices(lat)[:, 0]
     expected = np.where(np.abs(k) == 1, 0.5, 0.0)
-    assert np.allclose(v.fourier.real, expected, atol=1e-14)
-    assert np.max(np.abs(v.fourier.imag)) < 1e-14
+    assert np.allclose(fourier(v).real, expected, atol=1e-14)
+    assert np.max(np.abs(fourier(v).imag)) < 1e-14
     assert assumption_weight(v) == pytest.approx((1 + 2 * np.pi) ** 2, rel=1e-12)
 
 
@@ -75,10 +75,10 @@ def test_gaussian_potential_against_direct_sum_oracle():
     v = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     # independent oracle: direct DFT sum over the momentum grid
     x = lat.sites()[:, 0]
-    p = lat.momenta()[:, 0]
+    p = momenta(lat)[:, 0]
     vhat = np.array([np.sum(v.real_space * np.exp(-1j * pk * x)) / lat.site_count
                      for pk in p])
-    assert np.max(np.abs(v.fourier - vhat)) < 1e-12
+    assert np.max(np.abs(fourier(v) - vhat)) < 1e-12
     weight = np.sum((1.0 + np.abs(p)) ** 2 * np.abs(vhat))
     assert assumption_weight(v) == pytest.approx(weight, rel=1e-10)
     assert np.isfinite(assumption_weight(v))
@@ -139,7 +139,7 @@ def test_kinetic_operator_real_symmetric(ds, d):
     assert k.dtype == np.float64
     assert np.array_equal(k, k.T)
     f = fourier_matrix(lat)
-    oracle = f.conj().T @ np.diag(0.7 ** 2 * np.sum(lat.momenta() ** 2, axis=1)) @ f
+    oracle = f.conj().T @ np.diag(0.7 ** 2 * np.sum(momenta(lat) ** 2, axis=1)) @ f
     assert np.max(np.abs(k - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
@@ -149,8 +149,8 @@ def test_kinetic_plane_waves_are_eigenvectors(ds, d):
     lat = make_lattice(ds, d, 1.3)
     hbar = 0.7
     k = kinetic_operator(lat, hbar)
-    waves = np.exp(1j * lat.sites() @ lat.momenta().T)  # one plane wave per column
-    eig = hbar ** 2 * np.sum(lat.momenta() ** 2, axis=1)
+    waves = np.exp(1j * lat.sites() @ momenta(lat).T)  # one plane wave per column
+    eig = hbar ** 2 * np.sum(momenta(lat) ** 2, axis=1)
     assert np.max(np.abs(k @ waves - waves * eig)) <= 1e-12 * np.max(eig)
 
 
@@ -167,7 +167,33 @@ def test_fft_momenta_reorder_the_momenta(ds, d):
         expected = np.broadcast_to((2.0 * np.pi / lat.length) * freq.reshape(along), (d,) * ds)
         assert np.array_equal(p[ax], expected)
     rows = p.reshape(ds, -1).T
-    assert sorted(map(tuple, rows)) == sorted(map(tuple, lat.momenta()))
+    assert sorted(map(tuple, rows)) == sorted(map(tuple, momenta(lat)))
+    k = lat.fft_indices()
+    assert k.dtype.kind == "i" and np.array_equal(p, k * (2.0 * np.pi / lat.length))
+    assert sorted(map(tuple, k.reshape(ds, -1).T)) == sorted(map(tuple, momentum_indices(lat)))
+
+
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (3, 4)])
+def test_lattice_grids_are_built_once_and_read_only(ds, d):
+    lat = make_lattice(ds, d, 1.3)
+    for grid in (lat.sites, lat.fft_indices, lat.fft_momenta):
+        assert grid() is grid()
+        assert not grid().flags.writeable
+        with pytest.raises(ValueError):
+            grid()[...] = 0
+    # the cache is no field: equal lattices stay equal and hash alike
+    fresh = make_lattice(ds, d, 1.3)
+    assert fresh == lat and hash(fresh) == hash(lat)
+
+
+def test_cached_tables_are_read_only():
+    lat = make_lattice(2, 6, 1.1)
+    v = build_potential({"shape": "gaussian", "strength": 1.3, "sigma": 0.2}, lat)
+    k = kinetic_operator(lat, 0.61)
+    assert kinetic_operator(lat, 0.61) is k
+    for table in (v.real_space, v.pair_matrix, v.site_rfft, k):
+        with pytest.raises(ValueError):
+            table[...] = 0
 
 
 def test_fourier_matrix_unitary():
@@ -193,7 +219,7 @@ def test_kinetic_commutes_with_momentum():
 def test_kinetic_trace_matches_momentum_sum():
     lat = make_lattice(1, 8, 1.0)
     hbar = 0.5
-    expected = hbar ** 2 * np.sum(lat.momenta() ** 2)
+    expected = hbar ** 2 * np.sum(momenta(lat) ** 2)
     assert np.trace(kinetic_operator(lat, hbar)).real == pytest.approx(expected)
 
 
@@ -214,7 +240,7 @@ def test_momentum_two_mode_spectrum():
 def test_momentum_plane_wave_eigenvector():
     lat = make_lattice(1, 8, 1.0)
     hbar = 0.25
-    pk = lat.momenta()[5, 0]
+    pk = momenta(lat)[5, 0]
     wave = np.exp(1j * pk * lat.sites()[:, 0])
     g = momentum_operator(lat, hbar)
     assert np.max(np.abs(g @ wave - 1j * hbar * pk * wave)) < 1e-12

@@ -251,6 +251,30 @@ def test_no_module_but_fock_imports_scipy():
     assert found == []
 
 
+def test_only_the_grid_and_the_wigner_axis_reorder_momenta():
+    # momenta exist in FFT order only: `fftshift` and `ifftshift` may appear in
+    # `model`, which builds the one grid, and in `semiclassics.wigner`, whose
+    # output axis is ascending, so a second ordering cannot come back elsewhere
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
+    assert os.path.join(src, "fermiflow", "semiclassics.py") in paths
+    found = []
+    for path in paths:
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:
+            owner = ".".join(filter(None, [module, getattr(top, "name", None)]))
+            for node in ast.walk(top):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if (name in ("fftshift", "ifftshift") and module != "model"
+                        and owner != "semiclassics.wigner"):
+                    found.append(f"{owner}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_summary_records_the_environment_without_loading_scipy(tmp_path):
     # an evolve run through the CLI, in a fresh process: the environment is
     # read without importing scipy
@@ -385,10 +409,16 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
         assert main([scenario, "--config", str(case), "--out", str(out)]) == 2, doc
         assert capsys.readouterr().err.startswith("config error"), doc
         assert not os.path.exists(out / "summary.json")
-    # integers too large for a float, named by their key
+    # named by their key: integers too large for a float, and a degenerate
+    # Fermi shell in a strong trap, where eigh's round-off splits the shell
+    strong_trap = dict(diagnostics, model={"n_particles": 2})
     for doc, key in [(dict(diagnostics, model={"n_particles": 10 ** 400}), "model.n_particles"),
                      (dict(MINIMAL, potential={"shape": "cosine", "strength": 1.0,
-                                               "mode": 10 ** 400}), "potential.mode")]:
+                                               "mode": 10 ** 400}), "potential.mode"),
+                     (dict(strong_trap, lattice={"ds": 3, "d": 6},
+                           initial={"kind": "trapped", "strength": 1e6}), "initial"),
+                     (dict(strong_trap, lattice={"ds": 2, "d": 8},
+                           initial={"kind": "trapped", "strength": 1e8}), "initial")]:
         case = write_config(tmp_path, doc, "case.json")
         assert main([doc["scenario"], "--config", case, "--out", str(tmp_path / "case")]) == 2
         err = capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
-from fermiflow.model import build_potential, default_hbar, make_lattice
+from fermiflow.model import Lattice, build_potential, default_hbar, make_lattice
 from fermiflow.runner import parse_config, run
 from fermiflow import semiclassics
 from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
@@ -218,6 +218,24 @@ def test_semiclassics_transforms_each_snapshot_once(tmp_path, monkeypatch):
     assert len(calls["wigner"]) == 5  # omega0 once, then one per later snapshot
     assert len({id(state) for state in calls["wigner"]}) == 5
     assert len(calls["vlasov_step"]) == 40  # t_final / vlasov.dt
+
+
+def test_semiclassics_builds_the_momentum_grid_once(tmp_path, monkeypatch):
+    # a vlasov1d-sized run of 1000 Vlasov steps: every force and transport
+    # sweep reads the lattice's one integer grid and one momentum grid
+    reads = {"fft_indices": [], "fft_momenta": []}
+    for name in reads:
+        def recorded(lattice, grid=getattr(Lattice, name), name=name):
+            reads[name].append(grid(lattice))
+            return reads[name][-1]
+        monkeypatch.setattr(Lattice, name, recorded)
+    _semiclassics(
+        tmp_path, {"ds": 1, "d": 64}, 8, {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+        {"kind": "trapped", "strength": 50.0},
+        {"dt": 1e-3, "t_final": 0.25, "snapshot_stride": 50}, 2.5e-4)
+    for name, grids in reads.items():
+        assert len(grids) >= 1000, name
+        assert all(grid is grids[0] for grid in grids), name
 
 
 def test_wigner_rejects_odd_or_multidimensional():

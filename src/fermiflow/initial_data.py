@@ -4,12 +4,13 @@ The state type, `DensityMatrix`: orbitals and occupations (Phi, lam), all
 of omega = Phi diag(lam) Phi*, which is never formed as an M x M matrix.
 The states the flows start from: plane-wave Fermi balls and trapped Slater
 projections, both built from their orbitals with lam = 1, so no dense
-matrix is factored.  How semiclassical a state is, is measured in
-`diagnostics`.
+matrix is factored: the trapped orbitals are products of the eigenvectors
+of one d x d one-axis Hamiltonian.  How semiclassical a state is, is
+measured in `diagnostics`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -98,26 +99,29 @@ def plane_wave_projection(lattice: Lattice, occupied) -> DensityMatrix:
     return DensityMatrix(orbitals, np.ones(len(occupied)))
 
 
-def trapped_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
-                   n: int) -> DensityMatrix:
-    """Projection onto the n lowest eigenvectors of -hbar^2 Lap + V_ext.
+def trapped_slater(lattice: Lattice, hbar: float, strength: float, n: int) -> DensityMatrix:
+    """Projection onto the n lowest eigenvectors of -hbar^2 Lap + V_ext, V_ext
+    the harmonic trap strength * dist(x, center)^2 summed over axes, with
+    torus distance.  Both terms are sums over the axes, so each eigenvector is
+    a product u(x_1, a_1) ... u(x_ds, a_ds) of eigenvectors of the one-axis
+    h_1 = K_1 + strength * dist(x, l/2)^2, with level e_a1 + ... + e_ads.
 
     Refuses a degenerate Fermi level rather than picking a basis arbitrarily.
     """
-    v_ext = np.asarray(v_ext)
-    if np.iscomplexobj(v_ext) and np.max(np.abs(v_ext.imag)) > 0:
-        raise ValueError("external potential must be real")
-    v_ext = v_ext.real.astype(float)
-    if v_ext.shape != (lattice.site_count,):
-        raise ValueError("v_ext must be sampled on the full site grid")
     if not 1 <= n <= lattice.site_count:
         raise ValueError(f"need 1 <= n <= {lattice.site_count}")
-    h = kinetic_operator(lattice, hbar) + np.diag(v_ext)
-    eig, vec = np.linalg.eigh(h)
-    tol = _GAP_TOL * max(1.0, np.max(np.abs(eig)))  # eigh's round-off grows with ||h||
-    if n < lattice.site_count and eig[n] - eig[n - 1] < tol:
+    # the sites lie in [0, l), so |x - l/2| is already the torus distance
+    x = np.arange(lattice.d) * lattice.spacing - 0.5 * lattice.length
+    k1 = kinetic_operator(Lattice(1, lattice.d, lattice.length), hbar)
+    eig, vec = np.linalg.eigh(k1 + np.diag(strength * x ** 2))
+    levels = reduce(np.add.outer, [eig] * lattice.ds).ravel()  # row-major (a_1, ...)
+    order = np.argsort(levels, kind="stable")
+    tol = _GAP_TOL * max(1.0, np.max(np.abs(levels)))  # eigh's round-off grows with ||h||
+    if n < lattice.site_count and levels[order[n]] - levels[order[n - 1]] < tol:
         raise DegenerateFermiLevel(
             f"levels {n - 1} and {n} coincide within {tol:.3g} "
-            f"(gap {eig[n] - eig[n - 1]:.3e})"
+            f"(gap {levels[order[n]] - levels[order[n - 1]]:.3e})"
         )
-    return DensityMatrix(vec[:, :n], np.ones(n))
+    factors = [vec[:, a] for a in np.unravel_index(order[:n], (lattice.d,) * lattice.ds)]
+    orbitals = reduce(lambda phi, u: (phi[:, None] * u).reshape(-1, n), factors)
+    return DensityMatrix(np.ascontiguousarray(orbitals), np.ones(n))

@@ -168,7 +168,8 @@ def parse_config(text: str) -> RunConfig:
     with np.errstate(over="ignore", invalid="ignore"):  # numpy, where float ** raises
         cell = np.float64(lattice.spacing) ** lattice.ds
         top = np.float64(hbar) ** 2 * np.max(np.sum(lattice.fft_momenta() ** 2, axis=0))
-        trap = (np.max(harmonic_trap(lattice, initial["strength"]))
+        # the trap's maximum, at site 0: torus distance l/2 along every axis
+        trap = (initial["strength"] * (lattice.ds * np.float64(0.5 * lattice.length) ** 2)
                 if initial["kind"] == "trapped" else 0.0)
     if not np.isfinite(top):
         raise ConfigError(f"model.hbar={hbar!r} and lattice.length={lattice.length!r} make "
@@ -214,20 +215,12 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def harmonic_trap(lattice: Lattice, strength: float) -> np.ndarray:
-    """strength * dist(x, center)^2 summed over axes, with torus distance."""
-    x = lattice.sites() - 0.5 * lattice.length
-    x -= lattice.length * np.round(x / lattice.length)
-    return strength * np.sum(x ** 2, axis=1)
-
-
 def build_initial_state(cfg: RunConfig) -> DensityMatrix:
     lattice, n = cfg.lattice, cfg.n_particles
     if cfg.initial["kind"] == "ball":
         return plane_wave_projection(lattice, fermi_ball_indices(lattice, n))
     try:
-        return trapped_slater(lattice, cfg.hbar,
-                              harmonic_trap(lattice, cfg.initial["strength"]), n)
+        return trapped_slater(lattice, cfg.hbar, cfg.initial["strength"], n)
     except DegenerateFermiLevel as exc:
         raise ConfigError(f"initial: {exc}") from exc
 
@@ -380,10 +373,11 @@ def _scenario_semiclassics(cfg: RunConfig, out):
     traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     n, weight = omega0.n_particles, 1.0 / cfg.lattice.d  # the Wigner quadrature weight
     w0 = classical = wigner(omega0, cfg.lattice)
+    q = momentum_grid(cfg.lattice, cfg.hbar)
     gap = [0.0]  # both sides start from w0
     for t_prev, t, state in zip(traj.times, traj.times[1:], traj.states[1:]):
         for _ in range(round((t - t_prev) / cfg.vlasov_dt)):  # whole, checked by parse_config
-            classical = vlasov_step(classical, cfg.vlasov_dt, cfg.potential, cfg.hbar, n)
+            classical = vlasov_step(classical, cfg.vlasov_dt, cfg.potential, q, n)
         gap.append(float(np.sum(np.abs(wigner(state, cfg.lattice) - classical)) * weight))
     gap_norm = np.array(gap) / (cfg.hbar * n)
     write_csv(os.path.join(out, "series.csv"),
@@ -391,7 +385,6 @@ def _scenario_semiclassics(cfg: RunConfig, out):
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     write_fmf1(os.path.join(snap_dir, "wigner_t0.fmf1"), w0, cfg.lattice.ds, cfg.lattice.d)
-    q = momentum_grid(cfg.lattice, cfg.hbar)
     return {"wigner_weight": weight,
             "wigner_momentum_spacing": float(q[1] - q[0]),
             "wigner_sum_rule": float(np.sum(w0) * weight),

@@ -67,13 +67,14 @@ def _force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
     return np.fft.ifft(-1j * lattice.fft_momenta()[0] * np.fft.fft(u)).real
 
 
-def vlasov_step(w: np.ndarray, dt: float, v: Potential, hbar: float,
+def vlasov_step(w: np.ndarray, dt: float, v: Potential, q: np.ndarray,
                 n_particles: int) -> np.ndarray:
     """One Strang-split step of the Vlasov flow matching the quantum
-    generator -hbar^2 Lap + direct term (transport velocity 2q)."""
+    generator -hbar^2 Lap + direct term (transport velocity 2q), q the
+    labels `momentum_grid(v.lattice, hbar)` of w's momentum axis."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    q, k = momentum_grid(v.lattice, hbar), v.lattice.fft_indices()[0]
+    k = v.lattice.fft_indices()[0]
     drift = 2.0 * q * (0.5 * dt) / v.lattice.spacing  # cells per half step
     w = _shift_rows_spectral(w.T, drift, k).T  # the rows of w.T are momentum slices
     w = _shift_rows_spectral(w, _force(w, v, n_particles) * dt / (q[1] - q[0]), k)

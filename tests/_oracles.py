@@ -15,6 +15,10 @@ is run by a scenario.
 - `circulant_gather`: the translation-invariant matrix c(x_i - x_j) by one
   (M, M, ds) gather of index differences, which checks `pair_matrix` and
   `kinetic_operator` entry by entry.
+- `dense_slater`: the projection onto the n lowest eigenvectors of
+  -hbar^2 Lap + V_ext for any site potential, by one dense M x M `eigh`,
+  which checks the one-axis construction of `trapped_slater` and builds
+  the non-separable states some tests need.
 - `spectral_form`: one dense `eigh`, factoring a dense Hermitian matrix
   into the (Phi, lam) a `DensityMatrix` holds, for states built as matrices.
 - `weyl_quantize`: Weyl quantization of a phase-space symbol, a
@@ -42,8 +46,8 @@ import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 from fermiflow.fock import FockSpace, field_operator, number_moment
-from fermiflow.initial_data import DensityMatrix
-from fermiflow.model import Lattice, Potential, is_hermitian
+from fermiflow.initial_data import _GAP_TOL, DegenerateFermiLevel, DensityMatrix
+from fermiflow.model import Lattice, Potential, is_hermitian, kinetic_operator
 
 
 def dense(omega: DensityMatrix) -> np.ndarray:
@@ -113,6 +117,31 @@ def circulant_gather(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
     idx = lattice.site_indices()
     diff = (idx[:, None, :] - idx[None, :, :]) % lattice.d
     return samples[np.ravel_multi_index(np.moveaxis(diff, -1, 0), (lattice.d,) * lattice.ds)]
+
+
+def dense_slater(lattice: Lattice, hbar: float, v_ext: np.ndarray,
+                 n: int) -> DensityMatrix:
+    """Projection onto the n lowest eigenvectors of -hbar^2 Lap + V_ext.
+
+    Refuses a degenerate Fermi level rather than picking a basis arbitrarily.
+    """
+    v_ext = np.asarray(v_ext)
+    if np.iscomplexobj(v_ext) and np.max(np.abs(v_ext.imag)) > 0:
+        raise ValueError("external potential must be real")
+    v_ext = v_ext.real.astype(float)
+    if v_ext.shape != (lattice.site_count,):
+        raise ValueError("v_ext must be sampled on the full site grid")
+    if not 1 <= n <= lattice.site_count:
+        raise ValueError(f"need 1 <= n <= {lattice.site_count}")
+    h = kinetic_operator(lattice, hbar) + np.diag(v_ext)
+    eig, vec = np.linalg.eigh(h)
+    tol = _GAP_TOL * max(1.0, np.max(np.abs(eig)))  # eigh's round-off grows with ||h||
+    if n < lattice.site_count and eig[n] - eig[n - 1] < tol:
+        raise DegenerateFermiLevel(
+            f"levels {n - 1} and {n} coincide within {tol:.3g} "
+            f"(gap {eig[n] - eig[n - 1]:.3e})"
+        )
+    return DensityMatrix(vec[:, :n], np.ones(n))
 
 
 def spectral_form(m: np.ndarray):

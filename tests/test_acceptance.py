@@ -14,7 +14,7 @@ from fermiflow.initial_data import DensityMatrix, trapped_slater
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import (build_potential, default_hbar, kinetic_operator,
                              make_lattice)
-from fermiflow.runner import harmonic_trap, parse_config, run
+from fermiflow.runner import parse_config, run
 
 from _oracles import (dense, fit_double_exponential, generalized_density, rdmk,
                       spectral_form, wick_rdmk)
@@ -37,7 +37,7 @@ def big_run():
     lat = make_lattice(1, 64, 1.0)
     hbar = default_hbar(8, 1)
     pot = build_potential(gaussian(1.0, 0.2), lat)
-    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 50.0), 8)
+    om0 = trapped_slater(lat, hbar, 50.0, 8)
     cfg = EvolutionConfig(dt=1e-3, t_final=2.0, snapshot_stride=50)
     t0 = time.monotonic()
     traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
@@ -61,7 +61,7 @@ def test_criterion_02_free_flow_exactness(capsys):
     lat = make_lattice(1, 64, 1.0)
     hbar = default_hbar(8, 1)
     v0 = build_potential({"shape": "zero"}, lat)
-    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 50.0), 8)
+    om0 = trapped_slater(lat, hbar, 50.0, 8)
     cfg = EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100)
     traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     h = kinetic_operator(lat, hbar)
@@ -76,7 +76,7 @@ def test_criterion_03_single_particle_exchange_cancellation(capsys):
     lat = make_lattice(1, 16, 1.0)
     hbar = default_hbar(1, 1)
     pot = build_potential(gaussian(1.0, 0.2), lat)
-    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 10.0), 1)
+    om0 = trapped_slater(lat, hbar, 10.0, 1)
     # the free flow: either mean-field kind with the zero potential
     free = evolve(om0, EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100),
                   MeanFieldKind.HARTREE_FOCK, build_potential({"shape": "zero"}, lat), hbar)
@@ -155,7 +155,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     lat = make_lattice(1, 8, 4.0)
     hbar = default_hbar(2, 1)
     pot = build_potential(gaussian(1.0, 0.8), lat)
-    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 2.0), 2)
+    om0 = trapped_slater(lat, hbar, 2.0, 2)
     space = FockSpace(8)
     psi0 = quasi_free_state(space, om0)
     prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
@@ -185,7 +185,7 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
     lat = make_lattice(1, 8, 1.0)
     hbar = default_hbar(2, 1)
     space = FockSpace(8)
-    om0 = trapped_slater(lat, hbar, harmonic_trap(lat, 10.0), 2)
+    om0 = trapped_slater(lat, hbar, 10.0, 2)
     psi0 = quasi_free_state(space, om0)
     cfg = EvolutionConfig(dt=0.01, t_final=1.0, snapshot_stride=10)
 
@@ -255,7 +255,7 @@ def test_criterion_11_wigner_vlasov_checks(capsys):
     vals = np.zeros((16, 16))
     vals[:, 12] = rng.random(16)
     v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(vals, lat.spacing / q[12], v0, 1.0, 1)
+    out = vlasov_step(vals, lat.spacing / q[12], v0, q, 1)
     expected = np.zeros_like(vals)
     expected[:, 12] = np.roll(vals[:, 12], 2)
     transport_err = float(np.max(np.abs(out - expected)))
@@ -263,12 +263,12 @@ def test_criterion_11_wigner_vlasov_checks(capsys):
     # masses sum(W) / d, with the Wigner quadrature weight 1/d
     lat32 = make_lattice(1, 32, 1.0)
     hbar = default_hbar(4, 1)
-    om = trapped_slater(lat32, hbar, harmonic_trap(lat32, 50.0), 4)
+    om = trapped_slater(lat32, hbar, 50.0, 4)
     w0 = wigner(om, lat32)
     sum_err = abs(float(np.sum(w0)) / 32 - 4.0)
 
     pot = build_potential(gaussian(1.0, 0.2), lat32)
-    out32 = vlasov_step(w0, 1e-3, pot, hbar, 4)
+    out32 = vlasov_step(w0, 1e-3, pot, momentum_grid(lat32, hbar), 4)
     mass_err = abs(float(np.sum(out32)) / 32 - float(np.sum(w0)) / 32)
 
     ok = transport_err <= 1e-12 and sum_err <= 1e-8 and mass_err <= 1e-10

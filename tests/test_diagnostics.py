@@ -8,14 +8,14 @@ import pytest
 from fermiflow.diagnostics import (commutator_momentum, commutator_phase,
                                    default_probe_momenta, fit_exponential,
                                    semiclassical_constant, trace_distance, trace_norm)
-from fermiflow.initial_data import (fermi_ball_indices, plane_wave_projection,
-                                    trapped_slater)
+from fermiflow.initial_data import fermi_ball_indices, plane_wave_projection
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, make_lattice
 from fermiflow.runner import build_initial_state, parse_config, run
 
-from _oracles import (dense, fit_double_exponential, fourier_matrix, momenta, momentum_indices,
-                      momentum_operator, phase_operator, spectral_form, weyl_quantize)
+from _oracles import (dense, dense_slater, fit_double_exponential, fourier_matrix, momenta,
+                      momentum_indices, momentum_operator, phase_operator, spectral_form,
+                      weyl_quantize)
 
 
 def svd_trace_norm(a):
@@ -121,7 +121,7 @@ def test_probe_box_past_the_grid_leaves_c_phase_unchanged(ds, d):
     # a probe outside |k_i| <= d // 2 aliases one inside (e^{ip.x} is periodic
     # in p on the sites) with a larger |p|, so it never sets the maximum
     lat = make_lattice(ds, d, 1.0)
-    om = trapped_slater(lat, 0.3, 100.0 * np.random.default_rng(d).random(lat.site_count), 3)
+    om = dense_slater(lat, 0.3, 100.0 * np.random.default_rng(d).random(lat.site_count), 3)
     wide = d // 2 + 5
     assert np.array_equal(default_probe_momenta(lat, wide), default_probe_momenta(lat, d // 2))
     axis = np.arange(-wide, wide + 1)
@@ -163,7 +163,7 @@ def test_commutators_match_dense_oracles(ds, d):
     lat = make_lattice(ds, d, 1.0)
     rng = np.random.default_rng(ds)
     hbar = 0.3
-    slater = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
+    slater = dense_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
     # a smooth symbol, gaussian in hbar p and cosine-modulated in x: its Weyl
     # quantization is diagonal-concentrated but not a projection
     envelope = np.exp(-np.sum((hbar * momenta(lat)) ** 2, axis=1))
@@ -206,7 +206,7 @@ def test_truncated_tail_moves_each_norm_within_its_bound(ds, d):
     lat = make_lattice(ds, d, 1.0)
     rng = np.random.default_rng(11)
     hbar, n = 0.3, 4
-    proj = dense(trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), n))
+    proj = dense(dense_slater(lat, hbar, 100.0 * rng.random(lat.site_count), n))
     x = rng.normal(size=proj.shape) + 1j * rng.normal(size=proj.shape)
     tail = x @ x.conj().T
     tail *= 1e-14 / np.linalg.eigvalsh(tail)[-1]
@@ -231,7 +231,7 @@ def test_semiclassical_constant_matches_elementwise_forms_at_ds3():
     hbar = default_hbar(5, 3)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     rng = np.random.default_rng(9)
-    om = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 5)
+    om = dense_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 5)
     cfg = EvolutionConfig(dt=2e-3, t_final=6e-3, snapshot_stride=3)
     state = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).states[-1]
     m, p_set = dense(state), default_probe_momenta(lat, 1)
@@ -246,7 +246,7 @@ def test_semiclassical_constant_pairs_probes_and_series_reuses_it(tmp_path):
     lat = make_lattice(2, 6, 1.0)
     hbar = default_hbar(3, 2)
     rng = np.random.default_rng(7)
-    om = trapped_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
+    om = dense_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 3)
     symmetric = default_probe_momenta(lat, 1)
     # one +-p pair, two unpaired grid probes and an unpaired off-grid probe
     asymmetric = np.vstack([symmetric[[0, -1, 1, 4]], [[0.7, -2.9]]])

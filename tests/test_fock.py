@@ -12,14 +12,13 @@ from fermiflow.fock import (FockSpace, SectorPropagator, car_defect, d_gamma,
                             field_operator, fluctuation_vector, hamiltonian,
                             implement_bogoliubov, number_moment, pair_operator,
                             quasi_free_state, rdm1, verify_operator_bounds)
-from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
-                                    plane_wave_projection, trapped_slater)
+from fermiflow.initial_data import DensityMatrix, fermi_ball_indices, plane_wave_projection
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
     make_lattice
 
-from _oracles import (dense, generalized_density, number_operator, rdmk, slater_vector,
-                      spectral_form, wick_rdmk)
+from _oracles import (dense, dense_slater, generalized_density, number_operator, rdmk,
+                      slater_vector, spectral_form, wick_rdmk)
 
 
 def site(space, x, create):
@@ -396,8 +395,7 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     hbar = default_hbar(2, 1)
     space = FockSpace(5)
     pot = build_potential({"shape": "cosine", "strength": 0.5, "mode": 1}, lat)
-    om = trapped_slater(lat, hbar,
-                        5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
+    om = dense_slater(lat, hbar, 5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
     rng = np.random.default_rng(9)
     xi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     xi /= np.linalg.norm(xi)
@@ -415,8 +413,7 @@ def test_fluctuation_vacuum_stable_without_interaction():
     hbar = default_hbar(2, 1)
     space = FockSpace(5)
     v0 = build_potential({"shape": "zero"}, lat)
-    om = trapped_slater(lat, hbar,
-                        5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
+    om = dense_slater(lat, hbar, 5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     prop = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)

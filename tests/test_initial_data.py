@@ -1,25 +1,22 @@
 """Initial density matrices and semiclassical diagnostics of states."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fermiflow.diagnostics import default_probe_momenta, semiclassical_constant
 from fermiflow.initial_data import (DegenerateFermiLevel, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
-from fermiflow.model import make_lattice
+from fermiflow.model import default_hbar, make_lattice
 
-from _oracles import (dense, momenta, momentum_indices, momentum_operator, phase_operator,
-                      spectral_form, weyl_quantize)
+from _oracles import (dense, dense_slater, momenta, momentum_indices, momentum_operator,
+                      phase_operator, spectral_form, weyl_quantize)
 
 
 def svd_trace_norm(a):
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def harmonic(lat, strength):
-    x = lat.sites() - 0.5 * lat.length
-    x -= lat.length * np.round(x / lat.length)
-    return strength * np.sum(x ** 2, axis=1)
 
 
 def test_fermi_ball_indices_order():
@@ -68,7 +65,7 @@ def test_phase_commutator_counts_symmetric_difference():
 
 def test_trapped_slater_free_case_matches_plane_waves():
     lat = make_lattice(1, 8, 1.0)
-    om = trapped_slater(lat, 0.5, np.zeros(8), 3)
+    om = trapped_slater(lat, 0.5, 0.0, 3)
     ball = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     assert np.max(np.abs(dense(om) - dense(ball))) < 1e-10
 
@@ -77,19 +74,19 @@ def test_trapped_slater_refuses_degenerate_fermi_level():
     # the +-(2 pi / l) pair is degenerate, so n=2 has no canonical filling
     lat = make_lattice(1, 8, 1.0)
     with pytest.raises(DegenerateFermiLevel):
-        trapped_slater(lat, 0.5, np.zeros(8), 2)
-    # the twofold first excited shell of a strong ds=2 trap: eigh's round-off
-    # splits it by ~4e-9, which the tolerance, relative to max |eig|, refuses
+        trapped_slater(lat, 0.5, 0.0, 2)
+    # the twofold first excited shell of a strong ds=2 trap: levels (0, 1) and
+    # (1, 0) are the same sum of one-axis levels, a gap of exactly 0
     lat = make_lattice(2, 8, 1.0)
     with pytest.raises(DegenerateFermiLevel):
-        trapped_slater(lat, 0.5, harmonic(lat, 1e8), 2)
+        trapped_slater(lat, 0.5, 1e8, 2)
 
 
 def test_trapped_slater_harmonic_concentration():
     # trap 200*dist^2 keeps the 4th level (~25) well below the rim (~50);
     # with a 50*dist^2 trap the Fermi level would sit at the rim and leak
     lat = make_lattice(1, 64, 1.0)
-    om = trapped_slater(lat, 0.25, harmonic(lat, 200.0), 4)
+    om = trapped_slater(lat, 0.25, 200.0, 4)
     assert np.trace(dense(om)).real == pytest.approx(4.0, abs=1e-10)
     assert om.idempotency_defect() < 1e-10
     density = np.real(np.diag(dense(om)))
@@ -100,9 +97,50 @@ def test_trapped_slater_harmonic_concentration():
 def test_trapped_slater_real_trap_gives_real_orbitals(ds, d, n):
     # -hbar^2 Lap + V_ext is a real symmetric matrix: a real eigh, real orbitals
     lat = make_lattice(ds, d, 1.0)
-    om = trapped_slater(lat, 0.5, harmonic(lat, 50.0), n)
+    om = trapped_slater(lat, 0.5, 50.0, n)
     assert om.orbitals.dtype == np.float64
     om.validate()
+
+
+def site_trap(lat, strength):
+    """strength * |x - l/2|^2 summed over axes on every site: sites lie in
+    [0, l), so this is the torus distance to the centre."""
+    return strength * np.sum((lat.sites() - 0.5 * lat.length) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("ds,d,n,strength", [
+    (1, 64, 8, 50.0), (1, 32, 4, 200.0), (1, 9, 3, 5.0),
+    (2, 8, 6, 10.0), (2, 6, 3, 50.0),
+    (3, 8, 10, 50.0), (3, 6, 4, 20.0), (3, 5, 7, 1.0),
+])
+def test_trapped_slater_matches_the_dense_construction(ds, d, n, strength):
+    # products of one-axis eigenvectors span the same space as the n lowest
+    # eigenvectors of the M x M -hbar^2 Lap + V_ext; at ds=1 it is one eigh
+    lat = make_lattice(ds, d, 1.0)
+    hbar = default_hbar(n, ds)
+    om = trapped_slater(lat, hbar, strength, n)
+    oracle = dense_slater(lat, hbar, site_trap(lat, strength), n)
+    assert np.max(np.abs(dense(om) - dense(oracle))) <= 1e-12
+    assert om.orbitals.dtype == np.float64 and om.orbitals.flags.c_contiguous
+    if ds == 1:
+        assert np.array_equal(om.orbitals, oracle.orbitals)
+
+
+def test_trapped_slater_at_the_papers_size_without_an_m_by_m_array():
+    # ds=3, d=16 (M=4096): one M x M float64 is 128 MiB.  Trap 50 closes
+    # shells at N=50 and 63 and leaves N=56 and 64 inside degenerate ones
+    lat = make_lattice(3, 16, 1.0)
+    for n in (50, 63):
+        tracemalloc.start()
+        start = time.perf_counter()
+        om = trapped_slater(lat, default_hbar(n, 3), 50.0, n)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert om.orbitals.shape == (4096, n)
+        assert elapsed < 1.0 and peak < 16 * 2 ** 20, (n, elapsed, peak)
+    for n in (56, 64):
+        with pytest.raises(DegenerateFermiLevel):
+            trapped_slater(lat, default_hbar(n, 3), 50.0, n)
 
 
 def test_weyl_quantize_constant_symbol():

@@ -17,12 +17,6 @@ from fermiflow.runner import parse_config, run
 from _oracles import dense, fourier, momentum_indices, spectral_form
 
 
-def harmonic(lat, strength):
-    x = lat.sites() - 0.5 * lat.length
-    x -= lat.length * np.round(x / lat.length)
-    return strength * np.sum(x ** 2, axis=1)
-
-
 @pytest.fixture
 def setup16():
     lat = make_lattice(1, 16, 1.0)
@@ -50,7 +44,7 @@ def test_density_profile_point_mass():
 
 def test_density_profile_trapped_peaked():
     lat = make_lattice(1, 64, 1.0)
-    om = trapped_slater(lat, 0.25, harmonic(lat, 200.0), 4)
+    om = trapped_slater(lat, 0.25, 200.0, 4)
     rho = density_profile(om, lat)
     assert 24 <= np.argmax(rho) <= 40  # mass near the trap center
     assert rho[0] < 1e-2 * rho.max()
@@ -94,7 +88,7 @@ def test_exchange_zero_potential_and_hermiticity(setup16):
 def test_exchange_cancels_direct_for_single_particle():
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    om = trapped_slater(lat, 1.0, harmonic(lat, 50.0), 1)
+    om = trapped_slater(lat, 1.0, 50.0, 1)
     f = np.linalg.eigh(dense(om))[1][:, -1]
     rho = density_profile(om, lat)
     mismatch = (np.diag(direct_term(rho, pot)) - exchange_term(om, pot)) @ f
@@ -126,7 +120,7 @@ def test_step_free_is_exact_conjugation():
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "zero"}, lat)
     hbar = default_hbar(2, 1)
-    om = trapped_slater(lat, hbar, harmonic(lat, 20.0), 2)
+    om = trapped_slater(lat, hbar, 20.0, 2)
     cfg = EvolutionConfig(dt=0.3, t_final=0.3)
     hf = MeanFieldKind.HARTREE_FOCK
     new = step(om, generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
@@ -169,7 +163,7 @@ def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
     lat = make_lattice(ds, d, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(n, ds)
-    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), n)
+    om = trapped_slater(lat, hbar, 50.0, n)
     m = dense(om)
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
     for _ in range(5):
@@ -182,7 +176,7 @@ def _trapped_generator(ds, d, n, kind):
     lat = make_lattice(ds, d, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(n, ds)
-    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), n)
+    om = trapped_slater(lat, hbar, 50.0, n)
     return om, generator(om, kind, pot, hbar), pot, hbar
 
 
@@ -308,7 +302,7 @@ def test_step_local_error_is_third_order():
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(2, 1)
-    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 2)
+    om = trapped_slater(lat, hbar, 50.0, 2)
     dt, hf = 2e-2, MeanFieldKind.HARTREE_FOCK
 
     def advance(state, h_step, n):
@@ -354,7 +348,7 @@ def test_hf_energy_conserved_along_flow():
     lat = make_lattice(1, 32, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(4, 1)
-    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 4)
+    om = trapped_slater(lat, hbar, 50.0, 4)
     drifts = []
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dt=dt, t_final=0.2, snapshot_stride=1000)

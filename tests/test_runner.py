@@ -410,7 +410,7 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error"), doc
         assert not os.path.exists(out / "summary.json")
     # named by their key: integers too large for a float, and a degenerate
-    # Fermi shell in a strong trap, where eigh's round-off splits the shell
+    # Fermi shell in a strong trap, whose levels are equal sums of one-axis levels
     strong_trap = dict(diagnostics, model={"n_particles": 2})
     for doc, key in [(dict(diagnostics, model={"n_particles": 10 ** 400}), "model.n_particles"),
                      (dict(MINIMAL, potential={"shape": "cosine", "strength": 1.0,

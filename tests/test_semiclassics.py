@@ -16,12 +16,6 @@ from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 from _oracles import dense, dense_wigner, spectral_form
 
 
-def harmonic(lat, strength):
-    x = lat.sites() - 0.5 * lat.length
-    x -= lat.length * np.round(x / lat.length)
-    return strength * np.sum(x ** 2, axis=1)
-
-
 def test_wigner_translation_invariant_state():
     lat = make_lattice(1, 16, 1.0)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
@@ -45,7 +39,7 @@ def test_wigner_identity_state_momentum_profile():
 
 def test_wigner_sum_rule_and_marginal():
     lat = make_lattice(1, 32, 1.0)
-    om = trapped_slater(lat, 0.25, harmonic(lat, 50.0), 4)
+    om = trapped_slater(lat, 0.25, 50.0, 4)
     w = wigner(om, lat)
     assert np.sum(w) / 32 == pytest.approx(4.0, abs=1e-10)
     marginal = np.sum(w, axis=1) / 32
@@ -75,7 +69,7 @@ def _signed_state(d):
 
 
 @pytest.mark.parametrize("name,d,make", [
-    ("trapped", 32, lambda lat: trapped_slater(lat, 0.25, harmonic(lat, 50.0), 4)),
+    ("trapped", 32, lambda lat: trapped_slater(lat, 0.25, 50.0, 4)),
     ("signed", 8, lambda lat: _signed_state(lat.d)),
     ("ball", 16, lambda lat: plane_wave_projection(lat, fermi_ball_indices(lat, 5))),
 ])
@@ -114,7 +108,7 @@ def test_vlasov_free_transport_on_grid_characteristics():
     v0 = build_potential({"shape": "zero"}, lat)
     # shift per half step = 2 q dt / (2 a) = q dt / a cells; make it exactly 1
     dt = lat.spacing / q[slice_k]
-    out = vlasov_step(vals, dt, v0, hbar, n_particles=1)
+    out = vlasov_step(vals, dt, v0, q, n_particles=1)
     expected = np.zeros_like(vals)
     expected[:, slice_k] = np.roll(vals[:, slice_k], 2)
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -123,14 +117,14 @@ def test_vlasov_free_transport_on_grid_characteristics():
 def test_vlasov_mass_conservation_per_slice():
     lat = make_lattice(1, 32, 1.0)
     hbar = default_hbar(4, 1)
-    om = trapped_slater(lat, hbar, harmonic(lat, 50.0), 4)
+    om = trapped_slater(lat, hbar, 50.0, 4)
     w = wigner(om, lat)
-    v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(w, 1e-3, v0, hbar, 4)
+    v0, q = build_potential({"shape": "zero"}, lat), momentum_grid(lat, hbar)
+    out = vlasov_step(w, 1e-3, v0, q, 4)
     # with V = 0 each momentum slice is transported, preserving its own mass
     assert np.max(np.abs(out.sum(axis=0) - w.sum(axis=0))) < 1e-10
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    out = vlasov_step(w, 1e-3, pot, hbar, 4)
+    out = vlasov_step(w, 1e-3, pot, q, 4)
     assert abs(np.sum(out) / 32 - np.sum(w) / 32) < 1e-10
 
 
@@ -148,7 +142,7 @@ def test_vlasov_step_second_order():
     def run(dt, t_final):
         w = vals0.copy()
         for _ in range(int(round(t_final / dt))):
-            w = vlasov_step(w, dt, pot, hbar, n_particles=1)
+            w = vlasov_step(w, dt, pot, q, n_particles=1)
         return w
 
     t_final = 0.01
@@ -222,13 +216,17 @@ def test_semiclassics_transforms_each_snapshot_once(tmp_path, monkeypatch):
 
 def test_semiclassics_builds_the_momentum_grid_once(tmp_path, monkeypatch):
     # a vlasov1d-sized run of 1000 Vlasov steps: every force and transport
-    # sweep reads the lattice's one integer grid and one momentum grid
+    # sweep reads the lattice's one integer grid and one momentum grid, and
+    # the scenario builds the Wigner momentum labels q once for all steps
     reads = {"fft_indices": [], "fft_momenta": []}
     for name in reads:
         def recorded(lattice, grid=getattr(Lattice, name), name=name):
             reads[name].append(grid(lattice))
             return reads[name][-1]
         monkeypatch.setattr(Lattice, name, recorded)
+    labels = []
+    monkeypatch.setattr(semiclassics, "momentum_grid",
+                        lambda *args: labels.append(momentum_grid(*args)) or labels[-1])
     _semiclassics(
         tmp_path, {"ds": 1, "d": 64}, 8, {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
         {"kind": "trapped", "strength": 50.0},
@@ -236,6 +234,7 @@ def test_semiclassics_builds_the_momentum_grid_once(tmp_path, monkeypatch):
     for name, grids in reads.items():
         assert len(grids) >= 1000, name
         assert all(grid is grids[0] for grid in grids), name
+    assert len(labels) == 1
 
 
 def test_wigner_rejects_odd_or_multidimensional():

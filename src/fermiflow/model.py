@@ -162,7 +162,7 @@ def _reflected(grid: np.ndarray) -> np.ndarray:
 
 
 _GAUSSIAN_IMAGES = 2  # wrap 5 torus images per axis: m in {-2, ..., 2}
-_EVENNESS_TOL = 1e-10  # max |V(x) - V(-x)| a potential table may have
+_EVENNESS_TOL = 1e-10  # max |V(x) - V(-x)| a table may have, relative to max(1, max |V|)
 
 
 def _potential_from_samples(samples: np.ndarray, lattice: Lattice) -> Potential:
@@ -176,12 +176,15 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice) -> Potential:
         raise ValueError("potential samples must be finite")
     grid = samples.reshape((lattice.d,) * lattice.ds)
     reflected = _reflected(grid)
-    defect = np.max(np.abs(grid - reflected))
-    if defect > _EVENNESS_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        defect = np.max(np.abs(grid - reflected))
+        # evenized, so that V(x) and V(-x) are one float and `pair_matrix` is symmetric
+        v = Potential(lattice=lattice, real_space=_read_only((0.5 * (grid + reflected)).ravel()))
+        vhat = v.site_rfft / lattice.site_count  # real samples: the half spectrum has every |Vhat|
+    if defect > _EVENNESS_TOL * max(1.0, np.max(np.abs(grid))):
         raise ValueError(f"potential violates evenness by {defect:.3e}")
-    # evenized, so that V(x) and V(-x) are one float and `pair_matrix` is symmetric
-    v = Potential(lattice=lattice, real_space=_read_only((0.5 * (grid + reflected)).ravel()))
-    vhat = v.site_rfft / lattice.site_count  # real samples: the half spectrum has every |Vhat|
+    if not np.all(np.isfinite(vhat)):
+        raise ValueError("the Fourier transform of the samples overflows the floats")
     if np.max(np.abs(vhat.imag)) > 1e-12 * max(1.0, np.max(np.abs(vhat))):
         raise ValueError("Fourier coefficients of an even real potential must be real")
     return v

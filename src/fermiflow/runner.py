@@ -3,9 +3,10 @@
 Configs are JSON documents.  The tables below list every key once, with
 its type, default and bound, and one reader, `_read`, applies them: unknown
 and missing keys are named, and every value is checked before it is used.
-A run removes an earlier run's outputs, writes `series.csv`, FMF1 snapshots
-under `snapshots/`, and finally (atomically) `summary.json` with a manifest
-of everything else, so a crash can never leave a summary claiming success.
+A scenario computes its outputs from the config; `run` removes an earlier
+run's outputs, writes `series.csv`, FMF1 snapshots under `snapshots/` and
+finally (atomically) `summary.json` with a manifest of the files it wrote,
+so a crash can never leave a summary claiming success.
 """
 
 import functools
@@ -151,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit limit, or nested too deep
         raise ConfigError(f"config parse error: {exc}") from exc
     c = _read(doc, _CONFIG, "")
     scenario, lat, initial = c["scenario"], c["lattice"], c["initial"]
@@ -240,7 +241,7 @@ def _maybe_fit(values, times):
     return fit_exponential(values[mask], times[mask]) if mask.sum() >= 2 else None
 
 
-def _scenario_evolve(cfg: RunConfig, out):
+def _scenario_evolve(cfg: RunConfig):
     omega0 = build_initial_state(cfg)
     traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
@@ -250,22 +251,20 @@ def _scenario_evolve(cfg: RunConfig, out):
     c_momentum = [rep.c_momentum for rep in reports]
 
     snap_idx = [round(t / cfg.evolution.dt) for t in traj.times]
-    write_csv(os.path.join(out, "series.csv"), {
+    series = {
         "t": traj.times,
         "trace": [traj.trace[i] for i in snap_idx],
         "energy": [traj.energy[i] for i in snap_idx],
         "idempotency_defect": [traj.idempotency_defect[i] for i in snap_idx],
         "c_phase": c_phase,
         "c_momentum": c_momentum,
-    })
-    snap_dir, ds, d = os.path.join(out, "snapshots"), cfg.lattice.ds, cfg.lattice.d
-    os.makedirs(snap_dir, exist_ok=True)  # omega = Phi diag(lam) Phi*, lam fixed by the flow
-    write_fmf1(os.path.join(snap_dir, "occupations.fmf1"), omega0.occupations, ds, d)
-    for i, state in zip(snap_idx, traj.states):
-        write_fmf1(os.path.join(snap_dir, f"orbitals_step{i:08d}.fmf1"), state.orbitals, ds, d)
+    }
+    # omega = Phi diag(lam) Phi*, lam fixed by the flow
+    arrays = {"occupations": omega0.occupations,
+              **{f"orbitals_step{i:08d}": s.orbitals for i, s in zip(snap_idx, traj.states)}}
     e0 = traj.energy[0]
     drift = max(abs(e - e0) for e in traj.energy)
-    return {
+    return series, {
         "max_idempotency_defect": float(max(traj.idempotency_defect)),
         "max_trace_drift": float(max(abs(tr - traj.trace[0]) for tr in traj.trace)),
         # relative to |E(0)|, or to the drift itself where that is larger (E(0) = 0)
@@ -273,18 +272,17 @@ def _scenario_evolve(cfg: RunConfig, out):
         "growth_fit_c_phase": _maybe_fit(c_phase, traj.times),
         "growth_fit_c_momentum": _maybe_fit(c_momentum, traj.times),
         "p_set_max_index": cfg.p_max_index,
-    }
+    }, arrays
 
 
-def _scenario_compare(cfg: RunConfig, out):
+def _scenario_compare(cfg: RunConfig):
     """tr|omega_HF(t) - omega_H(t)| from shared initial data, read from the orbitals."""
     omega0 = build_initial_state(cfg)
     hf = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE_FOCK, cfg.potential, cfg.hbar)
     hh = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE, cfg.potential, cfg.hbar)
     gaps = [trace_distance(a.orbitals, b.orbitals, omega0.occupations)
             for a, b in zip(hf.states, hh.states)]
-    write_csv(os.path.join(out, "series.csv"), {"t": hf.times, "trace_norm_gap": gaps})
-    return {"final_gap": float(gaps[-1])}
+    return {"t": hf.times, "trace_norm_gap": gaps}, {"final_gap": float(gaps[-1])}, {}
 
 
 def _fock_lattice(cfg: RunConfig):
@@ -313,7 +311,7 @@ def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
     return space, traj, (prop(psi0, t) for t in traj.times)
 
 
-def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
+def _scenario_exact_vs_meanfield(cfg: RunConfig):
     from .fock import rdm1
 
     space, traj, psis = _exact_states(cfg, cfg.kind)
@@ -321,12 +319,11 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig, out):
              for psi, s in zip(psis, traj.states)]  # the only dense omega, L <= 14 sites
     hs = [float(np.linalg.norm(x, "fro")) for x in diffs]
     tr = [trace_norm(x) for x in diffs]
-    write_csv(os.path.join(out, "series.csv"),
-              {"t": traj.times, "hs_distance": hs, "trace_distance": tr})
-    return {"final_hs_distance": hs[-1], "final_trace_distance": tr[-1]}
+    return ({"t": traj.times, "hs_distance": hs, "trace_distance": tr},
+            {"final_hs_distance": hs[-1], "final_trace_distance": tr[-1]}, {})
 
 
-def _scenario_fock_verify(cfg: RunConfig, out):
+def _scenario_fock_verify(cfg: RunConfig):
     from .fock import DENSE_MAX_SITES, car_defect, verify_operator_bounds
 
     space = _fock_lattice(cfg)
@@ -334,24 +331,21 @@ def _scenario_fock_verify(cfg: RunConfig, out):
         raise ConfigError(f"fock.l_sites: fock-verify builds dense 2^L x 2^L "
                           f"operators, so needs L <= {DENSE_MAX_SITES}, "
                           f"got {space.l_sites}")
-    trials = cfg.fock["trials"]
     worst = car_defect(space)
-    report = verify_operator_bounds(space, trials, cfg.seed)
+    report = verify_operator_bounds(space, cfg.fock["trials"], cfg.seed)
     names = [n for n in report if isinstance(report[n], dict)]
-    write_csv(os.path.join(out, "series.csv"), {
-        "inequality_index": list(range(len(names))),
-        "violations": [report[n]["violations"] for n in names],
-        "worst_slack": [report[n]["worst_slack"] for n in names],
-    })
     violations = int(sum(report[n]["violations"] for n in names))
     if violations or worst > 1e-13:
         raise NumericFailure(
             f"operator-bound violations={violations}, CAR defect={worst:.3e}")
-    return {"car_max_deviation": float(worst), "bounds": report,
-            "total_violations": violations}
+    return {
+        "inequality_index": list(range(len(names))),
+        "violations": [report[n]["violations"] for n in names],
+        "worst_slack": [report[n]["worst_slack"] for n in names],
+    }, {"car_max_deviation": float(worst), "bounds": report, "total_violations": violations}, {}
 
 
-def _scenario_fluctuation(cfg: RunConfig, out):
+def _scenario_fluctuation(cfg: RunConfig):
     from .fock import fluctuation_vector, number_moment
 
     space, traj, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
@@ -359,14 +353,12 @@ def _scenario_fluctuation(cfg: RunConfig, out):
     xis = (fluctuation_vector(space, omega, psi) for omega, psi in zip(traj.states, psis))
     m1, mk = zip(*[(number_moment(xi, 1, space, shift=0.0), number_moment(xi, order, space))
                    for xi in xis])
-    write_csv(os.path.join(out, "series.csv"),
-              {"t": traj.times, "mean_particle_number": m1,
-               f"moment_order_{order}": mk})
-    return {"final_mean_particle_number": float(m1[-1]),
-            "moment_order": order, "final_moment": float(mk[-1])}
+    return ({"t": traj.times, "mean_particle_number": m1, f"moment_order_{order}": mk},
+            {"final_mean_particle_number": float(m1[-1]),
+             "moment_order": order, "final_moment": float(mk[-1])}, {})
 
 
-def _scenario_semiclassics(cfg: RunConfig, out):
+def _scenario_semiclassics(cfg: RunConfig):
     from .semiclassics import momentum_grid, vlasov_step, wigner
 
     omega0 = build_initial_state(cfg)
@@ -380,29 +372,25 @@ def _scenario_semiclassics(cfg: RunConfig, out):
             classical = vlasov_step(classical, cfg.vlasov_dt, cfg.potential, q, n)
         gap.append(float(np.sum(np.abs(wigner(state, cfg.lattice) - classical)) * weight))
     gap_norm = np.array(gap) / (cfg.hbar * n)
-    write_csv(os.path.join(out, "series.csv"),
-              {"t": traj.times, "l1_gap": gap, "gap_over_hbar_n": gap_norm})
-    snap_dir = os.path.join(out, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-    write_fmf1(os.path.join(snap_dir, "wigner_t0.fmf1"), w0, cfg.lattice.ds, cfg.lattice.d)
-    return {"wigner_weight": weight,
-            "wigner_momentum_spacing": float(q[1] - q[0]),
-            "wigner_sum_rule": float(np.sum(w0) * weight),
-            "final_gap_over_hbar_n": float(gap_norm[-1])}
+    return ({"t": traj.times, "l1_gap": gap, "gap_over_hbar_n": gap_norm},
+            {"wigner_weight": weight,
+             "wigner_momentum_spacing": float(q[1] - q[0]),
+             "wigner_sum_rule": float(np.sum(w0) * weight),
+             "final_gap_over_hbar_n": float(gap_norm[-1])}, {"wigner_t0": w0})
 
 
-def _scenario_diagnostics_only(cfg: RunConfig, out):
+def _scenario_diagnostics_only(cfg: RunConfig):
     omega0 = build_initial_state(cfg)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
     report = semiclassical_constant(omega0, cfg.lattice, cfg.hbar, p_set)
-    write_csv(os.path.join(out, "series.csv"), {
+    return {
         "p_norm": [float(np.linalg.norm(p)) for p in p_set],
         "commutator_trace_norm": report.phase_norms,
-    })
-    return {"c_phase": report.c_phase, "c_momentum": report.c_momentum,
-            "idempotency_defect": omega0.idempotency_defect()}
+    }, {"c_phase": report.c_phase, "c_momentum": report.c_momentum,
+        "idempotency_defect": omega0.idempotency_defect()}, {}
 
 
+# config -> (series.csv columns, summary result, {snapshot name: array}); `run` writes them
 _SCENARIO_FN = {
     "evolve": _scenario_evolve,
     "compare-hf-hartree": _scenario_compare,
@@ -422,27 +410,25 @@ def _scipy_version() -> str:
 
 
 def run(cfg: RunConfig, out_dir: str) -> dict:
-    """Execute a scenario; deterministic given (config, seed).  An earlier
-    run's outputs are removed first; the summary is written last, atomically."""
+    """Execute a scenario and write its outputs, deterministic given (config,
+    seed): an earlier run's outputs are removed first, the summary written last."""
     os.makedirs(out_dir, exist_ok=True)
     for name in ["summary.json", "series.csv"] + glob.glob("snapshots/*.fmf1", root_dir=out_dir):
         if os.path.isfile(path := os.path.join(out_dir, name)):
             os.remove(path)
     t0 = time.monotonic()
-    result = _SCENARIO_FN[cfg.scenario](cfg, out_dir)
+    series, result, arrays = _SCENARIO_FN[cfg.scenario](cfg)
+    written = ["series.csv"] + [f"snapshots/{name}.fmf1" for name in arrays]
+    paths = [os.path.join(out_dir, rel) for rel in written]
+    write_csv(paths[0], series)
+    if arrays:
+        os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
+    for path, array in zip(paths[1:], arrays.values()):
+        write_fmf1(path, array, cfg.lattice.ds, cfg.lattice.d)
     wall = time.monotonic() - t0
 
-    manifest = []
-    for root, _, files in os.walk(out_dir):
-        for name in sorted(files):
-            if name == "summary.json":
-                continue
-            path = os.path.join(root, name)
-            manifest.append({
-                "path": os.path.relpath(path, out_dir),
-                "bytes": os.path.getsize(path),
-                "sha256": _sha256(path),
-            })
+    manifest = [{"path": rel, "bytes": os.path.getsize(path), "sha256": _sha256(path)}
+                for rel, path in zip(written, paths)]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     summary = {
         "config": cfg.raw,

@@ -118,6 +118,22 @@ def test_table_with_a_round_off_odd_part_is_evenized():
         build_potential({"shape": "table", "samples": even + 100 * odd}, lat)
 
 
+@pytest.mark.parametrize("spec", [{"shape": "cosine", "mode": 3},
+                                  {"shape": "gaussian", "sigma": 0.2}])
+@pytest.mark.parametrize("ds,d", [(1, 64), (3, 8)])
+def test_evenness_is_judged_relative_to_the_potential_size(spec, ds, d):
+    # the round-off of a strong, exactly even shape is no odd part
+    lat = make_lattice(ds, d, 1.0)
+    for strength in (1e5, 1e8, 1e12):
+        v = build_potential(dict(spec, strength=strength), lat)
+        assert np.array_equal(v.real_space, _reflected(v.real_space, lat))
+    # an odd part of 1e-9 relative to max |V| is still one
+    even = 1e6 * np.cos(2 * np.pi * lat.sites()[:, 0])
+    odd = 1e-3 * np.sin(2 * np.pi * lat.sites()[:, 0])
+    with pytest.raises(ValueError, match="evenness"):
+        build_potential({"shape": "table", "samples": even + odd}, lat)
+
+
 @pytest.mark.parametrize("ds,d", [(1, 9), (2, 6), (3, 4), (3, 8)])
 def test_circulants_equal_the_index_difference_gather(ds, d):
     # the per-axis int32 flat index against the (M, M, ds) gather, entry by entry

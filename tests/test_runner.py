@@ -2,6 +2,8 @@
 
 import ast
 import glob
+import hashlib
+import inspect
 import json
 import os
 import struct
@@ -160,7 +162,7 @@ def test_run_deterministic_reruns_byte_identical(tmp_path):
 def test_run_crash_leaves_no_summary(tmp_path, monkeypatch):
     import fermiflow.runner as runner_mod
 
-    def boom(cfg, out):
+    def boom(cfg):
         raise NumericFailure("synthetic blow-up")
 
     monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", boom)
@@ -178,7 +180,7 @@ def test_failed_rerun_removes_the_earlier_summary(tmp_path, monkeypatch):
     run(parse_config(json.dumps(MINIMAL)), out)
     assert os.path.exists(os.path.join(out, "summary.json"))
 
-    def boom(cfg, out):
+    def boom(cfg):
         raise NumericFailure("synthetic blow-up")
 
     monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", boom)
@@ -198,6 +200,28 @@ def test_shorter_rerun_manifest_lists_exactly_the_files_on_disk(tmp_path):
     assert {p for p in on_disk if p.startswith("snapshots")} == {
         "snapshots/occupations.fmf1", "snapshots/orbitals_step00000000.fmf1",
         "snapshots/orbitals_step00000005.fmf1"}
+
+
+def test_manifest_lists_exactly_the_files_the_run_wrote(tmp_path, capsys):
+    # files in --out that the run did not write are neither listed nor touched;
+    # a stale summary.json.tmp is overwritten by the summary itself
+    out = tmp_path / "out"
+    (out / "old").mkdir(parents=True)
+    (out / "notes.txt").write_text("notes")
+    (out / "old" / "data.bin").write_bytes(b"\x00\x01")
+    (out / "summary.json.tmp").write_text('{"status": "success"}')
+    assert main(["evolve", "--config", write_config(tmp_path, MINIMAL), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    paths = [m["path"] for m in summary["manifest"]]
+    assert paths == ["series.csv", "snapshots/occupations.fmf1"] + [
+        f"snapshots/orbitals_step{i:08d}.fmf1" for i in (0, 5, 10)]
+    assert f"wrote {len(paths) + 1} files" in capsys.readouterr().out  # and summary.json
+    assert (out / "notes.txt").read_text() == "notes"
+    assert (out / "old" / "data.bin").read_bytes() == b"\x00\x01"
+    assert not (out / "summary.json.tmp").exists()
+    for m in summary["manifest"]:
+        data = (out / m["path"]).read_bytes()
+        assert m["bytes"] == len(data) and m["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_snapshot_times_closer_than_a_microsecond_each_get_a_file(tmp_path):
@@ -249,6 +273,36 @@ def test_no_module_but_fock_imports_scipy():
                       or (name in ("fermiflow.diagnostics", "fermiflow.runner")
                           and module == "meanfield.py")]
     assert found == []
+
+
+def test_only_run_writes_the_output_files():
+    # a scenario computes and `runner.run` writes: besides their definitions and
+    # imports, the two writers are named only in the body of `run`, and every
+    # scenario is a function of the config alone
+    import fermiflow.runner as runner_mod
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
+    assert os.path.join(src, "fermiflow", "runner.py") in paths
+    found = []
+    for path in paths:
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:
+            owner = ".".join(filter(None, [module, getattr(top, "name", None)]))
+            for node in ast.walk(top):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                        else None)
+                if name in ("write_csv", "write_fmf1"):
+                    found.append((owner, name))
+    owners = ("__init__", "runner", "runner.run")  # the re-export, the import, the one writer
+    assert set(found) == {(owner, name) for name in ("write_csv", "write_fmf1")
+                          for owner in (f"snapshots.{name}",) + owners}, found
+    assert {name: len(inspect.signature(fn).parameters)
+            for name, fn in runner_mod._SCENARIO_FN.items()} == dict.fromkeys(SCENARIOS, 1)
 
 
 def test_only_the_grid_and_the_wigner_axis_reorder_momenta():
@@ -401,7 +455,9 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                 dict(MINIMAL, lattice={"ds": 3, "d": 21}),
                 # an integer literal beyond Python's 4300-digit parsing limit
                 json.dumps(MINIMAL).replace('"n_particles": 2',
-                                            '"n_particles": ' + "1" * 5000)]:
+                                            '"n_particles": ' + "1" * 5000),
+                # nested past the JSON decoder's recursion limit
+                "[" * 100000 + "]" * 100000]:
         case = tmp_path / "case.json"
         case.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         scenario = doc["scenario"] if isinstance(doc, dict) else "evolve"
@@ -418,7 +474,12 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                      (dict(strong_trap, lattice={"ds": 3, "d": 6},
                            initial={"kind": "trapped", "strength": 1e6}), "initial"),
                      (dict(strong_trap, lattice={"ds": 2, "d": 8},
-                           initial={"kind": "trapped", "strength": 1e8}), "initial")]:
+                           initial={"kind": "trapped", "strength": 1e8}), "initial"),
+                     # a potential whose Fourier transform overflows the floats
+                     (dict(MINIMAL, potential={"shape": "table", "samples": [1.7e308] * 8}),
+                      "potential: the Fourier transform of the samples overflows"),
+                     (dict(MINIMAL, potential={"shape": "cosine", "strength": 1e308, "mode": 3}),
+                      "potential: the Fourier transform of the samples overflows")]:
         case = write_config(tmp_path, doc, "case.json")
         assert main([doc["scenario"], "--config", case, "--out", str(tmp_path / "case")]) == 2
         err = capsys.readouterr().err
@@ -594,7 +655,7 @@ def test_cli_partial_last_step_and_scheme_key_exit_two(tmp_path, capsys):
 def test_cli_numeric_failure_exit_three(tmp_path, monkeypatch, capsys):
     import fermiflow.runner as runner_mod
 
-    def boom(cfg, out):
+    def boom(cfg):
         raise NumericFailure("synthetic blow-up")
 
     path = write_config(tmp_path, MINIMAL)
@@ -615,7 +676,7 @@ def test_cli_numeric_failure_exit_three(tmp_path, monkeypatch, capsys):
 def test_cli_float_overflow_exit_three(tmp_path, monkeypatch, capsys):
     import fermiflow.runner as runner_mod
 
-    def overflow(cfg, out):
+    def overflow(cfg):
         raise OverflowError(34, "Numerical result out of range")
 
     monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", overflow)

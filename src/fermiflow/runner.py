@@ -299,16 +299,16 @@ def _fock_lattice(cfg: RunConfig):
 
 def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
     """The Fock space, the mean-field trajectory from omega_0, and the exact
-    psi_t = exp(-i H t / hbar) R_{omega_0} vacuum at its snapshot times."""
-    from .fock import SectorPropagator, hamiltonian, quasi_free_state
+    psi_t = exp(-i H t / hbar) R_{omega_0} vacuum at its snapshot times,
+    stepped from one to the next by `fock.propagate`."""
+    from .fock import hamiltonian, propagate, quasi_free_state
 
     space = _fock_lattice(cfg)
     omega0 = build_initial_state(cfg)
     psi0 = quasi_free_state(space, omega0)
-    prop = SectorPropagator(space, hamiltonian(space, cfg.potential, cfg.hbar,
-                                               cfg.n_particles), cfg.hbar)
+    h = hamiltonian(space, cfg.potential, cfg.hbar, cfg.n_particles)
     traj = evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar)
-    return space, traj, (prop(psi0, t) for t in traj.times)
+    return space, traj, propagate(space, h, psi0, traj.times, cfg.hbar)
 
 
 def _scenario_exact_vs_meanfield(cfg: RunConfig):
@@ -413,7 +413,8 @@ def run(cfg: RunConfig, out_dir: str) -> dict:
     """Execute a scenario and write its outputs, deterministic given (config,
     seed): an earlier run's outputs are removed first, the summary written last."""
     os.makedirs(out_dir, exist_ok=True)
-    for name in ["summary.json", "series.csv"] + glob.glob("snapshots/*.fmf1", root_dir=out_dir):
+    for name in (["summary.json", "summary.json.tmp", "series.csv"]
+                 + glob.glob("snapshots/*.fmf1", root_dir=out_dir)):
         if os.path.isfile(path := os.path.join(out_dir, name)):
             os.remove(path)
     t0 = time.monotonic()

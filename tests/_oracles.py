@@ -30,6 +30,9 @@ is run by a scenario.
   checks the occupation counts and dGamma(1).
 - `slater_vector`: a*(f_1) ... a*(f_N) vacuum, which checks the Bogoliubov
   implementor's R vacuum.
+- `SectorPropagator`: exp(-i h t / hbar) by one dense `eigh` per
+  particle-number sector, which checks the Chebyshev steps of
+  `fock.propagate`.
 - `rdmk`, `wick_rdmk`: k-particle reduced densities of a Fock vector and
   their Wick determinants, which check quasi-free states (criterion 05).
 - `generalized_density`: the block density [[gamma, alpha], ...], whose
@@ -219,6 +222,41 @@ def slater_vector(space: FockSpace, orbitals: np.ndarray) -> np.ndarray:
     for j in range(orbitals.shape[1] - 1, -1, -1):
         psi = field_operator(space, orbitals[:, j], True) @ psi
     return psi
+
+
+class SectorPropagator:
+    """exp(-i h t / hbar) applied sector by sector; dense eigendecompositions
+    are cached per fixed-particle-number sector."""
+
+    def __init__(self, space: FockSpace, h, hbar: float):
+        self.space = space
+        self.h = sp.csr_matrix(h)
+        herm_defect = abs(self.h - self.h.conj().T).max()
+        if herm_defect > 1e-10:
+            raise ValueError(f"generator not Hermitian (defect {herm_defect:.2e})")
+        self.hbar = hbar
+        occ = space.occupations()
+        self._sectors = [np.nonzero(occ == n)[0] for n in range(space.l_sites + 1)]
+        self._eig = {}
+
+    def _sector_eig(self, n: int):
+        if n not in self._eig:
+            idx = self._sectors[n]
+            self._eig[n] = np.linalg.eigh(self.h[np.ix_(idx, idx)].toarray())
+        return self._eig[n]
+
+    def __call__(self, psi: np.ndarray, t: float) -> np.ndarray:
+        out = np.zeros_like(psi, dtype=complex)
+        for n, idx in enumerate(self._sectors):
+            block = psi[idx]
+            if np.linalg.norm(block) == 0:
+                continue
+            eig, vec = self._sector_eig(n)
+            out[idx] = (vec * np.exp(-1j * t * eig / self.hbar)) @ (vec.conj().T @ block)
+        drift = abs(np.linalg.norm(out) - np.linalg.norm(psi))
+        if drift > 1e-10 * max(1.0, np.linalg.norm(psi)):
+            raise RuntimeError(f"exact propagation lost norm ({drift:.2e})")
+        return out
 
 
 def _site_stack(space: FockSpace, psi: np.ndarray, create: bool) -> np.ndarray:

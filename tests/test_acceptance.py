@@ -149,8 +149,7 @@ def test_criterion_06_operator_bound_inequalities(capsys):
 
 
 def test_criterion_07_mean_field_accuracy_order(capsys):
-    from fermiflow.fock import (FockSpace, SectorPropagator, hamiltonian,
-                                quasi_free_state, rdm1)
+    from fermiflow.fock import FockSpace, hamiltonian, propagate, quasi_free_state, rdm1
 
     lat = make_lattice(1, 8, 4.0)
     hbar = default_hbar(2, 1)
@@ -158,29 +157,29 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     om0 = trapped_slater(lat, hbar, 2.0, 2)
     space = FockSpace(8)
     psi0 = quasi_free_state(space, om0)
-    prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
     cfg = EvolutionConfig(dt=1e-4, t_final=0.1, snapshot_stride=100)
     traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     times = np.array(traj.times)
-    hs = np.array([np.linalg.norm(rdm1(prop(psi0, t), space) - dense(s))
-                   for t, s in zip(traj.times, traj.states)])
+    psis = propagate(space, hamiltonian(space, pot, hbar, 2), psi0, traj.times, hbar)
+    hs = np.array([np.linalg.norm(rdm1(psi, space) - dense(s))
+                   for psi, s in zip(psis, traj.states)])
     mask = times >= 0.01 - 1e-12
     slope = np.polyfit(np.log(times[mask]), np.log(hs[mask]), 1)[0]
 
     v0 = build_potential({"shape": "zero"}, lat)
     cfg0 = EvolutionConfig(dt=1e-2, t_final=2.0, snapshot_stride=20)
     traj0 = evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    prop0 = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
-    free_dist = max(np.linalg.norm(rdm1(prop0(psi0, t), space) - dense(s))
-                    for t, s in zip(traj0.times, traj0.states))
+    psis0 = propagate(space, hamiltonian(space, v0, hbar, 2), psi0, traj0.times, hbar)
+    free_dist = max(np.linalg.norm(rdm1(psi, space) - dense(s))
+                    for psi, s in zip(psis0, traj0.states))
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
     report(capsys, 7, "mean-field accuracy order", ok,
            f"slope={slope:.3f} free-case distance={free_dist:.2e}")
 
 
 def test_criterion_08_fluctuation_vacuum_stability(capsys):
-    from fermiflow.fock import (FockSpace, SectorPropagator, fluctuation_vector,
-                                hamiltonian, number_moment, quasi_free_state)
+    from fermiflow.fock import (FockSpace, fluctuation_vector, hamiltonian, number_moment,
+                                propagate, quasi_free_state)
 
     lat = make_lattice(1, 8, 1.0)
     hbar = default_hbar(2, 1)
@@ -192,10 +191,10 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
     def moments(v, k):
         """<(N+1)^k> of xi_t = R*_{omega_t} exp(-iHt/hbar) R_{omega_0} vacuum."""
         traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar)
-        prop = SectorPropagator(space, hamiltonian(space, v, hbar, 2), hbar)
+        psis = propagate(space, hamiltonian(space, v, hbar, 2), psi0, traj.times, hbar)
         return np.array(traj.times), np.array([
-            number_moment(fluctuation_vector(space, om, prop(psi0, t)), k, space)
-            for t, om in zip(traj.times, traj.states)])
+            number_moment(fluctuation_vector(space, om, psi), k, space)
+            for psi, om in zip(psis, traj.states)])
 
     _, m1 = moments(build_potential({"shape": "zero"}, lat), 1)
     mean_n = float(np.max(m1 - 1.0))

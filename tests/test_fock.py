@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from fermiflow import fock
-from fermiflow.fock import (FockSpace, SectorPropagator, car_defect, d_gamma,
-                            field_operator, fluctuation_vector, hamiltonian,
-                            implement_bogoliubov, number_moment, pair_operator,
-                            quasi_free_state, rdm1, verify_operator_bounds)
+from fermiflow.fock import (FockSpace, car_defect, d_gamma, field_operator,
+                            fluctuation_vector, hamiltonian, implement_bogoliubov,
+                            number_moment, pair_operator, propagate, quasi_free_state,
+                            rdm1, verify_operator_bounds)
 from fermiflow.initial_data import DensityMatrix, fermi_ball_indices, plane_wave_projection
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
     make_lattice
 
-from _oracles import (dense, dense_slater, generalized_density, number_operator, rdmk,
-                      slater_vector, spectral_form, wick_rdmk)
+from _oracles import (SectorPropagator, dense, dense_slater, generalized_density,
+                      number_operator, rdmk, slater_vector, spectral_form, wick_rdmk)
 
 
 def site(space, x, create):
@@ -279,16 +279,15 @@ def test_sector_propagator_basics():
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
     h = hamiltonian(space, pot, hbar, 2)
-    prop = SectorPropagator(space, h, hbar)
     rng = np.random.default_rng(4)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
-    assert np.max(np.abs(prop(psi, 0.0) - psi)) < 1e-14
+    assert np.max(np.abs(next(propagate(space, h, psi, [0.0], hbar)) - psi)) < 1e-14
     # eigenvector picks up a phase only
     hd = h.toarray()
     eig, vec = np.linalg.eigh(hd)
     ev = vec[:, 3].astype(complex)
-    out = prop(ev, 0.3)
+    out = next(propagate(space, h, ev, [0.3], hbar))
     expected = np.exp(-1j * 0.3 * eig[3] / hbar) * ev
     assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -298,15 +297,65 @@ def test_exact_evolve_matches_fine_stepping():
     hbar = default_hbar(2, 1)
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
-    prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
+    h = hamiltonian(space, pot, hbar, 2)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
-    direct = prop(psi, 0.2)
-    stepped = psi
-    for _ in range(200):
-        stepped = prop(stepped, 1e-3)
+    direct = next(propagate(space, h, psi, [0.2], hbar))
+    *_, stepped = propagate(space, h, psi, 1e-3 * np.arange(1, 201), hbar)
     assert np.max(np.abs(direct - stepped)) < 1e-8
+
+
+def test_hamiltonian_is_hermitian():
+    lat = make_lattice(1, 5, 1.0)
+    hbar = default_hbar(2, 1)
+    space = FockSpace(5)
+    for spec in ({"shape": "cosine", "strength": 0.8, "mode": 1},
+                 {"shape": "gaussian", "strength": 1.0, "sigma": 0.2}):
+        h = hamiltonian(space, build_potential(spec, lat), hbar, 2)
+        assert abs(h - h.conj().T).max() <= 1e-12
+
+
+def test_propagate_matches_the_sector_oracle_on_both_branches(monkeypatch):
+    # L = 5 sectors hold 1, 5, 10, 10, 5, 1 states.  The series has at least
+    # 6 terms (a >= 1/64), so the 1- and 5-state sectors always take `eigh`; the
+    # 10-state ones take the series over the short interval and `eigh` over
+    # the long one, where a >= their dimension.
+    lat = make_lattice(1, 5, 1.0)
+    hbar = default_hbar(2, 1)
+    space = FockSpace(5)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    h = hamiltonian(space, pot, hbar, 2)
+    rng = np.random.default_rng(12)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi /= np.linalg.norm(psi)
+    times = [1e-4, 0.5]
+    want = [SectorPropagator(space, h, hbar)(psi, t) for t in times]
+
+    eigh, sizes = np.linalg.eigh, []
+
+    def recording_eigh(m):
+        sizes.append(len(m))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    steps = propagate(space, h, psi, times, hbar)
+    for t, expected, eigh_sizes in zip(times, want, ([1, 1, 5, 5], [1, 1, 5, 5, 10, 10])):
+        got = next(steps)
+        assert sorted(sizes) == eigh_sizes, t
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        sizes.clear()
+
+
+def test_propagate_refuses_a_non_finite_state():
+    lat = make_lattice(1, 5, 1.0)
+    hbar = default_hbar(2, 1)
+    space = FockSpace(5)
+    pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
+    psi = np.full(space.dim, 1 / np.sqrt(space.dim), dtype=complex)
+    psi[3] = np.nan
+    with pytest.raises(RuntimeError, match="lost norm"):
+        next(propagate(space, hamiltonian(space, pot, hbar, 2), psi, [0.1], hbar))
 
 
 def test_rdm1_examples():
@@ -403,8 +452,9 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     assert np.max(np.abs(fluctuation_vector(space, om, r0 @ xi) - xi)) < 1e-10
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    prop = SectorPropagator(space, hamiltonian(space, pot, hbar, 2), hbar)
-    out = fluctuation_vector(space, traj.states[-1], prop(r0 @ xi, traj.times[-1]))
+    psi_t = next(propagate(space, hamiltonian(space, pot, hbar, 2), r0 @ xi,
+                           [traj.times[-1]], hbar))
+    out = fluctuation_vector(space, traj.states[-1], psi_t)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -416,10 +466,10 @@ def test_fluctuation_vacuum_stable_without_interaction():
     om = dense_slater(lat, hbar, 5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    prop = SectorPropagator(space, hamiltonian(space, v0, hbar, 2), hbar)
-    psi0 = quasi_free_state(space, om)
-    for t, om_t in zip(traj.times[1:], traj.states[1:]):
-        xi = fluctuation_vector(space, om_t, prop(psi0, t))
+    psis = propagate(space, hamiltonian(space, v0, hbar, 2), quasi_free_state(space, om),
+                     traj.times[1:], hbar)
+    for om_t, psi_t in zip(traj.states[1:], psis):
+        xi = fluctuation_vector(space, om_t, psi_t)
         assert number_moment(xi, 1, space) - 1.0 < 1e-9
 
 

@@ -189,6 +189,24 @@ def test_failed_rerun_removes_the_earlier_summary(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
+def test_failed_rerun_removes_a_stale_temp_summary(tmp_path, monkeypatch):
+    import fermiflow.runner as runner_mod
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text('{"status": "success"}')
+    (out / "summary.json.tmp").write_text('{"status": "success"}')
+
+    def boom(cfg):
+        raise NumericFailure("synthetic blow-up")
+
+    monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", boom)
+    with pytest.raises(NumericFailure):
+        run(parse_config(json.dumps(MINIMAL)), str(out))
+    assert not (out / "summary.json").exists()
+    assert not (out / "summary.json.tmp").exists()
+
+
 def test_shorter_rerun_manifest_lists_exactly_the_files_on_disk(tmp_path):
     out = str(tmp_path / "out")
     run(parse_config(json.dumps(MINIMAL)), out)  # snapshots at t = 0, 0.05, 0.1

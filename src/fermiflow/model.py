@@ -231,7 +231,7 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
     return _potential_from_samples(samples, lattice)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=2)  # trapped_slater's one-axis K and the run's K
 def kinetic_operator(lattice: Lattice, hbar: float) -> np.ndarray:
     """-hbar^2 Laplacian, the circulant of ifftn(hbar^2 |p|^2): real (|p|^2 is even),
     exactly symmetric (its kernel is evenized), PSD; cached and read-only."""

@@ -11,10 +11,11 @@ at the cost of a factor-2 momentum coarsening).  The quadrature weight is
 the constant 1/d, pinned by the sum rule sum_{j,k} W / d = tr omega; with
 that weight the position marginal is exactly the diagonal of omega.
 
-The Vlasov kick's force -d/dx (V * rho) is the symbol -i p of
-`Lattice.fft_momenta` on V * rho: one fft and one ifft.  The semiclassics
-scenario in `runner` loops `vlasov_step` and `wigner` over the snapshots.
+Vlasov sweeps and the kick's force -d/dx (V * rho) = -i p (`Lattice.fft_momenta`) on V * rho
+are rfft/irfft pairs on a real half spectrum.  `runner` loops `vlasov_step` and `wigner`.
 """
+
+import functools
 
 import numpy as np
 
@@ -48,34 +49,43 @@ def wigner(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
     return w.real
 
 
-def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Shift each row of a periodic array by a (fractional) number of cells: a
-    phase on its FFT, k the integer frequencies.  Exact for band-limited data,
-    exact at integer shifts, and conserves each row's sum (the zero mode is
-    never touched); this makes the transport sweeps free of time-step error,
-    so the splitting is the only dt-dependent approximation."""
-    n = values.shape[1]
-    phase = np.exp(-2j * np.pi * k[None, :] * np.asarray(shifts)[:, None] / n)
-    return np.fft.ifft(np.fft.fft(values, axis=1) * phase, axis=1).real
+def _phases(shifts: np.ndarray, n: int) -> np.ndarray:
+    """exp(-2 pi i kappa s / n), kappa = 0..n//2 on a new last axis: shifts by s cells."""
+    angle = np.multiply.outer(shifts, np.arange(n // 2 + 1) * (-2.0 * np.pi / n))
+    phase = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return phase
+
+
+@functools.lru_cache(maxsize=4)
+def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> np.ndarray:
+    """The half-drift phases [kappa, k], s_k = q_k dt / a cells (velocity 2q); read-only."""
+    table = _phases(momentum_grid(lattice, hbar) * dt / lattice.spacing, lattice.d).T.copy()
+    table.setflags(write=False)
+    return table
 
 
 def _force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
     """-d/dx (V * rho), rho the normalized position marginal: -i p on V * rho."""
     lattice = v.lattice
     rho = np.sum(w, axis=1) * (1.0 / lattice.d) / (n_particles * lattice.cell)  # weight 1/d
-    u = direct_term(rho, v)
-    return np.fft.ifft(-1j * lattice.fft_momenta()[0] * np.fft.fft(u)).real
+    p, u = lattice.fft_momenta()[0, :lattice.d // 2 + 1], direct_term(rho, v)
+    return np.fft.irfft(-1j * p * np.fft.rfft(u), lattice.d)
 
 
-def vlasov_step(w: np.ndarray, dt: float, v: Potential, q: np.ndarray,
+def vlasov_step(w: np.ndarray, dt: float, v: Potential, hbar: float,
                 n_particles: int) -> np.ndarray:
-    """One Strang-split step of the Vlasov flow matching the quantum
-    generator -hbar^2 Lap + direct term (transport velocity 2q), q the
-    labels `momentum_grid(v.lattice, hbar)` of w's momentum axis."""
+    """One Strang-split step of the Vlasov flow for -hbar^2 Lap + direct term, w's
+    momenta `momentum_grid(v.lattice, hbar)` (velocity 2q).  Each sweep is exact for
+    band-limited data and integer shifts and keeps each line's sum (irfft keeps
+    Re(X phase) at the real Nyquist bin): the splitting is the only dt error."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k = v.lattice.fft_indices()[0]
-    drift = 2.0 * q * (0.5 * dt) / v.lattice.spacing  # cells per half step
-    w = _shift_rows_spectral(w.T, drift, k).T  # the rows of w.T are momentum slices
-    w = _shift_rows_spectral(w, _force(w, v, n_particles) * dt / (q[1] - q[0]), k)
-    return _shift_rows_spectral(w.T, drift, k).T
+    d, drift = v.lattice.d, _drift_phases(v.lattice, hbar, dt)
+    w = np.fft.irfft(np.fft.rfft(w, axis=0) * drift, d, axis=0)  # momentum columns drift
+    shifts = _force(w, v, n_particles) * dt / (np.pi * hbar / v.lattice.length)  # q spacing
+    if not np.all(np.isfinite(shifts)):
+        raise RuntimeError("Vlasov kick is not finite")
+    w = np.fft.irfft(np.fft.rfft(w, axis=1) * _phases(shifts, d), d, axis=1)  # site rows kicked
+    return np.fft.irfft(np.fft.rfft(w, axis=0) * drift, d, axis=0)

@@ -5,6 +5,10 @@ is run by a scenario.
   every orbital computation against its dense form.
 - `dense_wigner`: the Wigner transform by one gather of kernel slices from
   the dense omega, which checks the orbital `semiclassics.wigner`.
+- `full_fft_vlasov_step`: the Strang-split Vlasov step by full complex FFTs
+  on transposed views, every phase table rebuilt per sweep and the
+  momentum labels q passed in, which checks the half-spectrum
+  `semiclassics.vlasov_step`.
 - `momentum_indices`, `momenta`: the momentum grid enumerated row-major
   with ascending components, independently of the FFT-order grid of
   `Lattice.fft_indices` and `Lattice.fft_momenta`.
@@ -50,6 +54,7 @@ from scipy.optimize import minimize_scalar
 
 from fermiflow.fock import FockSpace, field_operator, number_moment
 from fermiflow.initial_data import _GAP_TOL, DegenerateFermiLevel, DensityMatrix
+from fermiflow.meanfield import direct_term
 from fermiflow.model import Lattice, Potential, is_hermitian, kinetic_operator
 
 
@@ -65,6 +70,35 @@ def dense_wigner(omega: DensityMatrix, d: int) -> np.ndarray:
     j, off = np.arange(d)[:, None], np.arange(d)[None, :]
     slices = dense(omega)[(j + off) % d, (j - off) % d]
     return np.fft.fftshift(np.fft.fft(slices, axis=1), axes=1)
+
+
+def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Shift each row of a periodic array by a (fractional) number of cells: a
+    phase on its FFT, k the integer frequencies."""
+    n = values.shape[1]
+    phase = np.exp(-2j * np.pi * k[None, :] * np.asarray(shifts)[:, None] / n)
+    return np.fft.ifft(np.fft.fft(values, axis=1) * phase, axis=1).real
+
+
+def _full_fft_force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
+    """-d/dx (V * rho), rho the normalized position marginal: -i p on V * rho."""
+    lattice = v.lattice
+    rho = np.sum(w, axis=1) * (1.0 / lattice.d) / (n_particles * lattice.cell)  # weight 1/d
+    u = direct_term(rho, v)
+    return np.fft.ifft(-1j * lattice.fft_momenta()[0] * np.fft.fft(u)).real
+
+
+def full_fft_vlasov_step(w: np.ndarray, dt: float, v: Potential, q: np.ndarray,
+                         n_particles: int) -> np.ndarray:
+    """One Strang-split Vlasov step (transport velocity 2q), q the labels
+    `momentum_grid(v.lattice, hbar)` of w's momentum axis."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    k = v.lattice.fft_indices()[0]
+    drift = 2.0 * q * (0.5 * dt) / v.lattice.spacing  # cells per half step
+    w = _shift_rows_spectral(w.T, drift, k).T  # the rows of w.T are momentum slices
+    w = _shift_rows_spectral(w, _full_fft_force(w, v, n_particles) * dt / (q[1] - q[0]), k)
+    return _shift_rows_spectral(w.T, drift, k).T
 
 
 def momentum_indices(lattice: Lattice) -> np.ndarray:

@@ -212,6 +212,16 @@ def test_cached_tables_are_read_only():
             table[...] = 0
 
 
+def test_kinetic_operator_cache_keeps_two_entries():
+    # one entry for trapped_slater's one-axis K and one for the run's K: a
+    # sweep over hbar keeps two M x M tables alive, not one per hbar
+    lat = make_lattice(2, 6, 1.1)
+    for hbar in (0.3, 0.4, 0.5):
+        k = kinetic_operator(lat, hbar)
+    assert kinetic_operator.cache_info().currsize <= 2
+    assert kinetic_operator(lat, 0.5) is k
+
+
 def test_fourier_matrix_unitary():
     lat = make_lattice(1, 12, 2.0)
     f = fourier_matrix(lat)

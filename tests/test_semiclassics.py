@@ -8,12 +8,12 @@ import pytest
 
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
-from fermiflow.model import Lattice, build_potential, default_hbar, make_lattice
+from fermiflow.model import build_potential, default_hbar, make_lattice
 from fermiflow.runner import parse_config, run
 from fermiflow import semiclassics
 from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 
-from _oracles import dense, dense_wigner, spectral_form
+from _oracles import dense, dense_wigner, full_fft_vlasov_step, spectral_form
 
 
 def test_wigner_translation_invariant_state():
@@ -108,7 +108,7 @@ def test_vlasov_free_transport_on_grid_characteristics():
     v0 = build_potential({"shape": "zero"}, lat)
     # shift per half step = 2 q dt / (2 a) = q dt / a cells; make it exactly 1
     dt = lat.spacing / q[slice_k]
-    out = vlasov_step(vals, dt, v0, q, n_particles=1)
+    out = vlasov_step(vals, dt, v0, hbar, n_particles=1)
     expected = np.zeros_like(vals)
     expected[:, slice_k] = np.roll(vals[:, slice_k], 2)
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -119,12 +119,12 @@ def test_vlasov_mass_conservation_per_slice():
     hbar = default_hbar(4, 1)
     om = trapped_slater(lat, hbar, 50.0, 4)
     w = wigner(om, lat)
-    v0, q = build_potential({"shape": "zero"}, lat), momentum_grid(lat, hbar)
-    out = vlasov_step(w, 1e-3, v0, q, 4)
+    v0 = build_potential({"shape": "zero"}, lat)
+    out = vlasov_step(w, 1e-3, v0, hbar, 4)
     # with V = 0 each momentum slice is transported, preserving its own mass
     assert np.max(np.abs(out.sum(axis=0) - w.sum(axis=0))) < 1e-10
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    out = vlasov_step(w, 1e-3, pot, q, 4)
+    out = vlasov_step(w, 1e-3, pot, hbar, 4)
     assert abs(np.sum(out) / 32 - np.sum(w) / 32) < 1e-10
 
 
@@ -142,7 +142,7 @@ def test_vlasov_step_second_order():
     def run(dt, t_final):
         w = vals0.copy()
         for _ in range(int(round(t_final / dt))):
-            w = vlasov_step(w, dt, pot, q, n_particles=1)
+            w = vlasov_step(w, dt, pot, hbar, n_particles=1)
         return w
 
     t_final = 0.01
@@ -150,6 +150,37 @@ def test_vlasov_step_second_order():
     err1 = np.linalg.norm(run(t_final / 4, t_final) - ref)
     err2 = np.linalg.norm(run(t_final / 8, t_final) - ref)
     assert 3.3 < err1 / err2 < 4.7
+
+
+@pytest.mark.parametrize("d,steps", [(64, 200), (16, 1), (9, 1)])
+def test_vlasov_step_matches_the_full_fft_step(d, steps):
+    # the half-spectrum step against full complex FFTs on transposed views;
+    # odd d has no Nyquist bin
+    lat = make_lattice(1, d, 1.0)
+    hbar = default_hbar(8, 1)
+    q = momentum_grid(lat, hbar)
+    x = lat.sites()[:, 0]
+    if d == 64:  # vlasov1d's state and potential
+        w0 = wigner(trapped_slater(lat, hbar, 50.0, 8), lat)
+    else:
+        w0 = np.exp(-((x[:, None] - 0.5) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    w, ref = w0, w0
+    for _ in range(steps):
+        w = vlasov_step(w, 2.5e-4, pot, hbar, 8)
+        ref = full_fft_vlasov_step(ref, 2.5e-4, pot, q, 8)
+    assert np.max(np.abs(w - ref)) <= 1e-12
+    assert not semiclassics._drift_phases(lat, hbar, 2.5e-4).flags.writeable
+
+
+def test_vlasov_step_rejects_a_non_finite_state():
+    # NaN > tol is False: the finiteness check must be written to fail on NaN
+    lat = make_lattice(1, 16, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    w = np.ones((16, 16))
+    w[5, 3] = np.nan
+    with pytest.raises(RuntimeError, match="not finite"):
+        vlasov_step(w, 1e-3, pot, 0.5, 4)
 
 
 def _semiclassics(tmp_path, lattice, n, potential, initial, evolution, vlasov_dt):
@@ -215,26 +246,20 @@ def test_semiclassics_transforms_each_snapshot_once(tmp_path, monkeypatch):
 
 
 def test_semiclassics_builds_the_momentum_grid_once(tmp_path, monkeypatch):
-    # a vlasov1d-sized run of 1000 Vlasov steps: every force and transport
-    # sweep reads the lattice's one integer grid and one momentum grid, and
-    # the scenario builds the Wigner momentum labels q once for all steps
-    reads = {"fft_indices": [], "fft_momenta": []}
-    for name in reads:
-        def recorded(lattice, grid=getattr(Lattice, name), name=name):
-            reads[name].append(grid(lattice))
-            return reads[name][-1]
-        monkeypatch.setattr(Lattice, name, recorded)
+    # a vlasov1d-sized run of 1000 Vlasov steps builds the half-drift phase
+    # table once, and the momentum labels q once for the scenario and once
+    # for that one table
     labels = []
     monkeypatch.setattr(semiclassics, "momentum_grid",
                         lambda *args: labels.append(momentum_grid(*args)) or labels[-1])
+    semiclassics._drift_phases.cache_clear()
     _semiclassics(
         tmp_path, {"ds": 1, "d": 64}, 8, {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
         {"kind": "trapped", "strength": 50.0},
         {"dt": 1e-3, "t_final": 0.25, "snapshot_stride": 50}, 2.5e-4)
-    for name, grids in reads.items():
-        assert len(grids) >= 1000, name
-        assert all(grid is grids[0] for grid in grids), name
-    assert len(labels) == 1
+    info = semiclassics._drift_phases.cache_info()
+    assert (info.misses, info.hits) == (1, 999)
+    assert len(labels) == 2
 
 
 def test_wigner_rejects_odd_or_multidimensional():

@@ -195,22 +195,30 @@ def quasi_free_state(space: FockSpace, omega) -> np.ndarray:
     return implement_bogoliubov(space, omega) @ space.vacuum()
 
 
+def _gershgorin_interval(h: np.ndarray) -> tuple:
+    """[lo, hi] ⊇ spec(h) for Hermitian h: the union of the Gershgorin discs."""
+    centre, radius = h.diagonal().real, np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    return (centre - radius).min(), (centre + radius).max()
+
+
 def propagate(space: FockSpace, h, psi0: np.ndarray, times, hbar: float):
     """Yield exp(-i h t / hbar) psi0 at each of the ascending times t >= 0.
 
     h conserves the particle number (a `hamiltonian`).  Each sector that psi0
     reaches is formed densely once and stepped from one time to the next by
-    `apply_exponential`, the Chebyshev series of the mean-field flow."""
+    `apply_exponential`, the Chebyshev series of the mean-field flow, on the
+    block's Gershgorin interval."""
     occ = space.occupations()
-    sectors = [(idx, h[np.ix_(idx, idx)].toarray())
-               for idx in (np.nonzero(occ == n)[0] for n in range(space.l_sites + 1))
-               if np.any(psi0[idx])]
+    blocks = [(idx, h[np.ix_(idx, idx)].toarray())
+              for idx in (np.nonzero(occ == n)[0] for n in range(space.l_sites + 1))
+              if np.any(psi0[idx])]
+    sectors = [(idx, block, _gershgorin_interval(block)) for idx, block in blocks]
     psi, t_prev = psi0, 0.0
     norm0 = np.linalg.norm(psi0)
     for t in times:
         out = np.zeros(space.dim, dtype=complex)
-        for idx, block in sectors:
-            out[idx] = apply_exponential(psi[idx, None], block, t - t_prev, hbar)[:, 0]
+        for idx, block, interval in sectors:
+            out[idx] = apply_exponential(psi[idx, None], block, interval, t - t_prev, hbar)[:, 0]
         psi, t_prev = out, t
         drift = abs(np.linalg.norm(psi) - norm0)
         if not drift <= 1e-10 * max(1.0, norm0):  # also true for NaN

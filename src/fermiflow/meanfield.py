@@ -12,7 +12,8 @@ fixed and only the orbitals move.  It is integrated by one rule, the
 exponential midpoint rule: each step maps Phi to exp(-i dt h / hbar) Phi,
 with h evaluated at the average of omega and an exponential-Euler
 predictor, so a projection stays a projection at every step.  The exponential
-is a Chebyshev series in h on Phi, or an `eigh` of h where it needs dim h terms.
+is a Chebyshev series in h on Phi over the interval `generator` reads from h's
+parts, in real arithmetic where h is real, or an `eigh` of h where it needs dim h terms.
 `evolve` builds h once per state, also for the energy E = tr((K + h) omega) / 2.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.
@@ -100,9 +101,14 @@ def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
 def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
     """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y): one circular
     convolution of the site grids by real FFT, with V's transform cached."""
-    grid, axes = (v.lattice.d,) * v.lattice.ds, tuple(range(v.lattice.ds))
-    rhat = np.fft.rfftn(np.reshape(rho, grid), axes=axes)
-    return v.lattice.cell * np.fft.irfftn(v.site_rfft * rhat, grid, axes=axes).ravel()
+    lat = v.lattice
+    rhat = np.fft.rfft(np.reshape(rho, (lat.d,) * lat.ds), axis=-1)
+    for ax in range(lat.ds - 2, -1, -1):  # rfftn's order, without its argument handling
+        rhat = np.fft.fft(rhat, axis=ax)
+    np.multiply(v.site_rfft, rhat, out=rhat)  # in this order: SIMD complex products round by it
+    for ax in range(lat.ds - 1):  # irfftn's order
+        rhat = np.fft.ifft(rhat, axis=ax)
+    return lat.cell * np.fft.irfft(rhat, lat.d, axis=-1).ravel()
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
@@ -113,25 +119,39 @@ def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
     return np.multiply(x, v.pair_matrix, out=x)
 
 
+@functools.lru_cache(maxsize=2)
+def _kinetic_top(lattice: Lattice, hbar: float) -> float:
+    """hbar^2 max |p|^2, the top of spec K: K is the circulant of the symbol hbar^2 |p|^2."""
+    return hbar ** 2 * float(np.max(np.sum(lattice.fft_momenta() ** 2, axis=0)))
+
+
 def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
-              hbar: float) -> np.ndarray:
+              hbar: float) -> tuple:
     """Effective one-particle Hamiltonian h(omega) for the requested flow, in
     one buffer: X negated in place, K added to its real part, V * rho to its
-    diagonal.  Real where omega's orbitals are, or for Hartree."""
+    diagonal.  Real where omega's orbitals are, or for Hartree.  With it, Weyl's
+    [lo, hi] ⊇ spec h from the parts: K's [0, hbar^2 max|p|^2], u = V * rho's range and
+    -X's [-v+ c, -v- c], c = max omega_jj / N: omega >= 0 puts V o omega between
+    v- Diag(omega) and v+ Diag(omega), [v-, v+] = `Potential.pair_range`."""
+    rho = density_profile(omega, v.lattice)
+    u = direct_term(rho, v)
+    lo, hi = u.min(), u.max() + _kinetic_top(v.lattice, hbar)
     if kind is MeanFieldKind.HARTREE_FOCK:
         h = exchange_term(omega, v)
         np.negative(h, out=h)
         h.real += kinetic_operator(v.lattice, hbar)
+        c, (v_lo, v_hi) = v.lattice.cell * rho.max(), v.pair_range
+        lo, hi = lo - v_hi * c, hi - v_lo * c
     else:
         h = kinetic_operator(v.lattice, hbar).copy()
-    h.flat[:: len(h) + 1] += direct_term(density_profile(omega, v.lattice), v)
-    return h
+    h.flat[:: len(h) + 1] += u
+    return h, (lo, hi)
 
 
-def _gershgorin_interval(h: np.ndarray) -> tuple:
-    """[lo, hi] ⊇ spec(h) for Hermitian h: the union of the Gershgorin discs."""
-    centre, radius = h.diagonal().real, np.abs(h).sum(axis=1) - np.abs(h.diagonal())
-    return (centre - radius).min(), (centre + radius).max()
+def _times(h: np.ndarray):
+    """psi -> h psi on C-contiguous complex blocks psi; a real h acts on their real
+    (M, 2r) view, where numpy's real x complex product would upcast h."""
+    return h.__matmul__ if np.iscomplexobj(h) else lambda psi: (h @ psi.view(float)).view(complex)
 
 
 @functools.lru_cache(maxsize=256)
@@ -148,12 +168,13 @@ def _chebyshev_coefficients(a: float, n: int = 1024) -> np.ndarray:
     return c[: cut[0]] if cut.size else _chebyshev_coefficients(a, 2 * n)
 
 
-def apply_exponential(phi: np.ndarray, h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i tau h) Phi, tau = dt / hbar: a Chebyshev series in h2 = (tau/a)(h - mid),
-    a = tau (hi - lo) / 2 rounded up to a multiple of 1/64.  No degree >= dim h is
-    needed (Cayley-Hamilton): then, or for a non-finite h, h is diagonalized."""
-    m, tau = len(h), dt / hbar
-    lo, hi = _gershgorin_interval(h)
+def apply_exponential(phi: np.ndarray, h: np.ndarray, interval: tuple, dt: float,
+                      hbar: float) -> np.ndarray:
+    """exp(-i tau h) Phi, tau = dt / hbar, [lo, hi] = interval ⊇ spec h: a Chebyshev
+    series in h2 = (tau/a)(h - mid), a = tau (hi - lo) / 2 rounded up to a multiple of
+    1/64, on Phi's C-contiguous complex copy.  No degree >= dim h is needed
+    (Cayley-Hamilton): then, or for a non-finite interval, h is diagonalized."""
+    (lo, hi), m, tau = interval, len(h), dt / hbar
     a = tau * (hi - lo) / 2
     a = max(math.ceil(64 * a), 1) / 64 if a < m else a  # a < m is False for NaN
     if not (a < m and len(c := _chebyshev_coefficients(a)) < m):
@@ -163,23 +184,24 @@ def apply_exponential(phi: np.ndarray, h: np.ndarray, dt: float, hbar: float) ->
     c = np.exp(-1j * tau * mid) * c  # exp(-i tau h) = exp(-i tau mid) exp(-i a h2)
     two_h2 = (2 * tau / a) * h
     two_h2.flat[:: m + 1] -= 2 * tau / a * mid
-    prev, cur = phi, 0.5 * (two_h2 @ phi)
+    times, prev = _times(two_h2), np.ascontiguousarray(phi, dtype=complex)
+    cur = 0.5 * times(prev)
     out = c[0] * prev + c[1] * cur
     for ck in c[2:]:  # T_{k+1} = 2 h2 T_k - T_{k-1}
-        prev, cur = cur, two_h2 @ cur - prev
+        prev, cur = cur, times(cur) - prev
         out += ck * cur
     return out
 
 
-def step(omega: DensityMatrix, h: np.ndarray, cfg: EvolutionConfig,
+def step(omega: DensityMatrix, h: np.ndarray, interval: tuple, cfg: EvolutionConfig,
          kind: MeanFieldKind, v: Potential, hbar: float) -> DensityMatrix:
-    """One exponential midpoint step on the orbitals from h = h(omega): the
-    generator is re-evaluated at the average of omega and an exponential-Euler
+    """One exponential midpoint step on the orbitals from `generator`'s h(omega) and
+    interval: the generator is re-evaluated at the average of omega and an exponential-Euler
     predictor, the factored state [Phi, Phi_pred] diag(lam/2, lam/2) [Phi, Phi_pred]*."""
     phi, lam = omega.orbitals, omega.occupations
-    pred = apply_exponential(phi, h, cfg.dt, hbar)
+    pred = apply_exponential(phi, h, interval, cfg.dt, hbar)
     mid = DensityMatrix(np.hstack([phi, pred]), np.concatenate([lam, lam]) / 2)
-    return DensityMatrix(apply_exponential(phi, generator(mid, kind, v, hbar), cfg.dt, hbar), lam)
+    return DensityMatrix(apply_exponential(phi, *generator(mid, kind, v, hbar), cfg.dt, hbar), lam)
 
 
 def hf_energy(omega: DensityMatrix, h: np.ndarray, lattice: Lattice,
@@ -187,8 +209,8 @@ def hf_energy(omega: DensityMatrix, h: np.ndarray, lattice: Lattice,
     """E = (1/2) Re sum_j lam_j <phi_j, (K + h) phi_j> for h = h(omega): the 1/2
     symmetry factor on both interaction terms makes this the conserved
     quantity of the flow."""
-    phi = omega.orbitals
-    k_h_phi = kinetic_operator(lattice, hbar) @ phi + h @ phi
+    phi = np.ascontiguousarray(omega.orbitals, dtype=complex)
+    k_h_phi = _times(kinetic_operator(lattice, hbar))(phi) + _times(h)(phi)
     return 0.5 * float(np.vdot(phi * omega.occupations, k_h_phi).real)
 
 
@@ -202,12 +224,12 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
     for i in range(cfg.n_steps + 1):
         t = i * cfg.dt
         if i > 0:
-            state = step(state, h, cfg, kind, v, hbar)
+            state = step(state, h, interval, cfg, kind, v, hbar)
             defect = state.idempotency_defect()
             if not defect <= 1e-4:  # also true for NaN
                 raise RuntimeError(
                     f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}")
-        h = generator(state, kind, v, hbar)  # for the energy and the next predictor
+        h, interval = generator(state, kind, v, hbar)  # for the energy and the next predictor
         traj.trace.append(float(np.vdot(state.orbitals, state.orbitals * state.occupations).real))
         traj.energy.append(hf_energy(state, h, v.lattice, hbar))
         traj.idempotency_defect.append(defect)

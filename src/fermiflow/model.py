@@ -119,6 +119,11 @@ class Potential:
         return _read_only(np.fft.rfftn(self.real_space.reshape(grid)))
 
     @functools.cached_property
+    def pair_range(self) -> tuple:
+        """[v-, v+] ∋ 0 holding spec `pair_matrix`, whose eigenvalues are `site_rfft`'s values."""
+        return min(self.site_rfft.real.min(), 0.0), max(self.site_rfft.real.max(), 0.0)
+
+    @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
         """V(x_i - x_j) for every site pair, the circulant of the samples: built once
         per potential, exactly symmetric (the samples are even); the exchange term

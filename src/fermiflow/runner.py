@@ -368,8 +368,8 @@ def _scenario_semiclassics(cfg: RunConfig):
     q = momentum_grid(cfg.lattice, cfg.hbar)
     gap = [0.0]  # both sides start from w0
     for t_prev, t, state in zip(traj.times, traj.times[1:], traj.states[1:]):
-        for _ in range(round((t - t_prev) / cfg.vlasov_dt)):  # whole, checked by parse_config
-            classical = vlasov_step(classical, cfg.vlasov_dt, cfg.potential, cfg.hbar, n)
+        n_steps = round((t - t_prev) / cfg.vlasov_dt)  # whole, checked by parse_config
+        classical = vlasov_step(classical, n_steps, cfg.vlasov_dt, cfg.potential, cfg.hbar, n)
         gap.append(float(np.sum(np.abs(wigner(state, cfg.lattice) - classical)) * weight))
     gap_norm = np.array(gap) / (cfg.hbar * n)
     return ({"t": traj.times, "l1_gap": gap, "gap_over_hbar_n": gap_norm},

@@ -12,7 +12,9 @@ the constant 1/d, pinned by the sum rule sum_{j,k} W / d = tr omega; with
 that weight the position marginal is exactly the diagonal of omega.
 
 Vlasov sweeps and the kick's force -d/dx (V * rho) = -i p (`Lattice.fft_momenta`) on V * rho
-are rfft/irfft pairs on a real half spectrum.  `runner` loops `vlasov_step` and `wigner`.
+are rfft/irfft pairs on a real half spectrum.  `vlasov_step` runs n Strang steps with
+n + 1 drift sweeps, adjacent half drifts merged; `runner` calls it once per snapshot
+interval and `wigner` once per snapshot.
 """
 
 import functools
@@ -59,11 +61,17 @@ def _phases(shifts: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> np.ndarray:
-    """The half-drift phases [kappa, k], s_k = q_k dt / a cells (velocity 2q); read-only."""
-    table = _phases(momentum_grid(lattice, hbar) * dt / lattice.spacing, lattice.d).T.copy()
-    table.setflags(write=False)
-    return table
+def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> tuple:
+    """The half- and full-drift phases [kappa, k] of dt, s_k = q_k dt / a cells per half
+    (velocity 2q); read-only.  A full drift is two half drifts: the half table squared,
+    (Re phase)^2 at a real Nyquist bin, where each irfft keeps Re(X phase)."""
+    half = _phases(momentum_grid(lattice, hbar) * dt / lattice.spacing, lattice.d).T.copy()
+    full = half * half
+    if lattice.d % 2 == 0:
+        full[-1] = half[-1].real ** 2
+    for table in (half, full):
+        table.setflags(write=False)
+    return half, full
 
 
 def _force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
@@ -74,18 +82,21 @@ def _force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
     return np.fft.irfft(-1j * p * np.fft.rfft(u), lattice.d)
 
 
-def vlasov_step(w: np.ndarray, dt: float, v: Potential, hbar: float,
+def vlasov_step(w: np.ndarray, n_steps: int, dt: float, v: Potential, hbar: float,
                 n_particles: int) -> np.ndarray:
-    """One Strang-split step of the Vlasov flow for -hbar^2 Lap + direct term, w's
-    momenta `momentum_grid(v.lattice, hbar)` (velocity 2q).  Each sweep is exact for
+    """n_steps Strang-split steps of the Vlasov flow for -hbar^2 Lap + direct term, w's
+    momenta `momentum_grid(v.lattice, hbar)` (velocity 2q): D(dt/2) (K D(dt))^(n-1) K
+    D(dt/2), each pair of adjacent half drifts merged into one.  Each sweep is exact for
     band-limited data and integer shifts and keeps each line's sum (irfft keeps
     Re(X phase) at the real Nyquist bin): the splitting is the only dt error."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    d, drift = v.lattice.d, _drift_phases(v.lattice, hbar, dt)
-    w = np.fft.irfft(np.fft.rfft(w, axis=0) * drift, d, axis=0)  # momentum columns drift
-    shifts = _force(w, v, n_particles) * dt / (np.pi * hbar / v.lattice.length)  # q spacing
-    if not np.all(np.isfinite(shifts)):
-        raise RuntimeError("Vlasov kick is not finite")
-    w = np.fft.irfft(np.fft.rfft(w, axis=1) * _phases(shifts, d), d, axis=1)  # site rows kicked
-    return np.fft.irfft(np.fft.rfft(w, axis=0) * drift, d, axis=0)
+    if not (dt > 0 and n_steps >= 1):
+        raise ValueError("dt must be positive and n_steps at least 1")
+    d, (half, full) = v.lattice.d, _drift_phases(v.lattice, hbar, dt)
+    w = np.fft.irfft(np.fft.rfft(w, axis=0) * half, d, axis=0)  # momentum columns drift
+    for drift in [full] * (n_steps - 1) + [half]:
+        shifts = _force(w, v, n_particles) * dt / (np.pi * hbar / v.lattice.length)  # q spacing
+        if not np.all(np.isfinite(shifts)):
+            raise RuntimeError("Vlasov kick is not finite")
+        w = np.fft.irfft(np.fft.rfft(w, axis=1) * _phases(shifts, d), d, axis=1)  # site rows kicked
+        w = np.fft.irfft(np.fft.rfft(w, axis=0) * drift, d, axis=0)
+    return w

@@ -254,7 +254,7 @@ def test_criterion_11_wigner_vlasov_checks(capsys):
     vals = np.zeros((16, 16))
     vals[:, 12] = rng.random(16)
     v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(vals, lat.spacing / q[12], v0, 1.0, 1)
+    out = vlasov_step(vals, 1, lat.spacing / q[12], v0, 1.0, 1)
     expected = np.zeros_like(vals)
     expected[:, 12] = np.roll(vals[:, 12], 2)
     transport_err = float(np.max(np.abs(out - expected)))
@@ -267,7 +267,7 @@ def test_criterion_11_wigner_vlasov_checks(capsys):
     sum_err = abs(float(np.sum(w0)) / 32 - 4.0)
 
     pot = build_potential(gaussian(1.0, 0.2), lat32)
-    out32 = vlasov_step(w0, 1e-3, pot, hbar, 4)
+    out32 = vlasov_step(w0, 1, 1e-3, pot, hbar, 4)
     mass_err = abs(float(np.sum(out32)) / 32 - float(np.sum(w0)) / 32)
 
     ok = transport_err <= 1e-12 and sum_err <= 1e-8 and mass_err <= 1e-10

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fermiflow.meanfield as mf
+from fermiflow.fock import _gershgorin_interval
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile,
@@ -95,15 +96,26 @@ def test_exchange_cancels_direct_for_single_particle():
     assert np.max(np.abs(mismatch)) < 1e-10
 
 
+@pytest.mark.parametrize("ds,d", [(1, 64), (1, 9), (2, 8), (2, 5), (3, 8), (3, 5)])
+def test_direct_term_equals_rfftn_bit_for_bit(ds, d):
+    # the one-axis transforms in rfftn's order give rfftn's and irfftn's floats
+    lat = make_lattice(ds, d, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    rho, grid, axes = np.random.default_rng(d).random(lat.site_count), (d,) * ds, tuple(range(ds))
+    rhat = np.fft.rfftn(rho.reshape(grid), axes=axes)
+    ref = lat.cell * np.fft.irfftn(pot.site_rfft * rhat, grid, axes=axes).ravel()
+    assert np.array_equal(direct_term(rho, pot), ref)
+
+
 def test_generator_free_and_term_difference(setup16):
     lat, pot, hbar, om = setup16
     # with the zero potential both kinds give the free generator, bit for bit
     v0 = build_potential({"shape": "zero"}, lat)
     for kind in MeanFieldKind:
-        assert np.array_equal(generator(om, kind, v0, hbar),
+        assert np.array_equal(generator(om, kind, v0, hbar)[0],
                               kinetic_operator(lat, hbar))
-    h_hf = generator(om, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    h_h = generator(om, MeanFieldKind.HARTREE, pot, hbar)
+    h_hf, _ = generator(om, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+    h_h, _ = generator(om, MeanFieldKind.HARTREE, pot, hbar)
     assert np.max(np.abs((h_h - h_hf) - exchange_term(om, pot))) < 1e-12
 
 
@@ -111,7 +123,7 @@ def test_step_preserves_spectrum(setup16):
     lat, pot, hbar, om = setup16
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
     hf = MeanFieldKind.HARTREE_FOCK
-    new = step(om, generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
+    new = step(om, *generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
     assert np.allclose(np.linalg.eigvalsh(dense(new)),
                        np.linalg.eigvalsh(dense(om)), atol=1e-10)
 
@@ -123,7 +135,7 @@ def test_step_free_is_exact_conjugation():
     om = trapped_slater(lat, hbar, 20.0, 2)
     cfg = EvolutionConfig(dt=0.3, t_final=0.3)
     hf = MeanFieldKind.HARTREE_FOCK
-    new = step(om, generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
+    new = step(om, *generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
     h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * cfg.dt * eig / hbar)) @ vec.conj().T
@@ -167,7 +179,7 @@ def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
     m = dense(om)
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
     for _ in range(5):
-        om = step(om, generator(om, kind, pot, hbar), cfg, kind, pot, hbar)
+        om = step(om, *generator(om, kind, pot, hbar), cfg, kind, pot, hbar)
         m = _dense_step(m, n, cfg.dt, kind, pot, hbar)
     assert np.linalg.norm(dense(om) - m, "fro") <= 1e-13
 
@@ -188,7 +200,7 @@ def test_flow_builds_no_dense_omega(ds, d, n, kind):
     cfg = EvolutionConfig(dt=1e-2, t_final=3e-2)
     state = evolve(om, cfg, kind, pot, hbar).states[-1]
     assert np.iscomplexobj(state.orbitals)
-    h = generator(state, kind, pot, hbar)
+    h, _ = generator(state, kind, pot, hbar)
     # no Hermitization: only the round-off of the exchange product is left
     assert np.max(np.abs(h - h.conj().T)) <= 1e-14 * np.max(np.abs(h))
     m = (state.orbitals * state.occupations) @ state.orbitals.conj().T
@@ -228,29 +240,66 @@ def _eigh_exponential(phi, h, dt, hbar):
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
 @pytest.mark.parametrize("ds,d", [(1, 64), (3, 8)])
 def test_gershgorin_interval_contains_spectrum(ds, d, kind):
-    _, h, _, _ = _trapped_generator(ds, d, 4, kind)
-    lo, hi = mf._gershgorin_interval(h)
+    # the interval of `fock.propagate`'s sector blocks, on the flow's generators
+    _, (h, _), _, _ = _trapped_generator(ds, d, 4, kind)
+    lo, hi = _gershgorin_interval(h)
     eig = np.linalg.eigvalsh(h)
     assert lo <= eig[0] and eig[-1] <= hi
+
+
+@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("midpoint", [False, True])
+@pytest.mark.parametrize("shape", ["gaussian", "cosine"])
+@pytest.mark.parametrize("strength", [2.0, -2.0])
+@pytest.mark.parametrize("ds,d,n", [(1, 64, 8), (2, 8, 6), (3, 8, 10)])
+def test_generator_interval_holds_the_spectrum(ds, d, n, strength, shape, midpoint, kind):
+    # Weyl's bound from the parts holds spec h, for the trapped state and for the
+    # midpoint state [Phi, Phi_pred] diag(lam/2, lam/2), and is narrower than Gershgorin's
+    lat = make_lattice(ds, d, 1.0)
+    spec = {"shape": shape, "strength": strength, "sigma": 0.2, "mode": 1}
+    pot = build_potential(spec, lat)
+    hbar = default_hbar(n, ds)
+    om = trapped_slater(lat, hbar, 50.0, n)
+    h, interval = generator(om, kind, pot, hbar)
+    if midpoint:
+        pred = mf.apply_exponential(om.orbitals, h, interval, 1e-2, hbar)
+        lam = om.occupations
+        om = DensityMatrix(np.hstack([om.orbitals, pred]), np.concatenate([lam, lam]) / 2)
+        h, interval = generator(om, kind, pot, hbar)
+    (lo, hi), eig = interval, np.linalg.eigvalsh(h)
+    assert lo < eig[0] and eig[-1] < hi
+    g_lo, g_hi = _gershgorin_interval(h)
+    assert hi - lo < 0.8 * (g_hi - g_lo)
 
 
 # M = 64 needs >= 64 terms from a ~ 30 on: both sides of that boundary
 @pytest.mark.parametrize("a", [0.3, 3.0, 20.0, 29.0, 31.0, 63.9, 64.0, 1e3])
 def test_conjugate_matches_eigh_oracle(a):
-    om, h, _, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE_FOCK)
-    lo, hi = mf._gershgorin_interval(h)
+    om, (h, (lo, hi)), _, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE_FOCK)
     dt = 2 * a * hbar / (hi - lo)
-    got = mf.apply_exponential(om.orbitals, h, dt, hbar)
+    got = mf.apply_exponential(om.orbitals, h, (lo, hi), dt, hbar)
     assert np.max(np.abs(got - _eigh_exponential(om.orbitals, h, dt, hbar))) <= 1e-13
 
 
 def test_conjugate_of_a_multiple_of_the_identity():
-    # h = c I: zero Gershgorin width, a is raised to 1/64 and h2 = 0
+    # h = c I: zero width, a is raised to 1/64 and h2 = 0
     phi = np.linalg.qr(np.random.default_rng(2).normal(size=(64, 4)) + 0j)[0]
     h = 2.5 * np.eye(64, dtype=complex)
-    got = mf.apply_exponential(phi, h, 1e-2, 0.5)
+    got = mf.apply_exponential(phi, h, (2.5, 2.5), 1e-2, 0.5)
     assert np.max(np.abs(got - np.exp(-0.05j) * phi)) <= 1e-15
     assert np.max(np.abs(got - _eigh_exponential(phi, h, 1e-2, 0.5))) <= 1e-13
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_real_generator_takes_real_arithmetic(order):
+    # a real h acts on the real view of the orbitals; eigh's orbitals are
+    # Fortran-ordered, so the series works on a C-ordered copy
+    om, (h, interval), _, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE)
+    assert h.dtype == float
+    phi = np.asarray(om.orbitals + 1j * np.roll(om.orbitals, 1, axis=0), order=order)
+    got = mf.apply_exponential(phi, h, interval, 1e-3, hbar)
+    ref = mf.apply_exponential(phi, h.astype(complex), interval, 1e-3, hbar)
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def test_orbitals_stay_orthonormal_over_many_steps():
@@ -262,17 +311,16 @@ def test_orbitals_stay_orthonormal_over_many_steps():
 
 @pytest.mark.parametrize("ds,d,n,dt", [(1, 64, 8, 1e-3), (3, 8, 10, 2e-3)])
 def test_steps_take_the_series_and_large_a_takes_eigh(ds, d, n, dt, monkeypatch):
-    om, h, pot, hbar = _trapped_generator(ds, d, n, MeanFieldKind.HARTREE_FOCK)
+    om, (h, (lo, hi)), pot, hbar = _trapped_generator(ds, d, n, MeanFieldKind.HARTREE_FOCK)
 
     def no_eigh(*args):
         raise AssertionError("eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     cfg = EvolutionConfig(dt=dt, t_final=dt)
-    step(om, h, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).validate()
-    lo, hi = mf._gershgorin_interval(h)
+    step(om, h, (lo, hi), cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).validate()
     with pytest.raises(AssertionError, match="eigh called"):  # a = dim h
-        mf.apply_exponential(om.orbitals, h, 2 * len(h) * hbar / (hi - lo), hbar)
+        mf.apply_exponential(om.orbitals, h, (lo, hi), 2 * len(h) * hbar / (hi - lo), hbar)
 
 
 def test_idempotency_defect_matches_dense_oracle():
@@ -308,7 +356,7 @@ def test_step_local_error_is_third_order():
     def advance(state, h_step, n):
         cfg = EvolutionConfig(dt=h_step, t_final=h_step)
         for _ in range(n):
-            state = step(state, generator(state, hf, pot, hbar), cfg, hf, pot, hbar)
+            state = step(state, *generator(state, hf, pot, hbar), cfg, hf, pot, hbar)
         return state
 
     def one_step_error(h_step):
@@ -340,7 +388,7 @@ def test_hf_energy_examples():
     v0 = build_potential({"shape": "zero"}, lat)
     hbar = 0.4
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
-    e = hf_energy(om, generator(om, MeanFieldKind.HARTREE_FOCK, v0, hbar), lat, hbar)
+    e = hf_energy(om, generator(om, MeanFieldKind.HARTREE_FOCK, v0, hbar)[0], lat, hbar)
     assert e == pytest.approx(2 * hbar ** 2 * (2 * np.pi) ** 2, rel=1e-12)
 
 
@@ -433,5 +481,5 @@ def test_interaction_tables_match_site_sum_oracles(ds, d):
     om = q @ q.conj().T
     e = _site_sum_energy(om, 3, MeanFieldKind.HARTREE_FOCK, v, kinetic_operator(lat, hbar))
     dm = DensityMatrix(*spectral_form(om)[:2])
-    got = hf_energy(dm, generator(dm, MeanFieldKind.HARTREE_FOCK, pot, hbar), lat, hbar)
+    got = hf_energy(dm, generator(dm, MeanFieldKind.HARTREE_FOCK, pot, hbar)[0], lat, hbar)
     assert got == pytest.approx(e, rel=1e-12)

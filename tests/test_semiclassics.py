@@ -108,7 +108,7 @@ def test_vlasov_free_transport_on_grid_characteristics():
     v0 = build_potential({"shape": "zero"}, lat)
     # shift per half step = 2 q dt / (2 a) = q dt / a cells; make it exactly 1
     dt = lat.spacing / q[slice_k]
-    out = vlasov_step(vals, dt, v0, hbar, n_particles=1)
+    out = vlasov_step(vals, 1, dt, v0, hbar, n_particles=1)
     expected = np.zeros_like(vals)
     expected[:, slice_k] = np.roll(vals[:, slice_k], 2)
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -120,11 +120,11 @@ def test_vlasov_mass_conservation_per_slice():
     om = trapped_slater(lat, hbar, 50.0, 4)
     w = wigner(om, lat)
     v0 = build_potential({"shape": "zero"}, lat)
-    out = vlasov_step(w, 1e-3, v0, hbar, 4)
+    out = vlasov_step(w, 1, 1e-3, v0, hbar, 4)
     # with V = 0 each momentum slice is transported, preserving its own mass
     assert np.max(np.abs(out.sum(axis=0) - w.sum(axis=0))) < 1e-10
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    out = vlasov_step(w, 1e-3, pot, hbar, 4)
+    out = vlasov_step(w, 1, 1e-3, pot, hbar, 4)
     assert abs(np.sum(out) / 32 - np.sum(w) / 32) < 1e-10
 
 
@@ -140,10 +140,7 @@ def test_vlasov_step_second_order():
                           lat)
 
     def run(dt, t_final):
-        w = vals0.copy()
-        for _ in range(int(round(t_final / dt))):
-            w = vlasov_step(w, dt, pot, hbar, n_particles=1)
-        return w
+        return vlasov_step(vals0, int(round(t_final / dt)), dt, pot, hbar, n_particles=1)
 
     t_final = 0.01
     ref = run(t_final / 400, t_final)
@@ -165,12 +162,11 @@ def test_vlasov_step_matches_the_full_fft_step(d, steps):
     else:
         w0 = np.exp(-((x[:, None] - 0.5) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    w, ref = w0, w0
+    w, ref = vlasov_step(w0, steps, 2.5e-4, pot, hbar, 8), w0  # merged half drifts
     for _ in range(steps):
-        w = vlasov_step(w, 2.5e-4, pot, hbar, 8)
         ref = full_fft_vlasov_step(ref, 2.5e-4, pot, q, 8)
     assert np.max(np.abs(w - ref)) <= 1e-12
-    assert not semiclassics._drift_phases(lat, hbar, 2.5e-4).flags.writeable
+    assert not any(t.flags.writeable for t in semiclassics._drift_phases(lat, hbar, 2.5e-4))
 
 
 def test_vlasov_step_rejects_a_non_finite_state():
@@ -180,7 +176,7 @@ def test_vlasov_step_rejects_a_non_finite_state():
     w = np.ones((16, 16))
     w[5, 3] = np.nan
     with pytest.raises(RuntimeError, match="not finite"):
-        vlasov_step(w, 1e-3, pot, 0.5, 4)
+        vlasov_step(w, 1, 1e-3, pot, 0.5, 4)
 
 
 def _semiclassics(tmp_path, lattice, n, potential, initial, evolution, vlasov_dt):
@@ -233,7 +229,7 @@ def test_semiclassics_transforms_each_snapshot_once(tmp_path, monkeypatch):
     calls = {"wigner": [], "vlasov_step": []}
     for name, fn in [("wigner", wigner), ("vlasov_step", vlasov_step)]:
         def counted(*args, fn=fn, name=name):
-            calls[name].append(args[0])
+            calls[name].append(args)
             return fn(*args)
         monkeypatch.setattr(semiclassics, name, counted)
     times, _, _, _ = _semiclassics(
@@ -241,14 +237,15 @@ def test_semiclassics_transforms_each_snapshot_once(tmp_path, monkeypatch):
         {"dt": 1e-2, "t_final": 0.2, "snapshot_stride": 5}, 5e-3)
     assert len(times) == 5
     assert len(calls["wigner"]) == 5  # omega0 once, then one per later snapshot
-    assert len({id(state) for state in calls["wigner"]}) == 5
-    assert len(calls["vlasov_step"]) == 40  # t_final / vlasov.dt
+    assert len({id(args[0]) for args in calls["wigner"]}) == 5
+    assert len(calls["vlasov_step"]) == 4  # once per snapshot interval
+    assert sum(args[1] for args in calls["vlasov_step"]) == 40  # t_final / vlasov.dt
 
 
 def test_semiclassics_builds_the_momentum_grid_once(tmp_path, monkeypatch):
-    # a vlasov1d-sized run of 1000 Vlasov steps builds the half-drift phase
-    # table once, and the momentum labels q once for the scenario and once
-    # for that one table
+    # a vlasov1d-sized run of 1000 Vlasov steps in 5 calls builds each drift
+    # phase table (half and full drift) once, and the momentum labels q once
+    # for the scenario and once for those tables
     labels = []
     monkeypatch.setattr(semiclassics, "momentum_grid",
                         lambda *args: labels.append(momentum_grid(*args)) or labels[-1])
@@ -258,7 +255,7 @@ def test_semiclassics_builds_the_momentum_grid_once(tmp_path, monkeypatch):
         {"kind": "trapped", "strength": 50.0},
         {"dt": 1e-3, "t_final": 0.25, "snapshot_stride": 50}, 2.5e-4)
     info = semiclassics._drift_phases.cache_info()
-    assert (info.misses, info.hits) == (1, 999)
+    assert (info.misses, info.hits) == (1, 4)
     assert len(labels) == 2
 
 

@@ -10,7 +10,7 @@ classical-limit comparison.
 __version__ = "0.1.0"
 
 from .model import (Lattice, Potential, build_potential, default_hbar,
-                    kinetic_operator, make_lattice)
+                    kinetic_levels, kinetic_operator, make_lattice)
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            plane_wave_projection, trapped_slater)
 from .diagnostics import (SemiclassicalReport, commutator_momentum, commutator_phase,

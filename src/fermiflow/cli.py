@@ -2,16 +2,15 @@
 
 Exit codes: 0 on success, 2 on configuration errors (an `--out` that cannot
 be created and written among them, found before any work), 3 on numerical
-failures (integrator blow-up, violated invariants, a failed linear-algebra
-routine, a float overflow) and on an OSError while the outputs are written.
+failures (`run` reports a scenario's blow-up, failed linear algebra or any
+arithmetic, value or runtime error as a `NumericFailure`) and on an OSError
+while the outputs are written.
 """
 
 import argparse
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from .runner import ConfigError, NumericFailure, SCENARIOS, parse_config, run
 
@@ -62,8 +61,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailure, RuntimeError, FloatingPointError, OverflowError,
-            np.linalg.LinAlgError) as exc:
+    except NumericFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

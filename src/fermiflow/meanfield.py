@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initial_data import DensityMatrix
-from .model import Lattice, Potential, kinetic_operator
+from .model import Lattice, Potential, kinetic_levels, kinetic_operator
 
 __all__ = [
     "MeanFieldKind",
@@ -119,12 +119,6 @@ def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
     return np.multiply(x, v.pair_matrix, out=x)
 
 
-@functools.lru_cache(maxsize=2)
-def _kinetic_top(lattice: Lattice, hbar: float) -> float:
-    """hbar^2 max |p|^2, the top of spec K: K is the circulant of the symbol hbar^2 |p|^2."""
-    return hbar ** 2 * float(np.max(np.sum(lattice.fft_momenta() ** 2, axis=0)))
-
-
 def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
               hbar: float) -> tuple:
     """Effective one-particle Hamiltonian h(omega) for the requested flow, in
@@ -135,7 +129,7 @@ def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
     v- Diag(omega) and v+ Diag(omega), [v-, v+] = `Potential.pair_range`."""
     rho = density_profile(omega, v.lattice)
     u = direct_term(rho, v)
-    lo, hi = u.min(), u.max() + _kinetic_top(v.lattice, hbar)
+    lo, hi = u.min(), u.max() + kinetic_levels(v.lattice, hbar)[-1]
     if kind is MeanFieldKind.HARTREE_FOCK:
         h = exchange_term(omega, v)
         np.negative(h, out=h)

@@ -33,6 +33,7 @@ __all__ = [
     "make_lattice",
     "build_potential",
     "is_hermitian",
+    "kinetic_levels",
     "kinetic_operator",
 ]
 
@@ -234,6 +235,13 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
     else:
         raise ValueError(f"unknown potential shape {shape!r}")
     return _potential_from_samples(samples, lattice)
+
+
+@functools.lru_cache(maxsize=2)
+def kinetic_levels(lattice: Lattice, hbar: float) -> np.ndarray:
+    """spec K = hbar^2 |p|^2 over the momentum grid, ascending: the parts both
+    exponentials read their intervals from; cached and read-only."""
+    return _read_only(np.sort(hbar ** 2 * np.sum(lattice.fft_momenta() ** 2, axis=0), None))
 
 
 @functools.lru_cache(maxsize=2)  # trapped_slater's one-axis K and the run's K

@@ -301,14 +301,13 @@ def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
     """The Fock space, the mean-field trajectory from omega_0, and the exact
     psi_t = exp(-i H t / hbar) R_{omega_0} vacuum at its snapshot times,
     stepped from one to the next by `fock.propagate`."""
-    from .fock import hamiltonian, propagate, quasi_free_state
+    from .fock import propagate, quasi_free_state
 
     space = _fock_lattice(cfg)
     omega0 = build_initial_state(cfg)
     psi0 = quasi_free_state(space, omega0)
-    h = hamiltonian(space, cfg.potential, cfg.hbar, cfg.n_particles)
     traj = evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar)
-    return space, traj, propagate(space, h, psi0, traj.times, cfg.hbar)
+    return space, traj, propagate(space, cfg.potential, cfg.n_particles, psi0, traj.times, cfg.hbar)
 
 
 def _scenario_exact_vs_meanfield(cfg: RunConfig):
@@ -411,14 +410,20 @@ def _scipy_version() -> str:
 
 def run(cfg: RunConfig, out_dir: str) -> dict:
     """Execute a scenario and write its outputs, deterministic given (config,
-    seed): an earlier run's outputs are removed first, the summary written last."""
+    seed): an earlier run's outputs are removed first, the summary written last; a
+    scenario's arithmetic, value or runtime error is re-raised as `NumericFailure`."""
     os.makedirs(out_dir, exist_ok=True)
     for name in (["summary.json", "summary.json.tmp", "series.csv"]
                  + glob.glob("snapshots/*.fmf1", root_dir=out_dir)):
         if os.path.isfile(path := os.path.join(out_dir, name)):
             os.remove(path)
     t0 = time.monotonic()
-    series, result, arrays = _SCENARIO_FN[cfg.scenario](cfg)
+    try:
+        series, result, arrays = _SCENARIO_FN[cfg.scenario](cfg)
+    except (ConfigError, NumericFailure):
+        raise
+    except (ArithmeticError, ValueError, RuntimeError) as exc:  # LinAlgError is a ValueError
+        raise NumericFailure(f"{cfg.scenario}: {exc}") from exc
     written = ["series.csv"] + [f"snapshots/{name}.fmf1" for name in arrays]
     paths = [os.path.join(out_dir, rel) for rel in written]
     write_csv(paths[0], series)

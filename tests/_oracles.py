@@ -37,6 +37,10 @@ is run by a scenario.
 - `SectorPropagator`: exp(-i h t / hbar) by one dense `eigh` per
   particle-number sector, which checks the Chebyshev steps of
   `fock.propagate`.
+- `gershgorin_interval`: the union of the Gershgorin discs of a Hermitian
+  matrix, an enclosure of its spectrum by a pass over |h|, the baseline the
+  intervals read from the parts of the flow's generator and of the Fock
+  sectors are checked against.
 - `rdmk`, `wick_rdmk`: k-particle reduced densities of a Fock vector and
   their Wick determinants, which check quasi-free states (criterion 05).
 - `generalized_density`: the block density [[gamma, alpha], ...], whose
@@ -256,6 +260,12 @@ def slater_vector(space: FockSpace, orbitals: np.ndarray) -> np.ndarray:
     for j in range(orbitals.shape[1] - 1, -1, -1):
         psi = field_operator(space, orbitals[:, j], True) @ psi
     return psi
+
+
+def gershgorin_interval(h: np.ndarray) -> tuple:
+    """[lo, hi] ⊇ spec(h) for Hermitian h: the union of the Gershgorin discs."""
+    centre, radius = h.diagonal().real, np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    return (centre - radius).min(), (centre + radius).max()
 
 
 class SectorPropagator:

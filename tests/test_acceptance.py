@@ -149,7 +149,7 @@ def test_criterion_06_operator_bound_inequalities(capsys):
 
 
 def test_criterion_07_mean_field_accuracy_order(capsys):
-    from fermiflow.fock import FockSpace, hamiltonian, propagate, quasi_free_state, rdm1
+    from fermiflow.fock import FockSpace, propagate, quasi_free_state, rdm1
 
     lat = make_lattice(1, 8, 4.0)
     hbar = default_hbar(2, 1)
@@ -160,7 +160,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     cfg = EvolutionConfig(dt=1e-4, t_final=0.1, snapshot_stride=100)
     traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
     times = np.array(traj.times)
-    psis = propagate(space, hamiltonian(space, pot, hbar, 2), psi0, traj.times, hbar)
+    psis = propagate(space, pot, 2, psi0, traj.times, hbar)
     hs = np.array([np.linalg.norm(rdm1(psi, space) - dense(s))
                    for psi, s in zip(psis, traj.states)])
     mask = times >= 0.01 - 1e-12
@@ -169,7 +169,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     v0 = build_potential({"shape": "zero"}, lat)
     cfg0 = EvolutionConfig(dt=1e-2, t_final=2.0, snapshot_stride=20)
     traj0 = evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    psis0 = propagate(space, hamiltonian(space, v0, hbar, 2), psi0, traj0.times, hbar)
+    psis0 = propagate(space, v0, 2, psi0, traj0.times, hbar)
     free_dist = max(np.linalg.norm(rdm1(psi, space) - dense(s))
                     for psi, s in zip(psis0, traj0.states))
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
@@ -178,8 +178,8 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
 
 
 def test_criterion_08_fluctuation_vacuum_stability(capsys):
-    from fermiflow.fock import (FockSpace, fluctuation_vector, hamiltonian, number_moment,
-                                propagate, quasi_free_state)
+    from fermiflow.fock import (FockSpace, fluctuation_vector, number_moment, propagate,
+                                quasi_free_state)
 
     lat = make_lattice(1, 8, 1.0)
     hbar = default_hbar(2, 1)
@@ -191,7 +191,7 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
     def moments(v, k):
         """<(N+1)^k> of xi_t = R*_{omega_t} exp(-iHt/hbar) R_{omega_0} vacuum."""
         traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar)
-        psis = propagate(space, hamiltonian(space, v, hbar, 2), psi0, traj.times, hbar)
+        psis = propagate(space, v, 2, psi0, traj.times, hbar)
         return np.array(traj.times), np.array([
             number_moment(fluctuation_vector(space, om, psi), k, space)
             for psi, om in zip(psis, traj.states)])

@@ -2,6 +2,7 @@
 densities, fluctuation dynamics, and the quadratic-operator bounds."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,8 @@ from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
     make_lattice
 
 from _oracles import (SectorPropagator, dense, dense_slater, generalized_density,
-                      number_operator, rdmk, slater_vector, spectral_form, wick_rdmk)
+                      gershgorin_interval, number_operator, rdmk, slater_vector,
+                      spectral_form, wick_rdmk)
 
 
 def site(space, x, create):
@@ -282,12 +284,12 @@ def test_sector_propagator_basics():
     rng = np.random.default_rng(4)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
-    assert np.max(np.abs(next(propagate(space, h, psi, [0.0], hbar)) - psi)) < 1e-14
+    assert np.max(np.abs(next(propagate(space, pot, 2, psi, [0.0], hbar)) - psi)) < 1e-14
     # eigenvector picks up a phase only
     hd = h.toarray()
     eig, vec = np.linalg.eigh(hd)
     ev = vec[:, 3].astype(complex)
-    out = next(propagate(space, h, ev, [0.3], hbar))
+    out = next(propagate(space, pot, 2, ev, [0.3], hbar))
     expected = np.exp(-1j * 0.3 * eig[3] / hbar) * ev
     assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -297,12 +299,11 @@ def test_exact_evolve_matches_fine_stepping():
     hbar = default_hbar(2, 1)
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
-    h = hamiltonian(space, pot, hbar, 2)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
-    direct = next(propagate(space, h, psi, [0.2], hbar))
-    *_, stepped = propagate(space, h, psi, 1e-3 * np.arange(1, 201), hbar)
+    direct = next(propagate(space, pot, 2, psi, [0.2], hbar))
+    *_, stepped = propagate(space, pot, 2, psi, 1e-3 * np.arange(1, 201), hbar)
     assert np.max(np.abs(direct - stepped)) < 1e-8
 
 
@@ -314,6 +315,74 @@ def test_hamiltonian_is_hermitian():
                  {"shape": "gaussian", "strength": 1.0, "sigma": 0.2}):
         h = hamiltonian(space, build_potential(spec, lat), hbar, 2)
         assert abs(h - h.conj().T).max() <= 1e-12
+
+
+def test_real_tables_give_real_operators(monkeypatch):
+    lat = make_lattice(1, 6, 1.0)
+    hbar = default_hbar(3, 1)
+    space = FockSpace(6)
+    pot = build_potential({"shape": "gaussian", "strength": -1.0, "sigma": 0.2}, lat)
+    h = hamiltonian(space, pot, hbar, 3)
+    assert h.dtype == np.float64
+    monkeypatch.setattr(fock, "kinetic_operator",
+                        lambda *args: kinetic_operator(*args).astype(complex))
+    h_complex = hamiltonian(space, pot, hbar, 3)
+    assert h_complex.dtype == np.complex128
+    assert abs(h - h_complex).max() == 0.0
+    o = np.random.default_rng(3).normal(size=(6, 6))
+    assert d_gamma(space, o).dtype == np.float64
+    assert d_gamma(space, o + 1j * o.T).dtype == np.complex128
+    assert field_operator(space, np.ones(6, dtype=int), True).dtype == np.float64
+    for l_sites in (1, 3, 6):
+        assert car_defect(FockSpace(l_sites)) == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    {"shape": "zero"},
+    {"shape": "gaussian", "strength": 2.0, "sigma": 0.2},
+    {"shape": "gaussian", "strength": -2.0, "sigma": 0.2},
+    {"shape": "cosine", "strength": 2.0, "mode": 1},
+    {"shape": "cosine", "strength": -2.0, "mode": 1},
+], ids=["zero", "gaussian+", "gaussian-", "cosine+", "cosine-"])
+@pytest.mark.parametrize("l_sites", range(4, 11))
+def test_sector_interval_holds_the_spectrum(monkeypatch, l_sites, spec):
+    # Weyl's interval from dGamma(K) and W holds every sector's spectrum, is
+    # exact for the free Hamiltonian, and is narrower than the Gershgorin discs
+    lat = make_lattice(1, l_sites, 1.0)
+    n_particles = l_sites // 2
+    hbar = default_hbar(n_particles, 1)
+    seen, series = [], fock.apply_exponential
+
+    def recording(phi, h, interval, dt, hbar):
+        seen.append((h, interval))
+        return series(phi, h, interval, dt, hbar)
+
+    monkeypatch.setattr(fock, "apply_exponential", recording)
+    psi = np.ones(1 << l_sites, dtype=complex)  # reaches every sector
+    next(propagate(FockSpace(l_sites), build_potential(spec, lat), n_particles, psi, [1e-3], hbar))
+    assert sorted(len(block) for block, _ in seen) == sorted(
+        math.comb(l_sites, n) for n in range(l_sites + 1))
+    for block, (lo, hi) in seen:
+        assert block.dtype == np.float64
+        eig = np.linalg.eigvalsh(block)
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        assert lo - tol <= eig[0] and eig[-1] <= hi + tol
+        if spec["shape"] == "zero":
+            assert abs(lo - eig[0]) <= tol and abs(hi - eig[-1]) <= tol
+        if 1 < len(block):  # 0 < n < L
+            g_lo, g_hi = gershgorin_interval(block)
+            assert hi - lo < g_hi - g_lo
+
+
+def test_quasi_free_state_lies_in_its_sector():
+    # R vacuum = a*(f_1) ... a*(f_N) vacuum: no round-off left in sectors N - 2, ...
+    space = FockSpace(8)
+    dm = random_projection(8, 4, seed=21)
+    psi = quasi_free_state(space, dm)
+    inside = space.occupations() == 4
+    assert np.all(psi[~inside] == 0.0)
+    assert np.array_equal(psi[inside], (implement_bogoliubov(space, dm) @ space.vacuum())[inside])
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagate_matches_the_sector_oracle_on_both_branches(monkeypatch):
@@ -339,7 +408,7 @@ def test_propagate_matches_the_sector_oracle_on_both_branches(monkeypatch):
         return eigh(m)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    steps = propagate(space, h, psi, times, hbar)
+    steps = propagate(space, pot, 2, psi, times, hbar)
     for t, expected, eigh_sizes in zip(times, want, ([1, 1, 5, 5], [1, 1, 5, 5, 10, 10])):
         got = next(steps)
         assert sorted(sizes) == eigh_sizes, t
@@ -355,7 +424,7 @@ def test_propagate_refuses_a_non_finite_state():
     psi = np.full(space.dim, 1 / np.sqrt(space.dim), dtype=complex)
     psi[3] = np.nan
     with pytest.raises(RuntimeError, match="lost norm"):
-        next(propagate(space, hamiltonian(space, pot, hbar, 2), psi, [0.1], hbar))
+        next(propagate(space, pot, 2, psi, [0.1], hbar))
 
 
 def test_rdm1_examples():
@@ -452,8 +521,7 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     assert np.max(np.abs(fluctuation_vector(space, om, r0 @ xi) - xi)) < 1e-10
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    psi_t = next(propagate(space, hamiltonian(space, pot, hbar, 2), r0 @ xi,
-                           [traj.times[-1]], hbar))
+    psi_t = next(propagate(space, pot, 2, r0 @ xi, [traj.times[-1]], hbar))
     out = fluctuation_vector(space, traj.states[-1], psi_t)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
@@ -466,8 +534,7 @@ def test_fluctuation_vacuum_stable_without_interaction():
     om = dense_slater(lat, hbar, 5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
     traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    psis = propagate(space, hamiltonian(space, v0, hbar, 2), quasi_free_state(space, om),
-                     traj.times[1:], hbar)
+    psis = propagate(space, v0, 2, quasi_free_state(space, om), traj.times[1:], hbar)
     for om_t, psi_t in zip(traj.states[1:], psis):
         xi = fluctuation_vector(space, om_t, psi_t)
         assert number_moment(xi, 1, space) - 1.0 < 1e-9

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import fermiflow.meanfield as mf
-from fermiflow.fock import _gershgorin_interval
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile,
@@ -15,7 +14,7 @@ from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
 from fermiflow.runner import parse_config, run
 
-from _oracles import dense, fourier, momentum_indices, spectral_form
+from _oracles import dense, fourier, gershgorin_interval, momentum_indices, spectral_form
 
 
 @pytest.fixture
@@ -240,9 +239,9 @@ def _eigh_exponential(phi, h, dt, hbar):
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
 @pytest.mark.parametrize("ds,d", [(1, 64), (3, 8)])
 def test_gershgorin_interval_contains_spectrum(ds, d, kind):
-    # the interval of `fock.propagate`'s sector blocks, on the flow's generators
+    # the oracle's own enclosure, on the flow's generators
     _, (h, _), _, _ = _trapped_generator(ds, d, 4, kind)
-    lo, hi = _gershgorin_interval(h)
+    lo, hi = gershgorin_interval(h)
     eig = np.linalg.eigvalsh(h)
     assert lo <= eig[0] and eig[-1] <= hi
 
@@ -268,7 +267,7 @@ def test_generator_interval_holds_the_spectrum(ds, d, n, strength, shape, midpoi
         h, interval = generator(om, kind, pot, hbar)
     (lo, hi), eig = interval, np.linalg.eigvalsh(h)
     assert lo < eig[0] and eig[-1] < hi
-    g_lo, g_hi = _gershgorin_interval(h)
+    g_lo, g_hi = gershgorin_interval(h)
     assert hi - lo < 0.8 * (g_hi - g_lo)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fermiflow.model import (Lattice, Potential, build_potential, default_hbar,
-                             kinetic_operator, make_lattice)
+                             kinetic_levels, kinetic_operator, make_lattice)
 
 from _oracles import (assumption_weight, circulant_gather, fourier, fourier_matrix, momenta,
                       momentum_indices, momentum_operator, phase_operator)
@@ -157,6 +157,9 @@ def test_kinetic_operator_real_symmetric(ds, d):
     f = fourier_matrix(lat)
     oracle = f.conj().T @ np.diag(0.7 ** 2 * np.sum(momenta(lat) ** 2, axis=1)) @ f
     assert np.max(np.abs(k - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    # its spectrum, ascending, is the one both exponentials read their intervals from
+    levels = kinetic_levels(lat, 0.7)
+    assert np.max(np.abs(levels - np.linalg.eigvalsh(k))) <= 1e-12 * levels[-1]
 
 
 @pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 5), (3, 4)])
@@ -207,7 +210,7 @@ def test_cached_tables_are_read_only():
     v = build_potential({"shape": "gaussian", "strength": 1.3, "sigma": 0.2}, lat)
     k = kinetic_operator(lat, 0.61)
     assert kinetic_operator(lat, 0.61) is k
-    for table in (v.real_space, v.pair_matrix, v.site_rfft, k):
+    for table in (v.real_space, v.pair_matrix, v.site_rfft, k, kinetic_levels(lat, 0.61)):
         with pytest.raises(ValueError):
             table[...] = 0
 

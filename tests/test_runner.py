@@ -705,6 +705,33 @@ def test_cli_float_overflow_exit_three(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(out / "summary.json")
 
 
+def test_cli_scenario_value_error_exits_three_without_a_traceback(tmp_path, monkeypatch,
+                                                                   capsys):
+    # e.g. implement_bogoliubov's orthonormality gate late in a long fluctuation run
+    import fermiflow.runner as runner_mod
+
+    def gate(cfg):
+        raise ValueError("orbitals are not orthonormal (defect 1.03e-12)")
+
+    def config_error(cfg):
+        raise ConfigError("fock.l_sites: synthetic")
+
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", gate)
+    with pytest.raises(NumericFailure, match="orthonormal"):
+        run(parse_config(json.dumps(MINIMAL)), str(out))
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "orthonormal" in err
+    assert not os.path.exists(out / "summary.json")
+    # a config error found inside a scenario passes through unchanged
+    monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", config_error)
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: fock.l_sites")
+
+
 def test_cli_seed_override_recorded(tmp_path):
     path = write_config(tmp_path, dict(MINIMAL, seed=1))
     out = str(tmp_path / "out")

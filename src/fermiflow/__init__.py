@@ -18,7 +18,7 @@ from .diagnostics import (SemiclassicalReport, commutator_momentum, commutator_p
                           trace_distance, trace_norm)
 from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory, apply_exponential,
                         density_profile, direct_term, evolve, exchange_term, generator,
-                        hf_energy, step)
+                        hf_energy, split_step, step)
 from .semiclassics import momentum_grid, vlasov_step, wigner
 from .snapshots import read_fmf1, write_csv, write_fmf1
 

@@ -1,24 +1,24 @@
 """Hartree-Fock and Hartree flows for one-particle density matrices.
 
-The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi* and
-N = sum lam.  The generator h(omega) = -hbar^2 Lap + (V * rho) - X is
-assembled in one place, `generator`, in one M x M buffer from the orbitals:
-for Hartree-Fock, X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times
-the pair table `Potential.pair_matrix`, negated; the real kinetic operator is
-added to it and V * rho, rho read from the orbitals, to its diagonal.  Both
-tables are exactly symmetric, so h is not Hermitized.  The flow
-i*hbar d/dt omega = [h(omega), omega] is a unitary conjugation, so lam is
-fixed and only the orbitals move.  It is integrated by one rule, the
-exponential midpoint rule: each step maps Phi to exp(-i dt h / hbar) Phi,
-with h evaluated at the average of omega and an exponential-Euler
-predictor, so a projection stays a projection at every step.  The exponential
-is a Chebyshev series in h on Phi over the interval `generator` reads from h's
-parts, in real arithmetic where h is real, or an `eigh` of h where it needs dim h terms.
-`evolve` builds h once per state, also for the energy E = tr((K + h) omega) / 2.
+The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi*, N = sum lam.
+The flow i*hbar d/dt omega = [h(omega), omega], h = -hbar^2 Lap + (V * rho) - X
+(X = 0 for Hartree), is a unitary conjugation: lam is fixed, the orbitals move, and
+each scheme is a product of unitaries on Phi, so a projection stays one.  tau = dt/hbar.
+Hartree is split (Strang), `split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).
+K is diagonal on the fftn of the orbitals' (d,)*ds + (r,) site view and the phase keeps rho,
+so each sub-step is exact, with no series and no M x M array; that transform of Phi also
+gives the energy's kinetic part, sum lam hbar^2 |p|^2 |Phi_hat|^2 / M.  Hartree-Fock takes
+the exponential midpoint rule, `step`: Phi -> exp(-i tau h) Phi, h at the average of omega
+and an exponential-Euler predictor.  `generator` assembles h in one M x M buffer:
+X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times `Potential.pair_matrix`,
+negated, the real K added to it and V * rho to its diagonal; both tables are exactly
+symmetric, so h is not Hermitized.  The exponential is a Chebyshev series in h on Phi over
+the interval `generator` reads from h's parts, in real arithmetic where h is real, or an
+`eigh` of h where it needs dim h terms.  `evolve` builds h once per state, also for the
+energy E = tr((K + h) omega) / 2.
 
-The flows take hbar as a number, N from the state and the lattice from `v`.
-This module measures nothing: a scenario reads the states of a `Trajectory`
-with the functions of `diagnostics`, one state or one pair at a time.
+The flows take hbar as a number, N from the state and the lattice from `v`.  This module
+measures nothing: a scenario reads the states of a `Trajectory` with `diagnostics`.
 """
 
 import enum
@@ -41,6 +41,7 @@ __all__ = [
     "generator",
     "apply_exponential",
     "step",
+    "split_step",
     "evolve",
     "hf_energy",
 ]
@@ -119,27 +120,20 @@ def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
     return np.multiply(x, v.pair_matrix, out=x)
 
 
-def generator(omega: DensityMatrix, kind: MeanFieldKind, v: Potential,
-              hbar: float) -> tuple:
-    """Effective one-particle Hamiltonian h(omega) for the requested flow, in
-    one buffer: X negated in place, K added to its real part, V * rho to its
-    diagonal.  Real where omega's orbitals are, or for Hartree.  With it, Weyl's
-    [lo, hi] ⊇ spec h from the parts: K's [0, hbar^2 max|p|^2], u = V * rho's range and
-    -X's [-v+ c, -v- c], c = max omega_jj / N: omega >= 0 puts V o omega between
+def generator(omega: DensityMatrix, v: Potential, hbar: float) -> tuple:
+    """The Hartree-Fock Hamiltonian h(omega) in one buffer: X negated in place, K added
+    to its real part, V * rho to its diagonal; real where omega's orbitals are.  With it,
+    Weyl's [lo, hi] ⊇ spec h from the parts: K's [0, hbar^2 max|p|^2], u = V * rho's range
+    and -X's [-v+ c, -v- c], c = max omega_jj / N: omega >= 0 puts V o omega between
     v- Diag(omega) and v+ Diag(omega), [v-, v+] = `Potential.pair_range`."""
     rho = density_profile(omega, v.lattice)
     u = direct_term(rho, v)
-    lo, hi = u.min(), u.max() + kinetic_levels(v.lattice, hbar)[-1]
-    if kind is MeanFieldKind.HARTREE_FOCK:
-        h = exchange_term(omega, v)
-        np.negative(h, out=h)
-        h.real += kinetic_operator(v.lattice, hbar)
-        c, (v_lo, v_hi) = v.lattice.cell * rho.max(), v.pair_range
-        lo, hi = lo - v_hi * c, hi - v_lo * c
-    else:
-        h = kinetic_operator(v.lattice, hbar).copy()
+    h = exchange_term(omega, v)
+    np.negative(h, out=h)
+    h.real += kinetic_operator(v.lattice, hbar)
     h.flat[:: len(h) + 1] += u
-    return h, (lo, hi)
+    c, (v_lo, v_hi) = v.lattice.cell * rho.max(), v.pair_range
+    return h, (u.min() - v_hi * c, u.max() + kinetic_levels(v.lattice, hbar)[-1] - v_lo * c)
 
 
 def _times(h: np.ndarray):
@@ -188,14 +182,51 @@ def apply_exponential(phi: np.ndarray, h: np.ndarray, interval: tuple, dt: float
 
 
 def step(omega: DensityMatrix, h: np.ndarray, interval: tuple, cfg: EvolutionConfig,
-         kind: MeanFieldKind, v: Potential, hbar: float) -> DensityMatrix:
-    """One exponential midpoint step on the orbitals from `generator`'s h(omega) and
-    interval: the generator is re-evaluated at the average of omega and an exponential-Euler
+         v: Potential, hbar: float) -> DensityMatrix:
+    """One Hartree-Fock exponential midpoint step on the orbitals from `generator`'s h(omega)
+    and interval: the generator is re-evaluated at the average of omega and an exponential-Euler
     predictor, the factored state [Phi, Phi_pred] diag(lam/2, lam/2) [Phi, Phi_pred]*."""
     phi, lam = omega.orbitals, omega.occupations
     pred = apply_exponential(phi, h, interval, cfg.dt, hbar)
     mid = DensityMatrix(np.hstack([phi, pred]), np.concatenate([lam, lam]) / 2)
-    return DensityMatrix(apply_exponential(phi, *generator(mid, kind, v, hbar), cfg.dt, hbar), lam)
+    return DensityMatrix(apply_exponential(phi, *generator(mid, v, hbar), cfg.dt, hbar), lam)
+
+
+@functools.lru_cache(maxsize=2)
+def _kinetic_tables(lattice: Lattice, hbar: float, dt: float) -> tuple:
+    """hbar^2 |p|^2 on the fftn grid of the orbitals' (d,)*ds + (r,) site view and the
+    half step exp(-i tau hbar^2 |p|^2 / 2) there, tau = dt / hbar; built once, read-only."""
+    symbol = hbar ** 2 * np.sum(lattice.fft_momenta() ** 2, axis=0)[..., None]
+    tables = symbol, np.exp(-0.5j * (dt / hbar) * symbol)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def split_step(omega: DensityMatrix, phi_hat: np.ndarray, cfg: EvolutionConfig,
+               v: Potential, hbar: float) -> DensityMatrix:
+    """One Strang step of the Hartree flow, Phi -> exp(-i tau K/2) exp(-i tau u) exp(-i tau
+    K/2) Phi, tau = dt / hbar, u = V * rho of Phi' = exp(-i tau K/2) Phi, which the phase
+    leaves unchanged; phi_hat is the fftn of omega's orbitals over their site axes."""
+    lat, lam, axes = v.lattice, omega.occupations, tuple(range(v.lattice.ds))
+    half = _kinetic_tables(lat, hbar, cfg.dt)[1]
+    phi = np.fft.ifftn(half * phi_hat, axes=axes).reshape(omega.orbitals.shape)
+    u = direct_term(density_profile(DensityMatrix(phi, lam), lat), v)
+    phi *= np.exp(-1j * (cfg.dt / hbar) * u)[:, None]
+    phi = np.fft.ifftn(half * np.fft.fftn(phi.reshape(phi_hat.shape), axes=axes), axes=axes)
+    return DensityMatrix(phi.reshape(omega.orbitals.shape), lam)
+
+
+def _split_energy(omega: DensityMatrix, cfg: EvolutionConfig, v: Potential, hbar: float) -> tuple:
+    """E = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M + (1/2) sum_x (V * rho)(x) omega_xx, and
+    Phi_hat, the fftn of the orbitals over their site axes, for the next `split_step`."""
+    lat, phi = v.lattice, omega.orbitals
+    phi_hat = np.fft.fftn(phi.reshape((lat.d,) * lat.ds + (-1,)), axes=tuple(range(lat.ds)))
+    kinetic = np.sum((_kinetic_tables(lat, hbar, cfg.dt)[0] * np.abs(phi_hat) ** 2)
+                     @ omega.occupations) / lat.site_count
+    rho = density_profile(omega, lat)
+    interaction = 0.5 * omega.n_particles * lat.cell * (direct_term(rho, v) @ rho)
+    return float(kinetic + interaction), phi_hat
 
 
 def hf_energy(omega: DensityMatrix, h: np.ndarray, lattice: Lattice,
@@ -210,22 +241,27 @@ def hf_energy(omega: DensityMatrix, h: np.ndarray, lattice: Lattice,
 
 def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
            v: Potential, hbar: float) -> Trajectory:
-    """Integrate the flow; scalars recorded per step, snapshots at the
-    snapshot stride.  Aborts on integrator blow-up or a non-finite state."""
+    """Integrate the flow (Hartree by `split_step`, Hartree-Fock by `step`); scalars per step,
+    snapshots at the snapshot stride.  Aborts on integrator blow-up or a non-finite state."""
     omega0.validate()
-    traj = Trajectory()
+    traj, split = Trajectory(), kind is MeanFieldKind.HARTREE
     state, defect = omega0, omega0.idempotency_defect()
     for i in range(cfg.n_steps + 1):
         t = i * cfg.dt
         if i > 0:
-            state = step(state, h, interval, cfg, kind, v, hbar)
+            state = (split_step(state, parts, cfg, v, hbar) if split
+                     else step(state, *parts, cfg, v, hbar))
             defect = state.idempotency_defect()
             if not defect <= 1e-4:  # also true for NaN
                 raise RuntimeError(
                     f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}")
-        h, interval = generator(state, kind, v, hbar)  # for the energy and the next predictor
+        if split:  # E, and what the next step reads: Phi's transform, or h(omega) and its interval
+            energy, parts = _split_energy(state, cfg, v, hbar)
+        else:
+            parts = generator(state, v, hbar)
+            energy = hf_energy(state, parts[0], v.lattice, hbar)
         traj.trace.append(float(np.vdot(state.orbitals, state.orbitals * state.occupations).real))
-        traj.energy.append(hf_energy(state, h, v.lattice, hbar))
+        traj.energy.append(energy)
         traj.idempotency_defect.append(defect)
         if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:  # states are immutable
             traj.times.append(t)

@@ -9,6 +9,7 @@ finally (atomically) `summary.json` with a manifest of the files it wrote,
 so a crash can never leave a summary claiming success.
 """
 
+import contextlib
 import functools
 import glob
 import hashlib
@@ -241,6 +242,15 @@ def _maybe_fit(values, times):
     return fit_exponential(values[mask], times[mask]) if mask.sum() >= 2 else None
 
 
+@contextlib.contextmanager
+def _at_snapshot(t: float):
+    """A numerical failure inside the block, re-raised naming the snapshot time t."""
+    try:
+        yield
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        raise RuntimeError(f"{exc} at t={t:.6g}") from exc
+
+
 def _scenario_evolve(cfg: RunConfig):
     omega0 = build_initial_state(cfg)
     traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
@@ -314,10 +324,12 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig):
     from .fock import rdm1
 
     space, traj, psis = _exact_states(cfg, cfg.kind)
-    diffs = [rdm1(psi, space) - (s.orbitals * s.occupations) @ s.orbitals.conj().T
-             for psi, s in zip(psis, traj.states)]  # the only dense omega, L <= 14 sites
-    hs = [float(np.linalg.norm(x, "fro")) for x in diffs]
-    tr = [trace_norm(x) for x in diffs]
+    hs, tr = [], []
+    for t, s in zip(traj.times, traj.states):
+        with _at_snapshot(t):  # x holds the only dense omega, L <= 14 sites
+            x = rdm1(next(psis), space) - (s.orbitals * s.occupations) @ s.orbitals.conj().T
+            hs.append(float(np.linalg.norm(x, "fro")))
+            tr.append(trace_norm(x))
     return ({"t": traj.times, "hs_distance": hs, "trace_distance": tr},
             {"final_hs_distance": hs[-1], "final_trace_distance": tr[-1]}, {})
 
@@ -349,9 +361,12 @@ def _scenario_fluctuation(cfg: RunConfig):
 
     space, traj, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
     order = cfg.fock["moment_order"]
-    xis = (fluctuation_vector(space, omega, psi) for omega, psi in zip(traj.states, psis))
-    m1, mk = zip(*[(number_moment(xi, 1, space, shift=0.0), number_moment(xi, order, space))
-                   for xi in xis])
+    m1, mk = [], []
+    for t, omega in zip(traj.times, traj.states):
+        with _at_snapshot(t):
+            xi = fluctuation_vector(space, omega, next(psis))
+            m1.append(number_moment(xi, 1, space, shift=0.0))
+            mk.append(number_moment(xi, order, space))
     return ({"t": traj.times, "mean_particle_number": m1, f"moment_order_{order}": mk},
             {"final_mean_particle_number": float(m1[-1]),
              "moment_order": order, "final_moment": float(mk[-1])}, {})
@@ -368,8 +383,9 @@ def _scenario_semiclassics(cfg: RunConfig):
     gap = [0.0]  # both sides start from w0
     for t_prev, t, state in zip(traj.times, traj.times[1:], traj.states[1:]):
         n_steps = round((t - t_prev) / cfg.vlasov_dt)  # whole, checked by parse_config
-        classical = vlasov_step(classical, n_steps, cfg.vlasov_dt, cfg.potential, cfg.hbar, n)
-        gap.append(float(np.sum(np.abs(wigner(state, cfg.lattice) - classical)) * weight))
+        with _at_snapshot(t):
+            classical = vlasov_step(classical, n_steps, cfg.vlasov_dt, cfg.potential, cfg.hbar, n)
+            gap.append(float(np.sum(np.abs(wigner(state, cfg.lattice) - classical)) * weight))
     gap_norm = np.array(gap) / (cfg.hbar * n)
     return ({"t": traj.times, "l1_gap": gap, "gap_over_hbar_n": gap_norm},
             {"wigner_weight": weight,

@@ -11,10 +11,10 @@ at the cost of a factor-2 momentum coarsening).  The quadrature weight is
 the constant 1/d, pinned by the sum rule sum_{j,k} W / d = tr omega; with
 that weight the position marginal is exactly the diagonal of omega.
 
-Vlasov sweeps and the kick's force -d/dx (V * rho) = -i p (`Lattice.fft_momenta`) on V * rho
-are rfft/irfft pairs on a real half spectrum.  `vlasov_step` runs n Strang steps with
-n + 1 drift sweeps, adjacent half drifts merged; `runner` calls it once per snapshot
-interval and `wigner` once per snapshot.
+Vlasov sweeps and the kick's force -d/dx (V * rho), -i p (`Lattice.fft_momenta`) on V * rho's
+spectrum a^ds `site_rfft` rfft(rho), are rfft/irfft pairs on a real half spectrum.
+`vlasov_step` runs n Strang steps with n + 1 drift sweeps, adjacent half drifts merged;
+`runner` calls it once per snapshot interval and `wigner` once per snapshot.
 """
 
 import functools
@@ -22,7 +22,6 @@ import functools
 import numpy as np
 
 from .initial_data import DensityMatrix
-from .meanfield import direct_term
 from .model import Lattice, Potential
 
 __all__ = ["wigner", "momentum_grid", "vlasov_step"]
@@ -75,11 +74,11 @@ def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> tuple:
 
 
 def _force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
-    """-d/dx (V * rho), rho the normalized position marginal: -i p on V * rho."""
+    """-d/dx (V * rho), rho the normalized position marginal: -i p on a `site_rfft` rfft(rho)."""
     lattice = v.lattice
     rho = np.sum(w, axis=1) * (1.0 / lattice.d) / (n_particles * lattice.cell)  # weight 1/d
-    p, u = lattice.fft_momenta()[0, :lattice.d // 2 + 1], direct_term(rho, v)
-    return np.fft.irfft(-1j * p * np.fft.rfft(u), lattice.d)
+    p = lattice.fft_momenta()[0, :lattice.d // 2 + 1]
+    return np.fft.irfft(-1j * lattice.cell * p * v.site_rfft * np.fft.rfft(rho), lattice.d)
 
 
 def vlasov_step(w: np.ndarray, n_steps: int, dt: float, v: Potential, hbar: float,

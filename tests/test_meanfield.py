@@ -1,6 +1,7 @@
 """Mean-field flows: terms of the generator, the integrator, conservation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,21 +109,18 @@ def test_direct_term_equals_rfftn_bit_for_bit(ds, d):
 
 def test_generator_free_and_term_difference(setup16):
     lat, pot, hbar, om = setup16
-    # with the zero potential both kinds give the free generator, bit for bit
+    # with the zero potential the generator is the free one, bit for bit
     v0 = build_potential({"shape": "zero"}, lat)
-    for kind in MeanFieldKind:
-        assert np.array_equal(generator(om, kind, v0, hbar)[0],
-                              kinetic_operator(lat, hbar))
-    h_hf, _ = generator(om, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    h_h, _ = generator(om, MeanFieldKind.HARTREE, pot, hbar)
+    assert np.array_equal(generator(om, v0, hbar)[0], kinetic_operator(lat, hbar))
+    h_hf, _ = generator(om, pot, hbar)
+    h_h = kinetic_operator(lat, hbar) + np.diag(direct_term(density_profile(om, lat), pot))
     assert np.max(np.abs((h_h - h_hf) - exchange_term(om, pot))) < 1e-12
 
 
 def test_step_preserves_spectrum(setup16):
     lat, pot, hbar, om = setup16
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
-    hf = MeanFieldKind.HARTREE_FOCK
-    new = step(om, *generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
+    new = step(om, *generator(om, pot, hbar), cfg, pot, hbar)
     assert np.allclose(np.linalg.eigvalsh(dense(new)),
                        np.linalg.eigvalsh(dense(om)), atol=1e-10)
 
@@ -133,8 +131,7 @@ def test_step_free_is_exact_conjugation():
     hbar = default_hbar(2, 1)
     om = trapped_slater(lat, hbar, 20.0, 2)
     cfg = EvolutionConfig(dt=0.3, t_final=0.3)
-    hf = MeanFieldKind.HARTREE_FOCK
-    new = step(om, *generator(om, hf, pot, hbar), cfg, hf, pot, hbar)
+    new = step(om, *generator(om, pot, hbar), cfg, pot, hbar)
     h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * cfg.dt * eig / hbar)) @ vec.conj().T
@@ -168,6 +165,23 @@ def _dense_step(m, n, dt, kind, pot, hbar):
     return _dense_conjugate(m, h_mid, dt, hbar)
 
 
+def _dense_split_step(m, n, dt, pot, hbar):
+    """The Strang step of the Hartree flow on the dense omega: a conjugation by
+    exp(-i dt K / 2 hbar) from eigh(K), by the diagonal phase exp(-i dt u / hbar),
+    u the site sum a^ds V rho of the half-stepped omega, and by the half step again."""
+    lat, k = pot.lattice, kinetic_operator(pot.lattice, hbar)
+    m = _dense_conjugate(m, k, dt / 2, hbar)
+    u = lat.cell * pot.pair_matrix @ (np.diag(m).real / (n * lat.cell))
+    m = _dense_conjugate(m, np.diag(u), dt, hbar)
+    return _dense_conjugate(m, k, dt / 2, hbar)
+
+
+def _advance(om, kind, pot, hbar, dt, n_steps):
+    """The state after n_steps of `evolve`'s step for `kind`."""
+    cfg = EvolutionConfig(dt=dt, t_final=n_steps * dt, snapshot_stride=n_steps)
+    return evolve(om, cfg, kind, pot, hbar).states[-1]
+
+
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
 @pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4), (1, 64, 8)])
 def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
@@ -176,34 +190,80 @@ def test_orbital_step_matches_dense_conjugation(ds, d, n, kind):
     hbar = default_hbar(n, ds)
     om = trapped_slater(lat, hbar, 50.0, n)
     m = dense(om)
-    cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
-    for _ in range(5):
-        om = step(om, *generator(om, kind, pot, hbar), cfg, kind, pot, hbar)
-        m = _dense_step(m, n, cfg.dt, kind, pot, hbar)
-    assert np.linalg.norm(dense(om) - m, "fro") <= 1e-13
+    for _ in range(5):  # the dense oracle of the step `evolve` takes for each kind
+        m = (_dense_split_step(m, n, 1e-2, pot, hbar) if kind is MeanFieldKind.HARTREE
+             else _dense_step(m, n, 1e-2, kind, pot, hbar))
+    assert np.linalg.norm(dense(_advance(om, kind, pot, hbar, 1e-2, 5)) - m, "fro") <= 1e-13
 
 
-def _trapped_generator(ds, d, n, kind):
+def test_split_flow_and_midpoint_oracle_converge():
+    # both are second order: the gap between the Hartree split flow and the dense
+    # midpoint rule at a fixed time shrinks ~4x as dt halves
+    lat = make_lattice(1, 16, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    hbar = default_hbar(3, 1)
+    om = trapped_slater(lat, hbar, 50.0, 3)
+    gaps = []
+    for n_steps in (10, 20, 40, 80):
+        m = dense(om)
+        for _ in range(n_steps):
+            m = _dense_step(m, 3, 0.2 / n_steps, MeanFieldKind.HARTREE, pot, hbar)
+        split = _advance(om, MeanFieldKind.HARTREE, pot, hbar, 0.2 / n_steps, n_steps)
+        gaps.append(np.linalg.norm(dense(split) - m, "fro"))
+    assert all(coarse / fine > 3.5 for coarse, fine in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 5e-5
+
+
+def test_hartree_flow_holds_no_site_by_site_array():
+    # ds=3, d=16: one complex M x M array is 256 MiB; the orbitals are 4 MiB
+    lat = make_lattice(3, 16, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    hbar = default_hbar(63, 3)
+    om = trapped_slater(lat, hbar, 50.0, 63)
+    mf._kinetic_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        traj = evolve(om, EvolutionConfig(dt=1e-3, t_final=2e-3), MeanFieldKind.HARTREE,
+                      pot, hbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert max(traj.idempotency_defect) < 1e-12
+    # the kinetic symbol and half step are built once per run, read-only
+    assert mf._kinetic_tables.cache_info().misses == 1
+    assert not any(t.flags.writeable for t in mf._kinetic_tables(lat, hbar, 1e-3))
+
+
+def _trapped_generator(ds, d, n):
     lat = make_lattice(ds, d, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(n, ds)
     om = trapped_slater(lat, hbar, 50.0, n)
-    return om, generator(om, kind, pot, hbar), pot, hbar
+    return om, generator(om, pot, hbar), pot, hbar
+
+
+def _boosted(om, lat):
+    """omega's orbitals times the plane wave of the first lattice momentum: a complex
+    state, still orthonormal."""
+    wave = np.exp(2j * np.pi / lat.length * lat.sites()[:, 0])
+    return DensityMatrix(wave[:, None] * om.orbitals, om.occupations)
 
 
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
 @pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
 def test_flow_builds_no_dense_omega(ds, d, n, kind):
-    om, _, pot, hbar = _trapped_generator(ds, d, n, kind)
+    om, _, pot, hbar = _trapped_generator(ds, d, n)
     assert not hasattr(om, "matrix")  # the state is (Phi, lam): it has no dense view
     cfg = EvolutionConfig(dt=1e-2, t_final=3e-2)
     state = evolve(om, cfg, kind, pot, hbar).states[-1]
     assert np.iscomplexobj(state.orbitals)
-    h, _ = generator(state, kind, pot, hbar)
+    h, _ = generator(state, pot, hbar)
     # no Hermitization: only the round-off of the exchange product is left
     assert np.max(np.abs(h - h.conj().T)) <= 1e-14 * np.max(np.abs(h))
     m = (state.orbitals * state.occupations) @ state.orbitals.conj().T
-    assert np.max(np.abs(h - _dense_generator(m, n, kind, pot, hbar))) <= 1e-13
+    hf = MeanFieldKind.HARTREE_FOCK
+    assert np.max(np.abs(h - _dense_generator(m, n, hf, pot, hbar))) <= 1e-13
 
 
 def _site_sum_energy(m, n, kind, pair, k):
@@ -221,7 +281,7 @@ def _site_sum_energy(m, n, kind, pair, k):
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
 @pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
 def test_trajectory_energy_matches_site_sum_oracle(ds, d, n, kind):
-    om, _, pot, hbar = _trapped_generator(ds, d, n, kind)
+    om, _, pot, hbar = _trapped_generator(ds, d, n)
     traj = evolve(om, EvolutionConfig(dt=1e-2, t_final=4e-2), kind, pot, hbar)
     k = kinetic_operator(pot.lattice, hbar)
     assert len(traj.states) == len(traj.energy) == 5
@@ -236,35 +296,40 @@ def _eigh_exponential(phi, h, dt, hbar):
     return (vec * np.exp(-1j * dt * eig / hbar)) @ (vec.conj().T @ phi)
 
 
-@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("orbitals", ["real", "complex"])
 @pytest.mark.parametrize("ds,d", [(1, 64), (3, 8)])
-def test_gershgorin_interval_contains_spectrum(ds, d, kind):
-    # the oracle's own enclosure, on the flow's generators
-    _, (h, _), _, _ = _trapped_generator(ds, d, 4, kind)
+def test_gershgorin_interval_contains_spectrum(ds, d, orbitals):
+    # the oracle's own enclosure, on the flow's generators, real and complex
+    om, (h, _), pot, hbar = _trapped_generator(ds, d, 4)
+    if orbitals == "complex":
+        h, _ = generator(_boosted(om, pot.lattice), pot, hbar)
     lo, hi = gershgorin_interval(h)
     eig = np.linalg.eigvalsh(h)
     assert lo <= eig[0] and eig[-1] <= hi
 
 
-@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("orbitals", ["real", "complex"])
 @pytest.mark.parametrize("midpoint", [False, True])
 @pytest.mark.parametrize("shape", ["gaussian", "cosine"])
 @pytest.mark.parametrize("strength", [2.0, -2.0])
 @pytest.mark.parametrize("ds,d,n", [(1, 64, 8), (2, 8, 6), (3, 8, 10)])
-def test_generator_interval_holds_the_spectrum(ds, d, n, strength, shape, midpoint, kind):
-    # Weyl's bound from the parts holds spec h, for the trapped state and for the
-    # midpoint state [Phi, Phi_pred] diag(lam/2, lam/2), and is narrower than Gershgorin's
+def test_generator_interval_holds_the_spectrum(ds, d, n, strength, shape, midpoint, orbitals):
+    # Weyl's bound from the parts holds spec h, for the trapped state (real, or boosted
+    # to complex orbitals) and for the midpoint state [Phi, Phi_pred] diag(lam/2, lam/2),
+    # and is narrower than Gershgorin's
     lat = make_lattice(ds, d, 1.0)
     spec = {"shape": shape, "strength": strength, "sigma": 0.2, "mode": 1}
     pot = build_potential(spec, lat)
     hbar = default_hbar(n, ds)
     om = trapped_slater(lat, hbar, 50.0, n)
-    h, interval = generator(om, kind, pot, hbar)
+    if orbitals == "complex":
+        om = _boosted(om, lat)
+    h, interval = generator(om, pot, hbar)
     if midpoint:
         pred = mf.apply_exponential(om.orbitals, h, interval, 1e-2, hbar)
         lam = om.occupations
         om = DensityMatrix(np.hstack([om.orbitals, pred]), np.concatenate([lam, lam]) / 2)
-        h, interval = generator(om, kind, pot, hbar)
+        h, interval = generator(om, pot, hbar)
     (lo, hi), eig = interval, np.linalg.eigvalsh(h)
     assert lo < eig[0] and eig[-1] < hi
     g_lo, g_hi = gershgorin_interval(h)
@@ -274,7 +339,7 @@ def test_generator_interval_holds_the_spectrum(ds, d, n, strength, shape, midpoi
 # M = 64 needs >= 64 terms from a ~ 30 on: both sides of that boundary
 @pytest.mark.parametrize("a", [0.3, 3.0, 20.0, 29.0, 31.0, 63.9, 64.0, 1e3])
 def test_conjugate_matches_eigh_oracle(a):
-    om, (h, (lo, hi)), _, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE_FOCK)
+    om, (h, (lo, hi)), _, hbar = _trapped_generator(1, 64, 8)
     dt = 2 * a * hbar / (hi - lo)
     got = mf.apply_exponential(om.orbitals, h, (lo, hi), dt, hbar)
     assert np.max(np.abs(got - _eigh_exponential(om.orbitals, h, dt, hbar))) <= 1e-13
@@ -293,7 +358,7 @@ def test_conjugate_of_a_multiple_of_the_identity():
 def test_real_generator_takes_real_arithmetic(order):
     # a real h acts on the real view of the orbitals; eigh's orbitals are
     # Fortran-ordered, so the series works on a C-ordered copy
-    om, (h, interval), _, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE)
+    om, (h, interval), _, hbar = _trapped_generator(1, 64, 8)  # real trapped orbitals
     assert h.dtype == float
     phi = np.asarray(om.orbitals + 1j * np.roll(om.orbitals, 1, axis=0), order=order)
     got = mf.apply_exponential(phi, h, interval, 1e-3, hbar)
@@ -302,7 +367,7 @@ def test_real_generator_takes_real_arithmetic(order):
 
 
 def test_orbitals_stay_orthonormal_over_many_steps():
-    om, _, pot, hbar = _trapped_generator(1, 64, 8, MeanFieldKind.HARTREE_FOCK)
+    om, _, pot, hbar = _trapped_generator(1, 64, 8)
     cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000)
     phi = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).states[-1].orbitals
     assert np.max(np.abs(phi.conj().T @ phi - np.eye(8))) <= 1e-11
@@ -310,14 +375,14 @@ def test_orbitals_stay_orthonormal_over_many_steps():
 
 @pytest.mark.parametrize("ds,d,n,dt", [(1, 64, 8, 1e-3), (3, 8, 10, 2e-3)])
 def test_steps_take_the_series_and_large_a_takes_eigh(ds, d, n, dt, monkeypatch):
-    om, (h, (lo, hi)), pot, hbar = _trapped_generator(ds, d, n, MeanFieldKind.HARTREE_FOCK)
+    om, (h, (lo, hi)), pot, hbar = _trapped_generator(ds, d, n)
 
     def no_eigh(*args):
         raise AssertionError("eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     cfg = EvolutionConfig(dt=dt, t_final=dt)
-    step(om, h, (lo, hi), cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).validate()
+    step(om, h, (lo, hi), cfg, pot, hbar).validate()
     with pytest.raises(AssertionError, match="eigh called"):  # a = dim h
         mf.apply_exponential(om.orbitals, h, (lo, hi), 2 * len(h) * hbar / (hi - lo), hbar)
 
@@ -343,24 +408,19 @@ def test_idempotency_defect_matches_dense_oracle():
     assert states[0].idempotency_defect() < 1e-14
 
 
-def test_step_local_error_is_third_order():
+@pytest.mark.parametrize("kind", list(MeanFieldKind))
+def test_step_local_error_is_third_order(kind):
     # Richardson: one step of size dt vs dt/2 against a dt/100 reference;
     # a second-order scheme has local error O(dt^3), ratio ~ 8
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(2, 1)
     om = trapped_slater(lat, hbar, 50.0, 2)
-    dt, hf = 2e-2, MeanFieldKind.HARTREE_FOCK
-
-    def advance(state, h_step, n):
-        cfg = EvolutionConfig(dt=h_step, t_final=h_step)
-        for _ in range(n):
-            state = step(state, *generator(state, hf, pot, hbar), cfg, hf, pot, hbar)
-        return state
+    dt = 2e-2
 
     def one_step_error(h_step):
-        ref = dense(advance(om, h_step / 100, 100))
-        return np.linalg.norm(dense(advance(om, h_step, 1)) - ref, "fro")
+        ref = dense(_advance(om, kind, pot, hbar, h_step / 100, 100))
+        return np.linalg.norm(dense(_advance(om, kind, pot, hbar, h_step, 1)) - ref, "fro")
 
     ratio = one_step_error(dt) / one_step_error(dt / 2)
     assert 6.0 < ratio < 10.0
@@ -387,7 +447,7 @@ def test_hf_energy_examples():
     v0 = build_potential({"shape": "zero"}, lat)
     hbar = 0.4
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
-    e = hf_energy(om, generator(om, MeanFieldKind.HARTREE_FOCK, v0, hbar)[0], lat, hbar)
+    e = hf_energy(om, generator(om, v0, hbar)[0], lat, hbar)
     assert e == pytest.approx(2 * hbar ** 2 * (2 * np.pi) ** 2, rel=1e-12)
 
 
@@ -445,14 +505,17 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
     bad = DensityMatrix(phi, np.ones(4))
     with pytest.raises(ValueError, match="non-finite"):
         bad.validate()
-    with pytest.raises(ValueError, match="non-finite"):
-        evolve(bad, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    # a step that produces NaN trips the blow-up guard
+    for kind in MeanFieldKind:
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(bad, cfg, kind, v0, hbar)
+    # a step of either flow that produces NaN trips the blow-up guard
     nan_state = DensityMatrix(np.full((4, 4), np.nan, dtype=complex), np.ones(4))
     monkeypatch.setattr(mf, "step", lambda *args: nan_state)
+    monkeypatch.setattr(mf, "split_step", lambda *args: nan_state)
     good = DensityMatrix(*spectral_form(np.eye(4, dtype=complex))[:2])
-    with pytest.raises(RuntimeError, match="blow-up"):
-        evolve(good, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
+    for kind in MeanFieldKind:
+        with pytest.raises(RuntimeError, match="blow-up"):
+            evolve(good, cfg, kind, v0, hbar)
 
 
 @pytest.mark.parametrize("ds,d", [(2, 5), (3, 3)])
@@ -480,5 +543,5 @@ def test_interaction_tables_match_site_sum_oracles(ds, d):
     om = q @ q.conj().T
     e = _site_sum_energy(om, 3, MeanFieldKind.HARTREE_FOCK, v, kinetic_operator(lat, hbar))
     dm = DensityMatrix(*spectral_form(om)[:2])
-    got = hf_energy(dm, generator(dm, MeanFieldKind.HARTREE_FOCK, pot, hbar)[0], lat, hbar)
+    got = hf_energy(dm, generator(dm, pot, hbar)[0], lat, hbar)
     assert got == pytest.approx(e, rel=1e-12)

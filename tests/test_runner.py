@@ -135,14 +135,18 @@ def test_run_evolve_outputs(tmp_path):
 
 def test_run_evolve_energy_drift_finite_from_zero_energy(tmp_path):
     # E(0) = 0 exactly (one particle at p = 0, a potential averaging to zero);
-    # round-off of the 1e115 kinetic scale then moves E, and the drift is
-    # reported relative to itself instead of dividing by zero
+    # under Hartree-Fock, round-off of the 1e115 kinetic scale then moves E, and
+    # the drift is reported relative to itself instead of dividing by zero
     doc = dict(MINIMAL, lattice={"ds": 2, "d": 2, "length": 1e-60},
-               model={"n_particles": 1, "hbar": 1e-3}, kind="hartree",
+               model={"n_particles": 1, "hbar": 1e-3}, kind="hartree_fock",
                potential={"shape": "cosine", "strength": -100.0, "mode": -3},
                evolution={"dt": 1.0, "t_final": 4.0, "snapshot_stride": 3})
     result = run(parse_config(json.dumps(doc)), str(tmp_path / "e0"))["result"]
     assert 0.0 < result["max_relative_energy_drift"] <= 1.0
+    # the split Hartree step moves the p = 0 orbital by phases only: E stays 0
+    doc["kind"] = "hartree"
+    result = run(parse_config(json.dumps(doc)), str(tmp_path / "e0h"))["result"]
+    assert result["max_relative_energy_drift"] == 0.0
 
 
 def test_run_deterministic_reruns_byte_identical(tmp_path):
@@ -730,6 +734,38 @@ def test_cli_scenario_value_error_exits_three_without_a_traceback(tmp_path, monk
     monkeypatch.setitem(runner_mod._SCENARIO_FN, "evolve", config_error)
     assert main(["evolve", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: fock.l_sites")
+
+
+@pytest.mark.parametrize("scenario,module,name", [
+    ("fluctuation", "fock", "fluctuation_vector"),
+    ("exact-vs-meanfield", "fock", "rdm1"),
+    ("semiclassics", "semiclassics", "wigner"),  # its first call reads omega_0
+])
+def test_cli_snapshot_failure_names_its_time(tmp_path, monkeypatch, capsys, scenario,
+                                             module, name):
+    # a measurement that fails at the third snapshot, t = 0.02: exit 3, and the
+    # message names that time
+    import importlib
+
+    mod = importlib.import_module(f"fermiflow.{module}")
+    original, calls = getattr(mod, name), []
+
+    def fails_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("orbitals are not orthonormal (defect 1.03e-12)")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, fails_third)
+    doc = dict(MINIMAL, scenario=scenario, lattice={"ds": 1, "d": 6},
+               model={"n_particles": 2},
+               evolution={"dt": 0.01, "t_final": 0.04, "snapshot_stride": 1},
+               vlasov={"dt": 0.0025})
+    out = tmp_path / "o"
+    assert main([scenario, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "orthonormal" in err and "at t=0.02" in err and err.count("\n") == 1, err
+    assert len(calls) == 3 and not os.path.exists(out / "summary.json")
 
 
 def test_cli_seed_override_recorded(tmp_path):

@@ -13,7 +13,8 @@ from fermiflow.runner import parse_config, run
 from fermiflow import semiclassics
 from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 
-from _oracles import dense, dense_wigner, full_fft_vlasov_step, spectral_form
+from _oracles import (_full_fft_force, dense, dense_wigner, full_fft_vlasov_step,
+                      spectral_form)
 
 
 def test_wigner_translation_invariant_state():
@@ -167,6 +168,21 @@ def test_vlasov_step_matches_the_full_fft_step(d, steps):
         ref = full_fft_vlasov_step(ref, 2.5e-4, pot, q, 8)
     assert np.max(np.abs(w - ref)) <= 1e-12
     assert not any(t.flags.writeable for t in semiclassics._drift_phases(lat, hbar, 2.5e-4))
+
+
+@pytest.mark.parametrize("d", [64, 9])
+def test_kick_force_matches_the_full_fft_force(d):
+    # one rfft/irfft pair on the potential's half spectrum against -i p on direct_term's
+    # V * rho by full complex FFTs; odd d has no Nyquist bin
+    lat = make_lattice(1, d, 1.0)
+    hbar = default_hbar(8, 1)
+    if d == 64:  # vlasov1d's state
+        w = wigner(trapped_slater(lat, hbar, 50.0, 8), lat)
+    else:
+        x, q = lat.sites()[:, 0], momentum_grid(lat, hbar)
+        w = np.exp(-((x[:, None] - 0.3) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.2, "sigma": 0.2}, lat)
+    assert np.max(np.abs(semiclassics._force(w, pot, 8) - _full_fft_force(w, pot, 8))) <= 1e-13
 
 
 def test_vlasov_step_rejects_a_non_finite_state():

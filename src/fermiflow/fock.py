@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .meanfield import apply_exponential
-from .model import Potential, kinetic_levels, kinetic_operator
+from .model import Potential, kinetic_operator
 
 __all__ = [
     "FockSpace",
@@ -210,7 +210,7 @@ def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray
     dGamma(K) on n fermions spans [sum of the n lowest, sum of the n highest] levels
     hbar^2 |p|^2 of K, W the block diagonal minus n K_xx (K_xx: the levels' mean)."""
     h = hamiltonian(space, v, hbar, n_particles)
-    k = kinetic_levels(v.lattice, hbar)
+    k = np.sort(hbar ** 2 * v.lattice.momentum_squared(), None)  # K's levels, ascending
     occ, sectors = space.occupations(), []
     for n in range(space.l_sites + 1):
         if np.any(psi0[idx := np.nonzero(occ == n)[0]]):

@@ -74,7 +74,7 @@ def fermi_ball_indices(lattice: Lattice, n: int) -> np.ndarray:
     if n < 1 or n > lattice.site_count:
         raise ValueError(f"need 1 <= n <= {lattice.site_count}, got {n}")
     k = lattice.fft_indices().reshape(lattice.ds, -1).T
-    p2 = np.sum(lattice.fft_momenta() ** 2, axis=0).ravel()
+    p2 = lattice.momentum_squared().ravel()
     order = sorted(range(lattice.site_count), key=lambda i: (p2[i], tuple(k[i])))
     return k[order[:n]]
 

@@ -1,21 +1,20 @@
 """Hartree-Fock and Hartree flows for one-particle density matrices.
 
-The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi*, N = sum lam.
-The flow i*hbar d/dt omega = [h(omega), omega], h = -hbar^2 Lap + (V * rho) - X
-(X = 0 for Hartree), is a unitary conjugation: lam is fixed, the orbitals move, and
-each scheme is a product of unitaries on Phi, so a projection stays one.  tau = dt/hbar.
-Hartree is split (Strang), `split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).
-K is diagonal on the fftn of the orbitals' (d,)*ds + (r,) site view and the phase keeps rho,
-so each sub-step is exact, with no series and no M x M array; that transform of Phi also
-gives the energy's kinetic part, sum lam hbar^2 |p|^2 |Phi_hat|^2 / M.  Hartree-Fock takes
-the exponential midpoint rule, `step`: Phi -> exp(-i tau h) Phi, h at the average of omega
-and an exponential-Euler predictor.  `generator` assembles h in one M x M buffer:
-X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times `Potential.pair_matrix`,
-negated, the real K added to it and V * rho to its diagonal; both tables are exactly
-symmetric, so h is not Hermitized.  The exponential is a Chebyshev series in h on Phi over
-the interval `generator` reads from h's parts, in real arithmetic where h is real, or an
-`eigh` of h where it needs dim h terms.  `evolve` builds h once per state, also for the
-energy E = tr((K + h) omega) / 2.
+The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi*, N = sum lam.  The
+flow i*hbar d/dt omega = [h(omega), omega], h = -hbar^2 Lap + (V * rho) - X (X = 0 for
+Hartree), is a unitary conjugation: lam is fixed, the orbitals move, and each scheme is a
+product of unitaries on Phi, so a projection stays one.  tau = dt/hbar.  Hartree is split
+(Strang), `split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).  K is diagonal
+on the fftn of the orbitals' (d,)*ds + (r,) site view and the phase keeps rho, so each
+sub-step is exact, with no series and no M x M array; `evolve` builds the half-step table
+once per run.  Hartree-Fock takes the exponential midpoint rule, `step`: Phi -> exp(-i tau
+h) Phi, h at the average of omega and an exponential-Euler predictor.  `generator` assembles
+h in one M x M buffer: X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times
+`Potential.pair_matrix`, negated, the real K added to it and V * rho to its diagonal; both
+tables are exactly symmetric, so h is not Hermitized.  The exponential is a Chebyshev series
+in h on Phi over the interval `generator` reads from h's parts, in real arithmetic where h
+is real, or an `eigh` of h where it needs dim h terms.  `evolve` builds h once per state,
+also for `energy`, the one energy of both flows, its kinetic part by Parseval.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.  This module
 measures nothing: a scenario reads the states of a `Trajectory` with `diagnostics`.
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initial_data import DensityMatrix
-from .model import Lattice, Potential, kinetic_levels, kinetic_operator
+from .model import Lattice, Potential, kinetic_operator
 
 __all__ = [
     "MeanFieldKind",
@@ -42,8 +41,8 @@ __all__ = [
     "apply_exponential",
     "step",
     "split_step",
+    "energy",
     "evolve",
-    "hf_energy",
 ]
 
 
@@ -133,7 +132,8 @@ def generator(omega: DensityMatrix, v: Potential, hbar: float) -> tuple:
     h.real += kinetic_operator(v.lattice, hbar)
     h.flat[:: len(h) + 1] += u
     c, (v_lo, v_hi) = v.lattice.cell * rho.max(), v.pair_range
-    return h, (u.min() - v_hi * c, u.max() + kinetic_levels(v.lattice, hbar)[-1] - v_lo * c)
+    k_top = hbar ** 2 * v.lattice.momentum_squared().max()
+    return h, (u.min() - v_hi * c, u.max() + k_top - v_lo * c)
 
 
 def _times(h: np.ndarray):
@@ -192,24 +192,13 @@ def step(omega: DensityMatrix, h: np.ndarray, interval: tuple, cfg: EvolutionCon
     return DensityMatrix(apply_exponential(phi, *generator(mid, v, hbar), cfg.dt, hbar), lam)
 
 
-@functools.lru_cache(maxsize=2)
-def _kinetic_tables(lattice: Lattice, hbar: float, dt: float) -> tuple:
-    """hbar^2 |p|^2 on the fftn grid of the orbitals' (d,)*ds + (r,) site view and the
-    half step exp(-i tau hbar^2 |p|^2 / 2) there, tau = dt / hbar; built once, read-only."""
-    symbol = hbar ** 2 * np.sum(lattice.fft_momenta() ** 2, axis=0)[..., None]
-    tables = symbol, np.exp(-0.5j * (dt / hbar) * symbol)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def split_step(omega: DensityMatrix, phi_hat: np.ndarray, cfg: EvolutionConfig,
-               v: Potential, hbar: float) -> DensityMatrix:
+def split_step(omega: DensityMatrix, phi_hat: np.ndarray, half: np.ndarray,
+               cfg: EvolutionConfig, v: Potential, hbar: float) -> DensityMatrix:
     """One Strang step of the Hartree flow, Phi -> exp(-i tau K/2) exp(-i tau u) exp(-i tau
     K/2) Phi, tau = dt / hbar, u = V * rho of Phi' = exp(-i tau K/2) Phi, which the phase
-    leaves unchanged; phi_hat is the fftn of omega's orbitals over their site axes."""
+    leaves unchanged; phi_hat is the fftn of omega's orbitals over their site axes (from
+    `energy`), half the table exp(-i tau hbar^2 |p|^2 / 2) on that grid."""
     lat, lam, axes = v.lattice, omega.occupations, tuple(range(v.lattice.ds))
-    half = _kinetic_tables(lat, hbar, cfg.dt)[1]
     phi = np.fft.ifftn(half * phi_hat, axes=axes).reshape(omega.orbitals.shape)
     u = direct_term(density_profile(DensityMatrix(phi, lam), lat), v)
     phi *= np.exp(-1j * (cfg.dt / hbar) * u)[:, None]
@@ -217,26 +206,25 @@ def split_step(omega: DensityMatrix, phi_hat: np.ndarray, cfg: EvolutionConfig,
     return DensityMatrix(phi.reshape(omega.orbitals.shape), lam)
 
 
-def _split_energy(omega: DensityMatrix, cfg: EvolutionConfig, v: Potential, hbar: float) -> tuple:
-    """E = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M + (1/2) sum_x (V * rho)(x) omega_xx, and
-    Phi_hat, the fftn of the orbitals over their site axes, for the next `split_step`."""
-    lat, phi = v.lattice, omega.orbitals
-    phi_hat = np.fft.fftn(phi.reshape((lat.d,) * lat.ds + (-1,)), axes=tuple(range(lat.ds)))
-    kinetic = np.sum((_kinetic_tables(lat, hbar, cfg.dt)[0] * np.abs(phi_hat) ** 2)
-                     @ omega.occupations) / lat.site_count
-    rho = density_profile(omega, lat)
-    interaction = 0.5 * omega.n_particles * lat.cell * (direct_term(rho, v) @ rho)
-    return float(kinetic + interaction), phi_hat
-
-
-def hf_energy(omega: DensityMatrix, h: np.ndarray, lattice: Lattice,
-              hbar: float) -> float:
-    """E = (1/2) Re sum_j lam_j <phi_j, (K + h) phi_j> for h = h(omega): the 1/2
-    symmetry factor on both interaction terms makes this the conserved
-    quantity of the flow."""
-    phi = np.ascontiguousarray(omega.orbitals, dtype=complex)
-    k_h_phi = _times(kinetic_operator(lattice, hbar))(phi) + _times(h)(phi)
-    return 0.5 * float(np.vdot(phi * omega.occupations, k_h_phi).real)
+def energy(omega: DensityMatrix, v: Potential, hbar: float, h: np.ndarray = None) -> tuple:
+    """The mean-field energy E and Phi_hat, the fftn of the orbitals over their site axes.
+    The kinetic part is T = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M (Parseval).  Hartree (no h):
+    E = T + (1/2) sum_x (V * rho)(x) omega_xx.  Hartree-Fock, h = h(omega) from `generator`:
+    E = (T + tr(h omega)) / 2, the 1/2 symmetry factor on both interaction terms making it
+    the conserved quantity of the flow."""
+    lat, phi, lam = v.lattice, omega.orbitals, omega.occupations
+    phi_hat = phi.reshape((lat.d,) * lat.ds + (-1,))
+    for ax in range(lat.ds - 1, -1, -1):  # fftn's order, without its argument handling
+        phi_hat = np.fft.fft(phi_hat, axis=ax)
+    weights = np.abs(phi_hat.reshape(lat.site_count, -1)) ** 2 @ lam
+    kinetic = hbar ** 2 * (lat.momentum_squared().ravel() @ weights) / lat.site_count
+    if h is None:
+        rho = density_profile(omega, lat)
+        e = kinetic + 0.5 * omega.n_particles * lat.cell * (direct_term(rho, v) @ rho)
+    else:
+        phi = np.ascontiguousarray(phi, dtype=complex)
+        e = 0.5 * (kinetic + np.vdot(phi * lam, _times(h)(phi)).real)
+    return float(e), phi_hat
 
 
 def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
@@ -245,23 +233,26 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
     snapshots at the snapshot stride.  Aborts on integrator blow-up or a non-finite state."""
     omega0.validate()
     traj, split = Trajectory(), kind is MeanFieldKind.HARTREE
+    half = np.exp(-0.5j * (cfg.dt / hbar) * (hbar ** 2 * v.lattice.momentum_squared()))[..., None]
     state, defect = omega0, omega0.idempotency_defect()
     for i in range(cfg.n_steps + 1):
         t = i * cfg.dt
         if i > 0:
-            state = (split_step(state, parts, cfg, v, hbar) if split
-                     else step(state, *parts, cfg, v, hbar))
+            state = (split_step(state, phi_hat, half, cfg, v, hbar) if split
+                     else step(state, h, interval, cfg, v, hbar))
             defect = state.idempotency_defect()
             if not defect <= 1e-4:  # also true for NaN
                 raise RuntimeError(
                     f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}")
-        if split:  # E, and what the next step reads: Phi's transform, or h(omega) and its interval
-            energy, parts = _split_energy(state, cfg, v, hbar)
+        # Hartree: Phi_hat serves the next step.  Hartree-Fock: h(omega) and its interval do,
+        # and Phi_hat is dropped (held across the step, it cost hf3d ~2 MB of peak RSS).
+        if split:
+            e, phi_hat = energy(state, v, hbar)
         else:
-            parts = generator(state, v, hbar)
-            energy = hf_energy(state, parts[0], v.lattice, hbar)
+            h, interval = generator(state, v, hbar)
+            e = energy(state, v, hbar, h)[0]
         traj.trace.append(float(np.vdot(state.orbitals, state.orbitals * state.occupations).real))
-        traj.energy.append(energy)
+        traj.energy.append(e)
         traj.idempotency_defect.append(defect)
         if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:  # states are immutable
             traj.times.append(t)

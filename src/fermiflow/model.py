@@ -14,7 +14,8 @@ Conventions used throughout the package:
   i.e. Vhat carries no extra volume factor.
 
 The pair table V(x_i - x_j) and K = -hbar^2 Lap are circulants, one gather
-(`_circulant`) of V's samples and of the inverse FFT of K's symbol hbar^2 |p|^2.
+(`_circulant`) of V's samples and of the inverse FFT of K's symbol hbar^2 |p|^2, whose
+|p|^2 every reader takes from its one source, `Lattice.momentum_squared`.
 
 Each model fact has one source: the lattice is `Potential.lattice`, N is
 `DensityMatrix.n_particles`, and hbar a number (`default_hbar` is N^(-1/ds)).
@@ -33,7 +34,6 @@ __all__ = [
     "make_lattice",
     "build_potential",
     "is_hermitian",
-    "kinetic_levels",
     "kinetic_operator",
 ]
 
@@ -99,6 +99,12 @@ class Lattice:
         """p_k = (2 pi / l) k on `fft_indices`, shape (ds,) + (d,)*ds: the symbol
         grid of `np.fft.fftn` over the site axes of a site array."""
         return self.fft_indices() * (2.0 * np.pi / self.length)
+
+    @_built_once
+    def momentum_squared(self) -> np.ndarray:
+        """|p|^2 = sum_axis p_axis^2 on the `fft_momenta` grid, shape (d,)*ds: K's symbol
+        over hbar^2, so K's levels, its phases and the kinetic energy's Parseval weights."""
+        return np.sum(self.fft_momenta() ** 2, axis=0)
 
 
 def default_hbar(n_particles: int, ds: int) -> float:
@@ -237,18 +243,11 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
     return _potential_from_samples(samples, lattice)
 
 
-@functools.lru_cache(maxsize=2)
-def kinetic_levels(lattice: Lattice, hbar: float) -> np.ndarray:
-    """spec K = hbar^2 |p|^2 over the momentum grid, ascending: the parts both
-    exponentials read their intervals from; cached and read-only."""
-    return _read_only(np.sort(hbar ** 2 * np.sum(lattice.fft_momenta() ** 2, axis=0), None))
-
-
 @functools.lru_cache(maxsize=2)  # trapped_slater's one-axis K and the run's K
 def kinetic_operator(lattice: Lattice, hbar: float) -> np.ndarray:
     """-hbar^2 Laplacian, the circulant of ifftn(hbar^2 |p|^2): real (|p|^2 is even),
     exactly symmetric (its kernel is evenized), PSD; cached and read-only."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    kernel = np.fft.ifftn(hbar ** 2 * np.sum(lattice.fft_momenta() ** 2, axis=0)).real
+    kernel = np.fft.ifftn(hbar ** 2 * lattice.momentum_squared()).real
     return _circulant(lattice, (0.5 * (kernel + _reflected(kernel))).ravel())

@@ -10,8 +10,7 @@ import fermiflow.meanfield as mf
 from fermiflow.initial_data import (DensityMatrix, fermi_ball_indices,
                                     plane_wave_projection, trapped_slater)
 from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile,
-                                 direct_term, evolve, exchange_term, generator, hf_energy,
-                                 step)
+                                 direct_term, energy, evolve, exchange_term, generator, step)
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
 from fermiflow.runner import parse_config, run
 
@@ -220,7 +219,6 @@ def test_hartree_flow_holds_no_site_by_site_array():
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     hbar = default_hbar(63, 3)
     om = trapped_slater(lat, hbar, 50.0, 63)
-    mf._kinetic_tables.cache_clear()
     tracemalloc.start()
     try:
         traj = evolve(om, EvolutionConfig(dt=1e-3, t_final=2e-3), MeanFieldKind.HARTREE,
@@ -230,9 +228,6 @@ def test_hartree_flow_holds_no_site_by_site_array():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert max(traj.idempotency_defect) < 1e-12
-    # the kinetic symbol and half step are built once per run, read-only
-    assert mf._kinetic_tables.cache_info().misses == 1
-    assert not any(t.flags.writeable for t in mf._kinetic_tables(lat, hbar, 1e-3))
 
 
 def _trapped_generator(ds, d, n):
@@ -447,8 +442,10 @@ def test_hf_energy_examples():
     v0 = build_potential({"shape": "zero"}, lat)
     hbar = 0.4
     om = plane_wave_projection(lat, np.array([[-1], [0], [1]]))
-    e = hf_energy(om, generator(om, v0, hbar)[0], lat, hbar)
-    assert e == pytest.approx(2 * hbar ** 2 * (2 * np.pi) ** 2, rel=1e-12)
+    # V = 0: both flows' energy is the kinetic sum hbar^2 (2 pi)^2 (1 + 0 + 1)
+    for h in (None, generator(om, v0, hbar)[0]):
+        assert energy(om, v0, hbar, h)[0] == pytest.approx(2 * hbar ** 2 * (2 * np.pi) ** 2,
+                                                            rel=1e-12)
 
 
 def test_hf_energy_conserved_along_flow():
@@ -541,7 +538,8 @@ def test_interaction_tables_match_site_sum_oracles(ds, d):
     q = np.linalg.qr(rng.normal(size=(m_sites, 3))
                      + 1j * rng.normal(size=(m_sites, 3)))[0]
     om = q @ q.conj().T
-    e = _site_sum_energy(om, 3, MeanFieldKind.HARTREE_FOCK, v, kinetic_operator(lat, hbar))
     dm = DensityMatrix(*spectral_form(om)[:2])
-    got = hf_energy(dm, generator(dm, pot, hbar)[0], lat, hbar)
-    assert got == pytest.approx(e, rel=1e-12)
+    for kind, h in ((MeanFieldKind.HARTREE, None),
+                    (MeanFieldKind.HARTREE_FOCK, generator(dm, pot, hbar)[0])):
+        e = _site_sum_energy(om, 3, kind, v, kinetic_operator(lat, hbar))
+        assert energy(dm, pot, hbar, h)[0] == pytest.approx(e, rel=1e-12)

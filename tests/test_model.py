@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fermiflow.model import (Lattice, Potential, build_potential, default_hbar,
-                             kinetic_levels, kinetic_operator, make_lattice)
+                             kinetic_operator, make_lattice)
 
 from _oracles import (assumption_weight, circulant_gather, fourier, fourier_matrix, momenta,
                       momentum_indices, momentum_operator, phase_operator)
@@ -157,8 +157,8 @@ def test_kinetic_operator_real_symmetric(ds, d):
     f = fourier_matrix(lat)
     oracle = f.conj().T @ np.diag(0.7 ** 2 * np.sum(momenta(lat) ** 2, axis=1)) @ f
     assert np.max(np.abs(k - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-    # its spectrum, ascending, is the one both exponentials read their intervals from
-    levels = kinetic_levels(lat, 0.7)
+    # its levels are its symbol hbar^2 |p|^2, from which the exponentials read their intervals
+    levels = np.sort(0.7 ** 2 * lat.momentum_squared(), None)
     assert np.max(np.abs(levels - np.linalg.eigvalsh(k))) <= 1e-12 * levels[-1]
 
 
@@ -195,7 +195,7 @@ def test_fft_momenta_reorder_the_momenta(ds, d):
 @pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (3, 4)])
 def test_lattice_grids_are_built_once_and_read_only(ds, d):
     lat = make_lattice(ds, d, 1.3)
-    for grid in (lat.sites, lat.fft_indices, lat.fft_momenta):
+    for grid in (lat.sites, lat.fft_indices, lat.fft_momenta, lat.momentum_squared):
         assert grid() is grid()
         assert not grid().flags.writeable
         with pytest.raises(ValueError):
@@ -210,7 +210,8 @@ def test_cached_tables_are_read_only():
     v = build_potential({"shape": "gaussian", "strength": 1.3, "sigma": 0.2}, lat)
     k = kinetic_operator(lat, 0.61)
     assert kinetic_operator(lat, 0.61) is k
-    for table in (v.real_space, v.pair_matrix, v.site_rfft, k, kinetic_levels(lat, 0.61)):
+    assert lat.momentum_squared() is lat.momentum_squared()
+    for table in (v.real_space, v.pair_matrix, v.site_rfft, k, lat.momentum_squared()):
         with pytest.raises(ValueError):
             table[...] = 0
 

@@ -1,20 +1,20 @@
 """Hartree-Fock and Hartree flows for one-particle density matrices.
 
-The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi*, N = sum lam.  The
-flow i*hbar d/dt omega = [h(omega), omega], h = -hbar^2 Lap + (V * rho) - X (X = 0 for
-Hartree), is a unitary conjugation: lam is fixed, the orbitals move, and each scheme is a
-product of unitaries on Phi, so a projection stays one.  tau = dt/hbar.  Hartree is split
-(Strang), `split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).  K is diagonal
-on the fftn of the orbitals' (d,)*ds + (r,) site view and the phase keeps rho, so each
-sub-step is exact, with no series and no M x M array; `evolve` builds the half-step table
-once per run.  Hartree-Fock takes the exponential midpoint rule, `step`: Phi -> exp(-i tau
-h) Phi, h at the average of omega and an exponential-Euler predictor.  `generator` assembles
-h in one M x M buffer: X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times
+The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi*, N = sum lam.  The flow
+i*hbar d/dt omega = [h(omega), omega], h = -hbar^2 Lap + (V * rho) - X (X = 0 for Hartree), is
+a unitary conjugation: lam is fixed, the orbitals move, and each scheme is a product of
+unitaries on Phi, so a projection stays one.  tau = dt/hbar.  Hartree is split (Strang),
+`split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).  K is diagonal on the fftn
+of the orbitals' (d,)*ds + (r,) site view and the phase keeps rho, so each sub-step is exact,
+with no series and no M x M array: three orbital transforms a step, the last one's product
+serving `energy`.  Hartree-Fock takes the exponential midpoint rule, `step`: Phi -> exp(-i tau
+h) Phi, h at the average of omega and an exponential-Euler predictor.  `generator` assembles h
+in one M x M buffer: X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times
 `Potential.pair_matrix`, negated, the real K added to it and V * rho to its diagonal; both
 tables are exactly symmetric, so h is not Hermitized.  The exponential is a Chebyshev series
-in h on Phi over the interval `generator` reads from h's parts, in real arithmetic where h
-is real, or an `eigh` of h where it needs dim h terms.  `evolve` builds h once per state,
-also for `energy`, the one energy of both flows, its kinetic part by Parseval.
+in h on Phi over the interval `generator` reads from h's parts, in real arithmetic where h is
+real, or an `eigh` of h where it needs dim h terms.  `evolve` builds h once per state, also for
+`energy`, the one energy of both flows, its kinetic part by Parseval.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.  This module
 measures nothing: a scenario reads the states of a `Trajectory` with `diagnostics`.
@@ -98,16 +98,19 @@ def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
     return diag / (omega.n_particles * lattice.cell)
 
 
+def _fft_axes(a: np.ndarray, fft, axes) -> np.ndarray:
+    """`fft` along each of `axes` in turn: numpy's fftn loop without its argument handling."""
+    return functools.reduce(lambda b, ax: fft(b, axis=ax), axes, a)
+
+
 def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
     """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y): one circular
     convolution of the site grids by real FFT, with V's transform cached."""
     lat = v.lattice
     rhat = np.fft.rfft(np.reshape(rho, (lat.d,) * lat.ds), axis=-1)
-    for ax in range(lat.ds - 2, -1, -1):  # rfftn's order, without its argument handling
-        rhat = np.fft.fft(rhat, axis=ax)
+    rhat = _fft_axes(rhat, np.fft.fft, range(lat.ds - 2, -1, -1))  # rfftn's order
     np.multiply(v.site_rfft, rhat, out=rhat)  # in this order: SIMD complex products round by it
-    for ax in range(lat.ds - 1):  # irfftn's order
-        rhat = np.fft.ifft(rhat, axis=ax)
+    rhat = _fft_axes(rhat, np.fft.ifft, range(lat.ds - 1))  # irfftn's order
     return lat.cell * np.fft.irfft(rhat, lat.d, axis=-1).ravel()
 
 
@@ -193,29 +196,28 @@ def step(omega: DensityMatrix, h: np.ndarray, interval: tuple, cfg: EvolutionCon
 
 
 def split_step(omega: DensityMatrix, phi_hat: np.ndarray, half: np.ndarray,
-               cfg: EvolutionConfig, v: Potential, hbar: float) -> DensityMatrix:
+               cfg: EvolutionConfig, v: Potential, hbar: float) -> tuple:
     """One Strang step of the Hartree flow, Phi -> exp(-i tau K/2) exp(-i tau u) exp(-i tau
     K/2) Phi, tau = dt / hbar, u = V * rho of Phi' = exp(-i tau K/2) Phi, which the phase
-    leaves unchanged; phi_hat is the fftn of omega's orbitals over their site axes (from
-    `energy`), half the table exp(-i tau hbar^2 |p|^2 / 2) on that grid."""
-    lat, lam, axes = v.lattice, omega.occupations, tuple(range(v.lattice.ds))
-    phi = np.fft.ifftn(half * phi_hat, axes=axes).reshape(omega.orbitals.shape)
+    leaves unchanged; half is exp(-i tau hbar^2 |p|^2 / 2) on the grid of phi_hat, the fftn of
+    omega's orbitals over their site axes.  Returns the new state and its phi_hat."""
+    lat, lam, axes = v.lattice, omega.occupations, range(v.lattice.ds - 1, -1, -1)  # fftn's
+    phi = _fft_axes(half * phi_hat, np.fft.ifft, axes).reshape(omega.orbitals.shape)
     u = direct_term(density_profile(DensityMatrix(phi, lam), lat), v)
     phi *= np.exp(-1j * (cfg.dt / hbar) * u)[:, None]
-    phi = np.fft.ifftn(half * np.fft.fftn(phi.reshape(phi_hat.shape), axes=axes), axes=axes)
-    return DensityMatrix(phi.reshape(omega.orbitals.shape), lam)
+    phi_hat = half * _fft_axes(phi.reshape(phi_hat.shape), np.fft.fft, axes)
+    return DensityMatrix(_fft_axes(phi_hat, np.fft.ifft, axes).reshape(phi.shape), lam), phi_hat
 
 
-def energy(omega: DensityMatrix, v: Potential, hbar: float, h: np.ndarray = None) -> tuple:
-    """The mean-field energy E and Phi_hat, the fftn of the orbitals over their site axes.
-    The kinetic part is T = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M (Parseval).  Hartree (no h):
+def energy(omega: DensityMatrix, v: Potential, hbar: float, h: np.ndarray = None,
+           phi_hat: np.ndarray = None) -> tuple:
+    """The mean-field energy E and Phi_hat, the fftn of the orbitals over their site axes,
+    taken here unless given.  T = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M (Parseval).  Hartree (no h):
     E = T + (1/2) sum_x (V * rho)(x) omega_xx.  Hartree-Fock, h = h(omega) from `generator`:
-    E = (T + tr(h omega)) / 2, the 1/2 symmetry factor on both interaction terms making it
-    the conserved quantity of the flow."""
+    E = (T + tr(h omega)) / 2, the 1/2 on both interaction terms making it the conserved one."""
     lat, phi, lam = v.lattice, omega.orbitals, omega.occupations
-    phi_hat = phi.reshape((lat.d,) * lat.ds + (-1,))
-    for ax in range(lat.ds - 1, -1, -1):  # fftn's order, without its argument handling
-        phi_hat = np.fft.fft(phi_hat, axis=ax)
+    phi_hat = phi_hat if phi_hat is not None else _fft_axes(
+        phi.reshape((lat.d,) * lat.ds + (-1,)), np.fft.fft, range(lat.ds - 1, -1, -1))
     weights = np.abs(phi_hat.reshape(lat.site_count, -1)) ** 2 @ lam
     kinetic = hbar ** 2 * (lat.momentum_squared().ravel() @ weights) / lat.site_count
     if h is None:
@@ -234,12 +236,12 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
     omega0.validate()
     traj, split = Trajectory(), kind is MeanFieldKind.HARTREE
     half = np.exp(-0.5j * (cfg.dt / hbar) * (hbar ** 2 * v.lattice.momentum_squared()))[..., None]
-    state, defect = omega0, omega0.idempotency_defect()
+    state, defect, phi_hat = omega0, omega0.idempotency_defect(), None
     for i in range(cfg.n_steps + 1):
         t = i * cfg.dt
         if i > 0:
-            state = (split_step(state, phi_hat, half, cfg, v, hbar) if split
-                     else step(state, h, interval, cfg, v, hbar))
+            state, phi_hat = (split_step(state, phi_hat, half, cfg, v, hbar) if split
+                              else (step(state, h, interval, cfg, v, hbar), None))
             defect = state.idempotency_defect()
             if not defect <= 1e-4:  # also true for NaN
                 raise RuntimeError(
@@ -247,7 +249,7 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
         # Hartree: Phi_hat serves the next step.  Hartree-Fock: h(omega) and its interval do,
         # and Phi_hat is dropped (held across the step, it cost hf3d ~2 MB of peak RSS).
         if split:
-            e, phi_hat = energy(state, v, hbar)
+            e, phi_hat = energy(state, v, hbar, phi_hat=phi_hat)
         else:
             h, interval = generator(state, v, hbar)
             e = energy(state, v, hbar, h)[0]

@@ -11,10 +11,10 @@ at the cost of a factor-2 momentum coarsening).  The quadrature weight is
 the constant 1/d, pinned by the sum rule sum_{j,k} W / d = tr omega; with
 that weight the position marginal is exactly the diagonal of omega.
 
-Vlasov sweeps and the kick's force -d/dx (V * rho), -i p (`Lattice.fft_momenta`) on V * rho's
-spectrum a^ds `site_rfft` rfft(rho), are rfft/irfft pairs on a real half spectrum.
-`vlasov_step` runs n Strang steps with n + 1 drift sweeps, adjacent half drifts merged;
-`runner` calls it once per snapshot interval and `wigner` once per snapshot.
+A Vlasov sweep is one rfft/irfft pair on a real half spectrum; a kick maps its rfft's column
+0, the row sums, to shifts by one real circulant for the force -d/dx (V * rho), and builds
+its phases as a running product.  n Strang steps take 2n + 1 sweeps; `runner` calls
+`vlasov_step` once per snapshot interval and `wigner` once per snapshot.
 """
 
 import functools
@@ -51,12 +51,11 @@ def wigner(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
 
 
 def _phases(shifts: np.ndarray, n: int) -> np.ndarray:
-    """exp(-2 pi i kappa s / n), kappa = 0..n//2 on a new last axis: shifts by s cells."""
-    angle = np.multiply.outer(shifts, np.arange(n // 2 + 1) * (-2.0 * np.pi / n))
-    phase = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phase.real)
-    np.sin(angle, out=phase.imag)
-    return phase
+    """exp(-2 pi i kappa s / n), kappa = 0..n//2 on a new last axis: shifts by s cells.  One
+    exp(-2 pi i s / n) per shift, then a running product along kappa; column 0 is exactly 1."""
+    phase = np.repeat(np.exp(np.asarray(shifts) * (-2j * np.pi / n))[..., None], n // 2 + 1, -1)
+    phase[..., 0] = 1.0
+    return np.multiply.accumulate(phase, axis=-1, out=phase)
 
 
 @functools.lru_cache(maxsize=4)
@@ -68,34 +67,33 @@ def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> tuple:
     full = half * half
     if lattice.d % 2 == 0:
         full[-1] = half[-1].real ** 2
-    for table in (half, full):
-        table.setflags(write=False)
+    half.flags.writeable = full.flags.writeable = False
     return half, full
 
 
-def _force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
-    """-d/dx (V * rho), rho the normalized position marginal: -i p on a `site_rfft` rfft(rho)."""
-    lattice = v.lattice
-    rho = np.sum(w, axis=1) * (1.0 / lattice.d) / (n_particles * lattice.cell)  # weight 1/d
-    p = lattice.fft_momenta()[0, :lattice.d // 2 + 1]
-    return np.fft.irfft(-1j * lattice.cell * p * v.site_rfft * np.fft.rfft(rho), lattice.d)
+def _kick_matrix(v: Potential, n_particles: int, scale: float) -> np.ndarray:
+    """The real circulant C[i, j] = g[(i - j) mod d], C sum_q w = scale * (-d/dx (V * rho)) for
+    rho = sum_q w / (d N a): g = irfft(-i p a `site_rfft`) scale / (d N a), a cancelling."""
+    lat, i = v.lattice, np.arange(v.lattice.d)
+    t = -1j * lat.fft_momenta()[0, :lat.d // 2 + 1] * v.site_rfft * (scale / (lat.d * n_particles))
+    return np.fft.irfft(t, lat.d)[(i[:, None] - i) % lat.d]
 
 
 def vlasov_step(w: np.ndarray, n_steps: int, dt: float, v: Potential, hbar: float,
                 n_particles: int) -> np.ndarray:
     """n_steps Strang-split steps of the Vlasov flow for -hbar^2 Lap + direct term, w's
-    momenta `momentum_grid(v.lattice, hbar)` (velocity 2q): D(dt/2) (K D(dt))^(n-1) K
-    D(dt/2), each pair of adjacent half drifts merged into one.  Each sweep is exact for
-    band-limited data and integer shifts and keeps each line's sum (irfft keeps
-    Re(X phase) at the real Nyquist bin): the splitting is the only dt error."""
+    momenta `momentum_grid(v.lattice, hbar)` (velocity 2q): D(dt/2) (K D(dt))^(n-1) K D(dt/2),
+    adjacent half drifts merged.  Sweeps are exact for band-limited data and integer shifts and
+    keep line sums (irfft keeps Re(X phase) at the real Nyquist bin): only the splitting errs."""
     if not (dt > 0 and n_steps >= 1):
         raise ValueError("dt must be positive and n_steps at least 1")
     d, (half, full) = v.lattice.d, _drift_phases(v.lattice, hbar, dt)
-    w = np.fft.irfft(np.fft.rfft(w, axis=0) * half, d, axis=0)  # momentum columns drift
-    for drift in [full] * (n_steps - 1) + [half]:
-        shifts = _force(w, v, n_particles) * dt / (np.pi * hbar / v.lattice.length)  # q spacing
-        if not np.all(np.isfinite(shifts)):
-            raise RuntimeError("Vlasov kick is not finite")
-        w = np.fft.irfft(np.fft.rfft(w, axis=1) * _phases(shifts, d), d, axis=1)  # site rows kicked
-        w = np.fft.irfft(np.fft.rfft(w, axis=0) * drift, d, axis=0)
+    kick = _kick_matrix(v, n_particles, dt / (np.pi * hbar / v.lattice.length))  # q spacing
+    for axis, phase in [(0, half), *[(1, None), (0, full)] * (n_steps - 1), (1, None), (0, half)]:
+        w_hat = np.fft.rfft(w, axis=axis)  # axis 0: momentum columns drift; 1: site rows kicked
+        if phase is None:  # column 0 holds the row sums
+            if not np.all(np.isfinite(shifts := kick @ w_hat[:, 0].real)):
+                raise RuntimeError("Vlasov kick is not finite")
+            phase = _phases(shifts, d)
+        w = np.fft.irfft(np.multiply(w_hat, phase, out=w_hat), d, axis=axis)
     return w

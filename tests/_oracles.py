@@ -9,6 +9,9 @@ is run by a scenario.
   on transposed views, every phase table rebuilt per sweep and the
   momentum labels q passed in, which checks the half-spectrum
   `semiclassics.vlasov_step`.
+- `cos_sin_phases`: the kick's phase table exp(-2 pi i kappa s / n) by one
+  cos and one sin per entry, which checks the running product of
+  `semiclassics._phases`.
 - `momentum_indices`, `momenta`: the momentum grid enumerated row-major
   with ascending components, independently of the FFT-order grid of
   `Lattice.fft_indices` and `Lattice.fft_momenta`.
@@ -47,6 +50,8 @@ is run by a scenario.
   projection property checks quasi-free states (criterion 05).
 - `fit_double_exponential`: the double-exponential envelope of the number
   growth (criterion 08).
+- `count_fft_calls`: a tally of `np.fft` calls by name, which checks how many
+  transforms a step dispatches.
 """
 
 import functools
@@ -82,6 +87,16 @@ def _shift_rows_spectral(values: np.ndarray, shifts: np.ndarray, k: np.ndarray) 
     n = values.shape[1]
     phase = np.exp(-2j * np.pi * k[None, :] * np.asarray(shifts)[:, None] / n)
     return np.fft.ifft(np.fft.fft(values, axis=1) * phase, axis=1).real
+
+
+def cos_sin_phases(shifts: np.ndarray, n: int) -> np.ndarray:
+    """exp(-2 pi i kappa s / n), kappa = 0..n//2 on a new last axis, one cos and one sin
+    per entry."""
+    angle = np.multiply.outer(shifts, np.arange(n // 2 + 1) * (-2.0 * np.pi / n))
+    phase = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return phase
 
 
 def _full_fft_force(w: np.ndarray, v: Potential, n_particles: int) -> np.ndarray:
@@ -383,3 +398,15 @@ def fit_double_exponential(series, times):
     c1 = float(res.x) if res.fun <= inner(best_c1)[1] else float(best_c1)
     coef, rms = inner(c1)
     return (float(np.exp(coef[0])), c1, float(coef[1]), rms)
+
+
+def count_fft_calls(monkeypatch) -> dict:
+    """Count every `np.fft` call by name, from now until the test ends, into the returned
+    dict (clear it to start a new tally)."""
+    counts = {}
+    for name in np.fft.__all__:
+        def counted(*args, fn=getattr(np.fft, name), name=name, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts

@@ -14,7 +14,8 @@ from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
 from fermiflow.runner import parse_config, run
 
-from _oracles import dense, fourier, gershgorin_interval, momentum_indices, spectral_form
+from _oracles import (count_fft_calls, dense, fourier, gershgorin_interval, momentum_indices,
+                      spectral_form)
 
 
 @pytest.fixture
@@ -285,6 +286,35 @@ def test_trajectory_energy_matches_site_sum_oracle(ds, d, n, kind):
         assert e == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
+def test_recorded_hartree_energy_matches_its_snapshot(ds, d, n):
+    # each step's energy reads the phi_hat its split step returns, not a transform of the
+    # new orbitals: it must equal the energy recomputed from the snapshot
+    om, _, pot, hbar = _trapped_generator(ds, d, n)
+    traj = evolve(om, EvolutionConfig(dt=1e-2, t_final=6e-2), MeanFieldKind.HARTREE, pot, hbar)
+    assert len(traj.states) == len(traj.energy) == 7
+    for state, e in zip(traj.states, traj.energy):
+        assert e == pytest.approx(energy(state, pot, hbar)[0], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4)])
+def test_hartree_step_transform_count(monkeypatch, ds, d, n):
+    # a split step: three orbital transforms of ds one-axis calls each (ifft, fft, ifft),
+    # and the direct terms of the step and of the energy, each one rfft, ds - 1 fft,
+    # ds - 1 ifft and one irfft; no fftn or ifftn
+    om, _, pot, hbar = _trapped_generator(ds, d, n)
+    counts = count_fft_calls(monkeypatch)
+    for n_steps in (1, 3):
+        counts.clear()
+        evolve(om, EvolutionConfig(dt=1e-2, t_final=n_steps * 1e-2), MeanFieldKind.HARTREE,
+               pot, hbar)
+        # the first energy: its phi_hat and its direct_term
+        start = {"fft": ds + ds - 1, "ifft": ds - 1, "rfft": 1, "irfft": 1}
+        per_step = {"fft": ds + 2 * (ds - 1), "ifft": 2 * ds + 2 * (ds - 1), "rfft": 2,
+                    "irfft": 2}
+        assert counts == {name: start[name] + n_steps * per_step[name] for name in start}
+
+
 def _eigh_exponential(phi, h, dt, hbar):
     """The oracle of the Chebyshev series: exp(-i dt h / hbar) Phi from eigh."""
     eig, vec = np.linalg.eigh(h)
@@ -508,7 +538,7 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
     # a step of either flow that produces NaN trips the blow-up guard
     nan_state = DensityMatrix(np.full((4, 4), np.nan, dtype=complex), np.ones(4))
     monkeypatch.setattr(mf, "step", lambda *args: nan_state)
-    monkeypatch.setattr(mf, "split_step", lambda *args: nan_state)
+    monkeypatch.setattr(mf, "split_step", lambda *args: (nan_state, nan_state.orbitals))
     good = DensityMatrix(*spectral_form(np.eye(4, dtype=complex))[:2])
     for kind in MeanFieldKind:
         with pytest.raises(RuntimeError, match="blow-up"):

@@ -13,8 +13,8 @@ from fermiflow.runner import parse_config, run
 from fermiflow import semiclassics
 from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 
-from _oracles import (_full_fft_force, dense, dense_wigner, full_fft_vlasov_step,
-                      spectral_form)
+from _oracles import (_full_fft_force, cos_sin_phases, count_fft_calls, dense,
+                      dense_wigner, full_fft_vlasov_step, spectral_form)
 
 
 def test_wigner_translation_invariant_state():
@@ -91,7 +91,7 @@ def test_force_of_a_cosine_potential(d, mode):
     x = lat.sites()[:, 0]
     values = np.zeros((d, d))
     values[:, 0] = 1.0 + np.cos(k * x)  # marginal sum(values) / (d N a) = rho
-    force = semiclassics._force(values, v, 1)
+    force = semiclassics._kick_matrix(v, 1, 1.0) @ np.sum(values, axis=1)
     assert np.max(np.abs(force - 0.5 * s * k * np.sin(k * x))) <= 1e-12
 
 
@@ -172,8 +172,8 @@ def test_vlasov_step_matches_the_full_fft_step(d, steps):
 
 @pytest.mark.parametrize("d", [64, 9])
 def test_kick_force_matches_the_full_fft_force(d):
-    # one rfft/irfft pair on the potential's half spectrum against -i p on direct_term's
-    # V * rho by full complex FFTs; odd d has no Nyquist bin
+    # the kick's circulant on the row sums against -i p on direct_term's V * rho by full
+    # complex FFTs; odd d has no Nyquist bin
     lat = make_lattice(1, d, 1.0)
     hbar = default_hbar(8, 1)
     if d == 64:  # vlasov1d's state
@@ -182,7 +182,38 @@ def test_kick_force_matches_the_full_fft_force(d):
         x, q = lat.sites()[:, 0], momentum_grid(lat, hbar)
         w = np.exp(-((x[:, None] - 0.3) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.2, "sigma": 0.2}, lat)
-    assert np.max(np.abs(semiclassics._force(w, pot, 8) - _full_fft_force(w, pot, 8))) <= 1e-13
+    force = semiclassics._kick_matrix(pot, 8, 1.0) @ np.sum(w, axis=1)
+    assert np.max(np.abs(force - _full_fft_force(w, pot, 8))) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [9, 16, 64, 256])
+def test_phase_table_matches_the_cos_sin_table(d):
+    # the running product along kappa against one cos/sin per entry, for shifts up to
+    # half the line.  The oracle rounds its angle kappa s 2 pi / d (up to 128 pi at
+    # d=256) and the product each of its kappa factors, so both errors grow with kappa
+    # and the angle: 1e-14 holds up to d=16, and where the angle is small
+    shifts = np.concatenate([np.random.default_rng(d).uniform(-d / 2, d / 2, 4 * d),
+                             [-d / 2, d / 2, 0.0, 1e-3]])
+    table = semiclassics._phases(shifts, d)
+    kappa = np.arange(d // 2 + 1)
+    angle = np.abs(np.multiply.outer(shifts, kappa)) * (2 * np.pi / d)
+    bound = np.maximum(1e-14, 2 * np.finfo(float).eps * (kappa + angle))
+    assert np.all(np.abs(table - cos_sin_phases(shifts, d)) <= bound)
+    assert np.all(table[:, 0] == 1.0)  # line sums stay exact
+
+
+def test_vlasov_step_transform_count(monkeypatch):
+    # n Strang steps: 2n + 1 sweeps of one rfft and one irfft each, and the one irfft
+    # that builds the kick's circulant: 4n + 3 calls
+    lat = make_lattice(1, 16, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    x, q = lat.sites()[:, 0], momentum_grid(lat, 0.5)
+    w = np.exp(-((x[:, None] - 0.5) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
+    counts = count_fft_calls(monkeypatch)
+    for n in (1, 3, 10):
+        counts.clear()
+        vlasov_step(w, n, 1e-3, pot, 0.5, 4)
+        assert counts == {"rfft": 2 * n + 1, "irfft": 2 * n + 2}
 
 
 def test_vlasov_step_rejects_a_non_finite_state():

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .meanfield import apply_exponential
-from .model import Potential, kinetic_operator
+from .model import DENSE_MAX_SITES, FOCK_MAX_SITES, Potential, kinetic_operator
 
 __all__ = [
     "FockSpace",
@@ -44,11 +44,6 @@ __all__ = [
     "verify_operator_bounds",
 ]
 
-_MAX_SITES = 14  # largest sector C(14, 7) = 3432 states, formed densely
-# verify_operator_bounds takes SVDs of whole 2^L x 2^L operators: at L = 12 the
-# dense operator and the SVD's copy of it are 256 MiB each (4 GiB at L = 14)
-DENSE_MAX_SITES = 12
-
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -58,8 +53,8 @@ class FockSpace:
     l_sites: int
 
     def __post_init__(self):
-        if not 1 <= self.l_sites <= _MAX_SITES:
-            raise ValueError(f"need 1 <= L <= {_MAX_SITES}, got {self.l_sites}")
+        if not 1 <= self.l_sites <= FOCK_MAX_SITES:
+            raise ValueError(f"need 1 <= L <= {FOCK_MAX_SITES}, got {self.l_sites}")
 
     @property
     def dim(self) -> int:

@@ -37,6 +37,10 @@ __all__ = [
     "kinetic_operator",
 ]
 
+# Fock lattices: `fock.FockSpace` forms its largest sector, C(14, 7) = 3432 states, densely;
+# `fock.verify_operator_bounds` holds two dense 2^L x 2^L copies, 256 MiB each at L = 12
+FOCK_MAX_SITES, DENSE_MAX_SITES = 14, 12
+
 
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)

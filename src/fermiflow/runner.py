@@ -3,6 +3,8 @@
 Configs are JSON documents.  The tables below list every key once, with
 its type, default and bound, and one reader, `_read`, applies them: unknown
 and missing keys are named, and every value is checked before it is used.
+`parse_config` makes every refusal of a config and builds the potential and
+the initial state, so a bad config is refused before `run` touches `--out`.
 A scenario computes its outputs from the config; `run` removes an earlier
 run's outputs, writes `series.csv`, FMF1 snapshots under `snapshots/` and
 finally (atomically) `summary.json` with a manifest of the files it wrote,
@@ -28,7 +30,8 @@ from .diagnostics import (default_probe_momenta, fit_exponential, semiclassical_
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            plane_wave_projection, trapped_slater)
 from .meanfield import EvolutionConfig, MeanFieldKind, evolve
-from .model import Lattice, Potential, build_potential, default_hbar, make_lattice
+from .model import (DENSE_MAX_SITES, FOCK_MAX_SITES, Lattice, Potential, build_potential,
+                    default_hbar, make_lattice)
 from .snapshots import write_csv, write_fmf1
 
 __all__ = ["ConfigError", "NumericFailure", "RunConfig", "parse_config", "run"]
@@ -58,6 +61,7 @@ class RunConfig:
     potential_spec: dict
     potential: Potential  # built from potential_spec by parse_config
     initial: dict
+    initial_state: DensityMatrix  # built from initial by parse_config, arrays read-only
     evolution: EvolutionConfig  # None when the config has no evolution section
     kind: MeanFieldKind
     p_max_index: int
@@ -184,6 +188,11 @@ def parse_config(text: str) -> RunConfig:
                           f"trap energy strength |x - center|^2 overflow")
     if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
         raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
+    if scenario in ("exact-vs-meanfield", "fock-verify", "fluctuation"):
+        limit = DENSE_MAX_SITES if scenario == "fock-verify" else FOCK_MAX_SITES
+        if not (lattice.ds == 1 and (c["fock"]["l_sites"] or lattice.d) == lattice.d <= limit):
+            raise ConfigError(f"fock.l_sites must equal lattice.d={lattice.d}, at most {limit} "
+                              f"sites for {scenario}, with lattice.ds = 1")
     try:
         potential = build_potential(c["potential"], lattice)
     except ValueError as exc:
@@ -209,22 +218,30 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"evolution.dt={evo.dt!r} is not a whole multiple of "
                               f"vlasov.dt={vlasov_dt!r}")
 
-    return RunConfig(
+    cfg = RunConfig(
         scenario=scenario, lattice=lattice, n_particles=n, hbar=hbar,
-        potential_spec=c["potential"], potential=potential, initial=initial, evolution=evo,
-        kind=MeanFieldKind(c["kind"]), p_max_index=c["p_set"]["max_index"],
-        fock=c["fock"], vlasov_dt=vlasov_dt, seed=c["seed"], raw=doc,
+        potential_spec=c["potential"], potential=potential, initial=initial,
+        initial_state=None, evolution=evo, kind=MeanFieldKind(c["kind"]),
+        p_max_index=c["p_set"]["max_index"], fock=c["fock"], vlasov_dt=vlasov_dt,
+        seed=c["seed"], raw=doc,
     )
+    cfg.initial_state = build_initial_state(cfg)
+    return cfg
 
 
 def build_initial_state(cfg: RunConfig) -> DensityMatrix:
+    """omega_0 of the config, its arrays read-only; a state that cannot be built
+    (a degenerate Fermi shell, failed arithmetic) is a `ConfigError`."""
     lattice, n = cfg.lattice, cfg.n_particles
-    if cfg.initial["kind"] == "ball":
-        return plane_wave_projection(lattice, fermi_ball_indices(lattice, n))
     try:
-        return trapped_slater(lattice, cfg.hbar, cfg.initial["strength"], n)
-    except DegenerateFermiLevel as exc:
+        state = (plane_wave_projection(lattice, fermi_ball_indices(lattice, n))
+                 if cfg.initial["kind"] == "ball"
+                 else trapped_slater(lattice, cfg.hbar, cfg.initial["strength"], n))
+    except (DegenerateFermiLevel, ArithmeticError, ValueError) as exc:
         raise ConfigError(f"initial: {exc}") from exc
+    for array in (state.orbitals, state.occupations):
+        array.setflags(write=False)
+    return state
 
 
 def _sha256(path) -> str:
@@ -252,7 +269,7 @@ def _at_snapshot(t: float):
 
 
 def _scenario_evolve(cfg: RunConfig):
-    omega0 = build_initial_state(cfg)
+    omega0 = cfg.initial_state
     traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
     reports = [semiclassical_constant(state, cfg.lattice, cfg.hbar, p_set)
@@ -290,7 +307,7 @@ def _scenario_compare(cfg: RunConfig):
     Hartree-Fock runs the midpoint rule and Hartree the split step, so the gap also holds
     their O(dt^2) scheme difference: at ds=1, d=64, N=8, dt=1e-3, t=0.5 the HF error is
     1.1e-4 and the Hartree error 1.0e-6."""
-    omega0 = build_initial_state(cfg)
+    omega0 = cfg.initial_state
     hf = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE_FOCK, cfg.potential, cfg.hbar)
     hh = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE, cfg.potential, cfg.hbar)
     gaps = [trace_distance(a.orbitals, b.orbitals, omega0.occupations)
@@ -298,26 +315,13 @@ def _scenario_compare(cfg: RunConfig):
     return {"t": hf.times, "trace_norm_gap": gaps}, {"final_gap": float(gaps[-1])}, {}
 
 
-def _fock_lattice(cfg: RunConfig):
-    from .fock import FockSpace  # fock loads scipy.sparse, which no other scenario needs
-
-    try:
-        space = FockSpace(cfg.fock["l_sites"] or cfg.lattice.d)
-    except ValueError as exc:
-        raise ConfigError(f"fock.l_sites: {exc}") from exc
-    if space.l_sites != cfg.lattice.d or cfg.lattice.ds != 1:
-        raise ConfigError("fock.l_sites must equal lattice.d with ds=1")
-    return space
-
-
 def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
     """The Fock space, the mean-field trajectory from omega_0, and the exact
     psi_t = exp(-i H t / hbar) R_{omega_0} vacuum at its snapshot times,
     stepped from one to the next by `fock.propagate`."""
-    from .fock import propagate, quasi_free_state
+    from .fock import FockSpace, propagate, quasi_free_state  # fock loads scipy.sparse
 
-    space = _fock_lattice(cfg)
-    omega0 = build_initial_state(cfg)
+    space, omega0 = FockSpace(cfg.lattice.d), cfg.initial_state
     psi0 = quasi_free_state(space, omega0)
     traj = evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar)
     return space, traj, propagate(space, cfg.potential, cfg.n_particles, psi0, traj.times, cfg.hbar)
@@ -338,13 +342,9 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig):
 
 
 def _scenario_fock_verify(cfg: RunConfig):
-    from .fock import DENSE_MAX_SITES, car_defect, verify_operator_bounds
+    from .fock import FockSpace, car_defect, verify_operator_bounds
 
-    space = _fock_lattice(cfg)
-    if space.l_sites > DENSE_MAX_SITES:
-        raise ConfigError(f"fock.l_sites: fock-verify builds dense 2^L x 2^L "
-                          f"operators, so needs L <= {DENSE_MAX_SITES}, "
-                          f"got {space.l_sites}")
+    space = FockSpace(cfg.lattice.d)
     worst = car_defect(space)
     report = verify_operator_bounds(space, cfg.fock["trials"], cfg.seed)
     names = [n for n in report if isinstance(report[n], dict)]
@@ -378,7 +378,7 @@ def _scenario_fluctuation(cfg: RunConfig):
 def _scenario_semiclassics(cfg: RunConfig):
     from .semiclassics import momentum_grid, vlasov_step, wigner
 
-    omega0 = build_initial_state(cfg)
+    omega0 = cfg.initial_state
     traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     n, weight = omega0.n_particles, 1.0 / cfg.lattice.d  # the Wigner quadrature weight
     w0 = classical = wigner(omega0, cfg.lattice)
@@ -398,7 +398,7 @@ def _scenario_semiclassics(cfg: RunConfig):
 
 
 def _scenario_diagnostics_only(cfg: RunConfig):
-    omega0 = build_initial_state(cfg)
+    omega0 = cfg.initial_state
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
     report = semiclassical_constant(omega0, cfg.lattice, cfg.hbar, p_set)
     return {

@@ -591,6 +591,17 @@ def _run_configs(draw):
     }
 
 
+_EARLIER_OUTPUTS = ("summary.json", "series.csv", os.path.join("snapshots", "old.fmf1"))
+
+
+def _read_all(out, names):
+    contents = []
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            contents.append(fh.read())
+    return contents
+
+
 def _numbers(value):
     if isinstance(value, dict):
         return [x for v in value.values() for x in _numbers(v)]
@@ -602,14 +613,22 @@ def _numbers(value):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(doc=_run_configs())
 def test_cli_runs_generated_configs(doc):
-    # exit 0, 2 or 3 without raising; a success has finite results throughout
+    # exit 0, 2 or 3 without raising; a success has finite results throughout,
+    # and a config error leaves an earlier run's outputs in --out as they were
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
             json.dump(doc, fh)
+        os.makedirs(os.path.join(out, "snapshots"))
+        for i, name in enumerate(_EARLIER_OUTPUTS):
+            with open(os.path.join(out, name), "wb") as fh:
+                fh.write(b"earlier run %d" % i)
         code = main([doc["scenario"], "--config", path, "--out", out])
         event(f"{doc['scenario']} exits {code}")
         assert code in (0, 2, 3), doc
+        if code == 2:
+            assert _read_all(out, _EARLIER_OUTPUTS) == [
+                b"earlier run %d" % i for i in range(len(_EARLIER_OUTPUTS))], doc
         if code == 0:
             with open(os.path.join(out, "summary.json")) as fh:
                 summary = json.load(fh)
@@ -639,6 +658,80 @@ def test_cli_fock_verify_past_dense_budget_exits_two(tmp_path, monkeypatch, caps
     path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": fock.DENSE_MAX_SITES}))
     with pytest.raises(Reached):
         main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")])
+
+
+_REFUSED_IN_PARSE = [
+    # a degenerate Fermi shell in a strong trap: equal sums of one-axis levels
+    ({"scenario": "diagnostics-only", "lattice": {"ds": 3, "d": 6}, "model": {"n_particles": 2},
+      "initial": {"kind": "trapped", "strength": 1e6}}, "initial"),
+    (dict(MINIMAL, scenario="fluctuation", lattice={"ds": 2, "d": 3}), "fock.l_sites"),
+    (dict(MINIMAL, scenario="exact-vs-meanfield", lattice={"ds": 1, "d": 15}), "fock.l_sites"),
+    ({"scenario": "fock-verify", "lattice": {"ds": 1, "d": 13}, "model": {"n_particles": 2}},
+     "fock.l_sites"),
+]
+
+
+@pytest.mark.parametrize("doc,key", _REFUSED_IN_PARSE)
+def test_parse_config_refuses_what_a_scenario_would_refuse(tmp_path, capsys, doc, key):
+    # refused when parsed, so a rerun into --out keeps a good run's outputs byte for byte
+    with pytest.raises(ConfigError, match=key):
+        parse_config(json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert main(["evolve", "--config", write_config(tmp_path, MINIMAL), "--out", out]) == 0
+    names = sorted(glob.glob("snapshots/*.fmf1", root_dir=out)) + ["series.csv", "summary.json"]
+    before = _read_all(out, names)
+    capsys.readouterr()
+    assert main([doc["scenario"], "--config", write_config(tmp_path, doc, "bad.json"),
+                 "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert sorted(glob.glob("snapshots/*.fmf1", root_dir=out)) == names[:-2]
+    assert _read_all(out, names) == before
+
+
+def test_only_parse_config_refuses_a_config():
+    # every `raise ConfigError` in the runner is made while the config is parsed:
+    # by `parse_config` or a function it calls, never by a scenario inside `run`,
+    # and only `parse_config` builds the initial state
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.path.join(src, "fermiflow", "runner.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    raisers, builders = set(), set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                raisers.add(owner)
+            if isinstance(node, ast.Name) and node.id == "build_initial_state":
+                builders.add(owner)
+    assert raisers == {"parse_config", "_read", "_value", "build_initial_state"}, raisers
+    assert builders == {"parse_config"}, builders
+
+
+def test_initial_state_is_built_once_and_read_only(tmp_path):
+    # the parsed config holds omega_0; its arrays cannot be written, so every
+    # run of one config starts from the same state and writes the same bytes
+    for initial in ({"kind": "ball"}, {"kind": "trapped", "strength": 50.0}):
+        cfg = parse_config(json.dumps(dict(MINIMAL, initial=initial)))
+        for array in (cfg.initial_state.orbitals, cfg.initial_state.occupations):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    for scenario in ("evolve", "semiclassics"):
+        doc = dict(MINIMAL, scenario=scenario, initial={"kind": "trapped", "strength": 50.0},
+                   potential={"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+                   vlasov={"dt": 2.5e-3})
+        cfg = parse_config(json.dumps(doc))
+        outputs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / scenario / name)
+            written = [m["path"] for m in run(cfg, out)["manifest"]]
+            assert any(p.startswith("snapshots/") for p in written)
+            outputs.append(dict(zip(written, _read_all(out, written))))
+        assert outputs[0] == outputs[1]
 
 
 def test_cli_oversized_inputs(tmp_path):

@@ -2,20 +2,20 @@
 
 Occupation bitmasks index the 2^L Fock basis (integer order); Jordan-Wigner
 strings follow the site order, so a_x picks up (-1)^(number of occupied
-modes below x).  That convention is fixed in one place: the kernel `_word`,
-which builds any word of creation and annihilation operators from the
-per-space table of occupation bits and signs.  Every operator here (field
-a*(f) and a(f), dGamma, pair, Hamiltonian) is one call to it, and everything
-downstream (Bogoliubov implementors, quasi-free states, the one-particle
-reduced density, fluctuation vectors) is validated against the
-anticommutation relations it fixes.  `propagate` forms each particle-number
-sector of the Hamiltonian densely and steps it with `apply_exponential`, the
-exponential of the mean-field flow, on an interval read from the Hamiltonian's
-parts as the flow's is: both sides of the exact-versus-mean-field comparison
-take one exponential.  The module holds what the Fock-space scenarios run; the
-k-particle densities and their Wick formula, the generalized density, the number
-operator and the Slater vector built factor by factor are test oracles
-(`tests/_oracles.py`).
+modes below x).  That convention is fixed in one place, the per-space table
+`FockSpace._table` of occupation bits, signs and flipped states b ^ 2^x.  The
+sparse kernel `_word` builds every operator here (field a*(f) and a(f), dGamma,
+pair, Hamiltonian) from it; the Bogoliubov implementor's factors and `rdm1` are
+gathers psi[b ^ 2^x] over it, checked against `_word`'s field operators, and
+everything downstream (quasi-free states, fluctuation vectors) is validated
+against the anticommutation relations the table fixes.  `propagate` forms
+each particle-number sector of the Hamiltonian densely and steps it with
+`apply_exponential`, the exponential of the mean-field flow, on an interval
+read from the Hamiltonian's parts as the flow's is: both sides of the
+exact-versus-mean-field comparison take one exponential.  The module holds
+what the Fock-space scenarios run; the k-particle densities and their Wick
+formula, the generalized density, the number operator and the Slater vector
+built factor by factor are test oracles (`tests/_oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -65,10 +65,11 @@ class FockSpace:
 
     @cached_property
     def _table(self) -> tuple:
-        """(dim x L) occupation bits n_x(b), and the Jordan-Wigner signs
-        (-1)^(modes occupied below x) as +-1 integers."""
-        bits = (self.states()[:, None] >> np.arange(self.l_sites)) & 1
-        return bits, 1 - 2 * ((np.cumsum(bits, axis=1) - bits) & 1)
+        """The Jordan-Wigner table, three (dim x L) arrays: occupation bits n_x(b), signs
+        (-1)^(modes occupied below x) as +-1 integers, and the flipped states b ^ 2^x."""
+        states, modes = self.states()[:, None], np.arange(self.l_sites)
+        bits = (states >> modes) & 1
+        return bits, 1 - 2 * ((np.cumsum(bits, axis=1) - bits) & 1), states ^ (1 << modes)
 
     def occupations(self) -> np.ndarray:
         return self._table[0].sum(axis=1)
@@ -83,15 +84,16 @@ def _word(space: FockSpace, creates, coef) -> sp.csr_matrix:
     """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), with c_i = a* where
     creates[i] and a otherwise; the rightmost operator acts first.
 
-    Built at once over every index tuple with a nonzero coefficient and every
-    basis state; duplicate entries are summed by the CSR build, in the dtype of
-    the coefficients raised to at least float: real ones give a real matrix."""
+    Built at once from `FockSpace._table` over every index tuple with a nonzero
+    coefficient and every basis state; duplicate entries are summed by the CSR
+    build, in the dtype of the coefficients raised to at least float: real ones
+    give a real matrix."""
     coef = np.asarray(coef)
     coef = coef.astype(np.result_type(coef, float))
     shape = (space.l_sites,) * len(creates)
     if coef.shape != shape:
         raise ValueError(f"coefficients must have shape {shape}, got {coef.shape}")
-    bits, jw = space._table
+    bits, jw, _ = space._table
     sites = np.nonzero(coef)
     cols = np.broadcast_to(space.states(), (len(sites[0]), space.dim))
     rows = cols
@@ -157,9 +159,9 @@ def hamiltonian(space: FockSpace, v: Potential, hbar: float,
 def implement_bogoliubov(space: FockSpace, omega) -> LinearOperator:
     """Particle-hole implementor R = b_1 ... b_N of a `DensityMatrix` omega
     that is an orthogonal projection, with b_j = a*(f_j) + a(f_j) over its
-    orbitals f_j, applied factor by factor (b_N acts first).  Phi -> Phi W
-    changes R only by a phase and a number-conserving unitary, so any
-    orthonormal basis of omega serves.
+    orbitals f_j, applied factor by factor as gathers over the table (b_N acts
+    first).  Phi -> Phi W changes R only by a phase and a number-conserving
+    unitary, so any orthonormal basis of omega serves.
 
     Every lambda_j must be 1 and the f_j orthonormal.  Then the CAR give
     b_j* = b_j and b_j^2 = 1: R is unitary, R* = b_N ... b_1 (`.H` applies
@@ -174,13 +176,14 @@ def implement_bogoliubov(space: FockSpace, omega) -> LinearOperator:
     gram = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])), initial=0.0)
     if not gram <= 1e-12:
         raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
-    factors = [field_operator(space, fj, True) + field_operator(space, fj, False)
-               for fj in f.T]
+    bits, jw, flip = space._table
+    # b(f) psi[b] = sum_x jw[b, x] (f_x if n_x(b) = 1 else conj f_x) psi[b ^ 2^x]
+    factors = [jw * np.where(bits, fj, fj.conj()) for fj in f.T]
 
     def apply(order):
-        def act(psi):
-            for b in order:
-                psi = b @ psi
+        def act(psi):  # psi[flip] keeps psi's trailing axes: (dim, 1) columns, blocks
+            for coef in order:
+                psi = np.einsum("bx,bx...->b...", coef, psi[flip])
             return psi
         return act
 
@@ -225,9 +228,11 @@ def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray
 
 
 def rdm1(psi: np.ndarray, space: FockSpace) -> np.ndarray:
-    """gamma(x;y) = <psi, a*_y a_x psi>; Hermitian PSD, trace = <N>."""
-    a_psi = np.stack([field_operator(space, e, False) @ psi for e in np.eye(space.l_sites)])
-    return a_psi @ a_psi.conj().T
+    """gamma(x;y) = <psi, a*_y a_x psi>; Hermitian PSD, trace = <N>.  Column x of the
+    table's one gather is a_x psi: jw[b, x] psi[b ^ 2^x] where n_x(b) = 0."""
+    bits, jw, flip = space._table
+    a_psi = np.where(bits, 0, jw * psi[flip])
+    return a_psi.T @ a_psi.conj()
 
 
 def number_moment(xi: np.ndarray, k: int, space: FockSpace,

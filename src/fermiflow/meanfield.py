@@ -10,11 +10,12 @@ with no series and no M x M array: three orbital transforms a step, the last one
 serving `energy`.  Hartree-Fock takes the exponential midpoint rule, `step`: Phi -> exp(-i tau
 h) Phi, h at the average of omega and an exponential-Euler predictor.  `generator` assembles h
 in one M x M buffer: X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times
-`Potential.pair_matrix`, negated, the real K added to it and V * rho to its diagonal; both
-tables are exactly symmetric, so h is not Hermitized.  The exponential is a Chebyshev series
-in h on Phi over the interval `generator` reads from h's parts, in real arithmetic where h is
-real, or an `eigh` of h where it needs dim h terms.  `evolve` builds h once per state, also for
-`energy`, the one energy of both flows, its kinetic part by Parseval.
+`Potential.pair_matrix`, negated, the real K added to it and V * rho, that table times rho
+(no FFT), to its diagonal; both tables are exactly symmetric, so h is not Hermitized.  The
+exponential is a Chebyshev series in h on Phi over the interval `generator` reads from h's
+parts, in real arithmetic where h is real, or an `eigh` of h where it needs dim h terms.
+`evolve` builds h once per state, also for `energy`, the one energy of both flows, its kinetic
+part by Parseval.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.  This module
 measures nothing: a scenario reads the states of a `Trajectory` with `diagnostics`.
@@ -129,7 +130,7 @@ def generator(omega: DensityMatrix, v: Potential, hbar: float) -> tuple:
     and -X's [-v+ c, -v- c], c = max omega_jj / N: omega >= 0 puts V o omega between
     v- Diag(omega) and v+ Diag(omega), [v-, v+] = `Potential.pair_range`."""
     rho = density_profile(omega, v.lattice)
-    u = direct_term(rho, v)
+    u = v.lattice.cell * (v.pair_matrix @ rho)  # V * rho from X's table: no FFT
     h = exchange_term(omega, v)
     np.negative(h, out=h)
     h.real += kinetic_operator(v.lattice, hbar)

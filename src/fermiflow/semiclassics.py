@@ -61,9 +61,12 @@ def _phases(shifts: np.ndarray, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> tuple:
     """The half- and full-drift phases [kappa, k] of dt, s_k = q_k dt / a cells per half
-    (velocity 2q); read-only.  A full drift is two half drifts: the half table squared,
-    (Re phase)^2 at a real Nyquist bin, where each irfft keeps Re(X phase)."""
-    half = _phases(momentum_grid(lattice, hbar) * dt / lattice.spacing, lattice.d).T.copy()
+    (velocity 2q); read-only and reused every step, so built by cos and sin of the exact
+    angle, not by `_phases`' running product.  A full drift is two half drifts: the half
+    table squared, (Re phase)^2 at a real Nyquist bin, where each irfft keeps Re(X phase)."""
+    angle = np.multiply.outer(np.arange(lattice.d // 2 + 1) * (-2 * np.pi / lattice.d),
+                              momentum_grid(lattice, hbar) * dt / lattice.spacing)
+    half = np.cos(angle) + 1j * np.sin(angle)
     full = half * half
     if lattice.d % 2 == 0:
         full[-1] = half[-1].real ** 2

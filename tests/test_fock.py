@@ -245,6 +245,29 @@ def test_factored_implementor_matches_dense_product():
                          - slater_vector(space, dm.orbitals))) < 1e-12
 
 
+@pytest.mark.parametrize("l_sites", [1, 4, 8, 10])
+def test_implementor_gather_matches_the_sparse_factor_product(l_sites):
+    # the Jordan-Wigner gather against the sparse factors b(f) = a*(f) + a(f) of
+    # field_operator: R = b_1 ... b_N (b_N acts first) and R* = b_N ... b_1, on a vector
+    # (matvec and rmatvec) and on a (dim, 2) block, whose columns come as (dim, 1)
+    rng = np.random.default_rng(l_sites)
+    n = max(1, l_sites // 2)
+    q, _ = np.linalg.qr(rng.normal(size=(l_sites, n)) + 1j * rng.normal(size=(l_sites, n)))
+    space = FockSpace(l_sites)
+    r = implement_bogoliubov(space, DensityMatrix(q, np.ones(n)))
+    factors = [field_operator(space, f, True) + field_operator(space, f, False) for f in q.T]
+    block = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
+    want_r, want_rh = block, block
+    for b in factors[::-1]:
+        want_r = b @ want_r
+    for b in factors:
+        want_rh = b @ want_rh
+    assert np.max(np.abs(r.matvec(block[:, 0]) - want_r[:, 0])) <= 1e-13
+    assert np.max(np.abs(r.rmatvec(block[:, 1]) - want_rh[:, 1])) <= 1e-13
+    assert np.max(np.abs(r @ block - want_r)) <= 1e-13
+    assert np.max(np.abs(r.H @ block - want_rh)) <= 1e-13
+
+
 def test_implementor_vacuum_is_slater_state():
     space = FockSpace(5)
     dm = random_projection(5, 2, seed=7)
@@ -440,6 +463,17 @@ def test_rdm1_examples():
     g = rdm1(psi, space)
     assert np.allclose(g[:2, :2], 0.5, atol=1e-12)
     assert np.trace(g).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("l_sites", [1, 5, 10])
+def test_rdm1_matches_the_sparse_site_operators(l_sites):
+    # the table's one gather against a_x psi from the sparse site operators
+    space = FockSpace(l_sites)
+    rng = np.random.default_rng(l_sites)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    a_psi = np.stack([site(space, x, False) @ psi for x in range(l_sites)])
+    want = a_psi @ a_psi.conj().T
+    assert np.max(np.abs(rdm1(psi, space) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_rdmk_examples():

@@ -315,6 +315,22 @@ def test_hartree_step_transform_count(monkeypatch, ds, d, n):
         assert counts == {name: start[name] + n_steps * per_step[name] for name in start}
 
 
+@pytest.mark.parametrize("ds,d,n", [(1, 64, 8), (2, 8, 6), (3, 8, 10)])
+def test_generator_direct_term_matches_the_fft_direct_term(monkeypatch, ds, d, n):
+    # the generator's V * rho, read from the pair matrix, against the FFT direct_term: with
+    # K and X zeroed its diagonal is u itself, and it takes no FFT
+    om, _, pot, hbar = _trapped_generator(ds, d, n)
+    want = direct_term(density_profile(om, pot.lattice), pot)
+    zeros = lambda lat: np.zeros((lat.site_count,) * 2)
+    monkeypatch.setattr(mf, "kinetic_operator", lambda lat, hbar: zeros(lat))
+    monkeypatch.setattr(mf, "exchange_term", lambda omega, v: zeros(v.lattice))
+    counts = count_fft_calls(monkeypatch)
+    h, _ = generator(om, pot, hbar)
+    assert counts == {}
+    assert np.max(np.abs(h.diagonal() - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(h - np.diag(h.diagonal()) == 0.0)
+
+
 def _eigh_exponential(phi, h, dt, hbar):
     """The oracle of the Chebyshev series: exp(-i dt h / hbar) Phi from eigh."""
     eig, vec = np.linalg.eigh(h)

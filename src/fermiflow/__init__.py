@@ -16,7 +16,7 @@ from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indic
 from .diagnostics import (SemiclassicalReport, commutator_momentum, commutator_phase,
                           default_probe_momenta, fit_exponential, semiclassical_constant,
                           trace_distance, trace_norm)
-from .meanfield import (EvolutionConfig, MeanFieldKind, Trajectory, apply_exponential,
+from .meanfield import (EvolutionConfig, MeanFieldKind, Snapshot, apply_exponential,
                         density_profile, direct_term, energy, evolve, exchange_term, generator,
                         split_step, step)
 from .semiclassics import momentum_grid, vlasov_step, wigner

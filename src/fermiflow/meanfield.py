@@ -17,14 +17,17 @@ parts, in real arithmetic where h is real, or an `eigh` of h where it needs dim 
 `evolve` builds h once per state, also for `energy`, the one energy of both flows, its kinetic
 part by Parseval.
 
-The flows take hbar as a number, N from the state and the lattice from `v`.  This module
-measures nothing: a scenario reads the states of a `Trajectory` with `diagnostics`.
+The flows take hbar as a number, N from the state and the lattice from `v`.  `evolve` is a
+generator: it yields one `Snapshot` per kept step and holds no earlier state, so a run's memory
+does not grow with its snapshot count.  This module measures nothing: a scenario reads each
+snapshot's state with `diagnostics` as it arrives.
 """
 
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .model import Lattice, Potential, kinetic_operator
 __all__ = [
     "MeanFieldKind",
     "EvolutionConfig",
-    "Trajectory",
+    "Snapshot",
     "density_profile",
     "direct_term",
     "exchange_term",
@@ -79,15 +82,10 @@ class EvolutionConfig:
         return int(round(self.t_final / self.dt))
 
 
-@dataclass
-class Trajectory:
-    """Snapshots at the configured stride plus per-step scalar records."""
-
-    times: list = field(default_factory=list)           # snapshot times
-    states: list = field(default_factory=list)          # DensityMatrix snapshots
-    trace: list = field(default_factory=list)           # one entry per step, t=0 first
-    energy: list = field(default_factory=list)
-    idempotency_defect: list = field(default_factory=list)
+# One kept step of `evolve`: t, the state and that step's scalars, then the running maxima over
+# every step since t = 0 of the idempotency defect, |tr - tr_0| and |E - E_0|.
+Snapshot = namedtuple("Snapshot", "t state trace energy idempotency_defect "
+                      "max_idempotency_defect max_trace_drift max_energy_drift")
 
 
 def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
@@ -163,11 +161,11 @@ def _chebyshev_coefficients(a: float, n: int = 1024) -> np.ndarray:
 def apply_exponential(phi: np.ndarray, h: np.ndarray, interval: tuple, dt: float,
                       hbar: float) -> np.ndarray:
     """exp(-i tau h) Phi, tau = dt / hbar, [lo, hi] = interval ⊇ spec h: a Chebyshev
-    series in h2 = (tau/a)(h - mid), a = tau (hi - lo) / 2 rounded up to a multiple of
+    series in h2 = (tau/a)(h - mid), a = |tau| (hi - lo) / 2 rounded up to a multiple of
     1/64, on Phi's C-contiguous complex copy.  No degree >= dim h is needed
     (Cayley-Hamilton): then, or for a non-finite interval, h is diagonalized."""
     (lo, hi), m, tau = interval, len(h), dt / hbar
-    a = tau * (hi - lo) / 2
+    a = abs(tau) * (hi - lo) / 2
     a = max(math.ceil(64 * a), 1) / 64 if a < m else a  # a < m is False for NaN
     if not (a < m and len(c := _chebyshev_coefficients(a)) < m):
         eig, vec = np.linalg.eigh(h)
@@ -231,11 +229,12 @@ def energy(omega: DensityMatrix, v: Potential, hbar: float, h: np.ndarray = None
 
 
 def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
-           v: Potential, hbar: float) -> Trajectory:
-    """Integrate the flow (Hartree by `split_step`, Hartree-Fock by `step`); scalars per step,
-    snapshots at the snapshot stride.  Aborts on integrator blow-up or a non-finite state."""
+           v: Potential, hbar: float):
+    """Integrate the flow (Hartree by `split_step`, Hartree-Fock by `step`), yielding a
+    `Snapshot` at the snapshot stride and at t_final; the running maxima read every step.
+    Validates omega0 at the first `next`; aborts on integrator blow-up or a non-finite state."""
     omega0.validate()
-    traj, split = Trajectory(), kind is MeanFieldKind.HARTREE
+    split = kind is MeanFieldKind.HARTREE
     half = np.exp(-0.5j * (cfg.dt / hbar) * (hbar ** 2 * v.lattice.momentum_squared()))[..., None]
     state, defect, phi_hat = omega0, omega0.idempotency_defect(), None
     for i in range(cfg.n_steps + 1):
@@ -254,10 +253,9 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
         else:
             h, interval = generator(state, v, hbar)
             e = energy(state, v, hbar, h)[0]
-        traj.trace.append(float(np.vdot(state.orbitals, state.orbitals * state.occupations).real))
-        traj.energy.append(e)
-        traj.idempotency_defect.append(defect)
+        tr = float(np.vdot(state.orbitals, state.orbitals * state.occupations).real)
+        if i == 0:
+            tr0, e0, peaks = tr, e, (0.0, 0.0, 0.0)
+        peaks = tuple(map(max, peaks, (defect, abs(tr - tr0), abs(e - e0))))
         if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:  # states are immutable
-            traj.times.append(t)
-            traj.states.append(state)
-    return traj
+            yield Snapshot(t, state, tr, e, defect, *peaks)

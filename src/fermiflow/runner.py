@@ -5,16 +5,19 @@ its type, default and bound, and one reader, `_read`, applies them: unknown
 and missing keys are named, and every value is checked before it is used.
 `parse_config` makes every refusal of a config and builds the potential and
 the initial state, so a bad config is refused before `run` touches `--out`.
-A scenario computes its outputs from the config; `run` removes an earlier
-run's outputs, writes `series.csv`, FMF1 snapshots under `snapshots/` and
-finally (atomically) `summary.json` with a manifest of the files it wrote,
-so a crash can never leave a summary claiming success.
+A scenario is a generator of the config: it yields one series row and its
+snapshot arrays at a time and returns its summary result.  `run` removes an
+earlier run's outputs, appends each row to `series.csv` and writes each FMF1
+snapshot under `snapshots/` as it arrives, and finally (atomically)
+`summary.json` with a manifest of the files it wrote, so a failed run keeps
+the rows it measured and never leaves a summary claiming success.
 """
 
 import contextlib
 import functools
 import glob
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -269,37 +272,30 @@ def _at_snapshot(t: float):
 
 
 def _scenario_evolve(cfg: RunConfig):
-    omega0 = cfg.initial_state
-    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
+    omega0, dt = cfg.initial_state, cfg.evolution.dt
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
-    reports = [semiclassical_constant(state, cfg.lattice, cfg.hbar, p_set)
-               for state in traj.states]
-    c_phase = [rep.c_phase for rep in reports]
-    c_momentum = [rep.c_momentum for rep in reports]
-
-    snap_idx = [round(t / cfg.evolution.dt) for t in traj.times]
-    series = {
-        "t": traj.times,
-        "trace": [traj.trace[i] for i in snap_idx],
-        "energy": [traj.energy[i] for i in snap_idx],
-        "idempotency_defect": [traj.idempotency_defect[i] for i in snap_idx],
-        "c_phase": c_phase,
-        "c_momentum": c_momentum,
-    }
-    # omega = Phi diag(lam) Phi*, lam fixed by the flow
-    arrays = {"occupations": omega0.occupations,
-              **{f"orbitals_step{i:08d}": s.orbitals for i, s in zip(snap_idx, traj.states)}}
-    e0 = traj.energy[0]
-    drift = max(abs(e - e0) for e in traj.energy)
-    return series, {
-        "max_idempotency_defect": float(max(traj.idempotency_defect)),
-        "max_trace_drift": float(max(abs(tr - traj.trace[0]) for tr in traj.trace)),
+    times, c_phase, c_momentum = [], [], []
+    for snap in evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar):
+        rep = semiclassical_constant(snap.state, cfg.lattice, cfg.hbar, p_set)
+        times.append(snap.t)
+        c_phase.append(rep.c_phase)
+        c_momentum.append(rep.c_momentum)
+        arrays = {f"orbitals_step{round(snap.t / dt):08d}": snap.state.orbitals}
+        if snap.t == 0:  # omega = Phi diag(lam) Phi*, lam fixed by the flow
+            e0, arrays["occupations"] = snap.energy, omega0.occupations
+        yield {"t": snap.t, "trace": snap.trace, "energy": snap.energy,
+               "idempotency_defect": snap.idempotency_defect,
+               "c_phase": rep.c_phase, "c_momentum": rep.c_momentum}, arrays
+    drift = snap.max_energy_drift
+    return {
+        "max_idempotency_defect": float(snap.max_idempotency_defect),
+        "max_trace_drift": float(snap.max_trace_drift),
         # relative to |E(0)|, or to the drift itself where that is larger (E(0) = 0)
         "max_relative_energy_drift": float(drift / max(abs(e0), drift, 1e-300)),
-        "growth_fit_c_phase": _maybe_fit(c_phase, traj.times),
-        "growth_fit_c_momentum": _maybe_fit(c_momentum, traj.times),
+        "growth_fit_c_phase": _maybe_fit(c_phase, times),
+        "growth_fit_c_momentum": _maybe_fit(c_momentum, times),
         "p_set_max_index": cfg.p_max_index,
-    }, arrays
+    }
 
 
 def _scenario_compare(cfg: RunConfig):
@@ -308,37 +304,38 @@ def _scenario_compare(cfg: RunConfig):
     their O(dt^2) scheme difference: at ds=1, d=64, N=8, dt=1e-3, t=0.5 the HF error is
     1.1e-4 and the Hartree error 1.0e-6."""
     omega0 = cfg.initial_state
-    hf = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE_FOCK, cfg.potential, cfg.hbar)
-    hh = evolve(omega0, cfg.evolution, MeanFieldKind.HARTREE, cfg.potential, cfg.hbar)
-    gaps = [trace_distance(a.orbitals, b.orbitals, omega0.occupations)
-            for a, b in zip(hf.states, hh.states)]
-    return {"t": hf.times, "trace_norm_gap": gaps}, {"final_gap": float(gaps[-1])}, {}
+    flows = (evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar)
+             for kind in (MeanFieldKind.HARTREE_FOCK, MeanFieldKind.HARTREE))
+    for hf, hh in zip(*flows):
+        gap = trace_distance(hf.state.orbitals, hh.state.orbitals, omega0.occupations)
+        yield {"t": hf.t, "trace_norm_gap": gap}, {}
+    return {"final_gap": float(gap)}
 
 
 def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
-    """The Fock space, the mean-field trajectory from omega_0, and the exact
-    psi_t = exp(-i H t / hbar) R_{omega_0} vacuum at its snapshot times,
-    stepped from one to the next by `fock.propagate`."""
+    """The Fock space, the mean-field snapshots from omega_0, and the exact psi_t =
+    exp(-i H t / hbar) R_{omega_0} vacuum at their times, stepped from one to the next by
+    `fock.propagate`, which reads each time as its snapshot arrives."""
     from .fock import FockSpace, propagate, quasi_free_state  # fock loads scipy.sparse
 
     space, omega0 = FockSpace(cfg.lattice.d), cfg.initial_state
     psi0 = quasi_free_state(space, omega0)
-    traj = evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar)
-    return space, traj, propagate(space, cfg.potential, cfg.n_particles, psi0, traj.times, cfg.hbar)
+    flow, times = itertools.tee(evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar))
+    return space, flow, propagate(space, cfg.potential, cfg.n_particles, psi0,
+                                  (snap.t for snap in times), cfg.hbar)
 
 
 def _scenario_exact_vs_meanfield(cfg: RunConfig):
     from .fock import rdm1
 
-    space, traj, psis = _exact_states(cfg, cfg.kind)
-    hs, tr = [], []
-    for t, s in zip(traj.times, traj.states):
-        with _at_snapshot(t):  # x holds the only dense omega, L <= 14 sites
+    space, flow, psis = _exact_states(cfg, cfg.kind)
+    for snap in flow:
+        s = snap.state
+        with _at_snapshot(snap.t):  # x holds the only dense omega, L <= 14 sites
             x = rdm1(next(psis), space) - (s.orbitals * s.occupations) @ s.orbitals.conj().T
-            hs.append(float(np.linalg.norm(x, "fro")))
-            tr.append(trace_norm(x))
-    return ({"t": traj.times, "hs_distance": hs, "trace_distance": tr},
-            {"final_hs_distance": hs[-1], "final_trace_distance": tr[-1]}, {})
+            hs, tr = float(np.linalg.norm(x, "fro")), trace_norm(x)
+        yield {"t": snap.t, "hs_distance": hs, "trace_distance": tr}, {}
+    return {"final_hs_distance": hs, "final_trace_distance": tr}
 
 
 def _scenario_fock_verify(cfg: RunConfig):
@@ -352,63 +349,61 @@ def _scenario_fock_verify(cfg: RunConfig):
     if violations or worst > 1e-13:
         raise NumericFailure(
             f"operator-bound violations={violations}, CAR defect={worst:.3e}")
-    return {
-        "inequality_index": list(range(len(names))),
-        "violations": [report[n]["violations"] for n in names],
-        "worst_slack": [report[n]["worst_slack"] for n in names],
-    }, {"car_max_deviation": float(worst), "bounds": report, "total_violations": violations}, {}
+    for i, n in enumerate(names):
+        yield {"inequality_index": i, "violations": report[n]["violations"],
+               "worst_slack": report[n]["worst_slack"]}, {}
+    return {"car_max_deviation": float(worst), "bounds": report, "total_violations": violations}
 
 
 def _scenario_fluctuation(cfg: RunConfig):
     from .fock import fluctuation_vector, number_moment
 
-    space, traj, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
+    space, flow, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
     order = cfg.fock["moment_order"]
-    m1, mk = [], []
-    for t, omega in zip(traj.times, traj.states):
-        with _at_snapshot(t):
-            xi = fluctuation_vector(space, omega, next(psis))
-            m1.append(number_moment(xi, 1, space, shift=0.0))
-            mk.append(number_moment(xi, order, space))
-    return ({"t": traj.times, "mean_particle_number": m1, f"moment_order_{order}": mk},
-            {"final_mean_particle_number": float(m1[-1]),
-             "moment_order": order, "final_moment": float(mk[-1])}, {})
+    for snap in flow:
+        with _at_snapshot(snap.t):
+            xi = fluctuation_vector(space, snap.state, next(psis))
+            m1, mk = number_moment(xi, 1, space, shift=0.0), number_moment(xi, order, space)
+        yield {"t": snap.t, "mean_particle_number": m1, f"moment_order_{order}": mk}, {}
+    return {"final_mean_particle_number": float(m1), "moment_order": order,
+            "final_moment": float(mk)}
 
 
 def _scenario_semiclassics(cfg: RunConfig):
     from .semiclassics import momentum_grid, vlasov_step, wigner
 
     omega0 = cfg.initial_state
-    traj = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
+    flow = evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     n, weight = omega0.n_particles, 1.0 / cfg.lattice.d  # the Wigner quadrature weight
     w0 = classical = wigner(omega0, cfg.lattice)
-    q = momentum_grid(cfg.lattice, cfg.hbar)
-    gap = [0.0]  # both sides start from w0
-    for t_prev, t, state in zip(traj.times, traj.times[1:], traj.states[1:]):
-        n_steps = round((t - t_prev) / cfg.vlasov_dt)  # whole, checked by parse_config
-        with _at_snapshot(t):
+    t_prev, gap = next(flow).t, 0.0  # both sides start from w0
+    yield {"t": t_prev, "l1_gap": gap, "gap_over_hbar_n": gap}, {"wigner_t0": w0}
+    for snap in flow:
+        n_steps = round((snap.t - t_prev) / cfg.vlasov_dt)  # whole, checked by parse_config
+        with _at_snapshot(snap.t):
             classical = vlasov_step(classical, n_steps, cfg.vlasov_dt, cfg.potential, cfg.hbar, n)
-            gap.append(float(np.sum(np.abs(wigner(state, cfg.lattice) - classical)) * weight))
-    gap_norm = np.array(gap) / (cfg.hbar * n)
-    return ({"t": traj.times, "l1_gap": gap, "gap_over_hbar_n": gap_norm},
-            {"wigner_weight": weight,
-             "wigner_momentum_spacing": float(q[1] - q[0]),
-             "wigner_sum_rule": float(np.sum(w0) * weight),
-             "final_gap_over_hbar_n": float(gap_norm[-1])}, {"wigner_t0": w0})
+            gap = float(np.sum(np.abs(wigner(snap.state, cfg.lattice) - classical)) * weight)
+        t_prev = snap.t
+        yield {"t": snap.t, "l1_gap": gap, "gap_over_hbar_n": gap / (cfg.hbar * n)}, {}
+    q = momentum_grid(cfg.lattice, cfg.hbar)
+    return {"wigner_weight": weight,
+            "wigner_momentum_spacing": float(q[1] - q[0]),
+            "wigner_sum_rule": float(np.sum(w0) * weight),
+            "final_gap_over_hbar_n": gap / (cfg.hbar * n)}
 
 
 def _scenario_diagnostics_only(cfg: RunConfig):
     omega0 = cfg.initial_state
     p_set = default_probe_momenta(cfg.lattice, cfg.p_max_index)
     report = semiclassical_constant(omega0, cfg.lattice, cfg.hbar, p_set)
-    return {
-        "p_norm": [float(np.linalg.norm(p)) for p in p_set],
-        "commutator_trace_norm": report.phase_norms,
-    }, {"c_phase": report.c_phase, "c_momentum": report.c_momentum,
-        "idempotency_defect": omega0.idempotency_defect()}, {}
+    for p, norm in zip(p_set, report.phase_norms):
+        yield {"p_norm": float(np.linalg.norm(p)), "commutator_trace_norm": norm}, {}
+    return {"c_phase": report.c_phase, "c_momentum": report.c_momentum,
+            "idempotency_defect": omega0.idempotency_defect()}
 
 
-# config -> (series.csv columns, summary result, {snapshot name: array}); `run` writes them
+# generators of the config alone: each yields one (series.csv row, {snapshot name: array})
+# per row, which `run` writes as it arrives, and returns the summary result
 _SCENARIO_FN = {
     "evolve": _scenario_evolve,
     "compare-hf-hartree": _scenario_compare,
@@ -427,33 +422,43 @@ def _scipy_version() -> str:
     return metadata.version("scipy")
 
 
+def _measured(cfg: RunConfig):
+    """The scenario's rows, then its result; its arithmetic, value or runtime error, the one
+    of its first call included, re-raised as `NumericFailure`.  Writing a row stays outside."""
+    try:
+        return (yield from _SCENARIO_FN[cfg.scenario](cfg))
+    except (ConfigError, NumericFailure):
+        raise
+    except (ArithmeticError, ValueError, RuntimeError) as exc:  # LinAlgError is a ValueError
+        raise NumericFailure(f"{cfg.scenario}: {exc}") from exc
+
+
 def run(cfg: RunConfig, out_dir: str) -> dict:
-    """Execute a scenario and write its outputs, deterministic given (config,
-    seed): an earlier run's outputs are removed first, the summary written last; a
-    scenario's arithmetic, value or runtime error is re-raised as `NumericFailure`."""
+    """Execute a scenario and write its outputs, deterministic given (config, seed): an
+    earlier run's outputs are removed first, each row and snapshot written as it arrives, the
+    summary last; a scenario's arithmetic, value or runtime error is a `NumericFailure`."""
     os.makedirs(out_dir, exist_ok=True)
     for name in (["summary.json", "summary.json.tmp", "series.csv"]
                  + glob.glob("snapshots/*.fmf1", root_dir=out_dir)):
         if os.path.isfile(path := os.path.join(out_dir, name)):
             os.remove(path)
     t0 = time.monotonic()
+    written, rows = ["series.csv"], _measured(cfg)
     try:
-        series, result, arrays = _SCENARIO_FN[cfg.scenario](cfg)
-    except (ConfigError, NumericFailure):
-        raise
-    except (ArithmeticError, ValueError, RuntimeError) as exc:  # LinAlgError is a ValueError
-        raise NumericFailure(f"{cfg.scenario}: {exc}") from exc
-    written = ["series.csv"] + [f"snapshots/{name}.fmf1" for name in arrays]
-    paths = [os.path.join(out_dir, rel) for rel in written]
-    write_csv(paths[0], series)
-    if arrays:
-        os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
-    for path, array in zip(paths[1:], arrays.values()):
-        write_fmf1(path, array, cfg.lattice.ds, cfg.lattice.d)
+        while True:
+            row, arrays = next(rows)
+            write_csv(os.path.join(out_dir, "series.csv"), row)
+            for name, array in arrays.items():
+                os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
+                written.append(f"snapshots/{name}.fmf1")
+                write_fmf1(os.path.join(out_dir, written[-1]), array, cfg.lattice.ds,
+                           cfg.lattice.d)
+    except StopIteration as stop:
+        result = stop.value
     wall = time.monotonic() - t0
 
-    manifest = [{"path": rel, "bytes": os.path.getsize(path), "sha256": _sha256(path)}
-                for rel, path in zip(written, paths)]
+    manifest = [{"path": rel, "bytes": os.path.getsize(path := os.path.join(out_dir, rel)),
+                 "sha256": _sha256(path)} for rel in written]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     summary = {
         "config": cfg.raw,

@@ -38,15 +38,11 @@ def read_fmf1(path):
     return m.reshape(rows, cols), ds, d
 
 
-def write_csv(path, columns: dict):
-    """Write named columns; floats rendered with repr for bit-stable reruns."""
-    names = list(columns)
-    length = len(columns[names[0]])
-    for name in names:
-        if len(columns[name]) != length:
-            raise ValueError(f"column {name!r} has mismatched length")
-    with open(path, "w", newline="") as fh:
+def write_csv(path, row: dict):
+    """Append one row of named numbers, rendered with repr for bit-stable reruns; a new
+    file gets the names as its header first."""
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(length):
-            writer.writerow([repr(float(columns[name][i])) for name in names])
+        if fh.tell() == 0:
+            writer.writerow(row)
+        writer.writerow([repr(float(value)) for value in row.values()])

@@ -40,17 +40,18 @@ def big_run():
     om0 = trapped_slater(lat, hbar, 50.0, 8)
     cfg = EvolutionConfig(dt=1e-3, t_final=2.0, snapshot_stride=50)
     t0 = time.monotonic()
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
+    snaps = list(evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))
     wall = time.monotonic() - t0
-    return lat, hbar, pot, om0, traj, wall
+    return lat, hbar, pot, om0, snaps, wall
 
 
 def test_criterion_01_structure_preservation(big_run, capsys):
-    _, _, _, _, traj, wall = big_run
-    defect = max(traj.idempotency_defect)
-    drift = max(abs(tr - 8.0) for tr in traj.trace)
-    e0 = traj.energy[0]
-    e_drift = max(abs(e - e0) for e in traj.energy) / abs(e0)
+    _, _, _, _, snaps, wall = big_run
+    first, last = snaps[0], snaps[-1]
+    defect = last.max_idempotency_defect
+    # every step's |tr - 8| <= |tr - tr_0| + |tr_0 - 8|
+    drift = last.max_trace_drift + abs(first.trace - 8.0)
+    e_drift = last.max_energy_drift / abs(first.energy)
     ok = defect <= 1e-8 and drift <= 1e-9 and e_drift <= 1e-6 and wall <= 60.0
     report(capsys, 1, "structure preservation",
            ok, f"defect={defect:.2e} trace={drift:.2e} "
@@ -63,12 +64,12 @@ def test_criterion_02_free_flow_exactness(capsys):
     v0 = build_potential({"shape": "zero"}, lat)
     om0 = trapped_slater(lat, hbar, 50.0, 8)
     cfg = EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100)
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
+    final = list(evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar))[-1].state
     h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * eig / hbar)) @ vec.conj().T
     exact = u @ dense(om0) @ u.conj().T
-    err = np.linalg.norm(dense(traj.states[-1]) - exact, "fro")
+    err = np.linalg.norm(dense(final) - exact, "fro")
     report(capsys, 2, "free flow exactness", err <= 1e-10, f"error={err:.2e}")
 
 
@@ -77,15 +78,18 @@ def test_criterion_03_single_particle_exchange_cancellation(capsys):
     hbar = default_hbar(1, 1)
     pot = build_potential(gaussian(1.0, 0.2), lat)
     om0 = trapped_slater(lat, hbar, 10.0, 1)
+
+    def final(dt, kind, v):
+        """omega at t = 1, the only snapshot kept besides omega_0."""
+        cfg = EvolutionConfig(dt=dt, t_final=1.0, snapshot_stride=round(1.0 / dt))
+        return dense(list(evolve(om0, cfg, kind, v, hbar))[-1].state)
+
     # the free flow: either mean-field kind with the zero potential
-    free = evolve(om0, EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100),
-                  MeanFieldKind.HARTREE_FOCK, build_potential({"shape": "zero"}, lat), hbar)
-    hf = evolve(om0, EvolutionConfig(dt=2e-5, t_final=1.0, snapshot_stride=50000),
-                MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    hh = evolve(om0, EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000),
-                MeanFieldKind.HARTREE, pot, hbar)
-    hf_err = np.linalg.norm(dense(hf.states[-1]) - dense(free.states[-1]), "fro")
-    hh_gap = np.linalg.norm(dense(hh.states[-1]) - dense(free.states[-1]), "fro")
+    free = final(1e-2, MeanFieldKind.HARTREE_FOCK, build_potential({"shape": "zero"}, lat))
+    hf = final(2e-5, MeanFieldKind.HARTREE_FOCK, pot)
+    hh = final(1e-3, MeanFieldKind.HARTREE, pot)
+    hf_err = np.linalg.norm(hf - free, "fro")
+    hh_gap = np.linalg.norm(hh - free, "fro")
     ok = hf_err <= 1e-8 and hh_gap >= 1e-4
     report(capsys, 3, "N=1 exchange cancellation",
            ok, f"|HF-free|={hf_err:.2e} |Hartree-free|={hh_gap:.2e}")
@@ -158,20 +162,20 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     space = FockSpace(8)
     psi0 = quasi_free_state(space, om0)
     cfg = EvolutionConfig(dt=1e-4, t_final=0.1, snapshot_stride=100)
-    traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    times = np.array(traj.times)
-    psis = propagate(space, pot, 2, psi0, traj.times, hbar)
-    hs = np.array([np.linalg.norm(rdm1(psi, space) - dense(s))
-                   for psi, s in zip(psis, traj.states)])
+    snaps = list(evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))
+    times = np.array([s.t for s in snaps])
+    psis = propagate(space, pot, 2, psi0, times, hbar)
+    hs = np.array([np.linalg.norm(rdm1(psi, space) - dense(s.state))
+                   for psi, s in zip(psis, snaps)])
     mask = times >= 0.01 - 1e-12
     slope = np.polyfit(np.log(times[mask]), np.log(hs[mask]), 1)[0]
 
     v0 = build_potential({"shape": "zero"}, lat)
     cfg0 = EvolutionConfig(dt=1e-2, t_final=2.0, snapshot_stride=20)
-    traj0 = evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    psis0 = propagate(space, v0, 2, psi0, traj0.times, hbar)
-    free_dist = max(np.linalg.norm(rdm1(psi, space) - dense(s))
-                    for psi, s in zip(psis0, traj0.states))
+    snaps0 = list(evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar))
+    psis0 = propagate(space, v0, 2, psi0, [s.t for s in snaps0], hbar)
+    free_dist = max(np.linalg.norm(rdm1(psi, space) - dense(s.state))
+                    for psi, s in zip(psis0, snaps0))
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
     report(capsys, 7, "mean-field accuracy order", ok,
            f"slope={slope:.3f} free-case distance={free_dist:.2e}")
@@ -190,11 +194,12 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
 
     def moments(v, k):
         """<(N+1)^k> of xi_t = R*_{omega_t} exp(-iHt/hbar) R_{omega_0} vacuum."""
-        traj = evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar)
-        psis = propagate(space, v, 2, psi0, traj.times, hbar)
-        return np.array(traj.times), np.array([
-            number_moment(fluctuation_vector(space, om, psi), k, space)
-            for psi, om in zip(psis, traj.states)])
+        snaps = list(evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar))
+        times = [s.t for s in snaps]
+        psis = propagate(space, v, 2, psi0, times, hbar)
+        return np.array(times), np.array([
+            number_moment(fluctuation_vector(space, s.state, psi), k, space)
+            for psi, s in zip(psis, snaps)])
 
     _, m1 = moments(build_potential({"shape": "zero"}, lat), 1)
     mean_n = float(np.max(m1 - 1.0))
@@ -208,10 +213,10 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
 
 
 def test_criterion_09_commutator_bound_propagation(big_run, capsys):
-    lat, hbar, _, om0, traj, _ = big_run
+    lat, hbar, _, om0, snaps, _ = big_run
     p_set = default_probe_momenta(lat, 4)
-    times = np.array(traj.times)
-    reports = [semiclassical_constant(state, lat, hbar, p_set) for state in traj.states]
+    times = np.array([s.t for s in snaps])
+    reports = [semiclassical_constant(s.state, lat, hbar, p_set) for s in snaps]
     rep0 = semiclassical_constant(om0, lat, hbar, p_set)
     init_err = max(abs(reports[0].c_phase - rep0.c_phase),
                    abs(reports[0].c_momentum - rep0.c_momentum))

@@ -95,7 +95,7 @@ def test_compare_hf_hartree_gap_matches_dense_oracle(tmp_path):
     rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
     gaps = [float(row.split(",")[1]) for row in rows]
     om = build_initial_state(cfg)
-    hf, hh = (evolve(om, cfg.evolution, kind, cfg.potential, cfg.hbar).states[-1]
+    hf, hh = (list(evolve(om, cfg.evolution, kind, cfg.potential, cfg.hbar))[-1].state
               for kind in (MeanFieldKind.HARTREE_FOCK, MeanFieldKind.HARTREE))
     assert len(gaps) == 3 and gaps[0] == 0.0
     assert gaps[-1] > 0.1
@@ -109,9 +109,9 @@ def test_commutator_momentum_vanishes_along_free_ball_flow():
     v0 = build_potential({"shape": "zero"}, lat)
     om = plane_wave_projection(lat, fermi_ball_indices(lat, 3))
     cfg = EvolutionConfig(dt=1e-2, t_final=0.1, snapshot_stride=2)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
     p_set = momenta(lat)[np.any(momentum_indices(lat) != 0, axis=1)][:6]
-    reports = [semiclassical_constant(state, lat, hbar, p_set) for state in traj.states]
+    reports = [semiclassical_constant(s.state, lat, hbar, p_set)
+               for s in evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)]
     assert len(reports) == 6
     assert max(rep.c_momentum for rep in reports) < 1e-10
 
@@ -233,7 +233,7 @@ def test_semiclassical_constant_matches_elementwise_forms_at_ds3():
     rng = np.random.default_rng(9)
     om = dense_slater(lat, hbar, 100.0 * rng.random(lat.site_count), 5)
     cfg = EvolutionConfig(dt=2e-3, t_final=6e-3, snapshot_stride=3)
-    state = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).states[-1]
+    state = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))[-1].state
     m, p_set = dense(state), default_probe_momenta(lat, 1)
     rep = semiclassical_constant(state, lat, hbar, p_set)
     np.testing.assert_allclose(rep.phase_norms,
@@ -265,8 +265,8 @@ def test_semiclassical_constant_pairs_probes_and_series_reuses_it(tmp_path):
     run(cfg, str(tmp_path))
     header, *rows = (tmp_path / "series.csv").read_text().splitlines()
     columns = dict(zip(header.split(","), zip(*[map(float, r.split(",")) for r in rows])))
-    traj = evolve(build_initial_state(cfg), cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
-    reps = [semiclassical_constant(state, lat, cfg.hbar, symmetric) for state in traj.states]
+    reps = [semiclassical_constant(s.state, lat, cfg.hbar, symmetric) for s in
+            evolve(build_initial_state(cfg), cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)]
     assert len(reps) == 3
     assert list(columns["c_phase"]) == [r.c_phase for r in reps]
     assert list(columns["c_momentum"]) == [r.c_momentum for r in reps]

@@ -554,9 +554,9 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     r0 = implement_bogoliubov(space, om)
     assert np.max(np.abs(fluctuation_vector(space, om, r0 @ xi) - xi)) < 1e-10
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    psi_t = next(propagate(space, pot, 2, r0 @ xi, [traj.times[-1]], hbar))
-    out = fluctuation_vector(space, traj.states[-1], psi_t)
+    final = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))[-1]
+    psi_t = next(propagate(space, pot, 2, r0 @ xi, [final.t], hbar))
+    out = fluctuation_vector(space, final.state, psi_t)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -567,10 +567,10 @@ def test_fluctuation_vacuum_stable_without_interaction():
     v0 = build_potential({"shape": "zero"}, lat)
     om = dense_slater(lat, hbar, 5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.5, snapshot_stride=10)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    psis = propagate(space, v0, 2, quasi_free_state(space, om), traj.times[1:], hbar)
-    for om_t, psi_t in zip(traj.states[1:], psis):
-        xi = fluctuation_vector(space, om_t, psi_t)
+    snaps = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar))[1:]
+    psis = propagate(space, v0, 2, quasi_free_state(space, om), [s.t for s in snaps], hbar)
+    for s, psi_t in zip(snaps, psis):
+        xi = fluctuation_vector(space, s.state, psi_t)
         assert number_moment(xi, 1, space) - 1.0 < 1e-9
 
 

@@ -179,7 +179,7 @@ def _dense_split_step(m, n, dt, pot, hbar):
 def _advance(om, kind, pot, hbar, dt, n_steps):
     """The state after n_steps of `evolve`'s step for `kind`."""
     cfg = EvolutionConfig(dt=dt, t_final=n_steps * dt, snapshot_stride=n_steps)
-    return evolve(om, cfg, kind, pot, hbar).states[-1]
+    return list(evolve(om, cfg, kind, pot, hbar))[-1].state
 
 
 @pytest.mark.parametrize("kind", list(MeanFieldKind))
@@ -222,13 +222,13 @@ def test_hartree_flow_holds_no_site_by_site_array():
     om = trapped_slater(lat, hbar, 50.0, 63)
     tracemalloc.start()
     try:
-        traj = evolve(om, EvolutionConfig(dt=1e-3, t_final=2e-3), MeanFieldKind.HARTREE,
-                      pot, hbar)
+        snaps = list(evolve(om, EvolutionConfig(dt=1e-3, t_final=2e-3), MeanFieldKind.HARTREE,
+                            pot, hbar))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
-    assert max(traj.idempotency_defect) < 1e-12
+    assert snaps[-1].max_idempotency_defect < 1e-12
 
 
 def _trapped_generator(ds, d, n):
@@ -252,7 +252,7 @@ def test_flow_builds_no_dense_omega(ds, d, n, kind):
     om, _, pot, hbar = _trapped_generator(ds, d, n)
     assert not hasattr(om, "matrix")  # the state is (Phi, lam): it has no dense view
     cfg = EvolutionConfig(dt=1e-2, t_final=3e-2)
-    state = evolve(om, cfg, kind, pot, hbar).states[-1]
+    state = list(evolve(om, cfg, kind, pot, hbar))[-1].state
     assert np.iscomplexobj(state.orbitals)
     h, _ = generator(state, pot, hbar)
     # no Hermitization: only the round-off of the exchange product is left
@@ -278,12 +278,12 @@ def _site_sum_energy(m, n, kind, pair, k):
 @pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
 def test_trajectory_energy_matches_site_sum_oracle(ds, d, n, kind):
     om, _, pot, hbar = _trapped_generator(ds, d, n)
-    traj = evolve(om, EvolutionConfig(dt=1e-2, t_final=4e-2), kind, pot, hbar)
+    snaps = list(evolve(om, EvolutionConfig(dt=1e-2, t_final=4e-2), kind, pot, hbar))
     k = kinetic_operator(pot.lattice, hbar)
-    assert len(traj.states) == len(traj.energy) == 5
-    for state, e in zip(traj.states, traj.energy):
-        oracle = _site_sum_energy(dense(state), n, kind, pot.pair_matrix, k)
-        assert e == pytest.approx(oracle, rel=1e-12)
+    assert len(snaps) == 5
+    for s in snaps:
+        oracle = _site_sum_energy(dense(s.state), n, kind, pot.pair_matrix, k)
+        assert s.energy == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("ds,d,n", [(3, 4, 4), (1, 64, 8)])
@@ -291,10 +291,11 @@ def test_recorded_hartree_energy_matches_its_snapshot(ds, d, n):
     # each step's energy reads the phi_hat its split step returns, not a transform of the
     # new orbitals: it must equal the energy recomputed from the snapshot
     om, _, pot, hbar = _trapped_generator(ds, d, n)
-    traj = evolve(om, EvolutionConfig(dt=1e-2, t_final=6e-2), MeanFieldKind.HARTREE, pot, hbar)
-    assert len(traj.states) == len(traj.energy) == 7
-    for state, e in zip(traj.states, traj.energy):
-        assert e == pytest.approx(energy(state, pot, hbar)[0], rel=1e-12, abs=0)
+    snaps = list(evolve(om, EvolutionConfig(dt=1e-2, t_final=6e-2), MeanFieldKind.HARTREE,
+                        pot, hbar))
+    assert len(snaps) == 7
+    for s in snaps:
+        assert s.energy == pytest.approx(energy(s.state, pot, hbar)[0], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4)])
@@ -306,8 +307,8 @@ def test_hartree_step_transform_count(monkeypatch, ds, d, n):
     counts = count_fft_calls(monkeypatch)
     for n_steps in (1, 3):
         counts.clear()
-        evolve(om, EvolutionConfig(dt=1e-2, t_final=n_steps * 1e-2), MeanFieldKind.HARTREE,
-               pot, hbar)
+        list(evolve(om, EvolutionConfig(dt=1e-2, t_final=n_steps * 1e-2),
+                    MeanFieldKind.HARTREE, pot, hbar))
         # the first energy: its phi_hat and its direct_term
         start = {"fft": ds + ds - 1, "ifft": ds - 1, "rfft": 1, "irfft": 1}
         per_step = {"fft": ds + 2 * (ds - 1), "ifft": 2 * ds + 2 * (ds - 1), "rfft": 2,
@@ -395,6 +396,20 @@ def test_conjugate_of_a_multiple_of_the_identity():
     assert np.max(np.abs(got - _eigh_exponential(phi, h, 1e-2, 0.5))) <= 1e-13
 
 
+@pytest.mark.parametrize("dt", [1e-3, -1e-3, 0.1, -0.1, 0.5, -0.5])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_series_matches_eigh_at_either_sign_of_dt(monkeypatch, field, dt):
+    # a backward sub-step takes dt < 0: the series' scale is a = |tau| (hi - lo) / 2
+    rng = np.random.default_rng(40)
+    h = rng.normal(size=(40, 40)) + (1j * rng.normal(size=(40, 40)) if field == "complex" else 0)
+    h = (h + h.conj().T) / 2
+    phi = np.linalg.qr(rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3)))[0]
+    oracle, eig = _eigh_exponential(phi, h, dt, 1.0), np.linalg.eigvalsh(h)
+    monkeypatch.setattr(np.linalg, "eigh", None)  # the series, not a diagonalization
+    got = mf.apply_exponential(phi, h, (eig[0], eig[-1]), dt, 1.0)
+    assert np.max(np.abs(got - oracle)) <= 1e-13
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_real_generator_takes_real_arithmetic(order):
     # a real h acts on the real view of the orbitals; eigh's orbitals are
@@ -410,7 +425,7 @@ def test_real_generator_takes_real_arithmetic(order):
 def test_orbitals_stay_orthonormal_over_many_steps():
     om, _, pot, hbar = _trapped_generator(1, 64, 8)
     cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000)
-    phi = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar).states[-1].orbitals
+    phi = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))[-1].state.orbitals
     assert np.max(np.abs(phi.conj().T @ phi - np.eye(8))) <= 1e-11
 
 
@@ -471,16 +486,17 @@ def test_evolve_free_ball_is_stationary(setup16):
     lat, _, hbar, om = setup16
     v0 = build_potential({"shape": "zero"}, lat)
     cfg = EvolutionConfig(dt=1e-2, t_final=1.0, snapshot_stride=100)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar)
-    assert np.max(np.abs(dense(traj.states[-1]) - dense(om))) < 1e-10
+    final = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar))[-1].state
+    assert np.max(np.abs(dense(final) - dense(om))) < 1e-10
 
 
 def test_evolve_trace_stability(setup16):
     lat, pot, hbar, om = setup16
-    cfg = EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000)
-    traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-    assert max(abs(tr - 3.0) for tr in traj.trace) < 1e-9
-    assert len(traj.trace) == 1001
+    cfg = EvolutionConfig(dt=1e-3, t_final=1.0)  # every step kept: its trace is read
+    snaps = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))
+    assert max(abs(s.trace - 3.0) for s in snaps) < 1e-9
+    assert len(snaps) == 1001
+    assert snaps[-1].max_trace_drift == max(abs(s.trace - snaps[0].trace) for s in snaps)
 
 
 def test_hf_energy_examples():
@@ -501,10 +517,11 @@ def test_hf_energy_conserved_along_flow():
     om = trapped_slater(lat, hbar, 50.0, 4)
     drifts = []
     for dt in (2e-3, 1e-3):
-        cfg = EvolutionConfig(dt=dt, t_final=0.2, snapshot_stride=1000)
-        traj = evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar)
-        e0 = traj.energy[0]
-        drifts.append(max(abs(e - e0) for e in traj.energy) / abs(e0))
+        cfg = EvolutionConfig(dt=dt, t_final=0.2)  # every step kept: its energy is read
+        snaps = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))
+        e0 = snaps[0].energy
+        drifts.append(max(abs(s.energy - e0) for s in snaps) / abs(e0))
+        assert snaps[-1].max_energy_drift == max(abs(s.energy - e0) for s in snaps)
     assert drifts[1] < 1e-6
     # the drift is an integrator artifact converging to zero at order dt^2
     assert drifts[0] / drifts[1] > 3.0
@@ -548,9 +565,9 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
     bad = DensityMatrix(phi, np.ones(4))
     with pytest.raises(ValueError, match="non-finite"):
         bad.validate()
-    for kind in MeanFieldKind:
+    for kind in MeanFieldKind:  # evolve validates at its first next
         with pytest.raises(ValueError, match="non-finite"):
-            evolve(bad, cfg, kind, v0, hbar)
+            list(evolve(bad, cfg, kind, v0, hbar))
     # a step of either flow that produces NaN trips the blow-up guard
     nan_state = DensityMatrix(np.full((4, 4), np.nan, dtype=complex), np.ones(4))
     monkeypatch.setattr(mf, "step", lambda *args: nan_state)
@@ -558,7 +575,7 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
     good = DensityMatrix(*spectral_form(np.eye(4, dtype=complex))[:2])
     for kind in MeanFieldKind:
         with pytest.raises(RuntimeError, match="blow-up"):
-            evolve(good, cfg, kind, v0, hbar)
+            list(evolve(good, cfg, kind, v0, hbar))
 
 
 @pytest.mark.parametrize("ds,d", [(2, 5), (3, 3)])

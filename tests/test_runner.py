@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,10 +119,10 @@ def test_run_evolve_outputs(tmp_path):
     assert len(snaps) == 4  # occupations; orbitals at t = 0, 0.05, 0.1
     lam, ds, d = read_fmf1(os.path.join(out, "snapshots", "occupations.fmf1"))
     assert (ds, d) == (1, 8) and np.array_equal(lam, [[1.0, 1.0]])
-    traj = evolve(build_initial_state(cfg), cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
+    flow = evolve(build_initial_state(cfg), cfg.evolution, cfg.kind, cfg.potential, cfg.hbar)
     names = [f"snapshots/orbitals_step{i:08d}.fmf1" for i in (0, 5, 10)]
     assert snaps == sorted(names + ["snapshots/occupations.fmf1"])
-    for name, state in zip(names, traj.states):
+    for name, state in zip(names, (s.state for s in flow)):
         phi, ds, d = read_fmf1(os.path.join(out, name))
         assert (ds, d) == (1, 8) and phi.shape == (8, 2)
         assert phi.tobytes() == state.orbitals.astype("<c16").tobytes()  # bit for bit
@@ -325,6 +326,8 @@ def test_only_run_writes_the_output_files():
                           for owner in (f"snapshots.{name}",) + owners}, found
     assert {name: len(inspect.signature(fn).parameters)
             for name, fn in runner_mod._SCENARIO_FN.items()} == dict.fromkeys(SCENARIOS, 1)
+    # and a generator, whose rows `run` writes as they arrive
+    assert all(map(inspect.isgeneratorfunction, runner_mod._SCENARIO_FN.values()))
 
 
 def test_only_the_grid_and_the_wigner_axis_reorder_momenta():
@@ -859,6 +862,31 @@ def test_cli_snapshot_failure_names_its_time(tmp_path, monkeypatch, capsys, scen
     err = capsys.readouterr().err
     assert "orthonormal" in err and "at t=0.02" in err and err.count("\n") == 1, err
     assert len(calls) == 3 and not os.path.exists(out / "summary.json")
+    # each row is written as it is measured: the failed run keeps t = 0 and t = 0.01
+    header, *rows = (out / "series.csv").read_text().splitlines()
+    assert header.split(",")[0] == "t" and [float(r.split(",")[0]) for r in rows] == [0.0, 0.01]
+
+
+def test_run_memory_does_not_grow_with_the_snapshot_count(tmp_path):
+    # ds=3, d=12, N=20, a snapshot every step: one snapshot is 16 M r bytes (0.53 MiB).  A
+    # run holds no list of states, so 21 snapshots peak where 3 do, within one snapshot
+    doc = {"scenario": "evolve", "lattice": {"ds": 3, "d": 12}, "model": {"n_particles": 20},
+           "potential": {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+           "initial": {"kind": "trapped", "strength": 50.0}, "kind": "hartree",
+           "p_set": {"max_index": 1}, "evolution": {"dt": 1e-3, "t_final": 2e-3}}
+    run(parse_config(json.dumps(doc)), str(tmp_path / "warm"))  # fills the lazy caches
+    peaks = []
+    for n_steps in (2, 20):
+        doc["evolution"]["t_final"] = n_steps * 1e-3
+        cfg = parse_config(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            run(cfg, str(tmp_path / str(n_steps)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(glob.glob("snapshots/orbitals_*.fmf1", root_dir=tmp_path / "20")) == 21
+    assert abs(peaks[1] - peaks[0]) < 16 * 12 ** 3 * 20, peaks
 
 
 def test_cli_seed_override_recorded(tmp_path):

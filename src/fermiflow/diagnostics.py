@@ -18,7 +18,7 @@ B of 2r columns and S Hermitian:
   orbitals are A* Phi;
 * hbar d/dx is anti-Hermitian, so [hbar d/dx, omega] = B S B* with
   B = [hbar dPhi, Phi], S = [[0, lam], [lam, 0]]; hbar dPhi is the symbol
-  i hbar p (`Lattice.fft_momenta`) on Phi, by one fftn and one ifftn.
+  i hbar p (`Lattice.fft_momenta`) on Phi, by one `Lattice.fft` and one inverse.
 
 With B = QR, B S B* = Q (R S R*) Q*, so each norm is that of the k x k
 matrix R S R*, k = min(M, 2r).  A factorization that drops eigenvalues of
@@ -95,15 +95,12 @@ def commutator_phase(phi: np.ndarray, lam: np.ndarray, r, lattice: Lattice) -> f
 def commutator_momentum(phi: np.ndarray, lam: np.ndarray, hbar: float,
                         lattice: Lattice) -> float:
     """sum over axes of tr |[hbar d/dx_axis, omega]| of omega = phi diag(lam) phi*;
-    hbar d phi for every axis comes from one fftn and one ifftn over the sites."""
-    grid, rank = (lattice.d,) * lattice.ds, len(lam)
-    phi_hat = np.fft.fftn(phi.reshape(grid + (rank,)), axes=tuple(range(lattice.ds)))
-    dphi = np.fft.ifftn((1j * hbar) * lattice.fft_momenta()[..., None] * phi_hat,
-                        axes=tuple(range(1, lattice.ds + 1)))
-    dphi = dphi.reshape(lattice.ds, lattice.site_count, rank)
-    zero, diag = np.zeros((rank, rank)), np.diag(lam)
+    hbar d phi for all axes from one `Lattice.fft` and one inverse, of an (M, ds, r) array."""
+    phi_hat = lattice.fft(phi)[:, None]
+    dphi = lattice.fft((1j * hbar) * lattice.fft_momenta().T[..., None] * phi_hat, inverse=True)
+    zero, diag = np.zeros((len(lam),) * 2), np.diag(lam)
     s = np.block([[zero, diag], [diag, zero]])
-    return sum(_low_rank_norm(np.hstack([d, phi]), s) for d in dphi)
+    return sum(_low_rank_norm(np.hstack([dphi[:, axis], phi]), s) for axis in range(lattice.ds))
 
 
 def default_probe_momenta(lattice: Lattice, max_index: int = 4) -> np.ndarray:

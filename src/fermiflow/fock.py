@@ -208,7 +208,7 @@ def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray
     dGamma(K) on n fermions spans [sum of the n lowest, sum of the n highest] levels
     hbar^2 |p|^2 of K, W the block diagonal minus n K_xx (K_xx: the levels' mean)."""
     h = hamiltonian(space, v, hbar, n_particles)
-    k = np.sort(hbar ** 2 * v.lattice.momentum_squared(), None)  # K's levels, ascending
+    k = np.sort(hbar ** 2 * v.lattice.momentum_squared())  # K's levels, ascending
     occ, sectors = space.occupations(), []
     for n in range(space.l_sites + 1):
         if np.any(psi0[idx := np.nonzero(occ == n)[0]]):

@@ -73,10 +73,8 @@ def fermi_ball_indices(lattice: Lattice, n: int) -> np.ndarray:
     on the integer index vector k."""
     if n < 1 or n > lattice.site_count:
         raise ValueError(f"need 1 <= n <= {lattice.site_count}, got {n}")
-    k = lattice.fft_indices().reshape(lattice.ds, -1).T
-    p2 = lattice.momentum_squared().ravel()
-    order = sorted(range(lattice.site_count), key=lambda i: (p2[i], tuple(k[i])))
-    return k[order[:n]]
+    k = lattice.fft_indices()
+    return k.T[np.lexsort((*k[::-1], lattice.momentum_squared()))[:n]]  # by |p|^2, then by k
 
 
 def plane_wave_projection(lattice: Lattice, occupied) -> DensityMatrix:
@@ -114,7 +112,7 @@ def trapped_slater(lattice: Lattice, hbar: float, strength: float, n: int) -> De
     x = np.arange(lattice.d) * lattice.spacing - 0.5 * lattice.length
     k1 = kinetic_operator(Lattice(1, lattice.d, lattice.length), hbar)
     eig, vec = np.linalg.eigh(k1 + np.diag(strength * x ** 2))
-    levels = reduce(np.add.outer, [eig] * lattice.ds).ravel()  # row-major (a_1, ...)
+    levels = reduce(np.add, eig[lattice.site_indices().T])  # row-major (a_1, ...), as the sites
     order = np.argsort(levels, kind="stable")
     tol = _GAP_TOL * max(1.0, np.max(np.abs(levels)))  # eigh's round-off grows with ||h||
     if n < lattice.site_count and levels[order[n]] - levels[order[n - 1]] < tol:
@@ -122,6 +120,6 @@ def trapped_slater(lattice: Lattice, hbar: float, strength: float, n: int) -> De
             f"levels {n - 1} and {n} coincide within {tol:.3g} "
             f"(gap {levels[order[n]] - levels[order[n - 1]]:.3e})"
         )
-    factors = [vec[:, a] for a in np.unravel_index(order[:n], (lattice.d,) * lattice.ds)]
+    factors = [vec[:, a] for a in lattice.site_indices()[order[:n]].T]
     orbitals = reduce(lambda phi, u: (phi[:, None] * u).reshape(-1, n), factors)
     return DensityMatrix(np.ascontiguousarray(orbitals), np.ones(n))

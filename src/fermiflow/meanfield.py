@@ -4,8 +4,8 @@ The state is a `DensityMatrix` (Phi, lam): omega = Phi diag(lam) Phi*, N = sum l
 i*hbar d/dt omega = [h(omega), omega], h = -hbar^2 Lap + (V * rho) - X (X = 0 for Hartree), is
 a unitary conjugation: lam is fixed, the orbitals move, and each scheme is a product of
 unitaries on Phi, so a projection stays one.  tau = dt/hbar.  Hartree is split (Strang),
-`split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).  K is diagonal on the fftn
-of the orbitals' (d,)*ds + (r,) site view and the phase keeps rho, so each sub-step is exact,
+`split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).  K is diagonal on the
+orbitals' `Lattice.fft`, M x r like Phi, and the phase keeps rho, so each sub-step is exact,
 with no series and no M x M array: three orbital transforms a step, the last one's product
 serving `energy`.  Hartree-Fock takes the exponential midpoint rule, `step`: Phi -> exp(-i tau
 h) Phi, h at the average of omega and an exponential-Euler predictor.  `generator` assembles h
@@ -97,20 +97,13 @@ def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
     return diag / (omega.n_particles * lattice.cell)
 
 
-def _fft_axes(a: np.ndarray, fft, axes) -> np.ndarray:
-    """`fft` along each of `axes` in turn: numpy's fftn loop without its argument handling."""
-    return functools.reduce(lambda b, ax: fft(b, axis=ax), axes, a)
-
-
 def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
     """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y): one circular
-    convolution of the site grids by real FFT, with V's transform cached."""
+    convolution by `Lattice.rfft`, with V's transform cached."""
     lat = v.lattice
-    rhat = np.fft.rfft(np.reshape(rho, (lat.d,) * lat.ds), axis=-1)
-    rhat = _fft_axes(rhat, np.fft.fft, range(lat.ds - 2, -1, -1))  # rfftn's order
+    rhat = lat.rfft(rho)
     np.multiply(v.site_rfft, rhat, out=rhat)  # in this order: SIMD complex products round by it
-    rhat = _fft_axes(rhat, np.fft.ifft, range(lat.ds - 1))  # irfftn's order
-    return lat.cell * np.fft.irfft(rhat, lat.d, axis=-1).ravel()
+    return lat.cell * lat.rfft(rhat, inverse=True)
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
@@ -198,27 +191,26 @@ def split_step(omega: DensityMatrix, phi_hat: np.ndarray, half: np.ndarray,
                cfg: EvolutionConfig, v: Potential, hbar: float) -> tuple:
     """One Strang step of the Hartree flow, Phi -> exp(-i tau K/2) exp(-i tau u) exp(-i tau
     K/2) Phi, tau = dt / hbar, u = V * rho of Phi' = exp(-i tau K/2) Phi, which the phase
-    leaves unchanged; half is exp(-i tau hbar^2 |p|^2 / 2) on the grid of phi_hat, the fftn of
-    omega's orbitals over their site axes.  Returns the new state and its phi_hat."""
-    lat, lam, axes = v.lattice, omega.occupations, range(v.lattice.ds - 1, -1, -1)  # fftn's
-    phi = _fft_axes(half * phi_hat, np.fft.ifft, axes).reshape(omega.orbitals.shape)
+    leaves unchanged; half is exp(-i tau hbar^2 |p|^2 / 2), shape (M, 1), on the rows of
+    phi_hat, the `Lattice.fft` of omega's orbitals.  Returns the new state and its phi_hat."""
+    lat, lam = v.lattice, omega.occupations
+    phi = lat.fft(half * phi_hat, inverse=True)
     u = direct_term(density_profile(DensityMatrix(phi, lam), lat), v)
     phi *= np.exp(-1j * (cfg.dt / hbar) * u)[:, None]
-    phi_hat = half * _fft_axes(phi.reshape(phi_hat.shape), np.fft.fft, axes)
-    return DensityMatrix(_fft_axes(phi_hat, np.fft.ifft, axes).reshape(phi.shape), lam), phi_hat
+    phi_hat = half * lat.fft(phi)
+    return DensityMatrix(lat.fft(phi_hat, inverse=True), lam), phi_hat
 
 
 def energy(omega: DensityMatrix, v: Potential, hbar: float, h: np.ndarray = None,
            phi_hat: np.ndarray = None) -> tuple:
-    """The mean-field energy E and Phi_hat, the fftn of the orbitals over their site axes,
-    taken here unless given.  T = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M (Parseval).  Hartree (no h):
+    """The mean-field energy E and Phi_hat, the `Lattice.fft` of the orbitals, taken here
+    unless given.  T = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M (Parseval).  Hartree (no h):
     E = T + (1/2) sum_x (V * rho)(x) omega_xx.  Hartree-Fock, h = h(omega) from `generator`:
     E = (T + tr(h omega)) / 2, the 1/2 on both interaction terms making it the conserved one."""
     lat, phi, lam = v.lattice, omega.orbitals, omega.occupations
-    phi_hat = phi_hat if phi_hat is not None else _fft_axes(
-        phi.reshape((lat.d,) * lat.ds + (-1,)), np.fft.fft, range(lat.ds - 1, -1, -1))
-    weights = np.abs(phi_hat.reshape(lat.site_count, -1)) ** 2 @ lam
-    kinetic = hbar ** 2 * (lat.momentum_squared().ravel() @ weights) / lat.site_count
+    phi_hat = phi_hat if phi_hat is not None else lat.fft(phi)
+    weights = np.abs(phi_hat) ** 2 @ lam
+    kinetic = hbar ** 2 * (lat.momentum_squared() @ weights) / lat.site_count
     if h is None:
         rho = density_profile(omega, lat)
         e = kinetic + 0.5 * omega.n_particles * lat.cell * (direct_term(rho, v) @ rho)

@@ -3,19 +3,20 @@ elementary one-particle operators everything else is assembled from.
 
 Conventions used throughout the package:
 
-* sites are x_j = j*a on the torus [0, l)^ds, enumerated row-major over
-  the integer index j;
-* momenta are p_k = (2*pi/l)*k with integer components in
-  {-floor(d/2), ..., ceil(d/2)-1}, in numpy's FFT order only (`Lattice.fft_momenta`,
-  read by every symbol; the Wigner output axis is the one ascending exception);
+* sites are x_j = j*a on the torus [0, l)^ds, enumerated row-major over the integer
+  index j, and every site array is flat on that index: shape (M, ...);
+* momenta are p_k = (2*pi/l)*k, k the FFT frequency of j, with components in
+  {-floor(d/2), ..., ceil(d/2)-1}: `Lattice.fft_momenta`, flat on the same index, is read
+  by every symbol (the Wigner output axis is the one ascending exception);
 * a kernel A(x; y) is transcribed to the matrix A_{xy} = a^ds * A(x_j; y_j),
   so that matrix products discretize operator composition;
 * the interaction is expanded as V(x) = sum_k Vhat(p_k) exp(i p_k . x),
   i.e. Vhat carries no extra volume factor.
 
-The pair table V(x_i - x_j) and K = -hbar^2 Lap are circulants, one gather
-(`_circulant`) of V's samples and of the inverse FFT of K's symbol hbar^2 |p|^2, whose
-|p|^2 every reader takes from its one source, `Lattice.momentum_squared`.
+Only `Lattice.fft` (complex) and `Lattice.rfft` (real, to the half spectrum) view a site
+array as its (d,)^ds grid: they are the site-grid DFT.  The pair table V(x_i - x_j) and
+K = -hbar^2 Lap are circulants, one gather (`_circulant`) of V's samples and of the inverse
+DFT of hbar^2 |p|^2, from `Lattice.momentum_squared`, the one source of |p|^2.
 
 Each model fact has one source: the lattice is `Potential.lattice`, N is
 `DensityMatrix.n_particles`, and hbar a number (`default_hbar` is N^(-1/ds)).
@@ -93,22 +94,41 @@ class Lattice:
 
     @_built_once
     def fft_indices(self) -> np.ndarray:
-        """Integer k_axis on the site grid, shape (ds,) + (d,)*ds, in FFT order:
-        0, 1, ..., ceil(d/2)-1, -floor(d/2), ..., -1 along its axis."""
-        axis = (np.arange(self.d) + self.d // 2) % self.d - self.d // 2
-        return np.stack(np.meshgrid(*([axis] * self.ds), indexing="ij"))
+        """Integer k on the sites, shape (ds, site_count): the FFT frequency of `site_indices`,
+        0, 1, ..., ceil(d/2)-1, -floor(d/2), ..., -1 along each axis."""
+        return ((self.site_indices() + self.d // 2) % self.d - self.d // 2).T
 
     @_built_once
     def fft_momenta(self) -> np.ndarray:
-        """p_k = (2 pi / l) k on `fft_indices`, shape (ds,) + (d,)*ds: the symbol
-        grid of `np.fft.fftn` over the site axes of a site array."""
+        """p_k = (2 pi / l) k on `fft_indices`, shape (ds, site_count): row k of `fft`'s output
+        is the coefficient of exp(i p_k . x)."""
         return self.fft_indices() * (2.0 * np.pi / self.length)
 
     @_built_once
     def momentum_squared(self) -> np.ndarray:
-        """|p|^2 = sum_axis p_axis^2 on the `fft_momenta` grid, shape (d,)*ds: K's symbol
-        over hbar^2, so K's levels, its phases and the kinetic energy's Parseval weights."""
+        """|p|^2 = sum_axis p_axis^2 on `fft_momenta`, shape (site_count,): K's symbol over
+        hbar^2, so K's levels, its phases and the kinetic energy's Parseval weights."""
         return np.sum(self.fft_momenta() ** 2, axis=0)
+
+    def fft(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """fftn (ifftn) of a site array, shape (site_count, ...), over its sites: the one-axis
+        transform along each site axis of its (d,)*ds + ... view, last first, as fftn does."""
+        grid = np.reshape(a, (self.d,) * self.ds + a.shape[1:])
+        for axis in range(self.ds - 1, -1, -1):
+            grid = (np.fft.ifft if inverse else np.fft.fft)(grid, axis=axis)
+        return grid.reshape(a.shape)
+
+    def rfft(self, f: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """rfftn of a real site vector f, shape (site_count,), on the site grid: a half spectrum
+        of shape (d,)*(ds-1) + (d//2+1,); inverse, irfftn back to the site vector."""
+        if inverse:
+            for axis in range(self.ds - 1):
+                f = np.fft.ifft(f, axis=axis)
+            return np.fft.irfft(f, self.d, axis=-1).ravel()
+        f = np.fft.rfft(np.reshape(f, (self.d,) * self.ds), axis=-1)
+        for axis in range(self.ds - 2, -1, -1):
+            f = np.fft.fft(f, axis=axis)
+        return f
 
 
 def default_hbar(n_particles: int, ds: int) -> float:
@@ -125,9 +145,8 @@ class Potential:
 
     @functools.cached_property
     def site_rfft(self) -> np.ndarray:
-        """rfftn of the samples on the site grid, M Vhat on the half spectrum."""
-        grid = (self.lattice.d,) * self.lattice.ds
-        return _read_only(np.fft.rfftn(self.real_space.reshape(grid)))
+        """`Lattice.rfft` of the samples, M Vhat on the half spectrum."""
+        return _read_only(self.lattice.rfft(self.real_space))
 
     @functools.cached_property
     def pair_range(self) -> tuple:
@@ -170,11 +189,9 @@ def _circulant(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
     return _read_only(samples[flat])
 
 
-def _reflected(grid: np.ndarray) -> np.ndarray:
-    """A site-grid array at -x: index j -> (-j) mod d along every axis."""
-    for ax in range(grid.ndim):
-        grid = np.flip(np.roll(grid, -1, axis=ax), axis=ax)
-    return grid
+def _reflected(samples: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Site samples at -x: the row-major site of index (-j) mod d gathered for site j."""
+    return samples[(-lattice.site_indices() % lattice.d) @ lattice.d ** np.arange(lattice.ds)[::-1]]
 
 
 _GAUSSIAN_IMAGES = 2  # wrap 5 torus images per axis: m in {-2, ..., 2}
@@ -190,14 +207,13 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice) -> Potential:
         )
     if not np.all(np.isfinite(samples)):
         raise ValueError("potential samples must be finite")
-    grid = samples.reshape((lattice.d,) * lattice.ds)
-    reflected = _reflected(grid)
+    reflected = _reflected(samples, lattice)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        defect = np.max(np.abs(grid - reflected))
+        defect = np.max(np.abs(samples - reflected))
         # evenized, so that V(x) and V(-x) are one float and `pair_matrix` is symmetric
-        v = Potential(lattice=lattice, real_space=_read_only((0.5 * (grid + reflected)).ravel()))
+        v = Potential(lattice=lattice, real_space=_read_only(0.5 * (samples + reflected)))
         vhat = v.site_rfft / lattice.site_count  # real samples: the half spectrum has every |Vhat|
-    if defect > _EVENNESS_TOL * max(1.0, np.max(np.abs(grid))):
+    if defect > _EVENNESS_TOL * max(1.0, np.max(np.abs(samples))):
         raise ValueError(f"potential violates evenness by {defect:.3e}")
     if not np.all(np.isfinite(vhat)):
         raise ValueError("the Fourier transform of the samples overflows the floats")
@@ -249,9 +265,9 @@ def build_potential(spec: dict, lattice: Lattice) -> Potential:
 
 @functools.lru_cache(maxsize=2)  # trapped_slater's one-axis K and the run's K
 def kinetic_operator(lattice: Lattice, hbar: float) -> np.ndarray:
-    """-hbar^2 Laplacian, the circulant of ifftn(hbar^2 |p|^2): real (|p|^2 is even),
-    exactly symmetric (its kernel is evenized), PSD; cached and read-only."""
+    """-hbar^2 Laplacian, the circulant of the inverse `Lattice.fft` of hbar^2 |p|^2: real
+    (|p|^2 is even), exactly symmetric (its kernel is evenized), PSD; cached and read-only."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    kernel = np.fft.ifftn(hbar ** 2 * lattice.momentum_squared()).real
-    return _circulant(lattice, (0.5 * (kernel + _reflected(kernel))).ravel())
+    kernel = lattice.fft(hbar ** 2 * lattice.momentum_squared(), inverse=True).real
+    return _circulant(lattice, 0.5 * (kernel + _reflected(kernel, lattice)))

@@ -11,9 +11,10 @@ at the cost of a factor-2 momentum coarsening).  The quadrature weight is
 the constant 1/d, pinned by the sum rule sum_{j,k} W / d = tr omega; with
 that weight the position marginal is exactly the diagonal of omega.
 
-A Vlasov sweep is one rfft/irfft pair on a real half spectrum; a kick maps its rfft's column
-0, the row sums, to shifts by one real circulant for the force -d/dx (V * rho), and builds
-its phases as a running product.  n Strang steps take 2n + 1 sweeps; `runner` calls
+A Vlasov sweep is one rfft/irfft pair along one axis of the phase-space array, no site-grid
+DFT; a kick maps its rfft's column 0, the row sums, to shifts by one real circulant for the
+force -d/dx (V * rho), from the inverse `Lattice.rfft` of its symbol, and builds its phases
+as a running product.  n Strang steps take 2n + 1 sweeps; `runner` calls
 `vlasov_step` once per snapshot interval and `wigner` once per snapshot.
 """
 
@@ -79,7 +80,7 @@ def _kick_matrix(v: Potential, n_particles: int, scale: float) -> np.ndarray:
     rho = sum_q w / (d N a): g = irfft(-i p a `site_rfft`) scale / (d N a), a cancelling."""
     lat, i = v.lattice, np.arange(v.lattice.d)
     t = -1j * lat.fft_momenta()[0, :lat.d // 2 + 1] * v.site_rfft * (scale / (lat.d * n_particles))
-    return np.fft.irfft(t, lat.d)[(i[:, None] - i) % lat.d]
+    return lat.rfft(t, inverse=True)[(i[:, None] - i) % lat.d]
 
 
 def vlasov_step(w: np.ndarray, n_steps: int, dt: float, v: Potential, hbar: float,

@@ -13,8 +13,8 @@ is run by a scenario.
   cos and one sin per entry, which checks the running product of
   `semiclassics._phases`.
 - `momentum_indices`, `momenta`: the momentum grid enumerated row-major
-  with ascending components, independently of the FFT-order grid of
-  `Lattice.fft_indices` and `Lattice.fft_momenta`.
+  with ascending components, independently of `Lattice.fft_indices` and
+  `Lattice.fft_momenta`, the (ds, M) tables in FFT order on the site index.
 - `fourier`: Vhat(p_k) in that ascending order, by one full `fftn` of V's
   samples, which checks the potential shapes and `site_rfft`.
 - `fourier_matrix`, `momentum_operator`, `phase_operator`: dense M x M

@@ -107,6 +107,22 @@ def test_direct_term_equals_rfftn_bit_for_bit(ds, d):
     assert np.array_equal(direct_term(rho, pot), ref)
 
 
+@pytest.mark.parametrize("ds,d", [(1, 64), (1, 9), (2, 8), (2, 5), (3, 8), (3, 5)])
+def test_lattice_transforms_equal_fftn_and_rfftn_bit_for_bit(ds, d):
+    # the site-grid DFTs on flat site arrays give numpy's n-dimensional transforms' floats
+    # over the site axes of the (d,)*ds view, both ways
+    lat, grid, axes = make_lattice(ds, d, 1.0), (d,) * ds, tuple(range(ds))
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((lat.site_count, 3)) + 1j * rng.standard_normal((lat.site_count, 3))
+    for inverse, ref in ((False, np.fft.fftn), (True, np.fft.ifftn)):
+        want = ref(a.reshape(grid + (3,)), axes=axes).reshape(a.shape)
+        assert np.array_equal(lat.fft(a, inverse=inverse), want)
+    f = rng.random(lat.site_count)
+    half = np.fft.rfftn(f.reshape(grid), axes=axes)
+    assert np.array_equal(lat.rfft(f), half)
+    assert np.array_equal(lat.rfft(half, inverse=True), np.fft.irfftn(half, grid, axes).ravel())
+
+
 def test_generator_free_and_term_difference(setup16):
     lat, pot, hbar, om = setup16
     # with the zero potential the generator is the free one, bit for bit

@@ -1,6 +1,9 @@
 """Lattice conventions, potentials, and the elementary operators."""
 
+import ast
 import dataclasses
+import glob
+import os
 
 import numpy as np
 import pytest
@@ -177,19 +180,60 @@ def test_kinetic_plane_waves_are_eigenvectors(ds, d):
 def test_fft_momenta_reorder_the_momenta(ds, d):
     lat = make_lattice(ds, d, 1.3)
     p = lat.fft_momenta()
-    assert p.shape == (ds,) + (d,) * ds
+    # flat, row-major over the sites like `sites()`: one table per axis
+    assert p.shape == (ds, d ** ds)
     # grid point n carries the momentum of fftn's frequency n: fftfreq order
     freq = np.fft.fftfreq(d, 1.0 / d)
     for ax in range(ds):
         along = [1] * ds
         along[ax] = d
         expected = np.broadcast_to((2.0 * np.pi / lat.length) * freq.reshape(along), (d,) * ds)
-        assert np.array_equal(p[ax], expected)
+        assert np.array_equal(p[ax], expected.ravel())
     rows = p.reshape(ds, -1).T
     assert sorted(map(tuple, rows)) == sorted(map(tuple, momenta(lat)))
     k = lat.fft_indices()
     assert k.dtype.kind == "i" and np.array_equal(p, k * (2.0 * np.pi / lat.length))
     assert sorted(map(tuple, k.reshape(ds, -1).T)) == sorted(map(tuple, momentum_indices(lat)))
+    # both layouts share one index: Lattice.fft takes the plane wave exp(i x . p_k) to M at row k
+    m = lat.site_count
+    spectra = lat.fft(np.exp(1j * (lat.sites() @ p)))  # column k: the wave of p_k
+    assert np.max(np.abs(spectra - m * np.eye(m))) <= 1e-12 * m
+
+
+def test_only_the_lattice_transforms_the_site_grid():
+    # np.fft is reached only by `Lattice.fft`, `Lattice.rfft` and the sweeps that are no
+    # site-grid DFT (the Chebyshev coefficients and the phase-space transforms), and no
+    # module but `model` views a site array as its (d,)*ds grid
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
+    assert os.path.join(src, "fermiflow", "model.py") in paths
+    fft_users, grid_views = set(), []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "fft"
+                    and isinstance(child.value, ast.Name) and child.value.id == "np") or (
+                    isinstance(child, (ast.Import, ast.ImportFrom))
+                    and "fft" in ast.unparse(child)):
+                fft_users.add((module, owner))
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult)
+                    and isinstance(child.left, (ast.Tuple, ast.List)) and len(child.left.elts) == 1
+                    and ast.unparse(child.left.elts[0]).split(".")[-1] == "d"
+                    and ast.unparse(child.right).split(".")[-1] == "ds" and module != "model"):
+                grid_views.append(f"{module}:{child.lineno} {ast.unparse(child)}")
+            visit(child, module, owner)
+
+    for path in paths:
+        with open(path) as fh:
+            visit(ast.parse(fh.read(), path), os.path.basename(path)[:-3], None)
+    transforms = {("model", "Lattice.fft"), ("model", "Lattice.rfft")}
+    sweeps = {("meanfield", "_chebyshev_coefficients"), ("semiclassics", "wigner"),
+              ("semiclassics", "vlasov_step")}
+    assert transforms <= fft_users <= transforms | sweeps, fft_users
+    assert grid_views == []
 
 
 @pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (3, 4)])

@@ -308,6 +308,4 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
 
     for entry in report.values():
         entry["worst_slack"] = float(entry["worst_slack"])
-    report["trials"] = trials
-    report["seed"] = seed
     return report

@@ -78,10 +78,14 @@ def fermi_ball_indices(lattice: Lattice, n: int) -> np.ndarray:
 
 
 def plane_wave_projection(lattice: Lattice, occupied) -> DensityMatrix:
-    """Projection onto the plane waves with the given integer momentum indices."""
-    occupied = np.atleast_2d(np.asarray(occupied, dtype=int))
-    if occupied.shape[1] != lattice.ds:
+    """Projection onto the plane waves with the given integer momentum indices, one row
+    (n, ds) per wave; a 1-D sequence is read as consecutive rows."""
+    occupied = np.asarray(occupied, dtype=int)
+    if occupied.ndim <= 1:
         occupied = occupied.reshape(-1, lattice.ds)
+    elif occupied.ndim != 2 or occupied.shape[1] != lattice.ds:
+        raise ValueError(f"occupied momentum indices must have shape (n, {lattice.ds}), "
+                         f"got {occupied.shape}")
     if len({tuple(k) for k in occupied}) != len(occupied):
         raise ValueError("duplicate momentum indices in occupied set")
     if len(occupied) == 0:

@@ -7,15 +7,16 @@ unitaries on Phi, so a projection stays one.  tau = dt/hbar.  Hartree is split (
 `split_step`: exp(-i tau K/2) exp(-i tau V * rho) exp(-i tau K/2).  K is diagonal on the
 orbitals' `Lattice.fft`, M x r like Phi, and the phase keeps rho, so each sub-step is exact,
 with no series and no M x M array: three orbital transforms a step, the last one's product
-serving `energy`.  Hartree-Fock takes the exponential midpoint rule, `step`: Phi -> exp(-i tau
-h) Phi, h at the average of omega and an exponential-Euler predictor.  `generator` assembles h
-in one M x M buffer: X_{xy} = V(x-y) omega_{xy} / N is (Phi lam / N) Phi* times
-`Potential.pair_matrix`, negated, the real K added to it and V * rho, that table times rho
-(no FFT), to its diagonal; both tables are exactly symmetric, so h is not Hermitized.  The
-exponential is a Chebyshev series in h on Phi over the interval `generator` reads from h's
-parts, in real arithmetic where h is real, or an `eigh` of h where it needs dim h terms.
-`evolve` builds h once per state, also for `energy`, the one energy of both flows, its kinetic
-part by Parseval.
+serving `energy`.  Its V * rho, `direct_term`, is the real part of the inverse `Lattice.fft`
+of `Potential.fourier` times rho's transform.  Hartree-Fock takes the exponential midpoint
+rule, `step`: Phi -> exp(-i tau h) Phi, h at the average of omega and an exponential-Euler
+predictor.  `generator` assembles h in one M x M buffer: X_{xy} = V(x-y) omega_{xy} / N is
+(Phi lam / N) Phi* times `Potential.pair_matrix`, negated, the real K added to it and V * rho,
+that table times rho (no FFT), to its diagonal; both tables are exactly symmetric, so h is
+not Hermitized.  The exponential is a Chebyshev series in h on Phi over the interval
+`generator` reads from h's parts, in real arithmetic where h is real, or an `eigh` of h where
+it needs dim h terms.  `evolve` builds h once per state, also for `energy`, the one energy of
+both flows, its kinetic part by Parseval.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.  `evolve` is a
 generator: it yields one `Snapshot` per kept step and holds no earlier state, so a run's memory
@@ -99,11 +100,9 @@ def density_profile(omega: DensityMatrix, lattice: Lattice) -> np.ndarray:
 
 def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
     """Site vector (V * rho)(x_j) = a^ds sum_y V(x_j - y) rho(y): one circular
-    convolution by `Lattice.rfft`, with V's transform cached."""
+    convolution by `Lattice.fft`, with V's transform `Potential.fourier` cached."""
     lat = v.lattice
-    rhat = lat.rfft(rho)
-    np.multiply(v.site_rfft, rhat, out=rhat)  # in this order: SIMD complex products round by it
-    return lat.cell * lat.rfft(rhat, inverse=True)
+    return lat.cell * lat.fft(v.fourier * lat.fft(rho), inverse=True).real
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:

@@ -11,12 +11,13 @@ Conventions used throughout the package:
 * a kernel A(x; y) is transcribed to the matrix A_{xy} = a^ds * A(x_j; y_j),
   so that matrix products discretize operator composition;
 * the interaction is expanded as V(x) = sum_k Vhat(p_k) exp(i p_k . x),
-  i.e. Vhat carries no extra volume factor.
+  i.e. Vhat carries no extra volume factor; `Potential.fourier` is M Vhat, real, on the
+  flat index of `Lattice.momentum_squared`.
 
-Only `Lattice.fft` (complex) and `Lattice.rfft` (real, to the half spectrum) view a site
-array as its (d,)^ds grid: they are the site-grid DFT.  The pair table V(x_i - x_j) and
-K = -hbar^2 Lap are circulants, one gather (`_circulant`) of V's samples and of the inverse
-DFT of hbar^2 |p|^2, from `Lattice.momentum_squared`, the one source of |p|^2.
+Only `Lattice.fft` views a site array as its (d,)^ds grid: it is the one site-grid DFT.
+The pair table V(x_i - x_j) and K = -hbar^2 Lap are circulants, one gather (`circulant`) of
+V's samples and of the inverse DFT of hbar^2 |p|^2, from `Lattice.momentum_squared`, the one
+source of |p|^2; `Potential.fourier` holds the pair table's eigenvalues.
 
 Each model fact has one source: the lattice is `Potential.lattice`, N is
 `DensityMatrix.n_particles`, and hbar a number (`default_hbar` is N^(-1/ds)).
@@ -34,6 +35,7 @@ __all__ = [
     "default_hbar",
     "make_lattice",
     "build_potential",
+    "circulant",
     "is_hermitian",
     "kinetic_operator",
 ]
@@ -113,22 +115,10 @@ class Lattice:
     def fft(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
         """fftn (ifftn) of a site array, shape (site_count, ...), over its sites: the one-axis
         transform along each site axis of its (d,)*ds + ... view, last first, as fftn does."""
-        grid = np.reshape(a, (self.d,) * self.ds + a.shape[1:])
+        grid = a.reshape((self.d,) * self.ds + a.shape[1:])
         for axis in range(self.ds - 1, -1, -1):
             grid = (np.fft.ifft if inverse else np.fft.fft)(grid, axis=axis)
         return grid.reshape(a.shape)
-
-    def rfft(self, f: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """rfftn of a real site vector f, shape (site_count,), on the site grid: a half spectrum
-        of shape (d,)*(ds-1) + (d//2+1,); inverse, irfftn back to the site vector."""
-        if inverse:
-            for axis in range(self.ds - 1):
-                f = np.fft.ifft(f, axis=axis)
-            return np.fft.irfft(f, self.d, axis=-1).ravel()
-        f = np.fft.rfft(np.reshape(f, (self.d,) * self.ds), axis=-1)
-        for axis in range(self.ds - 2, -1, -1):
-            f = np.fft.fft(f, axis=axis)
-        return f
 
 
 def default_hbar(n_particles: int, ds: int) -> float:
@@ -144,21 +134,29 @@ class Potential:
     real_space: np.ndarray
 
     @functools.cached_property
-    def site_rfft(self) -> np.ndarray:
-        """`Lattice.rfft` of the samples, M Vhat on the half spectrum."""
-        return _read_only(self.lattice.rfft(self.real_space))
+    def fourier(self) -> np.ndarray:
+        """M Vhat(p_k) on `Lattice.fft_indices`, shape (site_count,): the real part of the
+        `Lattice.fft` of the samples, refused unless finite and real."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            spectrum = self.lattice.fft(self.real_space)
+        if not np.all(np.isfinite(spectrum)):
+            raise ValueError("the Fourier transform of the samples overflows the floats")
+        m = self.lattice.site_count  # |Im Vhat| within 1e-12 max(1, max |Vhat|)
+        if np.max(np.abs(spectrum.imag)) > 1e-12 * max(m, np.max(np.abs(spectrum))):
+            raise ValueError("Fourier coefficients of an even real potential must be real")
+        return _read_only(spectrum.real)
 
     @functools.cached_property
     def pair_range(self) -> tuple:
-        """[v-, v+] ∋ 0 holding spec `pair_matrix`, whose eigenvalues are `site_rfft`'s values."""
-        return min(self.site_rfft.real.min(), 0.0), max(self.site_rfft.real.max(), 0.0)
+        """[v-, v+] ∋ 0 holding spec `pair_matrix`, whose eigenvalues are `fourier`'s values."""
+        return min(self.fourier.min(), 0.0), max(self.fourier.max(), 0.0)
 
     @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
         """V(x_i - x_j) for every site pair, the circulant of the samples: built once
         per potential, exactly symmetric (the samples are even); the exchange term
         and the exact Hamiltonian read it."""
-        return _circulant(self.lattice, self.real_space)
+        return circulant(self.lattice, self.real_space)
 
 
 def make_lattice(ds: int, d: int, length: float) -> Lattice:
@@ -177,7 +175,7 @@ def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= 1e-12 * scale)
 
 
-def _circulant(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
+def circulant(lattice: Lattice, samples: np.ndarray) -> np.ndarray:
     """The translation-invariant matrix c(x_i - x_j), shape (M, M): `samples`
     (c on the sites, row-major) at the periodic index difference (idx_i - idx_j) mod d."""
     flat = np.zeros((lattice.site_count,) * 2, dtype=np.int32)  # M <= 8192 sites
@@ -212,13 +210,9 @@ def _potential_from_samples(samples: np.ndarray, lattice: Lattice) -> Potential:
         defect = np.max(np.abs(samples - reflected))
         # evenized, so that V(x) and V(-x) are one float and `pair_matrix` is symmetric
         v = Potential(lattice=lattice, real_space=_read_only(0.5 * (samples + reflected)))
-        vhat = v.site_rfft / lattice.site_count  # real samples: the half spectrum has every |Vhat|
     if defect > _EVENNESS_TOL * max(1.0, np.max(np.abs(samples))):
         raise ValueError(f"potential violates evenness by {defect:.3e}")
-    if not np.all(np.isfinite(vhat)):
-        raise ValueError("the Fourier transform of the samples overflows the floats")
-    if np.max(np.abs(vhat.imag)) > 1e-12 * max(1.0, np.max(np.abs(vhat))):
-        raise ValueError("Fourier coefficients of an even real potential must be real")
+    v.fourier  # the one transform of the samples, refused if not finite or not real
     return v
 
 
@@ -270,4 +264,4 @@ def kinetic_operator(lattice: Lattice, hbar: float) -> np.ndarray:
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kernel = lattice.fft(hbar ** 2 * lattice.momentum_squared(), inverse=True).real
-    return _circulant(lattice, 0.5 * (kernel + _reflected(kernel, lattice)))
+    return circulant(lattice, 0.5 * (kernel + _reflected(kernel, lattice)))

@@ -344,15 +344,15 @@ def _scenario_fock_verify(cfg: RunConfig):
     space = FockSpace(cfg.lattice.d)
     worst = car_defect(space)
     report = verify_operator_bounds(space, cfg.fock["trials"], cfg.seed)
-    names = [n for n in report if isinstance(report[n], dict)]
-    violations = int(sum(report[n]["violations"] for n in names))
+    violations = int(sum(entry["violations"] for entry in report.values()))
     if violations or worst > 1e-13:
         raise NumericFailure(
             f"operator-bound violations={violations}, CAR defect={worst:.3e}")
-    for i, n in enumerate(names):
-        yield {"inequality_index": i, "violations": report[n]["violations"],
-               "worst_slack": report[n]["worst_slack"]}, {}
-    return {"car_max_deviation": float(worst), "bounds": report, "total_violations": violations}
+    for i, entry in enumerate(report.values()):
+        yield {"inequality_index": i, "violations": entry["violations"],
+               "worst_slack": entry["worst_slack"]}, {}
+    bounds = {**report, "trials": cfg.fock["trials"], "seed": cfg.seed}
+    return {"car_max_deviation": float(worst), "bounds": bounds, "total_violations": violations}
 
 
 def _scenario_fluctuation(cfg: RunConfig):

@@ -12,10 +12,10 @@ the constant 1/d, pinned by the sum rule sum_{j,k} W / d = tr omega; with
 that weight the position marginal is exactly the diagonal of omega.
 
 A Vlasov sweep is one rfft/irfft pair along one axis of the phase-space array, no site-grid
-DFT; a kick maps its rfft's column 0, the row sums, to shifts by one real circulant for the
-force -d/dx (V * rho), from the inverse `Lattice.rfft` of its symbol, and builds its phases
-as a running product.  n Strang steps take 2n + 1 sweeps; `runner` calls
-`vlasov_step` once per snapshot interval and `wigner` once per snapshot.
+DFT; a kick maps its rfft's column 0, the row sums, to shifts by one real `circulant` for the
+force -d/dx (V * rho), the real part of the inverse `Lattice.fft` of its symbol from
+`Potential.fourier`, and builds its phases as a running product.  n Strang steps take 2n + 1
+sweeps; `runner` calls `vlasov_step` once per snapshot interval and `wigner` once per snapshot.
 """
 
 import functools
@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .initial_data import DensityMatrix
-from .model import Lattice, Potential
+from .model import Lattice, Potential, circulant
 
 __all__ = ["wigner", "momentum_grid", "vlasov_step"]
 
@@ -77,10 +77,10 @@ def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> tuple:
 
 def _kick_matrix(v: Potential, n_particles: int, scale: float) -> np.ndarray:
     """The real circulant C[i, j] = g[(i - j) mod d], C sum_q w = scale * (-d/dx (V * rho)) for
-    rho = sum_q w / (d N a): g = irfft(-i p a `site_rfft`) scale / (d N a), a cancelling."""
-    lat, i = v.lattice, np.arange(v.lattice.d)
-    t = -1j * lat.fft_momenta()[0, :lat.d // 2 + 1] * v.site_rfft * (scale / (lat.d * n_particles))
-    return lat.rfft(t, inverse=True)[(i[:, None] - i) % lat.d]
+    rho = sum_q w / (d N a): g = Re ifft(-i p a `fourier`) scale / (d N a), a cancelling."""
+    lat = v.lattice
+    t = -1j * lat.fft_momenta()[0] * v.fourier * (scale / (lat.d * n_particles))
+    return circulant(lat, lat.fft(t, inverse=True).real)
 
 
 def vlasov_step(w: np.ndarray, n_steps: int, dt: float, v: Potential, hbar: float,

@@ -16,7 +16,7 @@ is run by a scenario.
   with ascending components, independently of `Lattice.fft_indices` and
   `Lattice.fft_momenta`, the (ds, M) tables in FFT order on the site index.
 - `fourier`: Vhat(p_k) in that ascending order, by one full `fftn` of V's
-  samples, which checks the potential shapes and `site_rfft`.
+  samples, which checks the potential shapes and `Potential.fourier`.
 - `fourier_matrix`, `momentum_operator`, `phase_operator`: dense M x M
   operators that check the FFT kernels and the low-rank commutator norms.
 - `circulant_gather`: the translation-invariant matrix c(x_i - x_j) by one

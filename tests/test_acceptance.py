@@ -145,11 +145,10 @@ def test_criterion_06_operator_bound_inequalities(capsys):
     from fermiflow.fock import FockSpace, verify_operator_bounds
 
     report_dict = verify_operator_bounds(FockSpace(6), 200, seed=0)
-    names = [n for n in report_dict if isinstance(report_dict[n], dict)]
-    violations = int(sum(report_dict[n]["violations"] for n in names))
-    worst = min(report_dict[n]["worst_slack"] for n in names)
+    violations = int(sum(entry["violations"] for entry in report_dict.values()))
+    worst = min(entry["worst_slack"] for entry in report_dict.values())
     report(capsys, 6, "quadratic operator bounds", violations == 0,
-           f"violations={violations}/200x{len(names)} worst slack={worst:.2e}")
+           f"violations={violations}/200x{len(report_dict)} worst slack={worst:.2e}")
 
 
 def test_criterion_07_mean_field_accuracy_order(capsys):

@@ -586,10 +586,10 @@ def test_operator_bound_saturation_and_zero():
 
 def test_operator_bounds_random_trials():
     report = verify_operator_bounds(FockSpace(5), trials=25, seed=42)
+    assert len(report) == 7
     for name, entry in report.items():
-        if isinstance(entry, dict):
-            assert entry["violations"] == 0
-            assert entry["worst_slack"] > -1e-10
+        assert entry["violations"] == 0
+        assert entry["worst_slack"] > -1e-10
 
 
 def test_fock_space_size_guard():

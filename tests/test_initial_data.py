@@ -1,5 +1,6 @@
 """Initial density matrices and semiclassical diagnostics of states."""
 
+import re
 import time
 import tracemalloc
 
@@ -51,6 +52,18 @@ def test_plane_wave_projection_rejects_duplicates():
     lat = make_lattice(1, 8, 1.0)
     with pytest.raises(ValueError, match="duplicate"):
         plane_wave_projection(lat, np.array([[0], [0]]))
+
+
+def test_plane_wave_projection_refuses_a_malformed_index_array():
+    # two momenta passed as columns, shape (ds, 2), are no rows to reshape
+    lat = make_lattice(3, 4, 1.0)
+    rows = np.array([[0, 1, 0], [1, 0, -1]])
+    for bad in (rows.T, rows[None], np.zeros((4, 2), dtype=int)):
+        with pytest.raises(ValueError, match=rf"shape \(n, 3\), got {re.escape(str(bad.shape))}"):
+            plane_wave_projection(lat, bad)
+    # a 1-D sequence is read as consecutive rows
+    assert np.array_equal(plane_wave_projection(lat, rows.ravel()).orbitals,
+                          plane_wave_projection(lat, rows).orbitals)
 
 
 def test_phase_commutator_counts_symmetric_difference():

@@ -98,18 +98,19 @@ def test_exchange_cancels_direct_for_single_particle():
 
 @pytest.mark.parametrize("ds,d", [(1, 64), (1, 9), (2, 8), (2, 5), (3, 8), (3, 5)])
 def test_direct_term_equals_rfftn_bit_for_bit(ds, d):
-    # the one-axis transforms in rfftn's order give rfftn's and irfftn's floats
+    # the one-axis transforms in fftn's order give the floats of fftn, the product with the
+    # real table and ifftn's real part on the (d,)*ds view
     lat = make_lattice(ds, d, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     rho, grid, axes = np.random.default_rng(d).random(lat.site_count), (d,) * ds, tuple(range(ds))
-    rhat = np.fft.rfftn(rho.reshape(grid), axes=axes)
-    ref = lat.cell * np.fft.irfftn(pot.site_rfft * rhat, grid, axes=axes).ravel()
+    rhat = pot.fourier.reshape(grid) * np.fft.fftn(rho.reshape(grid), axes=axes)
+    ref = lat.cell * np.fft.ifftn(rhat, axes=axes).real.ravel()
     assert np.array_equal(direct_term(rho, pot), ref)
 
 
 @pytest.mark.parametrize("ds,d", [(1, 64), (1, 9), (2, 8), (2, 5), (3, 8), (3, 5)])
 def test_lattice_transforms_equal_fftn_and_rfftn_bit_for_bit(ds, d):
-    # the site-grid DFTs on flat site arrays give numpy's n-dimensional transforms' floats
+    # the site-grid DFT on flat site arrays gives numpy's n-dimensional transforms' floats
     # over the site axes of the (d,)*ds view, both ways
     lat, grid, axes = make_lattice(ds, d, 1.0), (d,) * ds, tuple(range(ds))
     rng = np.random.default_rng(d)
@@ -117,10 +118,6 @@ def test_lattice_transforms_equal_fftn_and_rfftn_bit_for_bit(ds, d):
     for inverse, ref in ((False, np.fft.fftn), (True, np.fft.ifftn)):
         want = ref(a.reshape(grid + (3,)), axes=axes).reshape(a.shape)
         assert np.array_equal(lat.fft(a, inverse=inverse), want)
-    f = rng.random(lat.site_count)
-    half = np.fft.rfftn(f.reshape(grid), axes=axes)
-    assert np.array_equal(lat.rfft(f), half)
-    assert np.array_equal(lat.rfft(half, inverse=True), np.fft.irfftn(half, grid, axes).ravel())
 
 
 def test_generator_free_and_term_difference(setup16):
@@ -317,8 +314,8 @@ def test_recorded_hartree_energy_matches_its_snapshot(ds, d, n):
 @pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4)])
 def test_hartree_step_transform_count(monkeypatch, ds, d, n):
     # a split step: three orbital transforms of ds one-axis calls each (ifft, fft, ifft),
-    # and the direct terms of the step and of the energy, each one rfft, ds - 1 fft,
-    # ds - 1 ifft and one irfft; no fftn or ifftn
+    # and the direct terms of the step and of the energy, each ds fft and ds ifft: 7 ds
+    # one-axis calls; no fftn or ifftn
     om, _, pot, hbar = _trapped_generator(ds, d, n)
     counts = count_fft_calls(monkeypatch)
     for n_steps in (1, 3):
@@ -326,9 +323,8 @@ def test_hartree_step_transform_count(monkeypatch, ds, d, n):
         list(evolve(om, EvolutionConfig(dt=1e-2, t_final=n_steps * 1e-2),
                     MeanFieldKind.HARTREE, pot, hbar))
         # the first energy: its phi_hat and its direct_term
-        start = {"fft": ds + ds - 1, "ifft": ds - 1, "rfft": 1, "irfft": 1}
-        per_step = {"fft": ds + 2 * (ds - 1), "ifft": 2 * ds + 2 * (ds - 1), "rfft": 2,
-                    "irfft": 2}
+        start = {"fft": 2 * ds, "ifft": ds}
+        per_step = {"fft": 3 * ds, "ifft": 4 * ds}
         assert counts == {name: start[name] + n_steps * per_step[name] for name in start}
 
 

@@ -87,6 +87,34 @@ def test_gaussian_potential_against_direct_sum_oracle():
     assert np.isfinite(assumption_weight(v))
 
 
+_SHAPES = [{"shape": "gaussian", "strength": 1.3, "sigma": 0.2},
+           {"shape": "cosine", "strength": 0.7, "mode": 2}]
+
+
+@pytest.mark.parametrize("spec", _SHAPES)
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 5), (2, 6), (3, 4), (3, 5)])
+def test_potential_fourier_is_the_fftn_table_on_the_fft_indices(spec, ds, d):
+    lat = make_lattice(ds, d, 1.3)
+    v = build_potential(spec, lat)
+    ascending = {tuple(k): i for i, k in enumerate(momentum_indices(lat))}
+    order = [ascending[tuple(k)] for k in lat.fft_indices().T]
+    want = lat.site_count * fourier(v)[order]
+    assert v.fourier.shape == (lat.site_count,) and v.fourier.dtype == np.float64
+    assert np.max(np.abs(v.fourier - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("spec", _SHAPES)
+@pytest.mark.parametrize("ds,d", [(1, 8), (1, 9), (2, 5), (2, 6), (3, 4), (3, 5)])
+def test_plane_waves_are_eigenvectors_of_the_pair_matrix(spec, ds, d):
+    # pair_matrix e^{i p_k.x} = fourier[k] e^{i p_k.x}: `fourier` holds the eigenvalues that
+    # `pair_range`, and with it the Hartree-Fock generator's interval, rests on
+    lat = make_lattice(ds, d, 1.3)
+    v = build_potential(spec, lat)
+    waves = np.exp(1j * (lat.sites() @ lat.fft_momenta()))  # column k: the wave of p_k
+    tol = 1e-12 * lat.site_count * np.max(np.abs(v.real_space))
+    assert np.max(np.abs(v.pair_matrix @ waves - waves * v.fourier)) <= tol
+
+
 def test_odd_potential_rejected():
     lat = make_lattice(1, 8, 1.0)
     samples = np.sin(2 * np.pi * lat.sites()[:, 0])
@@ -201,9 +229,9 @@ def test_fft_momenta_reorder_the_momenta(ds, d):
 
 
 def test_only_the_lattice_transforms_the_site_grid():
-    # np.fft is reached only by `Lattice.fft`, `Lattice.rfft` and the sweeps that are no
-    # site-grid DFT (the Chebyshev coefficients and the phase-space transforms), and no
-    # module but `model` views a site array as its (d,)*ds grid
+    # np.fft is reached only by `Lattice.fft` and the sweeps that are no site-grid DFT (the
+    # Chebyshev coefficients and the phase-space transforms), and no module but `model`
+    # views a site array as its (d,)*ds grid
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
     assert os.path.join(src, "fermiflow", "model.py") in paths
@@ -229,7 +257,7 @@ def test_only_the_lattice_transforms_the_site_grid():
     for path in paths:
         with open(path) as fh:
             visit(ast.parse(fh.read(), path), os.path.basename(path)[:-3], None)
-    transforms = {("model", "Lattice.fft"), ("model", "Lattice.rfft")}
+    transforms = {("model", "Lattice.fft")}
     sweeps = {("meanfield", "_chebyshev_coefficients"), ("semiclassics", "wigner"),
               ("semiclassics", "vlasov_step")}
     assert transforms <= fft_users <= transforms | sweeps, fft_users
@@ -255,7 +283,7 @@ def test_cached_tables_are_read_only():
     k = kinetic_operator(lat, 0.61)
     assert kinetic_operator(lat, 0.61) is k
     assert lat.momentum_squared() is lat.momentum_squared()
-    for table in (v.real_space, v.pair_matrix, v.site_rfft, k, lat.momentum_squared()):
+    for table in (v.real_space, v.pair_matrix, v.fourier, k, lat.momentum_squared()):
         with pytest.raises(ValueError):
             table[...] = 0
 

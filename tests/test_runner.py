@@ -908,6 +908,10 @@ def test_run_fock_verify_and_diagnostics_only(tmp_path):
     summary = run(parse_config(json.dumps(doc)), str(tmp_path / "fv"))
     assert summary["result"]["total_violations"] == 0
     assert summary["result"]["car_max_deviation"] < 1e-13
+    # the seven tallies, then the run's trials and seed
+    bounds = summary["result"]["bounds"]
+    assert len(bounds) == 9 and list(bounds)[-2:] == ["trials", "seed"]
+    assert bounds["trials"] == 20 and bounds["seed"] == 0
 
     doc = dict(MINIMAL, scenario="diagnostics-only")
     del doc["evolution"]

@@ -13,8 +13,8 @@ from fermiflow.runner import parse_config, run
 from fermiflow import semiclassics
 from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 
-from _oracles import (_full_fft_force, cos_sin_phases, count_fft_calls, dense,
-                      dense_wigner, full_fft_vlasov_step, spectral_form)
+from _oracles import (_full_fft_force, circulant_gather, cos_sin_phases, count_fft_calls,
+                      dense, dense_wigner, full_fft_vlasov_step, spectral_form)
 
 
 def test_wigner_translation_invariant_state():
@@ -182,7 +182,9 @@ def test_kick_force_matches_the_full_fft_force(d):
         x, q = lat.sites()[:, 0], momentum_grid(lat, hbar)
         w = np.exp(-((x[:, None] - 0.3) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.2, "sigma": 0.2}, lat)
-    force = semiclassics._kick_matrix(pot, 8, 1.0) @ np.sum(w, axis=1)
+    kick = semiclassics._kick_matrix(pot, 8, 1.0)
+    assert np.array_equal(kick, circulant_gather(lat, kick[:, 0]))  # C[i, j] = g[(i - j) mod d]
+    force = kick @ np.sum(w, axis=1)
     assert np.max(np.abs(force - _full_fft_force(w, pot, 8))) <= 1e-13
 
 
@@ -203,7 +205,7 @@ def test_phase_table_matches_the_cos_sin_table(d):
 
 
 def test_vlasov_step_transform_count(monkeypatch):
-    # n Strang steps: 2n + 1 sweeps of one rfft and one irfft each, and the one irfft
+    # n Strang steps: 2n + 1 sweeps of one rfft and one irfft each, and the one ifft
     # that builds the kick's circulant: 4n + 3 calls
     lat = make_lattice(1, 16, 1.0)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
@@ -213,7 +215,7 @@ def test_vlasov_step_transform_count(monkeypatch):
     for n in (1, 3, 10):
         counts.clear()
         vlasov_step(w, n, 1e-3, pot, 0.5, 4)
-        assert counts == {"rfft": 2 * n + 1, "irfft": 2 * n + 2}
+        assert counts == {"rfft": 2 * n + 1, "irfft": 2 * n + 1, "ifft": 1}
 
 
 def test_vlasov_step_rejects_a_non_finite_state():

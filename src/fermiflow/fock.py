@@ -1,19 +1,18 @@
-"""Exact second-quantized oracle on a tiny one-dimensional lattice.
+"""Exact second-quantized oracle on a tiny one-dimensional lattice, on numpy alone.
 
 Occupation bitmasks index the 2^L Fock basis (integer order); Jordan-Wigner
 strings follow the site order, so a_x picks up (-1)^(number of occupied
 modes below x).  That convention is fixed in one place, the per-space table
-`FockSpace._table` of occupation bits, signs and flipped states b ^ 2^x.  The
-sparse kernel `_word` builds every operator here (field a*(f) and a(f), dGamma,
-pair, Hamiltonian) from it; the Bogoliubov implementor's factors and `rdm1` are
-gathers psi[b ^ 2^x] over it, checked against `_word`'s field operators, and
-everything downstream (quasi-free states, fluctuation vectors) is validated
-against the anticommutation relations the table fixes.  `propagate` forms
-each particle-number sector of the Hamiltonian densely and steps it with
-`apply_exponential`, the exponential of the mean-field flow, on an interval
-read from the Hamiltonian's parts as the flow's is: both sides of the
-exact-versus-mean-field comparison take one exponential.  The module holds
-what the Fock-space scenarios run; the k-particle densities and their Wick
+`FockSpace._table` of occupation bits, signs and flipped states b ^ 2^x.
+`_word` fills every operator here (field a*(f) and a(f), dGamma, pair,
+Hamiltonian) densely from its entries, on the whole space or on one
+particle-number sector; `car_defect` reads the anticommutators from its
+two-letter entries; the Bogoliubov implementor's factors and `rdm1` are
+gathers psi[b ^ 2^x] over it.  `propagate` asks `hamiltonian` for the block
+of each sector it reaches and steps it with `apply_exponential`, the
+exponential of the mean-field flow, on an interval read from the
+Hamiltonian's parts as the flow's is: both sides of the exact-versus-mean-field
+comparison take one exponential.  The k-particle densities and their Wick
 formula, the generalized density, the number operator and the Slater vector
 built factor by factor are test oracles (`tests/_oracles.py`).
 """
@@ -22,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .meanfield import apply_exponential
 from .model import DENSE_MAX_SITES, FOCK_MAX_SITES, Potential, kinetic_operator
@@ -80,83 +77,102 @@ class FockSpace:
         return psi
 
 
-def _word(space: FockSpace, creates, coef) -> sp.csr_matrix:
-    """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), with c_i = a* where
-    creates[i] and a otherwise; the rightmost operator acts first.
-
-    Built at once from `FockSpace._table` over every index tuple with a nonzero
-    coefficient and every basis state; duplicate entries are summed by the CSR
-    build, in the dtype of the coefficients raised to at least float: real ones
-    give a real matrix."""
+def _word(space: FockSpace, creates, coef, basis=None) -> np.ndarray:
+    """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), c_i = a* where creates[i] and a
+    otherwise, the rightmost acting first, as a dense matrix on the whole space (L <=
+    DENSE_MAX_SITES) or on `basis`, one whole sector's ascending states, for a word with
+    as many a* as a.  Filled at once from the table over every index tuple with a nonzero
+    coefficient and every basis state, output states ranked by `np.searchsorted`, in the
+    coefficients' dtype raised to at least float: real ones give a real matrix."""
     coef = np.asarray(coef)
     coef = coef.astype(np.result_type(coef, float))
     shape = (space.l_sites,) * len(creates)
     if coef.shape != shape:
         raise ValueError(f"coefficients must have shape {shape}, got {coef.shape}")
+    if basis is None:
+        if space.l_sites > DENSE_MAX_SITES:
+            raise ValueError(f"full-space operators are dense: need L <= {DENSE_MAX_SITES}, "
+                             f"got {space.l_sites}")
+        basis = space.states()
+    elif 2 * sum(creates) != len(creates):
+        raise ValueError("a sector block needs a number-conserving word")
     bits, jw, _ = space._table
     sites = np.nonzero(coef)
-    cols = np.broadcast_to(space.states(), (len(sites[0]), space.dim))
-    rows = cols
-    vals = np.broadcast_to(coef[sites][:, None], cols.shape)
-    alive = np.ones(cols.shape, dtype=bool)
+    rows = np.broadcast_to(basis, (len(sites[0]), len(basis)))
+    vals = np.broadcast_to(coef[sites][:, None], rows.shape)
+    alive = np.ones(rows.shape, dtype=bool)
     for create, x in zip(reversed(creates), reversed(sites)):
         x = x[:, None]
         alive &= bits[rows, x] != create  # a* needs mode x empty, a needs it filled
         vals = vals * jw[rows, x]
         rows = rows ^ (1 << x)
-    return sp.csr_matrix((vals[alive], (rows[alive], cols[alive])),
-                         shape=(space.dim, space.dim))
+    out = np.zeros((len(basis), len(basis)), dtype=coef.dtype)
+    np.add.at(out, (np.searchsorted(basis, rows[alive]), np.nonzero(alive)[1]), vals[alive])
+    return out
 
 
-def field_operator(space: FockSpace, f: np.ndarray, create: bool) -> sp.csr_matrix:
-    """Sparse a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x; the site
+def field_operator(space: FockSpace, f: np.ndarray, create: bool) -> np.ndarray:
+    """Dense a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x; the site
     operators are a_x = a(e_x) and a*_x = a*(e_x)."""
     return _word(space, (create,), f if create else np.conj(f))
 
 
 def car_defect(space: FockSpace) -> float:
-    """Largest entry of {a_x, a*_y} - delta_xy, {a_x, a_y} and {a*_x, a*_y}
-    over all site pairs, computed on the sparse site operators."""
-    ident = sp.identity(space.dim, format="csr")
-    a = [field_operator(space, e, False) for e in np.eye(space.l_sites)]
-    c = [field_operator(space, e, True) for e in np.eye(space.l_sites)]
-    worst = 0.0
-    for x in range(space.l_sites):
-        for y in range(space.l_sites):
-            for anti in (a[x] @ c[y] + c[y] @ a[x] - (x == y) * ident,
-                         a[x] @ a[y] + a[y] @ a[x], c[x] @ c[y] + c[y] @ c[x]):
-                worst = max(worst, abs(anti).max())
-    return float(worst)
+    """Largest entry of {a_x, a*_y} - delta_xy, {a_x, a_y} and {a*_x, a*_y} over all site
+    pairs, from the table's two-letter entries: on a state b both orders of a pair land on
+    b ^ 2^x ^ 2^y, so an anticommutator is one sum per b, x and y, in integers."""
+    bits, jw, flip = space._table
+    letter = [np.where(bits != c, jw, 0) for c in (0, 1)]  # c_x on b at [b, x]; c = 1 is a*
+
+    def word(c, d):  # c_x d_y on b at [b, y, x]: d_y acts first
+        return letter[d][:, :, None] * letter[c][flip]
+
+    eye = np.eye(space.l_sites, dtype=int)  # {a_x, a*_y} = delta_xy, the others vanish
+    return float(max(np.abs(word(c, d) + word(d, c).transpose(0, 2, 1) - (c != d) * eye).max()
+                     for c, d in ((0, 1), (0, 0), (1, 1))))
 
 
-def d_gamma(space: FockSpace, o: np.ndarray) -> sp.csr_matrix:
-    """Second quantization sum_{xy} O(x;y) a*_x a_y; particle-number preserving."""
-    return _word(space, (True, False), o)
+def d_gamma(space: FockSpace, o: np.ndarray, basis=None) -> np.ndarray:
+    """Second quantization sum_{xy} O(x;y) a*_x a_y; number-preserving: see `_word`."""
+    return _word(space, (True, False), o, basis)
 
 
-def pair_operator(space: FockSpace, o: np.ndarray, create: bool) -> sp.csr_matrix:
+def pair_operator(space: FockSpace, o: np.ndarray, create: bool) -> np.ndarray:
     """sum_{xy} O(x;y) a_x a_y (annihilating pair) or a*_x a*_y (creating)."""
     return _word(space, (create, create), o)
 
 
-def hamiltonian(space: FockSpace, v: Potential, hbar: float,
-                n_particles: int) -> sp.csr_matrix:
-    """dGamma(-hbar^2 Lap) + (1/2N) sum_{x,y} V(x-y) a*_x a*_y a_y a_x.
-
-    The interaction is diagonal in the occupation basis; its site-pair
+def hamiltonian(space: FockSpace, v: Potential, hbar: float, n_particles: int,
+                basis=None) -> np.ndarray:
+    """dGamma(-hbar^2 Lap) + (1/2N) sum_{x,y} V(x-y) a*_x a*_y a_y a_x, dense on the
+    whole space or on a sector `basis` (see `_word`).  The interaction is diagonal in the occupation basis; its site-pair
     coupling uses the same V samples as the mean-field direct/exchange
     terms, so the exact dynamics is tangent to the Hartree-Fock flow."""
     if v.lattice.ds != 1 or v.lattice.site_count != space.l_sites:
         raise ValueError("hamiltonian needs a ds=1 lattice matching the Fock sites")
-    h = d_gamma(space, kinetic_operator(v.lattice, hbar))
+    h = d_gamma(space, kinetic_operator(v.lattice, hbar), basis)
     w = v.pair_matrix.copy()
     np.fill_diagonal(w, 0.0)
-    occ = space._table[0].astype(float)
-    diag = 0.5 / n_particles * np.einsum("bx,xy,by->b", occ, w, occ)
-    return (h + sp.diags(diag)).tocsr()
+    occ = space._table[0][space.states() if basis is None else basis].astype(float)
+    h[np.diag_indices_from(h)] += 0.5 / n_particles * np.einsum("bx,xy,by->b", occ, w, occ)
+    return h
 
 
-def implement_bogoliubov(space: FockSpace, omega) -> LinearOperator:
+class _Implementor:
+    """R @ psi applies the factors right to left; R.H is R* = the factors in reverse."""
+
+    def __init__(self, flip, factors):
+        self.flip, self.factors = flip, factors
+
+    def __matmul__(self, psi):  # psi[flip] keeps psi's trailing axes: vectors and blocks
+        for coef in reversed(self.factors):
+            psi = np.einsum("bx,bx...->b...", coef, psi[self.flip])
+        return psi
+
+    H = property(lambda self: _Implementor(self.flip, self.factors[::-1]))
+
+
+def implement_bogoliubov(space: FockSpace, omega) -> _Implementor:
     """Particle-hole implementor R = b_1 ... b_N of a `DensityMatrix` omega
     that is an orthogonal projection, with b_j = a*(f_j) + a(f_j) over its
     orbitals f_j, applied factor by factor as gathers over the table (b_N acts
@@ -178,17 +194,7 @@ def implement_bogoliubov(space: FockSpace, omega) -> LinearOperator:
         raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
     bits, jw, flip = space._table
     # b(f) psi[b] = sum_x jw[b, x] (f_x if n_x(b) = 1 else conj f_x) psi[b ^ 2^x]
-    factors = [jw * np.where(bits, fj, fj.conj()) for fj in f.T]
-
-    def apply(order):
-        def act(psi):  # psi[flip] keeps psi's trailing axes: (dim, 1) columns, blocks
-            for coef in order:
-                psi = np.einsum("bx,bx...->b...", coef, psi[flip])
-            return psi
-        return act
-
-    return LinearOperator((space.dim, space.dim), dtype=complex,
-                          matvec=apply(factors[::-1]), rmatvec=apply(factors))
+    return _Implementor(flip, [jw * np.where(bits, fj, fj.conj()) for fj in f.T])
 
 
 def quasi_free_state(space: FockSpace, omega) -> np.ndarray:
@@ -203,16 +209,15 @@ def quasi_free_state(space: FockSpace, omega) -> np.ndarray:
 def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray,
               times, hbar: float):
     """Yield exp(-i H t / hbar) psi0 at the ascending times t >= 0, H = dGamma(K) + W
-    the `hamiltonian` of v.  Each sector that psi0 reaches is formed densely once and
+    the `hamiltonian` of v.  The block of each sector that psi0 reaches is built once and
     stepped between the times by `apply_exponential` on Weyl's interval from H's parts:
     dGamma(K) on n fermions spans [sum of the n lowest, sum of the n highest] levels
     hbar^2 |p|^2 of K, W the block diagonal minus n K_xx (K_xx: the levels' mean)."""
-    h = hamiltonian(space, v, hbar, n_particles)
     k = np.sort(hbar ** 2 * v.lattice.momentum_squared())  # K's levels, ascending
     occ, sectors = space.occupations(), []
     for n in range(space.l_sites + 1):
         if np.any(psi0[idx := np.nonzero(occ == n)[0]]):
-            block = h[np.ix_(idx, idx)].toarray()
+            block = hamiltonian(space, v, hbar, n_particles, idx)
             w = block.diagonal() - n * k.mean()
             sectors.append((idx, block, (k[:n].sum() + w.min(), k[len(k) - n:].sum() + w.max())))
     psi, t_prev, norm0 = psi0, 0.0, np.linalg.norm(psi0)
@@ -262,10 +267,7 @@ def fluctuation_vector(space: FockSpace, omega, psi: np.ndarray) -> np.ndarray:
 def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
     """Numerically check the quadratic-operator norm inequalities on random
     one-particle matrices and random Fock vectors; violations indicate bugs.
-    Needs L <= DENSE_MAX_SITES."""
-    if space.l_sites > DENSE_MAX_SITES:
-        raise ValueError(f"need L <= {DENSE_MAX_SITES} for dense operators, "
-                         f"got {space.l_sites}")
+    Needs L <= DENSE_MAX_SITES, and holds one dense word at a time."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
@@ -279,6 +281,10 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
         if slack < -tol:
             entry["violations"] += 1
 
+    def norms(creates):  # |word psi| and the word's operator norm; the word dies here
+        word = _word(space, creates, o)
+        return np.linalg.norm(word @ psi), np.linalg.svd(word, compute_uv=False)[0]
+
     l = space.l_sites
     for _ in range(trials):
         o = rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l))
@@ -286,25 +292,15 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
         psi /= np.linalg.norm(psi)
         sv = np.linalg.svd(o, compute_uv=False)
         op_norm, hs, tr = sv[0], np.linalg.norm(sv), np.sum(sv)
-
-        dg = d_gamma(space, o)
-        n_psi = occ * psi
-        tally("dgamma_operator_norm_bound", np.linalg.norm(dg @ psi),
-              op_norm * np.linalg.norm(n_psi))
-        tally("dgamma_hs_bound", np.linalg.norm(dg @ psi),
-              hs * np.linalg.norm(np.sqrt(occ) * psi))
-        pa = pair_operator(space, o, create=False)
-        tally("pair_annihilation_hs_bound", np.linalg.norm(pa @ psi),
-              hs * np.linalg.norm(np.sqrt(occ) * psi))
-        pc = pair_operator(space, o, create=True)
-        tally("pair_creation_hs_bound", np.linalg.norm(pc @ psi),
-              2.0 * hs * np.linalg.norm(np.sqrt(occ + 1.0) * psi))
-        tally("dgamma_trace_bound",
-              np.linalg.svd(dg.toarray(), compute_uv=False)[0], 2.0 * tr)
-        tally("pair_annihilation_trace_bound",
-              np.linalg.svd(pa.toarray(), compute_uv=False)[0], 2.0 * tr)
-        tally("pair_creation_trace_bound",
-              np.linalg.svd(pc.toarray(), compute_uv=False)[0], 2.0 * tr)
+        (dg, dg_norm), (pa, pa_norm), (pc, pc_norm) = [
+            norms(creates) for creates in ((True, False), (False, False), (True, True))]
+        tally("dgamma_operator_norm_bound", dg, op_norm * np.linalg.norm(occ * psi))
+        tally("dgamma_hs_bound", dg, hs * np.linalg.norm(np.sqrt(occ) * psi))
+        tally("pair_annihilation_hs_bound", pa, hs * np.linalg.norm(np.sqrt(occ) * psi))
+        tally("pair_creation_hs_bound", pc, 2.0 * hs * np.linalg.norm(np.sqrt(occ + 1.0) * psi))
+        tally("dgamma_trace_bound", dg_norm, 2.0 * tr)
+        tally("pair_annihilation_trace_bound", pa_norm, 2.0 * tr)
+        tally("pair_creation_trace_bound", pc_norm, 2.0 * tr)
 
     for entry in report.values():
         entry["worst_slack"] = float(entry["worst_slack"])

@@ -40,8 +40,8 @@ __all__ = [
     "kinetic_operator",
 ]
 
-# Fock lattices: `fock.FockSpace` forms its largest sector, C(14, 7) = 3432 states, densely;
-# `fock.verify_operator_bounds` holds two dense 2^L x 2^L copies, 256 MiB each at L = 12
+# Fock lattices: `fock.propagate` forms its largest sector, C(14, 7) = 3432 states, densely;
+# full-space words are dense 2^L x 2^L arrays, 256 MiB at L = 12 (two in an SVD)
 FOCK_MAX_SITES, DENSE_MAX_SITES = 14, 12
 
 

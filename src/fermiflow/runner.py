@@ -316,7 +316,7 @@ def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
     """The Fock space, the mean-field snapshots from omega_0, and the exact psi_t =
     exp(-i H t / hbar) R_{omega_0} vacuum at their times, stepped from one to the next by
     `fock.propagate`, which reads each time as its snapshot arrives."""
-    from .fock import FockSpace, propagate, quasi_free_state  # fock loads scipy.sparse
+    from .fock import FockSpace, propagate, quasi_free_state
 
     space, omega0 = FockSpace(cfg.lattice.d), cfg.initial_state
     psi0 = quasi_free_state(space, omega0)
@@ -416,10 +416,13 @@ _SCENARIO_FN = {
 
 
 @functools.lru_cache(maxsize=1)
-def _scipy_version() -> str:
+def _scipy_version() -> str | None:
     """From scipy's metadata, without importing scipy (~20 ms, on first use)."""
     from importlib import metadata
-    return metadata.version("scipy")
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:  # scipy is a test dependency only
+        return None
 
 
 def _measured(cfg: RunConfig):

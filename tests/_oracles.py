@@ -33,6 +33,10 @@ is run by a scenario.
   norms.
 - `assumption_weight`: the paper's regularity weight of V, which checks
   `fourier` against a direct sum.
+- `csr_word`: a product of field operators summed over its coefficients as a
+  sparse matrix on the whole Fock space, by one CSR build over the
+  Jordan-Wigner table, which checks the dense words and sector blocks of
+  `fock._word` and `fock.hamiltonian`.
 - `number_operator`: the number operator as a sparse diagonal matrix, which
   checks the occupation counts and dGamma(1).
 - `slater_vector`: a*(f_1) ... a*(f_N) vacuum, which checks the Bogoliubov
@@ -263,6 +267,30 @@ def assumption_weight(v: Potential) -> float:
     """sum_k (1 + |p_k|)^2 |Vhat(p_k)|, the paper's regularity weight of V."""
     p = momenta(v.lattice)
     return float(np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(fourier(v))))
+
+
+def csr_word(space: FockSpace, creates, coef) -> sp.csr_matrix:
+    """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), with c_i = a* where
+    creates[i] and a otherwise; the rightmost operator acts first.
+
+    Built at once from `FockSpace._table` over every index tuple with a nonzero
+    coefficient and every basis state; duplicate entries are summed by the CSR
+    build, in the dtype of the coefficients raised to at least float."""
+    coef = np.asarray(coef)
+    coef = coef.astype(np.result_type(coef, float))
+    bits, jw, _ = space._table
+    sites = np.nonzero(coef)
+    cols = np.broadcast_to(space.states(), (len(sites[0]), space.dim))
+    rows = cols
+    vals = np.broadcast_to(coef[sites][:, None], cols.shape)
+    alive = np.ones(cols.shape, dtype=bool)
+    for create, x in zip(reversed(creates), reversed(sites)):
+        x = x[:, None]
+        alive &= bits[rows, x] != create  # a* needs mode x empty, a needs it filled
+        vals = vals * jw[rows, x]
+        rows = rows ^ (1 << x)
+    return sp.csr_matrix((vals[alive], (rows[alive], cols[alive])),
+                         shape=(space.dim, space.dim))
 
 
 def number_operator(space: FockSpace) -> sp.csr_matrix:

@@ -101,7 +101,7 @@ def test_criterion_04_car_suite(capsys):
     space = FockSpace(6)
     ident = np.eye(space.dim)
     e = np.eye(6)
-    ops = {(x, k): field_operator(space, e[x], k == "create").toarray()
+    ops = {(x, k): field_operator(space, e[x], k == "create")
            for x in range(6) for k in ("create", "annihilate")}
     worst = 0.0
     for x in range(6):

@@ -3,6 +3,7 @@ densities, fluctuation dynamics, and the quadratic-operator bounds."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,10 @@ from fermiflow.fock import (FockSpace, car_defect, d_gamma, field_operator,
                             rdm1, verify_operator_bounds)
 from fermiflow.initial_data import DensityMatrix, fermi_ball_indices, plane_wave_projection
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import build_potential, default_hbar, kinetic_operator, \
-    make_lattice
+from fermiflow.model import DENSE_MAX_SITES, build_potential, default_hbar, \
+    kinetic_operator, make_lattice
 
-from _oracles import (SectorPropagator, dense, dense_slater, generalized_density,
+from _oracles import (SectorPropagator, csr_word, dense, dense_slater, generalized_density,
                       gershgorin_interval, number_operator, rdmk, slater_vector,
                       spectral_form, wick_rdmk)
 
@@ -39,21 +40,21 @@ def random_projection(l_sites, n, seed):
 def test_car_anticommutators():
     space = FockSpace(4)
     ident = np.eye(space.dim)
-    a0 = site(space, 0, False).toarray()
-    c0 = site(space, 0, True).toarray()
+    a0 = site(space, 0, False)
+    c0 = site(space, 0, True)
     assert np.max(np.abs(a0 @ c0 + c0 @ a0 - ident)) < 1e-14
     for x in range(4):
-        ax = site(space, x, False).toarray()
+        ax = site(space, x, False)
         assert np.max(np.abs(ax @ ax)) == 0.0
 
 
 def test_car_defect_zero_and_detects_missing_signs(monkeypatch):
     assert car_defect(FockSpace(4)) < 1e-14
-    signed = fock.field_operator
+    space = FockSpace(4)
+    bits, jw, flip = space._table
     # without Jordan-Wigner strings, a_x and a_y commute instead of anticommuting
-    monkeypatch.setattr(fock, "field_operator", lambda space, f, create:
-                        abs(signed(space, f, create)))
-    assert car_defect(FockSpace(4)) > 0.5
+    monkeypatch.setitem(space.__dict__, "_table", (bits, np.ones_like(jw), flip))
+    assert car_defect(space) > 0.5
 
 
 def kron_annihilators(l_sites):
@@ -74,8 +75,8 @@ def test_operators_match_kronecker_oracle():
     space = FockSpace(4)
     a = kron_annihilators(4)
     for x in range(4):
-        assert np.max(np.abs(site(space, x, False).toarray() - a[x])) == 0.0
-        assert np.max(np.abs(site(space, x, True).toarray() - a[x].T)) == 0.0
+        assert np.max(np.abs(site(space, x, False) - a[x])) == 0.0
+        assert np.max(np.abs(site(space, x, True) - a[x].T)) == 0.0
     rng = np.random.default_rng(3)
     o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     words = {
@@ -87,7 +88,74 @@ def test_operators_match_kronecker_oracle():
     }
     for name, (op, word) in words.items():
         oracle = sum(o[x, y] * word(x, y) for x in range(4) for y in range(4))
-        assert np.max(np.abs(op.toarray() - oracle)) < 1e-12, name
+        assert np.max(np.abs(op - oracle)) < 1e-12, name
+
+
+@pytest.mark.parametrize("l_sites", range(1, 9))
+def test_dense_words_match_the_csr_oracle(l_sites):
+    # the field, pair and dGamma words filled from the table against the CSR build
+    # over it, with real and complex coefficients
+    space = FockSpace(l_sites)
+    rng = np.random.default_rng(l_sites)
+    real = rng.normal(size=(l_sites, l_sites))
+    for o in (real, real + 1j * rng.normal(size=(l_sites, l_sites))):
+        words = {
+            "creation": (field_operator(space, o[0], True), (True,), o[0]),
+            "annihilation": (field_operator(space, o[0], False), (False,), o[0].conj()),
+            "dgamma": (d_gamma(space, o), (True, False), o),
+            "pair annihilation": (pair_operator(space, o, create=False), (False, False), o),
+            "pair creation": (pair_operator(space, o, create=True), (True, True), o),
+        }
+        for name, (got, creates, coef) in words.items():
+            want = csr_word(space, creates, coef).toarray()
+            assert got.dtype == want.dtype, name
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("complex_k", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("l_sites", range(4, 11))
+def test_hamiltonian_and_sector_blocks_match_the_csr_oracle(monkeypatch, l_sites, complex_k):
+    # H = dGamma(K) + (1/2N) sum V(x-y) a*_x a*_y a_y a_x as CSR words; the full H
+    # for L <= 8 and every block `propagate` builds, each within 1e-14 of its largest entry
+    lat = make_lattice(1, l_sites, 1.0)
+    n_particles = l_sites // 2
+    hbar = default_hbar(n_particles, 1)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    k = kinetic_operator(lat, hbar)
+    if complex_k:  # a complex Hermitian K
+        a = np.random.default_rng(l_sites).normal(size=k.shape)
+        k = k + 1j * (a - a.T)
+    monkeypatch.setattr(fock, "kinetic_operator", lambda *args: k)
+    space = FockSpace(l_sites)
+    x, y = np.indices((l_sites, l_sites))
+    pair = np.zeros((l_sites,) * 4)
+    pair[x, y, y, x] = pot.pair_matrix / (2 * n_particles)
+    want = csr_word(space, (True, False), k) + csr_word(space, (True, True, False, False), pair)
+    if l_sites <= 8:
+        h = hamiltonian(space, pot, hbar, n_particles)
+        assert h.dtype == want.dtype
+        assert np.max(np.abs(h - want.toarray())) <= 1e-14 * abs(want).max()
+    seen = []
+    monkeypatch.setattr(fock, "apply_exponential", lambda phi, h, *rest: seen.append(h) or phi)
+    next(propagate(space, pot, n_particles, np.ones(space.dim, dtype=complex), [1e-3], hbar))
+    assert len(seen) == l_sites + 1
+    occ = space.occupations()
+    for n, block in enumerate(seen):  # the sectors in the order of n
+        idx = np.nonzero(occ == n)[0]
+        want_block = want[np.ix_(idx, idx)].toarray()
+        assert block.dtype == want.dtype
+        assert np.max(np.abs(block - want_block)) <= 1e-14 * np.max(np.abs(want_block))
+
+
+def test_full_space_words_stop_at_the_dense_limit():
+    # a sector block has no such limit, but needs as many a* as a
+    space = FockSpace(DENSE_MAX_SITES + 1)
+    with pytest.raises(ValueError, match=f"L <= {DENSE_MAX_SITES}, got {DENSE_MAX_SITES + 1}"):
+        field_operator(space, np.ones(space.l_sites), True)
+    basis = np.nonzero(space.occupations() == 1)[0]
+    assert np.array_equal(d_gamma(space, np.eye(space.l_sites), basis), np.eye(len(basis)))
+    with pytest.raises(ValueError, match="number-conserving"):
+        fock._word(space, (True, True), np.ones((space.l_sites,) * 2), basis)
 
 
 @pytest.mark.parametrize("build, k", [
@@ -116,10 +184,10 @@ def test_field_operator_bounded():
 
 def test_dgamma_number_and_diagonal():
     space = FockSpace(5)
-    n_op = d_gamma(space, np.eye(5)).toarray()
+    n_op = d_gamma(space, np.eye(5))
     assert np.max(np.abs(n_op - number_operator(space).toarray())) == 0.0
     lam = np.array([0.5, -1.0, 2.0, 0.0, 3.0])
-    dg = d_gamma(space, np.diag(lam)).toarray()
+    dg = d_gamma(space, np.diag(lam))
     for b in range(space.dim):
         expected = sum(lam[x] for x in range(5) if (b >> x) & 1)
         assert dg[b, b] == pytest.approx(expected)
@@ -129,7 +197,7 @@ def test_dgamma_matches_first_quantized_two_particle_oracle():
     space = FockSpace(5)
     rng = np.random.default_rng(1)
     o = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    dg = d_gamma(space, o).toarray()
+    dg = d_gamma(space, o)
     # antisymmetric embedding of the 2-particle sector: |x<y| -> (e_x^e_y)/sqrt2
     pairs = [(x, y) for x in range(5) for y in range(5) if x < y]
     embed = np.zeros((25, len(pairs)), dtype=complex)
@@ -165,7 +233,7 @@ def test_hamiltonian_two_site_pair_energy():
     hbar = default_hbar(n, 1)
     space = FockSpace(2)
     pot = build_potential({"shape": "cosine", "strength": 0.7, "mode": 1}, lat)
-    h = hamiltonian(space, pot, hbar, n).toarray()
+    h = hamiltonian(space, pot, hbar, n)
     v01 = pot.real_space[1]  # V(x_0 - x_1) by evenness
     kinetic = np.trace(kinetic_operator(lat, hbar)).real
     # |11> is an eigenstate: full kinetic trace plus the pair interaction
@@ -234,7 +302,7 @@ def test_factored_implementor_matches_dense_product():
     dense = np.eye(space.dim)
     for f in dm.orbitals.T:
         dense = dense @ (field_operator(space, f, True)
-                         + field_operator(space, f, False)).toarray()
+                         + field_operator(space, f, False))
     got = r @ np.eye(space.dim)
     assert np.max(np.abs(got - dense)) < 1e-12
     assert np.max(np.abs(got.conj().T @ got - np.eye(space.dim))) < 1e-12
@@ -247,9 +315,9 @@ def test_factored_implementor_matches_dense_product():
 
 @pytest.mark.parametrize("l_sites", [1, 4, 8, 10])
 def test_implementor_gather_matches_the_sparse_factor_product(l_sites):
-    # the Jordan-Wigner gather against the sparse factors b(f) = a*(f) + a(f) of
+    # the Jordan-Wigner gather against the factors b(f) = a*(f) + a(f) of
     # field_operator: R = b_1 ... b_N (b_N acts first) and R* = b_N ... b_1, on a vector
-    # (matvec and rmatvec) and on a (dim, 2) block, whose columns come as (dim, 1)
+    # and on a (dim, 2) block
     rng = np.random.default_rng(l_sites)
     n = max(1, l_sites // 2)
     q, _ = np.linalg.qr(rng.normal(size=(l_sites, n)) + 1j * rng.normal(size=(l_sites, n)))
@@ -262,8 +330,8 @@ def test_implementor_gather_matches_the_sparse_factor_product(l_sites):
         want_r = b @ want_r
     for b in factors:
         want_rh = b @ want_rh
-    assert np.max(np.abs(r.matvec(block[:, 0]) - want_r[:, 0])) <= 1e-13
-    assert np.max(np.abs(r.rmatvec(block[:, 1]) - want_rh[:, 1])) <= 1e-13
+    assert np.max(np.abs(r @ block[:, 0] - want_r[:, 0])) <= 1e-13
+    assert np.max(np.abs(r.H @ block[:, 1] - want_rh[:, 1])) <= 1e-13
     assert np.max(np.abs(r @ block - want_r)) <= 1e-13
     assert np.max(np.abs(r.H @ block - want_rh)) <= 1e-13
 
@@ -309,8 +377,7 @@ def test_sector_propagator_basics():
     psi /= np.linalg.norm(psi)
     assert np.max(np.abs(next(propagate(space, pot, 2, psi, [0.0], hbar)) - psi)) < 1e-14
     # eigenvector picks up a phase only
-    hd = h.toarray()
-    eig, vec = np.linalg.eigh(hd)
+    eig, vec = np.linalg.eigh(h)
     ev = vec[:, 3].astype(complex)
     out = next(propagate(space, pot, 2, ev, [0.3], hbar))
     expected = np.exp(-1j * 0.3 * eig[3] / hbar) * ev
@@ -356,7 +423,7 @@ def test_real_tables_give_real_operators(monkeypatch):
     assert d_gamma(space, o).dtype == np.float64
     assert d_gamma(space, o + 1j * o.T).dtype == np.complex128
     assert field_operator(space, np.ones(6, dtype=int), True).dtype == np.float64
-    for l_sites in (1, 3, 6):
+    for l_sites in (1, 3, 6, 12):  # 12: fock-verify's largest L
         assert car_defect(FockSpace(l_sites)) == 0.0
 
 
@@ -437,6 +504,24 @@ def test_propagate_matches_the_sector_oracle_on_both_branches(monkeypatch):
         assert sorted(sizes) == eigh_sizes, t
         assert np.max(np.abs(got - expected)) <= 1e-12
         sizes.clear()
+
+
+def test_propagate_builds_no_full_space_matrix():
+    # L = 14, N = 2 reaches one sector of 91 states; one 2^L x 2^L float64 array
+    # would take 2 GiB, and the CSR build of dGamma(K) over all 2^L states ~100 MiB
+    lat = make_lattice(1, 14, 1.0)
+    hbar = default_hbar(2, 1)
+    space = FockSpace(14)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    psi0 = quasi_free_state(space, random_projection(14, 2, seed=3))
+    tracemalloc.start()
+    try:
+        *_, psi = propagate(space, pot, 2, psi0, [1e-2, 2e-2], hbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_propagate_refuses_a_non_finite_state():

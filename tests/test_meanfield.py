@@ -97,7 +97,7 @@ def test_exchange_cancels_direct_for_single_particle():
 
 
 @pytest.mark.parametrize("ds,d", [(1, 64), (1, 9), (2, 8), (2, 5), (3, 8), (3, 5)])
-def test_direct_term_equals_rfftn_bit_for_bit(ds, d):
+def test_direct_term_equals_fftn_bit_for_bit(ds, d):
     # the one-axis transforms in fftn's order give the floats of fftn, the product with the
     # real table and ifftn's real part on the (d,)*ds view
     lat = make_lattice(ds, d, 1.0)
@@ -109,7 +109,7 @@ def test_direct_term_equals_rfftn_bit_for_bit(ds, d):
 
 
 @pytest.mark.parametrize("ds,d", [(1, 64), (1, 9), (2, 8), (2, 5), (3, 8), (3, 5)])
-def test_lattice_transforms_equal_fftn_and_rfftn_bit_for_bit(ds, d):
+def test_lattice_transforms_equal_fftn_bit_for_bit(ds, d):
     # the site-grid DFT on flat site arrays gives numpy's n-dimensional transforms' floats
     # over the site axes of the (d,)*ds view, both ways
     lat, grid, axes = make_lattice(ds, d, 1.0), (d,) * ds, tuple(range(ds))

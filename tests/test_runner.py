@@ -259,22 +259,33 @@ def test_snapshot_times_closer_than_a_microsecond_each_get_a_file(tmp_path):
                         if m["path"].startswith("snapshots/orbitals_")]
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # every CLI start and every `import fermiflow` pays for what the package
-    # imports; only the scenarios that need scipy (the Fock oracle) load it
+    # imports, and the package runs on numpy alone: after the import, and after
+    # the Fock-space scenarios at L = 4, no scipy module is loaded
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys, fermiflow, fermiflow.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    fock_verify = {"scenario": "fock-verify", "lattice": {"ds": 1, "d": 4},
+                   "model": {"n_particles": 2}, "fock": {"trials": 2}}
+    runs = []
+    for doc in (dict(MINIMAL, scenario="fluctuation", lattice={"ds": 1, "d": 4}),
+                dict(MINIMAL, scenario="exact-vs-meanfield", lattice={"ds": 1, "d": 4}),
+                fock_verify):
+        name = doc["scenario"]
+        runs.append([name, "--config", write_config(tmp_path, doc, f"{name}.json"),
+                     "--out", str(tmp_path / name)])
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (f"import sys, fermiflow, fermiflow.cli; {loaded}; "
+            f"codes = [fermiflow.cli.main(argv) for argv in {runs!r}]; {loaded}; print(codes)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "[]", out
+                         env=env, check=True).stdout.splitlines()
+    assert [out[0], *out[-2:]] == ["[]", "[]", "[0, 0, 0]"], out
 
 
-def test_no_module_but_fock_imports_scipy():
+def test_no_module_imports_scipy():
     # every import statement in the syntax tree, those inside functions too:
-    # outside the Fock oracle, the package runs on numpy alone, and the flows
-    # measure nothing, so `meanfield` imports neither the diagnostics nor the runner
+    # the package runs on numpy alone, and the flows measure nothing, so
+    # `meanfield` imports neither the diagnostics nor the runner
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
     assert os.path.join(src, "fermiflow", "runner.py") in paths
@@ -292,7 +303,7 @@ def test_no_module_but_fock_imports_scipy():
             else:
                 continue
             found += [f"{module}:{node.lineno} {name}" for name in names
-                      if (name.split(".")[0] == "scipy" and module != "fock.py")
+                      if name.split(".")[0] == "scipy"
                       or (name in ("fermiflow.diagnostics", "fermiflow.runner")
                           and module == "meanfield.py")]
     assert found == []
@@ -377,6 +388,24 @@ def test_summary_records_the_environment_without_loading_scipy(tmp_path):
     assert environment["threads"] == {"OMP_NUM_THREADS": env.get("OMP_NUM_THREADS"),
                                       "OPENBLAS_NUM_THREADS": "1",
                                       "MKL_NUM_THREADS": None}
+
+
+def test_summary_records_a_null_scipy_version_without_scipy(tmp_path, monkeypatch):
+    # scipy is a test dependency only: a run where it is not installed records null
+    from importlib import metadata
+
+    from fermiflow import runner
+
+    def not_installed(name):
+        raise metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(metadata, "version", not_installed)
+    runner._scipy_version.cache_clear()
+    try:
+        summary = run(parse_config(json.dumps(MINIMAL)), str(tmp_path / "out"))
+    finally:
+        runner._scipy_version.cache_clear()
+    assert summary["environment"]["scipy"] is None
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):

@@ -1,51 +1,45 @@
 """Exact second-quantized oracle on a tiny one-dimensional lattice, on numpy alone.
 
-Occupation bitmasks index the 2^L Fock basis (integer order); Jordan-Wigner
-strings follow the site order, so a_x picks up (-1)^(number of occupied
-modes below x).  That convention is fixed in one place, the per-space table
-`FockSpace._table` of occupation bits, signs and flipped states b ^ 2^x.
-`_word` fills every operator here (field a*(f) and a(f), dGamma, pair,
-Hamiltonian) densely from its entries, on the whole space or on one
-particle-number sector; `car_defect` reads the anticommutators from its
-two-letter entries; the Bogoliubov implementor's factors and `rdm1` are
-gathers psi[b ^ 2^x] over it.  `propagate` asks `hamiltonian` for the block
-of each sector it reaches and steps it with `apply_exponential`, the
-exponential of the mean-field flow, on an interval read from the
-Hamiltonian's parts as the flow's is: both sides of the exact-versus-mean-field
-comparison take one exponential.  The k-particle densities and their Wick
-formula, the generalized density, the number operator and the Slater vector
-built factor by factor are test oracles (`tests/_oracles.py`).
+A Fock state is a vector on one particle-number sector, whose basis is the occupation
+bitmasks with n bits set, ascending (`FockSpace.sector`): no state or operator is 2^L
+long.  Jordan-Wigner strings follow the site order, so a_x picks up (-1)^(number of
+occupied modes below x), a convention fixed in one place: `_letter`, by bit operations on
+the masks.  `_word` fills every operator (field, dGamma, pair, Hamiltonian) as its dense
+block from sector n to sector n + c, c = (number of a*) - (number of a).  `propagate`
+steps the `hamiltonian` block with `apply_exponential`, the mean-field flow's exponential,
+on an interval read from the Hamiltonian's parts as the flow's is.  `rdm1` and
+`fluctuation_moments` gather the columns a_x psi on sector N - 1 from a cached table; the
+fluctuation moments use 2 dGamma(1 - omega) on sector N, building no implementor.  The
+full-space operators, the implementor and the fluctuation vector, the k-particle
+densities and the Slater vector factor by factor are test oracles (`tests/_oracles.py`).
 """
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .meanfield import apply_exponential
-from .model import DENSE_MAX_SITES, FOCK_MAX_SITES, Potential, kinetic_operator
+from .model import FOCK_MAX_SITES, Potential, kinetic_operator
 
 __all__ = [
     "FockSpace",
     "car_defect",
-    "field_operator",
     "d_gamma",
     "hamiltonian",
-    "pair_operator",
-    "implement_bogoliubov",
     "quasi_free_state",
     "propagate",
     "rdm1",
-    "fluctuation_vector",
-    "number_moment",
+    "fluctuation_moments",
     "verify_operator_bounds",
 ]
 
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Fermionic Fock space over L lattice sites; basis = occupation bitmasks
-    in integer order, mode order = site order."""
+    """Fermionic Fock space over L lattice sites, mode order = site order; a state is a
+    vector on the basis `sector(n)` of one particle number n."""
 
     l_sites: int
 
@@ -53,225 +47,217 @@ class FockSpace:
         if not 1 <= self.l_sites <= FOCK_MAX_SITES:
             raise ValueError(f"need 1 <= L <= {FOCK_MAX_SITES}, got {self.l_sites}")
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.l_sites
+    @functools.cached_property
+    def _sectors(self) -> list:
+        masks = np.arange(1 << self.l_sites)
+        count = np.bitwise_count(masks)
+        sectors = [masks[count == n] for n in range(self.l_sites + 1)]
+        for basis in sectors:
+            basis.setflags(write=False)
+        return sectors
 
-    def states(self) -> np.ndarray:
-        return np.arange(self.dim)
-
-    @cached_property
-    def _table(self) -> tuple:
-        """The Jordan-Wigner table, three (dim x L) arrays: occupation bits n_x(b), signs
-        (-1)^(modes occupied below x) as +-1 integers, and the flipped states b ^ 2^x."""
-        states, modes = self.states()[:, None], np.arange(self.l_sites)
-        bits = (states >> modes) & 1
-        return bits, 1 - 2 * ((np.cumsum(bits, axis=1) - bits) & 1), states ^ (1 << modes)
-
-    def occupations(self) -> np.ndarray:
-        return self._table[0].sum(axis=1)
-
-    def vacuum(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
+    def sector(self, n: int) -> np.ndarray:
+        """The n-particle basis: the bitmasks with n bits set, ascending (read-only); empty
+        outside 0 <= n <= L."""
+        return self._sectors[n] if 0 <= n <= self.l_sites else self._sectors[0][:0]
 
 
-def _word(space: FockSpace, creates, coef, basis=None) -> np.ndarray:
+def _letter(masks, x, create: bool):
+    """The letter a*_x (create) or a_x on bitmasks, broadcast over masks and sites x:
+    whether it acts (a* needs mode x empty, a needs it filled), its sign (-1)^(modes
+    occupied below x) and the flipped masks b ^ 2^x."""
+    below = np.bitwise_count(masks & ((1 << x) - 1)).astype(np.int8)  # uint8: 1 - 2 wraps
+    return ((masks >> x) & 1) != create, 1 - 2 * (below & 1), masks ^ (1 << x)
+
+
+def _occupied(space: FockSpace, n: int) -> np.ndarray:
+    """The occupation bits n_x(b), (C(L, n), L), of the n-particle basis."""
+    return (space.sector(n)[:, None] >> np.arange(space.l_sites)) & 1
+
+
+def _word(space: FockSpace, creates, coef, n: int) -> np.ndarray:
     """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), c_i = a* where creates[i] and a
-    otherwise, the rightmost acting first, as a dense matrix on the whole space (L <=
-    DENSE_MAX_SITES) or on `basis`, one whole sector's ascending states, for a word with
-    as many a* as a.  Filled at once from the table over every index tuple with a nonzero
-    coefficient and every basis state, output states ranked by `np.searchsorted`, in the
-    coefficients' dtype raised to at least float: real ones give a real matrix."""
+    otherwise, the rightmost acting first, as the dense block from sector n to sector n + c,
+    c = (number of a*) - (number of a); a sector past 0..L is empty, and so is the block.
+    Filled at once by `_letter` over every index tuple with a nonzero coefficient and every
+    basis state, output states ranked by `np.searchsorted`, in the coefficients' dtype
+    raised to at least float: real ones give a real block."""
     coef = np.asarray(coef)
     coef = coef.astype(np.result_type(coef, float))
     shape = (space.l_sites,) * len(creates)
     if coef.shape != shape:
         raise ValueError(f"coefficients must have shape {shape}, got {coef.shape}")
-    if basis is None:
-        if space.l_sites > DENSE_MAX_SITES:
-            raise ValueError(f"full-space operators are dense: need L <= {DENSE_MAX_SITES}, "
-                             f"got {space.l_sites}")
-        basis = space.states()
-    elif 2 * sum(creates) != len(creates):
-        raise ValueError("a sector block needs a number-conserving word")
-    bits, jw, _ = space._table
+    basis, target = space.sector(n), space.sector(n + 2 * sum(creates) - len(creates))
     sites = np.nonzero(coef)
     rows = np.broadcast_to(basis, (len(sites[0]), len(basis)))
     vals = np.broadcast_to(coef[sites][:, None], rows.shape)
     alive = np.ones(rows.shape, dtype=bool)
     for create, x in zip(reversed(creates), reversed(sites)):
-        x = x[:, None]
-        alive &= bits[rows, x] != create  # a* needs mode x empty, a needs it filled
-        vals = vals * jw[rows, x]
-        rows = rows ^ (1 << x)
-    out = np.zeros((len(basis), len(basis)), dtype=coef.dtype)
-    np.add.at(out, (np.searchsorted(basis, rows[alive]), np.nonzero(alive)[1]), vals[alive])
+        acts, sign, rows = _letter(rows, x[:, None], create)
+        alive &= acts
+        vals = vals * sign
+    out = np.zeros((len(target), len(basis)), dtype=coef.dtype)
+    np.add.at(out, (np.searchsorted(target, rows[alive]), np.nonzero(alive)[1]), vals[alive])
     return out
-
-
-def field_operator(space: FockSpace, f: np.ndarray, create: bool) -> np.ndarray:
-    """Dense a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x; the site
-    operators are a_x = a(e_x) and a*_x = a*(e_x)."""
-    return _word(space, (create,), f if create else np.conj(f))
 
 
 def car_defect(space: FockSpace) -> float:
     """Largest entry of {a_x, a*_y} - delta_xy, {a_x, a_y} and {a*_x, a*_y} over all site
-    pairs, from the table's two-letter entries: on a state b both orders of a pair land on
-    b ^ 2^x ^ 2^y, so an anticommutator is one sum per b, x and y, in integers."""
-    bits, jw, flip = space._table
-    letter = [np.where(bits != c, jw, 0) for c in (0, 1)]  # c_x on b at [b, x]; c = 1 is a*
+    pairs, from two `_letter`s over every mask b, in integers: both orders of a pair land on
+    b ^ 2^x ^ 2^y, so an anticommutator is one sum per b, x and y."""
+    masks, sites = np.arange(1 << space.l_sites)[:, None, None], np.arange(space.l_sites)
 
     def word(c, d):  # c_x d_y on b at [b, y, x]: d_y acts first
-        return letter[d][:, :, None] * letter[c][flip]
+        acts, sign, flipped = _letter(masks, sites[:, None], d)
+        acts_c, sign_c, _ = _letter(flipped, sites, c)
+        return acts * acts_c * sign * sign_c
 
     eye = np.eye(space.l_sites, dtype=int)  # {a_x, a*_y} = delta_xy, the others vanish
     return float(max(np.abs(word(c, d) + word(d, c).transpose(0, 2, 1) - (c != d) * eye).max()
-                     for c, d in ((0, 1), (0, 0), (1, 1))))
+                     for c, d in ((False, True), (False, False), (True, True))))
 
 
-def d_gamma(space: FockSpace, o: np.ndarray, basis=None) -> np.ndarray:
-    """Second quantization sum_{xy} O(x;y) a*_x a_y; number-preserving: see `_word`."""
-    return _word(space, (True, False), o, basis)
+def d_gamma(space: FockSpace, o: np.ndarray, n: int) -> np.ndarray:
+    """Second quantization sum_{xy} O(x;y) a*_x a_y on sector n: see `_word`."""
+    return _word(space, (True, False), o, n)
 
 
-def pair_operator(space: FockSpace, o: np.ndarray, create: bool) -> np.ndarray:
-    """sum_{xy} O(x;y) a_x a_y (annihilating pair) or a*_x a*_y (creating)."""
-    return _word(space, (create, create), o)
-
-
-def hamiltonian(space: FockSpace, v: Potential, hbar: float, n_particles: int,
-                basis=None) -> np.ndarray:
+def hamiltonian(space: FockSpace, v: Potential, hbar: float, n_particles: int) -> np.ndarray:
     """dGamma(-hbar^2 Lap) + (1/2N) sum_{x,y} V(x-y) a*_x a*_y a_y a_x, dense on the
-    whole space or on a sector `basis` (see `_word`).  The interaction is diagonal in the occupation basis; its site-pair
+    N-particle sector.  The interaction is diagonal in the occupation basis; its site-pair
     coupling uses the same V samples as the mean-field direct/exchange
     terms, so the exact dynamics is tangent to the Hartree-Fock flow."""
     if v.lattice.ds != 1 or v.lattice.site_count != space.l_sites:
         raise ValueError("hamiltonian needs a ds=1 lattice matching the Fock sites")
-    h = d_gamma(space, kinetic_operator(v.lattice, hbar), basis)
+    h = d_gamma(space, kinetic_operator(v.lattice, hbar), n_particles)
     w = v.pair_matrix.copy()
     np.fill_diagonal(w, 0.0)
-    occ = space._table[0][space.states() if basis is None else basis].astype(float)
+    occ = _occupied(space, n_particles).astype(float)
     h[np.diag_indices_from(h)] += 0.5 / n_particles * np.einsum("bx,xy,by->b", occ, w, occ)
     return h
 
 
-class _Implementor:
-    """R @ psi applies the factors right to left; R.H is R* = the factors in reverse."""
-
-    def __init__(self, flip, factors):
-        self.flip, self.factors = flip, factors
-
-    def __matmul__(self, psi):  # psi[flip] keeps psi's trailing axes: vectors and blocks
-        for coef in reversed(self.factors):
-            psi = np.einsum("bx,bx...->b...", coef, psi[self.flip])
-        return psi
-
-    H = property(lambda self: _Implementor(self.flip, self.factors[::-1]))
-
-
-def implement_bogoliubov(space: FockSpace, omega) -> _Implementor:
-    """Particle-hole implementor R = b_1 ... b_N of a `DensityMatrix` omega
-    that is an orthogonal projection, with b_j = a*(f_j) + a(f_j) over its
-    orbitals f_j, applied factor by factor as gathers over the table (b_N acts
-    first).  Phi -> Phi W changes R only by a phase and a number-conserving
-    unitary, so any orthonormal basis of omega serves.
-
-    Every lambda_j must be 1 and the f_j orthonormal.  Then the CAR give
-    b_j* = b_j and b_j^2 = 1: R is unitary, R* = b_N ... b_1 (`.H` applies
-    the factors in reverse), and R vacuum = a*(f_1) ... a*(f_N) vacuum.  The block
-    conditions of the Bogoliubov map u = 1 - omega, v = conj(Phi) Phi* need
-    no check of their own: with E = Phi* Phi - I their defects
-    u*u + v*v - 1 = Phi (E + conj E) Phi* and
-    u* conj(v) + v* conj(u) = -Phi (E + conj E) Phi^T vanish with E."""
+def _sea(space: FockSpace, omega) -> np.ndarray:
+    """The orbitals f_j of a `DensityMatrix` omega on the Fock sites, refused unless every
+    lambda_j is 1 and the f_j are orthonormal: then R = b_1 ... b_N, b_j = a*(f_j) + a(f_j),
+    is unitary (the CAR give b_j* = b_j, b_j^2 = 1) and R vacuum = a*(f_1) ... a*(f_N)
+    vacuum.  The Bogoliubov map's block conditions need no check of their own: with
+    E = Phi* Phi - I their defects are Phi (E + conj E) Phi* and -Phi (E + conj E) Phi^T.
+    Phi -> Phi W changes R only by a phase and a number-conserving unitary."""
     if not np.all(np.abs(omega.occupations - 1.0) <= 1e-10):
         raise ValueError("input is not an orthogonal projection")
     f = omega.orbitals
+    if f.shape[0] != space.l_sites:
+        raise ValueError(f"orbitals on {f.shape[0]} sites, the Fock space has {space.l_sites}")
     gram = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])), initial=0.0)
     if not gram <= 1e-12:
         raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
-    bits, jw, flip = space._table
-    # b(f) psi[b] = sum_x jw[b, x] (f_x if n_x(b) = 1 else conj f_x) psi[b ^ 2^x]
-    return _Implementor(flip, [jw * np.where(bits, fj, fj.conj()) for fj in f.T])
+    return f
 
 
 def quasi_free_state(space: FockSpace, omega) -> np.ndarray:
-    """The pairing-free quasi-free state R_nu vacuum = a*(f_1) ... a*(f_N) vacuum
-    with rdm1 = omega, set to 0 off the N-particle sector: the a(f_j) factors leave
-    round-off in sectors N-2, N-4, ..., which `propagate` would densify and step."""
-    psi = implement_bogoliubov(space, omega) @ space.vacuum()
-    psi[space.occupations() != omega.n_particles] = 0.0
+    """The pairing-free quasi-free state R_omega vacuum = a*(f_1) ... a*(f_N) vacuum with
+    rdm1 = omega, on sector N: a*_{x_1} ... a*_{x_N} vacuum, x_1 < ... < x_N, is the mask
+    of those sites with sign +1, so its amplitude is det[f_j(x_i)]."""
+    f = _sea(space, omega)
+    n = f.shape[1]
+    sites = np.nonzero(_occupied(space, n))[1].reshape(len(space.sector(n)), n)
+    return np.linalg.det(f[sites]).astype(complex)
+
+
+def _on_sector(space: FockSpace, n: int, psi: np.ndarray) -> np.ndarray:
+    if psi.shape != (len(space.sector(n)),):
+        raise ValueError(f"need a vector on the {len(space.sector(n))} states of sector {n}, "
+                         f"got shape {psi.shape}")
     return psi
 
 
 def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray,
               times, hbar: float):
-    """Yield exp(-i H t / hbar) psi0 at the ascending times t >= 0, H = dGamma(K) + W
-    the `hamiltonian` of v.  The block of each sector that psi0 reaches is built once and
-    stepped between the times by `apply_exponential` on Weyl's interval from H's parts:
-    dGamma(K) on n fermions spans [sum of the n lowest, sum of the n highest] levels
-    hbar^2 |p|^2 of K, W the block diagonal minus n K_xx (K_xx: the levels' mean)."""
+    """Yield exp(-i H t / hbar) psi0 at the ascending times t >= 0, psi0 on sector N and H =
+    dGamma(K) + W the `hamiltonian` of v there.  Its block is built once and stepped
+    between the times by `apply_exponential` on Weyl's interval from H's parts: dGamma(K)
+    on N fermions spans [sum of the N lowest, sum of the N highest] levels hbar^2 |p|^2 of
+    K, W the block diagonal minus N K_xx (K_xx: the levels' mean)."""
+    n, psi = n_particles, _on_sector(space, n_particles, psi0)
     k = np.sort(hbar ** 2 * v.lattice.momentum_squared())  # K's levels, ascending
-    occ, sectors = space.occupations(), []
-    for n in range(space.l_sites + 1):
-        if np.any(psi0[idx := np.nonzero(occ == n)[0]]):
-            block = hamiltonian(space, v, hbar, n_particles, idx)
-            w = block.diagonal() - n * k.mean()
-            sectors.append((idx, block, (k[:n].sum() + w.min(), k[len(k) - n:].sum() + w.max())))
-    psi, t_prev, norm0 = psi0, 0.0, np.linalg.norm(psi0)
+    block = hamiltonian(space, v, hbar, n)
+    w = block.diagonal() - n * k.mean()
+    interval = (k[:n].sum() + w.min(), k[len(k) - n:].sum() + w.max())
+    t_prev, norm0 = 0.0, np.linalg.norm(psi0)
     for t in times:
-        out = np.zeros(space.dim, dtype=complex)
-        for idx, block, interval in sectors:
-            out[idx] = apply_exponential(psi[idx, None], block, interval, t - t_prev, hbar)[:, 0]
-        psi, t_prev = out, t
+        psi, t_prev = apply_exponential(psi[:, None], block, interval, t - t_prev, hbar)[:, 0], t
         drift = abs(np.linalg.norm(psi) - norm0)
         if not drift <= 1e-10 * max(1.0, norm0):  # also true for NaN
             raise RuntimeError(f"exact propagation lost norm ({drift:.2e})")
         yield psi
 
 
-def rdm1(psi: np.ndarray, space: FockSpace) -> np.ndarray:
-    """gamma(x;y) = <psi, a*_y a_x psi>; Hermitian PSD, trace = <N>.  Column x of the
-    table's one gather is a_x psi: jw[b, x] psi[b ^ 2^x] where n_x(b) = 0."""
-    bits, jw, flip = space._table
-    a_psi = np.where(bits, 0, jw * psi[flip])
+@functools.lru_cache(maxsize=32)
+def _raising(space: FockSpace, m: int) -> tuple:
+    """(sign, rank), both (C(L, m), L): a*_x takes the mask at row b of sector m to
+    sign[b, x] times the state at rank[b, x] of sector m + 1; where x is filled, sign is 0
+    and rank 0.  Cached, so never written to."""
+    acts, sign, flipped = _letter(space.sector(m)[:, None], np.arange(space.l_sites), True)
+    return np.where(acts, sign, 0), np.where(acts, np.searchsorted(space.sector(m + 1),
+                                                                   flipped), 0)
+
+
+def _lowered(space: FockSpace, n: int, psi: np.ndarray) -> np.ndarray:
+    """The columns a_x psi, x in site order, of psi on sector n: (C(L, n - 1), L)."""
+    sign, rank = _raising(space, n - 1)
+    return sign * _on_sector(space, n, psi)[rank]
+
+
+def _raised(space: FockSpace, m: int, cols: np.ndarray) -> np.ndarray:
+    """sum_x a*_x cols[:, x], the columns on sector m: the adjoint of `_lowered` on m + 1."""
+    sign, rank = _raising(space, m)
+    vals, size = (sign * cols).ravel(), len(space.sector(m + 1))
+    return (np.bincount(rank.ravel(), vals.real, size)
+            + 1j * np.bincount(rank.ravel(), vals.imag, size))
+
+
+def rdm1(space: FockSpace, n: int, psi: np.ndarray) -> np.ndarray:
+    """gamma(x;y) = <psi, a*_y a_x psi> of psi on sector n; Hermitian PSD, trace = n |psi|^2."""
+    a_psi = _lowered(space, n, psi)
     return a_psi.T @ a_psi.conj()
 
 
-def number_moment(xi: np.ndarray, k: int, space: FockSpace,
-                  shift: float = 1.0) -> float:
-    """<xi, (N_op + shift)^k xi> / ||xi||^2, >= shift^k exactly: numerator and
-    norm sum over one array of |xi|^2.  shift=0, k=1 is <N> without the
-    round-off of <N + 1> - 1, which loses the leading digits of a small <N>."""
+def fluctuation_moments(space: FockSpace, omega, psi: np.ndarray, k: int) -> tuple:
+    """(<N>, <(N + 1)^k>) of the fluctuation vector xi = R*_omega psi, over |xi|^2 = |psi|^2,
+    for psi on sector N = rank omega: the particles outside the Slater sea of omega.  With
+    psi_t = exp(-i H t / hbar) R_{omega_0} xi_0 and omega_t on the Hartree-Fock flow, xi is
+    the fluctuation dynamics U(t;0) xi_0.
+
+    R N R* counts the particles outside omega and the holes inside: 2D, D = dGamma(1 -
+    omega), on sector N.  So <N^j> = |(2D)^m psi|^2 for j = 2m and 2 |A_m (1 - omega)^T|_F^2
+    for j = 2m + 1, A_m the columns a_x (2D)^m psi: each is >= 0, so <N> >= 0 and <(N +
+    1)^k> = sum_j C(k, j) <N^j> >= 1 exactly.  D raises A_phi (1 - omega)^T back to N."""
     if not 0 <= k <= 6:
         raise ValueError("k must be between 0 and 6")
-    weights = (space.occupations() + shift) ** k
-    prob = np.abs(xi) ** 2
-    return float(np.sum(weights * prob) / np.sum(prob))
-
-
-def fluctuation_vector(space: FockSpace, omega, psi: np.ndarray) -> np.ndarray:
-    """xi = R*_omega psi: the particles of psi outside the Slater sea of the
-    projection omega.  With psi_t = exp(-i H t / hbar) R_{omega_0} xi_0 and
-    omega_t on the Hartree-Fock flow, this is the fluctuation dynamics
-    U(t;0) xi_0 = R*_{omega_t} exp(-i H t / hbar) R_{omega_0} xi_0."""
-    xi = implement_bogoliubov(space, omega).H @ psi
-    drift = abs(np.linalg.norm(xi) - np.linalg.norm(psi))
-    if not drift <= 1e-9 * max(1.0, np.linalg.norm(psi)):  # also true for NaN
-        raise RuntimeError(f"fluctuation vector lost norm ({drift:.2e})")
-    return xi
+    f = _sea(space, omega)
+    n, norm2 = f.shape[1], np.vdot(psi, psi).real
+    if not 0 < norm2 < np.inf:  # also true for NaN
+        raise RuntimeError(f"fluctuation moments of a state of squared norm {norm2:.2e}")
+    powers, phi = [norm2], psi  # <N^j> |psi|^2
+    while len(powers) <= max(k, 1):
+        a_phi = _lowered(space, n, phi)
+        a_phi = a_phi - (a_phi @ f.conj()) @ f.T
+        phi = 2 * _raised(space, n - 1, a_phi)
+        powers += [2 * np.vdot(a_phi, a_phi).real, np.vdot(phi, phi).real]
+    return (float(powers[1] / norm2),
+            float(sum(comb(k, j) * powers[j] for j in range(k + 1)) / norm2))
 
 
 def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
-    """Numerically check the quadratic-operator norm inequalities on random
-    one-particle matrices and random Fock vectors; violations indicate bugs.
-    Needs L <= DENSE_MAX_SITES, and holds one dense word at a time."""
+    """Numerically check the quadratic-operator norm inequalities on random one-particle
+    matrices and random Fock vectors; violations indicate bugs.  A trial's psi is drawn on
+    all 2^L masks in integer order and split into sectors: a word with c more a* than a
+    maps sector n into n + c, so |word psi|^2 sums over its blocks n -> n + c and its
+    operator norm is the largest of theirs.  Holds one block at a time."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    occ = space.occupations().astype(float)
     report = {}  # one entry per inequality, in the order of the first trial's tallies
 
     def tally(name, lhs, rhs, tol=1e-10):
@@ -281,23 +267,33 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
         if slack < -tol:
             entry["violations"] += 1
 
-    def norms(creates):  # |word psi| and the word's operator norm; the word dies here
-        word = _word(space, creates, o)
-        return np.linalg.norm(word @ psi), np.linalg.svd(word, compute_uv=False)[0]
+    def norms(creates):  # |word psi| and the word's operator norm, from its blocks
+        squared, top = 0.0, 0.0
+        for n, part in enumerate(parts):
+            block = _word(space, creates, o, n)
+            if block.size:
+                squared += np.linalg.norm(block @ part) ** 2
+                top = max(top, np.linalg.svd(block, compute_uv=False)[0])
+        return np.sqrt(squared), top
 
     l = space.l_sites
+    count = np.arange(l + 1.0)
     for _ in range(trials):
         o = rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l))
-        psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi = rng.normal(size=1 << l) + 1j * rng.normal(size=1 << l)
         psi /= np.linalg.norm(psi)
+        parts = [psi[space.sector(n)] for n in range(l + 1)]
+        weight = np.array([np.vdot(part, part).real for part in parts])  # |psi_n|^2
+        n_psi, root_n_psi, root_n1_psi = (np.sqrt(weight @ g) for g in (count ** 2, count,
+                                                                         count + 1))
         sv = np.linalg.svd(o, compute_uv=False)
         op_norm, hs, tr = sv[0], np.linalg.norm(sv), np.sum(sv)
         (dg, dg_norm), (pa, pa_norm), (pc, pc_norm) = [
             norms(creates) for creates in ((True, False), (False, False), (True, True))]
-        tally("dgamma_operator_norm_bound", dg, op_norm * np.linalg.norm(occ * psi))
-        tally("dgamma_hs_bound", dg, hs * np.linalg.norm(np.sqrt(occ) * psi))
-        tally("pair_annihilation_hs_bound", pa, hs * np.linalg.norm(np.sqrt(occ) * psi))
-        tally("pair_creation_hs_bound", pc, 2.0 * hs * np.linalg.norm(np.sqrt(occ + 1.0) * psi))
+        tally("dgamma_operator_norm_bound", dg, op_norm * n_psi)
+        tally("dgamma_hs_bound", dg, hs * root_n_psi)
+        tally("pair_annihilation_hs_bound", pa, hs * root_n_psi)
+        tally("pair_creation_hs_bound", pc, 2.0 * hs * root_n1_psi)
         tally("dgamma_trace_bound", dg_norm, 2.0 * tr)
         tally("pair_annihilation_trace_bound", pa_norm, 2.0 * tr)
         tally("pair_creation_trace_bound", pc_norm, 2.0 * tr)

@@ -40,9 +40,9 @@ __all__ = [
     "kinetic_operator",
 ]
 
-# Fock lattices: `fock.propagate` forms its largest sector, C(14, 7) = 3432 states, densely;
-# full-space words are dense 2^L x 2^L arrays, 256 MiB at L = 12 (two in an SVD)
-FOCK_MAX_SITES, DENSE_MAX_SITES = 14, 12
+# Fock lattices: the largest sector, C(14, 7) = 3432 states, is a dense block (94 MiB real,
+# 188 MiB complex), which `fock.propagate` steps and `fock.verify_operator_bounds` takes an SVD of
+FOCK_MAX_SITES = 14
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

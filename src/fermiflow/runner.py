@@ -33,8 +33,8 @@ from .diagnostics import (default_probe_momenta, fit_exponential, semiclassical_
 from .initial_data import (DegenerateFermiLevel, DensityMatrix, fermi_ball_indices,
                            plane_wave_projection, trapped_slater)
 from .meanfield import EvolutionConfig, MeanFieldKind, evolve
-from .model import (DENSE_MAX_SITES, FOCK_MAX_SITES, Lattice, Potential, build_potential,
-                    default_hbar, make_lattice)
+from .model import (FOCK_MAX_SITES, Lattice, Potential, build_potential, default_hbar,
+                    make_lattice)
 from .snapshots import write_csv, write_fmf1
 
 __all__ = ["ConfigError", "NumericFailure", "RunConfig", "parse_config", "run"]
@@ -192,10 +192,10 @@ def parse_config(text: str) -> RunConfig:
     if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
         raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
     if scenario in ("exact-vs-meanfield", "fock-verify", "fluctuation"):
-        limit = DENSE_MAX_SITES if scenario == "fock-verify" else FOCK_MAX_SITES
-        if not (lattice.ds == 1 and (c["fock"]["l_sites"] or lattice.d) == lattice.d <= limit):
-            raise ConfigError(f"fock.l_sites must equal lattice.d={lattice.d}, at most {limit} "
-                              f"sites for {scenario}, with lattice.ds = 1")
+        if not (lattice.ds == 1
+                and (c["fock"]["l_sites"] or lattice.d) == lattice.d <= FOCK_MAX_SITES):
+            raise ConfigError(f"fock.l_sites must equal lattice.d={lattice.d}, at most "
+                              f"{FOCK_MAX_SITES} sites, with lattice.ds = 1")
     try:
         potential = build_potential(c["potential"], lattice)
     except ValueError as exc:
@@ -332,38 +332,39 @@ def _scenario_exact_vs_meanfield(cfg: RunConfig):
     for snap in flow:
         s = snap.state
         with _at_snapshot(snap.t):  # x holds the only dense omega, L <= 14 sites
-            x = rdm1(next(psis), space) - (s.orbitals * s.occupations) @ s.orbitals.conj().T
+            x = (rdm1(space, cfg.n_particles, next(psis))
+                 - (s.orbitals * s.occupations) @ s.orbitals.conj().T)
             hs, tr = float(np.linalg.norm(x, "fro")), trace_norm(x)
         yield {"t": snap.t, "hs_distance": hs, "trace_distance": tr}, {}
     return {"final_hs_distance": hs, "final_trace_distance": tr}
 
 
 def _scenario_fock_verify(cfg: RunConfig):
+    """The seven tallies, one row each, written before a violation or CAR defect fails."""
     from .fock import FockSpace, car_defect, verify_operator_bounds
 
     space = FockSpace(cfg.lattice.d)
     worst = car_defect(space)
     report = verify_operator_bounds(space, cfg.fock["trials"], cfg.seed)
+    for i, entry in enumerate(report.values()):
+        yield {"inequality_index": i, "violations": entry["violations"],
+               "worst_slack": entry["worst_slack"]}, {}
     violations = int(sum(entry["violations"] for entry in report.values()))
     if violations or worst > 1e-13:
         raise NumericFailure(
             f"operator-bound violations={violations}, CAR defect={worst:.3e}")
-    for i, entry in enumerate(report.values()):
-        yield {"inequality_index": i, "violations": entry["violations"],
-               "worst_slack": entry["worst_slack"]}, {}
     bounds = {**report, "trials": cfg.fock["trials"], "seed": cfg.seed}
     return {"car_max_deviation": float(worst), "bounds": bounds, "total_violations": violations}
 
 
 def _scenario_fluctuation(cfg: RunConfig):
-    from .fock import fluctuation_vector, number_moment
+    from .fock import fluctuation_moments
 
     space, flow, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
     order = cfg.fock["moment_order"]
     for snap in flow:
         with _at_snapshot(snap.t):
-            xi = fluctuation_vector(space, snap.state, next(psis))
-            m1, mk = number_moment(xi, 1, space, shift=0.0), number_moment(xi, order, space)
+            m1, mk = fluctuation_moments(space, snap.state, next(psis), order)
         yield {"t": snap.t, "mean_particle_number": m1, f"moment_order_{order}": mk}, {}
     return {"final_mean_particle_number": float(m1), "moment_order": order,
             "final_moment": float(mk)}

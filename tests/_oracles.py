@@ -1,6 +1,12 @@
 """Independent oracles the tests and criteria check `fermiflow` against; none
 is run by a scenario.
 
+The full-space Fock oracles came here from `fermiflow.fock` once its states
+became vectors on one particle-number sector: `field_operator`,
+`pair_operator`, `implement_bogoliubov` (with `_Implementor`),
+`fluctuation_vector`, `number_moment`, and the 2^L Jordan-Wigner table
+(`full_table`, formerly `FockSpace._table`).
+
 - `dense`: omega = Phi diag(lam) Phi* as an M x M matrix, which checks
   every orbital computation against its dense form.
 - `dense_wigner`: the Wigner transform by one gather of kernel slices from
@@ -33,14 +39,26 @@ is run by a scenario.
   norms.
 - `assumption_weight`: the paper's regularity weight of V, which checks
   `fourier` against a direct sum.
+- `full_table`: the Jordan-Wigner table of the whole 2^L space, the one the
+  full-space oracles below read: occupation bits, signs and flipped states
+  b ^ 2^x, one (2^L, L) array each.  `occupations`, `vacuum` and `embed` are
+  the full space's particle counts, its vacuum, and a sector vector placed in
+  it, so the oracles check the sector vectors of `fermiflow.fock`.
 - `csr_word`: a product of field operators summed over its coefficients as a
-  sparse matrix on the whole Fock space, by one CSR build over the
-  Jordan-Wigner table, which checks the dense words and sector blocks of
-  `fock._word` and `fock.hamiltonian`.
+  sparse matrix on the whole Fock space, by one CSR build over that table,
+  which checks the sector blocks n -> n + c of `fock._word` and
+  `fock.hamiltonian`.
+- `field_operator`, `pair_operator`: a(f), a*(f) and the pair words as dense
+  full-space matrices, from `csr_word`.
 - `number_operator`: the number operator as a sparse diagonal matrix, which
   checks the occupation counts and dGamma(1).
-- `slater_vector`: a*(f_1) ... a*(f_N) vacuum, which checks the Bogoliubov
-  implementor's R vacuum.
+- `slater_vector`: a*(f_1) ... a*(f_N) vacuum, which checks the determinants
+  of `fock.quasi_free_state` and the implementor's R vacuum.
+- `implement_bogoliubov`: the particle-hole implementor R = b_1 ... b_N,
+  applied factor by factor as gathers over the full table, and
+  `fluctuation_vector`, xi = R* psi, with `number_moment`, the moments of the
+  number operator in xi: together they check `fock.fluctuation_moments`,
+  which reads the moments from the sector identity instead.
 - `SectorPropagator`: exp(-i h t / hbar) by one dense `eigh` per
   particle-number sector, which checks the Chebyshev steps of
   `fock.propagate`.
@@ -65,7 +83,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
-from fermiflow.fock import FockSpace, field_operator, number_moment
+from fermiflow.fock import FockSpace
 from fermiflow.initial_data import _GAP_TOL, DegenerateFermiLevel, DensityMatrix
 from fermiflow.meanfield import direct_term
 from fermiflow.model import Lattice, Potential, is_hermitian, kinetic_operator
@@ -269,18 +287,46 @@ def assumption_weight(v: Potential) -> float:
     return float(np.sum((1.0 + np.linalg.norm(p, axis=1)) ** 2 * np.abs(fourier(v))))
 
 
+@functools.lru_cache(maxsize=16)
+def full_table(space: FockSpace) -> tuple:
+    """The Jordan-Wigner table of the whole space, three (2^L x L) arrays: occupation bits
+    n_x(b), signs (-1)^(modes occupied below x) as +-1 integers, and the flipped states
+    b ^ 2^x."""
+    states, modes = np.arange(1 << space.l_sites)[:, None], np.arange(space.l_sites)
+    bits = (states >> modes) & 1
+    return bits, 1 - 2 * ((np.cumsum(bits, axis=1) - bits) & 1), states ^ (1 << modes)
+
+
+def occupations(space: FockSpace) -> np.ndarray:
+    return full_table(space)[0].sum(axis=1)
+
+
+def vacuum(space: FockSpace) -> np.ndarray:
+    psi = np.zeros(1 << space.l_sites, dtype=complex)
+    psi[0] = 1.0
+    return psi
+
+
+def embed(space: FockSpace, n: int, psi: np.ndarray) -> np.ndarray:
+    """The vector psi on sector n as a full-space vector, 0 off the sector."""
+    out = np.zeros(1 << space.l_sites, dtype=complex)
+    out[space.sector(n)] = psi
+    return out
+
+
 def csr_word(space: FockSpace, creates, coef) -> sp.csr_matrix:
     """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), with c_i = a* where
     creates[i] and a otherwise; the rightmost operator acts first.
 
-    Built at once from `FockSpace._table` over every index tuple with a nonzero
+    Built at once from `full_table` over every index tuple with a nonzero
     coefficient and every basis state; duplicate entries are summed by the CSR
     build, in the dtype of the coefficients raised to at least float."""
     coef = np.asarray(coef)
     coef = coef.astype(np.result_type(coef, float))
-    bits, jw, _ = space._table
+    bits, jw, _ = full_table(space)
+    dim = 1 << space.l_sites
     sites = np.nonzero(coef)
-    cols = np.broadcast_to(space.states(), (len(sites[0]), space.dim))
+    cols = np.broadcast_to(np.arange(dim), (len(sites[0]), dim))
     rows = cols
     vals = np.broadcast_to(coef[sites][:, None], cols.shape)
     alive = np.ones(cols.shape, dtype=bool)
@@ -289,20 +335,80 @@ def csr_word(space: FockSpace, creates, coef) -> sp.csr_matrix:
         alive &= bits[rows, x] != create  # a* needs mode x empty, a needs it filled
         vals = vals * jw[rows, x]
         rows = rows ^ (1 << x)
-    return sp.csr_matrix((vals[alive], (rows[alive], cols[alive])),
-                         shape=(space.dim, space.dim))
+    return sp.csr_matrix((vals[alive], (rows[alive], cols[alive])), shape=(dim, dim))
+
+
+def field_operator(space: FockSpace, f: np.ndarray, create: bool) -> np.ndarray:
+    """Dense a(f) = sum conj(f(x)) a_x, or a*(f) = sum f(x) a*_x, on the whole space."""
+    return csr_word(space, (create,), f if create else np.conj(f)).toarray()
+
+
+def pair_operator(space: FockSpace, o: np.ndarray, create: bool) -> np.ndarray:
+    """Dense sum_{xy} O(x;y) a_x a_y (annihilating pair) or a*_x a*_y (creating)."""
+    return csr_word(space, (create, create), o).toarray()
 
 
 def number_operator(space: FockSpace) -> sp.csr_matrix:
-    return sp.diags(space.occupations().astype(complex)).tocsr()
+    return sp.diags(occupations(space).astype(complex)).tocsr()
 
 
 def slater_vector(space: FockSpace, orbitals: np.ndarray) -> np.ndarray:
     """a*(f_1) ... a*(f_N) applied to the vacuum."""
-    psi = space.vacuum()
+    psi = vacuum(space)
     for j in range(orbitals.shape[1] - 1, -1, -1):
         psi = field_operator(space, orbitals[:, j], True) @ psi
     return psi
+
+
+class _Implementor:
+    """R @ psi applies the factors right to left; R.H is R* = the factors in reverse."""
+
+    def __init__(self, flip, factors):
+        self.flip, self.factors = flip, factors
+
+    def __matmul__(self, psi):  # psi[flip] keeps psi's trailing axes: vectors and blocks
+        for coef in reversed(self.factors):
+            psi = np.einsum("bx,bx...->b...", coef, psi[self.flip])
+        return psi
+
+    H = property(lambda self: _Implementor(self.flip, self.factors[::-1]))
+
+
+def implement_bogoliubov(space: FockSpace, omega) -> _Implementor:
+    """Particle-hole implementor R = b_1 ... b_N of a projection omega, b_j = a*(f_j) +
+    a(f_j) over its orbitals f_j, applied factor by factor as gathers over the full table
+    (b_N acts first); R* = b_N ... b_1 (`.H`).  Refuses what `fock.quasi_free_state`
+    refuses: a lambda_j off 1, or a Gram defect above 1e-12."""
+    if not np.all(np.abs(omega.occupations - 1.0) <= 1e-10):
+        raise ValueError("input is not an orthogonal projection")
+    f = omega.orbitals
+    gram = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])), initial=0.0)
+    if not gram <= 1e-12:
+        raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
+    bits, jw, flip = full_table(space)
+    # b(f) psi[b] = sum_x jw[b, x] (f_x if n_x(b) = 1 else conj f_x) psi[b ^ 2^x]
+    return _Implementor(flip, [jw * np.where(bits, fj, fj.conj()) for fj in f.T])
+
+
+def fluctuation_vector(space: FockSpace, omega, psi: np.ndarray) -> np.ndarray:
+    """xi = R*_omega psi, psi a full-space vector: the particles of psi outside the Slater
+    sea of the projection omega."""
+    xi = implement_bogoliubov(space, omega).H @ psi
+    drift = abs(np.linalg.norm(xi) - np.linalg.norm(psi))
+    if not drift <= 1e-9 * max(1.0, np.linalg.norm(psi)):  # also true for NaN
+        raise RuntimeError(f"fluctuation vector lost norm ({drift:.2e})")
+    return xi
+
+
+def number_moment(xi: np.ndarray, k: int, space: FockSpace, shift: float = 1.0) -> float:
+    """<xi, (N_op + shift)^k xi> / ||xi||^2, >= shift^k exactly: numerator and
+    norm sum over one array of |xi|^2.  shift=0, k=1 is <N> without the
+    round-off of <N + 1> - 1, which loses the leading digits of a small <N>."""
+    if not 0 <= k <= 6:
+        raise ValueError("k must be between 0 and 6")
+    weights = (occupations(space) + shift) ** k
+    prob = np.abs(xi) ** 2
+    return float(np.sum(weights * prob) / np.sum(prob))
 
 
 def gershgorin_interval(h: np.ndarray) -> tuple:
@@ -322,8 +428,7 @@ class SectorPropagator:
         if herm_defect > 1e-10:
             raise ValueError(f"generator not Hermitian (defect {herm_defect:.2e})")
         self.hbar = hbar
-        occ = space.occupations()
-        self._sectors = [np.nonzero(occ == n)[0] for n in range(space.l_sites + 1)]
+        self._sectors = [space.sector(n) for n in range(space.l_sites + 1)]
         self._eig = {}
 
     def _sector_eig(self, n: int):
@@ -363,7 +468,7 @@ def rdmk(psi: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
     l = space.l_sites
     a = [field_operator(space, e, False) for e in np.eye(l)]
     tuples = list(product(range(l), repeat=k))
-    phi = np.zeros((len(tuples), space.dim), dtype=complex)
+    phi = np.zeros((len(tuples), 1 << space.l_sites), dtype=complex)
     for i, tup in enumerate(tuples):
         vec = psi
         for y in tup:  # rightmost operator a_{y_1} acts first

@@ -1,6 +1,7 @@
 """End-to-end acceptance gate: one test per released guarantee, each printing
 a single pass/fail line with the measured quantities."""
 
+import itertools
 import json
 import os
 import time
@@ -16,7 +17,7 @@ from fermiflow.model import (build_potential, default_hbar, kinetic_operator,
                              make_lattice)
 from fermiflow.runner import parse_config, run
 
-from _oracles import (dense, fit_double_exponential, generalized_density, rdmk,
+from _oracles import (dense, embed, fit_double_exponential, generalized_density, rdmk,
                       spectral_form, wick_rdmk)
 
 
@@ -96,22 +97,22 @@ def test_criterion_03_single_particle_exchange_cancellation(capsys):
 
 
 def test_criterion_04_car_suite(capsys):
-    from fermiflow.fock import FockSpace, field_operator
+    from fermiflow.fock import FockSpace, _word, car_defect
 
     space = FockSpace(6)
-    ident = np.eye(space.dim)
     e = np.eye(6)
-    ops = {(x, k): field_operator(space, e[x], k == "create")
-           for x in range(6) for k in ("create", "annihilate")}
-    worst = 0.0
-    for x in range(6):
-        for y in range(6):
-            ax, ay = ops[(x, "annihilate")], ops[(y, "annihilate")]
-            cx, cy = ops[(x, "create")], ops[(y, "create")]
-            expect = ident if x == y else 0.0
-            worst = max(worst, np.max(np.abs(ax @ cy + cy @ ax - expect)))
-            worst = max(worst, np.max(np.abs(ax @ ay + ay @ ax)))
-            worst = max(worst, np.max(np.abs(cx @ cy + cy @ cx)))
+    # the program's letters a*_x and a_x, their blocks from each sector n (a* raises n by 1)
+    c = {(x, create, n): _word(space, (create,), e[x], n)
+         for x in range(6) for create in (False, True) for n in range(-1, 8)}
+    worst = car_defect(space)
+    for n in range(7):  # each anticommutator {c_x, d_y} on sector n, from products of blocks
+        ident = np.eye(len(space.sector(n)))
+        for x, y in itertools.product(range(6), repeat=2):
+            for cx, dy in ((False, True), (False, False), (True, True)):
+                anti = (c[x, cx, n + 2 * dy - 1] @ c[y, dy, n]
+                        + c[y, dy, n + 2 * cx - 1] @ c[x, cx, n])
+                expect = ident if (cx, dy) == (False, True) and x == y else 0.0
+                worst = max(worst, np.max(np.abs(anti - expect), initial=0.0))
     report(capsys, 4, "canonical anticommutation relations",
            worst <= 1e-13, f"max deviation={worst:.2e}")
 
@@ -128,7 +129,8 @@ def test_criterion_05_bogoliubov_wick_consistency(capsys):
         om = DensityMatrix(*spectral_form(q @ q.conj().T)[:2])
         psi = quasi_free_state(space, om)
         worst["rdm1"] = max(worst["rdm1"],
-                            np.max(np.abs(rdm1(psi, space) - dense(om))))
+                            np.max(np.abs(rdm1(space, n, psi) - dense(om))))
+        psi = embed(space, n, psi)  # the full-space oracles' vector
         worst["rdm2"] = max(worst["rdm2"],
                             np.max(np.abs(rdmk(psi, 2, space)
                                           - wick_rdmk(dense(om), 2))))
@@ -164,7 +166,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     snaps = list(evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))
     times = np.array([s.t for s in snaps])
     psis = propagate(space, pot, 2, psi0, times, hbar)
-    hs = np.array([np.linalg.norm(rdm1(psi, space) - dense(s.state))
+    hs = np.array([np.linalg.norm(rdm1(space, 2, psi) - dense(s.state))
                    for psi, s in zip(psis, snaps)])
     mask = times >= 0.01 - 1e-12
     slope = np.polyfit(np.log(times[mask]), np.log(hs[mask]), 1)[0]
@@ -173,7 +175,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
     cfg0 = EvolutionConfig(dt=1e-2, t_final=2.0, snapshot_stride=20)
     snaps0 = list(evolve(om0, cfg0, MeanFieldKind.HARTREE_FOCK, v0, hbar))
     psis0 = propagate(space, v0, 2, psi0, [s.t for s in snaps0], hbar)
-    free_dist = max(np.linalg.norm(rdm1(psi, space) - dense(s.state))
+    free_dist = max(np.linalg.norm(rdm1(space, 2, psi) - dense(s.state))
                     for psi, s in zip(psis0, snaps0))
     ok = 1.8 <= slope <= 2.2 and free_dist <= 1e-8
     report(capsys, 7, "mean-field accuracy order", ok,
@@ -181,8 +183,7 @@ def test_criterion_07_mean_field_accuracy_order(capsys):
 
 
 def test_criterion_08_fluctuation_vacuum_stability(capsys):
-    from fermiflow.fock import (FockSpace, fluctuation_vector, number_moment, propagate,
-                                quasi_free_state)
+    from fermiflow.fock import FockSpace, fluctuation_moments, propagate, quasi_free_state
 
     lat = make_lattice(1, 8, 1.0)
     hbar = default_hbar(2, 1)
@@ -192,17 +193,16 @@ def test_criterion_08_fluctuation_vacuum_stability(capsys):
     cfg = EvolutionConfig(dt=0.01, t_final=1.0, snapshot_stride=10)
 
     def moments(v, k):
-        """<(N+1)^k> of xi_t = R*_{omega_t} exp(-iHt/hbar) R_{omega_0} vacuum."""
+        """(<N>, <(N+1)^k>) of xi_t = R*_{omega_t} exp(-iHt/hbar) R_{omega_0} vacuum."""
         snaps = list(evolve(om0, cfg, MeanFieldKind.HARTREE_FOCK, v, hbar))
         times = [s.t for s in snaps]
         psis = propagate(space, v, 2, psi0, times, hbar)
         return np.array(times), np.array([
-            number_moment(fluctuation_vector(space, s.state, psi), k, space)
-            for psi, s in zip(psis, snaps)])
+            fluctuation_moments(space, s.state, psi, k) for psi, s in zip(psis, snaps)]).T
 
-    _, m1 = moments(build_potential({"shape": "zero"}, lat), 1)
-    mean_n = float(np.max(m1 - 1.0))
-    times, m2 = moments(build_potential(gaussian(0.5, 0.2), lat), 2)
+    _, (m1, _) = moments(build_potential({"shape": "zero"}, lat), 1)
+    mean_n = float(np.max(m1))
+    times, (_, m2) = moments(build_potential(gaussian(0.5, 0.2), lat), 2)
     k, c1, c2, rms = fit_double_exponential(m2, times)
     envelope = k * np.exp(c2 * np.exp(c1 * times))
     excess = float(np.max(np.log(m2 / envelope)))

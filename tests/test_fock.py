@@ -1,7 +1,7 @@
-"""Exact second-quantized oracle: CAR, Bogoliubov machinery, reduced
-densities, fluctuation dynamics, and the quadratic-operator bounds."""
+"""Exact second-quantized oracle: CAR, sector blocks, quasi-free states, reduced
+densities, fluctuation moments, and the quadratic-operator bounds, each sector
+path against its full-space oracle."""
 
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,23 +10,27 @@ import numpy as np
 import pytest
 
 from fermiflow import fock
-from fermiflow.fock import (FockSpace, car_defect, d_gamma, field_operator,
-                            fluctuation_vector, hamiltonian, implement_bogoliubov,
-                            number_moment, pair_operator, propagate, quasi_free_state,
-                            rdm1, verify_operator_bounds)
-from fermiflow.initial_data import DensityMatrix, fermi_ball_indices, plane_wave_projection
+from fermiflow.fock import (FockSpace, car_defect, d_gamma, fluctuation_moments, hamiltonian,
+                            propagate, quasi_free_state, rdm1, verify_operator_bounds)
+from fermiflow.initial_data import DensityMatrix
 from fermiflow.meanfield import EvolutionConfig, MeanFieldKind, evolve
-from fermiflow.model import DENSE_MAX_SITES, build_potential, default_hbar, \
+from fermiflow.model import FOCK_MAX_SITES, build_potential, default_hbar, \
     kinetic_operator, make_lattice
 
-from _oracles import (SectorPropagator, csr_word, dense, dense_slater, generalized_density,
-                      gershgorin_interval, number_operator, rdmk, slater_vector,
-                      spectral_form, wick_rdmk)
+from _oracles import (SectorPropagator, csr_word, dense, dense_slater, embed, field_operator,
+                      fluctuation_vector, generalized_density, gershgorin_interval,
+                      implement_bogoliubov, number_moment, number_operator, occupations,
+                      pair_operator, rdmk, slater_vector, spectral_form, vacuum, wick_rdmk)
 
 
 def site(space, x, create):
-    """a*_x or a_x as the field operator of the unit vector e_x."""
+    """a*_x or a_x on the whole space, the oracle's field operator of the unit vector e_x."""
     return field_operator(space, np.eye(space.l_sites)[x], create)
+
+
+def letter(space, x, create, n):
+    """a*_x or a_x, the program's block from sector n."""
+    return fock._word(space, (create,), np.eye(space.l_sites)[x], n)
 
 
 def random_projection(l_sites, n, seed):
@@ -37,24 +41,48 @@ def random_projection(l_sites, n, seed):
     return DensityMatrix(*spectral_form(m)[:2])
 
 
+def random_sector_vector(space, n, rng):
+    size = len(space.sector(n))
+    psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return psi / np.linalg.norm(psi)
+
+
+def sub_block(full, space, n, c):
+    """The block n -> n + c of a full-space matrix."""
+    return full[np.ix_(space.sector(n + c), space.sector(n))]
+
+
+def csr_hamiltonian(space, k, pot, n_particles):
+    """dGamma(K) + (1/2N) sum V(x-y) a*_x a*_y a_y a_x on the whole space, as CSR words."""
+    l_sites = space.l_sites
+    x, y = np.indices((l_sites, l_sites))
+    pair = np.zeros((l_sites,) * 4)
+    pair[x, y, y, x] = pot.pair_matrix / (2 * n_particles)
+    return csr_word(space, (True, False), k) + csr_word(space, (True, True, False, False), pair)
+
+
 def test_car_anticommutators():
+    # {a_0, a*_0} = 1 and a_x a_x = 0 on every sector, as products of the letters' blocks
     space = FockSpace(4)
-    ident = np.eye(space.dim)
-    a0 = site(space, 0, False)
-    c0 = site(space, 0, True)
-    assert np.max(np.abs(a0 @ c0 + c0 @ a0 - ident)) < 1e-14
-    for x in range(4):
-        ax = site(space, x, False)
-        assert np.max(np.abs(ax @ ax)) == 0.0
+    for n in range(5):
+        anti = letter(space, 0, False, n + 1) @ letter(space, 0, True, n) \
+            + letter(space, 0, True, n - 1) @ letter(space, 0, False, n)
+        assert np.max(np.abs(anti - np.eye(len(space.sector(n))))) < 1e-14
+        for x in range(4):
+            assert np.max(np.abs(letter(space, x, False, n - 1) @ letter(space, x, False, n)),
+                          initial=0.0) == 0.0
 
 
 def test_car_defect_zero_and_detects_missing_signs(monkeypatch):
     assert car_defect(FockSpace(4)) < 1e-14
-    space = FockSpace(4)
-    bits, jw, flip = space._table
-    # without Jordan-Wigner strings, a_x and a_y commute instead of anticommuting
-    monkeypatch.setitem(space.__dict__, "_table", (bits, np.ones_like(jw), flip))
-    assert car_defect(space) > 0.5
+    letter_with_signs = fock._letter
+
+    def unsigned(*args):  # without Jordan-Wigner strings a_x and a_y commute
+        acts, sign, flipped = letter_with_signs(*args)
+        return acts, np.ones_like(sign), flipped
+
+    monkeypatch.setattr(fock, "_letter", unsigned)
+    assert car_defect(FockSpace(4)) > 0.5
 
 
 def kron_annihilators(l_sites):
@@ -72,51 +100,64 @@ def kron_annihilators(l_sites):
 
 
 def test_operators_match_kronecker_oracle():
+    # every block n -> n + c of the letters and of the quadratic words is the Kronecker
+    # operator's, and the blocks hold all of its weight
     space = FockSpace(4)
     a = kron_annihilators(4)
     for x in range(4):
-        assert np.max(np.abs(site(space, x, False) - a[x])) == 0.0
-        assert np.max(np.abs(site(space, x, True) - a[x].T)) == 0.0
+        for n in range(5):
+            assert np.max(np.abs(letter(space, x, False, n) - sub_block(a[x], space, n, -1)),
+                          initial=0.0) == 0.0
+            assert np.max(np.abs(letter(space, x, True, n) - sub_block(a[x].T, space, n, 1)),
+                          initial=0.0) == 0.0
     rng = np.random.default_rng(3)
     o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     words = {
-        "dgamma": (d_gamma(space, o), lambda x, y: a[x].T @ a[y]),
-        "pair annihilation": (pair_operator(space, o, create=False),
-                              lambda x, y: a[x] @ a[y]),
-        "pair creation": (pair_operator(space, o, create=True),
-                          lambda x, y: a[x].T @ a[y].T),
+        "dgamma": ((True, False), lambda x, y: a[x].T @ a[y]),
+        "pair annihilation": ((False, False), lambda x, y: a[x] @ a[y]),
+        "pair creation": ((True, True), lambda x, y: a[x].T @ a[y].T),
     }
-    for name, (op, word) in words.items():
+    for name, (creates, word) in words.items():
         oracle = sum(o[x, y] * word(x, y) for x in range(4) for y in range(4))
-        assert np.max(np.abs(op - oracle)) < 1e-12, name
+        c = 2 * sum(creates) - len(creates)
+        weight = 0.0
+        for n in range(5):
+            block = fock._word(space, creates, o, n)
+            assert np.max(np.abs(block - sub_block(oracle, space, n, c)), initial=0.0) < 1e-12
+            weight += np.sum(np.abs(block) ** 2)
+        assert weight == pytest.approx(np.sum(np.abs(oracle) ** 2), rel=1e-12), name
 
 
 @pytest.mark.parametrize("l_sites", range(1, 9))
 def test_dense_words_match_the_csr_oracle(l_sites):
-    # the field, pair and dGamma words filled from the table against the CSR build
-    # over it, with real and complex coefficients
+    # the blocks n -> n + c of the field, pair and dGamma words against the CSR build
+    # over the full table, with real and complex coefficients, past both ends of 0..L
     space = FockSpace(l_sites)
     rng = np.random.default_rng(l_sites)
     real = rng.normal(size=(l_sites, l_sites))
     for o in (real, real + 1j * rng.normal(size=(l_sites, l_sites))):
         words = {
-            "creation": (field_operator(space, o[0], True), (True,), o[0]),
-            "annihilation": (field_operator(space, o[0], False), (False,), o[0].conj()),
-            "dgamma": (d_gamma(space, o), (True, False), o),
-            "pair annihilation": (pair_operator(space, o, create=False), (False, False), o),
-            "pair creation": (pair_operator(space, o, create=True), (True, True), o),
+            "creation": ((True,), o[0]),
+            "annihilation": ((False,), o[0].conj()),
+            "dgamma": ((True, False), o),
+            "pair annihilation": ((False, False), o),
+            "pair creation": ((True, True), o),
         }
-        for name, (got, creates, coef) in words.items():
+        for name, (creates, coef) in words.items():
             want = csr_word(space, creates, coef).toarray()
-            assert got.dtype == want.dtype, name
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+            c = 2 * sum(creates) - len(creates)
+            for n in range(-1, l_sites + 2):
+                got, want_block = fock._word(space, creates, coef, n), sub_block(want, space, n, c)
+                assert got.dtype == want.dtype and got.shape == want_block.shape, (name, n)
+                assert np.max(np.abs(got - want_block), initial=0.0) \
+                    <= 1e-14 * np.max(np.abs(want)), (name, n)
 
 
 @pytest.mark.parametrize("complex_k", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("l_sites", range(4, 11))
 def test_hamiltonian_and_sector_blocks_match_the_csr_oracle(monkeypatch, l_sites, complex_k):
-    # H = dGamma(K) + (1/2N) sum V(x-y) a*_x a*_y a_y a_x as CSR words; the full H
-    # for L <= 8 and every block `propagate` builds, each within 1e-14 of its largest entry
+    # H = dGamma(K) + (1/2N) sum V(x-y) a*_x a*_y a_y a_x as CSR words: every sector's
+    # `hamiltonian` within 1e-14 of its largest entry, and the block `propagate` steps
     lat = make_lattice(1, l_sites, 1.0)
     n_particles = l_sites // 2
     hbar = default_hbar(n_particles, 1)
@@ -127,49 +168,46 @@ def test_hamiltonian_and_sector_blocks_match_the_csr_oracle(monkeypatch, l_sites
         k = k + 1j * (a - a.T)
     monkeypatch.setattr(fock, "kinetic_operator", lambda *args: k)
     space = FockSpace(l_sites)
-    x, y = np.indices((l_sites, l_sites))
-    pair = np.zeros((l_sites,) * 4)
-    pair[x, y, y, x] = pot.pair_matrix / (2 * n_particles)
-    want = csr_word(space, (True, False), k) + csr_word(space, (True, True, False, False), pair)
-    if l_sites <= 8:
-        h = hamiltonian(space, pot, hbar, n_particles)
+    for n in range(1, l_sites + 1):
+        want = sub_block(csr_hamiltonian(space, k, pot, n), space, n, 0).toarray()
+        h = hamiltonian(space, pot, hbar, n)
         assert h.dtype == want.dtype
-        assert np.max(np.abs(h - want.toarray())) <= 1e-14 * abs(want).max()
+        assert np.max(np.abs(h - want)) <= 1e-14 * np.max(np.abs(want))
     seen = []
     monkeypatch.setattr(fock, "apply_exponential", lambda phi, h, *rest: seen.append(h) or phi)
-    next(propagate(space, pot, n_particles, np.ones(space.dim, dtype=complex), [1e-3], hbar))
-    assert len(seen) == l_sites + 1
-    occ = space.occupations()
-    for n, block in enumerate(seen):  # the sectors in the order of n
-        idx = np.nonzero(occ == n)[0]
-        want_block = want[np.ix_(idx, idx)].toarray()
-        assert block.dtype == want.dtype
-        assert np.max(np.abs(block - want_block)) <= 1e-14 * np.max(np.abs(want_block))
+    psi = np.ones(math.comb(l_sites, n_particles), dtype=complex)
+    next(propagate(space, pot, n_particles, psi, [1e-3], hbar))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], hamiltonian(space, pot, hbar, n_particles))
 
 
-def test_full_space_words_stop_at_the_dense_limit():
-    # a sector block has no such limit, but needs as many a* as a
-    space = FockSpace(DENSE_MAX_SITES + 1)
-    with pytest.raises(ValueError, match=f"L <= {DENSE_MAX_SITES}, got {DENSE_MAX_SITES + 1}"):
-        field_operator(space, np.ones(space.l_sites), True)
-    basis = np.nonzero(space.occupations() == 1)[0]
-    assert np.array_equal(d_gamma(space, np.eye(space.l_sites), basis), np.eye(len(basis)))
-    with pytest.raises(ValueError, match="number-conserving"):
-        fock._word(space, (True, True), np.ones((space.l_sites,) * 2), basis)
+def test_sector_blocks_take_any_word_at_any_size():
+    # L = 13: {a(f), a*(f)} = |f|^2 on sector 3 from the blocks 3 -> 4 -> 3 and 3 -> 2 -> 3
+    space = FockSpace(13)
+    f = np.random.default_rng(13).normal(size=13) + 1j
+
+    def field(create, n):  # a*(f) or a(f) from sector n
+        return fock._word(space, (create,), f if create else f.conj(), n)
+
+    anti = field(False, 4) @ field(True, 3) + field(True, 2) @ field(False, 3)
+    assert anti.shape == (math.comb(13, 3),) * 2
+    assert np.max(np.abs(anti - np.vdot(f, f).real * np.eye(len(anti)))) < 1e-12
+    pair = fock._word(space, (True, True), np.ones((13, 13)), 12)
+    assert pair.shape == (0, 13)  # sector 14 is empty
 
 
-@pytest.mark.parametrize("build, k", [
-    (lambda space, c: field_operator(space, c, create=True), 1),
-    (lambda space, c: pair_operator(space, c, create=False), 2),
-    (d_gamma, 2),
+@pytest.mark.parametrize("build, k, shape", [
+    (lambda space, c: fock._word(space, (True,), c, 1), 1, (3, 3)),
+    (lambda space, c: fock._word(space, (False, False), c, 2), 2, (1, 3)),
+    (lambda space, c: d_gamma(space, c, 1), 2, (3, 3)),
 ], ids=["field_operator", "pair_operator", "d_gamma"])
-def test_coefficient_shape_is_checked(build, k):
+def test_coefficient_shape_is_checked(build, k, shape):
     space = FockSpace(3)
-    assert build(space, np.ones((3,) * k)).shape == (space.dim, space.dim)
-    for shape in [(5,), (2,), (3, 3), (5, 5), (2, 2), (3, 3, 3)]:
-        if shape != (3,) * k:
+    assert build(space, np.ones((3,) * k)).shape == shape
+    for coef_shape in [(5,), (2,), (3, 3), (5, 5), (2, 2), (3, 3, 3)]:
+        if coef_shape != (3,) * k:
             with pytest.raises(ValueError, match="shape"):
-                build(space, np.ones(shape))
+                build(space, np.ones(coef_shape))
 
 
 def test_field_operator_bounded():
@@ -177,54 +215,55 @@ def test_field_operator_bounded():
     rng = np.random.default_rng(0)
     for _ in range(50):
         f = rng.normal(size=5) + 1j * rng.normal(size=5)
-        psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        created = field_operator(space, f, create=True) @ psi
-        assert np.linalg.norm(created) <= np.linalg.norm(f) * np.linalg.norm(psi) + 1e-12
+        n = int(rng.integers(6))
+        psi = random_sector_vector(space, n, rng)
+        created = fock._word(space, (True,), f, n) @ psi
+        assert np.linalg.norm(created) <= np.linalg.norm(f) + 1e-12
 
 
 def test_dgamma_number_and_diagonal():
     space = FockSpace(5)
-    n_op = d_gamma(space, np.eye(5))
-    assert np.max(np.abs(n_op - number_operator(space).toarray())) == 0.0
     lam = np.array([0.5, -1.0, 2.0, 0.0, 3.0])
-    dg = d_gamma(space, np.diag(lam))
-    for b in range(space.dim):
-        expected = sum(lam[x] for x in range(5) if (b >> x) & 1)
-        assert dg[b, b] == pytest.approx(expected)
+    for n in range(6):
+        assert np.array_equal(d_gamma(space, np.eye(5), n), n * np.eye(len(space.sector(n))))
+        dg = d_gamma(space, np.diag(lam), n)
+        for i, b in enumerate(space.sector(n)):
+            expected = sum(lam[x] for x in range(5) if (b >> x) & 1)
+            assert dg[i, i] == pytest.approx(expected)
 
 
 def test_dgamma_matches_first_quantized_two_particle_oracle():
     space = FockSpace(5)
     rng = np.random.default_rng(1)
     o = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    dg = d_gamma(space, o)
+    dg = d_gamma(space, o, 2)
     # antisymmetric embedding of the 2-particle sector: |x<y| -> (e_x^e_y)/sqrt2
     pairs = [(x, y) for x in range(5) for y in range(5) if x < y]
-    embed = np.zeros((25, len(pairs)), dtype=complex)
+    embedding = np.zeros((25, len(pairs)), dtype=complex)
     for col, (x, y) in enumerate(pairs):
-        embed[x * 5 + y, col] = 1.0 / np.sqrt(2.0)
-        embed[y * 5 + x, col] = -1.0 / np.sqrt(2.0)
+        embedding[x * 5 + y, col] = 1.0 / np.sqrt(2.0)
+        embedding[y * 5 + x, col] = -1.0 / np.sqrt(2.0)
     first_q = np.kron(o, np.eye(5)) + np.kron(np.eye(5), o)
-    oracle = embed.conj().T @ first_q @ embed
-    # map bitmask basis of the sector: a*_x a*_y vacuum for x < y
-    idx = [sum(1 << z for z in (x, y)) for (x, y) in pairs]
-    # sign of a*_x a*_y vacuum relative to e_x ^ e_y ordering
-    block = dg[np.ix_(idx, idx)]
-    assert np.max(np.abs(block - oracle)) < 1e-12
+    oracle = embedding.conj().T @ first_q @ embedding
+    # a*_x a*_y vacuum for x < y is the mask 2^x + 2^y with sign +1, at its sector rank
+    rank = np.searchsorted(space.sector(2), [sum(1 << z for z in (x, y)) for (x, y) in pairs])
+    assert np.max(np.abs(dg[np.ix_(rank, rank)] - oracle)) < 1e-12
 
 
 def test_hamiltonian_free_and_number_conservation():
     lat = make_lattice(1, 5, 1.0)
     hbar = default_hbar(2, 1)
     space = FockSpace(5)
+    k = kinetic_operator(lat, hbar)
     v0 = build_potential({"shape": "zero"}, lat)
-    h = hamiltonian(space, v0, hbar, 2)
-    hk = d_gamma(space, kinetic_operator(lat, hbar))
-    assert abs(h - hk).max() < 1e-12
+    assert abs(hamiltonian(space, v0, hbar, 2) - d_gamma(space, k, 2)).max() < 1e-12
+    # the full-space H commutes with N, so its sector-2 block is all of it there
     pot = build_potential({"shape": "cosine", "strength": 1.0, "mode": 1}, lat)
-    h = hamiltonian(space, pot, hbar, 2)
+    full = csr_hamiltonian(space, k, pot, 2)
     n_op = number_operator(space)
-    assert abs(h @ n_op - n_op @ h).max() < 1e-12
+    assert abs(full @ n_op - n_op @ full).max() < 1e-12
+    want = sub_block(full, space, 2, 0).toarray()
+    assert abs(hamiltonian(space, pot, hbar, 2) - want).max() < 1e-12
 
 
 def test_hamiltonian_two_site_pair_energy():
@@ -236,9 +275,10 @@ def test_hamiltonian_two_site_pair_energy():
     h = hamiltonian(space, pot, hbar, n)
     v01 = pot.real_space[1]  # V(x_0 - x_1) by evenness
     kinetic = np.trace(kinetic_operator(lat, hbar)).real
-    # |11> is an eigenstate: full kinetic trace plus the pair interaction
+    # |11>, the one state of sector 2, is an eigenstate: full kinetic trace plus the pair
     expected = kinetic + 0.5 / n * 2.0 * v01
-    assert h[3, 3].real == pytest.approx(expected, rel=1e-12)
+    assert h.shape == (1, 1)
+    assert h[0, 0].real == pytest.approx(expected, rel=1e-12)
 
 
 def test_fluctuation_moments_do_not_depend_on_the_orbital_basis():
@@ -251,26 +291,33 @@ def test_fluctuation_moments_do_not_depend_on_the_orbital_basis():
 
     phi = np.linalg.qr(gaussian(8, 3))[0]
     w = np.linalg.qr(gaussian(3, 3))[0]
-    psi = gaussian(space.dim)
-    psi /= np.linalg.norm(psi)
-    xi = fluctuation_vector(space, DensityMatrix(phi, np.ones(3)), psi)
-    xi_w = fluctuation_vector(space, DensityMatrix(phi @ w, np.ones(3)), psi)
+    psi = random_sector_vector(space, 3, rng)
     for k in (1, 2, 3):
-        assert number_moment(xi_w, k, space) == pytest.approx(
-            number_moment(xi, k, space), rel=1e-12)
+        got = fluctuation_moments(space, DensityMatrix(phi, np.ones(3)), psi, k)
+        rotated = fluctuation_moments(space, DensityMatrix(phi @ w, np.ones(3)), psi, k)
+        assert rotated == pytest.approx(got, rel=1e-12)
+
+
+def _refused(omega, match):
+    """quasi_free_state and fluctuation_moments both refuse omega, as the oracle implementor
+    does."""
+    space = FockSpace(omega.orbitals.shape[0])
+    psi = np.ones(len(space.sector(omega.orbitals.shape[1])), dtype=complex)
+    for call in (lambda: quasi_free_state(space, omega),
+                 lambda: fluctuation_moments(space, omega, psi, 1),
+                 lambda: implement_bogoliubov(space, omega)):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_bogoliubov_rejects_non_projection():
     m = 0.5 * np.eye(3, dtype=complex)
-    with pytest.raises(ValueError, match="projection"):
-        implement_bogoliubov(FockSpace(3), DensityMatrix(*spectral_form(m)[:2]))
+    _refused(DensityMatrix(*spectral_form(m)[:2]), "projection")
 
 
 def test_bogoliubov_check_rejects_non_orthonormal_orbitals():
     dm = random_projection(4, 2, seed=2)
-    with pytest.raises(ValueError, match="orthonormal"):
-        implement_bogoliubov(FockSpace(4), DensityMatrix(dm.orbitals * 1.1,
-                                                         dm.occupations))
+    _refused(DensityMatrix(dm.orbitals * 1.1, dm.occupations), "orthonormal")
 
 
 def test_implement_bogoliubov_keeps_the_orthonormality_gate():
@@ -280,60 +327,41 @@ def test_implement_bogoliubov_keeps_the_orthonormality_gate():
     phi = phi @ np.array([[1.0 + 5e-12, 0.0], [0.0, 1.0]])
     dm = DensityMatrix(phi, np.ones(2))
     dm.validate()
-    with pytest.raises(ValueError, match="orthonormal"):
-        implement_bogoliubov(FockSpace(4), dm)
+    _refused(dm, "orthonormal")
 
 
 def test_implement_bogoliubov_identity_and_single_mode():
     space = FockSpace(3)
-    r = implement_bogoliubov(space, DensityMatrix(np.zeros((3, 0)), np.zeros(0)))
-    assert np.max(np.abs(r @ np.eye(space.dim) - np.eye(space.dim))) < 1e-14
+    empty = DensityMatrix(np.zeros((3, 0)), np.zeros(0))
+    r = implement_bogoliubov(space, empty)
+    assert np.max(np.abs(r @ np.eye(8) - np.eye(8))) < 1e-14
+    assert np.array_equal(quasi_free_state(space, empty), [1.0])  # the vacuum, sector 0
+    assert fluctuation_moments(space, empty, np.ones(1, dtype=complex), 3) == (0.0, 1.0)
 
     space1 = FockSpace(1)
     m = np.ones((1, 1), dtype=complex)
-    r = implement_bogoliubov(space1, DensityMatrix(*spectral_form(m)[:2])) @ np.eye(2)
+    one = DensityMatrix(*spectral_form(m)[:2])
+    r = implement_bogoliubov(space1, one) @ np.eye(2)
     assert np.max(np.abs(np.abs(r) - np.array([[0, 1], [1, 0]]))) < 1e-12
+    assert abs(quasi_free_state(space1, one)) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_factored_implementor_matches_dense_product():
+    # the oracle implementor's gathers against the product of its dense factors
     space = FockSpace(6)
+    dim = 1 << 6
     dm = random_projection(6, 3, seed=17)
     r = implement_bogoliubov(space, dm)
-    dense = np.eye(space.dim)
+    product = np.eye(dim)
     for f in dm.orbitals.T:
-        dense = dense @ (field_operator(space, f, True)
-                         + field_operator(space, f, False))
-    got = r @ np.eye(space.dim)
-    assert np.max(np.abs(got - dense)) < 1e-12
-    assert np.max(np.abs(got.conj().T @ got - np.eye(space.dim))) < 1e-12
+        product = product @ (field_operator(space, f, True) + field_operator(space, f, False))
+    got = r @ np.eye(dim)
+    assert np.max(np.abs(got - product)) < 1e-12
+    assert np.max(np.abs(got.conj().T @ got - np.eye(dim))) < 1e-12
     rng = np.random.default_rng(18)
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     assert np.max(np.abs(r.H @ (r @ psi) - psi)) < 1e-12
-    assert np.max(np.abs(r @ space.vacuum()
-                         - slater_vector(space, dm.orbitals))) < 1e-12
-
-
-@pytest.mark.parametrize("l_sites", [1, 4, 8, 10])
-def test_implementor_gather_matches_the_sparse_factor_product(l_sites):
-    # the Jordan-Wigner gather against the factors b(f) = a*(f) + a(f) of
-    # field_operator: R = b_1 ... b_N (b_N acts first) and R* = b_N ... b_1, on a vector
-    # and on a (dim, 2) block
-    rng = np.random.default_rng(l_sites)
-    n = max(1, l_sites // 2)
-    q, _ = np.linalg.qr(rng.normal(size=(l_sites, n)) + 1j * rng.normal(size=(l_sites, n)))
-    space = FockSpace(l_sites)
-    r = implement_bogoliubov(space, DensityMatrix(q, np.ones(n)))
-    factors = [field_operator(space, f, True) + field_operator(space, f, False) for f in q.T]
-    block = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
-    want_r, want_rh = block, block
-    for b in factors[::-1]:
-        want_r = b @ want_r
-    for b in factors:
-        want_rh = b @ want_rh
-    assert np.max(np.abs(r @ block[:, 0] - want_r[:, 0])) <= 1e-13
-    assert np.max(np.abs(r.H @ block[:, 1] - want_rh[:, 1])) <= 1e-13
-    assert np.max(np.abs(r @ block - want_r)) <= 1e-13
-    assert np.max(np.abs(r.H @ block - want_rh)) <= 1e-13
+    assert np.max(np.abs(r @ vacuum(space) - slater_vector(space, dm.orbitals))) < 1e-12
 
 
 def test_implementor_vacuum_is_slater_state():
@@ -341,7 +369,7 @@ def test_implementor_vacuum_is_slater_state():
     dm = random_projection(5, 2, seed=7)
     r = implement_bogoliubov(space, dm)
     target = slater_vector(space, dm.orbitals)
-    got = r @ space.vacuum()
+    got = r @ vacuum(space)
     overlap = abs(np.vdot(target, got)) / (np.linalg.norm(target)
                                            * np.linalg.norm(got))
     assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -353,7 +381,7 @@ def test_quasi_free_state_site_projection():
     m[0, 0] = m[1, 1] = 1.0
     psi = quasi_free_state(space, DensityMatrix(*spectral_form(m)[:2]))
     amp = np.abs(psi)
-    assert amp[0b0011] == pytest.approx(1.0, abs=1e-12)
+    assert amp[np.searchsorted(space.sector(2), 0b0011)] == pytest.approx(1.0, abs=1e-12)
     assert np.sum(amp > 1e-12) == 1
 
 
@@ -361,9 +389,22 @@ def test_quasi_free_state_reduced_density_and_projection():
     space = FockSpace(5)
     dm = random_projection(5, 3, seed=11)
     psi = quasi_free_state(space, dm)
-    assert np.max(np.abs(rdm1(psi, space) - dense(dm))) < 1e-10
-    gamma = generalized_density(psi, space)
+    assert np.max(np.abs(rdm1(space, 3, psi) - dense(dm))) < 1e-10
+    gamma = generalized_density(embed(space, 3, psi), space)
     assert np.max(np.abs(gamma @ gamma - gamma)) < 1e-10
+
+
+@pytest.mark.parametrize("l_sites", range(1, 11))
+def test_quasi_free_state_matches_the_slater_vector(l_sites):
+    # det Phi[occupied sites, :] against a*(f_1) ... a*(f_N) vacuum built factor by
+    # factor, with complex orbitals, for every N
+    space = FockSpace(l_sites)
+    rng = np.random.default_rng(l_sites)
+    for n in range(l_sites + 1):
+        q = np.linalg.qr(rng.normal(size=(l_sites, n)) + 1j * rng.normal(size=(l_sites, n)))[0]
+        psi = quasi_free_state(space, DensityMatrix(q, np.ones(n)))
+        assert psi.shape == (math.comb(l_sites, n),)
+        assert np.max(np.abs(embed(space, n, psi) - slater_vector(space, q))) <= 1e-14
 
 
 def test_sector_propagator_basics():
@@ -372,9 +413,7 @@ def test_sector_propagator_basics():
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
     h = hamiltonian(space, pot, hbar, 2)
-    rng = np.random.default_rng(4)
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi /= np.linalg.norm(psi)
+    psi = random_sector_vector(space, 2, np.random.default_rng(4))
     assert np.max(np.abs(next(propagate(space, pot, 2, psi, [0.0], hbar)) - psi)) < 1e-14
     # eigenvector picks up a phase only
     eig, vec = np.linalg.eigh(h)
@@ -389,9 +428,7 @@ def test_exact_evolve_matches_fine_stepping():
     hbar = default_hbar(2, 1)
     space = FockSpace(4)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
-    rng = np.random.default_rng(5)
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi /= np.linalg.norm(psi)
+    psi = random_sector_vector(space, 2, np.random.default_rng(5))
     direct = next(propagate(space, pot, 2, psi, [0.2], hbar))
     *_, stepped = propagate(space, pot, 2, psi, 1e-3 * np.arange(1, 201), hbar)
     assert np.max(np.abs(direct - stepped)) < 1e-8
@@ -403,8 +440,9 @@ def test_hamiltonian_is_hermitian():
     space = FockSpace(5)
     for spec in ({"shape": "cosine", "strength": 0.8, "mode": 1},
                  {"shape": "gaussian", "strength": 1.0, "sigma": 0.2}):
-        h = hamiltonian(space, build_potential(spec, lat), hbar, 2)
-        assert abs(h - h.conj().T).max() <= 1e-12
+        for n in range(1, 6):
+            h = hamiltonian(space, build_potential(spec, lat), hbar, n)
+            assert abs(h - h.conj().T).max() <= 1e-12
 
 
 def test_real_tables_give_real_operators(monkeypatch):
@@ -420,10 +458,10 @@ def test_real_tables_give_real_operators(monkeypatch):
     assert h_complex.dtype == np.complex128
     assert abs(h - h_complex).max() == 0.0
     o = np.random.default_rng(3).normal(size=(6, 6))
-    assert d_gamma(space, o).dtype == np.float64
-    assert d_gamma(space, o + 1j * o.T).dtype == np.complex128
-    assert field_operator(space, np.ones(6, dtype=int), True).dtype == np.float64
-    for l_sites in (1, 3, 6, 12):  # 12: fock-verify's largest L
+    assert d_gamma(space, o, 3).dtype == np.float64
+    assert d_gamma(space, o + 1j * o.T, 3).dtype == np.complex128
+    assert fock._word(space, (True,), np.ones(6, dtype=int), 2).dtype == np.float64
+    for l_sites in (1, 3, 6, FOCK_MAX_SITES):  # the largest L of every Fock scenario
         assert car_defect(FockSpace(l_sites)) == 0.0
 
 
@@ -439,8 +477,7 @@ def test_sector_interval_holds_the_spectrum(monkeypatch, l_sites, spec):
     # Weyl's interval from dGamma(K) and W holds every sector's spectrum, is
     # exact for the free Hamiltonian, and is narrower than the Gershgorin discs
     lat = make_lattice(1, l_sites, 1.0)
-    n_particles = l_sites // 2
-    hbar = default_hbar(n_particles, 1)
+    hbar = default_hbar(l_sites // 2, 1)
     seen, series = [], fock.apply_exponential
 
     def recording(phi, h, interval, dt, hbar):
@@ -448,10 +485,12 @@ def test_sector_interval_holds_the_spectrum(monkeypatch, l_sites, spec):
         return series(phi, h, interval, dt, hbar)
 
     monkeypatch.setattr(fock, "apply_exponential", recording)
-    psi = np.ones(1 << l_sites, dtype=complex)  # reaches every sector
-    next(propagate(FockSpace(l_sites), build_potential(spec, lat), n_particles, psi, [1e-3], hbar))
-    assert sorted(len(block) for block, _ in seen) == sorted(
-        math.comb(l_sites, n) for n in range(l_sites + 1))
+    space, pot = FockSpace(l_sites), build_potential(spec, lat)
+    for n in range(1, l_sites + 1):
+        psi = np.ones(math.comb(l_sites, n), dtype=complex)
+        next(propagate(space, pot, n, psi, [1e-3], hbar))
+    assert [len(block) for block, _ in seen] == [math.comb(l_sites, n)
+                                                 for n in range(1, l_sites + 1)]
     for block, (lo, hi) in seen:
         assert block.dtype == np.float64
         eig = np.linalg.eigvalsh(block)
@@ -465,31 +504,31 @@ def test_sector_interval_holds_the_spectrum(monkeypatch, l_sites, spec):
 
 
 def test_quasi_free_state_lies_in_its_sector():
-    # R vacuum = a*(f_1) ... a*(f_N) vacuum: no round-off left in sectors N - 2, ...
+    # the oracle's R vacuum = a*(f_1) ... a*(f_N) vacuum carries only round-off off
+    # sector N, and on it equals the determinants
     space = FockSpace(8)
     dm = random_projection(8, 4, seed=21)
     psi = quasi_free_state(space, dm)
-    inside = space.occupations() == 4
-    assert np.all(psi[~inside] == 0.0)
-    assert np.array_equal(psi[inside], (implement_bogoliubov(space, dm) @ space.vacuum())[inside])
+    full = implement_bogoliubov(space, dm) @ vacuum(space)
+    inside = occupations(space) == 4
+    assert np.max(np.abs(full[~inside])) < 1e-14
+    assert np.max(np.abs(full[inside] - psi)) < 1e-14
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagate_matches_the_sector_oracle_on_both_branches(monkeypatch):
-    # L = 5 sectors hold 1, 5, 10, 10, 5, 1 states.  The series has at least
-    # 6 terms (a >= 1/64), so the 1- and 5-state sectors always take `eigh`; the
-    # 10-state ones take the series over the short interval and `eigh` over
-    # the long one, where a >= their dimension.
+    # L = 5, N = 2: a sector of 10 states.  The series has at least 6 terms
+    # (a >= 1/64), so it takes the series over the short interval and `eigh` over the
+    # long one, where a >= its dimension.
     lat = make_lattice(1, 5, 1.0)
     hbar = default_hbar(2, 1)
     space = FockSpace(5)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    h = hamiltonian(space, pot, hbar, 2)
-    rng = np.random.default_rng(12)
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi /= np.linalg.norm(psi)
+    h = csr_hamiltonian(space, kinetic_operator(lat, hbar), pot, 2)
+    psi = random_sector_vector(space, 2, np.random.default_rng(12))
     times = [1e-4, 0.5]
-    want = [SectorPropagator(space, h, hbar)(psi, t) for t in times]
+    want = [SectorPropagator(space, h, hbar)(embed(space, 2, psi), t)[space.sector(2)]
+            for t in times]
 
     eigh, sizes = np.linalg.eigh, []
 
@@ -499,15 +538,15 @@ def test_propagate_matches_the_sector_oracle_on_both_branches(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     steps = propagate(space, pot, 2, psi, times, hbar)
-    for t, expected, eigh_sizes in zip(times, want, ([1, 1, 5, 5], [1, 1, 5, 5, 10, 10])):
+    for t, expected, eigh_sizes in zip(times, want, ([], [10])):
         got = next(steps)
-        assert sorted(sizes) == eigh_sizes, t
+        assert sizes == eigh_sizes, t
         assert np.max(np.abs(got - expected)) <= 1e-12
         sizes.clear()
 
 
 def test_propagate_builds_no_full_space_matrix():
-    # L = 14, N = 2 reaches one sector of 91 states; one 2^L x 2^L float64 array
+    # L = 14, N = 2 is one sector of 91 states; one 2^L x 2^L float64 array
     # would take 2 GiB, and the CSR build of dGamma(K) over all 2^L states ~100 MiB
     lat = make_lattice(1, 14, 1.0)
     hbar = default_hbar(2, 1)
@@ -529,41 +568,41 @@ def test_propagate_refuses_a_non_finite_state():
     hbar = default_hbar(2, 1)
     space = FockSpace(5)
     pot = build_potential({"shape": "cosine", "strength": 0.8, "mode": 1}, lat)
-    psi = np.full(space.dim, 1 / np.sqrt(space.dim), dtype=complex)
+    psi = np.full(10, 1 / np.sqrt(10), dtype=complex)
     psi[3] = np.nan
     with pytest.raises(RuntimeError, match="lost norm"):
         next(propagate(space, pot, 2, psi, [0.1], hbar))
+    with pytest.raises(ValueError, match="10 states of sector 2"):
+        next(propagate(space, pot, 2, np.ones(32, dtype=complex), [0.1], hbar))
 
 
 def test_rdm1_examples():
-    space = FockSpace(3)
-    psi = site(space, 0, True) @ space.vacuum()
-    g = rdm1(psi, space)
+    space = FockSpace(3)  # sector 1: the masks 1, 2, 4, one particle on site 0, 1 or 2
+    g = rdm1(space, 1, np.array([1.0, 0.0, 0.0], dtype=complex))
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     assert np.max(np.abs(g - expected)) < 1e-14
 
-    psi = (site(space, 0, True) @ space.vacuum()
-           + site(space, 1, True) @ space.vacuum()) / np.sqrt(2)
-    g = rdm1(psi, space)
+    g = rdm1(space, 1, np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2))
     assert np.allclose(g[:2, :2], 0.5, atol=1e-12)
     assert np.trace(g).real == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("l_sites", [1, 5, 10])
-def test_rdm1_matches_the_sparse_site_operators(l_sites):
-    # the table's one gather against a_x psi from the sparse site operators
+def test_rdm1_matches_the_full_space_site_operators(l_sites):
+    # the table's one gather against a_x psi from the oracle's site operators, on every sector
     space = FockSpace(l_sites)
     rng = np.random.default_rng(l_sites)
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    a_psi = np.stack([site(space, x, False) @ psi for x in range(l_sites)])
-    want = a_psi @ a_psi.conj().T
-    assert np.max(np.abs(rdm1(psi, space) - want)) <= 1e-13 * np.max(np.abs(want))
+    for n in range(l_sites + 1):
+        psi = random_sector_vector(space, n, rng)
+        a_psi = np.stack([site(space, x, False) @ embed(space, n, psi) for x in range(l_sites)])
+        want = a_psi @ a_psi.conj().T
+        assert np.max(np.abs(rdm1(space, n, psi) - want)) <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def test_rdmk_examples():
     space = FockSpace(4)
-    psi = site(space, 1, True) @ space.vacuum()
+    psi = site(space, 1, True) @ vacuum(space)
     psi = site(space, 0, True) @ psi  # a*_0 a*_1 vacuum
     g2 = rdmk(psi, 2, space)
     assert g2[0, 1, 0, 1].real == pytest.approx(1.0, abs=1e-12)
@@ -571,7 +610,7 @@ def test_rdmk_examples():
     # CAR antisymmetry under swapping arguments
     assert g2[1, 0, 0, 1].real == pytest.approx(-1.0, abs=1e-12)
     g1 = rdmk(psi, 1, space)
-    assert np.max(np.abs(g1 - rdm1(psi, space))) < 1e-12
+    assert np.max(np.abs(g1 - rdm1(space, 2, psi[space.sector(2)]))) < 1e-12
 
 
 def test_wick_rdmk_examples():
@@ -586,18 +625,18 @@ def test_wick_rdmk_examples():
 def test_wick_matches_exact_quasi_free_contraction():
     space = FockSpace(4)
     dm = random_projection(4, 2, seed=13)
-    psi = quasi_free_state(space, dm)
+    psi = embed(space, 2, quasi_free_state(space, dm))
     assert np.max(np.abs(rdmk(psi, 2, space) - wick_rdmk(dense(dm), 2))) < 1e-10
 
 
 def test_generalized_density_number_eigenstate_and_bounds():
     space = FockSpace(4)
-    psi = site(space, 2, True) @ space.vacuum()
+    psi = site(space, 2, True) @ vacuum(space)
     gamma = generalized_density(psi, space)
     alpha = gamma[:4, 4:]
     assert np.max(np.abs(alpha)) < 1e-14
     rng = np.random.default_rng(8)
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi /= np.linalg.norm(psi)
     eig = np.linalg.eigvalsh(generalized_density(psi, space))
     assert eig.min() > -1e-10 and eig.max() < 1.0 + 1e-10
@@ -605,10 +644,10 @@ def test_generalized_density_number_eigenstate_and_bounds():
 
 def test_number_moment_examples():
     space = FockSpace(3)
-    assert number_moment(space.vacuum(), 2, space) == pytest.approx(1.0)
-    one = site(space, 0, True) @ space.vacuum()
+    assert number_moment(vacuum(space), 2, space) == pytest.approx(1.0)
+    one = site(space, 0, True) @ vacuum(space)
     assert number_moment(one, 1, space) == pytest.approx(2.0)
-    psi = 0.6 * space.vacuum() + 0.8 * one
+    psi = 0.6 * vacuum(space) + 0.8 * one
     oracle = 0.36 * 1.0 + 0.64 * 4.0  # sector-sum of (n+1)^2
     assert number_moment(psi, 2, space) == pytest.approx(oracle, abs=1e-12)
 
@@ -616,15 +655,36 @@ def test_number_moment_examples():
 def test_number_moment_keeps_a_small_mean_exact():
     # <N> ~ 1e-10 in closed form; <N + 1> - 1 keeps only ~6 of its digits
     space = FockSpace(3)
-    one = site(space, 0, True) @ space.vacuum()
+    one = site(space, 0, True) @ vacuum(space)
     two = site(space, 1, True) @ one
     beta, gamma = 1e-5, 3e-6
-    xi = space.vacuum() + beta * one + gamma * two
+    xi = vacuum(space) + beta * one + gamma * two
     b2, g2 = Fraction(beta) ** 2, Fraction(gamma) ** 2
     exact = float((b2 + 2 * g2) / (1 + b2 + g2))
     assert abs(number_moment(xi, 1, space, shift=0.0) - exact) <= 1e-14 * exact
     assert abs(number_moment(xi, 1, space) - 1.0 - exact) > 1e-14 * exact
-    assert number_moment(space.vacuum(), 1, space, shift=0.0) == 0.0
+    assert number_moment(vacuum(space), 1, space, shift=0.0) == 0.0
+
+
+@pytest.mark.parametrize("l_sites", [1, 4, 7, 9])
+def test_fluctuation_moments_match_the_full_space_oracle(l_sites):
+    # (<N>, <(N+1)^k>) from the sector identity against the number moments of
+    # xi = R* psi built on the whole space, k = 0..6, every N; and exactly (0, 1) up to
+    # round-off in <N> for psi = R vacuum
+    space = FockSpace(l_sites)
+    rng = np.random.default_rng(l_sites)
+    for n in range(l_sites + 1):
+        q = np.linalg.qr(rng.normal(size=(l_sites, n)) + 1j * rng.normal(size=(l_sites, n)))[0]
+        dm = DensityMatrix(q, np.ones(n))
+        psi = random_sector_vector(space, n, rng)
+        xi = fluctuation_vector(space, dm, embed(space, n, psi))
+        want_mean = number_moment(xi, 1, space, shift=0.0)
+        for k in range(7):
+            mean, moment = fluctuation_moments(space, dm, psi, k)
+            assert abs(mean - want_mean) <= 1e-13 * max(1.0, want_mean), (n, k)
+            assert moment == pytest.approx(number_moment(xi, k, space), rel=1e-13), (n, k)
+        mean, moment = fluctuation_moments(space, dm, quasi_free_state(space, dm), 6)
+        assert 0.0 <= mean <= 1e-28 and moment == 1.0
 
 
 def test_fluctuation_dynamics_identity_at_t0_and_norm():
@@ -633,16 +693,20 @@ def test_fluctuation_dynamics_identity_at_t0_and_norm():
     space = FockSpace(5)
     pot = build_potential({"shape": "cosine", "strength": 0.5, "mode": 1}, lat)
     om = dense_slater(lat, hbar, 5.0 * (lat.sites()[:, 0] - 0.4) ** 2, 2)
-    rng = np.random.default_rng(9)
-    xi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    xi /= np.linalg.norm(xi)
-    r0 = implement_bogoliubov(space, om)
-    assert np.max(np.abs(fluctuation_vector(space, om, r0 @ xi) - xi)) < 1e-10
+    psi = random_sector_vector(space, 2, np.random.default_rng(9))
+    xi = fluctuation_vector(space, om, embed(space, 2, psi))
+    assert np.max(np.abs(implement_bogoliubov(space, om) @ xi - embed(space, 2, psi))) < 1e-10
+    assert fluctuation_moments(space, om, psi, 2) == pytest.approx(
+        (number_moment(xi, 1, space, shift=0.0), number_moment(xi, 2, space)), rel=1e-12)
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
     final = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))[-1]
-    psi_t = next(propagate(space, pot, 2, r0 @ xi, [final.t], hbar))
-    out = fluctuation_vector(space, final.state, psi_t)
+    psi_t = next(propagate(space, pot, 2, psi, [final.t], hbar))
+    out = fluctuation_vector(space, final.state, embed(space, 2, psi_t))
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
+    assert fluctuation_moments(space, final.state, psi_t, 2) == pytest.approx(
+        (number_moment(out, 1, space, shift=0.0), number_moment(out, 2, space)), rel=1e-12)
+    with pytest.raises(RuntimeError, match="squared norm"):
+        fluctuation_moments(space, final.state, np.full(10, np.nan, dtype=complex), 2)
 
 
 def test_fluctuation_vacuum_stable_without_interaction():
@@ -655,18 +719,16 @@ def test_fluctuation_vacuum_stable_without_interaction():
     snaps = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, v0, hbar))[1:]
     psis = propagate(space, v0, 2, quasi_free_state(space, om), [s.t for s in snaps], hbar)
     for s, psi_t in zip(snaps, psis):
-        xi = fluctuation_vector(space, s.state, psi_t)
-        assert number_moment(xi, 1, space) - 1.0 < 1e-9
+        assert fluctuation_moments(space, s.state, psi_t, 1)[0] < 1e-9
 
 
 def test_operator_bound_saturation_and_zero():
     space = FockSpace(4)
-    psi = site(space, 1, True) @ space.vacuum()
-    psi = site(space, 0, True) @ psi
-    dg = d_gamma(space, np.eye(4))
-    assert np.linalg.norm(dg @ psi) == pytest.approx(2.0, abs=1e-12)
-    zero = d_gamma(space, np.zeros((4, 4)))
-    assert abs(zero).max() == 0.0
+    psi = np.zeros(6, dtype=complex)
+    psi[np.searchsorted(space.sector(2), 0b0011)] = 1.0  # a*_0 a*_1 vacuum
+    assert np.linalg.norm(d_gamma(space, np.eye(4), 2) @ psi) == pytest.approx(2.0, abs=1e-12)
+    for n in range(5):
+        assert abs(d_gamma(space, np.zeros((4, 4)), n)).max() == 0.0
 
 
 def test_operator_bounds_random_trials():
@@ -677,8 +739,46 @@ def test_operator_bounds_random_trials():
         assert entry["worst_slack"] > -1e-10
 
 
+def test_operator_bounds_match_a_full_space_run():
+    # the same draws through the full-space dense words, norms and number weights
+    space, trials = FockSpace(5), 6
+    rng = np.random.default_rng(7)
+    occ = occupations(space).astype(float)
+    want = {}
+    for _ in range(trials):
+        o = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+        psi /= np.linalg.norm(psi)
+        sv = np.linalg.svd(o, compute_uv=False)
+        op_norm, hs, tr = sv[0], np.linalg.norm(sv), np.sum(sv)
+        words = [csr_word(space, (True, False), o).toarray(), pair_operator(space, o, False),
+                 pair_operator(space, o, True)]
+        (dg, pa, pc), (dg_n, pa_n, pc_n) = ([np.linalg.norm(w @ psi) for w in words],
+                                            [np.linalg.norm(w, 2) for w in words])
+        slacks = {
+            "dgamma_operator_norm_bound": op_norm * np.linalg.norm(occ * psi) - dg,
+            "dgamma_hs_bound": hs * np.linalg.norm(np.sqrt(occ) * psi) - dg,
+            "pair_annihilation_hs_bound": hs * np.linalg.norm(np.sqrt(occ) * psi) - pa,
+            "pair_creation_hs_bound": 2.0 * hs * np.linalg.norm(np.sqrt(occ + 1.0) * psi) - pc,
+            "dgamma_trace_bound": 2.0 * tr - dg_n,
+            "pair_annihilation_trace_bound": 2.0 * tr - pa_n,
+            "pair_creation_trace_bound": 2.0 * tr - pc_n,
+        }
+        for name, slack in slacks.items():
+            want[name] = min(want.get(name, np.inf), slack)
+    got = verify_operator_bounds(space, trials, seed=7)
+    assert list(got) == list(want)
+    for name, entry in got.items():
+        assert entry["violations"] == 0
+        assert entry["worst_slack"] == pytest.approx(want[name], rel=1e-12, abs=1e-12), name
+
+
 def test_fock_space_size_guard():
-    with pytest.raises(ValueError):
-        FockSpace(15)
-    with pytest.raises(ValueError, match="dense"):
-        verify_operator_bounds(FockSpace(13), trials=1, seed=0)
+    for l_sites in (0, FOCK_MAX_SITES + 1):
+        with pytest.raises(ValueError, match=f"1 <= L <= {FOCK_MAX_SITES}"):
+            FockSpace(l_sites)
+    space = FockSpace(FOCK_MAX_SITES)
+    assert [len(space.sector(n)) for n in range(-1, FOCK_MAX_SITES + 2)] == [0] + [
+        math.comb(FOCK_MAX_SITES, n) for n in range(FOCK_MAX_SITES + 1)] + [0]
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_operator_bounds(space, trials=0, seed=0)

@@ -672,8 +672,10 @@ def test_cli_runs_generated_configs(doc):
 
 
 def test_cli_fock_verify_past_dense_budget_exits_two(tmp_path, monkeypatch, capsys):
-    # L = 14 would densify 4 GiB operators: rejected before any operator is built
+    # L = 15 is past the Fock scenarios' one site limit, whose largest sector block
+    # (L = 14: 3432^2 complex, 188 MiB) is the budget: rejected before any block is built
     from fermiflow import fock
+    from fermiflow.model import FOCK_MAX_SITES
 
     class Reached(Exception):
         pass
@@ -684,10 +686,10 @@ def test_cli_fock_verify_past_dense_budget_exits_two(tmp_path, monkeypatch, caps
     monkeypatch.setattr(fock, "car_defect", reached)
     monkeypatch.setattr(fock, "verify_operator_bounds", reached)
     doc = {"scenario": "fock-verify", "model": {"n_particles": 2}}
-    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": 14}))
+    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": FOCK_MAX_SITES + 1}))
     assert main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "fock.l_sites" in capsys.readouterr().err
-    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": fock.DENSE_MAX_SITES}))
+    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": FOCK_MAX_SITES}))
     with pytest.raises(Reached):
         main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")])
 
@@ -698,7 +700,7 @@ _REFUSED_IN_PARSE = [
       "initial": {"kind": "trapped", "strength": 1e6}}, "initial"),
     (dict(MINIMAL, scenario="fluctuation", lattice={"ds": 2, "d": 3}), "fock.l_sites"),
     (dict(MINIMAL, scenario="exact-vs-meanfield", lattice={"ds": 1, "d": 15}), "fock.l_sites"),
-    ({"scenario": "fock-verify", "lattice": {"ds": 1, "d": 13}, "model": {"n_particles": 2}},
+    ({"scenario": "fock-verify", "lattice": {"ds": 1, "d": 15}, "model": {"n_particles": 2}},
      "fock.l_sites"),
 ]
 
@@ -862,7 +864,7 @@ def test_cli_scenario_value_error_exits_three_without_a_traceback(tmp_path, monk
 
 
 @pytest.mark.parametrize("scenario,module,name", [
-    ("fluctuation", "fock", "fluctuation_vector"),
+    ("fluctuation", "fock", "fluctuation_moments"),
     ("exact-vs-meanfield", "fock", "rdm1"),
     ("semiclassics", "semiclassics", "wigner"),  # its first call reads omega_0
 ])
@@ -946,6 +948,40 @@ def test_run_fock_verify_and_diagnostics_only(tmp_path):
     del doc["evolution"]
     summary = run(parse_config(json.dumps(doc)), str(tmp_path / "diag"))
     assert summary["result"]["idempotency_defect"] < 1e-12
+
+
+def test_run_fock_verify_keeps_its_tallies_when_it_fails(tmp_path, monkeypatch, capsys):
+    # a CAR defect fails the run after its seven rows are written, and no summary claims it
+    from fermiflow import fock
+
+    monkeypatch.setattr(fock, "car_defect", lambda space: 1e-12)
+    doc = {"scenario": "fock-verify", "lattice": {"ds": 1, "d": 4},
+           "model": {"n_particles": 2}, "fock": {"trials": 3}}
+    out = tmp_path / "fv"
+    assert main(["fock-verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    assert "CAR defect=1.000e-12" in capsys.readouterr().err
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[0] == "inequality_index,violations,worst_slack" and len(rows[1:]) == 7
+    assert not os.path.exists(out / "summary.json")
+
+
+@pytest.mark.parametrize("scenario", ["fluctuation", "exact-vs-meanfield"])
+def test_fock_scenarios_at_the_site_limit_stay_small(tmp_path, scenario):
+    # L = 14, N = 2: every state is a 91-entry sector vector and every block 91 x 91,
+    # where one 2^14-state table or vector would be 128 KiB per column
+    doc = {"scenario": scenario, "lattice": {"ds": 1, "d": 14}, "model": {"n_particles": 2},
+           "potential": {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+           "initial": {"kind": "trapped", "strength": 50.0},
+           "evolution": {"dt": 1e-3, "t_final": 0.02, "snapshot_stride": 10}}
+    cfg = parse_config(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        run(cfg, str(tmp_path / "o"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+    assert len((tmp_path / "o" / "series.csv").read_text().splitlines()) == 4
 
 
 def test_run_fluctuation_beyond_dense_unitarity_check(tmp_path):

@@ -50,7 +50,7 @@ class FockSpace:
     @functools.cached_property
     def _sectors(self) -> list:
         masks = np.arange(1 << self.l_sites)
-        count = np.bitwise_count(masks)
+        count = sum((masks >> x) & 1 for x in range(self.l_sites))
         sectors = [masks[count == n] for n in range(self.l_sites + 1)]
         for basis in sectors:
             basis.setflags(write=False)
@@ -66,7 +66,9 @@ def _letter(masks, x, create: bool):
     """The letter a*_x (create) or a_x on bitmasks, broadcast over masks and sites x:
     whether it acts (a* needs mode x empty, a needs it filled), its sign (-1)^(modes
     occupied below x) and the flipped masks b ^ 2^x."""
-    below = np.bitwise_count(masks & ((1 << x) - 1)).astype(np.int8)  # uint8: 1 - 2 wraps
+    below = masks & ((1 << x) - 1)
+    for shift in (8, 4, 2, 1):  # fold the parity of the bits below x into bit 0 (L <= 16)
+        below = below ^ (below >> shift)
     return ((masks >> x) & 1) != create, 1 - 2 * (below & 1), masks ^ (1 << x)
 
 
@@ -195,12 +197,13 @@ def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray
 
 @functools.lru_cache(maxsize=32)
 def _raising(space: FockSpace, m: int) -> tuple:
-    """(sign, rank), both (C(L, m), L): a*_x takes the mask at row b of sector m to
-    sign[b, x] times the state at rank[b, x] of sector m + 1; where x is filled, sign is 0
-    and rank 0.  Cached, so never written to."""
+    """(sign, rank), read-only (C(L, m), L) tables: a*_x takes row b's mask of sector m to
+    sign[b, x] times the state at rank[b, x] of sector m + 1; sign 0, rank 0 where x is filled."""
     acts, sign, flipped = _letter(space.sector(m)[:, None], np.arange(space.l_sites), True)
-    return np.where(acts, sign, 0), np.where(acts, np.searchsorted(space.sector(m + 1),
-                                                                   flipped), 0)
+    sign, rank = np.where(acts, sign, 0), np.searchsorted(space.sector(m + 1), flipped * acts)
+    for table in (sign, rank):
+        table.setflags(write=False)
+    return sign, rank
 
 
 def _lowered(space: FockSpace, n: int, psi: np.ndarray) -> np.ndarray:
@@ -276,8 +279,7 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
                 top = max(top, np.linalg.svd(block, compute_uv=False)[0])
         return np.sqrt(squared), top
 
-    l = space.l_sites
-    count = np.arange(l + 1.0)
+    l, count = space.l_sites, np.arange(space.l_sites + 1.0)  # count: each sector's n
     for _ in range(trials):
         o = rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l))
         psi = rng.normal(size=1 << l) + 1j * rng.normal(size=1 << l)

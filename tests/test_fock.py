@@ -85,6 +85,24 @@ def test_car_defect_zero_and_detects_missing_signs(monkeypatch):
     assert car_defect(FockSpace(4)) > 0.5
 
 
+def test_letter_and_sectors_by_bit_counts_at_the_site_limit(monkeypatch):
+    # numpy < 2 has no bitwise_count: the sectors and the Jordan-Wigner signs at L = 14
+    # agree with a count of each mask's bits from its occupation table
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    space = FockSpace(FOCK_MAX_SITES)
+    masks = np.arange(1 << FOCK_MAX_SITES)
+    bits = (masks[:, None] >> np.arange(FOCK_MAX_SITES)) & 1
+    for n in range(FOCK_MAX_SITES + 1):
+        assert np.array_equal(space.sector(n), masks[bits.sum(axis=1) == n])
+    for create in (False, True):
+        acts, sign, flipped = fock._letter(masks[:, None], np.arange(FOCK_MAX_SITES), create)
+        assert np.array_equal(acts, bits != create)
+        assert np.array_equal(sign, 1 - 2 * ((np.cumsum(bits, axis=1) - bits) % 2))
+        assert np.array_equal(flipped, masks[:, None] ^ (1 << np.arange(FOCK_MAX_SITES)))
+    # the cached a* tables behind rdm1 and the moments are shared, so read-only
+    assert not any(table.flags.writeable for table in fock._raising(FockSpace(4), 1))
+
+
 def kron_annihilators(l_sites):
     """a_x = Z on sites below x, sigma^- on x, identity above; site 0 is the
     least significant bit of the basis index."""

@@ -4,14 +4,14 @@ A Fock state is a vector on one particle-number sector, whose basis is the occup
 bitmasks with n bits set, ascending (`FockSpace.sector`): no state or operator is 2^L
 long.  Jordan-Wigner strings follow the site order, so a_x picks up (-1)^(number of
 occupied modes below x), a convention fixed in one place: `_letter`, by bit operations on
-the masks.  `_word` fills every operator (field, dGamma, pair, Hamiltonian) as its dense
-block from sector n to sector n + c, c = (number of a*) - (number of a).  `propagate`
-steps the `hamiltonian` block with `apply_exponential`, the mean-field flow's exponential,
-on an interval read from the Hamiltonian's parts as the flow's is.  `rdm1` and
-`fluctuation_moments` gather the columns a_x psi on sector N - 1 from a cached table; the
-fluctuation moments use 2 dGamma(1 - omega) on sector N, building no implementor.  The
-full-space operators, the implementor and the fluctuation vector, the k-particle
-densities and the Slater vector factor by factor are test oracles (`tests/_oracles.py`).
+the masks.  States are ranked in one place too, `_raising`'s cached tables of a*_x on one
+sector, which every operator reads: `d_gamma` (so `hamiltonian`) and the pair blocks are
+scattered from them, and `rdm1` and `fluctuation_moments` gather a_x psi on sector N - 1
+(the moments from 2 dGamma(1 - omega) on sector N, with no implementor).  `propagate`
+steps the `hamiltonian` block with `apply_exponential` on an interval read from its parts,
+as the mean-field flow's is.  The full-space operators, the implementor and the
+fluctuation vector, the k-particle densities and the Slater vector factor by factor are
+test oracles (`tests/_oracles.py`).
 """
 
 import functools
@@ -72,35 +72,15 @@ def _letter(masks, x, create: bool):
     return ((masks >> x) & 1) != create, 1 - 2 * (below & 1), masks ^ (1 << x)
 
 
-def _occupied(space: FockSpace, n: int) -> np.ndarray:
-    """The occupation bits n_x(b), (C(L, n), L), of the n-particle basis."""
-    return (space.sector(n)[:, None] >> np.arange(space.l_sites)) & 1
-
-
-def _word(space: FockSpace, creates, coef, n: int) -> np.ndarray:
-    """sum coef[x_1, ..., x_k] c_1(x_1) ... c_k(x_k), c_i = a* where creates[i] and a
-    otherwise, the rightmost acting first, as the dense block from sector n to sector n + c,
-    c = (number of a*) - (number of a); a sector past 0..L is empty, and so is the block.
-    Filled at once by `_letter` over every index tuple with a nonzero coefficient and every
-    basis state, output states ranked by `np.searchsorted`, in the coefficients' dtype
-    raised to at least float: real ones give a real block."""
-    coef = np.asarray(coef)
-    coef = coef.astype(np.result_type(coef, float))
-    shape = (space.l_sites,) * len(creates)
-    if coef.shape != shape:
-        raise ValueError(f"coefficients must have shape {shape}, got {coef.shape}")
-    basis, target = space.sector(n), space.sector(n + 2 * sum(creates) - len(creates))
-    sites = np.nonzero(coef)
-    rows = np.broadcast_to(basis, (len(sites[0]), len(basis)))
-    vals = np.broadcast_to(coef[sites][:, None], rows.shape)
-    alive = np.ones(rows.shape, dtype=bool)
-    for create, x in zip(reversed(creates), reversed(sites)):
-        acts, sign, rows = _letter(rows, x[:, None], create)
-        alive &= acts
-        vals = vals * sign
-    out = np.zeros((len(target), len(basis)), dtype=coef.dtype)
-    np.add.at(out, (np.searchsorted(target, rows[alive]), np.nonzero(alive)[1]), vals[alive])
-    return out
+@functools.lru_cache(maxsize=32)
+def _raising(space: FockSpace, m: int) -> tuple:
+    """(sign, rank), read-only (C(L, m), L) tables: a*_x takes row b's mask of sector m to
+    sign[b, x] times the state at rank[b, x] of sector m + 1; sign 0, rank 0 where x is filled."""
+    acts, sign, flipped = _letter(space.sector(m)[:, None], np.arange(space.l_sites), True)
+    sign, rank = np.where(acts, sign, 0), np.searchsorted(space.sector(m + 1), flipped * acts)
+    for table in (sign, rank):
+        table.setflags(write=False)
+    return sign, rank
 
 
 def car_defect(space: FockSpace) -> float:
@@ -119,9 +99,37 @@ def car_defect(space: FockSpace) -> float:
                      for c, d in ((False, True), (False, False), (True, True))))
 
 
+def _scatter(space: FockSpace, o, n: int, c: int, rows, cols, sign) -> np.ndarray:
+    """The block from sector n to sector n + c of sum_{xy} O(x;y) w_xy, w_xy two letters
+    whose target ranks, source ranks and signs are broadcast over [b, x, y]: one `np.add.at`
+    sums O(x;y) sign into them, in O's dtype raised to at least float."""
+    o = np.asarray(o)
+    if o.shape != (space.l_sites,) * 2:
+        raise ValueError(f"coefficients must have shape {(space.l_sites,) * 2}, got {o.shape}")
+    out = np.zeros((len(space.sector(n + c)), len(space.sector(n))), np.result_type(o, float))
+    if out.size:  # else the tables rank into an empty sector
+        np.add.at(out, (rows, cols), o * sign)
+    return out
+
+
 def d_gamma(space: FockSpace, o: np.ndarray, n: int) -> np.ndarray:
-    """Second quantization sum_{xy} O(x;y) a*_x a_y on sector n: see `_word`."""
-    return _word(space, (True, False), o, n)
+    """Second quantization sum_{xy} O(x;y) a*_x a_y on sector n, from the a* table of sector
+    n - 1: a*_x a_y takes a*_y b to a*_x b, so O(x;y) sign[b, x] sign[b, y] lands at (rank[b,
+    x], rank[b, y])."""
+    sign, rank = _raising(space, n - 1)
+    return _scatter(space, o, n, 0, rank[:, :, None], rank[:, None, :],
+                    sign[:, :, None] * sign[:, None, :])
+
+
+def _pair_creation(space: FockSpace, o: np.ndarray, n: int) -> np.ndarray:
+    """sum_{xy} O(x;y) a*_x a*_y from sector n to n + 2: a*_y b by the a* table of n, then a*_x
+    by that of n + 1 (of L past L, where a* vanishes).  Minus its transpose is sum_{xy} O(x;y)
+    a_x a_y from n + 2 to n, as a_x = (a*_x)^T and a_y a_x = -a_x a_y."""
+    sign, rank = _raising(space, n)
+    sign_x, rank_x = (table[rank].transpose(0, 2, 1)  # [b, x, y]
+                      for table in _raising(space, min(n + 1, space.l_sites)))
+    return _scatter(space, o, n, 2, rank_x, np.arange(len(rank))[:, None, None],
+                    sign_x * sign[:, None, :])
 
 
 def hamiltonian(space: FockSpace, v: Potential, hbar: float, n_particles: int) -> np.ndarray:
@@ -134,7 +142,7 @@ def hamiltonian(space: FockSpace, v: Potential, hbar: float, n_particles: int) -
     h = d_gamma(space, kinetic_operator(v.lattice, hbar), n_particles)
     w = v.pair_matrix.copy()
     np.fill_diagonal(w, 0.0)
-    occ = _occupied(space, n_particles).astype(float)
+    occ = (_raising(space, n_particles)[0] == 0).astype(float)  # n_x(b): a*_x vanishes
     h[np.diag_indices_from(h)] += 0.5 / n_particles * np.einsum("bx,xy,by->b", occ, w, occ)
     return h
 
@@ -163,7 +171,7 @@ def quasi_free_state(space: FockSpace, omega) -> np.ndarray:
     of those sites with sign +1, so its amplitude is det[f_j(x_i)]."""
     f = _sea(space, omega)
     n = f.shape[1]
-    sites = np.nonzero(_occupied(space, n))[1].reshape(len(space.sector(n)), n)
+    sites = np.nonzero(_raising(space, n)[0] == 0)[1].reshape(len(space.sector(n)), n)
     return np.linalg.det(f[sites]).astype(complex)
 
 
@@ -193,17 +201,6 @@ def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray
         if not drift <= 1e-10 * max(1.0, norm0):  # also true for NaN
             raise RuntimeError(f"exact propagation lost norm ({drift:.2e})")
         yield psi
-
-
-@functools.lru_cache(maxsize=32)
-def _raising(space: FockSpace, m: int) -> tuple:
-    """(sign, rank), read-only (C(L, m), L) tables: a*_x takes row b's mask of sector m to
-    sign[b, x] times the state at rank[b, x] of sector m + 1; sign 0, rank 0 where x is filled."""
-    acts, sign, flipped = _letter(space.sector(m)[:, None], np.arange(space.l_sites), True)
-    sign, rank = np.where(acts, sign, 0), np.searchsorted(space.sector(m + 1), flipped * acts)
-    for table in (sign, rank):
-        table.setflags(write=False)
-    return sign, rank
 
 
 def _lowered(space: FockSpace, n: int, psi: np.ndarray) -> np.ndarray:
@@ -257,7 +254,9 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
     matrices and random Fock vectors; violations indicate bugs.  A trial's psi is drawn on
     all 2^L masks in integer order and split into sectors: a word with c more a* than a
     maps sector n into n + c, so |word psi|^2 sums over its blocks n -> n + c and its
-    operator norm is the largest of theirs.  Holds one block at a time."""
+    operator norm is the largest of theirs.  Holds at most two blocks at once; the pair
+    annihilation block n + 2 -> n is minus the transpose of the pair creation block n -> n + 2
+    (one SVD)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
@@ -266,18 +265,9 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
     def tally(name, lhs, rhs, tol=1e-10):
         slack = rhs - lhs
         entry = report.setdefault(name, {"violations": 0, "worst_slack": np.inf})
-        entry["worst_slack"] = min(entry["worst_slack"], slack)
+        entry["worst_slack"] = min(entry["worst_slack"], float(slack))
         if slack < -tol:
             entry["violations"] += 1
-
-    def norms(creates):  # |word psi| and the word's operator norm, from its blocks
-        squared, top = 0.0, 0.0
-        for n, part in enumerate(parts):
-            block = _word(space, creates, o, n)
-            if block.size:
-                squared += np.linalg.norm(block @ part) ** 2
-                top = max(top, np.linalg.svd(block, compute_uv=False)[0])
-        return np.sqrt(squared), top
 
     l, count = space.l_sites, np.arange(space.l_sites + 1.0)  # count: each sector's n
     for _ in range(trials):
@@ -290,16 +280,23 @@ def verify_operator_bounds(space: FockSpace, trials: int, seed: int) -> dict:
                                                                          count + 1))
         sv = np.linalg.svd(o, compute_uv=False)
         op_norm, hs, tr = sv[0], np.linalg.norm(sv), np.sum(sv)
-        (dg, dg_norm), (pa, pa_norm), (pc, pc_norm) = [
-            norms(creates) for creates in ((True, False), (False, False), (True, True))]
+        squared, dg_norm, pair_norm = np.zeros(3), 0.0, 0.0  # squared: dGamma, pa, pc
+        for n, part in enumerate(parts):
+            block = d_gamma(space, o, n)
+            squared[0] += np.linalg.norm(block @ part) ** 2
+            dg_norm = max(dg_norm, np.linalg.norm(block, 2))
+            if n + 2 <= l:
+                block = _pair_creation(space, o, n)
+                squared[1] += np.linalg.norm(block.T @ parts[n + 2]) ** 2
+                squared[2] += np.linalg.norm(block @ part) ** 2
+                pair_norm = max(pair_norm, np.linalg.norm(block, 2))
+        dg, pa, pc = np.sqrt(squared)
         tally("dgamma_operator_norm_bound", dg, op_norm * n_psi)
         tally("dgamma_hs_bound", dg, hs * root_n_psi)
         tally("pair_annihilation_hs_bound", pa, hs * root_n_psi)
         tally("pair_creation_hs_bound", pc, 2.0 * hs * root_n1_psi)
         tally("dgamma_trace_bound", dg_norm, 2.0 * tr)
-        tally("pair_annihilation_trace_bound", pa_norm, 2.0 * tr)
-        tally("pair_creation_trace_bound", pc_norm, 2.0 * tr)
+        tally("pair_annihilation_trace_bound", pair_norm, 2.0 * tr)
+        tally("pair_creation_trace_bound", pair_norm, 2.0 * tr)
 
-    for entry in report.values():
-        entry["worst_slack"] = float(entry["worst_slack"])
     return report

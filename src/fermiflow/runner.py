@@ -463,7 +463,10 @@ def run(cfg: RunConfig, out_dir: str) -> dict:
 
     manifest = [{"path": rel, "bytes": os.path.getsize(path := os.path.join(out_dir, rel)),
                  "sha256": _sha256(path)} for rel in written]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:  # numpy < 1.25's show_config takes no mode, and a build may record no BLAS
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     summary = {
         "config": cfg.raw,
         "environment": {  # what produced the run

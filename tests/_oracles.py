@@ -44,10 +44,13 @@ became vectors on one particle-number sector: `field_operator`,
   b ^ 2^x, one (2^L, L) array each.  `occupations`, `vacuum` and `embed` are
   the full space's particle counts, its vacuum, and a sector vector placed in
   it, so the oracles check the sector vectors of `fermiflow.fock`.
+- `letter`: no oracle but the program's own a*_x or a_x as a dense block from
+  sector n, scattered from `fock._raising`'s ladder tables (a_x on n is the
+  transpose of a*_x on n - 1), for the CAR checks that multiply letters.
 - `csr_word`: a product of field operators summed over its coefficients as a
   sparse matrix on the whole Fock space, by one CSR build over that table,
-  which checks the sector blocks n -> n + c of `fock._word` and
-  `fock.hamiltonian`.
+  which checks the sector blocks n -> n + c of `letter`, `fock.d_gamma`, the
+  pair blocks and `fock.hamiltonian`.
 - `field_operator`, `pair_operator`: a(f), a*(f) and the pair words as dense
   full-space matrices, from `csr_word`.
 - `number_operator`: the number operator as a sparse diagonal matrix, which
@@ -83,6 +86,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
+from fermiflow import fock
 from fermiflow.fock import FockSpace
 from fermiflow.initial_data import _GAP_TOL, DegenerateFermiLevel, DensityMatrix
 from fermiflow.meanfield import direct_term
@@ -311,6 +315,18 @@ def embed(space: FockSpace, n: int, psi: np.ndarray) -> np.ndarray:
     """The vector psi on sector n as a full-space vector, 0 off the sector."""
     out = np.zeros(1 << space.l_sites, dtype=complex)
     out[space.sector(n)] = psi
+    return out
+
+
+def letter(space: FockSpace, x: int, create: bool, n: int) -> np.ndarray:
+    """a*_x (create) or a_x, the program's block from sector n: a*_x puts sign[b, x] at
+    (rank[b, x], b) of the a* table of sector n, and a_x is a*_x on n - 1 transposed."""
+    if not create:
+        return letter(space, x, True, n - 1).T
+    sign, rank = fock._raising(space, n)
+    out = np.zeros((len(space.sector(n + 1)), len(space.sector(n))))
+    acts = np.nonzero(sign[:, x])[0]
+    out[rank[acts, x], acts] = sign[acts, x]
     return out
 
 

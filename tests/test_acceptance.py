@@ -17,8 +17,8 @@ from fermiflow.model import (build_potential, default_hbar, kinetic_operator,
                              make_lattice)
 from fermiflow.runner import parse_config, run
 
-from _oracles import (dense, embed, fit_double_exponential, generalized_density, rdmk,
-                      spectral_form, wick_rdmk)
+from _oracles import (dense, embed, fit_double_exponential, generalized_density, letter,
+                      rdmk, spectral_form, wick_rdmk)
 
 
 def report(capsys, num, name, ok, detail):
@@ -97,12 +97,11 @@ def test_criterion_03_single_particle_exchange_cancellation(capsys):
 
 
 def test_criterion_04_car_suite(capsys):
-    from fermiflow.fock import FockSpace, _word, car_defect
+    from fermiflow.fock import FockSpace, car_defect
 
     space = FockSpace(6)
-    e = np.eye(6)
     # the program's letters a*_x and a_x, their blocks from each sector n (a* raises n by 1)
-    c = {(x, create, n): _word(space, (create,), e[x], n)
+    c = {(x, create, n): letter(space, x, create, n)
          for x in range(6) for create in (False, True) for n in range(-1, 8)}
     worst = car_defect(space)
     for n in range(7):  # each anticommutator {c_x, d_y} on sector n, from products of blocks

@@ -2,6 +2,7 @@
 densities, fluctuation moments, and the quadratic-operator bounds, each sector
 path against its full-space oracle."""
 
+import ast
 import math
 import tracemalloc
 from fractions import Fraction
@@ -19,18 +20,14 @@ from fermiflow.model import FOCK_MAX_SITES, build_potential, default_hbar, \
 
 from _oracles import (SectorPropagator, csr_word, dense, dense_slater, embed, field_operator,
                       fluctuation_vector, generalized_density, gershgorin_interval,
-                      implement_bogoliubov, number_moment, number_operator, occupations,
-                      pair_operator, rdmk, slater_vector, spectral_form, vacuum, wick_rdmk)
+                      implement_bogoliubov, letter, number_moment, number_operator,
+                      occupations, pair_operator, rdmk, slater_vector, spectral_form, vacuum,
+                      wick_rdmk)
 
 
 def site(space, x, create):
     """a*_x or a_x on the whole space, the oracle's field operator of the unit vector e_x."""
     return field_operator(space, np.eye(space.l_sites)[x], create)
-
-
-def letter(space, x, create, n):
-    """a*_x or a_x, the program's block from sector n."""
-    return fock._word(space, (create,), np.eye(space.l_sites)[x], n)
 
 
 def random_projection(l_sites, n, seed):
@@ -45,6 +42,17 @@ def random_sector_vector(space, n, rng):
     size = len(space.sector(n))
     psi = rng.normal(size=size) + 1j * rng.normal(size=size)
     return psi / np.linalg.norm(psi)
+
+
+def field(space, f, create, n):
+    """a*(f) = sum f(x) a*_x or a(f) = sum conj(f(x)) a_x, from the program's letters."""
+    return sum((f[x] if create else np.conj(f[x])) * letter(space, x, create, n)
+               for x in range(space.l_sites))
+
+
+def pair_annihilation(space, o, n):
+    """sum O(x;y) a_x a_y from sector n: minus the transpose of the pair creation n - 2 -> n."""
+    return -fock._pair_creation(space, o, n - 2).T
 
 
 def sub_block(full, space, n, c):
@@ -71,6 +79,22 @@ def test_car_anticommutators():
         for x in range(4):
             assert np.max(np.abs(letter(space, x, False, n - 1) @ letter(space, x, False, n)),
                           initial=0.0) == 0.0
+
+
+def test_one_ranking_and_one_sign_convention_in_fock():
+    # `_raising` is fock's one ranking of states: `searchsorted` appears nowhere else, and
+    # `_letter`, the Jordan-Wigner convention, is read only by `_raising` and `car_defect`
+    with open(fock.__file__) as fh:
+        tree = ast.parse(fh.read())
+    rankers, readers = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if "searchsorted" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                rankers.add(getattr(top, "name", ast.unparse(top)))
+            if isinstance(node, ast.Name) and node.id == "_letter":
+                readers.add(getattr(top, "name", ast.unparse(top)))
+    assert rankers == {"_raising"}
+    assert readers == {"_raising", "car_defect"}
 
 
 def test_car_defect_zero_and_detects_missing_signs(monkeypatch):
@@ -131,16 +155,15 @@ def test_operators_match_kronecker_oracle():
     rng = np.random.default_rng(3)
     o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     words = {
-        "dgamma": ((True, False), lambda x, y: a[x].T @ a[y]),
-        "pair annihilation": ((False, False), lambda x, y: a[x] @ a[y]),
-        "pair creation": ((True, True), lambda x, y: a[x].T @ a[y].T),
+        "dgamma": (d_gamma, 0, lambda x, y: a[x].T @ a[y]),
+        "pair annihilation": (pair_annihilation, -2, lambda x, y: a[x] @ a[y]),
+        "pair creation": (fock._pair_creation, 2, lambda x, y: a[x].T @ a[y].T),
     }
-    for name, (creates, word) in words.items():
+    for name, (build, c, word) in words.items():
         oracle = sum(o[x, y] * word(x, y) for x in range(4) for y in range(4))
-        c = 2 * sum(creates) - len(creates)
         weight = 0.0
         for n in range(5):
-            block = fock._word(space, creates, o, n)
+            block = build(space, o, n)
             assert np.max(np.abs(block - sub_block(oracle, space, n, c)), initial=0.0) < 1e-12
             weight += np.sum(np.abs(block) ** 2)
         assert weight == pytest.approx(np.sum(np.abs(oracle) ** 2), rel=1e-12), name
@@ -148,27 +171,34 @@ def test_operators_match_kronecker_oracle():
 
 @pytest.mark.parametrize("l_sites", range(1, 9))
 def test_dense_words_match_the_csr_oracle(l_sites):
-    # the blocks n -> n + c of the field, pair and dGamma words against the CSR build
-    # over the full table, with real and complex coefficients, past both ends of 0..L
+    # the blocks n -> n + c of the field words from the letters, of dGamma and of both pair
+    # words against the CSR build over the full table, with real and complex coefficients,
+    # past both ends of 0..L; the pair annihilation block is minus the transpose of the
+    # pair creation block, as `verify_operator_bounds` takes it
     space = FockSpace(l_sites)
     rng = np.random.default_rng(l_sites)
     real = rng.normal(size=(l_sites, l_sites))
     for o in (real, real + 1j * rng.normal(size=(l_sites, l_sites))):
         words = {
-            "creation": ((True,), o[0]),
-            "annihilation": ((False,), o[0].conj()),
-            "dgamma": ((True, False), o),
-            "pair annihilation": ((False, False), o),
-            "pair creation": ((True, True), o),
+            "creation": ((True,), o[0], lambda n: field(space, o[0], True, n)),
+            "annihilation": ((False,), o[0].conj(), lambda n: field(space, o[0], False, n)),
+            "dgamma": ((True, False), o, lambda n: d_gamma(space, o, n)),
+            "pair annihilation": ((False, False), o, lambda n: pair_annihilation(space, o, n)),
+            "pair creation": ((True, True), o, lambda n: fock._pair_creation(space, o, n)),
         }
-        for name, (creates, coef) in words.items():
+        blocks = {}
+        for name, (creates, coef, build) in words.items():
             want = csr_word(space, creates, coef).toarray()
             c = 2 * sum(creates) - len(creates)
             for n in range(-1, l_sites + 2):
-                got, want_block = fock._word(space, creates, coef, n), sub_block(want, space, n, c)
+                got, want_block = build(n), sub_block(want, space, n, c)
                 assert got.dtype == want.dtype and got.shape == want_block.shape, (name, n)
                 assert np.max(np.abs(got - want_block), initial=0.0) \
                     <= 1e-14 * np.max(np.abs(want)), (name, n)
+                blocks[name, n] = want_block
+        for n in range(-1, l_sites):  # the oracle's pair words obey the same identity
+            assert np.array_equal(blocks["pair annihilation", n + 2],
+                                  -blocks["pair creation", n].T), n
 
 
 @pytest.mark.parametrize("complex_k", [False, True], ids=["real", "complex"])
@@ -203,29 +233,24 @@ def test_sector_blocks_take_any_word_at_any_size():
     # L = 13: {a(f), a*(f)} = |f|^2 on sector 3 from the blocks 3 -> 4 -> 3 and 3 -> 2 -> 3
     space = FockSpace(13)
     f = np.random.default_rng(13).normal(size=13) + 1j
-
-    def field(create, n):  # a*(f) or a(f) from sector n
-        return fock._word(space, (create,), f if create else f.conj(), n)
-
-    anti = field(False, 4) @ field(True, 3) + field(True, 2) @ field(False, 3)
+    anti = field(space, f, False, 4) @ field(space, f, True, 3) \
+        + field(space, f, True, 2) @ field(space, f, False, 3)
     assert anti.shape == (math.comb(13, 3),) * 2
     assert np.max(np.abs(anti - np.vdot(f, f).real * np.eye(len(anti)))) < 1e-12
-    pair = fock._word(space, (True, True), np.ones((13, 13)), 12)
-    assert pair.shape == (0, 13)  # sector 14 is empty
+    for n, shape in ((12, (0, 13)), (13, (0, 1))):  # sectors 14 and 15 are empty
+        assert fock._pair_creation(space, np.ones((13, 13)), n).shape == shape
 
 
-@pytest.mark.parametrize("build, k, shape", [
-    (lambda space, c: fock._word(space, (True,), c, 1), 1, (3, 3)),
-    (lambda space, c: fock._word(space, (False, False), c, 2), 2, (1, 3)),
-    (lambda space, c: d_gamma(space, c, 1), 2, (3, 3)),
-], ids=["field_operator", "pair_operator", "d_gamma"])
-def test_coefficient_shape_is_checked(build, k, shape):
+@pytest.mark.parametrize("build, shape", [
+    (lambda space, c: fock._pair_creation(space, c, 1), (1, 3)),
+    (lambda space, c: d_gamma(space, c, 1), (3, 3)),
+], ids=["pair_operator", "d_gamma"])
+def test_coefficient_shape_is_checked(build, shape):
     space = FockSpace(3)
-    assert build(space, np.ones((3,) * k)).shape == shape
-    for coef_shape in [(5,), (2,), (3, 3), (5, 5), (2, 2), (3, 3, 3)]:
-        if coef_shape != (3,) * k:
-            with pytest.raises(ValueError, match="shape"):
-                build(space, np.ones(coef_shape))
+    assert build(space, np.ones((3, 3))).shape == shape
+    for coef_shape in [(5,), (3,), (5, 5), (2, 2), (3, 3, 3)]:
+        with pytest.raises(ValueError, match="shape"):
+            build(space, np.ones(coef_shape))
 
 
 def test_field_operator_bounded():
@@ -235,7 +260,7 @@ def test_field_operator_bounded():
         f = rng.normal(size=5) + 1j * rng.normal(size=5)
         n = int(rng.integers(6))
         psi = random_sector_vector(space, n, rng)
-        created = fock._word(space, (True,), f, n) @ psi
+        created = field(space, f, True, n) @ psi
         assert np.linalg.norm(created) <= np.linalg.norm(f) + 1e-12
 
 
@@ -478,7 +503,9 @@ def test_real_tables_give_real_operators(monkeypatch):
     o = np.random.default_rng(3).normal(size=(6, 6))
     assert d_gamma(space, o, 3).dtype == np.float64
     assert d_gamma(space, o + 1j * o.T, 3).dtype == np.complex128
-    assert fock._word(space, (True,), np.ones(6, dtype=int), 2).dtype == np.float64
+    assert d_gamma(space, np.ones((6, 6), dtype=int), 2).dtype == np.float64
+    assert fock._pair_creation(space, np.ones((6, 6), dtype=int), 2).dtype == np.float64
+    assert fock._pair_creation(space, o + 1j * o.T, 2).dtype == np.complex128
     for l_sites in (1, 3, 6, FOCK_MAX_SITES):  # the largest L of every Fock scenario
         assert car_defect(FockSpace(l_sites)) == 0.0
 

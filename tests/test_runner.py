@@ -408,6 +408,22 @@ def test_summary_records_a_null_scipy_version_without_scipy(tmp_path, monkeypatc
     assert summary["environment"]["scipy"] is None
 
 
+@pytest.mark.parametrize("show_config", [
+    lambda: None,  # numpy < 1.25, the declared floor 1.24 included: no `mode`
+    lambda mode: {"Build Dependencies": {}},  # a build that records no BLAS
+], ids=["no_mode", "no_blas"])
+def test_summary_records_a_null_blas_where_numpy_names_none(tmp_path, monkeypatch,
+                                                            show_config):
+    # the run still succeeds, with the BLAS name and version null
+    monkeypatch.setattr(np, "show_config", show_config)
+    out = str(tmp_path / "out")
+    run(parse_config(json.dumps(MINIMAL)), out)
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "success"
+    assert summary["environment"]["blas"] == {"name": None, "version": None}
+
+
 def test_cli_success_exit_zero(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL)
     out = str(tmp_path / "out")

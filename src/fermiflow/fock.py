@@ -1,9 +1,9 @@
-"""Exact second-quantized oracle on a tiny one-dimensional lattice, on numpy alone.
+"""Exact second-quantized oracle on a tiny lattice of any ds, L = d^ds sites, on numpy alone.
 
 A Fock state is a vector on one particle-number sector, whose basis is the occupation
 bitmasks with n bits set, ascending (`FockSpace.sector`): no state or operator is 2^L
-long.  Jordan-Wigner strings follow the site order, so a_x picks up (-1)^(number of
-occupied modes below x), a convention fixed in one place: `_letter`, by bit operations on
+long.  Jordan-Wigner strings follow the row-major site order, so a_x picks up (-1)^(number
+of occupied modes below x), a convention fixed in one place: `_letter`, by bit operations on
 the masks.  States are ranked in one place too, `_raising`'s cached tables of a*_x on one
 sector, which every operator reads: `d_gamma` (so `hamiltonian`) and the pair blocks are
 scattered from them, and `rdm1` and `fluctuation_moments` gather a_x psi on sector N - 1
@@ -134,11 +134,9 @@ def _pair_creation(space: FockSpace, o: np.ndarray, n: int) -> np.ndarray:
 
 def hamiltonian(space: FockSpace, v: Potential, hbar: float, n_particles: int) -> np.ndarray:
     """dGamma(-hbar^2 Lap) + (1/2N) sum_{x,y} V(x-y) a*_x a*_y a_y a_x, dense on the
-    N-particle sector.  The interaction is diagonal in the occupation basis; its site-pair
-    coupling uses the same V samples as the mean-field direct/exchange
-    terms, so the exact dynamics is tangent to the Hartree-Fock flow."""
-    if v.lattice.ds != 1 or v.lattice.site_count != space.l_sites:
-        raise ValueError("hamiltonian needs a ds=1 lattice matching the Fock sites")
+    N-particle sector of v's lattice sites, at any ds.  The interaction is diagonal in the
+    occupation basis; its site-pair coupling uses the same V samples as the mean-field
+    direct/exchange terms, so the exact dynamics is tangent to the Hartree-Fock flow."""
     h = d_gamma(space, kinetic_operator(v.lattice, hbar), n_particles)
     w = v.pair_matrix.copy()
     np.fill_diagonal(w, 0.0)
@@ -227,7 +225,7 @@ def fluctuation_moments(space: FockSpace, omega, psi: np.ndarray, k: int) -> tup
     """(<N>, <(N + 1)^k>) of the fluctuation vector xi = R*_omega psi, over |xi|^2 = |psi|^2,
     for psi on sector N = rank omega: the particles outside the Slater sea of omega.  With
     psi_t = exp(-i H t / hbar) R_{omega_0} xi_0 and omega_t on the Hartree-Fock flow, xi is
-    the fluctuation dynamics U(t;0) xi_0.
+    the paper's fluctuation dynamics U(t;0) xi_0 (on the Hartree flow, its analogue).
 
     R N R* counts the particles outside omega and the holes inside: 2D, D = dGamma(1 -
     omega), on sector N.  So <N^j> = |(2D)^m psi|^2 for j = 2m and 2 |A_m (1 - omega)^T|_F^2

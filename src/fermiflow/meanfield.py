@@ -223,7 +223,7 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
            v: Potential, hbar: float):
     """Integrate the flow (Hartree by `split_step`, Hartree-Fock by `step`), yielding a
     `Snapshot` at the snapshot stride and at t_final; the running maxima read every step.
-    Validates omega0 at the first `next`; aborts on integrator blow-up or a non-finite state."""
+    Validates omega0 at the first `next`; aborts on integrator blow-up or a non-finite E."""
     omega0.validate()
     split = kind is MeanFieldKind.HARTREE
     half = np.exp(-0.5j * (cfg.dt / hbar) * (hbar ** 2 * v.lattice.momentum_squared()))[..., None]
@@ -234,16 +234,18 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
             state, phi_hat = (split_step(state, phi_hat, half, cfg, v, hbar) if split
                               else (step(state, h, interval, cfg, v, hbar), None))
             defect = state.idempotency_defect()
-            if not defect <= 1e-4:  # also true for NaN
-                raise RuntimeError(
-                    f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}")
         # Hartree: Phi_hat serves the next step.  Hartree-Fock: h(omega) and its interval do,
         # and Phi_hat is dropped (held across the step, it cost hf3d ~2 MB of peak RSS).
-        if split:
-            e, phi_hat = energy(state, v, hbar, phi_hat=phi_hat)
-        else:
-            h, interval = generator(state, v, hbar)
-            e = energy(state, v, hbar, h)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E is refused below
+            if split:
+                e, phi_hat = energy(state, v, hbar, phi_hat=phi_hat)
+            else:
+                h, interval = generator(state, v, hbar)
+                e = energy(state, v, hbar, h)[0]
+        blow_up = i > 0 and not defect <= 1e-4  # also true for NaN
+        if blow_up or not math.isfinite(e):
+            raise RuntimeError(f"integrator blow-up at t={t:.6g}: idempotency defect {defect:.3e}"
+                               if blow_up else f"the energy at t={t:.6g} is not finite ({e})")
         tr = float(np.vdot(state.orbitals, state.orbitals * state.occupations).real)
         if i == 0:
             tr0, e0, peaks = tr, e, (0.0, 0.0, 0.0)

@@ -192,10 +192,9 @@ def parse_config(text: str) -> RunConfig:
     if scenario == "semiclassics" and (lattice.ds != 1 or lattice.d % 2):
         raise ConfigError("semiclassics needs lattice.ds = 1 and an even lattice.d")
     if scenario in ("exact-vs-meanfield", "fock-verify", "fluctuation"):
-        if not (lattice.ds == 1
-                and (c["fock"]["l_sites"] or lattice.d) == lattice.d <= FOCK_MAX_SITES):
-            raise ConfigError(f"fock.l_sites must equal lattice.d={lattice.d}, at most "
-                              f"{FOCK_MAX_SITES} sites, with lattice.ds = 1")
+        if not (c["fock"]["l_sites"] or lattice.site_count) == lattice.site_count <= FOCK_MAX_SITES:
+            raise ConfigError(f"fock.l_sites must equal d^ds = {lattice.site_count} (lattice.d="
+                              f"{lattice.d}, lattice.ds={lattice.ds}), at most {FOCK_MAX_SITES}")
     try:
         potential = build_potential(c["potential"], lattice)
     except ValueError as exc:
@@ -312,15 +311,15 @@ def _scenario_compare(cfg: RunConfig):
     return {"final_gap": float(gap)}
 
 
-def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
-    """The Fock space, the mean-field snapshots from omega_0, and the exact psi_t =
-    exp(-i H t / hbar) R_{omega_0} vacuum at their times, stepped from one to the next by
-    `fock.propagate`, which reads each time as its snapshot arrives."""
+def _exact_states(cfg: RunConfig):
+    """The Fock space, the mean-field snapshots of `cfg.kind` from omega_0, and the exact
+    psi_t = exp(-i H t / hbar) R_{omega_0} vacuum at their times, stepped from one to the
+    next by `fock.propagate`, which reads each time as its snapshot arrives."""
     from .fock import FockSpace, propagate, quasi_free_state
 
-    space, omega0 = FockSpace(cfg.lattice.d), cfg.initial_state
+    space, omega0 = FockSpace(cfg.lattice.site_count), cfg.initial_state
     psi0 = quasi_free_state(space, omega0)
-    flow, times = itertools.tee(evolve(omega0, cfg.evolution, kind, cfg.potential, cfg.hbar))
+    flow, times = itertools.tee(evolve(omega0, cfg.evolution, cfg.kind, cfg.potential, cfg.hbar))
     return space, flow, propagate(space, cfg.potential, cfg.n_particles, psi0,
                                   (snap.t for snap in times), cfg.hbar)
 
@@ -328,7 +327,7 @@ def _exact_states(cfg: RunConfig, kind: MeanFieldKind):
 def _scenario_exact_vs_meanfield(cfg: RunConfig):
     from .fock import rdm1
 
-    space, flow, psis = _exact_states(cfg, cfg.kind)
+    space, flow, psis = _exact_states(cfg)
     for snap in flow:
         s = snap.state
         with _at_snapshot(snap.t):  # x holds the only dense omega, L <= 14 sites
@@ -343,7 +342,7 @@ def _scenario_fock_verify(cfg: RunConfig):
     """The seven tallies, one row each, written before a violation or CAR defect fails."""
     from .fock import FockSpace, car_defect, verify_operator_bounds
 
-    space = FockSpace(cfg.lattice.d)
+    space = FockSpace(cfg.lattice.site_count)
     worst = car_defect(space)
     report = verify_operator_bounds(space, cfg.fock["trials"], cfg.seed)
     for i, entry in enumerate(report.values()):
@@ -360,7 +359,7 @@ def _scenario_fock_verify(cfg: RunConfig):
 def _scenario_fluctuation(cfg: RunConfig):
     from .fock import fluctuation_moments
 
-    space, flow, psis = _exact_states(cfg, MeanFieldKind.HARTREE_FOCK)
+    space, flow, psis = _exact_states(cfg)
     order = cfg.fock["moment_order"]
     for snap in flow:
         with _at_snapshot(snap.t):

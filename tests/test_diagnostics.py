@@ -313,12 +313,14 @@ def test_fit_double_exponential_recovers_synthetic():
     assert abs(c1 - 1.5) < 0.1
 
 
-def test_free_slater_flow_matches_exact_dynamics(tmp_path):
+@pytest.mark.parametrize("kind", ["hartree_fock", "hartree"])
+@pytest.mark.parametrize("ds, d", [(1, 6), (2, 3), (3, 2)], ids=["ds1-d6", "ds2-d3", "ds3-d2"])
+def test_free_slater_flow_matches_exact_dynamics(tmp_path, ds, d, kind):
     # a Slater state stays exactly quasi-free under the free dynamics, so the
-    # exact 1-particle density and the mean-field flow agree
-    doc = {"scenario": "exact-vs-meanfield", "lattice": {"ds": 1, "d": 6},
+    # exact 1-particle density and the mean-field flow of either kind agree, at any ds
+    doc = {"scenario": "exact-vs-meanfield", "lattice": {"ds": ds, "d": d},
            "model": {"n_particles": 2}, "potential": {"shape": "zero"},
-           "initial": {"kind": "ball"},
+           "initial": {"kind": "ball"}, "kind": kind,
            "evolution": {"dt": 1e-2, "t_final": 0.5, "snapshot_stride": 10}}
     result = run(parse_config(json.dumps(doc)), str(tmp_path))["result"]
     rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
@@ -327,3 +329,20 @@ def test_free_slater_flow_matches_exact_dynamics(tmp_path):
     assert np.max(tr) < 1e-8 and np.all(hs <= tr + 1e-15)
     assert result["final_trace_distance"] == tr[-1]
     assert result["final_hs_distance"] == hs[-1]
+
+
+@pytest.mark.parametrize("ds, d", [(2, 3), (3, 2)], ids=["ds2-d3", "ds3-d2"])
+def test_one_particle_hf_gap_is_the_midpoint_rules_error(tmp_path, ds, d):
+    # for one particle exchange cancels the direct term and the exact H has no pair to
+    # act on, so both flows are free: the HF HS distance at t = 0.5 in a trap under a
+    # gaussian V is the midpoint rule's O(dt^2) alone, 4x smaller when dt halves
+    hs = []
+    for dt in (1e-3, 5e-4):
+        doc = {"scenario": "exact-vs-meanfield", "lattice": {"ds": ds, "d": d},
+               "model": {"n_particles": 1},
+               "potential": {"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+               "initial": {"kind": "trapped", "strength": 50.0},
+               "evolution": {"dt": dt, "t_final": 0.5, "snapshot_stride": 1000}}
+        hs.append(run(parse_config(json.dumps(doc)), str(tmp_path))["result"]
+                  ["final_hs_distance"])
+    assert 3.8 <= hs[0] / hs[1] <= 4.2, hs

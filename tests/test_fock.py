@@ -202,13 +202,16 @@ def test_dense_words_match_the_csr_oracle(l_sites):
 
 
 @pytest.mark.parametrize("complex_k", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("l_sites", range(4, 11))
-def test_hamiltonian_and_sector_blocks_match_the_csr_oracle(monkeypatch, l_sites, complex_k):
+@pytest.mark.parametrize("ds, d", [(1, d) for d in range(4, 11)] + [(2, 3), (3, 2)],
+                         ids=[str(d) for d in range(4, 11)] + ["ds2-d3", "ds3-d2"])
+def test_hamiltonian_and_sector_blocks_match_the_csr_oracle(monkeypatch, ds, d, complex_k):
     # H = dGamma(K) + (1/2N) sum V(x-y) a*_x a*_y a_y a_x as CSR words: every sector's
-    # `hamiltonian` within 1e-14 of its largest entry, and the block `propagate` steps
-    lat = make_lattice(1, l_sites, 1.0)
+    # `hamiltonian` within 1e-14 of its largest entry, and the block `propagate` steps;
+    # at ds > 1 the Jordan-Wigner order is the row-major site order of K and V
+    lat = make_lattice(ds, d, 1.0)
+    l_sites = lat.site_count
     n_particles = l_sites // 2
-    hbar = default_hbar(n_particles, 1)
+    hbar = default_hbar(n_particles, ds)
     pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
     k = kinetic_operator(lat, hbar)
     if complex_k:  # a complex Hermitian K
@@ -227,6 +230,15 @@ def test_hamiltonian_and_sector_blocks_match_the_csr_oracle(monkeypatch, l_sites
     next(propagate(space, pot, n_particles, psi, [1e-3], hbar))
     assert len(seen) == 1
     assert np.array_equal(seen[0], hamiltonian(space, pot, hbar, n_particles))
+
+
+@pytest.mark.parametrize("ds, d, l_sites", [(1, 8, 9), (2, 3, 8), (3, 2, 9)])
+def test_hamiltonian_refuses_a_lattice_of_another_size(ds, d, l_sites):
+    # K's shape (d^ds, d^ds) is checked against the L Fock sites, at any ds
+    lat = make_lattice(ds, d, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    with pytest.raises(ValueError, match="shape"):
+        hamiltonian(FockSpace(l_sites), pot, default_hbar(2, ds), 2)
 
 
 def test_sector_blocks_take_any_word_at_any_size():

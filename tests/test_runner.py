@@ -714,7 +714,8 @@ _REFUSED_IN_PARSE = [
     # a degenerate Fermi shell in a strong trap: equal sums of one-axis levels
     ({"scenario": "diagnostics-only", "lattice": {"ds": 3, "d": 6}, "model": {"n_particles": 2},
       "initial": {"kind": "trapped", "strength": 1e6}}, "initial"),
-    (dict(MINIMAL, scenario="fluctuation", lattice={"ds": 2, "d": 3}), "fock.l_sites"),
+    (dict(MINIMAL, scenario="fluctuation", lattice={"ds": 2, "d": 4}), "fock.l_sites"),
+    (dict(MINIMAL, scenario="exact-vs-meanfield", lattice={"ds": 3, "d": 3}), "fock.l_sites"),
     (dict(MINIMAL, scenario="exact-vs-meanfield", lattice={"ds": 1, "d": 15}), "fock.l_sites"),
     ({"scenario": "fock-verify", "lattice": {"ds": 1, "d": 15}, "model": {"n_particles": 2}},
      "fock.l_sites"),
@@ -733,7 +734,12 @@ def test_parse_config_refuses_what_a_scenario_would_refuse(tmp_path, capsys, doc
     capsys.readouterr()
     assert main([doc["scenario"], "--config", write_config(tmp_path, doc, "bad.json"),
                  "--out", out]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}")
+    if key == "fock.l_sites":  # the one Fock rule, at any ds: L = d^ds <= 14
+        lat = doc["lattice"]
+        assert f"lattice.d={lat['d']}, lattice.ds={lat['ds']}" in err
+        assert f"d^ds = {lat['d'] ** lat['ds']}" in err
     assert sorted(glob.glob("snapshots/*.fmf1", root_dir=out)) == names[:-2]
     assert _read_all(out, names) == before
 
@@ -850,6 +856,18 @@ def test_cli_float_overflow_exit_three(tmp_path, monkeypatch, capsys):
     assert main(["evolve", "--config", path, "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not os.path.exists(out / "summary.json")
+
+
+def test_cli_energy_overflow_at_t0_exits_three_with_no_row(tmp_path, capsys):
+    # a Hartree energy that overflows at t = 0 is refused before its row is written:
+    # one stderr line, no RuntimeWarning (an error under this suite), no inf in a series
+    doc = dict(MINIMAL, kind="hartree", evolution={"dt": 1e-3, "t_final": 2e-3},
+               potential={"shape": "gaussian", "strength": 1e307, "sigma": 0.2})
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: evolve: the energy at t=0 is not finite (inf)\n", err
+    assert os.listdir(out) == []
 
 
 def test_cli_scenario_value_error_exits_three_without_a_traceback(tmp_path, monkeypatch,
@@ -1033,9 +1051,10 @@ def test_run_fluctuation_rows_end_at_t_final(tmp_path):
     assert result["final_moment"] == m2[-1]
 
 
-def test_run_fluctuation_moments_never_below_their_floor(tmp_path):
+@pytest.mark.parametrize("kind", ["hartree_fock", "hartree"])
+def test_run_fluctuation_moments_never_below_their_floor(tmp_path, kind):
     # <N> >= 0 and <(N+1)^k> >= 1 hold exactly, also where xi_t = vacuum
-    doc = dict(MINIMAL, scenario="fluctuation",
+    doc = dict(MINIMAL, scenario="fluctuation", kind=kind,
                evolution={"dt": 0.01, "t_final": 0.05, "snapshot_stride": 2})
     out = tmp_path / "fl"
     run(parse_config(json.dumps(doc)), str(out))
@@ -1043,6 +1062,21 @@ def test_run_fluctuation_moments_never_below_their_floor(tmp_path):
     m1, m2 = (np.array([float(r.split(",")[i]) for r in rows]) for i in (1, 2))
     assert len(rows) == 4
     assert np.all(m1 >= 0.0) and np.all(m2 >= 1.0), rows
+
+
+def test_run_fluctuation_follows_the_configured_kind(tmp_path):
+    # xi_t = R*_{omega_t} psi_t with omega_t on the flow that `kind` names: under a
+    # gaussian V, from a trap, the Hartree-Fock and Hartree rows differ past t = 0
+    series = {}
+    for kind in ("hartree_fock", "hartree"):
+        doc = dict(MINIMAL, scenario="fluctuation", kind=kind,
+                   potential={"shape": "gaussian", "strength": 1.0, "sigma": 0.2},
+                   initial={"kind": "trapped", "strength": 50.0},
+                   evolution={"dt": 0.01, "t_final": 0.05, "snapshot_stride": 5})
+        run(parse_config(json.dumps(doc)), str(tmp_path / kind))
+        series[kind] = (tmp_path / kind / "series.csv").read_text().splitlines()
+    hf, hartree = series.values()
+    assert hf[:2] == hartree[:2] and hf[2] != hartree[2], series
 
 
 def test_run_requires_evolution_for_dynamic_scenarios():

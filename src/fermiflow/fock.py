@@ -184,9 +184,10 @@ def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray
               times, hbar: float):
     """Yield exp(-i H t / hbar) psi0 at the ascending times t >= 0, psi0 on sector N and H =
     dGamma(K) + W the `hamiltonian` of v there.  Its block is built once and stepped
-    between the times by `apply_exponential` on Weyl's interval from H's parts: dGamma(K)
-    on N fermions spans [sum of the N lowest, sum of the N highest] levels hbar^2 |p|^2 of
-    K, W the block diagonal minus N K_xx (K_xx: the levels' mean)."""
+    between the times by `apply_exponential`, on a copy as the series overwrites it, on
+    Weyl's interval from H's parts: dGamma(K) on N fermions spans [sum of the N lowest, sum
+    of the N highest] levels hbar^2 |p|^2 of K, W the block diagonal minus N K_xx (K_xx:
+    the levels' mean)."""
     n, psi = n_particles, _on_sector(space, n_particles, psi0)
     k = np.sort(hbar ** 2 * v.lattice.momentum_squared())  # K's levels, ascending
     block = hamiltonian(space, v, hbar, n)
@@ -194,7 +195,8 @@ def propagate(space: FockSpace, v: Potential, n_particles: int, psi0: np.ndarray
     interval = (k[:n].sum() + w.min(), k[len(k) - n:].sum() + w.max())
     t_prev, norm0 = 0.0, np.linalg.norm(psi0)
     for t in times:
-        psi, t_prev = apply_exponential(psi[:, None], block, interval, t - t_prev, hbar)[:, 0], t
+        psi = apply_exponential(psi[:, None], block.copy(), interval, t - t_prev, hbar)[:, 0]
+        t_prev = t
         drift = abs(np.linalg.norm(psi) - norm0)
         if not drift <= 1e-10 * max(1.0, norm0):  # also true for NaN
             raise RuntimeError(f"exact propagation lost norm ({drift:.2e})")

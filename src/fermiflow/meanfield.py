@@ -15,8 +15,9 @@ predictor.  `generator` assembles h in one M x M buffer: X_{xy} = V(x-y) omega_{
 that table times rho (no FFT), to its diagonal; both tables are exactly symmetric, so h is
 not Hermitized.  The exponential is a Chebyshev series in h on Phi over the interval
 `generator` reads from h's parts, in real arithmetic where h is real, or an `eigh` of h where
-it needs dim h terms.  `evolve` builds h once per state, also for `energy`, the one energy of
-both flows, its kinetic part by Parseval.
+it needs dim h terms; the series overwrites h.  `evolve` builds h once per state, for `energy`,
+the one energy of both flows (its kinetic part by Parseval), then for the predictor: a
+Hartree-Fock step holds one M x M array at a time, 16 M^2 bytes complex.
 
 The flows take hbar as a number, N from the state and the lattice from `v`.  `evolve` is a
 generator: it yields one `Snapshot` per kept step and holds no earlier state, so a run's memory
@@ -106,11 +107,11 @@ def direct_term(rho: np.ndarray, v: Potential) -> np.ndarray:
 
 
 def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
-    """Exchange operator X_{xy} = (1/N) V(x-y) omega_{xy} (entrywise): one
-    product (Phi lam / N) Phi*, scaled by V in place."""
-    phi = omega.orbitals
-    x = (phi * (omega.occupations / omega.n_particles)) @ phi.conj().T
-    return np.multiply(x, v.pair_matrix, out=x)
+    """Exchange operator X_{xy} = (1/N) V(x-y) omega_{xy} (entrywise): one product
+    (Phi lam / N) Phi* into a buffer taken before its operands, scaled by V in place."""
+    phi, w = omega.orbitals, omega.occupations / omega.n_particles
+    x = np.empty((len(phi),) * 2, np.result_type(phi, w))  # first: a freed h's block fits it
+    return np.multiply(np.matmul(phi * w, phi.conj().T, out=x), v.pair_matrix, out=x)
 
 
 def generator(omega: DensityMatrix, v: Potential, hbar: float) -> tuple:
@@ -154,8 +155,9 @@ def apply_exponential(phi: np.ndarray, h: np.ndarray, interval: tuple, dt: float
                       hbar: float) -> np.ndarray:
     """exp(-i tau h) Phi, tau = dt / hbar, [lo, hi] = interval ⊇ spec h: a Chebyshev
     series in h2 = (tau/a)(h - mid), a = |tau| (hi - lo) / 2 rounded up to a multiple of
-    1/64, on Phi's C-contiguous complex copy.  No degree >= dim h is needed
-    (Cayley-Hamilton): then, or for a non-finite interval, h is diagonalized."""
+    1/64, on Phi's C-contiguous complex copy.  The series overwrites h with 2 h2, so it
+    allocates no M x M array; a caller that needs h again passes a copy.  No degree >= dim h
+    is needed (Cayley-Hamilton): then, or for a non-finite interval, h is diagonalized."""
     (lo, hi), m, tau = interval, len(h), dt / hbar
     a = abs(tau) * (hi - lo) / 2
     a = max(math.ceil(64 * a), 1) / 64 if a < m else a  # a < m is False for NaN
@@ -164,7 +166,7 @@ def apply_exponential(phi: np.ndarray, h: np.ndarray, interval: tuple, dt: float
         return (vec * np.exp(-1j * dt * eig / hbar)) @ (vec.conj().T @ phi)
     mid = (lo + hi) / 2
     c = np.exp(-1j * tau * mid) * c  # exp(-i tau h) = exp(-i tau mid) exp(-i a h2)
-    two_h2 = (2 * tau / a) * h
+    two_h2 = np.multiply(h, 2 * tau / a, out=h)
     two_h2.flat[:: m + 1] -= 2 * tau / a * mid
     times, prev = _times(two_h2), np.ascontiguousarray(phi, dtype=complex)
     cur = 0.5 * times(prev)
@@ -175,13 +177,13 @@ def apply_exponential(phi: np.ndarray, h: np.ndarray, interval: tuple, dt: float
     return out
 
 
-def step(omega: DensityMatrix, h: np.ndarray, interval: tuple, cfg: EvolutionConfig,
-         v: Potential, hbar: float) -> DensityMatrix:
-    """One Hartree-Fock exponential midpoint step on the orbitals from `generator`'s h(omega)
-    and interval: the generator is re-evaluated at the average of omega and an exponential-Euler
-    predictor, the factored state [Phi, Phi_pred] diag(lam/2, lam/2) [Phi, Phi_pred]*."""
+def step(omega: DensityMatrix, pred: np.ndarray, cfg: EvolutionConfig, v: Potential,
+         hbar: float) -> DensityMatrix:
+    """One Hartree-Fock exponential midpoint step on the orbitals, the corrector on the
+    exponential-Euler predictor Phi_pred = exp(-i tau h(omega)) Phi: the generator is
+    re-evaluated at their average, the factored state [Phi, Phi_pred] diag(lam/2, lam/2)
+    [Phi, Phi_pred]*, and its h is the step's one M x M array, overwritten by the series."""
     phi, lam = omega.orbitals, omega.occupations
-    pred = apply_exponential(phi, h, interval, cfg.dt, hbar)
     mid = DensityMatrix(np.hstack([phi, pred]), np.concatenate([lam, lam]) / 2)
     return DensityMatrix(apply_exponential(phi, *generator(mid, v, hbar), cfg.dt, hbar), lam)
 
@@ -223,7 +225,9 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
            v: Potential, hbar: float):
     """Integrate the flow (Hartree by `split_step`, Hartree-Fock by `step`), yielding a
     `Snapshot` at the snapshot stride and at t_final; the running maxima read every step.
-    Validates omega0 at the first `next`; aborts on integrator blow-up or a non-finite E."""
+    Validates omega0 at the first `next`; aborts on integrator blow-up or a non-finite E.
+    Hartree-Fock's h(omega_n) serves E, then, once omega_n is checked and yielded, the
+    predictor's series overwrites it: a step holds one M x M array beside K and V's table."""
     omega0.validate()
     split = kind is MeanFieldKind.HARTREE
     half = np.exp(-0.5j * (cfg.dt / hbar) * (hbar ** 2 * v.lattice.momentum_squared()))[..., None]
@@ -232,9 +236,9 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
         t = i * cfg.dt
         if i > 0:
             state, phi_hat = (split_step(state, phi_hat, half, cfg, v, hbar) if split
-                              else (step(state, h, interval, cfg, v, hbar), None))
+                              else (step(state, pred, cfg, v, hbar), None))
             defect = state.idempotency_defect()
-        # Hartree: Phi_hat serves the next step.  Hartree-Fock: h(omega) and its interval do,
+        # Hartree: Phi_hat serves the next step.  Hartree-Fock: h(omega) serves the predictor,
         # and Phi_hat is dropped (held across the step, it cost hf3d ~2 MB of peak RSS).
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E is refused below
             if split:
@@ -252,3 +256,5 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
         peaks = tuple(map(max, peaks, (defect, abs(tr - tr0), abs(e - e0))))
         if i % cfg.snapshot_stride == 0 or i == cfg.n_steps:  # states are immutable
             yield Snapshot(t, state, tr, e, defect, *peaks)
+        if not split and i < cfg.n_steps:  # the series overwrites h, then h is dropped
+            pred, h = apply_exponential(state.orbitals, h, interval, cfg.dt, hbar), None

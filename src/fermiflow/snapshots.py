@@ -39,10 +39,11 @@ def read_fmf1(path):
 
 
 def write_csv(path, row: dict):
-    """Append one row of named numbers, rendered with repr for bit-stable reruns; a new
-    file gets the names as its header first."""
+    """Append one row of named numbers, rendered with repr for bit-stable reruns (integers,
+    not bools, as integers and the rest as floats); a new file gets the names as its header."""
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if fh.tell() == 0:
             writer.writerow(row)
-        writer.writerow([repr(float(value)) for value in row.values()])
+        writer.writerow([repr(int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                              else float(v)) for v in row.values()])

@@ -89,7 +89,7 @@ from scipy.optimize import minimize_scalar
 from fermiflow import fock
 from fermiflow.fock import FockSpace
 from fermiflow.initial_data import _GAP_TOL, DegenerateFermiLevel, DensityMatrix
-from fermiflow.meanfield import direct_term
+from fermiflow.meanfield import apply_exponential, direct_term, generator
 from fermiflow.model import Lattice, Potential, is_hermitian, kinetic_operator
 
 
@@ -431,6 +431,18 @@ def gershgorin_interval(h: np.ndarray) -> tuple:
     """[lo, hi] ⊇ spec(h) for Hermitian h: the union of the Gershgorin discs."""
     centre, radius = h.diagonal().real, np.abs(h).sum(axis=1) - np.abs(h.diagonal())
     return (centre - radius).min(), (centre + radius).max()
+
+
+def midpoint_step(omega: DensityMatrix, h: np.ndarray, interval: tuple, cfg, v: Potential,
+                  hbar: float) -> DensityMatrix:
+    """The exponential midpoint step with its predictor inside, from `generator`'s h(omega)
+    and interval, each exponential on a copy of its generator: the schedule that keeps h(omega)
+    beside h(mid) and the series' scaled copy, whose arithmetic `evolve` must repeat."""
+    phi, lam = omega.orbitals, omega.occupations
+    pred = apply_exponential(phi, h.copy(), interval, cfg.dt, hbar)
+    mid = DensityMatrix(np.hstack([phi, pred]), np.concatenate([lam, lam]) / 2)
+    h_mid, mid_interval = generator(mid, v, hbar)
+    return DensityMatrix(apply_exponential(phi, h_mid.copy(), mid_interval, cfg.dt, hbar), lam)
 
 
 class SectorPropagator:

@@ -538,7 +538,7 @@ def test_sector_interval_holds_the_spectrum(monkeypatch, l_sites, spec):
     seen, series = [], fock.apply_exponential
 
     def recording(phi, h, interval, dt, hbar):
-        seen.append((h, interval))
+        seen.append((h.copy(), interval))
         return series(phi, h, interval, dt, hbar)
 
     monkeypatch.setattr(fock, "apply_exponential", recording)

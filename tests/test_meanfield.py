@@ -14,8 +14,8 @@ from fermiflow.meanfield import (EvolutionConfig, MeanFieldKind, density_profile
 from fermiflow.model import build_potential, default_hbar, kinetic_operator, make_lattice
 from fermiflow.runner import parse_config, run
 
-from _oracles import (count_fft_calls, dense, fourier, gershgorin_interval, momentum_indices,
-                      spectral_form)
+from _oracles import (count_fft_calls, dense, fourier, gershgorin_interval, midpoint_step,
+                      momentum_indices, spectral_form)
 
 
 @pytest.fixture
@@ -133,7 +133,8 @@ def test_generator_free_and_term_difference(setup16):
 def test_step_preserves_spectrum(setup16):
     lat, pot, hbar, om = setup16
     cfg = EvolutionConfig(dt=1e-2, t_final=1e-2)
-    new = step(om, *generator(om, pot, hbar), cfg, pot, hbar)
+    pred = mf.apply_exponential(om.orbitals, *generator(om, pot, hbar), cfg.dt, hbar)
+    new = step(om, pred, cfg, pot, hbar)
     assert np.allclose(np.linalg.eigvalsh(dense(new)),
                        np.linalg.eigvalsh(dense(om)), atol=1e-10)
 
@@ -144,7 +145,8 @@ def test_step_free_is_exact_conjugation():
     hbar = default_hbar(2, 1)
     om = trapped_slater(lat, hbar, 20.0, 2)
     cfg = EvolutionConfig(dt=0.3, t_final=0.3)
-    new = step(om, *generator(om, pot, hbar), cfg, pot, hbar)
+    pred = mf.apply_exponential(om.orbitals, *generator(om, pot, hbar), cfg.dt, hbar)
+    new = step(om, pred, cfg, pot, hbar)
     h = kinetic_operator(lat, hbar)
     eig, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * cfg.dt * eig / hbar)) @ vec.conj().T
@@ -242,6 +244,47 @@ def test_hartree_flow_holds_no_site_by_site_array():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert snaps[-1].max_idempotency_defect < 1e-12
+
+
+def test_hartree_fock_flow_holds_one_site_by_site_array():
+    # ds=3, d=8: M = 512 and one complex M x M array is 16 M^2 bytes (4 MiB).  With K and
+    # V's table built first, a step holds h(omega) or h(mid), never two such arrays: the
+    # series scales h in place
+    lat = make_lattice(3, 8, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    hbar = default_hbar(10, 3)
+    om = trapped_slater(lat, hbar, 50.0, 10)
+    pot.pair_matrix, kinetic_operator(lat, hbar)
+    tracemalloc.start()
+    try:
+        snaps = list(evolve(om, EvolutionConfig(dt=1e-3, t_final=3e-3),
+                            MeanFieldKind.HARTREE_FOCK, pot, hbar))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.iscomplexobj(snaps[-1].state.orbitals)
+    assert peak < 1.5 * 16 * lat.site_count ** 2
+
+
+@pytest.mark.parametrize("orbitals", ["real", "complex"])
+@pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4)])
+def test_evolve_repeats_the_midpoint_oracle_bit_for_bit(ds, d, n, orbitals):
+    # `evolve` runs the predictor itself and each series scales its h in place; the oracle
+    # predicts inside the step on copies: the same operations in the same order, so 20 steps
+    # give the oracle's orbitals exactly
+    lat = make_lattice(ds, d, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    hbar = default_hbar(n, ds)
+    om = trapped_slater(lat, hbar, 50.0, n)
+    if orbitals == "complex":
+        om = _boosted(om, lat)
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.2)
+    snaps = list(evolve(om, cfg, MeanFieldKind.HARTREE_FOCK, pot, hbar))
+    assert len(snaps) == 21
+    state = om
+    for snap in snaps[1:]:
+        state = midpoint_step(state, *generator(state, pot, hbar), cfg, pot, hbar)
+        assert np.array_equal(snap.state.orbitals, state.orbitals)
 
 
 def _trapped_generator(ds, d, n):
@@ -395,7 +438,7 @@ def test_generator_interval_holds_the_spectrum(ds, d, n, strength, shape, midpoi
 def test_conjugate_matches_eigh_oracle(a):
     om, (h, (lo, hi)), _, hbar = _trapped_generator(1, 64, 8)
     dt = 2 * a * hbar / (hi - lo)
-    got = mf.apply_exponential(om.orbitals, h, (lo, hi), dt, hbar)
+    got = mf.apply_exponential(om.orbitals, h.copy(), (lo, hi), dt, hbar)
     assert np.max(np.abs(got - _eigh_exponential(om.orbitals, h, dt, hbar))) <= 1e-13
 
 
@@ -403,7 +446,7 @@ def test_conjugate_of_a_multiple_of_the_identity():
     # h = c I: zero width, a is raised to 1/64 and h2 = 0
     phi = np.linalg.qr(np.random.default_rng(2).normal(size=(64, 4)) + 0j)[0]
     h = 2.5 * np.eye(64, dtype=complex)
-    got = mf.apply_exponential(phi, h, (2.5, 2.5), 1e-2, 0.5)
+    got = mf.apply_exponential(phi, h.copy(), (2.5, 2.5), 1e-2, 0.5)
     assert np.max(np.abs(got - np.exp(-0.05j) * phi)) <= 1e-15
     assert np.max(np.abs(got - _eigh_exponential(phi, h, 1e-2, 0.5))) <= 1e-13
 
@@ -429,7 +472,7 @@ def test_real_generator_takes_real_arithmetic(order):
     om, (h, interval), _, hbar = _trapped_generator(1, 64, 8)  # real trapped orbitals
     assert h.dtype == float
     phi = np.asarray(om.orbitals + 1j * np.roll(om.orbitals, 1, axis=0), order=order)
-    got = mf.apply_exponential(phi, h, interval, 1e-3, hbar)
+    got = mf.apply_exponential(phi, h.copy(), interval, 1e-3, hbar)
     ref = mf.apply_exponential(phi, h.astype(complex), interval, 1e-3, hbar)
     assert np.max(np.abs(got - ref)) <= 1e-14
 
@@ -450,7 +493,8 @@ def test_steps_take_the_series_and_large_a_takes_eigh(ds, d, n, dt, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     cfg = EvolutionConfig(dt=dt, t_final=dt)
-    step(om, h, (lo, hi), cfg, pot, hbar).validate()
+    pred = mf.apply_exponential(om.orbitals, h.copy(), (lo, hi), cfg.dt, hbar)
+    step(om, pred, cfg, pot, hbar).validate()
     with pytest.raises(AssertionError, match="eigh called"):  # a = dim h
         mf.apply_exponential(om.orbitals, h, (lo, hi), 2 * len(h) * hbar / (hi - lo), hbar)
 

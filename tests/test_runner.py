@@ -21,7 +21,7 @@ from fermiflow.cli import main
 from fermiflow.meanfield import evolve
 from fermiflow.runner import (SCENARIOS, ConfigError, NumericFailure, RunConfig,
                               build_initial_state, parse_config, run)
-from fermiflow.snapshots import read_fmf1, write_fmf1
+from fermiflow.snapshots import read_fmf1, write_csv, write_fmf1
 
 
 MINIMAL = {
@@ -982,6 +982,27 @@ def test_run_fock_verify_and_diagnostics_only(tmp_path):
     del doc["evolution"]
     summary = run(parse_config(json.dumps(doc)), str(tmp_path / "diag"))
     assert summary["result"]["idempotency_defect"] < 1e-12
+
+
+def test_fock_verify_rows_read_back_as_integers(tmp_path):
+    # the tallies are written as integers, the slack as a float
+    doc = {"scenario": "fock-verify", "lattice": {"ds": 1, "d": 4},
+           "model": {"n_particles": 2}, "fock": {"trials": 3}}
+    run(parse_config(json.dumps(doc)), str(tmp_path))
+    header, *rows = (tmp_path / "series.csv").read_text().splitlines()
+    assert header == "inequality_index,violations,worst_slack" and len(rows) == 7
+    for i, row in enumerate(rows):
+        index, violations, slack = row.split(",")
+        assert (index, violations) == (str(i), "0")
+        assert slack == repr(float(slack))
+
+
+def test_write_csv_keeps_integers_and_renders_the_rest_as_floats(tmp_path):
+    row = {"i": 3, "j": np.int64(-7), "flag": True, "np_flag": np.bool_(False),
+           "x": 0.1, "y": np.float32(0.5), "z": np.float64(2.0)}
+    write_csv(tmp_path / "s.csv", row)
+    assert (tmp_path / "s.csv").read_text().splitlines() == [
+        "i,j,flag,np_flag,x,y,z", "3,-7,1.0,0.0,0.1,0.5,2.0"]
 
 
 def test_run_fock_verify_keeps_its_tallies_when_it_fails(tmp_path, monkeypatch, capsys):

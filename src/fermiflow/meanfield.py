@@ -115,16 +115,15 @@ def exchange_term(omega: DensityMatrix, v: Potential) -> np.ndarray:
 
 
 def generator(omega: DensityMatrix, v: Potential, hbar: float) -> tuple:
-    """The Hartree-Fock Hamiltonian h(omega) in one buffer: X negated in place, K added
-    to its real part, V * rho to its diagonal; real where omega's orbitals are.  With it,
+    """The Hartree-Fock Hamiltonian h(omega) in one buffer: K - X written over X in one
+    pass, V * rho added to its diagonal; real where omega's orbitals are.  With it,
     Weyl's [lo, hi] ⊇ spec h from the parts: K's [0, hbar^2 max|p|^2], u = V * rho's range
     and -X's [-v+ c, -v- c], c = max omega_jj / N: omega >= 0 puts V o omega between
     v- Diag(omega) and v+ Diag(omega), [v-, v+] = `Potential.pair_range`."""
     rho = density_profile(omega, v.lattice)
     u = v.lattice.cell * (v.pair_matrix @ rho)  # V * rho from X's table: no FFT
     h = exchange_term(omega, v)
-    np.negative(h, out=h)
-    h.real += kinetic_operator(v.lattice, hbar)
+    np.subtract(kinetic_operator(v.lattice, hbar), h, out=h)
     h.flat[:: len(h) + 1] += u
     c, (v_lo, v_hi) = v.lattice.cell * rho.max(), v.pair_range
     k_top = hbar ** 2 * v.lattice.momentum_squared().max()

@@ -387,6 +387,21 @@ def test_generator_direct_term_matches_the_fft_direct_term(monkeypatch, ds, d, n
     assert np.all(h - np.diag(h.diagonal()) == 0.0)
 
 
+@pytest.mark.parametrize("orbitals", ["real", "complex"])
+@pytest.mark.parametrize("ds,d", [(1, 64), (3, 8)])
+def test_generator_is_kinetic_minus_exchange_plus_direct(ds, d, orbitals):
+    # h = K - X + diag(u), u = V * rho from X's pair table, bit for bit
+    om, _, pot, hbar = _trapped_generator(ds, d, 4)
+    if orbitals == "complex":
+        om = _boosted(om, pot.lattice)
+    h, _ = generator(om, pot, hbar)
+    want = kinetic_operator(pot.lattice, hbar) - exchange_term(om, pot)
+    want.flat[:: len(want) + 1] += pot.lattice.cell * (pot.pair_matrix @ density_profile(
+        om, pot.lattice))
+    assert h.dtype == want.dtype == (float if orbitals == "real" else complex)
+    assert np.array_equal(h, want)
+
+
 def _eigh_exponential(phi, h, dt, hbar):
     """The oracle of the Chebyshev series: exp(-i dt h / hbar) Phi from eigh."""
     eig, vec = np.linalg.eigh(h)

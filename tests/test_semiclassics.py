@@ -205,17 +205,56 @@ def test_phase_table_matches_the_cos_sin_table(d):
 
 
 def test_vlasov_step_transform_count(monkeypatch):
-    # n Strang steps: 2n + 1 sweeps of one rfft and one irfft each, and the one ifft
-    # that builds the kick's circulant: 4n + 3 calls
-    lat = make_lattice(1, 16, 1.0)
-    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
-    x, q = lat.sites()[:, 0], momentum_grid(lat, 0.5)
-    w = np.exp(-((x[:, None] - 0.5) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
+    # n Strang steps: 2n + 1 sweeps, n of them kicks that each build one `_phases` table, and
+    # the one ifft that builds the kick's circulant.  Up to `_TABLE_MAX_D` the sweeps transform
+    # by the DFT tables; above it each sweep is one rfft and one irfft: 4n + 3 np.fft calls
     counts = count_fft_calls(monkeypatch)
-    for n in (1, 3, 10):
-        counts.clear()
-        vlasov_step(w, n, 1e-3, pot, 0.5, 4)
-        assert counts == {"rfft": 2 * n + 1, "irfft": 2 * n + 1, "ifft": 1}
+    kicks = []
+    monkeypatch.setattr(semiclassics, "_phases",
+                        lambda *args, fn=semiclassics._phases: kicks.append(1) or fn(*args))
+    for d in (16, semiclassics._TABLE_MAX_D + 2):
+        lat = make_lattice(1, d, 1.0)
+        pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+        x, q = lat.sites()[:, 0], momentum_grid(lat, 0.5)
+        w = np.exp(-((x[:, None] - 0.5) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
+        for n in (1, 3, 10):
+            counts.clear(), kicks.clear()
+            out = vlasov_step(w, n, 1e-3, pot, 0.5, 4)
+            sweeps = {"rfft": 2 * n + 1, "irfft": 2 * n + 1}
+            assert counts == {**({} if d <= semiclassics._TABLE_MAX_D else sweeps), "ifft": 1}
+            assert len(kicks) == n
+            assert out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d", [2, 9, 16, 64, semiclassics._TABLE_MAX_D])
+def test_dft_tables_match_np_fft(d):
+    # (a @ F).view(complex) is rfft and c.view(float) @ G is irfft, along either axis (the
+    # drift transforms the transposed state).  Each of the two sides sums d terms and errs by
+    # at most ~ d eps times the sum of the terms' sizes, |a_j| forward and (2/d) |c_kappa|
+    # inverse: bounds 2 d eps sum |a| and 4 eps sum |c| per line.  Odd d has no Nyquist bin
+    semiclassics._dft_tables.cache_clear()
+    f, g = semiclassics._dft_tables(d)
+    assert f.shape == (d, 2 * (d // 2 + 1)) and g.shape == (2 * (d // 2 + 1), d)
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    eps = np.finfo(float).eps
+    fwd_bound = 2 * d * eps * np.sum(np.abs(a), axis=1, keepdims=True)
+    assert np.all(np.abs((a @ f).view(complex) - np.fft.rfft(a, axis=1)) <= fwd_bound)
+    assert np.all(np.abs((a.T @ f).view(complex) - np.fft.rfft(a, axis=0).T) <= fwd_bound)
+    c = rng.standard_normal((d, d // 2 + 1)) + 1j * rng.standard_normal((d, d // 2 + 1))
+    inv_bound = 4 * eps * np.sum(np.abs(c), axis=1, keepdims=True)
+    assert np.all(np.abs(c.view(float) @ g - np.fft.irfft(c, d, axis=1)) <= inv_bound)
+    assert np.all(np.abs(g.T @ c.view(float).T - np.fft.irfft(c.T, d, axis=0)) <= inv_bound.T)
+    # irfft ignores the imaginary parts of DC and Nyquist, and so does G
+    real_edges = c.copy()
+    real_edges[:, 0] = c[:, 0].real
+    if d % 2 == 0:
+        real_edges[:, -1] = c[:, -1].real
+    assert np.array_equal(c.view(float) @ g, real_edges.view(float) @ g)
+    assert not (f.flags.writeable or g.flags.writeable)
+    assert all(t is u for t, u in zip(semiclassics._dft_tables(d), (f, g)))
+    info = semiclassics._dft_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_vlasov_step_rejects_a_non_finite_state():

@@ -9,14 +9,13 @@ A scenario is a generator of the config: it yields one series row and its
 snapshot arrays at a time and returns its summary result.  `run` removes an
 earlier run's outputs, appends each row to `series.csv` and writes each FMF1
 snapshot under `snapshots/` as it arrives, and finally (atomically)
-`summary.json` with a manifest of the files it wrote, so a failed run keeps
-the rows it measured and never leaves a summary claiming success.
+`summary.json` with the environment that produced the run and a manifest
+of the files it wrote (size and SHA-256), so a failed run keeps the rows it
+measured and never leaves a summary claiming success.
 """
 
 import contextlib
-import functools
 import glob
-import hashlib
 import itertools
 import json
 import os
@@ -24,6 +23,7 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -37,12 +37,24 @@ from .model import (FOCK_MAX_SITES, Lattice, Potential, build_potential, default
                     make_lattice)
 from .snapshots import write_csv, write_fmf1
 
+try:  # CPython's built-in SHA-256, as `random` takes its hash: hashlib would map OpenSSL
+    from _sha2 import sha256 as _new_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
+
 __all__ = ["ConfigError", "NumericFailure", "RunConfig", "parse_config", "run"]
 
 SCENARIOS = ("evolve", "compare-hf-hartree", "exact-vs-meanfield", "fock-verify",
              "fluctuation", "semiclassics", "diagnostics-only")
 _MAX_STEPS = 10 ** 7  # integrator steps one run may ask for, Vlasov sub-steps included
 _MAX_SITES = 8192  # M: one dense complex M x M matrix is then at most 1 GiB
+# fock-verify: trials x `_fock_trial_work`, ~8 min of SVDs at the 1.8-2.2e9 per second one
+# trial measured (1.7 s at L = 12, 78 s at L = 14; 2 vCPUs, OpenBLAS).  The default 200
+# trials fit at every L <= 12 (6.2e11) and not at L = 13 (4.6e12) or 14 (3.5e13)
+_MAX_FOCK_WORK = 10 ** 12
 
 
 class ConfigError(ValueError):
@@ -195,6 +207,13 @@ def parse_config(text: str) -> RunConfig:
         if not (c["fock"]["l_sites"] or lattice.site_count) == lattice.site_count <= FOCK_MAX_SITES:
             raise ConfigError(f"fock.l_sites must equal d^ds = {lattice.site_count} (lattice.d="
                               f"{lattice.d}, lattice.ds={lattice.ds}), at most {FOCK_MAX_SITES}")
+    if scenario == "fock-verify":
+        per_trial, trials = _fock_trial_work(lattice.site_count), c["fock"]["trials"]
+        if trials > _MAX_FOCK_WORK // per_trial:
+            raise ConfigError(f"fock.trials={trials} at L = {lattice.site_count} sites is past "
+                              f"the fock-verify work bound ({_MAX_FOCK_WORK:.0e}, trials x "
+                              f"{per_trial:.3g} per trial): at most "
+                              f"{_MAX_FOCK_WORK // per_trial} trials are accepted")
     try:
         potential = build_potential(c["potential"], lattice)
     except ValueError as exc:
@@ -231,6 +250,15 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _fock_trial_work(l_sites: int) -> int:
+    """One `verify_operator_bounds` trial's work on L sites, as the summed min x rows x cols
+    of the blocks whose norm it takes by a dense SVD: the dGamma block C(L, n) x C(L, n) of
+    each sector n and the pair creation block C(L, n + 2) x C(L, n)."""
+    blocks = [(comb(l_sites, n), comb(l_sites, n + m)) for n in range(l_sites + 1)
+              for m in (0, 2)]
+    return sum(min(rows, cols) * rows * cols for rows, cols in blocks)
+
+
 def build_initial_state(cfg: RunConfig) -> DensityMatrix:
     """omega_0 of the config, its arrays read-only; a state that cannot be built
     (a degenerate Fermi shell, failed arithmetic) is a `ConfigError`."""
@@ -247,7 +275,8 @@ def build_initial_state(cfg: RunConfig) -> DensityMatrix:
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
+    """The hex SHA-256 of a file, read in 64 KiB chunks."""
+    h = _new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
@@ -415,16 +444,6 @@ _SCENARIO_FN = {
 }
 
 
-@functools.lru_cache(maxsize=1)
-def _scipy_version() -> str | None:
-    """From scipy's metadata, without importing scipy (~20 ms, on first use)."""
-    from importlib import metadata
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:  # scipy is a test dependency only
-        return None
-
-
 def _measured(cfg: RunConfig):
     """The scenario's rows, then its result; its arithmetic, value or runtime error, the one
     of its first call included, re-raised as `NumericFailure`.  Writing a row stays outside."""
@@ -470,7 +489,7 @@ def run(cfg: RunConfig, out_dir: str) -> dict:
         "config": cfg.raw,
         "environment": {  # what produced the run
             "fermiflow": __version__, "python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__, "scipy": _scipy_version(),
+            "numpy": np.__version__,
             "blas": {key: blas.get(key) for key in ("name", "version")},
             "threads": {var: os.environ.get(var) for var in
                         ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}},

@@ -14,7 +14,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import event, given, settings, strategies as st
 
 from fermiflow.cli import main
@@ -259,27 +258,37 @@ def test_snapshot_times_closer_than_a_microsecond_each_get_a_file(tmp_path):
                         if m["path"].startswith("snapshots/orbitals_")]
 
 
+# what a run must not pay for: scipy (a test dependency), OpenSSL (hashlib's) and the
+# installed-package scan of importlib.metadata, which imports email
+_WATCHED = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'email') " \
+           "or m in ('_hashlib', 'importlib.metadata')))"
+
+
 def test_import_loads_no_scipy(tmp_path):
     # every CLI start and every `import fermiflow` pays for what the package
     # imports, and the package runs on numpy alone: after the import, and after
-    # the Fock-space scenarios at L = 4, no scipy module is loaded
+    # an evolve run and the Fock-space scenarios at L = 4, none of the watched
+    # modules is loaded; fock-verify's draws alone import numpy.random, whose
+    # `secrets` import maps OpenSSL
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     fock_verify = {"scenario": "fock-verify", "lattice": {"ds": 1, "d": 4},
                    "model": {"n_particles": 2}, "fock": {"trials": 2}}
     runs = []
-    for doc in (dict(MINIMAL, scenario="fluctuation", lattice={"ds": 1, "d": 4}),
+    for doc in (MINIMAL, dict(MINIMAL, scenario="fluctuation", lattice={"ds": 1, "d": 4}),
                 dict(MINIMAL, scenario="exact-vs-meanfield", lattice={"ds": 1, "d": 4}),
                 fock_verify):
         name = doc["scenario"]
         runs.append([name, "--config", write_config(tmp_path, doc, f"{name}.json"),
                      "--out", str(tmp_path / name)])
-    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    code = (f"import sys, fermiflow, fermiflow.cli; {loaded}; "
-            f"codes = [fermiflow.cli.main(argv) for argv in {runs!r}]; {loaded}; print(codes)")
+    code = (f"import sys, fermiflow, fermiflow.cli; {_WATCHED}; "
+            f"codes = [fermiflow.cli.main(argv) for argv in {runs[:-1]!r}]; {_WATCHED}; "
+            f"codes.append(fermiflow.cli.main({runs[-1]!r})); {_WATCHED}; "
+            "print('numpy.random' in sys.modules, codes)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout.splitlines()
-    assert [out[0], *out[-2:]] == ["[]", "[]", "[0, 0, 0]"], out
+    assert [out[0], out[-4], out[-1]] == ["[]", "[]", "True [0, 0, 0, 0]"], out
+    assert out[-2] in ("[]", "['_hashlib']"), out
 
 
 def test_no_module_imports_scipy():
@@ -367,13 +376,13 @@ def test_only_the_grid_and_the_wigner_axis_reorder_momenta():
 
 def test_summary_records_the_environment_without_loading_scipy(tmp_path):
     # an evolve run through the CLI, in a fresh process: the environment is
-    # read without importing scipy
+    # read without importing scipy or scanning the installed packages, the
+    # manifest hashed without OpenSSL, and scipy, which no run loads, not named
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path, out = write_config(tmp_path, MINIMAL), str(tmp_path / "out")
     code = ("import sys; from fermiflow.cli import main; "
             f"code = main(['evolve', '--config', {path!r}, '--out', {out!r}]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "sys.exit(code)")
+            f"{_WATCHED}; sys.exit(code)")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     env.pop("MKL_NUM_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -381,31 +390,30 @@ def test_summary_records_the_environment_without_loading_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout
     with open(os.path.join(out, "summary.json")) as fh:
         environment = json.load(fh)["environment"]
+    assert sorted(environment) == ["blas", "fermiflow", "numpy", "python", "threads"]
     assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
     assert environment["numpy"] == np.__version__
-    assert environment["scipy"] == scipy.__version__
     assert environment["blas"]["name"] and environment["blas"]["version"]
     assert environment["threads"] == {"OMP_NUM_THREADS": env.get("OMP_NUM_THREADS"),
                                       "OPENBLAS_NUM_THREADS": "1",
                                       "MKL_NUM_THREADS": None}
 
 
-def test_summary_records_a_null_scipy_version_without_scipy(tmp_path, monkeypatch):
-    # scipy is a test dependency only: a run where it is not installed records null
-    from importlib import metadata
-
+def test_manifest_digests_are_sha256_from_the_built_in_hash(tmp_path):
+    # CPython's own SHA-256, not OpenSSL's, gives hashlib's digest for every manifest
+    # file, one past a 64 KiB read chunk (33 orbitals on 128 sites) and an empty one too
     from fermiflow import runner
 
-    def not_installed(name):
-        raise metadata.PackageNotFoundError(name)
-
-    monkeypatch.setattr(metadata, "version", not_installed)
-    runner._scipy_version.cache_clear()
-    try:
-        summary = run(parse_config(json.dumps(MINIMAL)), str(tmp_path / "out"))
-    finally:
-        runner._scipy_version.cache_clear()
-    assert summary["environment"]["scipy"] is None
+    assert runner._new_sha256.__module__ in ("_sha2", "_sha256")
+    doc = dict(MINIMAL, lattice={"ds": 1, "d": 128}, model={"n_particles": 33},
+               evolution={"dt": 1e-3, "t_final": 1e-3, "snapshot_stride": 1})
+    out = tmp_path / "out"
+    manifest = run(parse_config(json.dumps(doc)), str(out))["manifest"]
+    assert max(m["bytes"] for m in manifest) > 1 << 16
+    for m in manifest:
+        assert m["sha256"] == hashlib.sha256((out / m["path"]).read_bytes()).hexdigest()
+    (tmp_path / "empty").write_bytes(b"")
+    assert runner._sha256(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 
 
 @pytest.mark.parametrize("show_config", [
@@ -705,9 +713,23 @@ def test_cli_fock_verify_past_dense_budget_exits_two(tmp_path, monkeypatch, caps
     path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": FOCK_MAX_SITES + 1}))
     assert main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "fock.l_sites" in capsys.readouterr().err
-    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": FOCK_MAX_SITES}))
+    # the most trials the work bound accepts at L = 14
+    path = write_config(tmp_path, dict(doc, lattice={"ds": 1, "d": FOCK_MAX_SITES},
+                                       fock={"trials": 5}))
     with pytest.raises(Reached):
         main(["fock-verify", "--config", path, "--out", str(tmp_path / "o")])
+
+
+def test_fock_verify_work_bound_accepts_the_default_trials_up_to_twelve_sites():
+    # trials x the summed cube of a trial's blocks: the default 200 trials pass at every
+    # L <= 12 (~6 min of SVDs at L = 12), and at L = 13 (~30 min) at most 43 do
+    doc = {"scenario": "fock-verify", "model": {"n_particles": 1}}
+    for d in range(2, 13):
+        assert parse_config(json.dumps(dict(doc, lattice={"ds": 1, "d": d}))).fock["trials"] == 200
+    thirteen = dict(doc, lattice={"ds": 1, "d": 13})
+    with pytest.raises(ConfigError, match="at most 43 trials are accepted"):
+        parse_config(json.dumps(thirteen))
+    assert parse_config(json.dumps(dict(thirteen, fock={"trials": 43}))).fock["trials"] == 43
 
 
 _REFUSED_IN_PARSE = [
@@ -719,6 +741,9 @@ _REFUSED_IN_PARSE = [
     (dict(MINIMAL, scenario="exact-vs-meanfield", lattice={"ds": 1, "d": 15}), "fock.l_sites"),
     ({"scenario": "fock-verify", "lattice": {"ds": 1, "d": 15}, "model": {"n_particles": 2}},
      "fock.l_sites"),
+    # the default 200 trials at L = 14: hours of dense SVDs
+    ({"scenario": "fock-verify", "lattice": {"ds": 1, "d": 14}, "model": {"n_particles": 2}},
+     "fock.trials"),
 ]
 
 
@@ -740,6 +765,8 @@ def test_parse_config_refuses_what_a_scenario_would_refuse(tmp_path, capsys, doc
         lat = doc["lattice"]
         assert f"lattice.d={lat['d']}, lattice.ds={lat['ds']}" in err
         assert f"d^ds = {lat['d'] ** lat['ds']}" in err
+    if key == "fock.trials":  # and names the largest count it accepts
+        assert "at most 5 trials are accepted" in err
     assert sorted(glob.glob("snapshots/*.fmf1", root_dir=out)) == names[:-2]
     assert _read_all(out, names) == before
 
@@ -1031,8 +1058,6 @@ def test_fock_scenarios_at_the_site_limit_stay_small(tmp_path, scenario):
     cfg = parse_config(json.dumps(doc))
     # one-time costs first, so the bound sees only the run's own arrays
     import fermiflow.fock  # noqa: F401
-    from fermiflow.runner import _scipy_version
-    _scipy_version()
     tracemalloc.start()
     try:
         run(cfg, str(tmp_path / "o"))

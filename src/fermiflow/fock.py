@@ -157,7 +157,7 @@ def _sea(space: FockSpace, omega) -> np.ndarray:
     f = omega.orbitals
     if f.shape[0] != space.l_sites:
         raise ValueError(f"orbitals on {f.shape[0]} sites, the Fock space has {space.l_sites}")
-    gram = np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1])), initial=0.0)
+    gram = np.max(np.abs(omega.gram - np.eye(f.shape[1])), initial=0.0)
     if not gram <= 1e-12:
         raise ValueError(f"orbitals are not orthonormal (defect {gram:.2e})")
     return f

@@ -35,7 +35,7 @@ class DegenerateFermiLevel(Exception):
 @dataclass(frozen=True)
 class DensityMatrix:
     """omega = Phi diag(lam) Phi*, held as its orbitals Phi (M x r) and
-    occupations lam (r,) only.  `n_particles` = sum lam and
+    occupations lam (r,) only, never changed.  `n_particles` = sum lam and
     `idempotency_defect` are exact for any Phi (a step's midpoint has columns
     that are not orthonormal); `validate` requires orthonormal orbitals."""
 
@@ -46,11 +46,17 @@ class DensityMatrix:
     def n_particles(self) -> int:
         return int(round(np.sum(self.occupations)))
 
+    @cached_property
+    def gram(self) -> np.ndarray:  # Phi* Phi, r x r: every orthonormality measure reads it
+        gram = self.orbitals.conj().T @ self.orbitals
+        gram.flags.writeable = False  # one array serves every reader
+        return gram
+
     def validate(self):
         phi, lam = self.orbitals, self.occupations
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(lam))):
             raise ValueError("density matrix has non-finite entries")
-        gram = np.max(np.abs(phi.conj().T @ phi - np.eye(len(lam))), initial=0.0)
+        gram = np.max(np.abs(self.gram - np.eye(len(lam))), initial=0.0)
         if not gram <= 1e-10:
             raise ValueError(f"orbitals are not orthonormal (defect {gram:.3e})")
         lo, hi = np.min(lam, initial=0.0), np.max(lam, initial=0.0)
@@ -63,7 +69,7 @@ class DensityMatrix:
     def idempotency_defect(self) -> float:
         """||omega^2 - omega||_F = sqrt|tr C^2|, C = B^2 - B with
         B = (Phi* Phi) diag(lam): an r x r computation, valid for any Phi."""
-        b = (self.orbitals.conj().T @ self.orbitals) * self.occupations
+        b = self.gram * self.occupations
         c = b @ b - b
         return float(np.sqrt(abs(np.sum(c * c.T))))
 

@@ -222,9 +222,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"potential.mode: {exc}") from exc
 
     evo, vlasov_dt = c["evolution"], c["vlasov"]["dt"]
-    if evo is None and scenario not in ("fock-verify", "diagnostics-only"):
+    if scenario in ("fock-verify", "diagnostics-only"):  # type-checked by _read, never read
+        evo = None
+    elif evo is None:
         raise ConfigError("missing key(s) ['evolution'] in config")
-    if evo is not None:
+    else:
         sub = evo["dt"] / vlasov_dt if scenario == "semiclassics" else 0.0
         total = evo["t_final"] / evo["dt"] * (1.0 + sub)
         if not total <= _MAX_STEPS:  # also true for NaN

@@ -12,12 +12,12 @@ the constant 1/d, pinned by the sum rule sum_{j,k} W / d = tr omega; with
 that weight the position marginal is exactly the diagonal of omega.
 
 A Vlasov sweep is a real DFT along one axis of the phase-space array, a phase multiply and the
-inverse DFT, no site-grid DFT: up to d = `_TABLE_MAX_D` each transform is one BLAS product with
-a cached real table (`_dft_tables`), above it one rfft or irfft.  A kick maps the forward
-transform's column 0, the row sums, to shifts by one real `circulant` for the force
--d/dx (V * rho), the real part of the inverse `Lattice.fft` of its symbol from
-`Potential.fourier`, and builds its phases as a running product.  n Strang steps take 2n + 1
-sweeps; `runner` calls `vlasov_step` once per snapshot interval and `wigner` once per snapshot.
+inverse DFT, no site-grid DFT: each transform is one BLAS product with a cached real table
+(`_dft_tables`), O(d) work per point.  A kick maps the forward transform's column 0, the row
+sums, to shifts by one real `circulant` for the force -d/dx (V * rho), the real part of the
+inverse `Lattice.fft` of its symbol from `Potential.fourier`, and builds its phases as a running
+product.  n Strang steps take 2n + 1 sweeps; `runner` calls `vlasov_step` once per snapshot
+interval and `wigner` once per snapshot.
 """
 
 import functools
@@ -63,16 +63,16 @@ def _phases(shifts: np.ndarray, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _drift_phases(lattice: Lattice, hbar: float, dt: float) -> tuple:
-    """The half- and full-drift phases [kappa, k] of dt, s_k = q_k dt / a cells per half
-    (velocity 2q); read-only and reused every step, so built by cos and sin of the exact
-    angle, not by `_phases`' running product.  A full drift is two half drifts: the half
-    table squared, (Re phase)^2 at a real Nyquist bin, where each irfft keeps Re(X phase)."""
-    angle = np.multiply.outer(np.arange(lattice.d // 2 + 1) * (-2 * np.pi / lattice.d),
-                              momentum_grid(lattice, hbar) * dt / lattice.spacing)
+    """The half- and full-drift phases [k, kappa] (the drift spectrum's layout) of dt, s_k =
+    q_k dt / a cells per half (velocity 2q); read-only and reused every step, so built by cos
+    and sin of the exact angle, not by `_phases`' running product.  A full drift is two half
+    drifts: the half table squared, (Re phase)^2 at a real Nyquist bin, where G keeps Re."""
+    angle = np.multiply.outer(momentum_grid(lattice, hbar) * dt / lattice.spacing,
+                              np.arange(lattice.d // 2 + 1) * (-2 * np.pi / lattice.d))
     half = np.cos(angle) + 1j * np.sin(angle)
     full = half * half
     if lattice.d % 2 == 0:
-        full[-1] = half[-1].real ** 2
+        full[:, -1] = half[:, -1].real ** 2
     half.flags.writeable = full.flags.writeable = False
     return half, full
 
@@ -103,38 +103,26 @@ def _dft_tables(d: int) -> tuple:
     return f, g
 
 
-# The largest even d at or below which one table rfft/irfft pair along either axis of a d x d
-# array never took longer than np.fft's, at 1 and at 2 OpenBLAS threads (2-vCPU Xeon; d = 80
-# lost at 2 threads): the table's O(d) work per point loses to the FFT's O(log d) above it.
-_TABLE_MAX_D = 78
-
-
 def vlasov_step(w: np.ndarray, n_steps: int, dt: float, v: Potential, hbar: float,
                 n_particles: int) -> np.ndarray:
     """n_steps Strang-split steps of the Vlasov flow for -hbar^2 Lap + direct term, w's
     momenta `momentum_grid(v.lattice, hbar)` (velocity 2q): D(dt/2) (K D(dt))^(n-1) K D(dt/2),
     adjacent half drifts merged.  Sweeps are exact for band-limited data and integer shifts and
-    keep line sums (irfft keeps Re(X phase) at the real Nyquist bin): only the splitting errs.
-    Up to d = `_TABLE_MAX_D` each transform is one product with `_dft_tables` (the drift's on
-    the transposed state, its spectrum [k, kappa]); above it, np.fft.  Returns a C-contiguous
-    array."""
+    keep line sums (the inverse table keeps Re(X phase) at the real Nyquist bin): only the
+    splitting errs.  Each transform is one product with `_dft_tables`, the drift's on the
+    transposed state, its spectrum [k, kappa].  Returns a C-contiguous array."""
     if not (dt > 0 and n_steps >= 1):
         raise ValueError("dt must be positive and n_steps at least 1")
     d, (half, full) = v.lattice.d, _drift_phases(v.lattice, hbar, dt)
+    f, g = _dft_tables(d)
     kick = _kick_matrix(v, n_particles, dt / (np.pi * hbar / v.lattice.length))  # q spacing
-    if table := d <= _TABLE_MAX_D:
-        f, g = _dft_tables(d)
-        half, full = np.ascontiguousarray(half.T), np.ascontiguousarray(full.T)
     for axis, phase in [(0, half), *[(1, None), (0, full)] * (n_steps - 1), (1, None), (0, half)]:
         # axis 0: momentum columns drift; 1: site rows kicked
-        w_hat = ((w if axis else w.T) @ f).view(complex) if table else np.fft.rfft(w, axis=axis)
+        w_hat = ((w if axis else w.T) @ f).view(complex)
         if phase is None:  # column 0 holds the row sums
             if not np.all(np.isfinite(shifts := kick @ w_hat[:, 0].real)):
                 raise RuntimeError("Vlasov kick is not finite")
             phase = _phases(shifts, d)
         np.multiply(w_hat, phase, out=w_hat)
-        if table:
-            w = w_hat.view(float) @ g if axis else g.T @ w_hat.view(float).T
-        else:
-            w = np.fft.irfft(w_hat, d, axis=axis)
+        w = w_hat.view(float) @ g if axis else g.T @ w_hat.view(float).T
     return w

@@ -649,6 +649,47 @@ def test_non_finite_states_are_never_carried_forward(monkeypatch):
             list(evolve(good, cfg, kind, v0, hbar))
 
 
+def test_a_mixed_state_evolves_and_a_scaled_step_is_refused(monkeypatch):
+    # lam = (1, 1, 1/2, 1/2) is no projection (idempotency defect sqrt(2)/4), but both flows
+    # are unitary on the orbitals, so the guard on ||Phi* Phi - I||_F lets them run; a step
+    # that scales the orbitals by 1.01 is still a blow-up
+    lat = make_lattice(1, 16, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    lam = np.array([1.0, 1.0, 0.5, 0.5])
+    mixed = DensityMatrix(trapped_slater(lat, 0.25, 50.0, 4).orbitals, lam)
+    mixed.validate()
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
+    for kind in MeanFieldKind:
+        snaps = list(evolve(mixed, cfg, kind, pot, 0.25))
+        assert len(snaps) == 21 and snaps[-1].t == pytest.approx(0.02)
+        for snap in snaps:
+            assert snap.trace == pytest.approx(3.0, abs=1e-12)
+            assert snap.idempotency_defect == pytest.approx(np.sqrt(2) / 4, abs=1e-12)
+            assert np.array_equal(snap.state.occupations, lam)
+        assert snaps[-1].max_trace_drift <= 1e-12
+    scaled = DensityMatrix(1.01 * mixed.orbitals, lam)
+    monkeypatch.setattr(mf, "step", lambda *args: scaled)
+    monkeypatch.setattr(mf, "split_step", lambda *args: (scaled, lat.fft(scaled.orbitals)))
+    for kind in MeanFieldKind:
+        with pytest.raises(RuntimeError, match="blow-up at t=0.001: orthonormality defect"):
+            list(evolve(mixed, cfg, kind, pot, 0.25))
+
+
+def test_a_state_forms_its_gram_matrix_once_a_step(monkeypatch):
+    # the guard, `idempotency_defect` and `validate` read one cached, read-only Phi* Phi
+    lat = make_lattice(1, 16, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    grams = []
+    monkeypatch.setattr(DensityMatrix.gram, "func",
+                        lambda self, fn=DensityMatrix.gram.func: grams.append(id(self)) or fn(self))
+    for kind in MeanFieldKind:
+        grams.clear()
+        om = trapped_slater(lat, 0.25, 50.0, 4)
+        snaps = list(evolve(om, EvolutionConfig(dt=1e-3, t_final=0.005), kind, pot, 0.25))
+        assert sorted(grams) == sorted(id(s.state) for s in snaps) and len(snaps) == 6
+    assert om.gram is om.gram and not om.gram.flags.writeable
+
+
 @pytest.mark.parametrize("ds,d", [(2, 5), (3, 3)])
 def test_interaction_tables_match_site_sum_oracles(ds, d):
     lat = make_lattice(ds, d, 1.0)

@@ -229,9 +229,9 @@ def test_fft_momenta_reorder_the_momenta(ds, d):
 
 
 def test_only_the_lattice_transforms_the_site_grid():
-    # np.fft is reached only by `Lattice.fft` and the sweeps that are no site-grid DFT (the
-    # Chebyshev coefficients and the phase-space transforms), and no module but `model`
-    # views a site array as its (d,)*ds grid
+    # np.fft is reached only by `Lattice.fft` and the transforms that are no site-grid DFT (the
+    # Chebyshev coefficients and the Wigner transform; the Vlasov sweeps take DFT tables), and
+    # no module but `model` views a site array as its (d,)*ds grid
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = sorted(glob.glob(os.path.join(src, "fermiflow", "*.py")))
     assert os.path.join(src, "fermiflow", "model.py") in paths
@@ -258,8 +258,7 @@ def test_only_the_lattice_transforms_the_site_grid():
         with open(path) as fh:
             visit(ast.parse(fh.read(), path), os.path.basename(path)[:-3], None)
     transforms = {("model", "Lattice.fft")}
-    sweeps = {("meanfield", "_chebyshev_coefficients"), ("semiclassics", "wigner"),
-              ("semiclassics", "vlasov_step")}
+    sweeps = {("meanfield", "_chebyshev_coefficients"), ("semiclassics", "wigner")}
     assert transforms <= fft_users <= transforms | sweeps, fft_users
     assert grid_views == []
 

@@ -1126,12 +1126,22 @@ def test_run_fluctuation_follows_the_configured_kind(tmp_path):
 
 
 def test_run_requires_evolution_for_dynamic_scenarios():
-    # a parse-time error, so the CLI exits 2 before it creates --out
+    # a parse-time error, so the CLI exits 2 before it creates --out.  The two scenarios that
+    # do not evolve never read the section: a step count past the bound or a t_final that is
+    # no whole number of steps passes there, while its keys are still type-checked
     doc = {k: v for k, v in MINIMAL.items() if k != "evolution"}
     for scenario in SCENARIOS:
         text = json.dumps(dict(doc, scenario=scenario, fock={"l_sites": 8}))
         if scenario in ("fock-verify", "diagnostics-only"):
             assert parse_config(text).evolution is None
+            for evolution in ({"dt": 1e-9, "t_final": 1}, {"dt": 0.3, "t_final": 1}):
+                unread = json.dumps(dict(doc, scenario=scenario, fock={"l_sites": 8},
+                                         evolution=evolution))
+                assert parse_config(unread).evolution is None
+            bad = json.dumps(dict(doc, scenario=scenario, fock={"l_sites": 8},
+                                  evolution={"dt": "x", "t_final": 1}))
+            with pytest.raises(ConfigError, match="evolution.dt must be a finite number"):
+                parse_config(bad)
             continue
         with pytest.raises(ConfigError, match=r"missing key\(s\) \['evolution'\]"):
             parse_config(text)

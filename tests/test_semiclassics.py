@@ -150,10 +150,11 @@ def test_vlasov_step_second_order():
     assert 3.3 < err1 / err2 < 4.7
 
 
-@pytest.mark.parametrize("d,steps", [(64, 200), (16, 1), (9, 1)])
+@pytest.mark.parametrize("d,steps", [(64, 200), (16, 1), (9, 1), (80, 3), (81, 3), (128, 3),
+                                     (256, 2)])
 def test_vlasov_step_matches_the_full_fft_step(d, steps):
-    # the half-spectrum step against full complex FFTs on transposed views;
-    # odd d has no Nyquist bin
+    # the half-spectrum step by the DFT tables, at every d, against full complex FFTs on
+    # transposed views; odd d has no Nyquist bin
     lat = make_lattice(1, d, 1.0)
     hbar = default_hbar(8, 1)
     q = momentum_grid(lat, hbar)
@@ -205,14 +206,14 @@ def test_phase_table_matches_the_cos_sin_table(d):
 
 
 def test_vlasov_step_transform_count(monkeypatch):
-    # n Strang steps: 2n + 1 sweeps, n of them kicks that each build one `_phases` table, and
-    # the one ifft that builds the kick's circulant.  Up to `_TABLE_MAX_D` the sweeps transform
-    # by the DFT tables; above it each sweep is one rfft and one irfft: 4n + 3 np.fft calls
+    # n Strang steps: 2n + 1 sweeps, n of them kicks that each build one `_phases` table, each
+    # transform one product with the DFT tables at every d: the only np.fft call is the one
+    # ifft that builds the kick's circulant
     counts = count_fft_calls(monkeypatch)
     kicks = []
     monkeypatch.setattr(semiclassics, "_phases",
                         lambda *args, fn=semiclassics._phases: kicks.append(1) or fn(*args))
-    for d in (16, semiclassics._TABLE_MAX_D + 2):
+    for d in (16, 80):
         lat = make_lattice(1, d, 1.0)
         pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
         x, q = lat.sites()[:, 0], momentum_grid(lat, 0.5)
@@ -220,13 +221,12 @@ def test_vlasov_step_transform_count(monkeypatch):
         for n in (1, 3, 10):
             counts.clear(), kicks.clear()
             out = vlasov_step(w, n, 1e-3, pot, 0.5, 4)
-            sweeps = {"rfft": 2 * n + 1, "irfft": 2 * n + 1}
-            assert counts == {**({} if d <= semiclassics._TABLE_MAX_D else sweeps), "ifft": 1}
+            assert counts == {"ifft": 1}
             assert len(kicks) == n
             assert out.flags.c_contiguous
 
 
-@pytest.mark.parametrize("d", [2, 9, 16, 64, semiclassics._TABLE_MAX_D])
+@pytest.mark.parametrize("d", [2, 9, 16, 64, 80, 81, 128])
 def test_dft_tables_match_np_fft(d):
     # (a @ F).view(complex) is rfft and c.view(float) @ G is irfft, along either axis (the
     # drift transforms the transposed state).  Each of the two sides sums d terms and errs by

@@ -205,15 +205,16 @@ def energy(omega: DensityMatrix, v: Potential, hbar: float, h: np.ndarray = None
            phi_hat: np.ndarray = None) -> tuple:
     """The mean-field energy E and Phi_hat, the `Lattice.fft` of the orbitals, taken here
     unless given.  T = sum lam hbar^2 |p|^2 |Phi_hat|^2 / M (Parseval).  Hartree (no h):
-    E = T + (1/2) sum_x (V * rho)(x) omega_xx.  Hartree-Fock, h = h(omega) from `generator`:
-    E = (T + tr(h omega)) / 2, the 1/2 on both interaction terms making it the conserved one."""
+    E = T + (1/2) sum_x (V * rho)(x) omega_xx = T + (N/2) a^(2 ds) sum_p `Potential.fourier`
+    |rho_hat|^2 / M, rho_hat the `Lattice.fft` of rho (Parseval).  Hartree-Fock, h = h(omega)
+    from `generator`: E = (T + tr(h omega)) / 2, both interaction terms halved: the conserved E."""
     lat, phi, lam = v.lattice, omega.orbitals, omega.occupations
     phi_hat = phi_hat if phi_hat is not None else lat.fft(phi)
     weights = np.abs(phi_hat) ** 2 @ lam
     kinetic = hbar ** 2 * (lat.momentum_squared() @ weights) / lat.site_count
     if h is None:
-        rho = density_profile(omega, lat)
-        e = kinetic + 0.5 * omega.n_particles * lat.cell * (direct_term(rho, v) @ rho)
+        power = np.abs(lat.fft(density_profile(omega, lat))) ** 2  # |rho_hat|^2
+        e = kinetic + 0.5 * omega.n_particles * lat.cell ** 2 * (v.fourier @ power) / lat.site_count
     else:
         phi = np.ascontiguousarray(phi, dtype=complex)
         e = 0.5 * (kinetic + np.vdot(phi * lam, _times(h)(phi)).real)
@@ -252,7 +253,7 @@ def evolve(omega0: DensityMatrix, cfg: EvolutionConfig, kind: MeanFieldKind,
         if blow_up or not math.isfinite(e):
             raise RuntimeError(f"integrator blow-up at t={t:.6g}: orthonormality defect {drift:.3e}"
                                if blow_up else f"the energy at t={t:.6g} is not finite ({e})")
-        tr = float(np.vdot(state.orbitals, state.orbitals * state.occupations).real)
+        tr = float(state.gram.diagonal().real @ state.occupations)  # sum lam_k |Phi_k|^2
         if i == 0:
             tr0, e0, peaks = tr, e, (0.0, 0.0, 0.0)
         peaks = tuple(map(max, peaks, (defect, abs(tr - tr0), abs(e - e0))))

@@ -10,7 +10,11 @@ became vectors on one particle-number sector: `field_operator`,
 - `dense`: omega = Phi diag(lam) Phi* as an M x M matrix, which checks
   every orbital computation against its dense form.
 - `dense_wigner`: the Wigner transform by one gather of kernel slices from
-  the dense omega, which checks the orbital `semiclassics.wigner`.
+  the dense omega, which checks `semiclassics.wigner`.
+- `orbital_wigner`: the Wigner transform with its kernel slices summed
+  orbital by orbital, never forming omega, a second check of
+  `semiclassics.wigner`, which gathers them from the dense omega as
+  `dense_wigner` does.
 - `full_fft_vlasov_step`: the Strang-split Vlasov step by full complex FFTs
   on transposed views, every phase table rebuilt per sweep and the
   momentum labels q passed in, which checks the half-spectrum
@@ -104,6 +108,17 @@ def dense_wigner(omega: DensityMatrix, d: int) -> np.ndarray:
     slices omega[(j+m) mod d, (j-m) mod d], gathered from the dense omega."""
     j, off = np.arange(d)[:, None], np.arange(d)[None, :]
     slices = dense(omega)[(j + off) % d, (j - off) % d]
+    return np.fft.fftshift(np.fft.fft(slices, axis=1), axes=1)
+
+
+def orbital_wigner(omega: DensityMatrix, d: int) -> np.ndarray:
+    """W(x_j, q_k) as `dense_wigner`, its slices sum_k lam_k Phi[j+m, k] conj Phi[j-m, k]
+    accumulated one orbital at a time in d x d temporaries."""
+    phi, j = omega.orbitals, np.arange(d)[:, None]
+    plus, minus = (j + j.T) % d, (j - j.T) % d  # indexed [j, m]
+    slices = np.zeros((d, d), dtype=complex)
+    for k, lam_k in enumerate(omega.occupations):
+        slices += lam_k * phi[plus, k] * phi[minus, k].conj()
     return np.fft.fftshift(np.fft.fft(slices, axis=1), axes=1)
 
 

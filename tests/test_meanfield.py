@@ -357,17 +357,17 @@ def test_recorded_hartree_energy_matches_its_snapshot(ds, d, n):
 @pytest.mark.parametrize("ds,d,n", [(1, 16, 3), (3, 4, 4)])
 def test_hartree_step_transform_count(monkeypatch, ds, d, n):
     # a split step: three orbital transforms of ds one-axis calls each (ifft, fft, ifft),
-    # and the direct terms of the step and of the energy, each ds fft and ds ifft: 7 ds
-    # one-axis calls; no fftn or ifftn
+    # the step's direct term (ds fft and ds ifft) and the energy's transform of rho (ds fft,
+    # its interaction by Parseval): 6 ds one-axis calls; no fftn or ifftn
     om, _, pot, hbar = _trapped_generator(ds, d, n)
     counts = count_fft_calls(monkeypatch)
     for n_steps in (1, 3):
         counts.clear()
         list(evolve(om, EvolutionConfig(dt=1e-2, t_final=n_steps * 1e-2),
                     MeanFieldKind.HARTREE, pot, hbar))
-        # the first energy: its phi_hat and its direct_term
-        start = {"fft": 2 * ds, "ifft": ds}
-        per_step = {"fft": 3 * ds, "ifft": 4 * ds}
+        # the first energy: its phi_hat and rho's transform
+        start = {"fft": 2 * ds, "ifft": 0}
+        per_step = {"fft": 3 * ds, "ifft": 3 * ds}
         assert counts == {name: start[name] + n_steps * per_step[name] for name in start}
 
 
@@ -568,6 +568,21 @@ def test_evolve_trace_stability(setup16):
     assert max(abs(s.trace - 3.0) for s in snaps) < 1e-9
     assert len(snaps) == 1001
     assert snaps[-1].max_trace_drift == max(abs(s.trace - snaps[0].trace) for s in snaps)
+
+
+@pytest.mark.parametrize("kind", list(MeanFieldKind))
+@pytest.mark.parametrize("ds,d,lam", [(1, 16, (1.0, 1.0, 1.0, 1.0)), (3, 4, (1.0, 1.0, 0.5, 0.5))])
+def test_recorded_trace_matches_the_orbital_sum(ds, d, lam, kind):
+    # each step's trace reads the Gram diagonal, sum_k lam_k (Phi* Phi)_kk: it must equal
+    # the M x r sum vdot(Phi, Phi lam), for a projection and for a mixed lam
+    om, _, pot, hbar = _trapped_generator(ds, d, 4)
+    om = DensityMatrix(om.orbitals, np.array(lam))
+    snaps = list(evolve(om, EvolutionConfig(dt=1e-2, t_final=5e-2), kind, pot, hbar))
+    assert len(snaps) == 6
+    for s in snaps:
+        phi = s.state.orbitals
+        oracle = np.vdot(phi, phi * s.state.occupations).real
+        assert s.trace == pytest.approx(oracle, rel=1e-14, abs=0)
 
 
 def test_hf_energy_examples():

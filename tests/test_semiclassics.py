@@ -14,7 +14,8 @@ from fermiflow import semiclassics
 from fermiflow.semiclassics import momentum_grid, vlasov_step, wigner
 
 from _oracles import (_full_fft_force, circulant_gather, cos_sin_phases, count_fft_calls,
-                      dense, dense_wigner, full_fft_vlasov_step, spectral_form)
+                      dense, dense_wigner, full_fft_vlasov_step, orbital_wigner,
+                      spectral_form)
 
 
 def test_wigner_translation_invariant_state():
@@ -79,6 +80,7 @@ def test_wigner_from_orbitals_matches_dense_slices(name, d, make):
     om = make(lat)
     w = wigner(om, lat)
     assert np.max(np.abs(w - dense_wigner(om, d))) <= 1e-12
+    assert np.max(np.abs(w - orbital_wigner(om, d))) <= 1e-12
 
 
 @pytest.mark.parametrize("d,mode", [(16, 1), (16, 3), (9, 2)])
@@ -171,6 +173,24 @@ def test_vlasov_step_matches_the_full_fft_step(d, steps):
     assert not any(t.flags.writeable for t in semiclassics._drift_phases(lat, hbar, 2.5e-4))
 
 
+@pytest.mark.parametrize("d", [64, 16, 9, 80, 81, 128])
+def test_vlasov_step_matches_a_fortran_ordered_inverse_table(d, monkeypatch):
+    # G is stored C-ordered only for the speed of its products: the same values F-ordered
+    # give the same step, byte for byte at vlasov1d's d=64 and to round-off at the others
+    lat = make_lattice(1, d, 1.0)
+    hbar = default_hbar(8, 1)
+    x, q = lat.sites()[:, 0], momentum_grid(lat, hbar)
+    w0 = np.exp(-((x[:, None] - 0.5) ** 2) / 0.02 - (q[None, :] ** 2) / 8.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    w = vlasov_step(w0, 20, 2.5e-4, pot, hbar, 8)
+    f, g = semiclassics._dft_tables(d)
+    monkeypatch.setattr(semiclassics, "_dft_tables", lambda n: (f, np.asfortranarray(g)))
+    ref = vlasov_step(w0, 20, 2.5e-4, pot, hbar, 8)
+    if d == 64:
+        assert np.array_equal(w, ref)
+    assert np.max(np.abs(w - ref)) <= 1e-12
+
+
 @pytest.mark.parametrize("d", [64, 9])
 def test_kick_force_matches_the_full_fft_force(d):
     # the kick's circulant on the row sums against -i p on direct_term's V * rho by full
@@ -252,6 +272,7 @@ def test_dft_tables_match_np_fft(d):
         real_edges[:, -1] = c[:, -1].real
     assert np.array_equal(c.view(float) @ g, real_edges.view(float) @ g)
     assert not (f.flags.writeable or g.flags.writeable)
+    assert f.flags.c_contiguous and g.flags.c_contiguous  # a C x F product is a slow dgemm
     assert all(t is u for t, u in zip(semiclassics._dft_tables(d), (f, g)))
     info = semiclassics._dft_tables.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -264,6 +285,20 @@ def test_vlasov_step_rejects_a_non_finite_state():
     w = np.ones((16, 16))
     w[5, 3] = np.nan
     with pytest.raises(RuntimeError, match="not finite"):
+        vlasov_step(w, 1, 1e-3, pot, 0.5, 4)
+
+
+def test_vlasov_step_rejects_a_kick_that_overflows():
+    # finite entries whose column sums are finite, so the first drift is, but whose row sums
+    # overflow: the kick's shifts are not finite, and the check once per call refuses the
+    # result its NaN phases spread to, with no floating-point warning on the way
+    lat = make_lattice(1, 16, 1.0)
+    pot = build_potential({"shape": "gaussian", "strength": 1.0, "sigma": 0.2}, lat)
+    w = np.zeros((16, 16))
+    w[5] = 1e308
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(w.sum(axis=0))) and not np.isfinite(w.sum(axis=1)[5])
+    with pytest.raises(RuntimeError, match="Vlasov step is not finite"):
         vlasov_step(w, 1, 1e-3, pot, 0.5, 4)
 
 
